@@ -14,6 +14,7 @@
 open! Capture
 module Params = Switchless.Params
 module Io_path = Sl_os.Io_path
+module Arrivals = Sl_workload.Arrivals
 module Histogram = Sl_util.Histogram
 module Tablefmt = Sl_util.Tablefmt
 
@@ -41,20 +42,22 @@ let run () =
     {
       Io_path.default_config with
       Io_path.count = 1000;
-      rate_per_kcycle = 0.02;  (* one packet per 50k cycles: pure latency *)
-      per_packet_work = 10;
+      (* one packet per 50k cycles: pure latency *)
+      arrivals = Arrivals.poisson ~rate_per_kcycle:0.02;
+      service = Sl_util.Dist.Constant 10.0;
     }
   in
-  let m = Io_path.run_mwait cfg in
-  let poll = Io_path.run_polling cfg in
-  let intr = Io_path.run_interrupt cfg in
+  let latencies design = (Io_path.run design cfg).Io_path.io.Io_path.latencies in
+  let m = latencies Io_path.Mwait in
+  let poll = latencies Io_path.Polling in
+  let intr = latencies Io_path.Irq in
   Tablefmt.print
     (Tablefmt.render ~title:"E1b: NIC single-packet wakeup at ~0 load (cycles)"
        ~header:[ "design"; "events"; "p50"; "p99"; "max"; "p50 ns @3GHz" ]
        [
-         latency_row "mwait hw thread" m.Io_path.latencies;
-         latency_row "polling core" poll.Io_path.latencies;
-         latency_row "NIC IRQ + sched" intr.Io_path.latencies;
+         latency_row "mwait hw thread" m;
+         latency_row "polling core" poll;
+         latency_row "NIC IRQ + sched" intr;
        ]);
   Printf.printf
     "mwait p50 / irq p50 = %.1fx improvement (paper predicts >= 10x)\n\n"

@@ -12,6 +12,7 @@
 
 open! Capture
 module Io_path = Sl_os.Io_path
+module Arrivals = Sl_workload.Arrivals
 module Histogram = Sl_util.Histogram
 module Tablefmt = Sl_util.Tablefmt
 
@@ -22,19 +23,17 @@ let rates = [ 0.05; 0.2; 0.4; 0.8; 1.2; 1.6 ]
    core's full SMT width with no software dispatcher. *)
 let rss_rates = [ 1.0; 1.6; 2.4; 3.2 ]
 
+(* 2000 packets of 500 cycles at [rate] per kcycle through [design]. *)
+let point design rate =
+  let arrivals = Arrivals.poisson ~rate_per_kcycle:rate in
+  (Io_path.run design { Io_path.default_config with Io_path.count = 2000; arrivals })
+    .Io_path.io
+
 let rss_sweep () =
   List.map
     (fun rate ->
-      let cfg =
-        {
-          Io_path.default_config with
-          Io_path.count = 2000;
-          rate_per_kcycle = rate;
-          per_packet_work = 500;
-        }
-      in
-      let single = Io_path.run_mwait cfg in
-      let rss = Io_path.run_mwait_rss ~queues:4 cfg in
+      let single = point Io_path.Mwait rate in
+      let rss = point (Io_path.Rss 4) rate in
       let p99 (s : Io_path.stats) =
         float_of_int (Histogram.quantile s.Io_path.latencies 0.99)
       in
@@ -49,19 +48,11 @@ let run () =
   let sweep =
     List.map
       (fun rate ->
-        let cfg =
-          {
-            Io_path.default_config with
-            Io_path.count = 2000;
-            rate_per_kcycle = rate;
-            per_packet_work = 500;
-          }
-        in
         ( rate,
-          Io_path.run_mwait cfg,
-          Io_path.run_polling cfg,
-          Io_path.run_interrupt cfg,
-          Io_path.run_interrupt_napi cfg ))
+          point Io_path.Mwait rate,
+          point Io_path.Polling rate,
+          point Io_path.Irq rate,
+          point Io_path.Napi rate ))
       rates
   in
   let p99 (s : Io_path.stats) = float_of_int (Histogram.quantile s.Io_path.latencies 0.99) in

@@ -100,13 +100,16 @@ let io_cfg =
   {
     Io_path.default_config with
     Io_path.count = 400;
-    rate_per_kcycle = 0.5;
-    per_packet_work = 300;
+    service = Sl_util.Dist.Constant 300.0;
   }
 
 let hardened_io ~with_watchdog ~name =
-  let r = Io_path.run_mwait_hardened ~with_watchdog io_cfg in
-  let b = r.Io_path.base in
+  let res =
+    Io_path.run
+      (Io_path.Mwait_hardened { watchdog = with_watchdog; horizon = None })
+      io_cfg
+  in
+  let b = res.Io_path.io and r = res.Io_path.recovery in
   let accounted =
     b.Io_path.processed + b.Io_path.dropped + r.Io_path.dma_dropped
   in

@@ -254,7 +254,9 @@ let bench_sim_pingpong =
 
 (* -- one kernel per experiment table/figure -- *)
 
-let tiny_io count rate = { Io_path.default_config with Io_path.count; rate_per_kcycle = rate }
+let tiny_io count rate =
+  let arrivals = Sl_workload.Arrivals.poisson ~rate_per_kcycle:rate in
+  { Io_path.default_config with Io_path.count; arrivals }
 
 let bench_e1 =
   Test.make ~name:"E1:timer wakeup x200"
@@ -263,11 +265,11 @@ let bench_e1 =
 
 let bench_e2 =
   Test.make ~name:"E2:io sweep point (mwait, 500 pkts)"
-    (Staged.stage (fun () -> ignore (Io_path.run_mwait (tiny_io 500 0.4))))
+    (Staged.stage (fun () -> ignore (Io_path.run Io_path.Mwait (tiny_io 500 0.4))))
 
 let bench_e2_interrupt =
   Test.make ~name:"E2:io sweep point (interrupt, 500 pkts)"
-    (Staged.stage (fun () -> ignore (Io_path.run_interrupt (tiny_io 500 0.4))))
+    (Staged.stage (fun () -> ignore (Io_path.run Io_path.Irq (tiny_io 500 0.4))))
 
 let bench_e7 =
   Test.make ~name:"E7:server point (hw pool, 500 reqs)"

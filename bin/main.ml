@@ -5,7 +5,7 @@
    bench/main.exe:
 
      switchless-sim params
-     switchless-sim io --design mwait --rate 0.8 --count 5000
+     switchless-sim load --design napi --load 0.8 --dist constant --mean 500
      switchless-sim wakeup --ticks 1000 --period 10000
      switchless-sim syscall --design hw --work 500 --calls 1000
      switchless-sim server --design hw --rate 0.8 --cv2 16 --cores 2
@@ -67,55 +67,11 @@ let params_cmd =
   in
   Cmd.v (Cmd.info "params" ~doc:"Print the cost model.") Term.(const run $ const ())
 
-(* --- io --- *)
-
-type io_design = Mwait | Polling | Interrupt
-
-let io_design =
-  let designs = [ ("mwait", Mwait); ("polling", Polling); ("interrupt", Interrupt) ] in
-  Arg.(
-    value
-    & opt (enum designs) Mwait
-    & info [ "design" ] ~docv:"DESIGN" ~doc:"One of mwait, polling, interrupt.")
-
 let work =
   Arg.(
     value
     & opt int 500
     & info [ "work" ] ~docv:"CYCLES" ~doc:"Per-event processing cycles.")
-
-let background =
-  Arg.(value & flag & info [ "background" ] ~doc:"Run a best-effort batch job alongside.")
-
-let io_cmd =
-  let run design seed rate count work background =
-    let cfg =
-      {
-        Io_path.params = p;
-        seed;
-        rate_per_kcycle = rate;
-        per_packet_work = work;
-        count;
-        background;
-      }
-    in
-    let stats =
-      match design with
-      | Mwait -> Io_path.run_mwait cfg
-      | Polling -> Io_path.run_polling cfg
-      | Interrupt -> Io_path.run_interrupt cfg
-    in
-    Printf.printf "processed %d (dropped %d) in %d cycles\n" stats.Io_path.processed
-      stats.Io_path.dropped stats.Io_path.elapsed_cycles;
-    Printf.printf "latency: %s\n"
-      (Format.asprintf "%a" Histogram.pp_summary stats.Io_path.latencies);
-    Printf.printf "cycles: useful %.0f | poll %.0f | overhead %.0f | waste %.1f%%\n"
-      stats.Io_path.useful_cycles stats.Io_path.poll_cycles stats.Io_path.overhead_cycles
-      (100.0 *. Io_path.wasted_fraction stats)
-  in
-  Cmd.v
-    (Cmd.info "io" ~doc:"NIC RX path under one of the three designs.")
-    Term.(const run $ io_design $ seed $ rate $ count $ work $ background)
 
 (* --- wakeup --- *)
 
@@ -372,19 +328,32 @@ let lock_cmd =
 
 (* --- load --- *)
 
-type load_design = L_mwait | L_polling | L_irq | L_flexsc
-
 let load_cmd =
   let module Arrivals = Sl_workload.Arrivals in
   let module Latency = Sl_workload.Latency in
   let designs =
-    [ ("mwait", L_mwait); ("polling", L_polling); ("irq", L_irq); ("flexsc", L_flexsc) ]
+    [
+      ("mwait", Io_path.Mwait);
+      ("mwait-hardened", Io_path.Mwait_hardened { watchdog = false; horizon = None });
+      ("rss", Io_path.Rss 4);
+      ("polling", Io_path.Polling);
+      ("irq", Io_path.Irq);
+      ("irq-backlog", Io_path.Irq_backlog);
+      ("napi", Io_path.Napi);
+      ("flexsc", Io_path.Flexsc);
+    ]
   in
   let design =
     Arg.(
       value
-      & opt (enum designs) L_mwait
-      & info [ "design" ] ~docv:"DESIGN" ~doc:"One of mwait, polling, irq, flexsc.")
+      & opt (enum designs) Io_path.Mwait
+      & info [ "design" ] ~docv:"DESIGN"
+          ~doc:
+            (Printf.sprintf "I/O delivery design (rss steers over 4 RX queues): one of %s."
+               (String.concat ", " (List.map fst designs))))
+  in
+  let background =
+    Arg.(value & flag & info [ "background" ] ~doc:"Run a best-effort batch job alongside.")
   in
   let dists = [ ("exp", `Exp); ("bimodal", `Bimodal); ("pareto", `Pareto); ("constant", `Constant) ] in
   let dist =
@@ -425,7 +394,7 @@ let load_cmd =
       value & opt float 200_000.0
       & info [ "dwell" ] ~docv:"CYCLES" ~doc:"Mean MMPP phase dwell time.")
   in
-  let run design dist mean cv2 load slo amplitude dwell seed count =
+  let run design dist mean cv2 load slo amplitude dwell background seed count =
     let module Io = Io_path in
     let service =
       match dist with
@@ -443,29 +412,26 @@ let load_cmd =
       else Arrivals.bursty ~rate_per_kcycle:rate ~amplitude ~mean_dwell:dwell
     in
     let cfg = { Io.params = p; seed; arrivals; service; count; slo } in
-    let r =
-      match design with
-      | L_mwait -> Io.run_load_mwait cfg
-      | L_polling -> Io.run_load_polling cfg
-      | L_irq -> Io.run_load_interrupt cfg
-      | L_flexsc -> Io.run_load_flexsc cfg
-    in
-    Printf.printf "offered %.3f req/kcycle (load %.2f), served %d\n" rate load
-      r.Io.lat.Latency.count;
+    let r = Io.run ~background design cfg in
+    Printf.printf "offered %.3f req/kcycle (load %.2f), served %d (dropped %d)\n" rate
+      load r.Io.lat.Latency.count r.Io.io.Io.dropped;
     Printf.printf "latency: %s\n"
       (Format.asprintf "%a" Latency.pp_summary r.Io.lat);
     Printf.printf "cycles: useful %.0f | poll %.0f | overhead %.0f | waste %.1f%%\n"
       r.Io.io.Io.useful_cycles r.Io.io.Io.poll_cycles r.Io.io.Io.overhead_cycles
-      (100.0 *. Io.wasted_fraction r.Io.io)
+      (100.0 *. Io.wasted_fraction r.Io.io);
+    if background then
+      Printf.printf "background: %.0f cycles\n" r.Io.io.Io.background_cycles
   in
   Cmd.v
     (Cmd.info "load"
        ~doc:
-         "Offered-load point for one serving design: tail latency, SLO misses, \
-          goodput (the interactive face of bench e16).")
+         "Offered-load point for one I/O delivery design: tail latency, SLO \
+          misses, goodput, cycle accounting (the interactive face of bench \
+          e1, e2 and e16).")
     Term.(
       const run $ design $ dist $ mean $ cv2 $ load $ slo $ amplitude $ dwell
-      $ seed $ count)
+      $ background $ seed $ count)
 
 (* --- netstack --- *)
 
@@ -636,32 +602,6 @@ let explore_cmd =
       const run $ seed $ scenario $ trials $ max_shrink $ max_seconds $ out
       $ expect_repros)
 
-let lint_cmd =
-  let roots =
-    Arg.(
-      value
-      & pos_all string [ "lib" ]
-      & info [] ~docv:"DIR" ~doc:"Source roots to scan (default: lib).")
-  in
-  let run roots =
-    let issues =
-      try List.concat_map Sl_analysis.Lint.scan_tree roots with
-      | Sys_error msg ->
-        Printf.eprintf "lint: %s\n" msg;
-        exit 2
-    in
-    List.iter (fun i -> print_endline (Sl_analysis.Lint.to_string i)) issues;
-    match issues with
-    | [] -> print_endline "lint: no issues"
-    | _ :: _ -> exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Determinism/style lint: no wall-clock or entropy in lib, no printing \
-          outside util, every module has an interface.")
-    Term.(const run $ roots)
-
 let check_cmd =
   let module S = Sl_staticcheck in
   let roots =
@@ -739,7 +679,6 @@ let () =
        (Cmd.group info
           [
             params_cmd;
-            io_cmd;
             wakeup_cmd;
             syscall_cmd;
             server_cmd;
@@ -748,6 +687,5 @@ let () =
             netstack_cmd;
             vm_cmd;
             explore_cmd;
-            lint_cmd;
             check_cmd;
           ]))

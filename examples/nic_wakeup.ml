@@ -16,16 +16,15 @@ let () =
     {
       Io_path.default_config with
       Io_path.count = 3000;
-      rate_per_kcycle = 0.4;
-      per_packet_work = 500;
-      background = true;
+      arrivals = Sl_workload.Arrivals.poisson ~rate_per_kcycle:0.4;
     }
   in
+  let serve design = (Io_path.run ~background:true design cfg).Io_path.io in
   let designs =
     [
-      ("interrupt", Io_path.run_interrupt cfg);
-      ("polling", Io_path.run_polling cfg);
-      ("mwait (paper)", Io_path.run_mwait cfg);
+      ("interrupt", serve Io_path.Irq);
+      ("polling", serve Io_path.Polling);
+      ("mwait (paper)", serve Io_path.Mwait);
     ]
   in
   let rows =

@@ -31,11 +31,10 @@ let kind_index = function Useful -> 0 | Poll -> 1 | Overhead -> 2
    array is O(currently runnable) instead.
 
    Determinism: per-job service is computed independently of scratch
-   order, rates are exact for the weight values experiments use, and the
-   completion path below falls back to the legacy [Hashtbl.fold] order
-   whenever more than one job finishes in the same advance — so event
-   sequencing and every reported statistic match the pre-wheel engine
-   byte for byte (checked by the -j1/-j4 full-suite byte-compare). *)
+   order, rates are exact for the weight values experiments use, and
+   jobs that finish in the same advance complete in the order the serve
+   loop visits them — a function of the runnable array's history, never
+   of a hash seed. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -55,13 +54,6 @@ type t = {
   mutable j_resume : (unit -> unit) array;
   mutable j_register : ((unit -> unit) -> unit) array;
   mutable njobs : int;
-  (* Shadow of the old [(ptid, job) Hashtbl]: same create size, same
-     replace/remove sequence on the same ptid keys, so its [fold] walks
-     finished jobs in exactly the bucket order the original engine's
-     completion fold used.  Load-bearing for byte-identity — the
-     relative completion-resume order of simultaneous completions
-     sequences every downstream event.  Values are the jobs' slots. *)
-  jorder : (int, int) Hashtbl.t;
   mutable rpos : int array;  (* slot -> index in rslot/rweight; -1 *)
   mutable rslot : int array;  (* runnable slots, compact prefix [0, rcount) *)
   mutable rweight : float array;  (* weight of rslot.(i) *)
@@ -70,12 +62,9 @@ type t = {
   mutable epoch : int;  (* stamps completion events; bumps invalidate them *)
   busy : float ref;
   work : float array;  (* indexed by kind *)
-  (* Billing, dense by slot; [border] shadows the old billing Hashtbl's
-     insertion history (ptid keys) so [billed_threads] lists threads in
-     the legacy fold order. *)
+  (* Billing, dense by slot. *)
   mutable b_cycles : float array;
   mutable b_flag : int array;  (* 1 = has a billing entry *)
-  border : (int, int) Hashtbl.t;
   (* Scratch state for the active set; valid between [collect_active] and
      the end of the computation using it. *)
   mutable sslot : int array;
@@ -113,7 +102,6 @@ let create sim params ~core_id =
     j_resume = Array.make 16 dummy_resume;
     j_register = Array.make 16 dummy_register;
     njobs = 0;
-    jorder = Hashtbl.create 64;
     rpos = Array.make 16 (-1);
     rslot = Array.make 16 0;
     rweight = Array.make 16 0.0;
@@ -124,7 +112,6 @@ let create sim params ~core_id =
     work = Array.make 3 0.0;
     b_cycles = Array.make 16 0.0;
     b_flag = Array.make 16 0;
-    border = Hashtbl.create 64;
     sslot = Array.make 16 0;
     sweight = Array.make 16 0.0;
     srate = Array.make 16 0.0;
@@ -295,21 +282,15 @@ let compute_rates t =
   end
 
 let bill t slot served =
-  if t.b_flag.(slot) = 0 then begin
-    t.b_flag.(slot) <- 1;
-    Hashtbl.replace t.border t.s_ptid.(slot) slot
-  end;
+  t.b_flag.(slot) <- 1;
   t.b_cycles.(slot) <- t.b_cycles.(slot) +. served
 
-let remove_job t slot =
+(* Retire [slot]'s job and resume the thread awaiting it.  The resume
+   only queues the thread's continuation at the current instant, so the
+   caller's scratch state stays valid. *)
+let complete t slot =
   t.j_kind.(slot) <- -1;
   t.njobs <- t.njobs - 1;
-  Hashtbl.remove t.jorder t.s_ptid.(slot)
-
-(* Resume the thread awaiting [slot]'s completion (the old [Ivar.fill]).
-   Call only after [remove_job], mirroring the original fill-after-remove
-   ordering. *)
-let complete t slot =
   let r = t.j_resume.(slot) in
   if r != dummy_resume then begin
     t.j_resume.(slot) <- dummy_resume;
@@ -329,56 +310,27 @@ let advance t =
     collect_active t;
     compute_rates t;
     let live_min = ref infinity in
-    let nfinished = ref 0 in
-    let last_finished = ref (-1) in
+    (* Only jobs served just now can finish (frozen jobs owe > 1e-6 by
+       the invariant above); they complete in serve-loop order. *)
     for i = t.scount - 1 downto 0 do
       let slot = t.sslot.(i) in
       let rem = t.j_rem.(slot) in
       let served = Float.min rem (elapsed *. t.srate.(i)) in
       let left = rem -. served in
       t.j_rem.(slot) <- left;
-      if left > 1e-6 && left < !live_min then live_min := left
-      else if left <= 1e-6 then begin
-        incr nfinished;
-        last_finished := slot
-      end;
       t.busy := !(t.busy) +. served;
       t.work.(t.j_kind.(slot)) <- t.work.(t.j_kind.(slot)) +. served;
-      bill t slot served
+      bill t slot served;
+      if left > 1e-6 then begin
+        if left < !live_min then live_min := left
+      end
+      else complete t slot
     done;
     if t.frozen = 0 then begin
       t.min_rem <- !live_min;
       t.min_valid <- !live_min < infinity
     end
-    else t.min_valid <- false;
-    (* Complete finished jobs.  Only jobs served just now can have crossed
-       the threshold (frozen jobs owe > 1e-6 by the invariant above), so
-       when the serve loop saw none there is nothing to scan for, and when
-       it saw exactly one — the steady-state shape: one completion event
-       per [execute] — that job completes directly.  Only a multi-finish
-       advance (boot storms, lockstep pools) pays the whole-table fold,
-       walked in the [jorder] shadow's legacy bucket order so that the
-       relative [Ivar.fill] order of simultaneous completions — and with
-       it event sequencing downstream — matches the original engine
-       exactly. *)
-    if !nfinished = 1 then begin
-      let slot = !last_finished in
-      remove_job t slot;
-      complete t slot
-    end
-    else if !nfinished > 1 then begin
-      let finished =
-        Hashtbl.fold
-          (fun _ptid slot acc ->
-            if t.j_rem.(slot) <= 1e-6 then slot :: acc else acc)
-          t.jorder []
-      in
-      List.iter
-        (fun slot ->
-          remove_job t slot;
-          complete t slot)
-        finished
-    end
+    else t.min_valid <- false
   end
 
 (* Unit weights, nothing frozen: every job is active at the same rate,
@@ -496,7 +448,6 @@ let execute t ~ptid ~kind cycles =
     t.j_kind.(slot) <- kind_index kind;
     t.j_rem.(slot) <- rem;
     t.njobs <- t.njobs + 1;
-    Hashtbl.replace t.jorder ptid slot;
     reschedule t;
     if t.j_register.(slot) == dummy_register then
       t.j_register.(slot) <- (fun resume -> t.j_resume.(slot) <- resume);
@@ -528,4 +479,8 @@ let thread_cycles t ~ptid =
 
 let billed_threads t =
   advance t;
-  Hashtbl.fold (fun ptid slot acc -> (ptid, t.b_cycles.(slot)) :: acc) t.border []
+  let acc = ref [] in
+  for slot = t.nslots - 1 downto 0 do
+    if t.b_flag.(slot) = 1 then acc := (t.s_ptid.(slot), t.b_cycles.(slot)) :: !acc
+  done;
+  !acc

@@ -75,44 +75,26 @@ let run_software ?quantum cfg =
 
 (* --- hardware thread-per-request ---------------------------------------- *)
 
-type hw_worker = {
-  doorbell : Memory.addr;
-  mutable slot_request : Openloop.request option;
-  mutable hw_enlisted : bool;  (* an entry for this worker sits in [free] *)
-  mutable hw_lives : int;
-}
-
-(* --- closed-loop clients against the hardware pool ----------------------- *)
-
 module Closedloop = Sl_workload.Closedloop
 module Latency = Sl_workload.Latency
 
-type closed_stats = {
-  clients : int;
-  issued : int;
-  finished : int;
-  c_timed_out : int;
-  lat : Latency.summary;
-  wall_cycles : int;
-}
-
-type closed_worker = {
+type 'job worker = {
   bell : Memory.addr;
-  mutable slot : (Openloop.request * (unit -> unit)) option;
+  mutable slot : 'job option;
   mutable enlisted : bool;  (* an entry for this worker sits in [free] *)
   mutable lives : int;
 }
 
-let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
-    ~think cfg =
-  if clients <= 0 then
-    invalid_arg "Server.run_hw_pool_closed: clients must be positive";
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:cfg.cores in
+(* The crash-hardened pool: [pool_per_core] workers per core, each parked
+   in mwait on its own doorbell, and a dispatcher (hardware steering,
+   smartNIC-style) that rings a free worker's bell for every job sent to
+   the returned inbox; jobs queue while the pool is exhausted.  [request]
+   reads a job's request, [complete] runs once its service is done. *)
+let hw_pool chip ~pool_per_core ~request ~complete =
   let memory = Chip.memory chip in
   let free = Mailbox.create () in
   let inbox = Mailbox.create () in
-  for core = 0 to cfg.cores - 1 do
+  for core = 0 to Chip.core_count chip - 1 do
     for i = 0 to pool_per_core - 1 do
       let ptid = (core * 1024) + i + 1 in
       let worker =
@@ -125,10 +107,10 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
           Sim.set_daemon true;
           (* The body doubles as the cold-restart boot path.  Arm first —
              a bell rung before MONITOR executes is architecturally
-             lost — then requeue any request orphaned by a crash-stop
-             (died mid-request, or assigned into the dead window) so the
-             closed loop's conservation law survives, and rejoin the free
-             pool unless our entry is still queued there. *)
+             lost — then requeue any job orphaned by a crash-stop (died
+             mid-request, or assigned into the dead window) so request
+             conservation survives, and rejoin the free pool unless our
+             entry is still queued there. *)
           Isa.monitor th worker.bell;
           worker.lives <- worker.lives + 1;
           if worker.lives > 1 then Sl_util.Recovery.bump "server.crash_restart";
@@ -145,10 +127,10 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
           let rec serve () =
             let _ = Isa.mwait th in
             (match worker.slot with
-            | Some (req, complete) ->
+            | Some job ->
               worker.slot <- None;
-              Isa.exec th req.Openloop.service_cycles;
-              complete ();
+              Isa.exec th (request job).Openloop.service_cycles;
+              complete job;
               worker.enlisted <- true;
               Mailbox.send free worker
             | None -> ());
@@ -158,23 +140,62 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
       Chip.boot th
     done
   done;
-  Sim.spawn sim (fun () ->
-      (* Like the pool workers, the dispatcher parks by design when the
-         pool is exhausted; under injected faults wedged workers never
-         return to [free], and the clients' timeouts — not the
-         dispatcher — carry liveness.  Unbounded on purpose: crash-stop
-         requeues can push dispatches past [cfg.count]. *)
+  Sim.spawn (Chip.sim chip) (fun () ->
+      (* Like the workers, the dispatcher parks by design when the pool is
+         exhausted; under injected faults wedged workers never return to
+         [free], and the request source — not the dispatcher — carries
+         liveness.  Unbounded on purpose: crash-stop requeues can push
+         dispatches past [cfg.count]. *)
       Sim.set_daemon true;
       while true do
-        let (req, _) as job = Mailbox.recv inbox in
+        let job = Mailbox.recv inbox in
         let worker = Mailbox.recv free in
         (* No yield between the pop and the bell write, so a restarting
            worker always observes either (enlisted, no slot) or
            (assigned, slot set) — never the half-claimed state. *)
         worker.enlisted <- false;
         worker.slot <- Some job;
-        Memory.write memory worker.bell (Int64.of_int req.Openloop.req_id)
+        Memory.write memory worker.bell
+          (Int64.of_int (request job).Openloop.req_id)
       done);
+  inbox
+
+let run_hw_pool ?(pool_per_core = 64) cfg =
+  let sim = Sim.create () in
+  let chip = Chip.create sim cfg.params ~cores:cfg.cores in
+  let latencies = Histogram.create () in
+  let slowdowns = ref [] in
+  let inbox =
+    hw_pool chip ~pool_per_core ~request:Fun.id
+      ~complete:(record latencies slowdowns)
+  in
+  let rng = Sl_util.Rng.create cfg.seed in
+  Openloop.run sim rng
+    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
+    ~service:cfg.service ~count:cfg.count ~sink:(Mailbox.send inbox);
+  Sim.run sim;
+  finish ~sim ~latencies ~slowdowns ~switch_overhead:0.0
+
+(* --- closed-loop clients against the hardware pool ----------------------- *)
+
+type closed_stats = {
+  clients : int;
+  issued : int;
+  finished : int;
+  c_timed_out : int;
+  lat : Latency.summary;
+  wall_cycles : int;
+}
+
+let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
+    ~think cfg =
+  if clients <= 0 then
+    invalid_arg "Server.run_hw_pool_closed: clients must be positive";
+  let sim = Sim.create () in
+  let chip = Chip.create sim cfg.params ~cores:cfg.cores in
+  let inbox =
+    hw_pool chip ~pool_per_core ~request:fst ~complete:(fun (_, k) -> k ())
+  in
   let rng = Sl_util.Rng.create cfg.seed in
   let cl =
     Closedloop.start ?timeout ?slo sim rng ~clients ~think ~service:cfg.service
@@ -190,81 +211,3 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
     lat = Latency.summarize (Closedloop.latency cl) ~elapsed:(Sim.time sim);
     wall_cycles = Sim.time sim;
   }
-
-let run_hw_pool ?(pool_per_core = 64) cfg =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:cfg.cores in
-  let memory = Chip.memory chip in
-  let latencies = Histogram.create () in
-  let slowdowns = ref [] in
-  let free = Mailbox.create () in
-  let inbox = Mailbox.create () in
-  (* Build the worker pool: each worker parks in mwait on its doorbell. *)
-  for core = 0 to cfg.cores - 1 do
-    for i = 0 to pool_per_core - 1 do
-      let ptid = (core * 1024) + i + 1 in
-      let worker =
-        {
-          doorbell = Memory.alloc memory 1;
-          slot_request = None;
-          hw_enlisted = false;
-          hw_lives = 0;
-        }
-      in
-      let th = Chip.add_thread chip ~core ~ptid ~mode:Ptid.User () in
-      Chip.attach th (fun th ->
-          (* Boot path doubles as crash recovery (see run_hw_pool_closed):
-             arm, requeue an orphaned request, rejoin the free pool. *)
-          Isa.monitor th worker.doorbell;
-          (* Join the free pool only once the monitor is armed — a
-             doorbell rung before MONITOR executes is architecturally
-             lost (same order as run_hw_pool_closed). *)
-          worker.hw_lives <- worker.hw_lives + 1;
-          if worker.hw_lives > 1 then
-            Sl_util.Recovery.bump "server.crash_restart";
-          (match worker.slot_request with
-          | Some req ->
-            worker.slot_request <- None;
-            Sl_util.Recovery.bump "server.crash_requeue";
-            Mailbox.send inbox req
-          | None -> ());
-          if not worker.hw_enlisted then begin
-            worker.hw_enlisted <- true;
-            Mailbox.send free worker
-          end;
-          let rec serve () =
-            let _ = Isa.mwait th in
-            (match worker.slot_request with
-            | Some req ->
-              worker.slot_request <- None;
-              Isa.exec th req.Openloop.service_cycles;
-              record latencies slowdowns req;
-              worker.hw_enlisted <- true;
-              Mailbox.send free worker
-            | None -> ());
-            serve ()
-          in
-          serve ());
-      Chip.boot th
-    done
-  done;
-  (* Dispatch: hardware steering (smartNIC-style) — pick a parked worker
-     and ring its doorbell; requests queue when the pool is exhausted.
-     Unbounded so crash-stop requeues still reach a worker after the
-     first [cfg.count] dispatches. *)
-  Sim.spawn sim (fun () ->
-      Sim.set_daemon true;
-      while true do
-        let req = Mailbox.recv inbox in
-        let worker = Mailbox.recv free in
-        worker.hw_enlisted <- false;
-        worker.slot_request <- Some req;
-        Memory.write memory worker.doorbell (Int64.of_int req.Openloop.req_id)
-      done);
-  let rng = Sl_util.Rng.create cfg.seed in
-  Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
-    ~service:cfg.service ~count:cfg.count
-    ~sink:(fun req -> Mailbox.send inbox req);
-  Sim.run sim;
-  finish ~sim ~latencies ~slowdowns ~switch_overhead:0.0

@@ -11,6 +11,7 @@
     - {!run_hw_pool}: thread-per-request with {e hardware} threads — a
       pool of workers parked in [mwait]; dispatch is a doorbell write, and
       all active requests share the pipeline processor-sharing style.
+      The same crash-hardened pool builder serves {!run_hw_pool_closed}.
 
     The headline metric is the tail of the {e slowdown} distribution
     (response time / service demand, RackSched/Shinjuku methodology):
@@ -40,7 +41,9 @@ type config = {
 val run_software : ?quantum:Sl_engine.Sim.Time.t -> config -> stats
 
 val run_hw_pool : ?pool_per_core:int -> config -> stats
-(** [pool_per_core] defaults to 64 hardware worker threads per core. *)
+(** [pool_per_core] defaults to 64 hardware worker threads per core.
+    Pool workers and the dispatcher are daemons: idle workers park by
+    design, so they never count as deadlock suspects. *)
 
 (** {2 Closed-loop clients}
 
@@ -67,7 +70,7 @@ val run_hw_pool_closed :
 (** [run_hw_pool_closed ~clients ~think cfg] runs [cfg.count] requests
     from [clients] closed-loop clients (think-time distribution [think],
     service demands from [cfg.service]) against the {!run_hw_pool} worker
-    pool.  [cfg.rate_per_kcycle] is ignored — a closed loop has no offered
+    pool (the same builder).  [cfg.rate_per_kcycle] is ignored — a closed loop has no offered
     rate, only a population.  [timeout]/[slo] forward to
     {!Sl_workload.Closedloop.start}.
 

@@ -104,12 +104,15 @@ let io_hardened () =
     {
       Io_path.default_config with
       Io_path.count = 150;
-      rate_per_kcycle = 0.5;
-      per_packet_work = 300;
+      service = Dist.Constant 300.0;
     }
   in
-  let r = Io_path.run_mwait_hardened ~horizon:40_000_000 cfg in
-  let b = r.Io_path.base in
+  let res =
+    Io_path.run
+      (Io_path.Mwait_hardened { watchdog = false; horizon = Some 40_000_000 })
+      cfg
+  in
+  let b = res.Io_path.io and r = res.Io_path.recovery in
   let accounted =
     b.Io_path.processed + b.Io_path.dropped + r.Io_path.dma_dropped
   in

@@ -38,7 +38,7 @@ val all : t list
       termination before the horizon, request conservation
       (issued = completed + timed out) and SLO-ledger consistency.
     - ["io.hardened"]: the failure-hardened NIC RX path
-      ({!Sl_os.Io_path.run_mwait_hardened}); oracle is exact request
+      ({!Sl_os.Io_path.Mwait_hardened}); oracle is exact request
       accounting (processed + ring-dropped + DMA-dropped = offered).
     - ["lock.contended"]: six threads contending for a patience-bounded
       [Sl_sync.Lock.Park_mwait] lock; oracles are termination before the

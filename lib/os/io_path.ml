@@ -13,6 +13,8 @@ module Apic_timer = Sl_dev.Apic_timer
 module Swsched = Sl_baseline.Swsched
 module Irq = Sl_baseline.Irq
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
+module Latency = Sl_workload.Latency
 
 type stats = {
   processed : int;
@@ -32,93 +34,23 @@ let wasted_fraction s =
 type config = {
   params : Params.t;
   seed : int64;
-  rate_per_kcycle : float;
-  per_packet_work : int;
+  arrivals : Arrivals.t;
+  service : Sl_util.Dist.t;
   count : int;
-  background : bool;
+  slo : int;
 }
 
 let default_config =
   {
     params = Params.default;
     seed = 1L;
-    rate_per_kcycle = 0.5;
-    per_packet_work = 500;
+    arrivals = Arrivals.poisson ~rate_per_kcycle:0.5;
+    service = Sl_util.Dist.Constant 500.0;
     count = 2000;
-    background = false;
+    slo = 30_000;
   }
 
-let background_chunk = 200
-
-(* Drive the open-loop packet stream into the NIC. *)
-let start_generator sim cfg nic =
-  let rng = Sl_util.Rng.create cfg.seed in
-  Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
-    ~service:(Sl_util.Dist.Constant (float_of_int cfg.per_packet_work))
-    ~count:cfg.count
-    ~sink:(fun _req -> Sim.fork (fun () -> Nic.inject nic))
-
-let collect_chip_stats ~sim ~core ~latencies ~nic ~background_work =
-  {
-    processed = Histogram.count latencies;
-    dropped = Nic.dropped nic;
-    latencies;
-    elapsed_cycles = Sim.time sim;
-    useful_cycles = Smt_core.work_done core Smt_core.Useful;
-    poll_cycles = Smt_core.work_done core Smt_core.Poll;
-    overhead_cycles = Smt_core.work_done core Smt_core.Overhead;
-    background_cycles = background_work ();
-  }
-
-(* --- the paper's design: monitor/mwait on the RX tail ------------------- *)
-
-let run_mwait cfg =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queue_depth:4096 () in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
-  let net = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  Chip.attach net (fun th ->
-      Isa.monitor th (Nic.rx_tail_addr nic);
-      let processed = ref 0 in
-      while !processed < cfg.count do
-        (if Nic.pending nic = 0 then
-           let _ = Isa.mwait th in
-           ());
-        let rec drain () =
-          match Nic.poll nic with
-          | Some pkt ->
-            Isa.exec th cfg.per_packet_work;
-            Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-            incr processed;
-            drain ()
-          | None -> ()
-        in
-        drain ()
-      done;
-      stop := true);
-  Chip.boot net;
-  if cfg.background then begin
-    let bg = Chip.add_thread chip ~core:0 ~ptid:2 ~mode:Ptid.User ~weight:0.25 () in
-    Chip.attach bg (fun th ->
-        while not !stop do
-          Isa.exec th background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done);
-    Chip.boot bg
-  end;
-  start_generator sim cfg nic;
-  Sim.run sim;
-  collect_chip_stats ~sim ~core:(Chip.exec_core chip 0) ~latencies ~nic
-    ~background_work:(fun () -> !background_done)
-
-(* --- failure-hardened mwait: deadlines + fallback + watchdog ------------ *)
-
-type hardened_stats = {
-  base : stats;
+type recovery = {
   dma_dropped : int;
   mwait_timeouts : int;
   missed_wakeups : int;
@@ -128,32 +60,141 @@ type hardened_stats = {
   watchdog_nudges : int;
 }
 
-let run_mwait_hardened ?(wait_budget = 20_000) ?(miss_threshold = 3)
-    ?(poll_recovery_checks = 64) ?(poll_gap = 20) ?(with_watchdog = false)
-    ?horizon cfg =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queue_depth:4096 () in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
+type result = { lat : Latency.summary; io : stats; recovery : recovery }
+
+type delivery =
+  | Mwait
+  | Mwait_hardened of { watchdog : bool; horizon : Sim.Time.t option }
+  | Rss of int
+  | Polling
+  | Irq
+  | Irq_backlog
+  | Napi
+  | Flexsc
+
+(* Mechanism constants.  No experiment varies them, so none is a knob. *)
+let queue_depth = 4096
+let background_chunk = 200
+let poll_gap = 20  (* one empty check: read the tail, compare, loop *)
+let wait_budget = 20_000  (* hardened mwait deadline *)
+let miss_threshold = 3  (* consecutive missed wakeups before polling *)
+let poll_recovery_checks = 64  (* consecutive empty polls before mwait again *)
+let batch_window = 500  (* FlexSC accumulation delay per batch *)
+let flexsc_worker_ptid = 777_777
+let flexsc_background_ptid = 777_778
+
+(* --- the world every design shares ---------------------------------------- *)
+
+type world = {
+  cfg : config;
+  sim : Sim.t;
+  lat : Latency.t;
+  services : int array;  (* sampled demand by request id *)
+  background : bool;
+  mutable stop : bool;  (* every request served: the background job quits *)
+  mutable background_done : float;
+}
+
+(* NIC pkt_ids are assigned in injection order, which is arrival order
+   (one injector, strictly increasing arrival instants), so the packet
+   with pkt_id = i demands [services.(i)]. *)
+let demand w (pkt : Nic.packet) = w.services.(pkt.Nic.pkt_id)
+
+let served w arrival =
+  Latency.record w.lat (Sim.now () - arrival);
+  if Latency.count w.lat >= w.cfg.count then w.stop <- true
+
+(* A best-effort batch job soaking up spare cycles until serving ends:
+   the co-location half of the paper's argument. *)
+let background_loop w exec =
+  while not w.stop do
+    exec background_chunk;
+    w.background_done <- w.background_done +. float_of_int background_chunk
+  done
+
+(* What a design hands back to [run]: the core whose cycles the stats
+   report, the device ([None]: FlexSC posts requests without one), how an
+   arrival reaches the server, and the hardened path's counters. *)
+type server = {
+  core : Smt_core.t;
+  nic : Nic.t option;
+  post : Openloop.request -> unit;
+  recovery : unit -> recovery;
+}
+
+let quiet () =
+  {
+    dma_dropped = 0;
+    mwait_timeouts = 0;
+    missed_wakeups = 0;
+    fallbacks = 0;
+    recoveries = 0;
+    watchdog_sweeps = 0;
+    watchdog_nudges = 0;
+  }
+
+let nic_server core nic recovery =
+  let inject () = Nic.inject nic in
+  { core; nic = Some nic; post = (fun _ -> Sim.fork inject); recovery }
+
+(* --- the paper's designs: hardware threads on one chip --------------------- *)
+
+let chip_nic w ?queues () =
+  let chip = Chip.create w.sim w.cfg.params ~cores:1 in
+  (chip, Nic.create w.sim w.cfg.params (Chip.memory chip) ?queues ~queue_depth ())
+
+let chip_background w chip ~ptid =
+  if w.background then begin
+    let bg = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User ~weight:0.25 () in
+    Chip.attach bg (fun th -> background_loop w (fun n -> Isa.exec th n));
+    Chip.boot bg
+  end
+
+let rec drain w th nic q =
+  match Nic.poll_queue nic q with
+  | Some pkt ->
+    Isa.exec th (demand w pkt);
+    served w pkt.Nic.injected_at;
+    drain w th nic q
+  | None -> ()
+
+(* One hardware thread per RX queue, parked in mwait on the queue's tail:
+   the tail DMA write wakes it.  One queue is the paper's design; more is
+   §4's smartNIC steering, per-flow parallelism with no software
+   dispatcher. *)
+let mwait w ~queues =
+  let chip, nic = chip_nic w ~queues () in
+  for q = 0 to queues - 1 do
+    let net = Chip.add_thread chip ~core:0 ~ptid:(q + 1) ~mode:Ptid.Supervisor () in
+    Chip.attach net (fun th ->
+        Isa.monitor th (Nic.queue_tail_addr nic q);
+        while not w.stop do
+          if Nic.pending_queue nic q = 0 then ignore (Isa.mwait th);
+          drain w th nic q
+        done);
+    Chip.boot net
+  done;
+  chip_background w chip ~ptid:(queues + 1);
+  nic_server (Chip.exec_core chip 0) nic quiet
+
+(* mwait that survives a faulty wakeup substrate: deadline-bounded waits,
+   polling after repeated missed wakeups, mwait again once the storm
+   passes, and an optional watchdog. *)
+let mwait_hardened w ~watchdog =
+  let chip, nic = chip_nic w () in
+  let watchdog =
+    if watchdog then Some (Watchdog.create chip ~core:0 ~ptid:99 ()) else None
+  in
   let mwait_timeouts = ref 0 in
   let missed_wakeups = ref 0 in
   let fallbacks = ref 0 in
   let recoveries = ref 0 in
-  let watchdog =
-    if with_watchdog then Some (Watchdog.create chip ~core:0 ~ptid:99 ())
-    else None
-  in
-  (* Progress lives *outside* the body closure: a crash-stopped net
+  (* Progress lives in [w], outside the body closure: a crash-stopped net
      thread restarts cold and re-runs the body from scratch, and must not
-     forget the packets already processed (the NIC ring still holds the
-     unprocessed ones). *)
-  let processed = ref 0 in
-  (* Lost packets (descriptor-DMA drops, ring-full drops) never arrive;
-     counting them towards completion is what keeps the loop from
-     waiting forever for a packet that no longer exists. *)
-  let accounted () = !processed + Nic.dma_dropped nic + Nic.dropped nic in
+     forget the packets already processed.  Lost packets (descriptor-DMA
+     drops, ring-full drops) never arrive; counting them towards
+     completion keeps the loop from waiting forever for them. *)
+  let accounted () = Latency.count w.lat + Nic.dma_dropped nic + Nic.dropped nic in
   let lives = ref 0 in
   let net = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach net (fun th ->
@@ -163,7 +204,7 @@ let run_mwait_hardened ?(wait_budget = 20_000) ?(miss_threshold = 3)
       let consecutive_misses = ref 0 in
       let empty_checks = ref 0 in
       let polling = ref false in
-      while accounted () < cfg.count do
+      while accounted () < w.cfg.count do
         (if !polling then begin
            (* Degraded mode: the wakeup path proved unreliable, so spin
               like a kernel-bypass stack until it looks healthy again. *)
@@ -199,410 +240,134 @@ let run_mwait_hardened ?(wait_budget = 20_000) ?(miss_threshold = 3)
                  empty_checks := 0
                end
              end);
-        let rec drain () =
-          match Nic.poll nic with
-          | Some pkt ->
-            Isa.exec th cfg.per_packet_work;
-            Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-            incr processed;
-            drain ()
-          | None -> ()
-        in
-        drain ()
+        drain w th nic 0
       done;
-      stop := true;
+      w.stop <- true;
       Option.iter Watchdog.stop watchdog);
   Chip.boot net;
-  if cfg.background then begin
-    let bg = Chip.add_thread chip ~core:0 ~ptid:2 ~mode:Ptid.User ~weight:0.25 () in
-    Chip.attach bg (fun th ->
-        while not !stop do
-          Isa.exec th background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done);
-    Chip.boot bg
-  end;
+  chip_background w chip ~ptid:2;
   Option.iter Watchdog.start watchdog;
-  start_generator sim cfg nic;
-  Sim.run ?until:horizon sim;
-  let base =
-    collect_chip_stats ~sim ~core:(Chip.exec_core chip 0) ~latencies ~nic
-      ~background_work:(fun () -> !background_done)
-  in
-  {
-    base;
-    dma_dropped = Nic.dma_dropped nic;
-    mwait_timeouts = !mwait_timeouts;
-    missed_wakeups = !missed_wakeups;
-    fallbacks = !fallbacks;
-    recoveries = !recoveries;
-    watchdog_sweeps = (match watchdog with Some w -> Watchdog.sweeps w | None -> 0);
-    watchdog_nudges = (match watchdog with Some w -> Watchdog.nudges w | None -> 0);
-  }
+  nic_server (Chip.exec_core chip 0) nic (fun () ->
+      let count f = Option.fold ~none:0 ~some:f watchdog in
+      {
+        dma_dropped = Nic.dma_dropped nic;
+        mwait_timeouts = !mwait_timeouts;
+        missed_wakeups = !missed_wakeups;
+        fallbacks = !fallbacks;
+        recoveries = !recoveries;
+        watchdog_sweeps = count Watchdog.sweeps;
+        watchdog_nudges = count Watchdog.nudges;
+      })
 
-(* --- multi-queue mwait: one hardware thread per RX queue ---------------- *)
-
-let run_mwait_rss ~queues cfg =
-  if queues <= 0 then invalid_arg "Io_path.run_mwait_rss: queues must be positive";
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queues ~queue_depth:4096 () in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
-  let processed = ref 0 in
-  for q = 0 to queues - 1 do
-    let net = Chip.add_thread chip ~core:0 ~ptid:(q + 1) ~mode:Ptid.Supervisor () in
-    Chip.attach net (fun th ->
-        Isa.monitor th (Nic.queue_tail_addr nic q);
-        while not !stop do
-          (if Nic.pending_queue nic q = 0 then
-             let _ = Isa.mwait th in
-             ());
-          let rec drain () =
-            match Nic.poll_queue nic q with
-            | Some pkt ->
-              Isa.exec th cfg.per_packet_work;
-              Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-              incr processed;
-              if !processed >= cfg.count then stop := true;
-              drain ()
-            | None -> ()
-          in
-          drain ()
-        done);
-    Chip.boot net
-  done;
-  if cfg.background then begin
-    let bg = Chip.add_thread chip ~core:0 ~ptid:1000 ~mode:Ptid.User ~weight:0.25 () in
-    Chip.attach bg (fun th ->
-        while not !stop do
-          Isa.exec th background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done);
-    Chip.boot bg
-  end;
-  start_generator sim cfg nic;
-  Sim.run sim;
-  collect_chip_stats ~sim ~core:(Chip.exec_core chip 0) ~latencies ~nic
-    ~background_work:(fun () -> !background_done)
-
-(* --- the kernel-bypass status quo: spin on the queue -------------------- *)
-
-let run_polling ?(poll_gap = 20) cfg =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queue_depth:4096 () in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
+(* The kernel-bypass status quo: spin on the queue, paying [poll_gap]
+   Poll cycles per empty check. *)
+let polling w =
+  let chip, nic = chip_nic w () in
   let poller = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach poller (fun th ->
-      let processed = ref 0 in
-      while !processed < cfg.count do
+      while not w.stop do
         match Nic.poll nic with
         | Some pkt ->
-          Isa.exec th cfg.per_packet_work;
-          Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-          incr processed
-        | None ->
-          (* An empty check: read the tail, compare, loop. *)
-          Isa.exec th ~kind:Smt_core.Poll poll_gap
-      done;
-      stop := true);
+          Isa.exec th (demand w pkt);
+          served w pkt.Nic.injected_at
+        | None -> Isa.exec th ~kind:Smt_core.Poll poll_gap
+      done);
   Chip.boot poller;
-  if cfg.background then begin
-    let bg = Chip.add_thread chip ~core:0 ~ptid:2 ~mode:Ptid.User ~weight:0.25 () in
-    Chip.attach bg (fun th ->
-        while not !stop do
-          Isa.exec th background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done);
-    Chip.boot bg
-  end;
-  start_generator sim cfg nic;
-  Sim.run sim;
-  collect_chip_stats ~sim ~core:(Chip.exec_core chip 0) ~latencies ~nic
-    ~background_work:(fun () -> !background_done)
+  chip_background w chip ~ptid:2;
+  nic_server (Chip.exec_core chip 0) nic quiet
 
-(* --- the kernel status quo: IRQ + scheduler wakeup ---------------------- *)
+(* --- the kernel status quo: a legacy IRQ and a software scheduler ---------- *)
 
-let run_interrupt cfg =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim cfg.params ~cores:1 () in
-  let irq = Irq.create sim cfg.params ~cores:(Swsched.cores sched) in
-  let memory = Memory.create () in
-  let doorbell = Mailbox.create () in
-  let nic =
-    Nic.create sim cfg.params memory
-      ~notify:
-        (Notify.Irq_line
-           (fun () ->
-             Irq.raise_irq irq ~core:0 ~handler:(fun ~exec ->
-                 (* The handler's job: run the scheduler to wake the
-                    blocked network thread. *)
-                 exec cfg.params.Params.sched_decision_cycles;
-                 Mailbox.send doorbell ())))
-      ~queue_depth:4096 ()
+(* One software-scheduled core and a NIC on a legacy IRQ line.  [gate]
+   decides whether a doorbell raises the IRQ; the handler runs the
+   scheduler, then [on_irq]. *)
+let kernel_nic w ~gate ~on_irq =
+  let sched = Swsched.create w.sim w.cfg.params ~cores:1 () in
+  let irq = Irq.create w.sim w.cfg.params ~cores:(Swsched.cores sched) in
+  let nic = ref None in
+  let handler ~exec =
+    exec w.cfg.params.Params.sched_decision_cycles;
+    Option.iter on_irq !nic
   in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
-  let app = Swsched.thread sched () in
-  Sim.spawn sim (fun () ->
-      let processed = ref 0 in
-      while !processed < cfg.count do
-        (if Nic.pending nic = 0 then
-           let () = Mailbox.recv doorbell in
-           ());
-        let rec drain () =
-          match Nic.poll nic with
-          | Some pkt ->
-            Swsched.exec app cfg.per_packet_work;
-            Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-            incr processed;
-            drain ()
-          | None -> ()
-        in
-        drain ()
-      done;
-      stop := true);
-  if cfg.background then begin
+  let notify () = if gate () then Irq.raise_irq irq ~core:0 ~handler in
+  let dev =
+    Nic.create w.sim w.cfg.params (Memory.create ())
+      ~notify:(Notify.Irq_line notify) ~queue_depth ()
+  in
+  nic := Some dev;
+  (sched, dev)
+
+let kernel_background w sched =
+  if w.background then begin
     let bg = Swsched.thread sched () in
-    Sim.spawn sim (fun () ->
-        while not !stop do
-          Swsched.exec bg background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done)
-  end;
-  start_generator sim cfg nic;
-  Sim.run sim;
-  let core = (Swsched.cores sched).(0) in
-  {
-    processed = Histogram.count latencies;
-    dropped = Nic.dropped nic;
-    latencies;
-    elapsed_cycles = Sim.time sim;
-    useful_cycles = Smt_core.work_done core Smt_core.Useful;
-    poll_cycles = Smt_core.work_done core Smt_core.Poll;
-    overhead_cycles = Smt_core.work_done core Smt_core.Overhead;
-    background_cycles = !background_done;
-  }
+    Sim.spawn w.sim (fun () -> background_loop w (fun n -> Swsched.exec bg n))
+  end
 
-(* --- NAPI: interrupt once, then poll until dry --------------------------- *)
-
-let run_interrupt_napi cfg =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim cfg.params ~cores:1 () in
-  let irq = Irq.create sim cfg.params ~cores:(Swsched.cores sched) in
-  let memory = Memory.create () in
+(* Wake, then drain: the IRQ handler wakes the blocked network thread,
+   which drains the queue.  With [napi] (Linux NAPI coalescing) the first
+   packet's IRQ masks further interrupts, and the thread re-enables them
+   only when the queue runs dry. *)
+let irq_wake w ~napi =
   let doorbell = Mailbox.create () in
   let irq_enabled = ref true in
-  let nic =
-    Nic.create sim cfg.params memory
-      ~notify:
-        (Notify.Irq_line
-           (fun () ->
-             if !irq_enabled then begin
-               (* Mask further interrupts until the poll loop runs dry. *)
-               irq_enabled := false;
-               Irq.raise_irq irq ~core:0 ~handler:(fun ~exec ->
-                   exec cfg.params.Params.sched_decision_cycles;
-                   Mailbox.send doorbell ())
-             end))
-      ~queue_depth:4096 ()
+  let gate () =
+    if not napi then true
+    else if !irq_enabled then begin
+      irq_enabled := false;
+      true
+    end
+    else false
   in
-  let latencies = Histogram.create () in
-  let stop = ref false in
-  let background_done = ref 0.0 in
+  let sched, nic = kernel_nic w ~gate ~on_irq:(fun _ -> Mailbox.send doorbell ()) in
   let app = Swsched.thread sched () in
-  Sim.spawn sim (fun () ->
-      let processed = ref 0 in
-      while !processed < cfg.count do
-        (if Nic.pending nic = 0 then
-           let () = Mailbox.recv doorbell in
-           ());
-        let rec drain () =
-          match Nic.poll nic with
-          | Some pkt ->
-            Swsched.exec app cfg.per_packet_work;
-            Histogram.record latencies (Sim.now () - pkt.Nic.injected_at);
-            incr processed;
-            drain ()
-          | None ->
+  Sim.spawn w.sim (fun () ->
+      let rec drain () =
+        match Nic.poll nic with
+        | Some pkt ->
+          Swsched.exec app (demand w pkt);
+          served w pkt.Nic.injected_at;
+          drain ()
+        | None ->
+          if napi then begin
             (* Queue dry: re-enable interrupts (a device register write)
                and re-check for the race where a packet landed meanwhile. *)
             Swsched.exec app ~kind:Smt_core.Overhead
-              cfg.params.Params.nic_doorbell_cycles;
+              w.cfg.params.Params.nic_doorbell_cycles;
             irq_enabled := true;
             if Nic.pending nic > 0 then begin
               irq_enabled := false;
               drain ()
             end
-        in
-        drain ()
-      done;
-      stop := true);
-  if cfg.background then begin
-    let bg = Swsched.thread sched () in
-    Sim.spawn sim (fun () ->
-        while not !stop do
-          Swsched.exec bg background_chunk;
-          background_done := !background_done +. float_of_int background_chunk
-        done)
-  end;
-  start_generator sim cfg nic;
-  Sim.run sim;
-  let core = (Swsched.cores sched).(0) in
-  {
-    processed = Histogram.count latencies;
-    dropped = Nic.dropped nic;
-    latencies;
-    elapsed_cycles = Sim.time sim;
-    useful_cycles = Smt_core.work_done core Smt_core.Useful;
-    poll_cycles = Smt_core.work_done core Smt_core.Poll;
-    overhead_cycles = Smt_core.work_done core Smt_core.Overhead;
-    background_cycles = !background_done;
-  }
-
-(* --- load sweeps: sampled service demand + SLO accounting (E16) --------- *)
-
-module Arrivals = Sl_workload.Arrivals
-module Latency = Sl_workload.Latency
-
-type load_config = {
-  params : Params.t;
-  seed : int64;
-  arrivals : Arrivals.t;
-  service : Sl_util.Dist.t;
-  count : int;
-  slo : int;
-}
-
-type load_stats = { lat : Latency.summary; io : stats }
-
-let default_load_config =
-  {
-    params = Params.default;
-    seed = 1L;
-    arrivals = Arrivals.poisson ~rate_per_kcycle:0.25;
-    service = Sl_util.Dist.Exponential 2000.0;
-    count = 2000;
-    slo = 30_000;
-  }
-
-(* Drive the arrival process into the NIC, remembering each request's
-   sampled service demand.  pkt_ids are assigned in injection order,
-   which is arrival order (one injector, strictly increasing arrival
-   instants), so the packet with pkt_id = i demands [services.(i)]. *)
-let start_load_generator sim (cfg : load_config) ~services nic =
-  let rng = Sl_util.Rng.create cfg.seed in
-  Openloop.run_arrivals sim rng ~arrivals:cfg.arrivals ~service:cfg.service
-    ~count:cfg.count
-    ~sink:(fun req ->
-      services.(req.Openloop.req_id) <- req.Openloop.service_cycles;
-      Sim.fork (fun () -> Nic.inject nic))
-
-let load_result ~sim ~core ~lat ~nic =
-  let io =
-    collect_chip_stats ~sim ~core ~latencies:(Latency.hist lat) ~nic
-      ~background_work:(fun () -> 0.0)
-  in
-  { lat = Latency.summarize lat ~elapsed:io.elapsed_cycles; io }
-
-let run_load_mwait (cfg : load_config) =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queue_depth:4096 () in
-  let lat = Latency.create ~slo:cfg.slo () in
-  let services = Array.make (max 1 cfg.count) 0 in
-  let net = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  Chip.attach net (fun th ->
-      Isa.monitor th (Nic.rx_tail_addr nic);
-      let processed = ref 0 in
-      while !processed < cfg.count do
-        (if Nic.pending nic = 0 then
-           let _ = Isa.mwait th in
-           ());
-        let rec drain () =
-          match Nic.poll nic with
-          | Some pkt ->
-            Isa.exec th services.(pkt.Nic.pkt_id);
-            Latency.record lat (Sim.now () - pkt.Nic.injected_at);
-            incr processed;
-            drain ()
-          | None -> ()
-        in
+          end
+      in
+      while not w.stop do
+        if Nic.pending nic = 0 then Mailbox.recv doorbell;
         drain ()
       done);
-  Chip.boot net;
-  start_load_generator sim cfg ~services nic;
-  Sim.run sim;
-  load_result ~sim ~core:(Chip.exec_core chip 0) ~lat ~nic
+  kernel_background w sched;
+  nic_server (Swsched.cores sched).(0) nic quiet
 
-let run_load_polling ?(poll_gap = 20) (cfg : load_config) =
-  let sim = Sim.create () in
-  let chip = Chip.create sim cfg.params ~cores:1 in
-  let nic = Nic.create sim cfg.params (Chip.memory chip) ~queue_depth:4096 () in
-  let lat = Latency.create ~slo:cfg.slo () in
-  let services = Array.make (max 1 cfg.count) 0 in
-  let poller = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  Chip.attach poller (fun th ->
-      let processed = ref 0 in
-      while !processed < cfg.count do
-        match Nic.poll nic with
-        | Some pkt ->
-          Isa.exec th services.(pkt.Nic.pkt_id);
-          Latency.record lat (Sim.now () - pkt.Nic.injected_at);
-          incr processed
-        | None -> Isa.exec th ~kind:Smt_core.Poll poll_gap
-      done);
-  Chip.boot poller;
-  start_load_generator sim cfg ~services nic;
-  Sim.run sim;
-  load_result ~sim ~core:(Chip.exec_core chip 0) ~lat ~nic
-
-let run_load_interrupt (cfg : load_config) =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim cfg.params ~cores:1 () in
-  let irq = Irq.create sim cfg.params ~cores:(Swsched.cores sched) in
-  let memory = Memory.create () in
-  (* Under legacy delivery a packet is invisible to the blocked app until
-     its hardirq has run: the handler pulls the descriptor, runs the
-     scheduler, and only then publishes the packet to the app's backlog.
-     One IRQ per packet, handlers serialized on the IRQ context — so the
-     delivery path itself caps at 1000 / (entry + sched + exit) packets
-     per kcycle, and past that offered load the backlog delay, not the
-     service queue, is what blows the SLO. *)
+(* One hardirq per packet: the handler pulls the descriptor, runs the
+   scheduler, and only then publishes the packet to the app's backlog.
+   Handlers serialize on the IRQ context, so the delivery path itself
+   caps at 1000 / (entry + sched + exit) packets per kcycle, and past
+   that offered load the backlog delay, not the service queue, is what
+   blows the SLO. *)
+let irq_backlog w =
   let backlog = Mailbox.create () in
-  let nic_ref = ref None in
-  let nic =
-    Nic.create sim cfg.params memory
-      ~notify:
-        (Notify.Irq_line
-           (fun () ->
-             Irq.raise_irq irq ~core:0 ~handler:(fun ~exec ->
-                 exec cfg.params.Params.sched_decision_cycles;
-                 match Option.bind !nic_ref Nic.poll with
-                 | Some pkt -> Mailbox.send backlog pkt
-                 | None -> ())))
-      ~queue_depth:4096 ()
+  let publish nic =
+    match Nic.poll nic with Some pkt -> Mailbox.send backlog pkt | None -> ()
   in
-  nic_ref := Some nic;
-  let lat = Latency.create ~slo:cfg.slo () in
-  let services = Array.make (max 1 cfg.count) 0 in
+  let sched, nic = kernel_nic w ~gate:(fun () -> true) ~on_irq:publish in
   let app = Swsched.thread sched () in
-  Sim.spawn sim (fun () ->
-      let processed = ref 0 in
-      while !processed < cfg.count do
+  Sim.spawn w.sim (fun () ->
+      while not w.stop do
         let pkt = Mailbox.recv backlog in
-        Swsched.exec app services.(pkt.Nic.pkt_id);
-        Latency.record lat (Sim.now () - pkt.Nic.injected_at);
-        incr processed
+        Swsched.exec app (demand w pkt);
+        served w pkt.Nic.injected_at
       done);
-  start_load_generator sim cfg ~services nic;
-  Sim.run sim;
-  load_result ~sim ~core:(Swsched.cores sched).(0) ~lat ~nic
+  kernel_background w sched;
+  nic_server (Swsched.cores sched).(0) nic quiet
 
 (* FlexSC-style serving: requests are posted to a shared page and a
    kernel worker executes them in batches (Soares & Stumm, OSDI '10 —
@@ -610,51 +375,89 @@ let run_load_interrupt (cfg : load_config) =
    worker can be a daemon and record per-request sojourns).  There is no
    per-request notification at all: the mechanism tax is the batching
    delay, so the latency floor sits a batch window above mwait's. *)
-let flexsc_worker_ptid = 777_777
-
-let run_load_flexsc ?(batch_window = 500) (cfg : load_config) =
-  let sim = Sim.create () in
-  let core = Smt_core.create sim cfg.params ~core_id:0 in
-  let lat = Latency.create ~slo:cfg.slo () in
-  let entries : (int * int) Mailbox.t = Mailbox.create () in
-  Sim.spawn sim ~name:"flexsc-worker" ~daemon:true (fun () ->
+let flexsc w =
+  let core = Smt_core.create w.sim w.cfg.params ~core_id:0 in
+  let entries : Openloop.request Mailbox.t = Mailbox.create () in
+  Sim.spawn w.sim ~name:"flexsc-worker" ~daemon:true (fun () ->
       Smt_core.set_runnable core ~ptid:flexsc_worker_ptid ~weight:1.0 true;
       let rec serve () =
         let first = Mailbox.recv entries in
         Sim.delay batch_window;
-        let rec drain acc =
+        let rec batch acc =
           match Mailbox.try_recv entries with
-          | Some e -> drain (e :: acc)
+          | Some e -> batch (e :: acc)
           | None -> List.rev acc
         in
         List.iter
-          (fun (arrival, service_cycles) ->
-            Smt_core.execute core ~ptid:flexsc_worker_ptid
-              ~kind:Smt_core.Useful service_cycles;
-            Latency.record lat (Sim.now () - arrival))
-          (first :: drain []);
+          (fun (req : Openloop.request) ->
+            Smt_core.execute core ~ptid:flexsc_worker_ptid ~kind:Smt_core.Useful
+              req.Openloop.service_cycles;
+            served w req.Openloop.arrival)
+          (first :: batch []);
         serve ()
       in
       serve ());
-  let rng = Sl_util.Rng.create cfg.seed in
-  Openloop.run_arrivals sim rng ~arrivals:cfg.arrivals ~service:cfg.service
-    ~count:cfg.count
-    ~sink:(fun req ->
-      Mailbox.send entries (req.Openloop.arrival, req.Openloop.service_cycles));
-  Sim.run sim;
-  let io =
+  if w.background then
+    Sim.spawn w.sim (fun () ->
+        let ptid = flexsc_background_ptid in
+        Smt_core.set_runnable core ~ptid ~weight:0.25 true;
+        background_loop w (fun n ->
+            Smt_core.execute core ~ptid ~kind:Smt_core.Useful n));
+  { core; nic = None; post = Mailbox.send entries; recovery = quiet }
+
+(* --- the builder ------------------------------------------------------------ *)
+
+let run ?(background = false) delivery (cfg : config) =
+  let w =
     {
-      processed = Latency.count lat;
-      dropped = 0;
-      latencies = Latency.hist lat;
-      elapsed_cycles = Sim.time sim;
-      useful_cycles = Smt_core.work_done core Smt_core.Useful;
-      poll_cycles = Smt_core.work_done core Smt_core.Poll;
-      overhead_cycles = Smt_core.work_done core Smt_core.Overhead;
-      background_cycles = 0.0;
+      cfg;
+      sim = Sim.create ();
+      lat = Latency.create ~slo:cfg.slo ();
+      services = Array.make (max 1 cfg.count) 0;
+      background;
+      stop = cfg.count <= 0;
+      background_done = 0.0;
     }
   in
-  { lat = Latency.summarize lat ~elapsed:io.elapsed_cycles; io }
+  let s =
+    match delivery with
+    | Mwait -> mwait w ~queues:1
+    | Rss queues ->
+      if queues <= 0 then invalid_arg "Io_path.run: Rss queues must be positive";
+      mwait w ~queues
+    | Mwait_hardened { watchdog; horizon = _ } -> mwait_hardened w ~watchdog
+    | Polling -> polling w
+    | Irq -> irq_wake w ~napi:false
+    | Irq_backlog -> irq_backlog w
+    | Napi -> irq_wake w ~napi:true
+    | Flexsc -> flexsc w
+  in
+  Openloop.run_arrivals w.sim (Sl_util.Rng.create cfg.seed) ~arrivals:cfg.arrivals
+    ~service:cfg.service ~count:cfg.count
+    ~sink:(fun req ->
+      w.services.(req.Openloop.req_id) <- req.Openloop.service_cycles;
+      s.post req);
+  let until = match delivery with Mwait_hardened h -> h.horizon | _ -> None in
+  Sim.run ?until w.sim;
+  let elapsed = Sim.time w.sim in
+  let io =
+    {
+      processed = Latency.count w.lat;
+      dropped = Option.fold ~none:0 ~some:Nic.dropped s.nic;
+      latencies = Latency.hist w.lat;
+      elapsed_cycles = elapsed;
+      useful_cycles = Smt_core.work_done s.core Smt_core.Useful;
+      poll_cycles = Smt_core.work_done s.core Smt_core.Poll;
+      overhead_cycles = Smt_core.work_done s.core Smt_core.Overhead;
+      background_cycles = w.background_done;
+    }
+  in
+  { lat = Latency.summarize w.lat ~elapsed; io; recovery = s.recovery () }
+
+let run_load_mwait cfg = run Mwait cfg
+let run_load_polling cfg = run Polling cfg
+let run_load_interrupt cfg = run Irq_backlog cfg
+let run_load_flexsc cfg = run Flexsc cfg
 
 (* --- timer-tick wakeup latency ------------------------------------------ *)
 

@@ -1,26 +1,18 @@
-(** I/O event delivery, three ways (§2 "No More Interrupts" / "Fast I/O
-    without Inefficient Polling").
+(** I/O event delivery (§2 "No More Interrupts" / "Fast I/O without
+    Inefficient Polling"), as a controlled comparison.
 
-    Each runner builds a complete world — one core, a NIC, an open-loop
-    Poisson packet stream — processes [count] packets with
-    [per_packet_work] cycles each, and reports per-packet latency
-    (arrival at the device → processing complete) plus a cycle-accounting
-    breakdown:
-
-    - {!run_mwait}: a hardware thread monitors the RX tail and sleeps in
-      [mwait]; the tail DMA write wakes it (the paper's design).
-    - {!run_polling}: a thread spins on the RX queue, burning [Poll]
-      cycles whenever the queue is empty (the kernel-bypass status quo).
-    - {!run_interrupt}: the NIC raises a legacy IRQ; the handler runs the
-      scheduler to wake a blocked software thread (the kernel status quo).
-
-    An optional background batch job soaks up spare cycles, so the runs
-    also show whether the design lets other work proceed (the paper's
-    co-location argument). *)
+    {!run} builds one complete world — a core, a NIC, an open-loop
+    request stream with sampled service demand — and serves [count]
+    requests through one {!delivery} design.  Every design sees the same
+    packets with the same demands; designs differ only in how the server
+    learns that a packet arrived.  The result reports per-request sojourn
+    (arrival at the device → processing complete) with SLO accounting,
+    plus a cycle-accounting breakdown.  Fixed-cost packets are
+    [service = Constant w], which draws no randomness. *)
 
 type stats = {
   processed : int;
-  dropped : int;
+  dropped : int;  (** Ring-full drops at the NIC. *)
   latencies : Sl_util.Histogram.t;
   elapsed_cycles : Sl_engine.Sim.Time.t;
   useful_cycles : float;  (** Packet + background work. *)
@@ -35,22 +27,18 @@ val wasted_fraction : stats -> float
 type config = {
   params : Switchless.Params.t;
   seed : int64;
-  rate_per_kcycle : float;  (** Packet arrival rate (per 1000 cycles). *)
-  per_packet_work : Sl_engine.Sim.Time.t;
+  arrivals : Sl_workload.Arrivals.t;  (** Arrival process (Poisson, MMPP, …). *)
+  service : Sl_util.Dist.t;  (** Per-request service demand (cycles). *)
   count : int;
-  background : bool;  (** Run a best-effort batch job alongside. *)
+  slo : int;  (** Latency SLO in cycles for goodput/miss accounting. *)
 }
 
 val default_config : config
+(** Poisson at 0.5/kcycle, constant 500-cycle packets (offered load 0.25
+    of one serving pipe), 2000 requests, 10 µs SLO (30 000 cycles @
+    3 GHz). *)
 
-val run_mwait : config -> stats
-val run_polling : ?poll_gap:Sl_engine.Sim.Time.t -> config -> stats
-val run_interrupt : config -> stats
-
-(** {2 Failure-hardened delivery} *)
-
-type hardened_stats = {
-  base : stats;
+type recovery = {
   dma_dropped : int;  (** Packets lost to injected descriptor-DMA drops. *)
   mwait_timeouts : int;  (** mwait deadline expiries (incl. pure idleness). *)
   missed_wakeups : int;  (** Expiries that found data already pending. *)
@@ -59,88 +47,73 @@ type hardened_stats = {
   watchdog_sweeps : int;
   watchdog_nudges : int;
 }
+(** The hardened path's counters; all zero for the other designs. *)
 
-val run_mwait_hardened :
-  ?wait_budget:Sl_engine.Sim.Time.t -> ?miss_threshold:int -> ?poll_recovery_checks:int ->
-  ?poll_gap:Sl_engine.Sim.Time.t -> ?with_watchdog:bool ->
-  ?horizon:Sl_engine.Sim.Time.t -> config -> hardened_stats
-(** {!run_mwait} that survives a faulty wakeup substrate.  The network
-    thread waits with {!Switchless.Isa.mwait_for} ([wait_budget] cycles,
-    default 20_000); a timeout that finds data pending is a missed
-    wakeup, and after [miss_threshold] (default 3) consecutive misses the
-    thread degrades to polling — paying [poll_gap] cycles per empty check
-    like {!run_polling} — until [poll_recovery_checks] (default 64)
-    consecutive empty checks suggest the storm has passed and it returns
-    to mwait.  Packets lost to injected descriptor-DMA or ring-full drops
-    are counted towards completion, so the run terminates even when
-    requests vanish.  Progress survives crash-stops: a cold-restarted
-    network thread re-arms its monitor and resumes from the shared
-    processed count.  [with_watchdog] (default false) additionally runs a
-    {!Watchdog} thread on the same core.  [horizon], when given, bounds
-    the simulated time ([Sl_engine.Sim.run ~until]) so a run wedged by an
-    injected fault schedule returns — with the shortfall visible in its
-    counts — instead of spinning forever; the explorer's no-stuck-sim
-    oracle depends on it. *)
-
-val run_interrupt_napi : config -> stats
-(** Linux-NAPI-style coalescing: the first packet raises an IRQ, which
-    masks further interrupts and schedules a poll loop; the network
-    thread drains the queue and only re-enables interrupts when it runs
-    dry.  The fairest conventional baseline at high load. *)
-
-val run_mwait_rss : queues:int -> config -> stats
-(** Multi-queue variant (§4's smartNIC steering): the NIC spreads packets
-    over [queues] RX queues by flow hash and one hardware thread parks on
-    each queue's tail — per-flow service parallelism with no software
-    dispatcher anywhere. *)
-
-(** {2 Load sweeps: per-request service demand + SLO accounting (E16)}
-
-    The three delivery designs above assume a constant per-packet cost;
-    these variants draw each request's service demand from a distribution
-    (the Shinjuku/Shenango heavy-tail methodology) and report SLO-aware
-    latency summaries, so an offered-load sweep can locate each design's
-    saturation knee.  A fourth design joins the comparison: FlexSC-style
-    exception-less batching, where requests are posted to a shared page
-    and a kernel worker drains them one batch window at a time — no
-    per-request notification, so its mechanism tax is pure delay. *)
-
-type load_config = {
-  params : Switchless.Params.t;
-  seed : int64;
-  arrivals : Sl_workload.Arrivals.t;  (** Arrival process (Poisson, MMPP, …). *)
-  service : Sl_util.Dist.t;  (** Per-request service demand (cycles). *)
-  count : int;
-  slo : int;  (** Latency SLO in cycles for goodput/miss accounting. *)
-}
-
-type load_stats = {
+type result = {
   lat : Sl_workload.Latency.summary;
       (** Sojourn quantiles + SLO misses + goodput. *)
-  io : stats;  (** The usual cycle-accounting breakdown. *)
+  io : stats;  (** The cycle-accounting breakdown. *)
+  recovery : recovery;
 }
 
-val default_load_config : load_config
-(** Poisson at 0.25/kcycle, exponential 2000-cycle service (offered load
-    0.5 of a single serving pipe), 10 µs SLO (30 000 cycles @ 3 GHz). *)
+type delivery =
+  | Mwait
+      (** The paper's design: a hardware thread monitors the RX tail and
+          sleeps in [mwait]; the tail DMA write wakes it. *)
+  | Mwait_hardened of { watchdog : bool; horizon : Sl_engine.Sim.Time.t option }
+      (** {!Mwait} that survives a faulty wakeup substrate.  The thread
+          waits with {!Switchless.Isa.mwait_for} (20 000-cycle budget); a
+          timeout that finds data pending is a missed wakeup, and after 3
+          consecutive misses the thread degrades to polling until 64
+          consecutive empty checks suggest the storm has passed.  Packets
+          lost to descriptor-DMA or ring-full drops count towards
+          completion, so the run terminates even when requests vanish.
+          Progress survives crash-stops: a cold-restarted thread re-arms
+          its monitor and resumes from the shared processed count.
+          [watchdog] also runs a {!Watchdog} thread on the same core.
+          [horizon], when given, bounds the simulated time
+          ([Sl_engine.Sim.run ~until]) so a run wedged by an injected
+          fault schedule returns with the shortfall visible in its counts;
+          the explorer's no-stuck-sim oracle depends on it. *)
+  | Rss of int
+      (** §4's smartNIC steering: the NIC spreads packets over this many
+          RX queues by flow hash and one hardware thread parks on each
+          queue's tail.  [Rss 1] is {!Mwait}. *)
+  | Polling
+      (** A thread spins on the RX queue, burning 20 [Poll] cycles per
+          empty check (the kernel-bypass status quo). *)
+  | Irq
+      (** The NIC raises a legacy IRQ whose handler runs the scheduler to
+          wake a blocked software thread, which then drains the queue
+          (the kernel status quo). *)
+  | Irq_backlog
+      (** One hardirq per packet: the handler pulls the descriptor, runs
+          the scheduler and publishes the packet to the app's backlog.
+          Handlers serialize on the IRQ context, so the delivery path
+          itself caps throughput and the knee arrives earlier. *)
+  | Napi
+      (** Linux NAPI coalescing: the first packet's IRQ masks further
+          interrupts and the thread drains the queue, re-enabling them
+          only when it runs dry.  The fairest conventional baseline at
+          high load. *)
+  | Flexsc
+      (** FlexSC-style exception-less batching: arrivals are posted
+          entries and a kernel worker runs the accumulated requests once
+          per 500-cycle batch window.  No per-request notification, so
+          its mechanism tax is pure delay. *)
 
-val run_load_mwait : load_config -> load_stats
-(** The paper's design under sampled service demand: a hardware thread
-    parks in mwait on the RX tail. *)
+val run : ?background:bool -> delivery -> config -> result
+(** Serve [count] requests through one design.  [background] (default
+    false) runs a best-effort batch job on the same core, so the run also
+    shows whether the design lets other work proceed (the paper's
+    co-location argument).  Raises [Invalid_argument] on [Rss q] with
+    [q <= 0]. *)
 
-val run_load_polling : ?poll_gap:Sl_engine.Sim.Time.t -> load_config -> load_stats
-(** Kernel-bypass spinning, [poll_gap] (default 20) cycles per empty check. *)
-
-val run_load_interrupt : load_config -> load_stats
-(** IRQ + scheduler wakeup of a blocked software thread (the kernel
-    status quo): every wakeup serializes behind the IRQ context's
-    entry/handler/exit path, so the knee arrives earlier. *)
-
-val run_load_flexsc : ?batch_window:Sl_engine.Sim.Time.t -> load_config -> load_stats
-(** FlexSC-style exception-less serving: arrivals are posted entries, a
-    kernel worker wakes per batch and runs the accumulated requests
-    back-to-back ([batch_window], default 500 cycles, of accumulation
-    delay per batch). *)
+val run_load_mwait : config -> result
+val run_load_polling : config -> result
+val run_load_interrupt : config -> result
+val run_load_flexsc : config -> result
+(** [run Mwait], [run Polling], [run Irq_backlog] and [run Flexsc]. *)
 
 (** {2 Timer-tick wakeups (the "no more interrupts" microbench)} *)
 

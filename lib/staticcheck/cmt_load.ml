@@ -1,6 +1,7 @@
 type unit_ = {
   source : string;
   structure : Typedtree.structure;
+  interface : bool;
 }
 
 (* The typedtrees in a .cmt carry envs reduced to their summaries;
@@ -52,7 +53,9 @@ let load_file path =
       List.iter
         (fun dir -> if not (List.mem dir present) then Load_path.add_dir dir)
         (loadpath_dirs infos source);
-      Some { source; structure }
+      (* Dune writes an interface's .cmti next to the unit's .cmt. *)
+      let interface = Sys.file_exists (Filename.remove_extension path ^ ".cmti") in
+      Some { source; structure; interface }
     end
     else None  (* generated wrapper/alias modules *)
   | _ -> None

@@ -11,6 +11,7 @@
 type unit_ = {
   source : string;  (** e.g. [lib/dist/server.ml], as recorded in the cmt *)
   structure : Typedtree.structure;
+  interface : bool;  (** a compiled [.mli] ([.cmti]) sits next to the cmt *)
 }
 
 val load_roots : string list -> unit_ list

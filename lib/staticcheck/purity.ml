@@ -1,9 +1,8 @@
 open Typedtree
 
-(* The same vocabularies as the token lint (lib/analysis/lint.ml), but
-   matched against resolved paths: aliases are caught, strings and
-   comments cannot trip a rule, and a local value that merely shares a
-   banned name with a [M.f] pattern does not match. *)
+(* Banned names matched against resolved paths: aliases are caught,
+   strings and comments cannot trip a rule, and a local value that
+   merely shares a banned name with a [M.f] pattern does not match. *)
 
 let determinism_banned =
   [
@@ -76,7 +75,7 @@ let visit_expr ctx e =
   | Texp_try (_, cases) -> (
     (* Only a handler whose first pattern is the bare wildcard: a
        trailing [| _ ->] after named exceptions is a deliberate
-       catch-all, same convention as the token lint. *)
+       catch-all. *)
     match cases with
     | { c_lhs = { pat_desc = Tpat_any; _ }; _ } :: _ ->
       report ctx ~rule:"no-blanket-catch" ~loc:e.exp_loc

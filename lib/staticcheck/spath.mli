@@ -3,8 +3,8 @@
     Every rule in this library matches {e resolved identifiers} — the
     [Path.t] the type-checker put in the typedtree — never source
     tokens, so aliasing ([module Isa = Switchless.Isa]), shadowing and
-    strings/comments cannot fool a rule (the failure mode of the token
-    lint this layer replaces).  Matching is by {e dotted suffix} of the
+    strings/comments cannot fool a rule (the failure mode of a token
+    scan).  Matching is by {e dotted suffix} of the
     normalized path: ["Isa.mwait"] matches [Isa.mwait],
     [Switchless.Isa.mwait] and [Switchless__Isa.mwait] alike, while a
     local value that merely happens to be called [mwait] only matches

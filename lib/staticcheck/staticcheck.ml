@@ -1,5 +1,4 @@
-(* Terminal-facing directories keep their print exemption (same list as
-   the token lint's). *)
+(* Terminal-facing directories keep their print exemption. *)
 let print_exempt_dirs = [ "util" ]
 
 let exempt_from_prints source =
@@ -7,10 +6,24 @@ let exempt_from_prints source =
     (fun dir -> List.mem dir (String.split_on_char '/' source))
     print_exempt_dirs
 
+let missing_mli (u : Cmt_load.unit_) =
+  if u.Cmt_load.interface then []
+  else
+    [
+      {
+        Site.rule = "missing-mli";
+        file = u.Cmt_load.source;
+        line = 1;
+        ident = "-";
+        message = "no .mli: every library module needs an interface";
+      };
+    ]
+
 let check_unit (u : Cmt_load.unit_) =
   let file = u.Cmt_load.source in
   let check_prints = not (exempt_from_prints file) in
-  Protocol.check ~file u.Cmt_load.structure
+  missing_mli u
+  @ Protocol.check ~file u.Cmt_load.structure
   @ Domain_safety.check ~file u.Cmt_load.structure
   @ Purity.check ~file ~check_prints u.Cmt_load.structure
   @ Zero_alloc.check ~file u.Cmt_load.structure

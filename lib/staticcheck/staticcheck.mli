@@ -1,13 +1,14 @@
-(** The typed static layer: four protocol-aware rules over the [.cmt]
-    typedtrees dune already produces, surfaced as [switchless-sim
-    check].
+(** The static checker: rules over the [.cmt] typedtrees dune already
+    produces, surfaced as [switchless-sim check].
+
+    - [missing-mli] — {!missing_mli}: every unit ships an interface.
 
     - [park-before-arm] / [register-before-arm] — {!Protocol}: the
       monitor/mwait boot-window protocol.
     - [domain-safety] — {!Domain_safety}: top-level mutable state must
       be [Atomic.t] or [Domain.DLS].
-    - [determinism] / [no-print] / [no-blanket-catch] — {!Purity}: the
-      token lint's hygiene rules on resolved identifiers.
+    - [determinism] / [no-print] / [no-blanket-catch] — {!Purity}:
+      hygiene rules on resolved identifiers.
     - [zero-alloc] — {!Zero_alloc}: the [\[@@sl.zero_alloc\]] hot-path
       allocation budget.
 
@@ -15,6 +16,10 @@
     {!Sl_analysis.Report} (see {!Site.to_report}); deliberate
     exceptions live in a committed allowlist ([staticcheck.allow]),
     one justified line each. *)
+
+val missing_mli : Cmt_load.unit_ -> Site.t list
+(** One [missing-mli] finding when the unit was compiled without an
+    interface. *)
 
 val scan : string list -> Site.t list
 (** Raw findings over the build trees of the given source roots,

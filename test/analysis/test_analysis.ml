@@ -1,6 +1,6 @@
 (* Tests for the analysis library: the race detector must flag seeded
    racy and stale-TDT workloads, stay silent on properly synchronized
-   ones, and the sanitizers/lint must catch their respective rule
+   ones, and the sanitizers must catch their respective rule
    violations. *)
 
 module Sim = Sl_engine.Sim
@@ -17,7 +17,6 @@ module Analysis = Sl_analysis.Analysis
 module Report = Sl_analysis.Report
 module Vclock = Sl_analysis.Vclock
 module Sanitizer = Sl_analysis.Sanitizer
-module Lint = Sl_analysis.Lint
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -293,129 +292,6 @@ let test_hw_channel_clean_under_sanitizers () =
   in
   Alcotest.(check (list string)) "no findings" [] (rules findings)
 
-(* --- lint --- *)
-
-let write_file dir name content =
-  let path = Filename.concat dir name in
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
-  path
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "lint_test" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
-
-let test_lint_catches_banned_tokens () =
-  with_temp_dir (fun dir ->
-      let path =
-        write_file dir "bad.ml"
-          "let t = Unix.gettimeofday ()\n\
-           let () = print_endline \"hi\"\n\
-           let () = Stdlib.print_string \"qualified\"\n"
-      in
-      let rs = List.map (fun i -> i.Lint.rule) (Lint.scan_file path) in
-      check_bool "wall clock caught" true (List.mem "determinism" rs);
-      check_int "three findings" 3 (List.length rs))
-
-let test_lint_ignores_comments_strings_and_formatters () =
-  with_temp_dir (fun dir ->
-      let path =
-        write_file dir "good.ml"
-          "(* print_endline in a comment; Unix.gettimeofday too *)\n\
-           let s = \"print_endline Sys.time\"\n\
-           let pp ppf = Format.pp_print_string ppf s\n\
-           let c = '\"'\n\
-           let also = \"after the char literal print_newline stays stripped\"\n"
-      in
-      Alcotest.(check (list string))
-        "no findings" []
-        (List.map Lint.to_string (Lint.scan_file path)))
-
-let blanket_catches path =
-  List.filter (fun i -> i.Lint.rule = "no-blanket-catch") (Lint.scan_file path)
-
-let test_lint_flags_blanket_catch () =
-  with_temp_dir (fun dir ->
-      let path =
-        write_file dir "swallow.ml"
-          "let a () = try x () with _ -> ()\n\
-           let b () = try x () with | _ -> ()\n\
-           let c () =\n\
-          \  try y ()\n\
-          \  with\n\
-          \  | _ -> 0\n"
-      in
-      check_int "all three blanket catches" 3 (List.length (blanket_catches path)))
-
-let test_lint_allows_named_exceptions () =
-  with_temp_dir (fun dir ->
-      let path =
-        write_file dir "fine.ml"
-          "let a x = match x with _ -> ()\n\
-           let b p = { p with a = 1 }\n\
-           let c () = try x () with Failure _ -> ()\n\
-           let d () = try x () with Not_found -> 1 | _ -> 2\n\
-           let e () = try x () with exception_pattern -> ()\n"
-      in
-      Alcotest.(check (list string))
-        "no blanket catches" []
-        (List.map Lint.to_string (blanket_catches path)))
-
-(* The blanking pass runs once per file and must survive nested
-   comments: a banned token two levels deep stays invisible, and the
-   depth counter must not close the comment at the first closer. *)
-let test_lint_strip_nested_comments () =
-  let src =
-    "(* outer (* print_endline *) still comment Sys.time *)\n\
-     let x = 1\n\
-     (* a (* b (* c *) b *) a *) let y = Unix.gettimeofday\n"
-  in
-  let stripped = Lint.strip src in
-  check_bool "token two levels deep blanked" true
-    (not (String.length stripped < String.length src)
-    && String.length stripped = String.length src);
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check_bool "print_endline gone" false (contains "print_endline" stripped);
-  check_bool "Sys.time gone" false (contains "Sys.time" stripped);
-  check_bool "code outside comments survives" true (contains "let x = 1" stripped);
-  check_bool "code after nested close survives" true
-    (contains "Unix.gettimeofday" stripped);
-  check_int "newlines preserved for line numbers" 3
-    (List.length (String.split_on_char '\n' stripped) - 1);
-  with_temp_dir (fun dir ->
-      let path =
-        write_file dir "nested.ml"
-          "(* (* Random.self_init inside nested comment *) *)\nlet ok = 2\n"
-      in
-      Alcotest.(check (list string))
-        "nested comment trips nothing" []
-        (List.map Lint.to_string (Lint.scan_file path)))
-
-let test_lint_missing_mli () =
-  with_temp_dir (fun dir ->
-      let _ = write_file dir "orphan.ml" "let x = 1\n" in
-      let _ = write_file dir "paired.ml" "let x = 1\n" in
-      let _ = write_file dir "paired.mli" "val x : int\n" in
-      let missing =
-        List.filter (fun i -> i.Lint.rule = "missing-mli") (Lint.scan_tree dir)
-      in
-      check_int "one orphan" 1 (List.length missing);
-      check_bool "names the orphan" true
-        (match missing with
-        | [ i ] -> Filename.basename i.Lint.file = "orphan.ml"
-        | _ -> false))
-
 let () =
   Alcotest.run "analysis"
     [
@@ -439,16 +315,5 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "hw channel clean" `Quick test_hw_channel_clean_under_sanitizers;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "banned tokens" `Quick test_lint_catches_banned_tokens;
-          Alcotest.test_case "comments and strings" `Quick test_lint_ignores_comments_strings_and_formatters;
-          Alcotest.test_case "missing mli" `Quick test_lint_missing_mli;
-          Alcotest.test_case "nested comment blanking" `Quick
-            test_lint_strip_nested_comments;
-          Alcotest.test_case "blanket catch flagged" `Quick test_lint_flags_blanket_catch;
-          Alcotest.test_case "named exceptions allowed" `Quick
-            test_lint_allows_named_exceptions;
         ] );
     ]

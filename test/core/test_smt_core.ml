@@ -191,6 +191,31 @@ let prop_work_conservation =
       && makespan >= total / width
       && makespan <= total + (2 * n))
 
+(* N equal jobs on a 2-wide core finish in one advance.  They resume in
+   the serve loop's order — the reverse of the order they became
+   runnable — and that order must not depend on the Hashtbl hash seed. *)
+let simultaneous_completion_order () =
+  with_core ~smt_width:2 (fun sim core ->
+      let order = ref [] in
+      for i = 0 to 11 do
+        (* Sparse ptids, so any hash-bucket order would show. *)
+        let ptid = (i * 7919) + 3 in
+        Sim.spawn sim (fun () ->
+            Smt_core.set_runnable core ~ptid ~weight:1.0 true;
+            Smt_core.execute core ~ptid ~kind:Smt_core.Useful 600;
+            order := ptid :: !order)
+      done;
+      Sim.run sim;
+      List.rev !order)
+
+let test_simultaneous_completions_resume_in_serve_order () =
+  let before = simultaneous_completion_order () in
+  Hashtbl.randomize ();
+  let after = simultaneous_completion_order () in
+  let expected = List.init 12 (fun i -> ((11 - i) * 7919) + 3) in
+  Alcotest.(check (list int)) "serve-loop order" expected before;
+  Alcotest.(check (list int)) "same under a random hash seed" before after
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation ] in
   Alcotest.run "smt_core"
@@ -210,6 +235,8 @@ let () =
           Alcotest.test_case "zero cycles immediate" `Quick test_zero_cycles_returns_immediately;
           Alcotest.test_case "execute requires runnable" `Quick test_execute_requires_runnable;
           Alcotest.test_case "double execute rejected" `Quick test_double_execute_rejected;
+          Alcotest.test_case "simultaneous completions in serve order" `Quick
+            test_simultaneous_completions_resume_in_serve_order;
         ] );
       ( "accounting",
         [

@@ -219,38 +219,37 @@ let test_watchdog_leaves_healthy_threads_alone () =
 
 (* --- degraded-mode I/O loop ----------------------------------------------- *)
 
-let io_cfg =
-  { Io_path.default_config with Io_path.count = 300; rate_per_kcycle = 0.5 }
+let io_cfg = { Io_path.default_config with Io_path.count = 300 }
+
+let hardened cfg =
+  Io_path.run (Io_path.Mwait_hardened { watchdog = false; horizon = None }) cfg
 
 let test_hardened_io_matches_mwait_when_healthy () =
-  let plain = Io_path.run_mwait io_cfg in
-  let hardened = Io_path.run_mwait_hardened io_cfg in
+  let plain = (Io_path.run Io_path.Mwait io_cfg).Io_path.io in
+  let r = hardened io_cfg in
   check_int "same packets processed" plain.Io_path.processed
-    hardened.Io_path.base.Io_path.processed;
-  check_int "no fallbacks" 0 hardened.Io_path.fallbacks;
-  check_int "no missed wakeups" 0 hardened.Io_path.missed_wakeups
+    r.Io_path.io.Io_path.processed;
+  check_int "no fallbacks" 0 r.Io_path.recovery.Io_path.fallbacks;
+  check_int "no missed wakeups" 0 r.Io_path.recovery.Io_path.missed_wakeups
 
 let test_hardened_io_survives_total_doorbell_loss () =
   (* Every doorbell lost: pure deadline-driven operation must still
      deliver every packet (degrading to polling as designed). *)
   let plan = { Fault.none with Fault.seed = 31L; nic_doorbell_drop = 1.0 } in
   let inj = Fault.create plan in
-  let r =
-    Fault.with_ambient inj (fun () ->
-        Io_path.run_mwait_hardened ~wait_budget:2_000 ~miss_threshold:2 io_cfg)
-  in
+  let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
   check_int "all packets processed" io_cfg.Io_path.count
-    r.Io_path.base.Io_path.processed;
-  check_bool "fell back to polling" true (r.Io_path.fallbacks > 0)
+    r.Io_path.io.Io_path.processed;
+  check_bool "fell back to polling" true (r.Io_path.recovery.Io_path.fallbacks > 0)
 
 let test_hardened_io_accounts_for_vanished_packets () =
   let plan = { Fault.none with Fault.seed = 32L; nic_dma_drop = 0.2 } in
   let inj = Fault.create plan in
-  let r = Fault.with_ambient inj (fun () -> Io_path.run_mwait_hardened io_cfg) in
-  check_bool "some packets vanished" true (r.Io_path.dma_dropped > 0);
+  let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
+  let dma_dropped = r.Io_path.recovery.Io_path.dma_dropped in
+  check_bool "some packets vanished" true (dma_dropped > 0);
   check_int "processed + vanished = offered" io_cfg.Io_path.count
-    (r.Io_path.base.Io_path.processed + r.Io_path.dma_dropped
-   + r.Io_path.base.Io_path.dropped)
+    (r.Io_path.io.Io_path.processed + dma_dropped + r.Io_path.io.Io_path.dropped)
 
 let () =
   Alcotest.run "hardening"

@@ -1,45 +1,43 @@
-(* Tests for the three I/O designs and the timer-wakeup microbenches. *)
+(* Tests for the I/O delivery designs and the timer-wakeup microbenches. *)
 
 module Params = Switchless.Params
 module Histogram = Sl_util.Histogram
 module Io_path = Sl_os.Io_path
+module Arrivals = Sl_workload.Arrivals
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let p = Params.default
 
-let small_cfg =
-  {
-    Io_path.default_config with
-    Io_path.count = 300;
-    rate_per_kcycle = 0.5;
-    per_packet_work = 500;
-  }
+let small_cfg = { Io_path.default_config with Io_path.count = 300 }
+
+let at_rate cfg rate = { cfg with Io_path.arrivals = Arrivals.poisson ~rate_per_kcycle:rate }
+let serve ?background design cfg = (Io_path.run ?background design cfg).Io_path.io
 
 let test_mwait_processes_everything () =
-  let s = Io_path.run_mwait small_cfg in
+  let s = serve Io_path.Mwait small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   check_int "no drops" 0 s.Io_path.dropped;
   check_bool "near-zero waste" true (Io_path.wasted_fraction s < 0.15)
 
 let test_polling_processes_everything_but_burns () =
-  let s = Io_path.run_polling small_cfg in
+  let s = serve Io_path.Polling small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   (* At ~25% load, a poller burns most of its cycles spinning. *)
   check_bool "heavy poll waste" true (Io_path.wasted_fraction s > 0.5);
   check_bool "poll cycles dominate waste" true (s.Io_path.poll_cycles > s.Io_path.overhead_cycles)
 
 let test_interrupt_processes_everything () =
-  let s = Io_path.run_interrupt small_cfg in
+  let s = serve Io_path.Irq small_cfg in
   check_int "all packets" 300 s.Io_path.processed;
   check_bool "irq overhead visible" true (s.Io_path.overhead_cycles > 0.0)
 
 let test_latency_ranking_at_low_load () =
-  let cfg = { small_cfg with Io_path.rate_per_kcycle = 0.05; count = 200 } in
-  let m = Io_path.run_mwait cfg in
-  let poll = Io_path.run_polling cfg in
-  let irq = Io_path.run_interrupt cfg in
+  let cfg = at_rate { small_cfg with Io_path.count = 200 } 0.05 in
+  let m = serve Io_path.Mwait cfg in
+  let poll = serve Io_path.Polling cfg in
+  let irq = serve Io_path.Irq cfg in
   let p99 h = (Histogram.quantile h 0.99) in
   (* The paper's claim: mwait ≈ polling latency, both far below IRQ. *)
   check_bool
@@ -54,22 +52,22 @@ let test_latency_ranking_at_low_load () =
     (p99 irq.Io_path.latencies > 3 * p99 m.Io_path.latencies)
 
 let test_background_work_coexists_with_mwait () =
-  let cfg = { small_cfg with Io_path.background = true; count = 200 } in
-  let s = Io_path.run_mwait cfg in
+  let cfg = { small_cfg with Io_path.count = 200 } in
+  let s = serve ~background:true Io_path.Mwait cfg in
   check_int "packets still served" 200 s.Io_path.processed;
   check_bool "background got cycles" true (s.Io_path.background_cycles > 0.0)
 
 let test_deterministic_runs () =
-  let a = Io_path.run_mwait small_cfg and b = Io_path.run_mwait small_cfg in
+  let a = serve Io_path.Mwait small_cfg and b = serve Io_path.Mwait small_cfg in
   Alcotest.(check int) "same elapsed" a.Io_path.elapsed_cycles b.Io_path.elapsed_cycles;
   Alcotest.(check int) "same p99"
     (Histogram.quantile a.Io_path.latencies 0.99)
     (Histogram.quantile b.Io_path.latencies 0.99)
 
 let test_napi_reduces_waste () =
-  let cfg = { small_cfg with Io_path.rate_per_kcycle = 1.2; count = 600 } in
-  let plain = Io_path.run_interrupt cfg in
-  let napi = Io_path.run_interrupt_napi cfg in
+  let cfg = at_rate { small_cfg with Io_path.count = 600 } 1.2 in
+  let plain = serve Io_path.Irq cfg in
+  let napi = serve Io_path.Napi cfg in
   check_int "napi processes all" 600 napi.Io_path.processed;
   check_bool
     (Printf.sprintf "napi waste %.2f < plain %.2f" (Io_path.wasted_fraction napi)
@@ -78,15 +76,15 @@ let test_napi_reduces_waste () =
     (Io_path.wasted_fraction napi < Io_path.wasted_fraction plain)
 
 let test_napi_latency_floor_remains () =
-  let cfg = { small_cfg with Io_path.rate_per_kcycle = 0.05; count = 200 } in
-  let napi = Io_path.run_interrupt_napi cfg in
+  let cfg = at_rate { small_cfg with Io_path.count = 200 } 0.05 in
+  let napi = serve Io_path.Napi cfg in
   (* At low load every packet is "first of its burst": full IRQ path. *)
   check_bool "floor above 1500 cycles" true
     ((Histogram.quantile napi.Io_path.latencies 0.5) > 1500)
 
 let test_rss_scales_past_single_thread () =
-  let cfg = { small_cfg with Io_path.rate_per_kcycle = 2.8; count = 800 } in
-  let rss = Io_path.run_mwait_rss ~queues:4 cfg in
+  let cfg = at_rate { small_cfg with Io_path.count = 800 } 2.8 in
+  let rss = serve (Io_path.Rss 4) cfg in
   check_int "rss processes all" 800 rss.Io_path.processed;
   check_int "no drops" 0 rss.Io_path.dropped;
   (* 2.8 pkts/kcycle is past one thread's 2.0 service limit; four queue
@@ -96,8 +94,8 @@ let test_rss_scales_past_single_thread () =
 
 let test_rss_single_queue_equals_mwait () =
   let cfg = { small_cfg with Io_path.count = 300 } in
-  let single = Io_path.run_mwait cfg in
-  let rss1 = Io_path.run_mwait_rss ~queues:1 cfg in
+  let single = serve Io_path.Mwait cfg in
+  let rss1 = serve (Io_path.Rss 1) cfg in
   Alcotest.(check int) "same p99"
     (Histogram.quantile single.Io_path.latencies 0.99)
     (Histogram.quantile rss1.Io_path.latencies 0.99)

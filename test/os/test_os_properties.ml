@@ -9,7 +9,10 @@ module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
 module Hw_channel = Sl_os.Hw_channel
 module Io_path = Sl_os.Io_path
+module Arrivals = Sl_workload.Arrivals
 module Histogram = Sl_util.Histogram
+module Dist = Sl_util.Dist
+module Rng = Sl_util.Rng
 
 (* Property 1: N clients with random think times all complete their calls
    through one shared channel — serialization never deadlocks and the
@@ -50,11 +53,11 @@ let prop_io_conservation =
         {
           Io_path.default_config with
           Io_path.count;
-          rate_per_kcycle = float_of_int rate_tenths /. 10.0;
-          per_packet_work = 200;
+          arrivals = Arrivals.poisson ~rate_per_kcycle:(float_of_int rate_tenths /. 10.0);
+          service = Dist.Constant 200.0;
         }
       in
-      let s = Io_path.run_mwait cfg in
+      let s = (Io_path.run Io_path.Mwait cfg).Io_path.io in
       s.Io_path.processed = count
       && s.Io_path.dropped = 0
       && Histogram.min_value s.Io_path.latencies >= 200)
@@ -69,16 +72,67 @@ let prop_designs_do_same_useful_work =
         {
           Io_path.default_config with
           Io_path.count;
-          rate_per_kcycle = 0.4;
-          per_packet_work = 300;
+          arrivals = Arrivals.poisson ~rate_per_kcycle:0.4;
+          service = Dist.Constant 300.0;
         }
       in
       let expected = float_of_int count *. 300.0 in
-      let close s = abs_float (s.Io_path.useful_cycles -. expected) < 2.0 *. float_of_int count in
-      close (Io_path.run_mwait cfg)
-      && close (Io_path.run_polling cfg)
-      && close (Io_path.run_interrupt cfg)
-      && close (Io_path.run_interrupt_napi cfg))
+      let close d =
+        let s = (Io_path.run d cfg).Io_path.io in
+        abs_float (s.Io_path.useful_cycles -. expected) < 2.0 *. float_of_int count
+      in
+      List.for_all close Io_path.[ Mwait; Polling; Irq; Napi ])
+
+(* Property 4: every delivery design serves the same requests.  Over a
+   random seed and a constant or sampled service demand, each design
+   serves exactly [count] requests with no drops, and reports as useful
+   cycles exactly the sum of the sampled demands. *)
+let deliveries =
+  Io_path.
+    [
+      Mwait;
+      Mwait_hardened { watchdog = false; horizon = None };
+      Rss 4;
+      Polling;
+      Irq;
+      Irq_backlog;
+      Napi;
+      Flexsc;
+    ]
+
+(* Replay the request stream's draws: same seed, same order as
+   [Openloop.run_arrivals] (gap, then demand, on one stream). *)
+let total_demand (cfg : Io_path.config) =
+  let rng = Rng.create cfg.Io_path.seed in
+  let next_gap = Arrivals.sampler cfg.Io_path.arrivals rng in
+  let total = ref 0 in
+  for _ = 1 to cfg.Io_path.count do
+    ignore (next_gap ());
+    total := !total + max 0 (int_of_float (Dist.sample cfg.Io_path.service rng))
+  done;
+  float_of_int !total
+
+let prop_every_delivery_serves_the_same_requests =
+  QCheck.Test.make ~name:"every delivery serves the sampled requests" ~count:20
+    QCheck.(pair (int_range 1 1_000_000) bool)
+    (fun (seed, sampled) ->
+      let cfg =
+        {
+          Io_path.default_config with
+          Io_path.seed = Int64.of_int seed;
+          count = 150;
+          arrivals = Arrivals.poisson ~rate_per_kcycle:0.3;
+          service = (if sampled then Dist.Exponential 1400.0 else Dist.Constant 500.0);
+        }
+      in
+      let expected = total_demand cfg in
+      List.for_all
+        (fun d ->
+          let s = (Io_path.run d cfg).Io_path.io in
+          s.Io_path.processed = cfg.Io_path.count
+          && s.Io_path.dropped = 0
+          && abs_float (s.Io_path.useful_cycles -. expected) <= 1e-9 *. expected)
+        deliveries)
 
 let () =
   let qsuite =
@@ -87,6 +141,7 @@ let () =
         prop_channel_serves_all_clients;
         prop_io_conservation;
         prop_designs_do_same_useful_work;
+        prop_every_delivery_serves_the_same_requests;
       ]
   in
   Alcotest.run "os_properties" [ ("properties", qsuite) ]

@@ -89,6 +89,20 @@ let test_purity_print_exemption () =
   check_bool "no-print suppressed" false (List.mem "no-print" rules);
   check_bool "determinism still on" true (List.mem "determinism" rules)
 
+(* --- missing mli ---------------------------------------------------------- *)
+
+let mli_findings basename =
+  Sc.Staticcheck.missing_mli (unit_for basename)
+  |> List.map (fun s -> (s.Sc.Site.rule, s.Sc.Site.ident))
+
+let test_missing_mli_flagged () =
+  Alcotest.check pairs "unit without an interface"
+    [ ("missing-mli", "-") ]
+    (mli_findings "mli_bad.ml")
+
+let test_missing_mli_silent_with_interface () =
+  Alcotest.check pairs "unit with an interface" [] (mli_findings "mli_good.ml")
+
 (* --- zero alloc ----------------------------------------------------------- *)
 
 let test_zero_alloc_flags_each_class () =
@@ -210,6 +224,13 @@ let () =
             test_purity_silent_on_strings_and_named;
           Alcotest.test_case "print exemption" `Quick
             test_purity_print_exemption;
+        ] );
+      ( "missing-mli",
+        [
+          Alcotest.test_case "unit without interface flagged" `Quick
+            test_missing_mli_flagged;
+          Alcotest.test_case "unit with interface silent" `Quick
+            test_missing_mli_silent_with_interface;
         ] );
       ( "zero-alloc",
         [
