@@ -18,7 +18,6 @@
    domains at all and runs everything in this one. *)
 
 module Sink = Sl_util.Sink
-module Json = Sl_util.Json
 
 let experiments =
   [
@@ -67,26 +66,16 @@ let fault_plan =
       exit 2)
 
 (* The experiment's sims are collected so abandoned processes can be
-   surfaced afterwards: [stuck] includes servers parked by design,
-   [suspects] is the subset that looks like a genuine deadlock. *)
+   counted afterwards: [stuck] includes servers parked by design,
+   [suspects] is the subset that looks like a genuine deadlock.  Counts
+   only, so the trailer stays one short line however many threads an
+   experiment parks. *)
 let report_abandoned id sims =
-  let stuck_total =
-    List.fold_left (fun acc s -> acc + List.length (Sl_engine.Sim.stuck s)) 0 sims
-  in
-  if stuck_total > 0 then begin
-    let suspect_lines = List.filter_map Sl_engine.Sim.suspect_summary sims in
-    let suspects_total =
-      List.fold_left
-        (fun acc s -> acc + List.length (Sl_engine.Sim.suspects s))
-        0 sims
-    in
-    Sink.printf "{\"experiment\":%S,\"stuck\":%d,\"suspects\":%d%s}\n" id
-      stuck_total suspects_total
-      (if suspect_lines = [] then ""
-       else
-         Printf.sprintf ",\"suspect_summary\":[%s]"
-           (String.concat "," (List.map Json.quote suspect_lines)))
-  end
+  let total f = List.fold_left (fun acc s -> acc + List.length (f s)) 0 sims in
+  let stuck_total = total Sl_engine.Sim.stuck in
+  if stuck_total > 0 then
+    Sink.printf "{\"experiment\":%S,\"stuck\":%d,\"suspects\":%d}\n" id
+      stuck_total (total Sl_engine.Sim.suspects)
 
 (* Per-site recovery counters (Sl_util.Recovery) accumulated during the
    experiment: mwait→polling fallbacks, channel retries, watchdog nudges,

@@ -117,19 +117,21 @@ let finish t =
 
 (** {2 Fleet enablement via the chip creation hook} *)
 
-type collector = { cfg : config; mutable active : t list }
+type collector = { mutable active : t list }
 
-let enable_all ?(config = default_config) () =
-  let c = { cfg = config; active = [] } in
-  Chip.set_creation_hook (fun chip -> c.active <- enable ~config chip :: c.active);
+let hook_key = "analysis"
+
+let enable_all () =
+  let c = { active = [] } in
+  Chip.add_creation_hook ~key:hook_key (fun chip -> c.active <- enable chip :: c.active);
   c
 
-let disable_all () = Chip.clear_creation_hook ()
+let disable_all () = Chip.remove_creation_hook ~key:hook_key
 
 let harvest c = List.concat_map finish (List.rev c.active)
 
-let with_all ?(config = default_config) f =
-  let c = enable_all ~config () in
+let with_all f =
+  let c = enable_all () in
   let result =
     try f ()
     with e ->

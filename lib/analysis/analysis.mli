@@ -50,7 +50,7 @@ val dropped : t -> int
 
 type collector
 
-val enable_all : ?config:config -> unit -> collector
+val enable_all : unit -> collector
 (** Instrument every chip created from now on (via the global creation
     hook).  Only one collector can be active at a time. *)
 
@@ -62,6 +62,6 @@ val harvest : collector -> Report.finding list
 (** {!finish} every chip the collector attached to; findings in chip
     creation order. *)
 
-val with_all : ?config:config -> (unit -> 'a) -> 'a * Report.finding list
+val with_all : (unit -> 'a) -> 'a * Report.finding list
 (** [with_all f] = {!enable_all}, run [f], {!disable_all} (also on
     exception), {!harvest}. *)

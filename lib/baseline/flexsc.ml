@@ -3,21 +3,23 @@ module Ivar = Sl_engine.Ivar
 module Mailbox = Sl_engine.Mailbox
 module Smt_core = Switchless.Smt_core
 
-type entry = { kernel_work : int; done_ : unit Ivar.t }
-
-type t = {
-  entries : entry Mailbox.t;
+type 'a t = {
+  entries : 'a Mailbox.t;
   mutable calls : int;
   mutable batches : int;
 }
 
 let worker_ptid = 777_777
 
-let create sim _params ?(batch_window = 500) ~core () =
+let serve sim ?(batch_window = 500) ~core ~work ~complete () =
   let t = { entries = Mailbox.create (); calls = 0; batches = 0 } in
-  Sim.spawn sim (fun () ->
+  let run_entry e =
+    Smt_core.execute core ~ptid:worker_ptid ~kind:Smt_core.Useful (work e);
+    complete e
+  in
+  Sim.spawn sim ~name:"flexsc-worker" ~daemon:true (fun () ->
       Smt_core.set_runnable core ~ptid:worker_ptid ~weight:1.0 true;
-      let rec serve () =
+      let rec loop () =
         (* Sleep until something is posted, then let a batch accumulate. *)
         let first = Mailbox.recv t.entries in
         Sim.delay batch_window;
@@ -27,21 +29,27 @@ let create sim _params ?(batch_window = 500) ~core () =
           | Some e -> drain (e :: acc)
           | None -> List.rev acc
         in
-        let batch = first :: drain [] in
-        List.iter
-          (fun e ->
-            Smt_core.execute core ~ptid:worker_ptid ~kind:Smt_core.Useful e.kernel_work;
-            Ivar.fill e.done_ ())
-          batch;
-        serve ()
+        List.iter run_entry (first :: drain []);
+        loop ()
       in
-      serve ());
+      loop ());
   t
 
-let call t ~kernel_work =
+let post t e =
   t.calls <- t.calls + 1;
+  Mailbox.send t.entries e
+
+type call = { kernel_work : int; done_ : unit Ivar.t }
+
+let create sim _params ?batch_window ~core () =
+  serve sim ?batch_window ~core
+    ~work:(fun c -> c.kernel_work)
+    ~complete:(fun c -> Ivar.fill c.done_ ())
+    ()
+
+let call t ~kernel_work =
   let done_ = Ivar.create () in
-  Mailbox.send t.entries { kernel_work; done_ };
+  post t { kernel_work; done_ };
   Ivar.read done_
 
 let calls t = t.calls

@@ -7,19 +7,31 @@
     point that exception-less designs trade latency and complexity for
     the trap cost, where a dedicated hardware thread would get both. *)
 
-type t
+type 'a t
+(** A worker draining posted entries of type ['a]. *)
+
+val serve :
+  Sl_engine.Sim.t -> ?batch_window:Sl_engine.Sim.Time.t ->
+  core:Switchless.Smt_core.t -> work:('a -> Sl_engine.Sim.Time.t) ->
+  complete:('a -> unit) -> unit -> 'a t
+(** Spawn the worker: a daemon process named ["flexsc-worker"] on a
+    context of [core].  Once an entry is posted it lets a batch
+    accumulate for [batch_window] (default 500) cycles, then executes
+    each entry's [work] and calls [complete] on it, in posting order. *)
+
+val post : 'a t -> 'a -> unit
+(** Post an entry without blocking; the caller charges its own posting
+    stores. *)
+
+type call
 
 val create :
   Sl_engine.Sim.t -> Switchless.Params.t -> ?batch_window:Sl_engine.Sim.Time.t ->
-  core:Switchless.Smt_core.t -> unit -> t
-(** The worker occupies a context on [core] (typically a core reserved
-    for kernel work).  [batch_window] (default 500 cycles) is how long
-    the worker accumulates entries after noticing the first one. *)
+  core:Switchless.Smt_core.t -> unit -> call t
+(** A syscall worker over blocking {!call} entries. *)
 
-val call : t -> kernel_work:Sl_engine.Sim.Time.t -> unit
-(** Post an entry (the caller pays only a couple of store cycles at its
-    own core — charge those before calling) and block until the worker
-    has executed [kernel_work] for it. *)
+val call : call t -> kernel_work:Sl_engine.Sim.Time.t -> unit
+(** Post an entry and block until the worker has executed it. *)
 
-val calls : t -> int
-val batches : t -> int
+val calls : 'a t -> int
+val batches : 'a t -> int

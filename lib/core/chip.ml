@@ -203,9 +203,6 @@ let remove_creation_hook ~key =
   Domain.DLS.set creation_hooks
     (List.filter (fun (k, _) -> k <> key) (Domain.DLS.get creation_hooks))
 
-let set_creation_hook f = add_creation_hook ~key:"default" f
-let clear_creation_hook () = remove_creation_hook ~key:"default"
-
 let create sim params ~cores =
   if cores <= 0 then invalid_arg "Chip.create: need at least one core";
   let memory = Memory.create () in
@@ -512,8 +509,13 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
   Sim.schedule chip.sim
     ~at:(Sim.time chip.sim + latency)
     (fun () ->
-      make_runnable th ~reason;
-      Signal.emit chip.t_fns.(th.tid).f_signal ();
+      (* A start hand-off delayed past a later one lands on a thread the
+         later one already made runnable: it changes no state, but still
+         runs [on_ready] — the body spawn, if it was the first start. *)
+      if tstate chip th.tid <> st_runnable then begin
+        make_runnable th ~reason;
+        Signal.emit chip.t_fns.(th.tid).f_signal ()
+      end;
       on_ready ())
 
 (* --- crash-stop + cold restart ------------------------------------------ *)
@@ -579,7 +581,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
     invalid_arg "Chip.add_thread: no such core";
   if ptid < 0 then invalid_arg "Chip.add_thread: negative ptid";
   if exists t ptid then invalid_arg "Chip.add_thread: ptid already exists";
-  if weight <= 0.0 then invalid_arg "Ptid.create: weight must be positive";
+  if weight <= 0.0 then invalid_arg "Chip.add_thread: weight must be positive";
   let regs = Regstate.create ~vector () in
   let bytes = Regstate.footprint_bytes t.params regs in
   State_store.register (state_store t core_id) ~ptid ~bytes;

@@ -81,12 +81,6 @@ val add_creation_hook : key:string -> (t -> unit) -> unit
 
 val remove_creation_hook : key:string -> unit
 
-val set_creation_hook : (t -> unit) -> unit
-(** [add_creation_hook ~key:"default"] — the pre-existing single-observer
-    interface, kept for [sl_analysis]. *)
-
-val clear_creation_hook : unit -> unit
-
 (** {2 Fault injection}
 
     Installed per chip by [Sl_fault.Fault]; both hooks are sampled by the

@@ -2,6 +2,9 @@ module Sim = Sl_engine.Sim
 
 type policy = Fifo | Lifo | Locality
 
+(* Hardware queue-pop + doorbell latency of one dispatch. *)
+let dispatch_cycles = 8
+
 type worker = {
   thread : Chip.thread;
   doorbell : Memory.addr;
@@ -12,18 +15,16 @@ type t = {
   chip : Chip.t;
   core : int;
   policy : policy;
-  dispatch_cycles : int;
   pending : int64 Queue.t;
   mutable parked : worker list;  (* head = most recently parked *)
   mutable dispatched : int;
 }
 
-let create chip ~core ?(policy = Lifo) ?(dispatch_cycles = 8) () =
+let create chip ~core ?(policy = Lifo) () =
   {
     chip;
     core;
     policy;
-    dispatch_cycles;
     pending = Queue.create ();
     parked = [];
     dispatched = 0;
@@ -58,9 +59,7 @@ let ring t worker payload =
   worker.slot <- payload;
   t.dispatched <- t.dispatched + 1;
   let memory = Chip.memory t.chip in
-  let at =
-    Sim.time (Chip.sim t.chip) + t.dispatch_cycles
-  in
+  let at = Sim.time (Chip.sim t.chip) + dispatch_cycles in
   Sim.schedule (Chip.sim t.chip) ~at (fun () ->
       Memory.write memory worker.doorbell 1L)
 

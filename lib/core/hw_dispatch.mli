@@ -26,10 +26,10 @@ type policy = Fifo | Lifo | Locality
 
 type t
 
-val create : Chip.t -> core:int -> ?policy:policy -> ?dispatch_cycles:int -> unit -> t
+val create : Chip.t -> core:int -> ?policy:policy -> unit -> t
 (** A dispatch unit serving workers that live on [core].  [policy]
-    defaults to [Lifo]; [dispatch_cycles] (default 8) is the hardware
-    queue-pop + doorbell latency. *)
+    defaults to [Lifo]; a dispatch costs 8 cycles of hardware queue-pop
+    + doorbell latency. *)
 
 val worker_loop : t -> Chip.thread -> (int64 -> unit) -> unit
 (** [worker_loop t th handle] is the body of a worker thread: forever

@@ -2,34 +2,6 @@ type state = Runnable | Waiting | Disabled
 
 type mode = User | Supervisor
 
-type t = {
-  ptid : int;
-  core_id : int;
-  regs : Regstate.t;
-  mutable state : state;
-  mutable mode : mode;
-  mutable weight : float;
-  mutable tdt : Tdt.t option;
-  mutable secret : int64 option;
-  mutable wakeups : int;
-  mutable starts : int;
-}
-
-let create ~ptid ~core_id ~mode ?(vector = false) ?(weight = 1.0) () =
-  if weight <= 0.0 then invalid_arg "Ptid.create: weight must be positive";
-  {
-    ptid;
-    core_id;
-    regs = Regstate.create ~vector ();
-    state = Disabled;
-    mode;
-    weight;
-    tdt = None;
-    secret = None;
-    wakeups = 0;
-    starts = 0;
-  }
-
 let pp_state ppf state =
   Format.pp_print_string ppf
     (match state with
@@ -40,5 +12,3 @@ let pp_state ppf state =
 let pp_mode ppf mode =
   Format.pp_print_string ppf
     (match mode with User -> "user" | Supervisor -> "supervisor")
-
-let is_supervisor t = t.mode = Supervisor

@@ -1,42 +1,15 @@
-(** One physical hardware thread (§3).
+(** One physical hardware thread's architectural vocabulary (§3).
 
     A ptid is always in one of three states: {e runnable} (may be issued
     on the pipeline), {e waiting} (parked by [mwait] until a monitored
-    write) or {e disabled} (frozen until another thread [start]s it).  It
-    carries its architectural register state, a privilege mode, and a
-    scheduling weight used by the hardware round-robin/processor-sharing
-    multiplexer.
-
-    This module is pure bookkeeping; the transition {e semantics} (costs,
+    write) or {e disabled} (frozen until another thread [start]s it), and
+    runs in one privilege mode.  The per-thread state itself lives in
+    {!Chip}'s dense context table; the transition {e semantics} (costs,
     monitor interaction, permission checks) live in {!Chip} and {!Isa}. *)
 
 type state = Runnable | Waiting | Disabled
 
 type mode = User | Supervisor
 
-type t = {
-  ptid : int;  (** Identifier, unique within its core. *)
-  core_id : int;
-  regs : Regstate.t;
-  mutable state : state;
-  mutable mode : mode;
-  mutable weight : float;  (** Share weight for the hardware scheduler. *)
-  mutable tdt : Tdt.t option;
-      (** Table consulted when this thread manages others; [None] means
-          every user-mode management attempt faults. *)
-  mutable secret : int64 option;
-      (** §3.2's alternative capability scheme: a thread may publish a
-          secret key; any thread presenting the key may manage it without
-          a TDT entry.  [None] disables keyed access. *)
-  mutable wakeups : int;  (** Times this thread left [Waiting]. *)
-  mutable starts : int;  (** Times this thread left [Disabled]. *)
-}
-
-val create :
-  ptid:int -> core_id:int -> mode:mode -> ?vector:bool -> ?weight:float -> unit -> t
-(** Threads are born [Disabled] with zeroed registers. *)
-
 val pp_state : Format.formatter -> state -> unit
 val pp_mode : Format.formatter -> mode -> unit
-
-val is_supervisor : t -> bool

@@ -181,15 +181,13 @@ let describe_blocked b =
   | Some n -> Printf.sprintf "%s (pid %d, since %d)" n b.pid b.blocked_since
   | None -> Printf.sprintf "pid %d (since %d)" b.pid b.blocked_since
 
-let summary_of = function
+let stuck_summary t =
+  match stuck t with
   | [] -> None
   | blocked ->
     Some
       (Printf.sprintf "%d process(es) still blocked: %s" (List.length blocked)
          (String.concat ", " (List.map describe_blocked blocked)))
-
-let stuck_summary t = summary_of (stuck t)
-let suspect_summary t = summary_of (suspects t)
 
 (* The hot loop: one [is_empty]/[min_time]/[pop_min] triple per event, no
    option or tuple boxing.  Whichever way a bounded run ends — future

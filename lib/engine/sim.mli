@@ -106,9 +106,6 @@ val suspects : t -> blocked list
     blocked processes that are plausibly deadlocked rather than parked by
     design.  The bench harness surfaces these in its JSON trailer. *)
 
-val suspect_summary : t -> string option
-(** Human-readable one-liner of {!suspects}, or [None] when empty. *)
-
 (** {2 Observation hook} *)
 
 val set_creation_hook : (t -> unit) -> unit

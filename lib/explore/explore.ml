@@ -47,7 +47,9 @@ let bucket n =
 
 let features_of (o : Scenario.outcome) =
   let site_features =
-    List.map (fun (k, n) -> Printf.sprintf "%s#%d" k (bucket n)) o.Scenario.sites
+    List.map
+      (fun (k, n) -> Printf.sprintf "%s#%d" k (bucket n))
+      (Scenario.sites o)
   in
   if o.Scenario.pass then site_features else "outcome#fail" :: site_features
 

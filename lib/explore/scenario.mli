@@ -1,26 +1,37 @@
-(** Fault-space exploration targets.
+(** Fault-scenario registry: every hardened wakeup path, one harness.
 
     A scenario is one deterministic workload closure plus its oracles:
     given a {!Sl_fault.Fault.plan}, [run] executes the workload under
     the full sanitizer set with the plan ambiently injected, and folds
-    every check — end-to-end invariants (no stuck sim, request
-    conservation, ledger consistency) and sanitizer findings — into one
-    {!outcome}.  The outcome also carries the coverage signal the
-    explorer feeds on: per-site recovery counters
-    ({!Sl_util.Recovery}) merged with the injector's per-class fault
-    counts (prefixed ["inj."]).
+    every check — the workload's plan-independent invariants (termination
+    before the horizon, request conservation, ledger consistency, a
+    bounded tail) and sanitizer findings — into one {!outcome}.  The
+    outcome also carries what the plan did to the run: the injector's
+    per-class fault counts and the per-site recovery counters
+    ({!Sl_util.Recovery}), which are the explorer's coverage signal and
+    the R1 chaos suite's proof that a pinned plan hit what it aimed at.
 
     Every [run] is a pure function of the plan: same plan, same outcome,
     bit for bit — the property the explorer's replay, shrinking and
-    corpus logic all lean on. *)
+    corpus logic and R1's replay check all lean on. *)
 
 type outcome = {
   pass : bool;
-  reason : string;  (** [""] when [pass]; oracle verdicts joined by ["; "]. *)
-  sites : (string * int) list;
-      (** Recovery sites + ["inj."]-prefixed injected-fault counts,
-          sorted, nonzero only. *)
+  reason : string;  (** [""] when [pass]; failed verdicts joined by ["; "]. *)
+  injected : (string * int) list;
+      (** {!Sl_fault.Fault.counts}: faults injected, by class. *)
+  recovery : (string * int) list;
+      (** {!Sl_util.Recovery.snapshot}: recovery sites that fired. *)
+  summary : (string * int) list;
+      (** The statistics the workload read, in a fixed order. *)
+  findings : Sl_analysis.Report.finding list;
+      (** Sanitizer findings (already counted in [reason]), kept whole so
+          a failing replay can print them. *)
 }
+
+val sites : outcome -> (string * int) list
+(** Recovery sites plus ["inj."]-prefixed injected-fault counts, sorted,
+    nonzero only — the explorer's coverage features. *)
 
 type t = {
   name : string;
@@ -37,17 +48,38 @@ val all : t list
       crash-hardened mwait worker pool ({!Sl_dist.Server}); oracles are
       termination before the horizon, request conservation
       (issued = completed + timed out) and SLO-ledger consistency.
+      ["pool.closed.r1"] is R1's larger size (300 requests, 8 clients,
+      16 workers) with no horizon, so its [wall] statistic is the
+      drain time.
     - ["io.hardened"]: the failure-hardened NIC RX path
-      ({!Sl_os.Io_path.Mwait_hardened}); oracle is exact request
-      accounting (processed + ring-dropped + DMA-dropped = offered).
+      ({!Sl_os.Io_path.Mwait_hardened}); oracles are exact request
+      accounting (processed + ring-dropped + DMA-dropped = offered),
+      missed wakeups never exceeding mwait timeouts, and p99 sojourn at
+      most 500 000 cycles.  ["io.hardened.r1"] is R1's 400-request size;
+      ["io.watchdog.r1"] adds the {!Sl_os.Watchdog} thread.
     - ["lock.contended"]: six threads contending for a patience-bounded
       [Sl_sync.Lock.Park_mwait] lock; oracles are termination before the
-      horizon and grant/increment conservation.  Expected repro-free:
-      patience turns lost wakes into bounded retries and cold restarts
-      resume from durable progress.
-    - ["boot.replica"]: a deliberate replica of the pre-PR-6
-      publish-before-arm boot-window race, with no crash requeue — the
-      seeded regression the explorer is expected to find and shrink. *)
+      horizon and grant/increment conservation.  ["lock.watchdog.r1"] is
+      R1's lock storm: twelve threads, no patience, liveness from a
+      watchdog's re-stores.
+    - ["channel.deadline"]: deadline-bounded calls over a robust
+      {!Sl_os.Hw_channel} under delayed start hand-offs and lost wakes;
+      oracle: every call succeeds before the horizon.
+    - ["nvme.stall"]: an mwait-driven NVMe consumer under completion
+      stalls; oracles: every command completes, p99 at most 500 000
+      cycles.
+    - ["ipi.drop"]: the interrupt baseline under dropped IPIs; oracle:
+      every IPI is received or counted dropped.
+    - ["watchdog.rescue"]: an unhardened mwait consumer under lost wakes
+      and dropped doorbells, rescued only by the watchdog; oracle: every
+      packet is processed before the horizon.
+    - ["boot.replica"]: a deliberate replica of the publish-before-arm
+      boot-window race the static checker once found in
+      {!Sl_dist.Server}, with no crash requeue — the seeded regression
+      the explorer is expected to find and shrink.
+
+    Every entry but ["boot.replica"] is expected repro-free under the
+    explorer; every entry passes at {!Sl_fault.Fault.none}. *)
 
 val find : string -> t option
 val names : string list

@@ -1,7 +1,11 @@
 type t = { l1 : Cache.t; l2 : Cache.t; tlb : Tlb.t }
 
-let create ?(l1 = Cache.l1d_default) ?(l2 = Cache.l2_default) ?(tlb = Tlb.default) () =
-  { l1 = Cache.create l1; l2 = Cache.create l2; tlb = Tlb.create tlb }
+let create () =
+  {
+    l1 = Cache.create Cache.l1d_default;
+    l2 = Cache.create Cache.l2_default;
+    tlb = Tlb.create Tlb.default;
+  }
 
 let warm t ~asid ~start ~bytes =
   Cache.warm t.l1 ~start ~bytes;

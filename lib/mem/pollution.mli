@@ -9,7 +9,9 @@
 
 type t
 
-val create : ?l1:Cache.config -> ?l2:Cache.config -> ?tlb:Tlb.config -> unit -> t
+val create : unit -> t
+(** The default L1d, L2 and TLB ({!Cache.l1d_default},
+    {!Cache.l2_default}, {!Tlb.default}). *)
 
 val warm : t -> asid:int -> start:int -> bytes:int -> unit
 (** Load a working set into all levels without recording statistics. *)

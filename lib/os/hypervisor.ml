@@ -62,24 +62,25 @@ module Isolated = struct
 end
 
 module Remote = struct
+  (* One empty poll of the exit queue or the response line. *)
+  let poll_gap = 20
+
   type t = {
     req_work : Memory.addr;
     req_seq : Memory.addr;
     resp_seq : Memory.addr;
-    poll_gap : int;
     mutable issued : int;
     mutable exits : int;
     mutable running : bool;
   }
 
-  let create chip ~core ~hyp_ptid ?(poll_gap = 20) () =
+  let create chip ~core ~hyp_ptid () =
     let memory = Chip.memory chip in
     let t =
       {
         req_work = Memory.alloc memory 1;
         req_seq = Memory.alloc memory 1;
         resp_seq = Memory.alloc memory 1;
-        poll_gap;
         issued = 0;
         exits = 0;
         running = true;
@@ -95,7 +96,7 @@ module Remote = struct
             t.exits <- t.exits + 1;
             Isa.store th t.resp_seq (Int64.of_int t.exits)
           end
-          else Isa.exec th ~kind:Smt_core.Poll t.poll_gap
+          else Isa.exec th ~kind:Smt_core.Poll poll_gap
         done);
     Chip.boot hyp;
     t
@@ -108,7 +109,7 @@ module Remote = struct
     (* SplitX keeps the guest spinning on the response cache line. *)
     let rec spin () =
       if Int64.compare (Isa.load guest t.resp_seq) seq < 0 then begin
-        Isa.exec guest ~kind:Smt_core.Poll t.poll_gap;
+        Isa.exec guest ~kind:Smt_core.Poll poll_gap;
         spin ()
       end
     in

@@ -43,8 +43,9 @@ end
 module Remote : sig
   type t
 
-  val create : Switchless.Chip.t -> core:int -> hyp_ptid:int -> ?poll_gap:Sl_engine.Sim.Time.t -> unit -> t
-  (** The hypervisor thread busy-polls its exit queue on [core]. *)
+  val create : Switchless.Chip.t -> core:int -> hyp_ptid:int -> unit -> t
+  (** The hypervisor thread busy-polls its exit queue on [core], 20
+      cycles per empty check. *)
 
   val vmexit : t -> guest:Switchless.Isa.thread -> handle_work:Sl_engine.Sim.Time.t -> unit
   (** Post the exit and spin (guest-side) until handled. *)

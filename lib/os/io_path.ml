@@ -12,6 +12,7 @@ module Notify = Sl_dev.Notify
 module Apic_timer = Sl_dev.Apic_timer
 module Swsched = Sl_baseline.Swsched
 module Irq = Sl_baseline.Irq
+module Flexsc = Sl_baseline.Flexsc
 module Openloop = Sl_workload.Openloop
 module Arrivals = Sl_workload.Arrivals
 module Latency = Sl_workload.Latency
@@ -79,8 +80,6 @@ let poll_gap = 20  (* one empty check: read the tail, compare, loop *)
 let wait_budget = 20_000  (* hardened mwait deadline *)
 let miss_threshold = 3  (* consecutive missed wakeups before polling *)
 let poll_recovery_checks = 64  (* consecutive empty polls before mwait again *)
-let batch_window = 500  (* FlexSC accumulation delay per batch *)
-let flexsc_worker_ptid = 777_777
 let flexsc_background_ptid = 777_778
 
 (* --- the world every design shares ---------------------------------------- *)
@@ -369,41 +368,25 @@ let irq_backlog w =
   kernel_background w sched;
   nic_server (Swsched.cores sched).(0) nic quiet
 
-(* FlexSC-style serving: requests are posted to a shared page and a
-   kernel worker executes them in batches (Soares & Stumm, OSDI '10 —
-   the same mechanism as {!Sl_baseline.Flexsc}, inlined here so the
-   worker can be a daemon and record per-request sojourns).  There is no
+(* FlexSC-style serving ({!Sl_baseline.Flexsc}): arrivals are posted
+   entries and the kernel worker runs them in batches.  There is no
    per-request notification at all: the mechanism tax is the batching
    delay, so the latency floor sits a batch window above mwait's. *)
 let flexsc w =
   let core = Smt_core.create w.sim w.cfg.params ~core_id:0 in
-  let entries : Openloop.request Mailbox.t = Mailbox.create () in
-  Sim.spawn w.sim ~name:"flexsc-worker" ~daemon:true (fun () ->
-      Smt_core.set_runnable core ~ptid:flexsc_worker_ptid ~weight:1.0 true;
-      let rec serve () =
-        let first = Mailbox.recv entries in
-        Sim.delay batch_window;
-        let rec batch acc =
-          match Mailbox.try_recv entries with
-          | Some e -> batch (e :: acc)
-          | None -> List.rev acc
-        in
-        List.iter
-          (fun (req : Openloop.request) ->
-            Smt_core.execute core ~ptid:flexsc_worker_ptid ~kind:Smt_core.Useful
-              req.Openloop.service_cycles;
-            served w req.Openloop.arrival)
-          (first :: batch []);
-        serve ()
-      in
-      serve ());
+  let worker =
+    Flexsc.serve w.sim ~core
+      ~work:(fun (req : Openloop.request) -> req.Openloop.service_cycles)
+      ~complete:(fun req -> served w req.Openloop.arrival)
+      ()
+  in
   if w.background then
     Sim.spawn w.sim (fun () ->
         let ptid = flexsc_background_ptid in
         Smt_core.set_runnable core ~ptid ~weight:0.25 true;
         background_loop w (fun n ->
             Smt_core.execute core ~ptid ~kind:Smt_core.Useful n));
-  { core; nic = None; post = Mailbox.send entries; recovery = quiet }
+  { core; nic = None; post = Flexsc.post worker; recovery = quiet }
 
 (* --- the builder ------------------------------------------------------------ *)
 

@@ -21,12 +21,11 @@ let tx_cycles = 30
 (* Per-segment receive processing. *)
 let rx_cycles = 100
 
-let run ?(seed = 1L) ?(loss = 0.0) ?(link_delay = 2000) ?rto ~params ~segments () =
+let run ?(seed = 1L) ?(loss = 0.0) ?(link_delay = 2000) ~params ~segments () =
   if loss < 0.0 || loss >= 1.0 then invalid_arg "Netstack.run: loss must be in [0, 1)";
   if segments <= 0 then invalid_arg "Netstack.run: segments must be positive";
-  let rto =
-    match rto with Some r -> r | None -> 6 * link_delay
-  in
+  (* Retransmission timeout: three round trips. *)
+  let rto = 6 * link_delay in
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores:2 in
   let memory = Chip.memory chip in

@@ -22,11 +22,10 @@ type stats = {
 }
 
 val run :
-  ?seed:int64 -> ?loss:float -> ?link_delay:Sl_engine.Sim.Time.t -> ?rto:Sl_engine.Sim.Time.t ->
+  ?seed:int64 -> ?loss:float -> ?link_delay:Sl_engine.Sim.Time.t ->
   params:Switchless.Params.t -> segments:int -> unit -> stats
 (** Transfer [segments] segments from host A (core 0) to host B (core 1)
     over links with the given one-way [link_delay] (default 2000 cycles)
     and independent drop probability [loss] (default 0) in both
-    directions.  [rto] is the retransmission timeout (default
-    6 × link_delay).  Runs to completion and returns the transcript
+    directions.  The retransmission timeout is 6 × [link_delay].  Runs to completion and returns the transcript
     statistics; deterministic in [seed]. *)

@@ -22,7 +22,7 @@ module Trap = struct
 end
 
 module Flexsc = struct
-  type t = { worker : Sl_baseline.Flexsc.t }
+  type t = { worker : Sl_baseline.Flexsc.call Sl_baseline.Flexsc.t }
 
   (* Posting a syscall entry to the shared page: a handful of stores. *)
   let post_cycles = 8

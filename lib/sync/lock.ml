@@ -20,6 +20,9 @@ let kind_name = function
   | Park_sw -> "park.sw"
   | Park_mwait -> "park.mwait"
 
+(* Spin backoff cap, in cycles. *)
+let spin_cap = 2048
+
 type event =
   | Join of int
   | Grant of int
@@ -50,7 +53,6 @@ type t = {
   word : Memory.addr;
   serving : Memory.addr;
   patience : int option;
-  spin_cap : int;
   on_event : (event -> unit) option;
   slots : (int, slot) Hashtbl.t;
   waiters : (slot * unit Ivar.t) Queue.t;
@@ -68,7 +70,7 @@ type t = {
   handoff : Histogram.t;
 }
 
-let create ?patience ?(spin_cap = 2048) ?on_event chip kind =
+let create ?patience ?on_event chip kind =
   let m = Chip.memory chip in
   {
     chip;
@@ -76,7 +78,6 @@ let create ?patience ?(spin_cap = 2048) ?on_event chip kind =
     word = Memory.alloc m 1;
     serving = Memory.alloc m 1;
     patience;
-    spin_cap;
     on_event;
     slots = Hashtbl.create 64;
     waiters = Queue.create ();
@@ -195,7 +196,7 @@ let tas_slow t s =
   let backoff = ref (Chip.params t.chip).Params.cas_cycles in
   let rec loop () =
     Isa.exec s.th ~kind:Smt_core.Poll !backoff;
-    backoff := min t.spin_cap (!backoff * 2);
+    backoff := min spin_cap (!backoff * 2);
     if not (Atomics.cas t.chip s.th t.word ~expect:0L ~desired:1L) then loop ()
   in
   loop ();
@@ -215,7 +216,7 @@ let ticket_acquire t s =
       if cur <> my then begin
         (* Backoff proportional to queue distance: a waiter k places back
            cannot be served for at least k critical sections. *)
-        Isa.exec s.th ~kind:Smt_core.Poll (min t.spin_cap (max 16 ((my - cur) * 64)));
+        Isa.exec s.th ~kind:Smt_core.Poll (min spin_cap (max 16 ((my - cur) * 64)));
         loop (Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th t.serving))
       end
     in
@@ -239,7 +240,7 @@ let mcs_wait_spin t s ~target =
     Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th s.grant) < target
   do
     Isa.exec s.th ~kind:Smt_core.Poll !backoff;
-    backoff := min t.spin_cap (!backoff * 2)
+    backoff := min spin_cap (!backoff * 2)
   done
 
 let mcs_wait_mwait t s ~target =

@@ -54,7 +54,6 @@ type event =
 
 val create :
   ?patience:int ->
-  ?spin_cap:int ->
   ?on_event:(event -> unit) ->
   Chip.t ->
   kind ->
@@ -62,7 +61,7 @@ val create :
 (** [patience] (cycles) bounds each mwait park with a deadline; a timeout
     bumps the ["sync.park_retry"] recovery site and retries.  Default:
     park forever (liveness then rests on the release wake or a watchdog
-    nudge).  [spin_cap] caps spin backoff in cycles (default 2048). *)
+    nudge).  Spin backoff is capped at 2048 cycles. *)
 
 val kind : t -> kind
 val word : t -> Switchless.Memory.addr

@@ -184,6 +184,46 @@ let test_start_latches_against_inflight_stop () =
   check_int "both requests served" 2 !served;
   check_bool "server parked at the end" true (Chip.state server = Ptid.Disabled)
 
+(* A start hand-off delayed past the caller's retry: the retry's start
+   makes the target runnable first, and the late hand-off must then
+   change no state — only spawn the body, which it still owns as the
+   first start. *)
+let test_delayed_start_overtaken_by_retry () =
+  let sim, chip = setup () in
+  let delayed = ref false in
+  Chip.set_fault_hooks chip
+    {
+      Chip.spurious_wake_after = (fun ~ptid:_ -> None);
+      start_extra_cycles =
+        (fun ~ptid ->
+          if ptid = 2 && not !delayed then begin
+            delayed := true;
+            1_000
+          end
+          else 0);
+      crash_park_after = (fun ~ptid:_ -> None);
+      crash_at_wake = (fun ~ptid:_ -> None);
+    };
+  let runnable_twice = ref 0 in
+  Chip.set_probe chip (function
+    | Switchless.Probe.State_change
+        { ptid = 2; from_ = Ptid.Runnable; to_ = Ptid.Runnable; _ } ->
+      incr runnable_twice
+    | _ -> ());
+  let runs = ref 0 in
+  let target = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.User () in
+  Chip.attach target (fun _ -> incr runs);
+  let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach client (fun th ->
+      Isa.start th ~vtid:2;
+      Sim.delay 100;
+      Isa.start th ~vtid:2);
+  Chip.boot client;
+  Sim.run sim;
+  check_bool "the first start was delayed" true !delayed;
+  check_int "no runnable -> runnable transition" 0 !runnable_twice;
+  check_int "body ran exactly once" 1 !runs
+
 let test_rpush_rpull_roundtrip () =
   let sim, chip = setup () in
   let read_back = ref 0L in
@@ -461,6 +501,8 @@ let () =
             test_stop_of_waiting_thread_and_restart_reparks;
           Alcotest.test_case "start latches against in-flight stop" `Quick
             test_start_latches_against_inflight_stop;
+          Alcotest.test_case "delayed start overtaken by retry" `Quick
+            test_delayed_start_overtaken_by_retry;
         ] );
       ( "remote registers",
         [

@@ -31,13 +31,15 @@ let prop_no_lost_events_under_interference =
       Chip.attach worker (fun th ->
           Isa.monitor th doorbell;
           while true do
-            let _ = Isa.mwait th in
-            (* Catch up on everything published so far. *)
+            (* Catch up on everything published so far — first right
+               after arming, since a write that lands before the monitor
+               is armed wakes nobody. *)
             let published = Isa.load th counter in
             if Int64.compare published !seen > 0 then begin
               Isa.exec th (10 * Int64.to_int (Int64.sub published !seen));
               seen := published
-            end
+            end;
+            ignore (Isa.mwait th)
           done);
       Chip.boot worker;
       (* Driver: publish one event per gap. *)

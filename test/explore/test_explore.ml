@@ -132,25 +132,38 @@ let test_stop_bounds_the_run () =
   check_bool "stopped early" true (r.Explore.trials_run <= 3);
   check_int "requested budget recorded" 1_000 r.Explore.trials
 
+let hardened = List.filter (fun sc -> sc.Scenario.name <> "boot.replica") Scenario.all
+
 let test_hardened_scenarios_resist () =
-  (* A small budget must not find anything against the hardened pool:
-     that is the whole point of the hardening this PR ships. *)
+  (* A small budget must not find anything against a hardened path: that
+     is the whole point of the hardening. *)
   List.iter
-    (fun name ->
-      match Scenario.find name with
-      | None -> Alcotest.fail (name ^ " scenario missing")
-      | Some sc ->
-        let r =
-          Explore.run
-            {
-              Explore.seed = 7L;
-              trials = 6;
-              scenario = sc;
-              max_shrink_runs = Explore.default_max_shrink_runs;
-            }
-        in
-        check_int (name ^ " repro-free") 0 (List.length r.Explore.repros))
-    [ "pool.closed"; "io.hardened" ]
+    (fun (sc : Scenario.t) ->
+      let r =
+        Explore.run
+          {
+            Explore.seed = 7L;
+            trials = 6;
+            scenario = sc;
+            max_shrink_runs = Explore.default_max_shrink_runs;
+          }
+      in
+      check_int (sc.Scenario.name ^ " repro-free") 0 (List.length r.Explore.repros))
+    hardened
+
+(* Every registry entry — the seeded regression included — passes on a
+   fault-free substrate, and one plan replays to the identical outcome
+   (verdicts, fault and recovery counts, statistics, findings). *)
+let test_fault_free_and_replayable () =
+  let plan = { Fault.none with Fault.seed = 5L; mwait_lost = 0.05 } in
+  List.iter
+    (fun (sc : Scenario.t) ->
+      let o = sc.Scenario.run Fault.none in
+      check_bool (sc.Scenario.name ^ " passes at Fault.none: " ^ o.Scenario.reason)
+        true o.Scenario.pass;
+      check_bool (sc.Scenario.name ^ " replays identically") true
+        (sc.Scenario.run plan = sc.Scenario.run plan))
+    Scenario.all
 
 let () =
   Alcotest.run "explore"
@@ -161,6 +174,8 @@ let () =
             test_finds_seeded_regression;
           Alcotest.test_case "hardened scenarios resist" `Quick
             test_hardened_scenarios_resist;
+          Alcotest.test_case "fault-free pass, replay identical" `Quick
+            test_fault_free_and_replayable;
           Alcotest.test_case "stop bounds the run" `Quick
             test_stop_bounds_the_run;
         ] );
