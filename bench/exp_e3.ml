@@ -12,66 +12,33 @@
    exceeds ~100 cycles. *)
 
 open! Capture
-module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
 module Smt_core = Switchless.Smt_core
-module Swsched = Sl_baseline.Swsched
 module Syscall = Sl_os.Syscall
+module Hw_channel = Sl_os.Hw_channel
+module Round_trip = Sl_os.Round_trip
 module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
 let calls = 200
 
-(* Mean steady-state duration of [calls] back-to-back calls. *)
 let measure_trap work =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let app = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec app 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Syscall.Trap.call app p ~kernel_work:work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  Round_trip.software p ~calls (fun _ _ app -> Syscall.Trap.call app p ~kernel_work:work)
 
 let measure_flexsc work =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let kernel_core = Smt_core.create sim p ~core_id:50 in
-  let fx = Syscall.Flexsc.create sim p ~batch_window:300 ~kernel_core () in
-  let app = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec app 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Syscall.Flexsc.call fx app ~kernel_work:work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  Round_trip.software p ~calls (fun sim _ ->
+      let kernel_core = Smt_core.create sim p ~core_id:50 in
+      let fx = Syscall.Flexsc.create sim p ~batch_window:300 ~kernel_core () in
+      fun app -> Syscall.Flexsc.call fx app ~kernel_work:work)
 
 let measure_hw work =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
-  let total = ref 0 in
-  let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  Chip.attach app (fun th ->
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Syscall.Hw_thread.call sys ~client:th ~kernel_work:work
-      done;
-      total := Sim.now () - t0);
-  Chip.boot app;
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  fst
+    (Round_trip.hardware p ~calls (fun chip ->
+         let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
+         let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+         (app, fun th -> Hw_channel.call sys ~client:th ~work ())))
 
 (* E3b: how good is the flat 300-cycle pollution charge?  Replay working
    sets through the measured cache/TLB model: warm the set, apply one

@@ -14,7 +14,6 @@
      (measured end to end: the extra state affects only placement). *)
 
 open! Capture
-module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
@@ -22,6 +21,7 @@ module Ctx_cost = Sl_baseline.Ctx_cost
 module Swsched = Sl_baseline.Swsched
 module Syscall = Sl_os.Syscall
 module Hw_channel = Sl_os.Hw_channel
+module Round_trip = Sl_os.Round_trip
 module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
@@ -35,37 +35,16 @@ let kernel_fp_trap_extra =
   / p.Params.ctx_bytes_per_cycle
 
 let measure_trap_with_fp () =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let app = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec app 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Swsched.exec app ~kind:Switchless.Smt_core.Overhead
-          kernel_fp_trap_extra;
-        Syscall.Trap.call app p ~kernel_work:work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  Round_trip.software p ~calls (fun _ _ app ->
+      Swsched.exec app ~kind:Switchless.Smt_core.Overhead kernel_fp_trap_extra;
+      Syscall.Trap.call app p ~kernel_work:work)
 
 let measure_hw ~vector =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 ~vector () in
-  let total = ref 0 in
-  let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  Chip.attach app (fun th ->
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Hw_channel.call sys ~client:th ~work ()
-      done;
-      total := Sim.now () - t0);
-  Chip.boot app;
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  fst
+    (Round_trip.hardware p ~calls (fun chip ->
+         let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 ~vector () in
+         let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+         (app, fun th -> Hw_channel.call sys ~client:th ~work ())))
 
 let run () =
   let sw_gp = Ctx_cost.software_switch_cycles p ~out_vector:false ~in_vector:false () in

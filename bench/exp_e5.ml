@@ -12,135 +12,87 @@
    design pays the tax twice. *)
 
 open! Capture
-module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
+module Smt_core = Switchless.Smt_core
 module Swsched = Sl_baseline.Swsched
+module Syscall = Sl_os.Syscall
 module Microkernel = Sl_os.Microkernel
 module Hw_channel = Sl_os.Hw_channel
+module Round_trip = Sl_os.Round_trip
 module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
 let calls = 100
 
+(* A monolithic kernel runs the service inside one trap round trip. *)
 let measure_monolithic work =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let client = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec client 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Microkernel.monolithic_call client p ~service_work:work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  Round_trip.software p ~calls (fun _ _ client ->
+      Syscall.Trap.call client p ~kernel_work:work)
 
 let measure_sw_ipc work =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let service = Microkernel.Sw_service.create sim sched p in
-  let client = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec client 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Microkernel.Sw_service.call service ~client ~service_work:work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  Round_trip.software p ~calls (fun sim sched ->
+      let service = Microkernel.Sw_service.create sim sched p in
+      fun client -> Microkernel.Sw_service.call service ~client ~service_work:work)
+
+(* An isolated, unprivileged service on its own hardware thread. *)
+let user_service chip = Hw_channel.create chip ~core:1 ~server_ptid:100 ~mode:Ptid.User ()
+
+(* A user-mode client that starts [server] through vtid 7 of its TDT. *)
+let user_client chip server ~work =
+  let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Hw_channel.grant server ~client ~vtid:7;
+  (client, fun th -> Hw_channel.call server ~client:th ~via:7 ~work ())
 
 let measure_hw_ipc work =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let service = Microkernel.Hw_service.create chip ~core:1 ~server_ptid:100 () in
-  let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
-  Hw_channel.grant service ~client ~vtid:7;
-  let total = ref 0 in
-  Chip.attach client (fun th ->
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Microkernel.Hw_service.call service ~client:th ~via:7 ~service_work:work ()
-      done;
-      total := Sim.now () - t0);
-  Chip.boot client;
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  fst (Round_trip.hardware p ~calls (fun chip -> user_client chip (user_service chip) ~work))
 
 (* Container proxy: app -> proxy (work 200) -> service (work).  The proxy
    is itself an isolated hardware thread that calls the service. *)
 let measure_proxy_chain_hw work =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let service = Microkernel.Hw_service.create chip ~core:1 ~server_ptid:100 () in
-  let proxy =
-    Hw_channel.create chip ~core:1 ~server_ptid:101 ~mode:Ptid.User
-      ~on_request:(fun th w ->
-        Isa.exec th 200;
-        (* The proxy forwards to the backing service. *)
-        Microkernel.Hw_service.call service ~client:th ~via:9
-          ~service_work:(Int64.to_int w) ())
-      ()
-  in
-  (* The proxy thread needs rights on the service. *)
-  let proxy_thread = Chip.find_thread chip ~ptid:101 in
-  Hw_channel.grant service ~client:proxy_thread ~vtid:9;
-  let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
-  Hw_channel.grant proxy ~client ~vtid:7;
-  let total = ref 0 in
-  Chip.attach client (fun th ->
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Hw_channel.call proxy ~client:th ~via:7 ~work ()
-      done;
-      total := Sim.now () - t0);
-  Chip.boot client;
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+  fst
+    (Round_trip.hardware p ~calls (fun chip ->
+         let service = user_service chip in
+         let proxy =
+           Hw_channel.create chip ~core:1 ~server_ptid:101 ~mode:Ptid.User
+             ~on_request:(fun th w ->
+               Isa.exec th 200;
+               (* The proxy forwards to the backing service. *)
+               Hw_channel.call service ~client:th ~via:9 ~work:(Int64.to_int w) ())
+             ()
+         in
+         (* The proxy thread needs rights on the service. *)
+         Hw_channel.grant service ~client:(Chip.find_thread chip ~ptid:101) ~vtid:9;
+         user_client chip proxy ~work))
 
 let measure_proxy_chain_sw work =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let service = Microkernel.Sw_service.create sim sched p in
-  (* Proxy as a second software service that forwards. *)
-  let inbox = Sl_engine.Mailbox.create () in
-  let proxy_thread = Swsched.thread sched () in
-  Sim.spawn sim (fun () ->
-      let rec serve () =
-        let (w, reply) = Sl_engine.Mailbox.recv inbox in
-        Swsched.exec proxy_thread ~kind:Switchless.Smt_core.Overhead
-          p.Params.trap_exit_cycles;
-        Swsched.exec proxy_thread 200;
-        Microkernel.Sw_service.call service ~client:proxy_thread ~service_work:w;
-        Swsched.exec proxy_thread ~kind:Switchless.Smt_core.Overhead
-          (p.Params.trap_entry_cycles + p.Params.sched_decision_cycles);
-        Sl_engine.Ivar.fill reply ();
-        serve ()
-      in
-      serve ());
-  let client = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec client 10;
-      let t0 = Sim.now () in
-      for _ = 1 to calls do
-        Swsched.exec client ~kind:Switchless.Smt_core.Overhead
+  Round_trip.software p ~calls (fun sim sched ->
+      let service = Microkernel.Sw_service.create sim sched p in
+      (* Proxy as a second software service that forwards; like the
+         service, its loop parks on an inbox by design. *)
+      let inbox = Sl_engine.Mailbox.create () in
+      let proxy_thread = Swsched.thread sched () in
+      Sl_engine.Sim.spawn ~daemon:true sim (fun () ->
+          let rec serve () =
+            let (w, reply) = Sl_engine.Mailbox.recv inbox in
+            Swsched.exec proxy_thread ~kind:Smt_core.Overhead p.Params.trap_exit_cycles;
+            Swsched.exec proxy_thread 200;
+            Microkernel.Sw_service.call service ~client:proxy_thread ~service_work:w;
+            Swsched.exec proxy_thread ~kind:Smt_core.Overhead
+              (p.Params.trap_entry_cycles + p.Params.sched_decision_cycles);
+            Sl_engine.Ivar.fill reply ();
+            serve ()
+          in
+          serve ());
+      fun client ->
+        Swsched.exec client ~kind:Smt_core.Overhead
           (p.Params.trap_entry_cycles + p.Params.sched_decision_cycles);
         let reply = Sl_engine.Ivar.create () in
         Sl_engine.Mailbox.send inbox (work, reply);
         Sl_engine.Ivar.read reply;
-        Swsched.exec client ~kind:Switchless.Smt_core.Overhead
-          p.Params.trap_exit_cycles
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  float_of_int !total /. float_of_int calls
+        Swsched.exec client ~kind:Smt_core.Overhead p.Params.trap_exit_cycles)
 
 let run () =
   let works = [ 100; 500; 2000 ] in

@@ -15,13 +15,12 @@
    but pays a polling core for it. *)
 
 open! Capture
-module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
 module Smt_core = Switchless.Smt_core
-module Swsched = Sl_baseline.Swsched
 module Hypervisor = Sl_os.Hypervisor
+module Round_trip = Sl_os.Round_trip
 module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
@@ -29,60 +28,30 @@ let exits = 100
 let handle_work = 300
 
 let measure_inkernel () =
-  let sim = Sim.create () in
-  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let guest = Swsched.thread sched () in
-  let total = ref 0 in
-  Sim.spawn sim (fun () ->
-      Swsched.exec guest 10;
-      let t0 = Sim.now () in
-      for _ = 1 to exits do
-        Hypervisor.inkernel_exit guest p ~handle_work
-      done;
-      total := Sim.now () - t0);
-  Sim.run sim;
-  (float_of_int !total /. float_of_int exits, 0.0)
+  Round_trip.software p ~calls:exits (fun _ _ guest ->
+      Hypervisor.inkernel_exit guest p ~handle_work)
+
+(* Cycles per exit, and the poll cycles the hypervisor's core burned. *)
+let measure_hw setup =
+  let mean, chip = Round_trip.hardware p ~calls:exits setup in
+  (mean, Smt_core.work_done (Chip.exec_core chip 1) Smt_core.Poll)
+
+let user_guest chip = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User ()
 
 let measure_isolated () =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let hyp = Hypervisor.Isolated.create chip ~core:1 ~hyp_ptid:200 in
-  let guest = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
-  Hypervisor.Isolated.install_guest hyp ~guest;
-  let total = ref 0 in
-  Chip.attach guest (fun th ->
-      (* One warm-up exit to fill the hypervisor's TDT cache. *)
-      Hypervisor.Isolated.vmexit th ~handle_work;
-      let t0 = Sim.now () in
-      for _ = 1 to exits do
-        Hypervisor.Isolated.vmexit th ~handle_work
-      done;
-      total := Sim.now () - t0);
-  Chip.boot guest;
-  Sim.run sim;
-  let hyp_core = Chip.exec_core chip 1 in
-  (float_of_int !total /. float_of_int exits, Smt_core.work_done hyp_core Smt_core.Poll)
+  measure_hw (fun chip ->
+      let hyp = Hypervisor.Isolated.create chip ~core:1 ~hyp_ptid:200 in
+      let guest = user_guest chip in
+      Hypervisor.Isolated.install_guest hyp ~guest;
+      (guest, fun th -> Hypervisor.Isolated.vmexit th ~handle_work))
 
 let measure_remote () =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let remote = Hypervisor.Remote.create chip ~core:1 ~hyp_ptid:200 () in
-  let guest = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
-  let total = ref 0 in
-  Chip.attach guest (fun th ->
-      let t0 = Sim.now () in
-      for _ = 1 to exits do
-        Hypervisor.Remote.vmexit remote ~guest:th ~handle_work
-      done;
-      total := Sim.now () - t0;
-      Hypervisor.Remote.shutdown remote);
-  Chip.boot guest;
-  Sim.run sim;
-  let hyp_core = Chip.exec_core chip 1 in
-  (float_of_int !total /. float_of_int exits, Smt_core.work_done hyp_core Smt_core.Poll)
+  measure_hw (fun chip ->
+      let remote = Hypervisor.Remote.create chip ~core:1 ~hyp_ptid:200 () in
+      (user_guest chip, fun th -> Hypervisor.Remote.vmexit remote ~guest:th ~handle_work))
 
 let run () =
-  let ik, ik_poll = measure_inkernel () in
+  let ik = measure_inkernel () in
   let iso, iso_poll = measure_isolated () in
   let rem, rem_poll = measure_remote () in
   let row name cost poll privileged =
@@ -98,7 +67,7 @@ let run () =
     (Tablefmt.render ~title:"E6: VM-exit cost (300-cycle handler)"
        ~header:[ "design"; "cycles/exit"; "mechanism tax"; "poll kcycles"; "privilege" ]
        [
-         row "in-kernel (KVM)" ik ik_poll "ring 0";
+         row "in-kernel (KVM)" ik 0.0 "ring 0";
          row "isolated hw thread" iso iso_poll "none (user)";
          row "SplitX remote core" rem rem_poll "none, +1 core";
        ]);

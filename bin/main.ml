@@ -108,58 +108,28 @@ let syscall_cmd =
     Arg.(value & opt int 1000 & info [ "calls" ] ~docv:"N" ~doc:"Calls to time.")
   in
   let run design work calls =
-    let module Sim = Sl_engine.Sim in
     let module Chip = Switchless.Chip in
-    let module Ptid = Switchless.Ptid in
-    let module Swsched = Sl_baseline.Swsched in
     let module Syscall = Sl_os.Syscall in
-        let per_call =
+    let module Hw_channel = Sl_os.Hw_channel in
+    let module Round_trip = Sl_os.Round_trip in
+    let per_call =
       match design with
       | Trap ->
-        let sim = Sim.create () in
-        let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-        let app = Swsched.thread sched () in
-        let total = ref 0 in
-        Sim.spawn sim (fun () ->
-            Swsched.exec app 10;
-            let t0 = Sim.now () in
-            for _ = 1 to calls do
-              Syscall.Trap.call app p ~kernel_work:work
-            done;
-            total := Sim.now () - t0);
-        Sim.run sim;
-        float_of_int !total /. float_of_int calls
+        Round_trip.software p ~calls (fun _ _ app ->
+            Syscall.Trap.call app p ~kernel_work:work)
       | Flexsc ->
-        let sim = Sim.create () in
-        let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-        let kernel_core = Switchless.Smt_core.create sim p ~core_id:50 in
-        let fx = Syscall.Flexsc.create sim p ~kernel_core () in
-        let app = Swsched.thread sched () in
-        let total = ref 0 in
-        Sim.spawn sim (fun () ->
-            Swsched.exec app 10;
-            let t0 = Sim.now () in
-            for _ = 1 to calls do
-              Syscall.Flexsc.call fx app ~kernel_work:work
-            done;
-            total := Sim.now () - t0);
-        Sim.run sim;
-        float_of_int !total /. float_of_int calls
+        Round_trip.software p ~calls (fun sim _ ->
+            let kernel_core = Switchless.Smt_core.create sim p ~core_id:50 in
+            let fx = Syscall.Flexsc.create sim p ~kernel_core () in
+            fun app -> Syscall.Flexsc.call fx app ~kernel_work:work)
       | Hw ->
-        let sim = Sim.create () in
-        let chip = Chip.create sim p ~cores:2 in
-        let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
-        let total = ref 0 in
-        let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-        Chip.attach app (fun th ->
-            let t0 = Sim.now () in
-            for _ = 1 to calls do
-              Syscall.Hw_thread.call sys ~client:th ~kernel_work:work
-            done;
-            total := Sim.now () - t0);
-        Chip.boot app;
-        Sim.run sim;
-        float_of_int !total /. float_of_int calls
+        fst
+          (Round_trip.hardware p ~calls (fun chip ->
+               let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
+               let app =
+                 Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Switchless.Ptid.Supervisor ()
+               in
+               (app, fun th -> Hw_channel.call sys ~client:th ~work ())))
     in
     Printf.printf "%.1f cycles/call (%.1f mechanism tax)\n" per_call
       (per_call -. float_of_int work)

@@ -11,7 +11,7 @@ type counts = { mutable total : int; mutable tracked : int }
 type t = {
   chip : Chip.t;
   config : config;
-  trace : Trace.t;
+  trace : Probe.event Trace.t;
   writes : (Memory.addr, counts) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
   mutable findings_rev : Report.finding list;
@@ -35,8 +35,12 @@ let addr_writes t addr =
   | None -> (0, 0)
   | Some c -> (c.total, c.tracked)
 
+(* Rendered only when a finding is recorded: probe events stay typed in
+   the ring until then. *)
 let context t =
-  List.map (fun (time, msg) -> Printf.sprintf "t=%d %s" time msg) (Trace.events t.trace)
+  List.map
+    (fun (time, ev) -> Printf.sprintf "t=%d %s" time (Format.asprintf "%a" Probe.pp ev))
+    (Trace.events t.trace)
 
 let record t ~rule ~key ~message =
   if not (Hashtbl.mem t.seen key) then begin
@@ -60,7 +64,7 @@ let record t ~rule ~key ~message =
 let store_check_period = 4096
 
 let on_probe_event t ev =
-  Trace.recordf t.trace (Chip.sim t.chip) "%s" (Format.asprintf "%a" Probe.pp ev);
+  Trace.record t.trace (Chip.sim t.chip) ev;
   (match ev with
   | Probe.Mem_write { addr; _ } -> (counts_for t addr).tracked <- (counts_for t addr).tracked + 1
   | _ -> ());

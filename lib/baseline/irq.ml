@@ -66,7 +66,6 @@ let create sim params ~cores =
   t
 
 let set_ipi_drop_fault t f = t.ipi_drop <- Some f
-let clear_ipi_drop_fault t = t.ipi_drop <- None
 
 let raise_irq t ~core ~handler =
   t.irqs <- t.irqs + 1;

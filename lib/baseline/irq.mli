@@ -34,8 +34,6 @@ val set_ipi_drop_fault : t -> (unit -> bool) -> unit
     latency: [true] loses the IPI in the interconnect — the target core
     never runs the handler.  Installed by [Sl_fault.Fault]; at most one. *)
 
-val clear_ipi_drop_fault : t -> unit
-
 val dropped_ipi_count : t -> int
 
 val set_creation_hook : (t -> unit) -> unit

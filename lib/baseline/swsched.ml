@@ -120,5 +120,4 @@ let exec thread ?(kind = Smt_core.Useful) cycles =
 let context_count t = t.n_contexts
 let switch_count t = t.switches
 let switch_overhead_cycles t = t.switch_overhead
-let queue_length t = Queue.length t.waiters
 let cores t = t.cores

@@ -40,8 +40,5 @@ val switch_count : t -> int
 val switch_overhead_cycles : t -> float
 (** Total cycles charged to context-switching so far. *)
 
-val queue_length : t -> int
-(** Threads currently waiting for a context. *)
-
 val cores : t -> Switchless.Smt_core.t array
 (** The underlying execution units (for utilization accounting). *)

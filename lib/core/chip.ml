@@ -265,7 +265,6 @@ let core_count t = Array.length t.cores
 let core t core_id = t.cores.(core_id)
 let exec_core t core_id = (core t core_id).exec_unit
 let state_store t core_id = (core t core_id).store
-let tdt_cache t core_id = (core t core_id).cache
 let halted t = t.halted_reason
 
 let exists t ptid = Hashtbl.mem t.tids ptid

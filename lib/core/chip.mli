@@ -31,7 +31,6 @@ val monitor_table : t -> Monitor.t
 val core_count : t -> int
 val exec_core : t -> int -> Smt_core.t
 val state_store : t -> int -> State_store.t
-val tdt_cache : t -> int -> Tdt.Cache.cache
 val halted : t -> string option
 
 (** {2 Thread construction} *)
@@ -199,4 +198,3 @@ type stats = {
 }
 
 val stats : t -> stats
-

@@ -95,5 +95,4 @@ let worker_loop t th handle =
   loop ()
 
 let queued t = Queue.length t.pending
-let parked_workers t = List.length t.parked
 let dispatched t = t.dispatched

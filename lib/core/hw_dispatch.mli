@@ -44,7 +44,5 @@ val submit : t -> int64 -> unit
 val queued : t -> int
 (** Items waiting for a worker. *)
 
-val parked_workers : t -> int
-
 val dispatched : t -> int
 (** Items handed to workers so far. *)

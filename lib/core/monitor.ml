@@ -76,7 +76,6 @@ let create params =
   }
 
 let set_fault_hook t f = t.fault_drop <- Some f
-let clear_fault_hook t = t.fault_drop <- None
 
 (* (slot, addr) packed into one immediate int so the membership probe
    allocates no tuple.  Addresses are word indices (far below 2^32) and

@@ -67,8 +67,6 @@ val set_fault_hook : t -> (thread_key -> Memory.addr -> bool) -> unit
     writes are screened afresh, so a later doorbell still wakes the
     thread.  Installed by [Sl_fault.Fault]; at most one hook. *)
 
-val clear_fault_hook : t -> unit
-
 val relatch : t -> thread_key -> Memory.addr -> unit
 (** Re-arm the pending trigger for a thread whose in-flight wakeup was
     cancelled (by a force-stop racing the wake): the event is latched
@@ -92,14 +90,11 @@ val slot_of_key : t -> thread_key -> int
     for the lifetime of [t]. *)
 
 val arm_slot : t -> int -> Memory.addr -> unit
-val disarm_slot : t -> int -> Memory.addr -> unit
 val disarm_all_slot : t -> int -> unit
-val armed_count_slot : t -> int -> int
 
 val mwait_slot : t -> int -> wake:(Memory.addr -> unit) -> int
 (** Tagged-int {!mwait}: the consumed latched trigger address ([>= 0]),
     or [-1] after parking [wake]. *)
 
 val cancel_wait_slot : t -> int -> unit
-val has_waiter_slot : t -> int -> bool
 val relatch_slot : t -> int -> Memory.addr -> unit

@@ -78,7 +78,5 @@ type event =
           class, e.g. ["mwait-spurious"], ["start-delay"]).  Lets traces
           correlate anomalies with their injected cause. *)
 
-val pp_origin : Format.formatter -> origin -> unit
-
 val pp : Format.formatter -> event -> unit
 (** One-line rendering, used for finding context in analysis reports. *)

@@ -24,8 +24,6 @@ val create : ?vector:bool -> unit -> t
 (** Fresh zeroed context.  [vector] (default [false]) selects the larger
     784-byte footprint. *)
 
-val has_vector : t -> bool
-
 val footprint_bytes : Params.t -> t -> int
 (** 272 or 784 bytes under the default parameters. *)
 

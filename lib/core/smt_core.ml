@@ -160,11 +160,6 @@ let slot_of t ptid =
 
 let has_job t slot = t.j_kind.(slot) >= 0
 
-let is_runnable t ~ptid =
-  match Hashtbl.find_opt t.slots ptid with
-  | Some s -> t.rpos.(s) >= 0
-  | None -> false
-
 let runnable_add t slot weight =
   let i = t.rpos.(slot) in
   if i >= 0 then t.rweight.(i) <- weight
@@ -416,19 +411,6 @@ let set_runnable t ~ptid ~weight runnable =
   end;
   reschedule t
 
-let set_weight t ~ptid weight =
-  if weight <= 0.0 then invalid_arg "Smt_core.set_weight: weight must be positive";
-  let slot = slot_of t ptid in
-  let si = t.rpos.(slot) in
-  if si < 0 then invalid_arg "Smt_core.set_weight: ptid not runnable"
-  else begin
-    advance t;
-    if t.rweight.(si) <> 1.0 then t.nonunit <- t.nonunit - 1;
-    runnable_add t slot weight;
-    if weight <> 1.0 then t.nonunit <- t.nonunit + 1
-  end;
-  reschedule t
-
 let execute t ~ptid ~kind cycles =
   if cycles < 0 then invalid_arg "Smt_core.execute: negative cycles";
   if cycles = 0 then ()
@@ -455,13 +437,6 @@ let execute t ~ptid ~kind cycles =
   end
 
 let runnable_count t = t.rcount
-
-let active_jobs t =
-  let n = ref 0 in
-  for i = 0 to t.rcount - 1 do
-    if has_job t t.rslot.(i) then incr n
-  done;
-  !n
 
 let busy_capacity_cycles t =
   advance t;

@@ -34,11 +34,6 @@ val set_runnable : t -> ptid:int -> weight:float -> bool -> unit
 (** Admit the ptid to (or remove it from) the sharing set.  Removal with
     an in-flight {!execute} freezes the job's remaining work. *)
 
-val is_runnable : t -> ptid:int -> bool
-
-val set_weight : t -> ptid:int -> float -> unit
-(** Adjust the share weight of a currently runnable ptid. *)
-
 val execute : t -> ptid:int -> kind:kind -> int -> unit
 (** [execute t ~ptid ~kind cycles] consumes [cycles] of service on behalf
     of the ptid.  Blocks the calling process until done.  The ptid must be
@@ -48,9 +43,6 @@ val execute : t -> ptid:int -> kind:kind -> int -> unit
 
 val runnable_count : t -> int
 (** Threads currently admitted to the sharing set. *)
-
-val active_jobs : t -> int
-(** Runnable threads with in-flight work. *)
 
 val busy_capacity_cycles : t -> float
 (** Integral of pipeline capacity actually used, in cycle units (≤ width ×

@@ -143,7 +143,6 @@ let link_by_recency t e =
   scan sent.next sent.prev
 
 let set_fault_hook t f = t.fault <- Some f
-let clear_fault_hook t = t.fault <- None
 let ecc_retry_count t = t.ecc_retries
 let silent_corruption_count t = t.silent_corruptions
 

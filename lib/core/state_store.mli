@@ -86,11 +86,8 @@ val set_fault_hook : t -> (ptid:int -> corruption option) -> unit
     {!wake_transfer_cycles}.  Installed by [Sl_fault.Fault]; at most one
     hook. *)
 
-val clear_fault_hook : t -> unit
-
 val ecc_retry_count : t -> int
 (** Wake transfers that hit an ECC-corrected corruption and re-read. *)
 
 val silent_corruption_count : t -> int
 (** Wake transfers that hit a silent (undetected) corruption. *)
-

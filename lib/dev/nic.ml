@@ -76,7 +76,6 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
   t
 
 let set_faults t f = t.faults <- Some f
-let clear_faults t = t.faults <- None
 
 let queue_count t = Array.length t.rx
 let queue_tail_addr t i = t.rx.(i).tail_addr

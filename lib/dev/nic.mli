@@ -76,7 +76,6 @@ type faults = {
 }
 
 val set_faults : t -> faults -> unit
-val clear_faults : t -> unit
 
 val dma_dropped : t -> int
 (** Packets lost to an injected descriptor-DMA drop (never counted in

@@ -56,7 +56,6 @@ let create sim params memory ?(notify = Notify.Silent) ?(queue_depth = 64) ~late
   t
 
 let set_stall_fault t f = t.stall_fault <- Some f
-let clear_stall_fault t = t.stall_fault <- None
 let stall_count t = t.stalls
 let stall_cycles_total t = t.stall_cycles_total
 

@@ -40,8 +40,6 @@ val set_stall_fault : t -> (unit -> int option) -> unit
     cycles (a firmware hiccup or retried media operation).  Installed by
     [Sl_fault.Fault]; at most one. *)
 
-val clear_stall_fault : t -> unit
-
 val stall_count : t -> int
 val stall_cycles_total : t -> int
 

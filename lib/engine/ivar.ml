@@ -32,8 +32,6 @@ let try_fill t v =
     fill t v;
     true
 
-let is_full t = match t.state with Full _ -> true | Empty | One _ | Many _ -> false
-
 let peek t = match t.state with Full v -> Some v | Empty | One _ | Many _ -> None
 
 let read t =

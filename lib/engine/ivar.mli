@@ -15,8 +15,6 @@ val try_fill : 'a t -> 'a -> bool
 (** [try_fill t v] fills and returns [true], or returns [false] if already
     full. *)
 
-val is_full : 'a t -> bool
-
 val peek : 'a t -> 'a option
 
 val read : 'a t -> 'a

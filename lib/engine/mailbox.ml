@@ -43,6 +43,3 @@ let recv_for t ~within =
 let try_recv t = Queue.take_opt t.items
 
 let length t = Queue.length t.items
-
-let waiting_receivers t =
-  Queue.fold (fun n r -> if r.cancelled then n else n + 1) 0 t.receivers

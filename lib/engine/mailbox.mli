@@ -25,5 +25,3 @@ val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 (** Number of buffered items (excludes blocked receivers). *)
-
-val waiting_receivers : 'a t -> int

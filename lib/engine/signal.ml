@@ -30,6 +30,3 @@ let emit t v =
   | Many ws ->
     t.waiters <- No_waiters;
     List.iter (fun resume -> resume v) (List.rev ws)
-
-let waiter_count t =
-  match t.waiters with No_waiters -> 0 | One _ -> 1 | Many ws -> List.length ws

@@ -17,5 +17,3 @@ val wait : 'a t -> 'a
 val emit : 'a t -> 'a -> unit
 (** Wake all currently blocked waiters in FIFO order.  No-op when nobody
     waits. *)
-
-val waiter_count : 'a t -> int

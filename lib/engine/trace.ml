@@ -1,6 +1,6 @@
-type t = {
+type 'a t = {
   capacity : int;
-  ring : (Sim.Time.t * string) option array;
+  ring : (Sim.Time.t * 'a) option array;
   mutable next : int;  (* write cursor *)
   mutable total : int;
 }
@@ -9,12 +9,10 @@ let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { capacity; ring = Array.make capacity None; next = 0; total = 0 }
 
-let record t sim message =
-  t.ring.(t.next) <- Some (Sim.time sim, message);
+let record t sim event =
+  t.ring.(t.next) <- Some (Sim.time sim, event);
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
-
-let recordf t sim fmt = Printf.ksprintf (record t sim) fmt
 
 let events t =
   let collected = ref [] in
@@ -35,8 +33,3 @@ let clear t =
   Array.fill t.ring 0 t.capacity None;
   t.next <- 0;
   t.total <- 0
-
-let pp ppf t =
-  List.iter
-    (fun (time, message) -> Format.fprintf ppf "[%d] %s@." time message)
-    (events t)

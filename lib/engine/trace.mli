@@ -1,31 +1,25 @@
 (** Bounded event tracing for simulations.
 
-    A ring buffer of timestamped annotations.  Processes (or model code)
-    record free-form events; when a run misbehaves, dump the tail to see
-    the last N things that happened in simulated-time order.  Kept
-    deliberately simple: no categories, no filtering — grep the dump. *)
+    A ring buffer of timestamped typed events.  Processes (or model code)
+    record events as values and render them only when a run misbehaves:
+    the tail shows the last N things that happened in simulated-time
+    order.  Kept deliberately simple: no categories, no filtering. *)
 
-type t
+type 'a t
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> unit -> 'a t
 (** Keep the most recent [capacity] events (default 4096). *)
 
-val record : t -> Sim.t -> string -> unit
+val record : 'a t -> Sim.t -> 'a -> unit
 (** Stamp an event with the simulation's current time. *)
 
-val recordf : t -> Sim.t -> ('a, unit, string, unit) format4 -> 'a
-(** [recordf t sim "fmt" ...] — printf-style {!record}. *)
-
-val events : t -> (Sim.Time.t * string) list
+val events : 'a t -> (Sim.Time.t * 'a) list
 (** Retained events, oldest first. *)
 
-val length : t -> int
+val length : 'a t -> int
 (** Retained event count (≤ capacity). *)
 
-val total_recorded : t -> int
+val total_recorded : 'a t -> int
 (** Events ever recorded, including overwritten ones. *)
 
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** One "[time] message" line per retained event. *)
+val clear : 'a t -> unit

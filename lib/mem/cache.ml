@@ -12,9 +12,6 @@ let l1d_default =
 let l2_default =
   { size_bytes = 512 * 1024; ways = 8; line_bytes = 64; hit_cycles = 14; miss_cycles = 26 }
 
-let llc_default =
-  { size_bytes = 2 * 1024 * 1024; ways = 16; line_bytes = 64; hit_cycles = 40; miss_cycles = 160 }
-
 type line = { mutable tag : int; mutable valid : bool; mutable lru : int; mutable pinned : bool }
 
 type t = {

@@ -24,9 +24,6 @@ val l1d_default : config
 val l2_default : config
 (** 512 KiB, 8-way, 14-cycle hit. *)
 
-val llc_default : config
-(** 2 MiB slice, 16-way, 40-cycle hit. *)
-
 type t
 
 val create : config -> t

@@ -29,10 +29,6 @@ let trap_pollution t rng =
   Cache.pollute t.l1 ~fraction:0.25 rng;
   Cache.pollute t.l2 ~fraction:0.05 rng
 
-let interrupt_pollution t rng =
-  Cache.pollute t.l1 ~fraction:0.50 rng;
-  Cache.pollute t.l2 ~fraction:0.10 rng
-
 let context_switch_pollution t =
   Cache.flush t.l1;
   Tlb.flush t.tlb

@@ -24,9 +24,6 @@ val walk_cost : t -> asid:int -> start:int -> bytes:int -> int
 val trap_pollution : t -> Sl_util.Rng.t -> unit
 (** The partial eviction a kernel trap causes (~25% of L1, ~5% of L2). *)
 
-val interrupt_pollution : t -> Sl_util.Rng.t -> unit
-(** Heavier pollution from an interrupt handler (~50% of L1, ~10% of L2). *)
-
 val context_switch_pollution : t -> unit
 (** Address-space switch: full L1 + TLB flush. *)
 

@@ -34,9 +34,6 @@ val create :
     already saw the request.  The default protocol is byte-identical to
     the original, so existing experiments measure unchanged costs. *)
 
-val self_vtid : int
-(** The vtid under which a user-mode server's private TDT names itself. *)
-
 val grant : t -> client:Switchless.Isa.thread -> vtid:int -> unit
 (** Give [client] permission to start the server under [vtid] in its TDT
     (creating the table if the client has none).  Setup-time helper — no

@@ -1,3 +1,4 @@
+module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
@@ -33,6 +34,8 @@ module Isolated = struct
     Chip.set_tdt hyp table;
     let t = { chip; desc_base; table; next_vtid = 1; exits = 0 } in
     Chip.attach hyp (fun th ->
+        (* Parked on the descriptor between exits by design. *)
+        Sim.set_daemon true;
         Isa.monitor th t.desc_base;
         let rec serve () =
           let _ = Isa.mwait th in
@@ -69,10 +72,14 @@ module Remote = struct
     req_work : Memory.addr;
     req_seq : Memory.addr;
     resp_seq : Memory.addr;
+    mutable guest : Chip.thread option;
     mutable issued : int;
     mutable exits : int;
-    mutable running : bool;
   }
+
+  (* The guest is known from its first exit; its body ending disables it. *)
+  let guest_gone t =
+    match t.guest with Some g -> Chip.state g = Ptid.Disabled | None -> false
 
   let create chip ~core ~hyp_ptid () =
     let memory = Chip.memory chip in
@@ -81,14 +88,14 @@ module Remote = struct
         req_work = Memory.alloc memory 1;
         req_seq = Memory.alloc memory 1;
         resp_seq = Memory.alloc memory 1;
+        guest = None;
         issued = 0;
         exits = 0;
-        running = true;
       }
     in
     let hyp = Chip.add_thread chip ~core ~ptid:hyp_ptid ~mode:Ptid.User () in
     Chip.attach hyp (fun th ->
-        while t.running do
+        while not (guest_gone t) do
           let seen = Isa.load th t.req_seq in
           if Int64.to_int seen > t.exits then begin
             let work = Isa.load th t.req_work in
@@ -102,6 +109,7 @@ module Remote = struct
     t
 
   let vmexit t ~guest ~handle_work =
+    t.guest <- Some guest;
     t.issued <- t.issued + 1;
     let seq = Int64.of_int t.issued in
     Isa.store guest t.req_work (Int64.of_int handle_work);
@@ -116,6 +124,4 @@ module Remote = struct
     spin ()
 
   let exits t = t.exits
-
-  let shutdown t = t.running <- false
 end

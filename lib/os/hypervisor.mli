@@ -27,7 +27,8 @@ module Isolated : sig
 
   val create : Switchless.Chip.t -> core:int -> hyp_ptid:int -> t
   (** The hypervisor thread is user-mode; its TDT grows an entry per
-      installed guest. *)
+      installed guest.  Parked between exits by design, it is a daemon,
+      not a deadlock suspect. *)
 
   val install_guest : t -> guest:Switchless.Isa.thread -> unit
   (** Point the guest's exception-descriptor register at this hypervisor
@@ -45,13 +46,11 @@ module Remote : sig
 
   val create : Switchless.Chip.t -> core:int -> hyp_ptid:int -> unit -> t
   (** The hypervisor thread busy-polls its exit queue on [core], 20
-      cycles per empty check. *)
+      cycles per empty check, until the guest of its exits is disabled
+      (its body has ended), so the simulation drains on its own. *)
 
   val vmexit : t -> guest:Switchless.Isa.thread -> handle_work:Sl_engine.Sim.Time.t -> unit
   (** Post the exit and spin (guest-side) until handled. *)
 
   val exits : t -> int
-
-  val shutdown : t -> unit
-  (** Stop the polling loop so the simulation can drain. *)
 end

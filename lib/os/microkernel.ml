@@ -3,17 +3,7 @@ module Ivar = Sl_engine.Ivar
 module Mailbox = Sl_engine.Mailbox
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
-module Ptid = Switchless.Ptid
 module Swsched = Sl_baseline.Swsched
-
-let monolithic_call client params ~service_work =
-  Swsched.exec client ~kind:Smt_core.Overhead
-    params.Params.trap_entry_cycles;
-  Swsched.exec client ~kind:Smt_core.Useful service_work;
-  Swsched.exec client ~kind:Smt_core.Overhead
-    params.Params.trap_exit_cycles;
-  Swsched.exec client ~kind:Smt_core.Overhead
-    params.Params.trap_pollution_cycles
 
 module Sw_service = struct
   type request = { service_work : int; reply : unit Ivar.t }
@@ -27,7 +17,8 @@ module Sw_service = struct
   let create sim sched params =
     let t = { params; inbox = Mailbox.create (); served = 0 } in
     let service_thread = Swsched.thread sched () in
-    Sim.spawn sim (fun () ->
+    (* The loop parks on its inbox between requests by design. *)
+    Sim.spawn ~daemon:true sim (fun () ->
         let rec serve () =
           let { service_work; reply } = Mailbox.recv t.inbox in
           (* Receive syscall return + the service's own work. *)
@@ -57,14 +48,4 @@ module Sw_service = struct
       t.params.Params.trap_exit_cycles
 
   let served t = t.served
-end
-
-module Hw_service = struct
-  type t = Hw_channel.t
-
-  let create chip ~core ~server_ptid ?(mode = Ptid.User) () =
-    Hw_channel.create chip ~core ~server_ptid ~mode ()
-
-  let call t ~client ?via ~service_work () =
-    Hw_channel.call t ~client ?via ~work:service_work ()
 end

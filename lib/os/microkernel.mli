@@ -4,26 +4,24 @@
     A user application calls a service (file system, network stack,
     container proxy) that performs [service_work] cycles.  Three worlds:
 
-    - {!monolithic_call}: the service lives in a monolithic kernel — one
-      trap round trip around the work (the baseline microkernels are
-      compared against).
+    - a monolithic kernel: the service is one trap round trip around the
+      work ({!Syscall.Trap}), the baseline microkernels are compared
+      against;
     - {!Sw_service}: a classic microkernel — the service is its own
       software thread; each request costs a send syscall, a scheduler
       wake-up, a context switch into the service, and the symmetric reply
-      path.
-    - {!Hw_service}: the paper's design — the service owns a hardware
-      thread; the client starts it directly ({!Hw_channel}), achieving
-      XPC-like direct switch without entering the kernel. *)
-
-val monolithic_call :
-  Sl_baseline.Swsched.thread -> Switchless.Params.t -> service_work:Sl_engine.Sim.Time.t -> unit
+      path;
+    - the paper's design: the service owns a user-mode hardware thread
+      and the client starts it directly through a {!Hw_channel},
+      achieving XPC-like direct switch without entering the kernel. *)
 
 (** Scheduler-mediated IPC to a software-thread service. *)
 module Sw_service : sig
   type t
 
   val create : Sl_engine.Sim.t -> Sl_baseline.Swsched.t -> Switchless.Params.t -> t
-  (** Spawns the service loop as a software thread of [sched]. *)
+  (** Spawns the service loop as a software thread of [sched].  The loop
+      is a daemon: parked on its inbox, it is not a deadlock suspect. *)
 
   val call : t -> client:Sl_baseline.Swsched.thread -> service_work:Sl_engine.Sim.Time.t -> unit
   (** Must run inside the client's process.  Charges: send-side trap +
@@ -31,17 +29,4 @@ module Sw_service : sig
       and work; reply-side trap + scheduler + the client's re-switch. *)
 
   val served : t -> int
-end
-
-(** Direct hardware-thread IPC; thin specialization of {!Hw_channel}. *)
-module Hw_service : sig
-  type t = Hw_channel.t
-
-  val create :
-    Switchless.Chip.t -> core:int -> server_ptid:int ->
-    ?mode:Switchless.Ptid.mode -> unit -> t
-  (** [mode] defaults to [User]: an isolated, unprivileged service. *)
-
-  val call :
-    t -> client:Switchless.Isa.thread -> ?via:int -> service_work:Sl_engine.Sim.Time.t -> unit -> unit
 end

@@ -20,9 +20,6 @@ val create :
 (** An empty, formatted file system backed by the given device.
     [cache_blocks] (default 64) is the block-cache capacity. *)
 
-val block_bytes : int
-(** 4096. *)
-
 val mkfile : t -> Switchless.Isa.thread -> name:string -> unit
 (** Raises {!Fs_error} if the name exists. *)
 

@@ -1,10 +1,4 @@
-module Sim = Sl_engine.Sim
-module Semaphore = Sl_engine.Semaphore
 module Params = Switchless.Params
-module Chip = Switchless.Chip
-module Isa = Switchless.Isa
-module Memory = Switchless.Memory
-module Ptid = Switchless.Ptid
 module Smt_core = Switchless.Smt_core
 module Swsched = Sl_baseline.Swsched
 
@@ -33,14 +27,4 @@ module Flexsc = struct
   let call t thread ~kernel_work =
     Swsched.exec thread ~kind:Smt_core.Overhead post_cycles;
     Sl_baseline.Flexsc.call t.worker ~kernel_work
-end
-
-module Hw_thread = struct
-  type t = Hw_channel.t
-
-  let create chip ~core ~server_ptid = Hw_channel.create chip ~core ~server_ptid ()
-
-  let call t ~client ~kernel_work = Hw_channel.call t ~client ~work:kernel_work ()
-
-  let served = Hw_channel.served
 end

@@ -1,17 +1,18 @@
 (** System-call paths (§2 "Exception-less System Calls and No VM-Exits").
 
-    Three implementations of "run [kernel_work] cycles of kernel code on
-    behalf of the caller":
+    The conventional implementations of "run [kernel_work] cycles of
+    kernel code on behalf of the caller":
 
     - {!Trap}: the conventional synchronous path — mode-switch in, kernel
       work in the caller's context, mode-switch out, then the flat
       pollution charge (the indirect cost the trap caused).
     - {!Flexsc}: exception-less batching via shared pages and a kernel
       worker core ({!Sl_baseline.Flexsc}).
-    - {!Hw_thread}: the paper's design — the application thread stores its
-      arguments, [start]s a dedicated kernel hardware thread, and blocks
-      on the response word with [monitor]/[mwait]; the kernel thread
-      stops itself when done.  No mode switch anywhere. *)
+
+    The paper's design is a {!Hw_channel} to a kernel hardware thread:
+    the application stores its arguments, [start]s the server, and blocks
+    on the response word with [monitor]/[mwait]; the server stops itself
+    when done.  No mode switch anywhere.  {!Round_trip} times all three. *)
 
 module Trap : sig
   val call : Sl_baseline.Swsched.thread -> Switchless.Params.t -> kernel_work:Sl_engine.Sim.Time.t -> unit
@@ -28,20 +29,4 @@ module Flexsc : sig
   val call : t -> Sl_baseline.Swsched.thread -> kernel_work:Sl_engine.Sim.Time.t -> unit
   (** Caller charges the entry-posting stores at its own core, then blocks
       until the worker completes the entry. *)
-end
-
-module Hw_thread : sig
-  type t
-
-  val create : Switchless.Chip.t -> core:int -> server_ptid:int -> t
-  (** Install a kernel syscall-server hardware thread on [core].  The
-      server is born parked; each {!call} starts it.  One server serves
-      one request at a time; concurrent callers serialize on a software
-      reservation (zero simulated cost — a real kernel would give each
-      application its own server thread, as the experiments do). *)
-
-  val call : t -> client:Switchless.Isa.thread -> kernel_work:Sl_engine.Sim.Time.t -> unit
-  (** Must run inside the client thread's body. *)
-
-  val served : t -> int
 end

@@ -52,5 +52,3 @@ let wait t lock th =
   Lock.acquire lock th
 
 let broadcast t th = ignore (Atomics.fetch_add t.chip th t.word 1L : int64)
-
-let broadcasts t = Int64.to_int (Atomics.peek t.chip t.word)

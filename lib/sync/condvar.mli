@@ -27,6 +27,3 @@ val broadcast : t -> Chip.thread -> unit
 (** Wake every current waiter.  May be called with or without the lock
     held; callers that publish state the waiters re-check should do so
     before broadcasting (under the lock). *)
-
-val broadcasts : t -> int
-(** Epoch observed so far — number of broadcasts issued. *)

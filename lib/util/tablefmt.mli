@@ -7,8 +7,6 @@
 
 type cell = String of string | Int of int | Int64 of int64 | Float of float
 
-val cell_to_string : cell -> string
-
 val render : title:string -> header:string list -> cell list list -> string
 (** [render ~title ~header rows] produces an aligned table with a title
     line, a header row, a separator, and one line per row.  Raises

@@ -19,6 +19,5 @@ let add t x =
 let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min_value t = t.min_v
 let max_value t = t.max_v

@@ -12,7 +12,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [0.] with fewer than two samples. *)
 
-val stddev : t -> float
 val min_value : t -> float
 (** [infinity] when empty. *)
 

@@ -400,7 +400,7 @@ let test_trace_records_with_timestamps () =
   Sim.spawn sim (fun () ->
       Sl_engine.Trace.record trace sim "begin";
       Sim.delay 10;
-      Sl_engine.Trace.recordf trace sim "at %d" 10);
+      Sl_engine.Trace.record trace sim (Printf.sprintf "at %d" 10));
   Sim.run sim;
   Alcotest.(check (list (pair int string)))
     "events"

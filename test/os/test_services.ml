@@ -38,13 +38,13 @@ let measure_sw_ipc () =
 let measure_hw_ipc () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let service = Microkernel.Hw_service.create chip ~core:1 ~server_ptid:100 () in
+  let service = Hw_channel.create chip ~core:1 ~server_ptid:100 ~mode:Ptid.User () in
   let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
   Hw_channel.grant service ~client ~vtid:7;
   let out = ref 0 in
   Chip.attach client (fun th ->
       let t0 = Sim.now () in
-      Microkernel.Hw_service.call service ~client:th ~via:7 ~service_work:500 ();
+      Hw_channel.call service ~client:th ~via:7 ~work:500 ();
       out := Sim.now () - t0);
   Chip.boot client;
   Sim.run sim;
@@ -161,15 +161,45 @@ let test_remote_exit_works_but_burns_poll () =
   Chip.attach guest (fun th ->
       let t0 = Sim.now () in
       Hypervisor.Remote.vmexit remote ~guest:th ~handle_work:300;
-      out := Sim.now () - t0;
-      Hypervisor.Remote.shutdown remote);
+      out := Sim.now () - t0);
   Chip.boot guest;
   Sim.run sim;
   check_int "one exit" 1 (Hypervisor.Remote.exits remote);
+  (* The poller stops by itself once its guest's body has ended. *)
+  check_int "nothing left blocked" 0 (List.length (Sim.stuck sim));
   check_bool "latency close to work" true (!out < 300 + 300);
   let hyp_core = Chip.exec_core chip 1 in
   check_bool "poll cycles burned" true
     (Switchless.Smt_core.work_done hyp_core Switchless.Smt_core.Poll > 0.0)
+
+(* --- daemon marks: servers parked by design are not deadlock suspects --- *)
+
+let check_parked_not_suspect sim =
+  check_bool "a server is still parked" true (Sim.stuck sim <> []);
+  check_int "but none is a suspect" 0 (List.length (Sim.suspects sim))
+
+let test_isolated_hypervisor_is_daemon () =
+  let sim = Sim.create () in
+  let chip = Chip.create sim p ~cores:2 in
+  let hyp = Hypervisor.Isolated.create chip ~core:1 ~hyp_ptid:200 in
+  let guest = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Hypervisor.Isolated.install_guest hyp ~guest;
+  Chip.attach guest (fun th -> Hypervisor.Isolated.vmexit th ~handle_work:100);
+  Chip.boot guest;
+  Sim.run sim;
+  check_int "exit served" 1 (Hypervisor.Isolated.exits hyp);
+  check_parked_not_suspect sim
+
+let test_sw_service_is_daemon () =
+  let sim = Sim.create () in
+  let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
+  let service = Microkernel.Sw_service.create sim sched p in
+  let client = Swsched.thread sched () in
+  Sim.spawn sim (fun () ->
+      Microkernel.Sw_service.call service ~client ~service_work:100);
+  Sim.run sim;
+  check_int "request served" 1 (Microkernel.Sw_service.served service);
+  check_parked_not_suspect sim
 
 (* --- E7 servers --- *)
 
@@ -273,6 +303,11 @@ let () =
           Alcotest.test_case "unprivileged hypervisor" `Quick
             test_isolated_hypervisor_is_unprivileged;
           Alcotest.test_case "remote (SplitX) path" `Quick test_remote_exit_works_but_burns_poll;
+        ] );
+      ( "daemons",
+        [
+          Alcotest.test_case "isolated hypervisor" `Quick test_isolated_hypervisor_is_daemon;
+          Alcotest.test_case "sw service loop" `Quick test_sw_service_is_daemon;
         ] );
       ( "servers",
         [

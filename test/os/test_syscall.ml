@@ -1,4 +1,5 @@
-(* Tests for the three system-call paths (E3 machinery). *)
+(* Tests for the three system-call paths (E3 machinery): trap, FlexSC,
+   and a hardware-thread server behind a Hw_channel. *)
 
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
@@ -8,6 +9,7 @@ module Ptid = Switchless.Ptid
 module Smt_core = Switchless.Smt_core
 module Swsched = Sl_baseline.Swsched
 module Syscall = Sl_os.Syscall
+module Hw_channel = Sl_os.Hw_channel
 
 let check_i64 = Alcotest.(check int)
 let check_int = Alcotest.(check int)
@@ -46,11 +48,11 @@ let test_flexsc_amortizes_but_delays () =
 let test_hw_thread_syscall_cost () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
+  let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
   let done_at = ref 0 in
   let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach app (fun th ->
-      Syscall.Hw_thread.call sys ~client:th ~kernel_work:1000;
+      Hw_channel.call sys ~client:th ~work:1000 ();
       done_at := Sim.now ());
   Chip.boot app;
   Sim.run sim;
@@ -62,23 +64,23 @@ let test_hw_thread_syscall_cost () =
   check_bool "hw syscall ≈ work + ~70 cycles" true
     (let t = !done_at in
      t >= 1040 && t <= 1120);
-  check_int "served" 1 (Syscall.Hw_thread.served sys)
+  check_int "served" 1 (Hw_channel.served sys)
 
 let test_hw_thread_repeated_calls () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
+  let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
   let gaps = ref [] in
   let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach app (fun th ->
       for _ = 1 to 5 do
         let t0 = Sim.now () in
-        Syscall.Hw_thread.call sys ~client:th ~kernel_work:200;
+        Hw_channel.call sys ~client:th ~work:200 ();
         gaps := Sim.now () - t0 :: !gaps
       done);
   Chip.boot app;
   Sim.run sim;
-  check_int "five served" 5 (Syscall.Hw_thread.served sys);
+  check_int "five served" 5 (Hw_channel.served sys);
   (* Steady-state calls cost the same (no drift, no leak). *)
   (match !gaps with
   | last :: rest -> List.iter (fun g -> check_i64 "stable cost" last g) (List.filteri (fun i _ -> i < 3) rest)
@@ -87,29 +89,29 @@ let test_hw_thread_repeated_calls () =
 let test_hw_thread_concurrent_clients_serialize () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
+  let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
   let completions = ref 0 in
   for i = 1 to 3 do
     let app = Chip.add_thread chip ~core:0 ~ptid:i ~mode:Ptid.Supervisor () in
     Chip.attach app (fun th ->
-        Syscall.Hw_thread.call sys ~client:th ~kernel_work:500;
+        Hw_channel.call sys ~client:th ~work:500 ();
         incr completions);
     Chip.boot app
   done;
   Sim.run sim;
   check_int "all three served" 3 !completions;
-  check_int "server count" 3 (Syscall.Hw_thread.served sys)
+  check_int "server count" 3 (Hw_channel.served sys)
 
 let test_hw_beats_trap_for_small_work () =
   let measure_hw work =
     let sim = Sim.create () in
     let chip = Chip.create sim p ~cores:2 in
-    let sys = Syscall.Hw_thread.create chip ~core:1 ~server_ptid:100 in
+    let sys = Hw_channel.create chip ~core:1 ~server_ptid:100 () in
     let out = ref 0 in
     let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
     Chip.attach app (fun th ->
         let t0 = Sim.now () in
-        Syscall.Hw_thread.call sys ~client:th ~kernel_work:work;
+        Hw_channel.call sys ~client:th ~work:work ();
         out := Sim.now () - t0);
     Chip.boot app;
     Sim.run sim;
