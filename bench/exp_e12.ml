@@ -22,6 +22,7 @@ module Hw_dispatch = Switchless.Hw_dispatch
 module Histogram = Sl_util.Histogram
 module Tablefmt = Sl_util.Tablefmt
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 
 let p = Params.default
 let workers = 600
@@ -50,7 +51,7 @@ let measure policy =
   done;
   let rng = Sl_util.Rng.create 31L in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:rate)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:rate)
     ~service:(Sl_util.Dist.Constant (float_of_int service))
     ~count
     ~sink:(fun req ->

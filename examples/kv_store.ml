@@ -19,6 +19,7 @@ module Hw_dispatch = Switchless.Hw_dispatch
 module Histogram = Sl_util.Histogram
 module Tablefmt = Sl_util.Tablefmt
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 
 type op = Get | Put
 
@@ -75,7 +76,7 @@ let () =
   let tenant_gen ~tenant ~rate ~count ~put_ratio =
     let trng = Sl_util.Rng.split rng in
     Openloop.run sim trng
-      ~interarrival:(Openloop.poisson ~rate_per_kcycle:rate)
+      ~arrivals:(Arrivals.poisson ~rate_per_kcycle:rate)
       ~service:(Sl_util.Dist.Constant 0.0) ~count
       ~sink:(fun _ ->
         let op = if Sl_util.Rng.float trng < put_ratio then Put else Get in

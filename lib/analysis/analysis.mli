@@ -12,9 +12,9 @@
 
     Two ways to attach:
     - {!enable} on a chip you hold;
-    - {!enable_all}, which installs the global {!Switchless.Chip}
-      creation hook so chips built deep inside experiment runners are
-      instrumented too — see {!with_all} for the scoped version. *)
+    - {!with_all}, which installs the global {!Switchless.Chip}
+      creation hook for the duration of a call, so chips built deep
+      inside experiment runners are instrumented too. *)
 
 open Switchless
 
@@ -48,20 +48,8 @@ val dropped : t -> int
 
 (** {2 Instrumenting chips created elsewhere} *)
 
-type collector
-
-val enable_all : unit -> collector
-(** Instrument every chip created from now on (via the global creation
-    hook).  Only one collector can be active at a time. *)
-
-val disable_all : unit -> unit
-(** Stop instrumenting newly created chips (already-attached probes keep
-    running until {!finish}). *)
-
-val harvest : collector -> Report.finding list
-(** {!finish} every chip the collector attached to; findings in chip
-    creation order. *)
-
 val with_all : (unit -> 'a) -> 'a * Report.finding list
-(** [with_all f] = {!enable_all}, run [f], {!disable_all} (also on
-    exception), {!harvest}. *)
+(** [with_all f] instruments every chip created while [f] runs (via the
+    global creation hook, removed afterwards, also on exception), then
+    {!finish}es each of them; findings in chip creation order.  Calls do
+    not nest. *)

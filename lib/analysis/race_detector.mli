@@ -27,10 +27,10 @@
       wakeups and thread lifecycle edges.
 
     Known limitation: synchronization constructed at the engine level
-    ([Sl_engine.Semaphore]/[Mailbox]/[Ivar] used directly by OS models,
-    e.g. the [Hw_channel] client-side lock) is invisible at ptid level
-    and is {e not} credited with edges; workloads serialized only by such
-    primitives should run under the default model. *)
+    ([Sl_engine.Mailbox]/[Ivar] used directly by OS models, e.g. the
+    [Hw_channel] reservation, a one-token mailbox) is invisible at ptid
+    level and is {e not} credited with edges; workloads serialized only
+    by such primitives should run under the default model. *)
 
 open Switchless
 

@@ -19,7 +19,5 @@ val copy : t -> t
 val merge : into:t -> t -> unit
 (** Pointwise maximum, for acquire operations. *)
 
-val to_list : t -> (int * int) list
-(** Non-zero components, sorted by ptid. *)
-
 val pp : Format.formatter -> t -> unit
+(** Renders the non-zero components, sorted by ptid. *)

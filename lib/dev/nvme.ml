@@ -5,10 +5,8 @@ module Params = Switchless.Params
 type completion = { cmd_id : int; submitted_at : int; completed_at : int }
 
 type t = {
-  sim : Sim.t;
   params : Params.t;
   memory : Memory.t;
-  notify : Notify.t;
   queue_depth : int;
   latency : Sl_util.Dist.t;
   rng : Sl_util.Rng.t;
@@ -31,14 +29,12 @@ let creation_hook : (t -> unit) option Domain.DLS.key =
 let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
 let clear_creation_hook () = Domain.DLS.set creation_hook None
 
-let create sim params memory ?(notify = Notify.Silent) ?(queue_depth = 64) ~latency ~rng () =
+let create _sim params memory ?(queue_depth = 64) ~latency ~rng () =
   if queue_depth <= 0 then invalid_arg "Nvme.create: queue_depth must be positive";
   let t =
     {
-      sim;
       params;
       memory;
-      notify;
       queue_depth;
       latency;
       rng;
@@ -91,8 +87,7 @@ let submit t =
       t.in_flight <- t.in_flight - 1;
       t.completed <- t.completed + 1;
       Queue.push { cmd_id = id; submitted_at; completed_at = Sim.now () } t.completions;
-      Memory.write t.memory t.cq_tail_addr (Int64.of_int t.completed);
-      Notify.fire t.sim t.params t.memory t.notify);
+      Memory.write t.memory t.cq_tail_addr (Int64.of_int t.completed));
   id
 
 let in_flight t = t.in_flight

@@ -15,7 +15,7 @@ type t
 
 val create :
   Sl_engine.Sim.t -> Switchless.Params.t -> Switchless.Memory.t ->
-  ?notify:Notify.t -> ?queue_depth:int ->
+  ?queue_depth:int ->
   latency:Sl_util.Dist.t -> rng:Sl_util.Rng.t -> unit -> t
 
 val cq_tail_addr : t -> Switchless.Memory.addr

@@ -8,6 +8,7 @@ module Memory = Switchless.Memory
 module Smt_core = Switchless.Smt_core
 module Histogram = Sl_util.Histogram
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 
 type mode = Fcfs | Preemptive of int
 
@@ -175,7 +176,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
         done));
   let rng = Sl_util.Rng.create cfg.Server.seed in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.Server.rate_per_kcycle)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:cfg.Server.rate_per_kcycle)
     ~service:cfg.Server.service ~count:cfg.Server.count
     ~sink:(fun req -> Mailbox.send events (Arrival req));
   Sim.run sim;

@@ -8,6 +8,7 @@ module Memory = Switchless.Memory
 module Histogram = Sl_util.Histogram
 module Swsched = Sl_baseline.Swsched
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 
 type stats = {
   completed : int;
@@ -61,7 +62,7 @@ let run_software ?quantum cfg =
   let slowdowns = ref [] in
   let rng = Sl_util.Rng.create cfg.seed in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
     ~service:cfg.service ~count:cfg.count
     ~sink:(fun req ->
       (* One fresh software thread per request. *)
@@ -171,7 +172,7 @@ let run_hw_pool ?(pool_per_core = 64) cfg =
   in
   let rng = Sl_util.Rng.create cfg.seed in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:cfg.rate_per_kcycle)
     ~service:cfg.service ~count:cfg.count ~sink:(Mailbox.send inbox);
   Sim.run sim;
   finish ~sim ~latencies ~slowdowns ~switch_overhead:0.0

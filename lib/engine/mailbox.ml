@@ -21,9 +21,10 @@ let recv_for t ~within =
   | Some v -> Some v
   | None when within <= 0 -> None
   | None ->
-    (* Same one-shot decision race as [Semaphore.acquire_for]: events are
-       atomic, so a delivered receiver was not cancelled, and [send] skips
-       cancelled receivers — a message can never land in a dead waiter. *)
+    (* One-shot race between the sender and the timeout: whoever fills
+       [decided] first wins.  Events are atomic, so a delivered receiver
+       was not cancelled, and [send] skips cancelled receivers — a
+       message can never land in a dead waiter. *)
     let decided = Ivar.create () in
     let r =
       { deliver =

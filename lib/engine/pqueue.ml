@@ -100,8 +100,6 @@ let min_seq t =
   t.seqs.(0)
 [@@sl.zero_alloc]
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
-
 let pop_min t =
   assert (t.size > 0);
   let payload = t.payloads.(0) in

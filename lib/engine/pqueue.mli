@@ -27,16 +27,12 @@ val push : 'a t -> time:int -> seq:int -> 'a -> unit
 
 val min_time : 'a t -> int
 (** Time of the earliest element.  Undefined (asserts) on an empty
-    queue; pair with {!is_empty}.  Allocation-free, unlike {!peek_time}. *)
+    queue; pair with {!is_empty}.  Allocation-free. *)
 
 val min_seq : 'a t -> int
 (** Sequence number of the earliest element.  Undefined (asserts) on an
     empty queue.  The wheel reads this when promoting overflow events so
     re-insertion preserves the exact (time, seq) key. *)
-
-val peek_time : 'a t -> int option
-(** Time of the earliest element, if any.  Allocates the [Some]; hot
-    paths use {!is_empty} + {!min_time}. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest element's payload (read {!min_time}

@@ -224,5 +224,4 @@ let now () = perform Now_eff
 let delay d = perform (Delay_eff d)
 let fork f = perform (Fork_eff f)
 let await register = perform (Await_eff register)
-let yield () = delay 0
 let set_daemon d = perform (Daemon_eff d)

@@ -140,10 +140,6 @@ val await : (('a -> unit) -> unit) -> 'a
     built.  [resume] may be called immediately or at any later simulated
     time, but at most once. *)
 
-val yield : unit -> unit
-(** Re-enqueue the calling process at the current time, letting other
-    ready processes run first. *)
-
 val set_daemon : bool -> unit
 (** Mark (or unmark) the calling process as a daemon for {!suspects}
     purposes.  Use when a process only becomes park-by-design partway

@@ -14,6 +14,7 @@ module Analysis = Sl_analysis.Analysis
 module Report = Sl_analysis.Report
 module Latency = Sl_workload.Latency
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 module Dist = Sl_util.Dist
 module Histogram = Sl_util.Histogram
 module Server = Sl_dist.Server
@@ -127,7 +128,8 @@ let closed_pool ~count ~pool_per_core ~timeout ~clients ~think ?horizon () =
 
 (* Every request is processed or counted lost (ring-full or DMA drop) —
    never silently missing — a missed wakeup is only ever discovered by an
-   mwait timeout, and the tail stays bounded. *)
+   mwait timeout, and the tail stays bounded.  The path's counts are its
+   recovery sites, which [guard] resets on entry. *)
 let hardened_io ~count ~watchdog () =
   let cfg =
     { Io_path.default_config with Io_path.count; service = Dist.Constant 300.0 }
@@ -137,30 +139,29 @@ let hardened_io ~count ~watchdog () =
       (Io_path.Mwait_hardened { watchdog; horizon = Some 40_000_000 })
       cfg
   in
-  let b = res.Io_path.io and r = res.Io_path.recovery in
-  let accounted =
-    b.Io_path.processed + b.Io_path.dropped + r.Io_path.dma_dropped
-  in
+  let b = res.Io_path.io and site = Sl_util.Recovery.get in
+  let accounted = b.Io_path.processed + b.Io_path.dropped + b.Io_path.dma_dropped in
+  let timeouts = site "io.mwait_timeout" and missed = site "io.missed_wakeup" in
   let p99 = Histogram.quantile b.Io_path.latencies 0.99 in
   ( [
       ( accounted = count,
         Printf.sprintf
           "lost requests: %d processed + %d ring-dropped + %d dma-dropped of %d"
-          b.Io_path.processed b.Io_path.dropped r.Io_path.dma_dropped count );
-      ( r.Io_path.missed_wakeups <= r.Io_path.mwait_timeouts,
+          b.Io_path.processed b.Io_path.dropped b.Io_path.dma_dropped count );
+      ( missed <= timeouts,
         Printf.sprintf "accounting: %d missed wakeups exceed %d mwait timeouts"
-          r.Io_path.missed_wakeups r.Io_path.mwait_timeouts );
+          missed timeouts );
       (p99 <= 500_000, Printf.sprintf "p99 latency unbounded: %d cycles" p99);
     ],
     [
       ("processed", b.Io_path.processed);
       ("ring_dropped", b.Io_path.dropped);
-      ("dma_dropped", r.Io_path.dma_dropped);
-      ("mwait_timeouts", r.Io_path.mwait_timeouts);
-      ("missed_wakeups", r.Io_path.missed_wakeups);
-      ("fallbacks", r.Io_path.fallbacks);
-      ("recoveries", r.Io_path.recoveries);
-      ("watchdog_nudges", r.Io_path.watchdog_nudges);
+      ("dma_dropped", b.Io_path.dma_dropped);
+      ("mwait_timeouts", timeouts);
+      ("missed_wakeups", missed);
+      ("fallbacks", site "io.fallback");
+      ("recoveries", site "io.recovery");
+      ("watchdog_nudges", site "watchdog.nudge");
       ("p50", Histogram.quantile b.Io_path.latencies 0.5);
       ("p99", p99);
     ] )
@@ -243,16 +244,16 @@ let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog () =
       ("watchdog_sweeps", count Watchdog.sweeps);
     ] )
 
-(* --- the robust hardware channel ------------------------------------------ *)
+(* --- the hardware channel ------------------------------------------------- *)
 
-(* A client makes deadline-bounded calls over a robust (sequence-numbered)
-   channel: a delayed start hand-off or a lost response costs a timeout
-   and an idempotent retry, never a failed call. *)
+(* A client makes deadline-bounded calls over a channel: a delayed start
+   hand-off or a lost response costs a timeout and an idempotent retry,
+   never a failed call. *)
 let channel_deadline () =
   let calls = 150 in
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 ~robust:true () in
+  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 () in
   let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   let ok = ref 0 and errors = ref 0 in
   Chip.attach client (fun th ->
@@ -406,7 +407,7 @@ let watchdog_rescue () =
   Chip.boot consumer;
   Watchdog.start wd;
   Openloop.run sim (Sl_util.Rng.create 5L)
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:0.5)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:0.5)
     ~service:(Dist.Constant 300.) ~count
     ~sink:(fun _req -> Sim.fork (fun () -> Nic.inject nic));
   Sim.run ~until:50_000_000 sim;
@@ -473,7 +474,7 @@ let boot_replica () =
       done);
   let rng = Sl_util.Rng.create 33L in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:0.4)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:0.4)
     ~service:(Dist.Constant 400.) ~count
     ~sink:(fun req -> Mailbox.send inbox req.Openloop.service_cycles);
   Sim.run ~until:4_000_000 sim;

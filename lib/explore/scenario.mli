@@ -62,7 +62,7 @@ val all : t list
       horizon and grant/increment conservation.  ["lock.watchdog.r1"] is
       R1's lock storm: twelve threads, no patience, liveness from a
       watchdog's re-stores.
-    - ["channel.deadline"]: deadline-bounded calls over a robust
+    - ["channel.deadline"]: deadline-bounded calls over a
       {!Sl_os.Hw_channel} under delayed start hand-offs and lost wakes;
       oracle: every call succeeds before the horizon.
     - ["nvme.stall"]: an mwait-driven NVMe consumer under completion

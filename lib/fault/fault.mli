@@ -132,8 +132,6 @@ val attach_chip : t -> Switchless.Chip.t -> unit
     core's state store. *)
 
 val attach_nic : t -> Sl_dev.Nic.t -> unit
-val attach_nvme : t -> Sl_dev.Nvme.t -> unit
-val attach_irq : t -> Sl_baseline.Irq.t -> unit
 
 (** {2 Ambient installation}
 
@@ -142,9 +140,7 @@ val attach_irq : t -> Sl_baseline.Irq.t -> unit
     created while installed — the mechanism behind the
     [SWITCHLESS_FAULTS] env hook in [bench/main.ml]. *)
 
-val install_ambient : t -> unit
-val clear_ambient : unit -> unit
-
 val with_ambient : t -> (unit -> 'a) -> 'a
-(** Brackets [f] with {!install_ambient}/{!clear_ambient} (hooks cleared
-    even if [f] raises). *)
+(** Runs [f] with creation hooks installed that attach this injector to
+    every chip, NIC, NVMe device and IRQ controller created meanwhile;
+    the hooks are cleared afterwards, even if [f] raises. *)

@@ -1,5 +1,5 @@
 module Sim = Sl_engine.Sim
-module Semaphore = Sl_engine.Semaphore
+module Mailbox = Sl_engine.Mailbox
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Memory = Switchless.Memory
@@ -10,8 +10,8 @@ type t = {
   server_ptid : int;
   req_addr : Memory.addr;
   resp_addr : Memory.addr;
-  req_seq_addr : Memory.addr option;  (* Some = robust protocol *)
-  lock : Semaphore.t;
+  seq_addr : Memory.addr;
+  token : unit Mailbox.t;  (* holds one token while the channel is free *)
   mutable served : int;
   mutable issued : int;
   mutable retries : int;
@@ -20,11 +20,11 @@ type t = {
 let self_vtid = 0
 
 let create chip ~core ~server_ptid ?(mode = Ptid.Supervisor) ?(vector = false)
-    ?(robust = false) ?on_request () =
+    ?on_request () =
   let memory = Chip.memory chip in
   let req_addr = Memory.alloc memory 1 in
   let resp_addr = Memory.alloc memory 1 in
-  let req_seq_addr = if robust then Some (Memory.alloc memory 1) else None in
+  let seq_addr = Memory.alloc memory 1 in
   let server = Chip.add_thread chip ~core ~ptid:server_ptid ~mode ~vector () in
   let stop_vtid =
     match mode with
@@ -37,13 +37,15 @@ let create chip ~core ~server_ptid ?(mode = Ptid.Supervisor) ?(vector = false)
       Chip.set_tdt server table;
       self_vtid
   in
+  let token = Mailbox.create () in
+  Mailbox.send token ();
   let t =
     {
       server_ptid;
       req_addr;
       resp_addr;
-      req_seq_addr;
-      lock = Semaphore.create 1;
+      seq_addr;
+      token;
       served = 0;
       issued = 0;
       retries = 0;
@@ -54,40 +56,27 @@ let create chip ~core ~server_ptid ?(mode = Ptid.Supervisor) ?(vector = false)
     | Some f -> f
     | None -> fun th work -> Isa.exec th (Int64.to_int work)
   in
+  (* The request carries a sequence number and the server serves only
+     unseen sequences, making starts idempotent: a timed-out caller can
+     safely re-ring the doorbell even if its original start was merely
+     delayed, not lost. *)
   Chip.attach server (fun th ->
-      match req_seq_addr with
-      | None ->
-        (* Classic protocol: every start means exactly one fresh request. *)
-        let rec serve () =
-          let work = Isa.load th t.req_addr in
-          handle th work;
-          t.served <- t.served + 1;
-          Isa.store th t.resp_addr (Int64.of_int t.served);
-          Isa.stop th ~vtid:stop_vtid;
-          serve ()
+      let rec serve last =
+        let seq = Isa.load th t.seq_addr in
+        let last =
+          if Int64.compare seq last > 0 then begin
+            let work = Isa.load th t.req_addr in
+            handle th work;
+            t.served <- t.served + 1;
+            Isa.store th t.resp_addr seq;
+            seq
+          end
+          else last
         in
-        serve ()
-      | Some seq_addr ->
-        (* Robust protocol: the request carries a sequence number and the
-           server serves only unseen sequences, making starts idempotent —
-           a timed-out caller can safely re-ring the doorbell even if its
-           original start was merely delayed, not lost. *)
-        let rec serve last =
-          let seq = Isa.load th seq_addr in
-          let last =
-            if Int64.compare seq last > 0 then begin
-              let work = Isa.load th t.req_addr in
-              handle th work;
-              t.served <- t.served + 1;
-              Isa.store th t.resp_addr seq;
-              seq
-            end
-            else last
-          in
-          Isa.stop th ~vtid:stop_vtid;
-          serve last
-        in
-        serve 0L);
+        Isa.stop th ~vtid:stop_vtid;
+        serve last
+      in
+      serve 0L);
   t
 
 let grant t ~client ~vtid =
@@ -108,23 +97,27 @@ let issue t ~client ~start_vtid ~work =
   let seq = Int64.of_int t.issued in
   Isa.monitor client t.resp_addr;
   Isa.store client t.req_addr (Int64.of_int work);
-  (match t.req_seq_addr with
-  | Some seq_addr -> Isa.store client seq_addr seq
-  | None -> ());
+  Isa.store client t.seq_addr seq;
   Isa.start client ~vtid:start_vtid;
   seq
 
 let call t ~client ?via ~work () =
-  Semaphore.with_permit t.lock (fun () ->
-      let start_vtid = match via with Some vtid -> vtid | None -> t.server_ptid in
-      let seq = issue t ~client ~start_vtid ~work in
-      (* A latched wakeup from an earlier caller's response is possible
-         when clients share the channel; re-check the sequence word. *)
-      let rec wait_response () =
-        let _ = Isa.mwait client in
-        if Int64.compare (Isa.load client t.resp_addr) seq < 0 then wait_response ()
-      in
-      wait_response ())
+  Mailbox.recv t.token;
+  match
+    let start_vtid = match via with Some vtid -> vtid | None -> t.server_ptid in
+    let seq = issue t ~client ~start_vtid ~work in
+    (* A latched wakeup from an earlier caller's response is possible
+       when clients share the channel; re-check the sequence word. *)
+    let rec wait_response () =
+      let _ = Isa.mwait client in
+      if Int64.compare (Isa.load client t.resp_addr) seq < 0 then wait_response ()
+    in
+    wait_response ()
+  with
+  | () -> Mailbox.send t.token ()
+  | exception e ->
+    Mailbox.send t.token ();
+    raise e
 
 type call_error = [ `Lock_timeout | `Response_timeout ]
 
@@ -133,26 +126,23 @@ let pp_call_error ppf = function
   | `Response_timeout -> Format.pp_print_string ppf "response-timeout"
 
 let call_with_deadline t ~client ?via ?(max_retries = 3) ~timeout ~work () =
-  if t.req_seq_addr = None then
-    invalid_arg
-      "Hw_channel.call_with_deadline: channel not created with ~robust:true";
   if timeout <= 0 then
     invalid_arg "Hw_channel.call_with_deadline: timeout must be positive";
   (* The reservation wait is bounded too: a caller parked behind a caller
      whose server died must not inherit the hang. *)
-  if not (Semaphore.acquire_for t.lock ~within:timeout) then Error `Lock_timeout
-  else begin
-    let release () = Semaphore.release t.lock in
+  match Mailbox.recv_for t.token ~within:timeout with
+  | None -> Error `Lock_timeout
+  | Some () ->
     let result =
       let start_vtid = match via with Some vtid -> vtid | None -> t.server_ptid in
       let seq = issue t ~client ~start_vtid ~work in
       (* Absolute deadlines per attempt: a stale or spurious wake re-checks
          and keeps waiting without extending the attempt's budget.
          Timeouts back off exponentially; every retry re-rings the
-         doorbell, which the robust server treats as idempotent. *)
+         doorbell, which the server treats as idempotent. *)
       (* The response word is checked *before* each park: when the
          server's store landed but its monitor delivery was lost, no
-         further write will ever come (the robust server skips served
+         further write will ever come (the server skips served
          sequences), so parking first would sleep through every retry. *)
       let rec attempt n ~budget =
         let deadline = Sim.now () + budget in
@@ -175,9 +165,8 @@ let call_with_deadline t ~client ?via ?(max_retries = 3) ~timeout ~work () =
       in
       attempt 0 ~budget:timeout
     in
-    release ();
+    Mailbox.send t.token ();
     result
-  end
 
 let served t = t.served
 let server_ptid t = t.server_ptid

@@ -7,9 +7,16 @@
     and [stop]s itself.  No mode switch, no scheduler — the cost is two
     hardware-thread hand-offs.
 
+    Every request carries a sequence number, and the server serves only
+    sequences it has not seen, so a start is idempotent: re-ringing a
+    server that already saw the request costs a load and a stop, never a
+    second service.  The caller pays one store for the sequence word and
+    the server one load for it.
+
     One channel = one server thread.  Concurrent callers serialize on a
-    zero-cost software reservation; systems that want concurrency create
-    one channel per client (as the experiments do).
+    zero-cost software reservation (a one-token mailbox, handed over in
+    FIFO order); systems that want concurrency create one channel per
+    client (as the experiments do).
 
     The server can run in {e user} mode — this is how the untrusted
     hypervisor and sandboxed microkernel services get isolation without
@@ -20,19 +27,12 @@ type t
 
 val create :
   Switchless.Chip.t -> core:int -> server_ptid:int ->
-  ?mode:Switchless.Ptid.mode -> ?vector:bool -> ?robust:bool ->
+  ?mode:Switchless.Ptid.mode -> ?vector:bool ->
   ?on_request:(Switchless.Isa.thread -> int64 -> unit) -> unit -> t
 (** Install the server thread (born parked; the first {!call} starts it).
     [on_request server work] overrides the default request handler (which
     is [Isa.exec server work]); use it to model services that touch
-    devices or fault.
-
-    [robust] (default [false]) switches the wire protocol to a
-    sequence-numbered variant in which the server only serves unseen
-    request sequences, making doorbell starts idempotent — required by
-    {!call_with_deadline}, whose retries may re-ring a server that
-    already saw the request.  The default protocol is byte-identical to
-    the original, so existing experiments measure unchanged costs. *)
+    devices or fault. *)
 
 val grant : t -> client:Switchless.Isa.thread -> vtid:int -> unit
 (** Give [client] permission to start the server under [vtid] in its TDT
@@ -63,9 +63,8 @@ val call_with_deadline :
     The reservation wait is bounded by [timeout] cycles; each response
     wait uses [mwait] with a deadline, retrying up to [max_retries]
     (default 3) times with exponentially doubling budgets, re-ringing the
-    server's doorbell on each retry (idempotent thanks to the robust
-    protocol).  Requires a channel created with [~robust:true]; raises
-    [Invalid_argument] otherwise. *)
+    server's doorbell on each retry (idempotent thanks to the sequence
+    word).  Raises [Invalid_argument] when [timeout ≤ 0]. *)
 
 val retry_count : t -> int
 (** Doorbell re-rings issued by timed-out {!call_with_deadline} waits. *)

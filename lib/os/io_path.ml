@@ -20,6 +20,7 @@ module Latency = Sl_workload.Latency
 type stats = {
   processed : int;
   dropped : int;
+  dma_dropped : int;
   latencies : Histogram.t;
   elapsed_cycles : int;
   useful_cycles : float;
@@ -51,17 +52,7 @@ let default_config =
     slo = 30_000;
   }
 
-type recovery = {
-  dma_dropped : int;
-  mwait_timeouts : int;
-  missed_wakeups : int;
-  fallbacks : int;
-  recoveries : int;
-  watchdog_sweeps : int;
-  watchdog_nudges : int;
-}
-
-type result = { lat : Latency.summary; io : stats; recovery : recovery }
+type result = { lat : Latency.summary; io : stats }
 
 type delivery =
   | Mwait
@@ -112,29 +103,17 @@ let background_loop w exec =
   done
 
 (* What a design hands back to [run]: the core whose cycles the stats
-   report, the device ([None]: FlexSC posts requests without one), how an
-   arrival reaches the server, and the hardened path's counters. *)
+   report, the device ([None]: FlexSC posts requests without one), and
+   how an arrival reaches the server. *)
 type server = {
   core : Smt_core.t;
   nic : Nic.t option;
   post : Openloop.request -> unit;
-  recovery : unit -> recovery;
 }
 
-let quiet () =
-  {
-    dma_dropped = 0;
-    mwait_timeouts = 0;
-    missed_wakeups = 0;
-    fallbacks = 0;
-    recoveries = 0;
-    watchdog_sweeps = 0;
-    watchdog_nudges = 0;
-  }
-
-let nic_server core nic recovery =
+let nic_server core nic =
   let inject () = Nic.inject nic in
-  { core; nic = Some nic; post = (fun _ -> Sim.fork inject); recovery }
+  { core; nic = Some nic; post = (fun _ -> Sim.fork inject) }
 
 (* --- the paper's designs: hardware threads on one chip --------------------- *)
 
@@ -174,7 +153,7 @@ let mwait w ~queues =
     Chip.boot net
   done;
   chip_background w chip ~ptid:(queues + 1);
-  nic_server (Chip.exec_core chip 0) nic quiet
+  nic_server (Chip.exec_core chip 0) nic
 
 (* mwait that survives a faulty wakeup substrate: deadline-bounded waits,
    polling after repeated missed wakeups, mwait again once the storm
@@ -184,10 +163,6 @@ let mwait_hardened w ~watchdog =
   let watchdog =
     if watchdog then Some (Watchdog.create chip ~core:0 ~ptid:99 ()) else None
   in
-  let mwait_timeouts = ref 0 in
-  let missed_wakeups = ref 0 in
-  let fallbacks = ref 0 in
-  let recoveries = ref 0 in
   (* Progress lives in [w], outside the body closure: a crash-stopped net
      thread restarts cold and re-runs the body from scratch, and must not
      forget the packets already processed.  Lost packets (descriptor-DMA
@@ -212,7 +187,6 @@ let mwait_hardened w ~watchdog =
              incr empty_checks;
              if !empty_checks >= poll_recovery_checks then begin
                polling := false;
-               incr recoveries;
                Sl_util.Recovery.bump "io.recovery";
                consecutive_misses := 0
              end
@@ -224,17 +198,14 @@ let mwait_hardened w ~watchdog =
            match Isa.mwait_for th ~deadline with
            | Some _ -> consecutive_misses := 0
            | None ->
-             incr mwait_timeouts;
              Sl_util.Recovery.bump "io.mwait_timeout";
              (* Data present but no doorbell woke us: a missed wakeup.
                 A timeout with an empty queue is just idleness. *)
              if Nic.pending nic > 0 then begin
-               incr missed_wakeups;
                Sl_util.Recovery.bump "io.missed_wakeup";
                incr consecutive_misses;
                if !consecutive_misses >= miss_threshold then begin
                  polling := true;
-                 incr fallbacks;
                  Sl_util.Recovery.bump "io.fallback";
                  empty_checks := 0
                end
@@ -246,17 +217,7 @@ let mwait_hardened w ~watchdog =
   Chip.boot net;
   chip_background w chip ~ptid:2;
   Option.iter Watchdog.start watchdog;
-  nic_server (Chip.exec_core chip 0) nic (fun () ->
-      let count f = Option.fold ~none:0 ~some:f watchdog in
-      {
-        dma_dropped = Nic.dma_dropped nic;
-        mwait_timeouts = !mwait_timeouts;
-        missed_wakeups = !missed_wakeups;
-        fallbacks = !fallbacks;
-        recoveries = !recoveries;
-        watchdog_sweeps = count Watchdog.sweeps;
-        watchdog_nudges = count Watchdog.nudges;
-      })
+  nic_server (Chip.exec_core chip 0) nic
 
 (* The kernel-bypass status quo: spin on the queue, paying [poll_gap]
    Poll cycles per empty check. *)
@@ -273,7 +234,7 @@ let polling w =
       done);
   Chip.boot poller;
   chip_background w chip ~ptid:2;
-  nic_server (Chip.exec_core chip 0) nic quiet
+  nic_server (Chip.exec_core chip 0) nic
 
 (* --- the kernel status quo: a legacy IRQ and a software scheduler ---------- *)
 
@@ -344,7 +305,7 @@ let irq_wake w ~napi =
         drain ()
       done);
   kernel_background w sched;
-  nic_server (Swsched.cores sched).(0) nic quiet
+  nic_server (Swsched.cores sched).(0) nic
 
 (* One hardirq per packet: the handler pulls the descriptor, runs the
    scheduler, and only then publishes the packet to the app's backlog.
@@ -366,7 +327,7 @@ let irq_backlog w =
         served w pkt.Nic.injected_at
       done);
   kernel_background w sched;
-  nic_server (Swsched.cores sched).(0) nic quiet
+  nic_server (Swsched.cores sched).(0) nic
 
 (* FlexSC-style serving ({!Sl_baseline.Flexsc}): arrivals are posted
    entries and the kernel worker runs them in batches.  There is no
@@ -386,7 +347,7 @@ let flexsc w =
         Smt_core.set_runnable core ~ptid ~weight:0.25 true;
         background_loop w (fun n ->
             Smt_core.execute core ~ptid ~kind:Smt_core.Useful n));
-  { core; nic = None; post = Flexsc.post worker; recovery = quiet }
+  { core; nic = None; post = Flexsc.post worker }
 
 (* --- the builder ------------------------------------------------------------ *)
 
@@ -415,7 +376,7 @@ let run ?(background = false) delivery (cfg : config) =
     | Napi -> irq_wake w ~napi:true
     | Flexsc -> flexsc w
   in
-  Openloop.run_arrivals w.sim (Sl_util.Rng.create cfg.seed) ~arrivals:cfg.arrivals
+  Openloop.run w.sim (Sl_util.Rng.create cfg.seed) ~arrivals:cfg.arrivals
     ~service:cfg.service ~count:cfg.count
     ~sink:(fun req ->
       w.services.(req.Openloop.req_id) <- req.Openloop.service_cycles;
@@ -427,6 +388,7 @@ let run ?(background = false) delivery (cfg : config) =
     {
       processed = Latency.count w.lat;
       dropped = Option.fold ~none:0 ~some:Nic.dropped s.nic;
+      dma_dropped = Option.fold ~none:0 ~some:Nic.dma_dropped s.nic;
       latencies = Latency.hist w.lat;
       elapsed_cycles = elapsed;
       useful_cycles = Smt_core.work_done s.core Smt_core.Useful;
@@ -435,7 +397,7 @@ let run ?(background = false) delivery (cfg : config) =
       background_cycles = w.background_done;
     }
   in
-  { lat = Latency.summarize w.lat ~elapsed; io; recovery = s.recovery () }
+  { lat = Latency.summarize w.lat ~elapsed; io }
 
 let run_load_mwait cfg = run Mwait cfg
 let run_load_polling cfg = run Polling cfg

@@ -13,6 +13,7 @@
 type stats = {
   processed : int;
   dropped : int;  (** Ring-full drops at the NIC. *)
+  dma_dropped : int;  (** Packets lost to injected descriptor-DMA drops. *)
   latencies : Sl_util.Histogram.t;
   elapsed_cycles : Sl_engine.Sim.Time.t;
   useful_cycles : float;  (** Packet + background work. *)
@@ -38,22 +39,10 @@ val default_config : config
     of one serving pipe), 2000 requests, 10 µs SLO (30 000 cycles @
     3 GHz). *)
 
-type recovery = {
-  dma_dropped : int;  (** Packets lost to injected descriptor-DMA drops. *)
-  mwait_timeouts : int;  (** mwait deadline expiries (incl. pure idleness). *)
-  missed_wakeups : int;  (** Expiries that found data already pending. *)
-  fallbacks : int;  (** mwait → polling degradations. *)
-  recoveries : int;  (** polling → mwait restorations. *)
-  watchdog_sweeps : int;
-  watchdog_nudges : int;
-}
-(** The hardened path's counters; all zero for the other designs. *)
-
 type result = {
   lat : Sl_workload.Latency.summary;
       (** Sojourn quantiles + SLO misses + goodput. *)
   io : stats;  (** The cycle-accounting breakdown. *)
-  recovery : recovery;
 }
 
 type delivery =
@@ -68,6 +57,11 @@ type delivery =
           consecutive empty checks suggest the storm has passed.  Packets
           lost to descriptor-DMA or ring-full drops count towards
           completion, so the run terminates even when requests vanish.
+          The path counts its recoveries in {!Sl_util.Recovery}: the
+          sites [io.mwait_timeout] (every expiry, idleness included),
+          [io.missed_wakeup] (an expiry that found data pending),
+          [io.fallback] (mwait → polling), [io.recovery] (polling →
+          mwait) and [io.crash_restart].
           Progress survives crash-stops: a cold-restarted thread re-arms
           its monitor and resumes from the shared processed count.
           [watchdog] also runs a {!Watchdog} thread on the same core.

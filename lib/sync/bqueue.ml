@@ -14,11 +14,11 @@ type t = {
   mutable consumed : int;
 }
 
-let create ?(kind = Lock.Park_mwait) ?patience chip ~capacity =
+let create chip ~capacity =
   if capacity <= 0 then invalid_arg "Sl_sync.Bqueue.create: capacity must be positive";
   {
     chip;
-    lk = Lock.create ?patience chip kind;
+    lk = Lock.create chip Lock.Park_mwait;
     not_full = Condvar.create chip;
     not_empty = Condvar.create chip;
     ring = Memory.alloc (Chip.memory chip) capacity;

@@ -9,9 +9,9 @@ module Chip = Switchless.Chip
 
 type t
 
-val create : ?kind:Lock.kind -> ?patience:int -> Chip.t -> capacity:int -> t
-(** Default lock kind is [Park_mwait] — the paper's design.  [patience]
-    is passed through to the lock (see {!Lock.create}). *)
+val create : Chip.t -> capacity:int -> t
+(** The lock is a [Park_mwait] lock — the paper's design — that parks
+    without a deadline. *)
 
 val lock : t -> Lock.t
 

@@ -1,5 +1,4 @@
 type t = {
-  precision : int;  (* sub-bucket bits per octave *)
   mutable buckets : int array;  (* grows on demand *)
   mutable count : int;
   mutable total : float;  (* running sum for the mean *)
@@ -7,11 +6,10 @@ type t = {
   mutable max_v : int;
 }
 
-let create ?(precision = 7) () =
-  if precision < 1 || precision > 14 then
-    invalid_arg "Histogram.create: precision must be in 1..14";
+let precision = 7  (* sub-bucket bits per octave *)
+
+let create () =
   {
-    precision;
     buckets = Array.make (1 lsl (precision + 2)) 0;
     count = 0;
     total = 0.0;
@@ -24,27 +22,27 @@ let create ?(precision = 7) () =
    2^precision sub-buckets indexed by the top [precision] bits below the
    leading one. *)
 
-let index_of t v =
-  let sub = 1 lsl t.precision in
+let index_of v =
+  let sub = 1 lsl precision in
   if v < sub then v
   else begin
     (* Position of the leading one bit; v >= sub so k >= precision. *)
     let rec leading_one n acc = if n <= 1 then acc else leading_one (n lsr 1) (acc + 1) in
     let k = leading_one v 0 in
-    let octave = k - t.precision in
+    let octave = k - precision in
     let within = (v lsr octave) land (sub - 1) in
     sub + (octave * sub) + within
   end
 
 (* Upper bound of the bucket's value range, so quantiles are conservative. *)
-let value_of t idx =
-  let sub = 1 lsl t.precision in
+let value_of idx =
+  let sub = 1 lsl precision in
   if idx < sub then idx
   else begin
     let idx' = idx - sub in
     let octave = idx' / sub in
     let within = idx' mod sub in
-    let k = octave + t.precision in
+    let k = octave + precision in
     let step = 1 lsl octave in
     let lo = (1 lsl k) + (within * step) in
     lo + step - 1
@@ -62,7 +60,7 @@ let ensure_capacity t idx =
 let record_n t v n =
   if v < 0 then invalid_arg "Histogram.record: negative value";
   if n > 0 then begin
-    let idx = index_of t v in
+    let idx = index_of v in
     ensure_capacity t idx;
     t.buckets.(idx) <- t.buckets.(idx) + n;
     if t.count = 0 then begin
@@ -95,7 +93,7 @@ let quantile t q =
        for i = 0 to Array.length t.buckets - 1 do
          acc := !acc + t.buckets.(i);
          if (not !found) && !acc >= rank then begin
-           result := value_of t i;
+           result := value_of i;
            found := true;
            raise Exit
          end
@@ -106,8 +104,6 @@ let quantile t q =
   end
 
 let merge_into ~dst src =
-  if dst.precision <> src.precision then
-    invalid_arg "Histogram.merge_into: precision mismatch";
   ensure_capacity dst (Array.length src.buckets - 1);
   Array.iteri (fun i n -> if n > 0 then dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets;
   if src.count > 0 then begin

@@ -1,18 +1,15 @@
 (** Log-bucketed latency histograms (HdrHistogram-style).
 
     Values are non-negative integers (cycle counts in this project).  The
-    histogram keeps a fixed number of sub-buckets per power-of-two range,
-    giving a bounded relative error on reported quantiles — [precision]
-    sub-bucket bits bound the error by 2^-precision.  Recording is O(1) and
-    allocation-free, so histograms can be updated on the simulator's hot
-    path. *)
+    histogram keeps 2^7 sub-buckets per power-of-two range, bounding the
+    relative error of reported quantiles by 2^-7 (≤ 0.8%).  Recording is
+    O(1) and allocation-free, so histograms can be updated on the
+    simulator's hot path. *)
 
 type t
 
-val create : ?precision:int -> unit -> t
-(** [create ~precision ()] makes an empty histogram.  [precision] is the
-    number of sub-bucket bits per octave (default 7, i.e. ≤ 0.8% relative
-    quantile error).  Allowed range: 1–14. *)
+val create : unit -> t
+(** An empty histogram. *)
 
 val record : t -> int -> unit
 (** [record t v] adds one observation.  Negative values raise
@@ -38,8 +35,7 @@ val quantile : t -> float -> int
     bucket value at or above the requested rank.  [0] when empty. *)
 
 val merge_into : dst:t -> t -> unit
-(** [merge_into ~dst src] adds all of [src]'s observations to [dst].  Both
-    histograms must share the same precision. *)
+(** [merge_into ~dst src] adds all of [src]'s observations to [dst]. *)
 
 val reset : t -> unit
 (** Forget all observations. *)

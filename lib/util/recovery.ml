@@ -4,9 +4,9 @@
 let table : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
-let bump ?(n = 1) site =
+let bump site =
   let t = Domain.DLS.get table in
-  Hashtbl.replace t site (n + Option.value ~default:0 (Hashtbl.find_opt t site))
+  Hashtbl.replace t site (1 + Option.value ~default:0 (Hashtbl.find_opt t site))
 
 let get site =
   Option.value ~default:0 (Hashtbl.find_opt (Domain.DLS.get table) site)

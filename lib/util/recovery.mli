@@ -13,9 +13,9 @@
     runners never observe each other's recoveries; reset the registry at
     the start of each run whose counts you want isolated. *)
 
-val bump : ?n:int -> string -> unit
-(** [bump site] increments [site] by [n] (default 1) in this domain's
-    registry, creating it at 0 first. *)
+val bump : string -> unit
+(** [bump site] increments [site] by one in this domain's registry,
+    creating it at 0 first. *)
 
 val get : string -> int
 (** Current count for one site, 0 if never bumped. *)

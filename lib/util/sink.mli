@@ -14,10 +14,7 @@ val emit : string -> unit
 val printf : ('a, unit, string, unit) format4 -> 'a
 (** [Printf]-style formatting into {!emit}. *)
 
-val with_sink : (string -> unit) -> (unit -> 'a) -> 'a
-(** [with_sink f fn] runs [fn] with the calling domain's sink replaced
-    by [f], restoring the previous sink afterwards (also on raise). *)
-
 val with_buffer : (unit -> 'a) -> 'a * string
 (** [with_buffer fn] runs [fn] with the sink redirected into a fresh
-    buffer and returns [fn]'s result alongside everything it emitted. *)
+    buffer and returns [fn]'s result alongside everything it emitted.
+    The previous sink is restored afterwards (also on raise). *)

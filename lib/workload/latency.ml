@@ -18,9 +18,9 @@ type summary = {
   goodput_per_kcycle : float;
 }
 
-let create ?precision ~slo () =
+let create ~slo () =
   if slo < 0 then invalid_arg "Latency.create: slo must be non-negative";
-  { hist = Histogram.create ?precision (); slo; slo_miss = 0 }
+  { hist = Histogram.create (); slo; slo_miss = 0 }
 
 let record t sojourn =
   Histogram.record t.hist sojourn;

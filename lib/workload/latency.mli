@@ -23,9 +23,9 @@ type summary = {
       (** SLO-compliant completions per 1000 cycles of elapsed time. *)
 }
 
-val create : ?precision:int -> slo:int -> unit -> t
+val create : slo:int -> unit -> t
 (** [create ~slo ()] makes an empty recorder with the given latency SLO in
-    cycles.  [precision] is forwarded to {!Sl_util.Histogram.create}. *)
+    cycles. *)
 
 val record : t -> int -> unit
 (** [record t sojourn] adds one completion; counts an SLO miss when

@@ -2,7 +2,7 @@ module Sim = Sl_engine.Sim
 
 type request = { req_id : int; arrival : int; service_cycles : int }
 
-let run_arrivals sim rng ~arrivals ~service ~count ~sink =
+let run sim rng ~arrivals ~service ~count ~sink =
   Sim.spawn sim (fun () ->
       let next_gap = Arrivals.sampler arrivals rng in
       for req_id = 0 to count - 1 do
@@ -13,14 +13,6 @@ let run_arrivals sim rng ~arrivals ~service ~count ~sink =
         in
         sink { req_id; arrival = Sim.now (); service_cycles }
       done)
-
-let run sim rng ~interarrival ~service ~count ~sink =
-  run_arrivals sim rng ~arrivals:(Arrivals.Stationary interarrival) ~service
-    ~count ~sink
-
-let poisson ~rate_per_kcycle =
-  if rate_per_kcycle <= 0.0 then invalid_arg "Openloop.poisson: rate must be positive";
-  Sl_util.Dist.Exponential (1000.0 /. rate_per_kcycle)
 
 let utilization ~rate_per_kcycle ~mean_service ~servers =
   rate_per_kcycle /. 1000.0 *. mean_service /. servers

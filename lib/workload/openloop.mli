@@ -12,26 +12,14 @@ type request = {
 }
 
 val run :
-  Sl_engine.Sim.t -> Sl_util.Rng.t -> interarrival:Sl_util.Dist.t ->
+  Sl_engine.Sim.t -> Sl_util.Rng.t -> arrivals:Arrivals.t ->
   service:Sl_util.Dist.t -> count:int -> sink:(request -> unit) -> unit
 (** Spawn a generator process emitting [count] requests; [sink] is invoked
     from the generator process at each arrival instant (it may fork, send
-    to a mailbox, inject into a device, …).  Inter-arrival gaps and
-    service demands are sampled per request (clamped to ≥ 1 cycle and ≥ 0
-    cycles respectively).  Equivalent to {!run_arrivals} with
-    [Arrivals.Stationary interarrival] — same RNG stream, same schedule. *)
-
-val run_arrivals :
-  Sl_engine.Sim.t -> Sl_util.Rng.t -> arrivals:Arrivals.t ->
-  service:Sl_util.Dist.t -> count:int -> sink:(request -> unit) -> unit
-(** {!run} generalized over the arrival process: gaps come from
-    {!Arrivals.sampler} (Poisson, bursty MMPP, …), service demands are
-    drawn from [service] on the same RNG stream, one gap then one demand
-    per request. *)
-
-val poisson : rate_per_kcycle:float -> Sl_util.Dist.t
-(** Exponential inter-arrivals for the given mean rate (requests per 1000
-    cycles) — the usual M/G arrival side. *)
+    to a mailbox, inject into a device, …).  Gaps come from
+    {!Arrivals.sampler} (Poisson, bursty MMPP, …; clamped to ≥ 1 cycle),
+    service demands are drawn from [service] on the same RNG stream
+    (clamped to ≥ 0 cycles), one gap then one demand per request. *)
 
 val utilization :
   rate_per_kcycle:float -> mean_service:float -> servers:float -> float

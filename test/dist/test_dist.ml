@@ -8,6 +8,7 @@ module Ptid = Switchless.Ptid
 module Dist = Sl_util.Dist
 module Rng = Sl_util.Rng
 module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 module Server = Sl_dist.Server
 module Sched_policy = Sl_dist.Sched_policy
 module Rpc = Sl_dist.Rpc
@@ -25,7 +26,7 @@ let request_stream (cfg : Server.config) =
   let rng = Rng.create cfg.Server.seed in
   let acc = ref [] in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:cfg.Server.rate_per_kcycle)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:cfg.Server.rate_per_kcycle)
     ~service:cfg.Server.service ~count:cfg.Server.count
     ~sink:(fun req ->
       acc := (req.Openloop.arrival, req.Openloop.service_cycles) :: !acc);

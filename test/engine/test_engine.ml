@@ -4,7 +4,6 @@ module Sim = Sl_engine.Sim
 module Ivar = Sl_engine.Ivar
 module Signal = Sl_engine.Signal
 module Mailbox = Sl_engine.Mailbox
-module Semaphore = Sl_engine.Semaphore
 module Pqueue = Sl_engine.Pqueue
 module Wheel = Sl_engine.Wheel
 module Arena = Sl_util.Arena
@@ -350,47 +349,65 @@ let test_mailbox_try_recv () =
   Alcotest.(check (option int)) "item" (Some 5) (Mailbox.try_recv mb);
   check_int "length" 0 (Mailbox.length mb)
 
-(* --- Semaphore --- *)
-
-let test_semaphore_mutual_exclusion () =
+(* A one-token mailbox is a mutex: receiving takes the token, sending
+   it back hands it to the longest-blocked receiver. *)
+let test_mailbox_one_token_mutual_exclusion () =
   let sim = Sim.create () in
-  let sem = Semaphore.create 1 in
+  let token = Mailbox.create () in
+  Mailbox.send token ();
   let inside = ref 0 and max_inside = ref 0 in
   for _ = 1 to 4 do
     Sim.spawn sim (fun () ->
-        Semaphore.with_permit sem (fun () ->
-            incr inside;
-            max_inside := max !max_inside !inside;
-            Sim.delay 10;
-            decr inside))
+        Mailbox.recv token;
+        incr inside;
+        max_inside := max !max_inside !inside;
+        Sim.delay 10;
+        decr inside;
+        Mailbox.send token ())
   done;
   Sim.run sim;
   check_int "never two inside" 1 !max_inside;
   check_int "serialized" 40 (Sim.time sim)
 
-let test_semaphore_fifo_wakeup () =
+let test_mailbox_fifo_wakeup () =
   let sim = Sim.create () in
-  let sem = Semaphore.create 0 in
+  let mb = Mailbox.create () in
   let order = ref [] in
   for i = 1 to 3 do
     Sim.spawn sim (fun () ->
-        Semaphore.acquire sem;
+        Mailbox.recv mb;
         order := i :: !order)
   done;
   Sim.spawn sim (fun () ->
       Sim.delay 1;
       for _ = 1 to 3 do
-        Semaphore.release sem
+        Mailbox.send mb ()
       done);
   Sim.run sim;
   Alcotest.(check (list int)) "fifo" [ 3; 2; 1 ] !order
 
-let test_semaphore_try_acquire () =
-  let sem = Semaphore.create 1 in
-  check_bool "first" true (Semaphore.try_acquire sem);
-  check_bool "second" false (Semaphore.try_acquire sem);
-  Semaphore.release sem;
-  check_int "available" 1 (Semaphore.available sem)
+(* A receiver that timed out leaves nothing behind: a message sent later
+   goes to the receiver queued after it, not to the dead waiter. *)
+let test_mailbox_recv_for_timeout () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let timed_out = ref (Some (-1)) and timed_out_at = ref 0 in
+  let got = ref 0 and got_at = ref 0 in
+  Sim.spawn sim (fun () ->
+      timed_out := Mailbox.recv_for mb ~within:30;
+      timed_out_at := Sim.now ());
+  Sim.spawn sim (fun () ->
+      Sim.delay 40;
+      got := Mailbox.recv mb;
+      got_at := Sim.now ());
+  Sim.spawn sim (fun () ->
+      Sim.delay 50;
+      Mailbox.send mb 7);
+  Sim.run sim;
+  Alcotest.(check (option int)) "gave up" None !timed_out;
+  check_int "at within" 30 !timed_out_at;
+  check_int "next recv got it" 7 !got;
+  check_int "at send time" 50 !got_at
 
 (* --- Trace --- *)
 
@@ -755,12 +772,11 @@ let () =
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocking recv" `Quick test_mailbox_blocking_recv;
           Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
-        ] );
-      ( "semaphore",
-        [
-          Alcotest.test_case "mutual exclusion" `Quick test_semaphore_mutual_exclusion;
-          Alcotest.test_case "fifo wakeup" `Quick test_semaphore_fifo_wakeup;
-          Alcotest.test_case "try_acquire" `Quick test_semaphore_try_acquire;
+          Alcotest.test_case "one-token mutual exclusion" `Quick
+            test_mailbox_one_token_mutual_exclusion;
+          Alcotest.test_case "fifo wakeup" `Quick test_mailbox_fifo_wakeup;
+          Alcotest.test_case "recv_for timeout" `Quick
+            test_mailbox_recv_for_timeout;
         ] );
       ( "trace",
         [

@@ -1,6 +1,6 @@
-(* Failure-hardened OS paths: the robust channel protocol, bounded
-   channel calls (lock + response timeouts), the watchdog sweep, and the
-   degraded-mode I/O loop. *)
+(* Failure-hardened OS paths: the sequence-numbered channel protocol,
+   bounded channel calls (lock + response timeouts), the watchdog sweep,
+   and the degraded-mode I/O loop. *)
 
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
@@ -13,18 +13,19 @@ module Hw_channel = Sl_os.Hw_channel
 module Watchdog = Sl_os.Watchdog
 module Io_path = Sl_os.Io_path
 module Fault = Sl_fault.Fault
+module Recovery = Sl_util.Recovery
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let p = Params.default
 
-(* --- robust protocol, healthy substrate ---------------------------------- *)
+(* --- sequence-numbered protocol, healthy substrate ------------------------ *)
 
 let test_robust_channel_serves_all () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 ~robust:true () in
+  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 () in
   let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach client (fun th ->
       for _ = 1 to 20 do
@@ -38,7 +39,7 @@ let test_robust_channel_serves_all () =
 let test_call_with_deadline_ok_when_healthy () =
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
-  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 ~robust:true () in
+  let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 () in
   let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   let oks = ref 0 in
   Chip.attach client (fun th ->
@@ -55,21 +56,33 @@ let test_call_with_deadline_ok_when_healthy () =
   check_int "all calls ok" 20 !oks;
   check_int "no retries" 0 (Hw_channel.retry_count ch)
 
-let test_call_with_deadline_requires_robust () =
+(* Every start is idempotent: a start that carries no new request (here
+   rung by a second supervisor thread) finds the sequence word already
+   served and stops without serving the stale request again. *)
+let test_duplicate_start_served_once () =
   let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
+  let chip = Chip.create sim p ~cores:3 in
   let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 () in
   let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
-  let raised = ref false in
+  let ringer = Chip.add_thread chip ~core:2 ~ptid:2 ~mode:Ptid.Supervisor () in
+  let served = ref [] in
+  let note () = served := Hw_channel.served ch :: !served in
+  Chip.attach ringer (fun th ->
+      Isa.exec th 2_000;  (* well after the first call returned *)
+      Isa.start th ~vtid:(Hw_channel.server_ptid ch));
   Chip.attach client (fun th ->
-      match
-        Hw_channel.call_with_deadline ch ~client:th ~timeout:1_000 ~work:1 ()
-      with
-      | _ -> ()
-      | exception Invalid_argument _ -> raised := true);
+      Hw_channel.call ch ~client:th ~work:100 ();
+      note ();
+      Isa.exec th 5_000;  (* the duplicate start lands in here *)
+      note ();
+      Hw_channel.call ch ~client:th ~work:100 ();
+      note ());
   Chip.boot client;
+  Chip.boot ringer;
   Sim.run sim;
-  check_bool "classic channel rejected" true !raised
+  Alcotest.(check (list int)) "served after call, duplicate start, call"
+    [ 1; 1; 2 ] (List.rev !served);
+  check_int "served in all" 2 (Hw_channel.served ch)
 
 (* --- timeouts behind a wedged server -------------------------------------- *)
 
@@ -82,7 +95,7 @@ let test_wedged_server_times_out_both_callers () =
   let chip = Chip.create sim p ~cores:2 in
   let dead_addr = Memory.alloc (Chip.memory chip) 1 in
   let ch =
-    Hw_channel.create chip ~core:1 ~server_ptid:10 ~robust:true
+    Hw_channel.create chip ~core:1 ~server_ptid:10
       ~on_request:(fun th _work ->
         Isa.monitor th dead_addr;
         let _ = Isa.mwait th in
@@ -124,7 +137,7 @@ let run_faulted_calls plan =
   Fault.with_ambient inj (fun () ->
       let sim = Sim.create () in
       let chip = Chip.create sim p ~cores:2 in
-      let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 ~robust:true () in
+      let ch = Hw_channel.create chip ~core:1 ~server_ptid:10 () in
       let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
       let oks = ref 0 in
       Chip.attach client (fun th ->
@@ -221,7 +234,10 @@ let test_watchdog_leaves_healthy_threads_alone () =
 
 let io_cfg = { Io_path.default_config with Io_path.count = 300 }
 
+(* The hardened path counts its recoveries in the domain's registry;
+   reset it so each case sees only its own run. *)
 let hardened cfg =
+  Recovery.reset ();
   Io_path.run (Io_path.Mwait_hardened { watchdog = false; horizon = None }) cfg
 
 let test_hardened_io_matches_mwait_when_healthy () =
@@ -229,8 +245,8 @@ let test_hardened_io_matches_mwait_when_healthy () =
   let r = hardened io_cfg in
   check_int "same packets processed" plain.Io_path.processed
     r.Io_path.io.Io_path.processed;
-  check_int "no fallbacks" 0 r.Io_path.recovery.Io_path.fallbacks;
-  check_int "no missed wakeups" 0 r.Io_path.recovery.Io_path.missed_wakeups
+  check_int "no fallbacks" 0 (Recovery.get "io.fallback");
+  check_int "no missed wakeups" 0 (Recovery.get "io.missed_wakeup")
 
 let test_hardened_io_survives_total_doorbell_loss () =
   (* Every doorbell lost: pure deadline-driven operation must still
@@ -240,16 +256,16 @@ let test_hardened_io_survives_total_doorbell_loss () =
   let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
   check_int "all packets processed" io_cfg.Io_path.count
     r.Io_path.io.Io_path.processed;
-  check_bool "fell back to polling" true (r.Io_path.recovery.Io_path.fallbacks > 0)
+  check_bool "fell back to polling" true (Recovery.get "io.fallback" > 0)
 
 let test_hardened_io_accounts_for_vanished_packets () =
   let plan = { Fault.none with Fault.seed = 32L; nic_dma_drop = 0.2 } in
   let inj = Fault.create plan in
   let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
-  let dma_dropped = r.Io_path.recovery.Io_path.dma_dropped in
-  check_bool "some packets vanished" true (dma_dropped > 0);
+  let io = r.Io_path.io in
+  check_bool "some packets vanished" true (io.Io_path.dma_dropped > 0);
   check_int "processed + vanished = offered" io_cfg.Io_path.count
-    (r.Io_path.io.Io_path.processed + dma_dropped + r.Io_path.io.Io_path.dropped)
+    (io.Io_path.processed + io.Io_path.dma_dropped + io.Io_path.dropped)
 
 let () =
   Alcotest.run "hardening"
@@ -259,8 +275,8 @@ let () =
           Alcotest.test_case "serves all" `Quick test_robust_channel_serves_all;
           Alcotest.test_case "deadline ok when healthy" `Quick
             test_call_with_deadline_ok_when_healthy;
-          Alcotest.test_case "requires robust" `Quick
-            test_call_with_deadline_requires_robust;
+          Alcotest.test_case "a duplicate start is served once" `Quick
+            test_duplicate_start_served_once;
           Alcotest.test_case "wedged server times out" `Quick
             test_wedged_server_times_out_both_callers;
           Alcotest.test_case "recovers lost wakeups" `Quick

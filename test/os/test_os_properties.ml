@@ -101,7 +101,7 @@ let deliveries =
     ]
 
 (* Replay the request stream's draws: same seed, same order as
-   [Openloop.run_arrivals] (gap, then demand, on one stream). *)
+   [Openloop.run] (gap, then demand, on one stream). *)
 let total_demand (cfg : Io_path.config) =
   let rng = Rng.create cfg.Io_path.seed in
   let next_gap = Arrivals.sampler cfg.Io_path.arrivals rng in

@@ -37,13 +37,13 @@ let test_trap_mean () =
     [ 1; 200 ]
 
 (* Hardware channel: the first call's placement costs land in the
-   warm-up, so even a single timed call shows the steady 58 cycles. *)
+   warm-up, so even a single timed call shows the steady 60 cycles. *)
 let test_hw_mean () =
   List.iter
     (fun calls ->
       List.iter
         (fun work ->
-          check_mean (Printf.sprintf "hw calls=%d work=%d" calls work) (58 + work)
+          check_mean (Printf.sprintf "hw calls=%d work=%d" calls work) (60 + work)
             (hw ~calls work))
         [ 0; 500; 2000 ])
     [ 1; 200 ]
@@ -61,7 +61,7 @@ let () =
       ( "builder",
         [
           Alcotest.test_case "trap mean is 450 + work" `Quick test_trap_mean;
-          Alcotest.test_case "hw mean is 58 + work" `Quick test_hw_mean;
+          Alcotest.test_case "hw mean is 60 + work" `Quick test_hw_mean;
           Alcotest.test_case "hardware returns its chip" `Quick test_hardware_returns_its_chip;
         ] );
     ]

@@ -17,7 +17,7 @@ let test_emits_exactly_count () =
   let sim = Sim.create () in
   let rng = Rng.create 1L in
   let seen = ref [] in
-  Openloop.run sim rng ~interarrival:(Dist.Constant 100.0)
+  Openloop.run sim rng ~arrivals:(Arrivals.Stationary (Dist.Constant 100.0))
     ~service:(Dist.Constant 50.0) ~count:25
     ~sink:(fun req -> seen := req :: !seen);
   Sim.run sim;
@@ -29,7 +29,7 @@ let test_constant_interarrival_schedule () =
   let sim = Sim.create () in
   let rng = Rng.create 1L in
   let times = ref [] in
-  Openloop.run sim rng ~interarrival:(Dist.Constant 100.0)
+  Openloop.run sim rng ~arrivals:(Arrivals.Stationary (Dist.Constant 100.0))
     ~service:(Dist.Constant 1.0) ~count:3
     ~sink:(fun req -> times := req.Openloop.arrival :: !times);
   Sim.run sim;
@@ -41,7 +41,7 @@ let test_arrivals_monotone_and_open_loop () =
   let last = ref 0 in
   let ok = ref true in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:2.0)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:2.0)
     ~service:(Dist.Exponential 500.0) ~count:500
     ~sink:(fun req ->
       if req.Openloop.arrival < !last then ok := false;
@@ -55,7 +55,7 @@ let test_poisson_rate_roughly_matches () =
   let n = 20_000 in
   let last = ref 0 in
   Openloop.run sim rng
-    ~interarrival:(Openloop.poisson ~rate_per_kcycle:1.0)
+    ~arrivals:(Arrivals.poisson ~rate_per_kcycle:1.0)
     ~service:(Dist.Constant 0.0) ~count:n
     ~sink:(fun req -> last := req.Openloop.arrival);
   Sim.run sim;
@@ -67,7 +67,7 @@ let test_service_never_negative () =
   let sim = Sim.create () in
   let rng = Rng.create 5L in
   let ok = ref true in
-  Openloop.run sim rng ~interarrival:(Dist.Constant 10.0)
+  Openloop.run sim rng ~arrivals:(Arrivals.Stationary (Dist.Constant 10.0))
     ~service:(Dist.Lognormal { mu = 2.0; sigma = 2.0 })
     ~count:2000
     ~sink:(fun req -> if req.Openloop.service_cycles < 0 then ok := false);
@@ -76,10 +76,7 @@ let test_service_never_negative () =
 
 let test_utilization_formula () =
   Alcotest.(check (float 1e-9)) "rho" 0.5
-    (Openloop.utilization ~rate_per_kcycle:1.0 ~mean_service:1000.0 ~servers:2.0);
-  Alcotest.check_raises "bad rate"
-    (Invalid_argument "Openloop.poisson: rate must be positive") (fun () ->
-      ignore (Openloop.poisson ~rate_per_kcycle:0.0))
+    (Openloop.utilization ~rate_per_kcycle:1.0 ~mean_service:1000.0 ~servers:2.0)
 
 (* --- arrival processes ---------------------------------------------------- *)
 
@@ -111,34 +108,22 @@ let replay_arrivals process seed count =
   let sim = Sim.create () in
   let rng = Rng.create seed in
   let acc = ref [] in
-  Openloop.run_arrivals sim rng ~arrivals:process ~service:(Dist.Exponential 700.0)
+  Openloop.run sim rng ~arrivals:process ~service:(Dist.Exponential 700.0)
     ~count
     ~sink:(fun req ->
       acc := (req.Openloop.arrival, req.Openloop.service_cycles) :: !acc);
   Sim.run sim;
   List.rev !acc
 
-let test_run_equals_run_arrivals_stationary () =
-  (* [Openloop.run] is documented as [run_arrivals] over a stationary
-     process: with equal seeds the two must emit identical streams. *)
-  let seed = 13L and count = 400 in
-  let via_run =
-    let sim = Sim.create () in
-    let rng = Rng.create seed in
-    let acc = ref [] in
-    Openloop.run sim rng
-      ~interarrival:(Openloop.poisson ~rate_per_kcycle:0.5)
-      ~service:(Dist.Exponential 700.0) ~count
-      ~sink:(fun req ->
-        acc := (req.Openloop.arrival, req.Openloop.service_cycles) :: !acc);
-    Sim.run sim;
-    List.rev !acc
-  in
-  let via_arrivals =
-    replay_arrivals (Arrivals.poisson ~rate_per_kcycle:0.5) seed count
-  in
+let test_poisson_stream_pinned () =
+  (* The first requests of a seed-13 Poisson stream at 0.5/kcycle with
+     Exponential 700 demands: one gap, then one demand, per request on
+     one RNG stream.  Any change to the generator's draw order moves
+     these numbers. *)
   Alcotest.(check (list (pair int int)))
-    "identical arrival/service stream" via_run via_arrivals
+    "seed 13, first five (arrival, demand)"
+    [ (2928, 278); (4931, 241); (8322, 300); (10910, 349); (11385, 848) ]
+    (replay_arrivals (Arrivals.poisson ~rate_per_kcycle:0.5) 13L 5)
 
 let empirical_rate process n =
   let draw = Arrivals.sampler process (Rng.create 77L) in
@@ -154,7 +139,10 @@ let test_mean_rate_analytic () =
   (* Equal dwells at (1±a)·r average back to r. *)
   Alcotest.(check (float 1e-6)) "bursty mean rate" 0.6
     (Arrivals.mean_rate_per_kcycle
-       (Arrivals.bursty ~rate_per_kcycle:0.6 ~amplitude:0.9 ~mean_dwell:4000.0))
+       (Arrivals.bursty ~rate_per_kcycle:0.6 ~amplitude:0.9 ~mean_dwell:4000.0));
+  Alcotest.check_raises "bad rate"
+    (Invalid_argument "Arrivals.poisson: rate must be positive") (fun () ->
+      ignore (Arrivals.poisson ~rate_per_kcycle:0.0))
 
 let test_empirical_rate_matches_mean () =
   (* KS-style sanity on the first moment: the realized arrival rate of a
@@ -283,8 +271,8 @@ let () =
       ( "arrivals",
         [
           Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;
-          Alcotest.test_case "run == run_arrivals" `Quick
-            test_run_equals_run_arrivals_stationary;
+          Alcotest.test_case "poisson stream pinned" `Quick
+            test_poisson_stream_pinned;
           Alcotest.test_case "mean rate analytic" `Quick test_mean_rate_analytic;
           Alcotest.test_case "empirical rate matches" `Quick
             test_empirical_rate_matches_mean;
