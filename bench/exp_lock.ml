@@ -2,7 +2,7 @@
 
    The paper's pitch applied to locks: blocking on a contended lock via
    monitor/mwait costs nothing while waiting, where today's locks pick
-   between spin-waste and the park/unpark context-switch tax.  Five
+   between spin-waste and the park/unpark context-switch tax.  Six
    designs over the same simulated lock word (see lib/sync/lock.mli):
    TAS and ticket spinlocks, MCS in spin and mwait flavors, a software
    futex baseline (park.sw) paying the full cost-model switch tax, and
@@ -36,10 +36,10 @@ module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
 module Memory = Switchless.Memory
-module Smt_core = Switchless.Smt_core
 module Lock = Sl_sync.Lock
 module Atomics = Sl_sync.Atomics
 module Bqueue = Sl_sync.Bqueue
+module Contention = Sl_os.Contention
 module Histogram = Sl_util.Histogram
 module Tablefmt = Sl_util.Tablefmt
 
@@ -51,71 +51,26 @@ let params = { p with Params.monitor_capacity_per_core = 1_000_000 }
 
 let cores = 4
 
-type placement = Hot | Rr
-
-type outcome = {
-  elapsed : int;
-  work : int;  (* critical sections executed *)
-  st : Lock.stats;
-  useful : float;
-  poll : float;
-  overhead : float;
-}
-
 (* [n] contenders loop { acquire; critical section; release } until
    [total] critical sections have run globally, so per-thread acquire
    counts measure fairness (every thread also pays exactly one final
    empty acquire to observe termination, a uniform +1 that cancels in
    the spread). *)
 let run_point ~kind ~n ~cs ~total ~placement =
-  let sim = Sim.create () in
-  let chip = Chip.create sim params ~cores in
-  let lock = Lock.create chip kind in
-  let remaining = ref total in
-  let work = ref 0 in
-  for i = 0 to n - 1 do
-    let core = match placement with Hot -> 0 | Rr -> i mod cores in
-    let th = Chip.add_thread chip ~core ~ptid:(i + 1) ~mode:Ptid.User () in
-    Chip.attach th (fun t ->
-        let continue_ = ref true in
-        while !continue_ do
-          Lock.acquire lock t;
-          if !remaining > 0 then begin
-            decr remaining;
-            incr work;
-            Isa.exec t cs
-          end
-          else continue_ := false;
-          Lock.release lock t
-        done);
-    Chip.boot th
-  done;
-  Sim.run sim;
-  let sum kind =
-    let acc = ref 0.0 in
-    for c = 0 to cores - 1 do
-      acc := !acc +. Smt_core.work_done (Chip.exec_core chip c) kind
-    done;
-    !acc
-  in
-  {
-    elapsed = Sim.time sim;
-    work = !work;
-    st = Lock.stats lock;
-    useful = sum Smt_core.Useful;
-    poll = sum Smt_core.Poll;
-    overhead = sum Smt_core.Overhead;
-  }
+  Contention.run ~cores ~placement ~threads:n ~quota:(Shared total) ~section:(Exec cs)
+    ~gap:0 kind
 
 let kinds = Lock.all_kinds
 
 let kind_col k = Lock.kind_name k
 
 let poll_fraction o =
-  let total = o.useful +. o.poll +. o.overhead in
-  if total <= 0.0 then 0.0 else o.poll /. total
+  let total = o.Contention.useful +. o.Contention.poll +. o.Contention.overhead in
+  if total <= 0.0 then 0.0 else o.Contention.poll /. total
 
-let cycles_per_cs o = if o.work = 0 then 0.0 else float_of_int o.elapsed /. float_of_int o.work
+let cycles_per_cs o =
+  if o.Contention.sections = 0 then 0.0
+  else float_of_int o.Contention.elapsed /. float_of_int o.Contention.sections
 
 (* --- (a) contender sweep --- *)
 
@@ -132,7 +87,9 @@ let contender_sweep () =
         ( n,
           List.map
             (fun kind ->
-              (kind, run_point ~kind ~n ~cs:sweep_cs ~total:(total_for n) ~placement:Rr))
+              ( kind,
+                run_point ~kind ~n ~cs:sweep_cs ~total:(total_for n)
+                  ~placement:Contention.Rr ))
             kinds ))
       contender_counts
   in
@@ -150,7 +107,7 @@ let contender_sweep () =
             sweep_cs)
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
-       (series (fun o -> Histogram.mean o.st.Lock.handoff)));
+       (series (fun o -> Histogram.mean o.Contention.stats.Lock.handoff)));
   Tablefmt.print
     (Tablefmt.render_series
        ~title:"E-LOCK a2: throughput (cycles per critical section, lower is better)"
@@ -169,22 +126,24 @@ let contender_sweep () =
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series (fun o ->
-            if o.st.Lock.acquires = 0 then 0.0
-            else float_of_int (o.st.Lock.max_count - o.st.Lock.min_count))));
+            let st = o.Contention.stats in
+            if st.Lock.acquires = 0 then 0.0
+            else float_of_int (st.Lock.max_count - st.Lock.min_count))));
   Tablefmt.print
     (Tablefmt.render_series
        ~title:"E-LOCK a5: FIFO distance (mean |grant rank - join rank|)"
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
-       (series (fun o -> o.st.Lock.fifo_distance_mean)));
+       (series (fun o -> o.Contention.stats.Lock.fifo_distance_mean)));
   Tablefmt.print
     (Tablefmt.render_series
        ~title:"E-LOCK a6: wakes per contended handoff (the parking herd)"
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series (fun o ->
-            if o.st.Lock.contended = 0 then 0.0
-            else float_of_int o.st.Lock.wakes /. float_of_int o.st.Lock.contended)));
+            let st = o.Contention.stats in
+            if st.Lock.contended = 0 then 0.0
+            else float_of_int st.Lock.wakes /. float_of_int st.Lock.contended)));
   outcomes
 
 (* --- (b) critical-section sweep: the spin-vs-park crossover --- *)
@@ -197,7 +156,8 @@ let cs_sweep () =
         ( float_of_int cs,
           List.map
             (fun kind ->
-              cycles_per_cs (run_point ~kind ~n:64 ~cs ~total:600 ~placement:Rr))
+              cycles_per_cs
+                (run_point ~kind ~n:64 ~cs ~total:600 ~placement:Contention.Rr))
             kinds ))
       lengths
   in
@@ -216,14 +176,15 @@ let placement_compare () =
   let rows =
     List.map
       (fun kind ->
-        let hot = run_point ~kind ~n:64 ~cs:sweep_cs ~total:600 ~placement:Hot in
-        let rr = run_point ~kind ~n:64 ~cs:sweep_cs ~total:600 ~placement:Rr in
+        let point placement = run_point ~kind ~n:64 ~cs:sweep_cs ~total:600 ~placement in
+        let hot = point Contention.Hot in
+        let rr = point Contention.Rr in
         [
           Tablefmt.String (kind_col kind);
           Tablefmt.Float (cycles_per_cs hot);
           Tablefmt.Float (cycles_per_cs rr);
-          Tablefmt.Float (Histogram.mean hot.st.Lock.handoff);
-          Tablefmt.Float (Histogram.mean rr.st.Lock.handoff);
+          Tablefmt.Float (Histogram.mean hot.Contention.stats.Lock.handoff);
+          Tablefmt.Float (Histogram.mean rr.Contention.stats.Lock.handoff);
         ])
       kinds
   in
@@ -242,29 +203,17 @@ let counter_scenario () =
   let rows =
     List.map
       (fun kind ->
-        let sim = Sim.create () in
-        let chip = Chip.create sim params ~cores in
-        let lock = Lock.create chip kind in
-        let counter = Memory.alloc (Chip.memory chip) 1 in
-        for i = 0 to threads - 1 do
-          let th = Chip.add_thread chip ~core:(i mod cores) ~ptid:(i + 1) ~mode:Ptid.User () in
-          Chip.attach th (fun t ->
-              for _ = 1 to per_thread do
-                Lock.with_lock lock t (fun () ->
-                    let v = Atomics.read ~kind:Smt_core.Useful chip t counter in
-                    Isa.exec t 80;
-                    Atomics.write chip t counter (Int64.add v 1L))
-              done);
-          Chip.boot th
-        done;
-        Sim.run sim;
-        let final = Int64.to_int (Atomics.peek chip counter) in
-        let st = Lock.stats lock in
+        let o =
+          Contention.run ~cores ~placement:Rr ~threads ~quota:(Each per_thread)
+            ~section:(Increment 80) ~gap:0 kind
+        in
+        let st = o.Contention.stats in
         [
           Tablefmt.String (kind_col kind);
-          Tablefmt.Int final;
-          Tablefmt.String (if final = threads * per_thread then "yes" else "NO");
-          Tablefmt.Int (Sim.time sim);
+          Tablefmt.Int o.Contention.counter;
+          Tablefmt.String
+            (if o.Contention.counter = threads * per_thread then "yes" else "NO");
+          Tablefmt.Int o.Contention.elapsed;
           Tablefmt.Float (Histogram.mean st.Lock.handoff);
           Tablefmt.Int (st.Lock.max_count - st.Lock.min_count);
         ])
@@ -343,46 +292,39 @@ let alloc_audit () =
      surrounding tables left behind (it differed across [-j] levels).
      The window itself allocates a few thousand words — far below the
      minor-heap size — so starting from an empty minor heap makes the
-     reading exact and identical on every domain. *)
-  let lock_run () =
+     reading exact and identical on every domain.  [step chip] builds
+     what one side needs and returns its per-round step. *)
+  let audit_run step =
     let sim = Sim.create () in
     let chip = Chip.create sim params ~cores:1 in
-    let lock = Lock.create chip Lock.Park_mwait in
+    let step = step chip in
     let words = ref 0.0 in
     let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
     Chip.attach th (fun t ->
-        Lock.acquire lock t;
-        Lock.release lock t;
+        step t;
         Gc.minor ();
         let a0 = Gc.allocated_bytes () in
         for _ = 1 to rounds do
-          Lock.acquire lock t;
-          Lock.release lock t
+          step t
         done;
         words := (Gc.allocated_bytes () -. a0) /. 8.0);
     Chip.boot th;
     Sim.run sim;
     !words
   in
+  let lock_run () =
+    audit_run (fun chip ->
+        let lock = Lock.create chip Lock.Park_mwait in
+        fun t ->
+          Lock.acquire lock t;
+          Lock.release lock t)
+  in
   let baseline_run () =
-    let sim = Sim.create () in
-    let chip = Chip.create sim params ~cores:1 in
-    let word = Memory.alloc (Chip.memory chip) 1 in
-    let words = ref 0.0 in
-    let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
-    Chip.attach th (fun t ->
-        ignore (Atomics.cas chip t word ~expect:0L ~desired:1L : bool);
-        Atomics.write chip t word 0L;
-        Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
-        for _ = 1 to rounds do
+    audit_run (fun chip ->
+        let word = Memory.alloc (Chip.memory chip) 1 in
+        fun t ->
           ignore (Atomics.cas chip t word ~expect:0L ~desired:1L : bool);
-          Atomics.write chip t word 0L
-        done;
-        words := (Gc.allocated_bytes () -. a0) /. 8.0);
-    Chip.boot th;
-    Sim.run sim;
-    !words
+          Atomics.write chip t word 0L)
   in
   (* A GC phantom can only inflate a window, while a real per-acquire
      allocation shows in every window: each side reports the least of
@@ -416,16 +358,15 @@ let acceptance outcomes =
   List.iter
     (fun (n, per_kind) ->
       if n > 1 then begin
-        let find k = List.assoc k per_kind in
-        let park = Histogram.mean (find Lock.Park_mwait).st.Lock.handoff in
-        let mcs = Histogram.mean (find Lock.Mcs_spin).st.Lock.handoff in
-        let ticket_spread =
-          (find Lock.Ticket).st.Lock.max_count - (find Lock.Ticket).st.Lock.min_count
+        let find k = (List.assoc k per_kind).Contention.stats in
+        let park = Histogram.mean (find Lock.Park_mwait).Lock.handoff in
+        let mcs = Histogram.mean (find Lock.Mcs_spin).Lock.handoff in
+        let spread k =
+          let st = find k in
+          st.Lock.max_count - st.Lock.min_count
         in
-        let mcs_spread =
-          let o = find Lock.Mcs_spin in
-          o.st.Lock.max_count - o.st.Lock.min_count
-        in
+        let ticket_spread = spread Lock.Ticket in
+        let mcs_spread = spread Lock.Mcs_spin in
         Printf.printf
           "E-LOCK accept @%4d contenders: park.mwait handoff %.0f vs mcs.spin %.0f \
            (%.2fx, %s); spread ticket=%d mcs=%d (FIFO bound 1: %s)\n"

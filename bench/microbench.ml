@@ -13,6 +13,7 @@ module Wheel = Sl_engine.Wheel
 module Histogram = Sl_util.Histogram
 module Json = Sl_util.Json
 module Io_path = Sl_os.Io_path
+module Contention = Sl_os.Contention
 module Server = Sl_dist.Server
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -76,10 +77,9 @@ let time_wakes ~pattern n =
   let t1 = Unix.gettimeofday () in
   let events = Sim.events_processed sim - ev0 in
   let words = Gc.minor_words () -. w0 in
-  if Sys.getenv_opt "SCALING_DIAG" <> None then
-    Printf.printf "  [diag n=%d] events/wake %.2f  words/wake %.1f\n%!" n
-      (float_of_int events /. float_of_int scaling_wakes)
-      (words /. float_of_int scaling_wakes);
+  Printf.printf "  [diag n=%d] events/wake %.2f  words/wake %.1f\n%!" n
+    (float_of_int events /. float_of_int scaling_wakes)
+    (words /. float_of_int scaling_wakes);
   let ns_per_wake = (t1 -. t0) *. 1e9 /. float_of_int scaling_wakes in
   (ns_per_wake, events)
 
@@ -101,9 +101,9 @@ let scaling_rows () =
    thread that costs nothing until its grant store lands, and the grant
    itself rides the O(1) chip wake path — while a spinlock's blocked
    waiters are live polling loops, so its per-handoff simulation cost
-   grows with n.  Same build-then-time structure as [time_wakes]: the
-   boot storm and a fixed warmup drain outside the timed window, then
-   the contention phase alone is wall-clocked. *)
+   grows with n.  Each point times one whole [Contention.run], so the
+   timed window includes building the world and booting every
+   contender. *)
 
 let lock_scaling_counts = [ 64; 512; 2000 ]
 let lock_scaling_kinds = Sl_sync.Lock.[ Ticket; Mcs_mwait; Park_mwait ]
@@ -126,53 +126,28 @@ let lock_scaling_counts_for kind =
   | Sl_sync.Lock.Park_mwait -> List.filter (fun n -> n <= 512) lock_scaling_counts
   | _ -> lock_scaling_counts
 
-let time_lock ~kind ~pattern n =
-  let module Lock = Sl_sync.Lock in
-  let sim = Sim.create () in
-  let params = { p with Params.monitor_capacity_per_core = 1_000_000 } in
-  let chip = Chip.create sim params ~cores:2 in
-  let lock = Lock.create chip kind in
-  let counter = Memory.alloc (Chip.memory chip) 1 in
-  let warmup = 5_000 in
-  let acquires = lock_scaling_acquires n in
-  let remaining = ref acquires in
-  for i = 0 to n - 1 do
-    let core = match pattern with `Hot -> 0 | `Round_robin -> i mod 2 in
-    let th = Chip.add_thread chip ~core ~ptid:(i + 1) ~mode:Ptid.User () in
-    Chip.attach th (fun t ->
-        Isa.exec t warmup;
-        let continue_ = ref true in
-        while !continue_ do
-          Lock.acquire lock t;
-          if !remaining > 0 then begin
-            decr remaining;
-            Isa.store t counter (Int64.add (Isa.load t counter) 1L);
-            Isa.exec t 300
-          end
-          else continue_ := false;
-          Lock.release lock t
-        done);
-    Chip.boot th
-  done;
-  Sim.run ~until:warmup sim;
+let time_lock ~kind ~placement n =
   let t0 = Unix.gettimeofday () in
-  Sim.run sim;
+  let r =
+    Contention.run ~cores:2 ~placement ~threads:n
+      ~quota:(Shared (lock_scaling_acquires n)) ~section:(Increment 300) ~gap:0 kind
+  in
   let t1 = Unix.gettimeofday () in
-  (t1 -. t0) *. 1e9 /. float_of_int (Lock.stats lock).Lock.acquires
+  (t1 -. t0) *. 1e9 /. float_of_int r.Contention.stats.Sl_sync.Lock.acquires
 
 let lock_scaling_rows () =
   List.concat_map
     (fun kind ->
       List.concat_map
-        (fun (tag, pattern) ->
+        (fun (tag, placement) ->
           List.map
             (fun n ->
-              let ns = time_lock ~kind ~pattern n in
+              let ns = time_lock ~kind ~placement n in
               ( Printf.sprintf "scaling:lock.%s %s n=%d"
                   (Sl_sync.Lock.kind_name kind) tag n,
                 ns ))
             (lock_scaling_counts_for kind))
-        [ ("hot", `Hot); ("rr", `Round_robin) ])
+        [ ("hot", Contention.Hot); ("rr", Contention.Rr) ])
     lock_scaling_kinds
 
 (* -- primitive kernels -- *)

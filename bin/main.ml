@@ -194,12 +194,8 @@ let server_cmd =
 (* --- lock --- *)
 
 let lock_cmd =
-  let module Sim = Sl_engine.Sim in
-  let module Chip = Switchless.Chip in
-  let module Isa = Switchless.Isa in
-  let module Ptid = Switchless.Ptid in
-  let module Smt_core = Switchless.Smt_core in
   let module Lock = Sl_sync.Lock in
+  let module Contention = Sl_os.Contention in
   let kinds = List.map (fun k -> (Lock.kind_name k, k)) Lock.all_kinds in
   let kind =
     Arg.(
@@ -228,7 +224,7 @@ let lock_cmd =
   let placement =
     Arg.(
       value
-      & opt (enum [ ("hot", `Hot); ("rr", `Rr) ]) `Rr
+      & opt (enum [ ("hot", Contention.Hot); ("rr", Contention.Rr) ]) Contention.Rr
       & info [ "placement" ] ~docv:"P"
           ~doc:"Thread placement: hot (all on core 0) or rr (round-robin).")
   in
@@ -240,50 +236,21 @@ let lock_cmd =
           ~doc:"Bound each mwait park with a retry deadline (default: park forever).")
   in
   let run kind n cs total placement patience =
-    let cores = 4 in
-    let sim = Sim.create () in
-    let params = { p with Params.monitor_capacity_per_core = 1_000_000 } in
-    let chip = Chip.create sim params ~cores in
-    let lock = Lock.create ?patience chip kind in
-    let remaining = ref total in
-    for i = 0 to n - 1 do
-      let core = match placement with `Hot -> 0 | `Rr -> i mod cores in
-      let th = Chip.add_thread chip ~core ~ptid:(i + 1) ~mode:Ptid.User () in
-      Chip.attach th (fun t ->
-          let continue_ = ref true in
-          while !continue_ do
-            Lock.acquire lock t;
-            if !remaining > 0 then begin
-              decr remaining;
-              Isa.exec t cs
-            end
-            else continue_ := false;
-            Lock.release lock t
-          done);
-      Chip.boot th
-    done;
-    Sim.run sim;
-    let st = Lock.stats lock in
-    let sum k =
-      let acc = ref 0.0 in
-      for c = 0 to cores - 1 do
-        acc := !acc +. Smt_core.work_done (Chip.exec_core chip c) k
-      done;
-      !acc
+    let r =
+      Contention.run ?patience ~cores:4 ~placement ~threads:n ~quota:(Shared total)
+        ~section:(Exec cs) ~gap:0 kind
     in
-    let useful = sum Smt_core.Useful
-    and poll = sum Smt_core.Poll
-    and overhead = sum Smt_core.Overhead in
-    let burn = useful +. poll +. overhead in
+    let st = r.Contention.stats in
+    let burn = r.Contention.useful +. r.Contention.poll +. r.Contention.overhead in
     Printf.printf "%s: %d critical sections over %d contenders in %d cycles (%.0f cycles/acquire)\n"
-      (Lock.kind_name kind) total n (Sim.time sim)
-      (float_of_int (Sim.time sim) /. float_of_int (max 1 total));
+      (Lock.kind_name kind) total n r.Contention.elapsed
+      (float_of_int r.Contention.elapsed /. float_of_int (max 1 total));
     Printf.printf "handoff (release->grant): %s\n"
       (Format.asprintf "%a" Histogram.pp_summary st.Lock.handoff);
     Printf.printf "contended %d/%d | parks %d | wakes %d\n" st.Lock.contended
       st.Lock.acquires st.Lock.parks st.Lock.wakes;
     Printf.printf "poll fraction %.3f of %.0f executed cycles\n"
-      (if burn <= 0.0 then 0.0 else poll /. burn)
+      (if burn <= 0.0 then 0.0 else r.Contention.poll /. burn)
       burn;
     Printf.printf "fairness: acquires max-min spread %d | mean FIFO distance %.2f\n"
       (st.Lock.max_count - st.Lock.min_count)

@@ -21,6 +21,7 @@ module Server = Sl_dist.Server
 module Io_path = Sl_os.Io_path
 module Hw_channel = Sl_os.Hw_channel
 module Watchdog = Sl_os.Watchdog
+module Contention = Sl_os.Contention
 module Lock = Sl_sync.Lock
 
 type outcome = {
@@ -179,67 +180,28 @@ let hardened_io ~count ~watchdog () =
    patience.  The oracles are termination before the horizon and
    grant/increment conservation. *)
 let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog () =
-  let sim = Sim.create () in
-  let chip = Chip.create sim p ~cores:2 in
-  let lock = Lock.create ?patience chip Lock.Park_mwait in
-  let wd =
-    if watchdog then
-      Some
-        (Watchdog.create chip ~core:1 ~ptid:99 ~period:8_000 ~stuck_after:12_000
-           ())
-    else None
+  let r =
+    Contention.run ?patience ~watchdog ~horizon:50_000_000 ~cores:2 ~placement:Rr
+      ~threads ~quota:(Each quota) ~section:(Increment hold) ~gap Lock.Park_mwait
   in
-  (* A fixed low address: [Memory] auto-grows on the first store. *)
-  let counter = 32 in
-  let memory = Chip.memory chip in
-  let progress = Array.make threads 0 in
-  let lives = Array.make threads 0 in
-  let finished = Array.make threads false in
-  let done_threads = ref 0 in
-  for i = 0 to threads - 1 do
-    let th =
-      Chip.add_thread chip ~core:(i mod 2) ~ptid:(i + 1) ~mode:Ptid.User ()
-    in
-    Chip.attach th (fun t ->
-        lives.(i) <- lives.(i) + 1;
-        while progress.(i) < quota do
-          Lock.acquire lock t;
-          let v = Isa.load t counter in
-          Isa.exec t hold;
-          Isa.store t counter (Int64.add v 1L);
-          progress.(i) <- progress.(i) + 1;
-          Lock.release lock t;
-          Isa.exec t gap
-        done;
-        (* Exactly one incarnation per thread reaches this point. *)
-        if not finished.(i) then begin
-          finished.(i) <- true;
-          incr done_threads;
-          if !done_threads = threads then Option.iter Watchdog.stop wd
-        end);
-    Chip.boot th
-  done;
-  Option.iter Watchdog.start wd;
-  Sim.run ~until:50_000_000 sim;
   let total = threads * quota in
-  let counted = Int64.to_int (Memory.read memory counter) in
-  let st = Lock.stats lock in
-  let count f = Option.fold ~none:0 ~some:f wd in
+  let st = r.Contention.stats in
+  let count f = Option.fold ~none:0 ~some:f r.Contention.watchdog in
   ( [
-      ( counted = total,
+      ( r.Contention.counter = total,
         Printf.sprintf "wedged: %d of %d increments before the horizon"
-          counted total );
+          r.Contention.counter total );
       ( st.Lock.acquires = total,
         Printf.sprintf "conservation: %d grants for %d increments"
           st.Lock.acquires total );
     ],
     [
-      ("counter", counted);
+      ("counter", r.Contention.counter);
       ("grants", st.Lock.acquires);
       ("contended", st.Lock.contended);
       ("parks", st.Lock.parks);
       ("wakes", st.Lock.wakes);
-      ("restarts", Array.fold_left (fun a l -> a + l - 1) 0 lives);
+      ("restarts", r.Contention.restarts);
       ("watchdog_nudges", count Watchdog.nudges);
       ("watchdog_sweeps", count Watchdog.sweeps);
     ] )

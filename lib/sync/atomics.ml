@@ -3,8 +3,6 @@ module Memory = Switchless.Memory
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
-let peek chip addr = Memory.read (Chip.memory chip) addr
-
 let read ?(kind = Smt_core.Overhead) chip th addr =
   Chip.exec th ~kind 1;
   Memory.read (Chip.memory chip) addr

@@ -21,10 +21,6 @@ module Chip = Switchless.Chip
 module Memory = Switchless.Memory
 module Smt_core = Switchless.Smt_core
 
-val peek : Chip.t -> Memory.addr -> int64
-(** Free, zero-cycle read — for assertions and stats outside simulated
-    code paths, never for a simulated thread's decision making. *)
-
 val read : ?kind:Smt_core.kind -> Chip.t -> Chip.thread -> Memory.addr -> int64
 (** One-cycle load by [thread].  [kind] defaults to [Overhead]; spin
     loops pass [Poll] so wasted lock-wait cycles land in the poll

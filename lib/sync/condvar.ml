@@ -14,8 +14,6 @@ type t = {
 let create chip =
   { chip; word = Memory.alloc (Chip.memory chip) 1; slots = Hashtbl.create 64 }
 
-let word t = t.word
-
 let slot_of t th =
   match Hashtbl.find t.slots (Chip.ptid th) with
   | s -> s

@@ -15,8 +15,6 @@ type t
 
 val create : Chip.t -> t
 
-val word : t -> Switchless.Memory.addr
-
 val wait : t -> Lock.t -> Chip.thread -> unit
 (** Caller must hold [lock]; returns holding it again.  Spurious returns
     are absorbed internally (the caller still must re-check its predicate

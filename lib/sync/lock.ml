@@ -95,8 +95,6 @@ let create ?patience ?on_event chip kind =
     handoff = Histogram.create ();
   }
 
-let kind t = t.kind
-let word t = t.word
 let owner t = t.owner
 
 (* Event emission keeps the constructor allocation inside the [Some]
@@ -419,15 +417,6 @@ let release t th =
   | Ticket -> ticket_release t s
   | Mcs_spin | Mcs_mwait -> mcs_release t s
   | Park_sw -> sw_release t s
-
-(* No exception handler on purpose: a crash-stop unwind must leave the
-   lock exactly as the dead thread left it (held iff it died inside the
-   critical section); the restart path re-acquires from scratch. *)
-let with_lock t th f =
-  acquire t th;
-  let v = f () in
-  release t th;
-  v
 
 type stats = {
   acquires : int;

@@ -1,6 +1,6 @@
 (** Locks for hardware threads, built on the simulated ISA.
 
-    Five designs over the same two-word lock layout (see DESIGN.md,
+    Six designs over the same two-word lock layout (see DESIGN.md,
     "Synchronization on hardware threads"):
 
     - [Tas] — test-and-set spinlock with capped exponential backoff.
@@ -63,13 +63,8 @@ val create :
     park forever (liveness then rests on the release wake or a watchdog
     nudge).  Spin backoff is capped at 2048 cycles. *)
 
-val kind : t -> kind
-val word : t -> Switchless.Memory.addr
-(** The lock word, for monitors and assertions. *)
-
 val acquire : t -> Chip.thread -> unit
 val release : t -> Chip.thread -> unit
-val with_lock : t -> Chip.thread -> (unit -> 'a) -> 'a
 val owner : t -> int
 (** Ptid of the current holder, [-1] when free. *)
 
