@@ -1,14 +1,17 @@
 (* E2 — "Fast I/O without Inefficient Polling": load sweep.
 
    Offered load rises from ~2% to ~80% of one pipeline's capacity
-   (500-cycle packets).  For each of the three designs we report p50/p99
-   latency and the fraction of consumed cycles that were pure waste
-   (spinning or mechanism overhead).
+   (500-cycle packets).  For mwait, polling, the per-packet interrupt
+   and its NAPI-coalesced variant we report p50/p99 latency and the
+   fraction of consumed cycles that were pure waste (spinning or
+   mechanism overhead).
 
    Expected shape: mwait tracks polling's latency curve within a small
    additive constant across the sweep, while its waste stays near zero;
    polling's waste falls from ~100% toward the load level; the interrupt
-   design pays a latency floor of the IRQ path at every load. *)
+   design pays a latency floor of the IRQ path at every load and
+   saturates at its hardirq's delivery cap (~0.45 pkts/kcycle), while
+   NAPI keeps up but keeps the floor. *)
 
 open! Capture
 module Io_path = Sl_os.Io_path

@@ -275,7 +275,6 @@ let load_cmd =
       ("rss", Io_path.Rss 4);
       ("polling", Io_path.Polling);
       ("irq", Io_path.Irq);
-      ("irq-backlog", Io_path.Irq_backlog);
       ("napi", Io_path.Napi);
       ("flexsc", Io_path.Flexsc);
     ]

@@ -40,9 +40,6 @@ val finish : t -> Report.finding list
 (** Run end-of-simulation checks (deadlock, state-store audit), detach
     the probe, and return all findings.  Idempotent. *)
 
-val findings : t -> Report.finding list
-(** Findings so far, oldest first, without running the final checks. *)
-
 val dropped : t -> int
 (** Distinct findings discarded because [max_findings] was reached. *)
 

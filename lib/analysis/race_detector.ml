@@ -90,18 +90,26 @@ let on_write t ~ptid ~addr =
             are unordered by any start/stop/rpull/rpush/mwait edge"
            addr ptid (t.now ()) prev.ptid prev.time)
   | _ -> ());
-  if t.check_reads then
-    Hashtbl.iter
-      (fun rptid racc ->
-        if rptid <> ptid && not (ordered c racc) then
-          t.report ~rule:"race"
-            ~key:(race_key "rw" addr ptid rptid)
-            ~message:
-              (Printf.sprintf
-                 "read-write race on [0x%x]: write by ptid %d (t=%d) vs read \
-                  by ptid %d (t=%d) are unordered"
-                 addr ptid (t.now ()) rptid racc.time))
-      st.readers;
+  if t.check_reads then begin
+    (* Only the racing readers are collected (a race-free write allocates
+       nothing), then reported by ptid rather than in hash order. *)
+    let racing =
+      Hashtbl.fold
+        (fun rptid racc acc ->
+          if rptid <> ptid && not (ordered c racc) then racc :: acc else acc)
+        st.readers []
+    in
+    List.iter
+      (fun racc ->
+        t.report ~rule:"race"
+          ~key:(race_key "rw" addr ptid racc.ptid)
+          ~message:
+            (Printf.sprintf
+               "read-write race on [0x%x]: write by ptid %d (t=%d) vs read \
+                by ptid %d (t=%d) are unordered"
+               addr ptid (t.now ()) racc.ptid racc.time))
+      (List.sort (fun a b -> Int.compare a.ptid b.ptid) racing)
+  end;
   st.writer <- Some { ptid; epoch = Vclock.get c ptid; time = t.now () };
   Vclock.tick c ptid;
   st.writer_clock <- Some (Vclock.copy c);

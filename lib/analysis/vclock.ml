@@ -12,14 +12,3 @@ let merge ~into src =
   Hashtbl.iter
     (fun i v -> if v > get into i then Hashtbl.replace into i v)
     src
-
-let to_list t =
-  Hashtbl.fold (fun i v acc -> (i, v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf (i, v) -> Format.fprintf ppf "%d:%d" i v))
-    (to_list t)

@@ -18,6 +18,3 @@ val copy : t -> t
 
 val merge : into:t -> t -> unit
 (** Pointwise maximum, for acquire operations. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the non-zero components, sorted by ptid. *)

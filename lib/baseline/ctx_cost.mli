@@ -4,8 +4,6 @@
     baseline's cycle charges are composed, so experiments and the
     scheduler agree on what a switch costs. *)
 
-val regstate_bytes : Switchless.Params.t -> vector:bool -> int
-
 val save_restore_cycles : Switchless.Params.t -> out_vector:bool -> in_vector:bool -> int
 (** Copying the outgoing context out and the incoming context in, at
     [ctx_bytes_per_cycle]. *)

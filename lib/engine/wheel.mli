@@ -24,7 +24,6 @@ val create : dummy:'a -> 'a t
 (** [dummy] seeds vacated payload slots so popped values are immediately
     collectable (same contract as {!Pqueue.create}). *)
 
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:int -> seq:int -> 'a -> unit

@@ -32,7 +32,3 @@ let trap_pollution t rng =
 let context_switch_pollution t =
   Cache.flush t.l1;
   Tlb.flush t.tlb
-
-let l1 t = t.l1
-let l2 t = t.l2
-let tlb t = t.tlb

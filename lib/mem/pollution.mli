@@ -26,7 +26,3 @@ val trap_pollution : t -> Sl_util.Rng.t -> unit
 
 val context_switch_pollution : t -> unit
 (** Address-space switch: full L1 + TLB flush. *)
-
-val l1 : t -> Cache.t
-val l2 : t -> Cache.t
-val tlb : t -> Tlb.t

@@ -8,8 +8,6 @@ type t = {
   config : config;
   slots : entry array;
   mutable clock : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create config =
@@ -19,8 +17,6 @@ let create config =
     config;
     slots = Array.init config.entries (fun _ -> { key = (0, 0); valid = false; lru = 0 });
     clock = 0;
-    hits = 0;
-    misses = 0;
   }
 
 let tick t =
@@ -41,22 +37,18 @@ let lru_slot t =
     t.slots;
   !best
 
-let touch t ~count ~asid addr =
+let access t ~asid addr =
   let key = (asid, addr / t.config.page_bytes) in
   match lookup t key with
   | Some slot ->
     slot.lru <- tick t;
-    if count then t.hits <- t.hits + 1;
     `Hit
   | None ->
     let slot = lru_slot t in
     slot.key <- key;
     slot.valid <- true;
     slot.lru <- tick t;
-    if count then t.misses <- t.misses + 1;
     `Miss
-
-let access t ~asid addr = touch t ~count:true ~asid addr
 
 let access_cycles t ~asid addr =
   match access t ~asid addr with
@@ -65,11 +57,8 @@ let access_cycles t ~asid addr =
 
 let flush t = Array.iter (fun slot -> slot.valid <- false) t.slots
 
-let hits t = t.hits
-let misses t = t.misses
-
 let warm t ~asid ~start ~bytes =
   let pages = (bytes + t.config.page_bytes - 1) / t.config.page_bytes in
   for i = 0 to pages - 1 do
-    ignore (touch t ~count:false ~asid (start + (i * t.config.page_bytes)))
+    ignore (access t ~asid (start + (i * t.config.page_bytes)))
   done

@@ -28,8 +28,5 @@ val access_cycles : t -> asid:int -> int -> int
 val flush : t -> unit
 (** Full flush (switch without ASIDs). *)
 
-val hits : t -> int
-val misses : t -> int
-
 val warm : t -> asid:int -> start:int -> bytes:int -> unit
-(** Pre-fill translations for a range without touching statistics. *)
+(** Pre-fill translations for a range: {!access} on each of its pages. *)

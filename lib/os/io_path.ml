@@ -60,7 +60,6 @@ type delivery =
   | Rss of int
   | Polling
   | Irq
-  | Irq_backlog
   | Napi
   | Flexsc
 
@@ -238,49 +237,73 @@ let polling w =
 
 (* --- the kernel status quo: a legacy IRQ and a software scheduler ---------- *)
 
-(* One software-scheduled core and a NIC on a legacy IRQ line.  [gate]
-   decides whether a doorbell raises the IRQ; the handler runs the
-   scheduler, then [on_irq]. *)
-let kernel_nic w ~gate ~on_irq =
-  let sched = Swsched.create w.sim w.cfg.params ~cores:1 () in
-  let irq = Irq.create w.sim w.cfg.params ~cores:(Swsched.cores sched) in
-  let nic = ref None in
+(* One software-scheduled core with a legacy interrupt line.  The
+   returned function raises one hardirq, whose handler runs the scheduler
+   and then [publish]. *)
+let kernel_irq sim params ~publish =
+  let sched = Swsched.create sim params ~cores:1 () in
+  let irq = Irq.create sim params ~cores:(Swsched.cores sched) in
   let handler ~exec =
-    exec w.cfg.params.Params.sched_decision_cycles;
-    Option.iter on_irq !nic
+    exec params.Params.sched_decision_cycles;
+    publish ()
   in
-  let notify () = if gate () then Irq.raise_irq irq ~core:0 ~handler in
+  (sched, fun () -> Irq.raise_irq irq ~core:0 ~handler)
+
+(* A NIC on the kernel's interrupt line: [gate] decides whether a
+   doorbell raises the IRQ, the handler hands the device to [on_irq], and
+   one software thread runs [serve] (plus the background job, if any). *)
+let kernel_nic w ~gate ~on_irq ~serve =
+  let nic = ref None in
+  let sched, raise_irq =
+    kernel_irq w.sim w.cfg.params ~publish:(fun () -> Option.iter on_irq !nic)
+  in
+  let notify () = if gate () then raise_irq () in
   let dev =
     Nic.create w.sim w.cfg.params (Memory.create ())
       ~notify:(Notify.Irq_line notify) ~queue_depth ()
   in
   nic := Some dev;
-  (sched, dev)
-
-let kernel_background w sched =
+  let app = Swsched.thread sched () in
+  Sim.spawn w.sim (fun () -> serve app dev);
   if w.background then begin
     let bg = Swsched.thread sched () in
     Sim.spawn w.sim (fun () -> background_loop w (fun n -> Swsched.exec bg n))
-  end
+  end;
+  nic_server (Swsched.cores sched).(0) dev
 
-(* Wake, then drain: the IRQ handler wakes the blocked network thread,
-   which drains the queue.  With [napi] (Linux NAPI coalescing) the first
-   packet's IRQ masks further interrupts, and the thread re-enables them
-   only when the queue runs dry. *)
-let irq_wake w ~napi =
+(* One hardirq per packet: the handler runs the scheduler, pulls the
+   descriptor and publishes the packet to the app's backlog.  Handlers
+   serialize on the IRQ context, so the delivery path itself caps at
+   1000 / (entry + sched + exit) packets per kcycle, and past that offered
+   load the backlog delay, not the service queue, is what blows the
+   SLO. *)
+let irq w =
+  let backlog = Mailbox.create () in
+  let publish nic =
+    match Nic.poll nic with Some pkt -> Mailbox.send backlog pkt | None -> ()
+  in
+  kernel_nic w ~gate:(fun () -> true) ~on_irq:publish ~serve:(fun app _ ->
+      while not w.stop do
+        let pkt = Mailbox.recv backlog in
+        Swsched.exec app (demand w pkt);
+        served w pkt.Nic.injected_at
+      done)
+
+(* Linux NAPI coalescing, the fix for the per-packet design's receive
+   livelock: the first packet's IRQ masks further interrupts and wakes the
+   network thread, which drains the queue and re-enables them only when it
+   runs dry. *)
+let napi w =
   let doorbell = Mailbox.create () in
   let irq_enabled = ref true in
   let gate () =
-    if not napi then true
-    else if !irq_enabled then begin
+    if !irq_enabled then begin
       irq_enabled := false;
       true
     end
     else false
   in
-  let sched, nic = kernel_nic w ~gate ~on_irq:(fun _ -> Mailbox.send doorbell ()) in
-  let app = Swsched.thread sched () in
-  Sim.spawn w.sim (fun () ->
+  kernel_nic w ~gate ~on_irq:(fun _ -> Mailbox.send doorbell ()) ~serve:(fun app nic ->
       let rec drain () =
         match Nic.poll nic with
         | Some pkt ->
@@ -288,46 +311,20 @@ let irq_wake w ~napi =
           served w pkt.Nic.injected_at;
           drain ()
         | None ->
-          if napi then begin
-            (* Queue dry: re-enable interrupts (a device register write)
-               and re-check for the race where a packet landed meanwhile. *)
-            Swsched.exec app ~kind:Smt_core.Overhead
-              w.cfg.params.Params.nic_doorbell_cycles;
-            irq_enabled := true;
-            if Nic.pending nic > 0 then begin
-              irq_enabled := false;
-              drain ()
-            end
+          (* Queue dry: re-enable interrupts (a device register write)
+             and re-check for the race where a packet landed meanwhile. *)
+          Swsched.exec app ~kind:Smt_core.Overhead
+            w.cfg.params.Params.nic_doorbell_cycles;
+          irq_enabled := true;
+          if Nic.pending nic > 0 then begin
+            irq_enabled := false;
+            drain ()
           end
       in
       while not w.stop do
         if Nic.pending nic = 0 then Mailbox.recv doorbell;
         drain ()
-      done);
-  kernel_background w sched;
-  nic_server (Swsched.cores sched).(0) nic
-
-(* One hardirq per packet: the handler pulls the descriptor, runs the
-   scheduler, and only then publishes the packet to the app's backlog.
-   Handlers serialize on the IRQ context, so the delivery path itself
-   caps at 1000 / (entry + sched + exit) packets per kcycle, and past
-   that offered load the backlog delay, not the service queue, is what
-   blows the SLO. *)
-let irq_backlog w =
-  let backlog = Mailbox.create () in
-  let publish nic =
-    match Nic.poll nic with Some pkt -> Mailbox.send backlog pkt | None -> ()
-  in
-  let sched, nic = kernel_nic w ~gate:(fun () -> true) ~on_irq:publish in
-  let app = Swsched.thread sched () in
-  Sim.spawn w.sim (fun () ->
-      while not w.stop do
-        let pkt = Mailbox.recv backlog in
-        Swsched.exec app (demand w pkt);
-        served w pkt.Nic.injected_at
-      done);
-  kernel_background w sched;
-  nic_server (Swsched.cores sched).(0) nic
+      done)
 
 (* FlexSC-style serving ({!Sl_baseline.Flexsc}): arrivals are posted
    entries and the kernel worker runs them in batches.  There is no
@@ -371,9 +368,8 @@ let run ?(background = false) delivery (cfg : config) =
       mwait w ~queues
     | Mwait_hardened { watchdog; horizon = _ } -> mwait_hardened w ~watchdog
     | Polling -> polling w
-    | Irq -> irq_wake w ~napi:false
-    | Irq_backlog -> irq_backlog w
-    | Napi -> irq_wake w ~napi:true
+    | Irq -> irq w
+    | Napi -> napi w
     | Flexsc -> flexsc w
   in
   Openloop.run w.sim (Sl_util.Rng.create cfg.seed) ~arrivals:cfg.arrivals
@@ -401,7 +397,7 @@ let run ?(background = false) delivery (cfg : config) =
 
 let run_load_mwait cfg = run Mwait cfg
 let run_load_polling cfg = run Polling cfg
-let run_load_interrupt cfg = run Irq_backlog cfg
+let run_load_interrupt cfg = run Irq cfg
 let run_load_flexsc cfg = run Flexsc cfg
 
 (* --- timer-tick wakeup latency ------------------------------------------ *)
@@ -428,18 +424,12 @@ let timer_wakeup_mwait params ~ticks ~period =
 
 let timer_wakeup_interrupt params ~ticks ~period =
   let sim = Sim.create () in
-  let sched = Swsched.create sim params ~cores:1 () in
-  let irq = Irq.create sim params ~cores:(Swsched.cores sched) in
-  let memory = Memory.create () in
   let doorbell = Mailbox.create () in
+  let sched, raise_irq =
+    kernel_irq sim params ~publish:(fun () -> Mailbox.send doorbell ())
+  in
   let timer =
-    Apic_timer.create sim params memory
-      ~notify:
-        (Notify.Irq_line
-           (fun () ->
-             Irq.raise_irq irq ~core:0 ~handler:(fun ~exec ->
-                 exec params.Params.sched_decision_cycles;
-                 Mailbox.send doorbell ())))
+    Apic_timer.create sim params (Memory.create ()) ~notify:(Notify.Irq_line raise_irq)
       ~period ()
   in
   let latencies = Histogram.create () in

@@ -77,19 +77,17 @@ type delivery =
       (** A thread spins on the RX queue, burning 20 [Poll] cycles per
           empty check (the kernel-bypass status quo). *)
   | Irq
-      (** The NIC raises a legacy IRQ whose handler runs the scheduler to
-          wake a blocked software thread, which then drains the queue
-          (the kernel status quo). *)
-  | Irq_backlog
-      (** One hardirq per packet: the handler pulls the descriptor, runs
-          the scheduler and publishes the packet to the app's backlog.
-          Handlers serialize on the IRQ context, so the delivery path
-          itself caps throughput and the knee arrives earlier. *)
+      (** The kernel status quo, one hardirq per packet: the NIC raises a
+          legacy IRQ whose handler runs the scheduler, pulls the
+          descriptor and publishes the packet to the app thread's
+          backlog.  Handlers serialize on the IRQ context, so the
+          delivery path itself caps throughput and the knee arrives
+          earlier (receive livelock). *)
   | Napi
-      (** Linux NAPI coalescing: the first packet's IRQ masks further
-          interrupts and the thread drains the queue, re-enabling them
-          only when it runs dry.  The fairest conventional baseline at
-          high load. *)
+      (** Linux NAPI coalescing, {!Irq}'s livelock fix: the first
+          packet's IRQ masks further interrupts and wakes the thread,
+          which drains the queue and re-enables them only when it runs
+          dry.  The fairest conventional baseline at high load. *)
   | Flexsc
       (** FlexSC-style exception-less batching: arrivals are posted
           entries and a kernel worker runs the accumulated requests once
@@ -107,7 +105,7 @@ val run_load_mwait : config -> result
 val run_load_polling : config -> result
 val run_load_interrupt : config -> result
 val run_load_flexsc : config -> result
-(** [run Mwait], [run Polling], [run Irq_backlog] and [run Flexsc]. *)
+(** [run Mwait], [run Polling], [run Irq] and [run Flexsc]. *)
 
 (** {2 Timer-tick wakeups (the "no more interrupts" microbench)} *)
 

@@ -20,6 +20,3 @@ val load_roots : string list -> unit_ list
     wrapper modules (no [.ml] source) are skipped.  Raises [Failure]
     when a root has no build tree at all — the caller forgot to build
     with binary annotations first. *)
-
-val load_file : string -> unit_ option
-(** Read a single [.cmt]; [None] when it is not an implementation. *)

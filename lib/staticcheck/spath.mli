@@ -33,9 +33,6 @@ val resolve_value : Env.t -> Path.t -> Path.t
     resolves to [Sys.time] when [S] aliases [Sys].  Unresolvable paths
     come back unchanged. *)
 
-val head_constr : Types.type_expr -> Path.t option
-(** The head type constructor of a type expression, skipping links. *)
-
 val type_matches : string -> Types.type_expr -> bool
 (** [type_matches "Memory.addr" ty] — {!matches} on the head
     constructor of [ty]. *)

@@ -21,11 +21,6 @@ val missing_mli : Cmt_load.unit_ -> Site.t list
 (** One [missing-mli] finding when the unit was compiled without an
     interface. *)
 
-val scan : string list -> Site.t list
-(** Raw findings over the build trees of the given source roots,
-    deduped and in deterministic (file, line, rule) order.  Raises
-    [Failure] when a root has not been built. *)
-
 type result = {
   findings : Site.t list;  (** not covered by the allowlist: failures *)
   allowed : Site.t list;  (** suppressed by a justified allowlist entry *)
@@ -35,5 +30,8 @@ type result = {
 }
 
 val run : ?allow:string -> string list -> result
-(** {!scan} filtered through the allowlist at [allow] (default
-    [staticcheck.allow]; a missing file is an empty allowlist). *)
+(** Findings over the build trees of the given source roots, deduped,
+    in deterministic (file, line, rule) order and filtered through the
+    allowlist at [allow] (default [staticcheck.allow]; a missing file is
+    an empty allowlist).  Raises [Failure] when a root has not been
+    built. *)

@@ -67,12 +67,3 @@ let bimodal_with_cv2 ~mean:m ~cv2 ~p_long =
   if short < 0.0 then
     invalid_arg "Dist.bimodal_with_cv2: requested cv2 too large for p_long";
   Bimodal { p_long; short; long = short +. spread }
-
-let pp ppf = function
-  | Constant v -> Format.fprintf ppf "const(%g)" v
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Exponential mean -> Format.fprintf ppf "exp(mean=%g)" mean
-  | Bimodal { p_long; short; long } ->
-    Format.fprintf ppf "bimodal(p=%g,short=%g,long=%g)" p_long short long
-  | Pareto { scale; shape } -> Format.fprintf ppf "pareto(scale=%g,shape=%g)" scale shape
-  | Lognormal { mu; sigma } -> Format.fprintf ppf "lognormal(mu=%g,sigma=%g)" mu sigma

@@ -35,6 +35,3 @@ val bimodal_with_cv2 : mean:float -> cv2:float -> p_long:float -> t
     distribution with the requested mean and CV² in which the long mode
     occurs with probability [p_long].  Raises [Invalid_argument] when no
     such distribution with non-negative modes exists. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering, e.g. ["exp(mean=500)"]. *)

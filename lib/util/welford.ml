@@ -16,7 +16,6 @@ let add t x =
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
-let count t = t.n
 let mean t = if t.n = 0 then 0.0 else t.mean
 let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
 let min_value t = t.min_v

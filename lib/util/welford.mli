@@ -7,7 +7,6 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
 val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [0.] with fewer than two samples. *)

@@ -28,7 +28,6 @@ let record t sojourn =
 
 let hist t = t.hist
 let count t = Histogram.count t.hist
-let slo (t : t) = t.slo
 let slo_miss (t : t) = t.slo_miss
 let met t = Histogram.count t.hist - t.slo_miss
 

@@ -33,7 +33,6 @@ val record : t -> int -> unit
 
 val hist : t -> Sl_util.Histogram.t
 val count : t -> int
-val slo : t -> int
 val slo_miss : t -> int
 
 val met : t -> int

@@ -142,6 +142,33 @@ let test_strict_mode_flags_read_write () =
   check_int "coherent model: silent" 0 (List.length (run Analysis.default_config));
   check_bool "strict model: reported" true (has_rule "race" (run strict))
 
+(* Eight unordered readers, then one write: the read-write races come
+   out by reader ptid, whatever order the reader table hashes them in. *)
+let test_strict_mode_reports_readers_by_ptid () =
+  let sim, chip = setup () in
+  let an = Analysis.enable ~config:strict chip in
+  let shared = Memory.alloc (Chip.memory chip) 1 in
+  for ptid = 2 to 9 do
+    let reader = Chip.add_thread chip ~core:1 ~ptid ~mode:Ptid.Supervisor () in
+    Chip.attach reader (fun th ->
+        Sim.delay 10;
+        ignore (Isa.load th shared : int64));
+    Chip.boot reader
+  done;
+  let writer = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach writer (fun th ->
+      Sim.delay 100;
+      Isa.store th shared 1L);
+  Chip.boot writer;
+  Sim.run sim;
+  let reader f =
+    Scanf.sscanf f.Report.message
+      "read-write race on [%_s@]: write by ptid %_d (t=%_d) vs read by ptid %d" Fun.id
+  in
+  Alcotest.(check (list int))
+    "racing readers in ptid order" [ 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map reader (Analysis.finish an))
+
 (* --- stale TDT --- *)
 
 let test_stale_tdt_flagged () =
@@ -302,6 +329,8 @@ let () =
           Alcotest.test_case "start edge orders" `Quick test_start_edge_orders_accesses;
           Alcotest.test_case "wake edge orders" `Quick test_mwait_wake_edge_orders_accesses;
           Alcotest.test_case "strict mode reads" `Quick test_strict_mode_flags_read_write;
+          Alcotest.test_case "strict mode reader order" `Quick
+            test_strict_mode_reports_readers_by_ptid;
         ] );
       ( "sanitizer",
         [

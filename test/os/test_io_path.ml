@@ -82,6 +82,25 @@ let test_napi_latency_floor_remains () =
   check_bool "floor above 1500 cycles" true
     ((Histogram.quantile napi.Io_path.latencies 0.5) > 1500)
 
+(* One hardirq per packet serializes entry + scheduler + exit on the IRQ
+   context, which caps delivery near 1000 / (600 + 1200 + 400) = 0.45
+   pkts/kcycle: past it the backlog grows without bound, while NAPI
+   drains whole bursts per interrupt and stays flat. *)
+let test_irq_delivery_cap () =
+  let cfg = { Io_path.default_config with Io_path.count = 600 } in
+  let p99 design rate =
+    Histogram.quantile (serve design (at_rate cfg rate)).Io_path.latencies 0.99
+  in
+  let past_cap = p99 Io_path.Irq 0.8 in
+  check_bool (Printf.sprintf "irq p99 %d past the cap > 100000" past_cap) true
+    (past_cap > 100_000);
+  let napi = p99 Io_path.Napi 0.8 in
+  check_bool (Printf.sprintf "napi p99 %d at the same load < 10000" napi) true
+    (napi < 10_000);
+  let below_cap = p99 Io_path.Irq 0.3 in
+  check_bool (Printf.sprintf "irq p99 %d below the cap < 20000" below_cap) true
+    (below_cap < 20_000)
+
 let test_rss_scales_past_single_thread () =
   let cfg = at_rate { small_cfg with Io_path.count = 800 } 2.8 in
   let rss = serve (Io_path.Rss 4) cfg in
@@ -112,7 +131,11 @@ let test_timer_wakeup_latencies () =
   check_bool
     (Printf.sprintf "irq wake %d at least 10x mwait %d" i99 m99)
     true
-    (i99 > 10 * m99)
+    (i99 > 10 * m99);
+  (* IRQ entry + one scheduler decision + exit + the thread's switch back:
+     charging the scheduler twice, or not at all, moves both. *)
+  check_int "irq p50" 1807 (Histogram.quantile i 0.5);
+  check_int "irq max" 5285 (Histogram.max_value i)
 
 let () =
   Alcotest.run "io_path"
@@ -129,6 +152,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic_runs;
           Alcotest.test_case "napi reduces waste" `Quick test_napi_reduces_waste;
           Alcotest.test_case "napi latency floor" `Quick test_napi_latency_floor_remains;
+          Alcotest.test_case "irq delivery cap" `Quick test_irq_delivery_cap;
           Alcotest.test_case "rss scales" `Quick test_rss_scales_past_single_thread;
           Alcotest.test_case "rss(1) == mwait" `Quick test_rss_single_queue_equals_mwait;
         ] );

@@ -95,7 +95,6 @@ let deliveries =
       Rss 4;
       Polling;
       Irq;
-      Irq_backlog;
       Napi;
       Flexsc;
     ]
