@@ -20,6 +20,7 @@ module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
 module Memory = Switchless.Memory
+module Smt_core = Switchless.Smt_core
 
 let p = Params.default
 
@@ -227,6 +228,36 @@ let bench_sim_pingpong =
              done);
          Sim.run sim))
 
+(* Every hop is an [await] resumed at the same tick: the ready ring's
+   push/pop plus the effect suspend/resume around it. *)
+let bench_sim_await_hops =
+  Test.make ~name:"primitive:engine 1k same-tick await/resume hops"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sim.await (fun resume -> resume ())
+             done);
+         Sim.run sim))
+
+(* 64 unit-weight threads time-sharing a 2-wide core: every advance
+   serves up to 64 jobs on [Smt_core]'s uniform-rate path (the scenario
+   of test/core's allocation bound). *)
+let bench_smt_core_churn =
+  Test.make ~name:"primitive:smt_core 64 unit-weight jobs x200 executes"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         let core = Smt_core.create sim { p with Params.smt_width = 2 } ~core_id:0 in
+         for ptid = 0 to 63 do
+           let cycles = 50 + (ptid * 37 mod 101) in
+           Sim.spawn sim (fun () ->
+               Smt_core.set_runnable core ~ptid ~weight:1.0 true;
+               for _ = 1 to 200 do
+                 Smt_core.execute core ~ptid ~kind:Smt_core.Useful cycles
+               done)
+         done;
+         Sim.run sim))
+
 (* -- one kernel per experiment table/figure -- *)
 
 let tiny_io count rate =
@@ -279,6 +310,8 @@ let all_tests =
       bench_wheel_ballast;
       bench_histogram;
       bench_sim_pingpong;
+      bench_sim_await_hops;
+      bench_smt_core_churn;
       bench_e1;
       bench_e2;
       bench_e2_interrupt;

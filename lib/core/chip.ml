@@ -124,6 +124,7 @@ type t = {
   mutable hot : int array;  (* strided hot slots, see layout above *)
   mutable t_fns : fns array;  (* per-thread closures + resume signal *)
   mutable t_weight : float array;
+  mutable t_smt : int array;  (* Smt_core slot on the home core; -1 = not yet *)
   mutable t_crashes : int array;
   (* payloads *)
   mutable t_regs : Regstate.t array;
@@ -226,6 +227,7 @@ let create sim params ~cores =
     hot = Array.make (64 * hot_stride) 0;
     t_fns = Array.make 64 dummy_fns;
     t_weight = Array.make 64 1.0;
+    t_smt = Array.make 64 (-1);
     t_crashes = Array.make 64 0;
     t_regs = Array.make 64 dummy_regs;
     t_body = Array.make 64 None;
@@ -302,6 +304,7 @@ let ensure_tid t tid =
     t.t_handle <- grow t.t_handle None;
     t.t_fns <- grow t.t_fns dummy_fns;
     t.t_weight <- grow t.t_weight 1.0;
+    t.t_smt <- grow t.t_smt (-1);
     t.t_crashes <- grow t.t_crashes 0;
     t.t_regs <- grow t.t_regs dummy_regs;
     t.t_body <- grow t.t_body None;
@@ -351,6 +354,19 @@ let own_core th = th.chip.cores.(tcore th.chip th.tid)
 
 let pin_state th = State_store.pin (own_core th).store ~ptid:th.t_ptid
 
+(* The thread's slot on its home core's [Smt_core], interned on first
+   touch — at the same calls that interned it by ptid, so [Smt_core]'s
+   slot order (and [billed_threads]' order) is unchanged. *)
+let smt_slot th smt =
+  let c = th.chip in
+  let s = c.t_smt.(th.tid) in
+  if s >= 0 then s
+  else begin
+    let s = Smt_core.slot smt ~ptid:th.t_ptid in
+    c.t_smt.(th.tid) <- s;
+    s
+  end
+
 let make_runnable th ~reason =
   let c = th.chip in
   let i = th.tid in
@@ -358,8 +374,8 @@ let make_runnable th ~reason =
   let m = c.hot.(b) in
   let from_ = m land 3 in
   c.hot.(b) <- (m land lnot 3) lor st_runnable;
-  Smt_core.set_runnable c.cores.((m lsr 2) land core_mask).exec_unit ~ptid:th.t_ptid
-    ~weight:c.t_weight.(i) true;
+  let smt = c.cores.((m lsr 2) land core_mask).exec_unit in
+  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:c.t_weight.(i) true;
   if c.probe_on then
     emit c
       (Probe.State_change
@@ -372,8 +388,8 @@ let make_not_runnable th state ~reason =
   let m = c.hot.(b) in
   let from_ = m land 3 in
   c.hot.(b) <- (m land lnot 3) lor state_code state;
-  Smt_core.set_runnable c.cores.((m lsr 2) land core_mask).exec_unit ~ptid:th.t_ptid
-    ~weight:c.t_weight.(i) false;
+  let smt = c.cores.((m lsr 2) land core_mask).exec_unit in
+  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:c.t_weight.(i) false;
   if c.probe_on then
     emit c
       (Probe.State_change
@@ -413,7 +429,8 @@ let rec wait_until_runnable th =
 
 let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
-  Smt_core.execute (own_core th).exec_unit ~ptid:th.t_ptid ~kind cycles
+  let smt = (own_core th).exec_unit in
+  Smt_core.execute_slot smt ~slot:(smt_slot th smt) ~kind cycles
 
 let exec_int th ?kind cycles = exec th ?kind cycles
 

@@ -19,8 +19,16 @@ let kind_index = function Useful -> 0 | Poll -> 1 | Overhead -> 2
    777_777, hypervisors are 9_000) — sizing the dense arrays by the raw
    ptid would allocate megabytes per core for a handful of threads,
    which dominated experiments that build a fresh world per measurement
-   point.  The [slots] table is consulted once per public call; every
-   per-event loop below is slot-indexed.
+   point.  The [slots] table is consulted once per ptid-keyed call; the
+   slot-keyed entry points skip it ([Chip] caches each thread's slot), and
+   every per-event loop below is slot-indexed.
+
+   In the common shape — nothing frozen, every weight 1.0 — [advance]
+   serves at one closed-form rate straight off the runnable array, with
+   no scratch pass and no water-filling, and neither it nor the
+   closed-form [reschedule] boxes a float per job or per call: a float
+   crossing a non-inlined call is boxed, which the [zero-alloc] rule
+   cannot see, so test/core bounds the words per [execute] instead.
 
    The runnable set itself is a compact swap-remove array
    ([rslot]/[rweight], indexed through [rpos]) rather than a Hashtbl:
@@ -72,13 +80,13 @@ type t = {
   mutable srate : float array;
   mutable scapped : bool array;
   mutable scount : int;
-  (* Fast-path bookkeeping for [reschedule].  With every job runnable
-     ([frozen = 0]) and every runnable weight exactly 1.0 ([nonunit = 0]),
-     processor sharing degenerates to rate [min(1, width/n)] for all n
-     active jobs, and the earliest completion is that of the job with the
-     least remaining work — so the next event time follows from
-     [min_rem] alone, in O(1), bit-identical to the full water-filling
-     (the uncapped weight total of n unit weights is exactly [float n]). *)
+  (* Fast-path bookkeeping for [advance] and [reschedule].  With every
+     job runnable ([frozen = 0]) and every runnable weight exactly 1.0
+     ([nonunit = 0]), processor sharing degenerates to one rate for all
+     n active jobs ([unit_rate], bit-identical to water-filling), and the
+     earliest completion is that of the job with the least remaining
+     work — so the next event time follows from [min_rem] alone, in
+     O(1). *)
   mutable frozen : int;  (* jobs whose thread is not currently runnable *)
   mutable nonunit : int;  (* runnable threads whose weight is not 1.0 *)
   mutable min_rem : float;  (* least remaining over active jobs ... *)
@@ -276,10 +284,6 @@ let compute_rates t =
     done
   end
 
-let bill t slot served =
-  t.b_flag.(slot) <- 1;
-  t.b_cycles.(slot) <- t.b_cycles.(slot) +. served
-
 (* Retire [slot]'s job and resume the thread awaiting it.  The resume
    only queues the thread's continuation at the current instant, so the
    caller's scratch state stays valid. *)
@@ -292,35 +296,71 @@ let complete t slot =
     r ()
   end
 
+(* The rate of every job when nothing is frozen and every runnable weight
+   is 1.0: water-filling's closed form.  n unit weights sum exactly to
+   [float n], no job is capped and the residual is exactly [width], so
+   [compute_rates] would give each job [width *. 1.0 /. float n] — this
+   value, bit for bit (1.0 when n fits the width).  Inlined, because a
+   float returned from a call is boxed. *)
+let[@inline] unit_rate t =
+  let width = t.params.Params.smt_width in
+  if t.njobs <= width then 1.0 else float_of_int width /. float_of_int t.njobs
+
 (* Deliver service for the time elapsed since the last update, completing
    any jobs that finished.  When no time has passed nothing can have
    finished either — every in-flight job still owes > 1e-6 cycles
    ([execute] admits only positive work and finished jobs are removed the
-   moment they are served down) — so the whole pass is skipped. *)
+   moment they are served down) — so the whole pass is skipped.
+
+   Uniform path: with nothing frozen and every runnable weight 1.0 the
+   active set is every job, all at [unit_rate], so the loop walks the
+   runnable array itself — in the order the scratch arrays would have
+   held it — with no scratch pass and no water-filling.  Both paths
+   serve highest index first, so same-advance completions keep one
+   order.  The loop body allocates nothing: [busy] accumulates in a
+   local and billing is written out inline, since a float passed to a
+   non-inlined call is boxed. *)
 let advance t =
   let now = Sim.time t.sim in
   let elapsed = float_of_int (now - t.last_update) in
   t.last_update <- now;
   if elapsed > 0.0 then begin
-    collect_active t;
-    compute_rates t;
+    let uniform = t.frozen = 0 && t.nonunit = 0 in
+    let urate = unit_rate t in
+    let count =
+      if t.njobs = 0 then 0
+      else if uniform then t.rcount
+      else begin
+        collect_active t;
+        compute_rates t;
+        t.scount
+      end
+    in
+    let busy = ref !(t.busy) in
     let live_min = ref infinity in
     (* Only jobs served just now can finish (frozen jobs owe > 1e-6 by
        the invariant above); they complete in serve-loop order. *)
-    for i = t.scount - 1 downto 0 do
-      let slot = t.sslot.(i) in
-      let rem = t.j_rem.(slot) in
-      let served = Float.min rem (elapsed *. t.srate.(i)) in
-      let left = rem -. served in
-      t.j_rem.(slot) <- left;
-      t.busy := !(t.busy) +. served;
-      t.work.(t.j_kind.(slot)) <- t.work.(t.j_kind.(slot)) +. served;
-      bill t slot served;
-      if left > 1e-6 then begin
-        if left < !live_min then live_min := left
+    for i = count - 1 downto 0 do
+      let slot = if uniform then t.rslot.(i) else t.sslot.(i) in
+      let kind = t.j_kind.(slot) in
+      if kind >= 0 then begin
+        let rem = t.j_rem.(slot) in
+        let served =
+          Float.min rem (elapsed *. if uniform then urate else t.srate.(i))
+        in
+        let left = rem -. served in
+        t.j_rem.(slot) <- left;
+        busy := !busy +. served;
+        t.work.(kind) <- t.work.(kind) +. served;
+        t.b_flag.(slot) <- 1;
+        t.b_cycles.(slot) <- t.b_cycles.(slot) +. served;
+        if left > 1e-6 then begin
+          if left < !live_min then live_min := left
+        end
+        else complete t slot
       end
-      else complete t slot
     done;
+    t.busy := !busy;
     if t.frozen = 0 then begin
       t.min_rem <- !live_min;
       t.min_valid <- !live_min < infinity
@@ -328,38 +368,27 @@ let advance t =
     else t.min_valid <- false
   end
 
-(* Unit weights, nothing frozen: every job is active at the same rate,
-   so the earliest completion is the least-remaining job's.  [dt] below
-   is bit-identical to the general path: the rate for n > width jobs is
-   [residual * w / total] with residual = width, w = 1.0 and total =
-   float n (n exact unit-weight additions), and ceil/round/max are
-   monotone, so applying them to the minimum remaining yields the
-   minimum dt.  This runs once per completion event in the common
-   experiment shape, hence the allocation budget (float boxing is out
-   of the contract's scope, see DESIGN.md). *)
+(* Unit weights, nothing frozen: every job is active at [unit_rate], so
+   the earliest completion is the least-remaining job's.  [dt] below is
+   bit-identical to the general path's minimum, since ceil/round/max are
+   monotone.  This runs once per completion event in the common
+   experiment shape, hence the allocation budget; the delay comes back
+   as an immediate int, since a float result would be boxed.
+   Precondition: a job is in flight. *)
 let next_unit_weight_dt t =
-  let n = t.njobs in
-  if n = 0 then infinity
-  else begin
-    let rate =
-      if n <= t.params.Params.smt_width then 1.0
-      else float_of_int t.params.Params.smt_width /. float_of_int n
-    in
-    Float.max 1.0 (Float.round (Float.ceil (t.min_rem /. rate)))
-  end
+  int_of_float (Float.max 1.0 (Float.round (Float.ceil (t.min_rem /. unit_rate t))))
 [@@sl.zero_alloc]
 
-(* Schedule the next completion event, invalidating older ones. *)
+(* Schedule the next completion event, invalidating older ones.  With no
+   job in flight there is nothing to schedule or scan. *)
 let rec reschedule t =
   t.epoch <- t.epoch + 1;
-  let epoch = t.epoch in
-  let next =
-    if t.frozen = 0 && t.nonunit = 0 && t.min_valid then
-      next_unit_weight_dt t
-    else begin
-      collect_active t;
-      if t.scount = 0 then infinity
+  if t.njobs > 0 then begin
+    let epoch = t.epoch in
+    let dt =
+      if t.frozen = 0 && t.nonunit = 0 && t.min_valid then next_unit_weight_dt t
       else begin
+        collect_active t;
         compute_rates t;
         let next = ref infinity in
         for i = t.scount - 1 downto 0 do
@@ -372,23 +401,22 @@ let rec reschedule t =
             if dt < !next then next := dt
           end
         done;
-        !next
+        if !next < infinity then int_of_float !next else -1
       end
-    end
-  in
-  if next < infinity then begin
-    let at = Sim.time t.sim + int_of_float next in
-    Sim.schedule t.sim ~at (fun () ->
-        if epoch = t.epoch then begin
-          advance t;
-          reschedule t
-        end)
+    in
+    if dt >= 0 then
+      Sim.schedule t.sim ~at:(Sim.time t.sim + dt) (fun () ->
+          if epoch = t.epoch then begin
+            advance t;
+            reschedule t
+          end)
   end
 
-let set_runnable t ~ptid ~weight runnable =
+let slot t ~ptid = slot_of t ptid
+
+let set_runnable_slot t ~slot ~weight runnable =
   if weight <= 0.0 then invalid_arg "Smt_core.set_runnable: weight must be positive";
   advance t;
-  let slot = slot_of t ptid in
   let si = t.rpos.(slot) in
   let had = si >= 0 in
   if had && t.rweight.(si) <> 1.0 then t.nonunit <- t.nonunit - 1;
@@ -411,11 +439,9 @@ let set_runnable t ~ptid ~weight runnable =
   end;
   reschedule t
 
-let execute t ~ptid ~kind cycles =
+let execute_slot t ~slot ~kind cycles =
   if cycles < 0 then invalid_arg "Smt_core.execute: negative cycles";
-  if cycles = 0 then ()
-  else begin
-    let slot = slot_of t ptid in
+  if cycles > 0 then begin
     if t.rpos.(slot) < 0 then
       invalid_arg "Smt_core.execute: ptid is not runnable";
     if has_job t slot then
@@ -435,6 +461,13 @@ let execute t ~ptid ~kind cycles =
       t.j_register.(slot) <- (fun resume -> t.j_resume.(slot) <- resume);
     Sim.await t.j_register.(slot)
   end
+
+let set_runnable t ~ptid ~weight runnable =
+  set_runnable_slot t ~slot:(slot_of t ptid) ~weight runnable
+
+(* Interns only for real work, as [execute_slot] reads no slot otherwise. *)
+let execute t ~ptid ~kind cycles =
+  execute_slot t ~slot:(if cycles > 0 then slot_of t ptid else -1) ~kind cycles
 
 let runnable_count t = t.rcount
 

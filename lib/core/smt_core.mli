@@ -41,6 +41,23 @@ val execute : t -> ptid:int -> kind:kind -> int -> unit
     At most one in-flight [execute] per ptid.  [cycles = 0] returns
     immediately. *)
 
+(** {2 Slot-keyed entry points}
+
+    The same operations keyed by the thread's dense slot on this core
+    instead of its ptid, for callers on the per-event path ({!Chip}) that
+    cache the slot instead of paying a ptid lookup per call. *)
+
+val slot : t -> ptid:int -> int
+(** The ptid's slot on this core, interned on first use.  Interning order
+    is {!billed_threads}' order, so cache the slot where the ptid-keyed
+    call would have been made. *)
+
+val set_runnable_slot : t -> slot:int -> weight:float -> bool -> unit
+(** {!set_runnable} by slot. *)
+
+val execute_slot : t -> slot:int -> kind:kind -> int -> unit
+(** {!execute} by slot. *)
+
 val runnable_count : t -> int
 (** Threads currently admitted to the sharing set. *)
 

@@ -65,11 +65,15 @@ val spawn : ?name:string -> ?daemon:bool -> t -> (unit -> unit) -> unit
     used by {!stuck} to identify processes abandoned mid-wait.
     [daemon] (default [false]) marks a process that is expected to park
     forever (a server loop, an IRQ context): it still appears in {!stuck}
-    but is excluded from {!suspects}. *)
+    but is excluded from {!suspects}.  Like every event for the current
+    tick, the start queues behind everything already due at this tick
+    (same-tick FIFO, see {!run}). *)
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs callback [f] (not a blocking process) at
-    absolute time [at].  [at] must not precede the current time. *)
+    absolute time [at].  [at] must not precede the current time.  With
+    [at] equal to the current time, [f] runs after every event already
+    due at this tick (same-tick FIFO, see {!run}). *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drive the event loop until the queue drains, or until simulated time
@@ -80,7 +84,16 @@ val run : ?until:Time.t -> t -> unit
     already in the past).  Processes still blocked in {!await} when the
     loop stops are abandoned — inspect {!stuck} afterwards to find out
     whether that happened, instead of discovering a wedged model by its
-    silently-missing results. *)
+    silently-missing results.
+
+    Order: events fire by time, and within a tick in the order they were
+    scheduled.  Events scheduled for the current tick — [schedule ~at:now],
+    {!spawn}, {!fork} and every {!await} resume — are kept apart in a FIFO
+    ready ring, so they never pay for the timing wheel; those the wheel
+    holds for a tick were all scheduled before the clock reached it, so
+    they fire first, then the ring drains, and only then does the clock
+    move.  A horizon behind the clock fires nothing, not even events due
+    at the current tick. *)
 
 (** {2 Abandoned-process reporting} *)
 

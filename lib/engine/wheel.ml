@@ -219,6 +219,10 @@ let min_time t =
   ensure_front t;
   Pqueue.min_time t.front
 
+let min_seq t =
+  ensure_front t;
+  Pqueue.min_seq t.front
+
 let pop_min t =
   ensure_front t;
   Pqueue.pop_min t.front

@@ -34,6 +34,11 @@ val min_time : 'a t -> int
     non-empty.  May advance the internal cursor (refilling the front
     heap); observable order is unaffected. *)
 
+val min_seq : 'a t -> int
+(** Sequence number of the earliest (time, seq) event.  The queue must be
+    non-empty.  {!Sim}'s run loop reads it to merge the wheel with its
+    same-tick ready ring. *)
+
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's payload, lexicographic by
     (time, seq).  The queue must be non-empty. *)

@@ -216,8 +216,109 @@ let test_simultaneous_completions_resume_in_serve_order () =
   Alcotest.(check (list int)) "serve-loop order" expected before;
   Alcotest.(check (list int)) "same under a random hash seed" before after
 
+(* The uniform-rate serve path against water-filling.  A job set run at
+   weight 1.0 takes the uniform path whenever nothing is frozen; at
+   weight 2.0 every advance water-fills, and with n > width jobs its rate
+   [2 width / 2n] rounds exactly like [width / n] (both quotients are of
+   exact operands).  So every completion time and every float total must
+   match bit for bit.  Stop/start toggles freeze jobs, which sends the
+   weight-1.0 run through water-filling too, until they thaw. *)
+type sjob = {
+  start : int;
+  cycles : int;
+  kind : Smt_core.kind;
+  toggles : (int * int) list;  (* (offset after start, frozen for) *)
+}
+
+let run_job_set ~width ~weight jobs =
+  let params = { Params.default with Params.smt_width = width } in
+  let sim = Sim.create () in
+  let core = Smt_core.create sim params ~core_id:0 in
+  let n = List.length jobs in
+  let state = Array.make n 0 (* 0 waiting, 1 executing, 2 done *) in
+  let done_at = Array.make n (-1) in
+  List.iteri
+    (fun ptid j ->
+      Sim.spawn sim (fun () ->
+          Sim.delay j.start;
+          Smt_core.set_runnable core ~ptid ~weight true;
+          state.(ptid) <- 1;
+          Smt_core.execute core ~ptid ~kind:j.kind j.cycles;
+          state.(ptid) <- 2;
+          done_at.(ptid) <- Sim.now ();
+          Smt_core.set_runnable core ~ptid ~weight false);
+      List.iter
+        (fun (off, len) ->
+          Sim.schedule sim ~at:(j.start + off) (fun () ->
+              if state.(ptid) = 1 then begin
+                Smt_core.set_runnable core ~ptid ~weight false;
+                Sim.schedule sim ~at:(Sim.time sim + len) (fun () ->
+                    Smt_core.set_runnable core ~ptid ~weight true)
+              end))
+        j.toggles)
+    jobs;
+  Sim.run sim;
+  let bits = Int64.bits_of_float in
+  ( Array.to_list done_at,
+    List.init n (fun ptid -> bits (Smt_core.thread_cycles core ~ptid)),
+    List.map
+      (fun k -> bits (Smt_core.work_done core k))
+      [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ],
+    bits (Smt_core.busy_capacity_cycles core) )
+
+let gen_job_set =
+  let open QCheck.Gen in
+  let job =
+    map4
+      (fun start cycles kind toggles -> { start; cycles; kind; toggles })
+      (int_bound 2000) (int_range 1 3000)
+      (oneofl [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ])
+      (list_size (int_bound 2) (pair (int_range 1 1500) (int_range 1 800)))
+  in
+  pair (int_range 1 4) (list_size (int_range 1 40) job)
+
+let prop_uniform_path_matches_water_filling =
+  QCheck.Test.make ~name:"uniform-rate serve path matches water-filling bit for bit"
+    ~count:300 (QCheck.make gen_job_set) (fun (width, jobs) ->
+      run_job_set ~width ~weight:1.0 jobs = run_job_set ~width ~weight:2.0 jobs)
+
+(* 64 unit-weight threads time-share a 2-wide core, 200 executes each:
+   every advance serves up to 64 jobs on the uniform path.  Also the
+   microbench kernel "smt_core 64 unit-weight jobs x200 executes". *)
+let unit_weight_churn () =
+  let params = { Params.default with Params.smt_width = 2 } in
+  let sim = Sim.create () in
+  let core = Smt_core.create sim params ~core_id:0 in
+  for p = 0 to 63 do
+    let cycles = 50 + (p * 37 mod 101) in
+    Sim.spawn sim (fun () ->
+        Smt_core.set_runnable core ~ptid:p ~weight:1.0 true;
+        for _ = 1 to 200 do
+          Smt_core.execute core ~ptid:p ~kind:Smt_core.Useful cycles
+        done)
+  done;
+  Sim.run sim
+
+(* The serve loop must not allocate per served job.  The [zero-alloc]
+   static rule cannot see a float boxed at a non-inlined call, which is
+   how ~4 words per served job once crept in; this bound can.  What is
+   left per [execute] is the await, its resume hop and the completion
+   event's closure.  Measured on the second run, so one-off growth of
+   the core's arrays does not count. *)
+let test_uniform_serve_allocation () =
+  unit_weight_churn ();
+  let before = Gc.minor_words () in
+  unit_weight_churn ();
+  let per_execute = (Gc.minor_words () -. before) /. float_of_int (64 * 200) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per execute < 60" per_execute)
+    true (per_execute < 60.0)
+
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_work_conservation ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_work_conservation; prop_uniform_path_matches_water_filling ]
+  in
   Alcotest.run "smt_core"
     [
       ( "rates",
@@ -242,6 +343,8 @@ let () =
         [
           Alcotest.test_case "work by kind" `Quick test_work_accounting_by_kind;
           Alcotest.test_case "runnable count" `Quick test_runnable_count;
+          Alcotest.test_case "uniform serve allocation" `Quick
+            test_uniform_serve_allocation;
         ] );
       ("properties", qsuite);
     ]

@@ -714,6 +714,143 @@ let prop_wheel_matches_heap =
       done;
       !ok && Wheel.is_empty wheel)
 
+(* --- Sim run loop (wheel + same-tick ready ring) --- *)
+
+(* A random program: each node fires as a callback, logs itself and
+   schedules its children at the listed offsets.  A node with [awaits]
+   also spawns a process that schedules its own resumer callback that
+   many cycles on, [Sim.await]s it, and schedules the node's children
+   only once resumed — so resume hops land on the ring at the resumer's
+   tick, behind whatever the wheel already holds for that tick. *)
+type prog = { id : int; awaits : int option; kids : (int * prog) list }
+
+(* A script interleaves root injections (at the current clock plus an
+   offset, from outside any run) with bounded runs, whose horizon is the
+   current clock plus a delta; negative deltas put the horizon behind
+   the clock.  A final unbounded run drains whatever is left. *)
+type step = Add of int * prog | Run_until of int
+
+type log_entry = Fired of int | Started of int | Resumer of int | Resumed of int
+
+(* The engine contract, written directly on one Pqueue: every push takes
+   the next seq, and events pop in (time, seq) order. *)
+module Ref_sim = struct
+  type t = { mutable now : int; mutable seq : int; q : (unit -> unit) Pqueue.t }
+
+  let create () = { now = 0; seq = 0; q = Pqueue.create ~dummy:(fun () -> ()) }
+
+  let push r ~at f =
+    r.seq <- r.seq + 1;
+    Pqueue.push r.q ~time:at ~seq:r.seq f
+
+  let run ?until r =
+    let horizon = match until with None -> max_int | Some h -> h in
+    let rec loop () =
+      if (not (Pqueue.is_empty r.q)) && Pqueue.min_time r.q <= horizon then begin
+        r.now <- Pqueue.min_time r.q;
+        Pqueue.pop_min r.q ();
+        loop ()
+      end
+      else match until with Some h when h > r.now -> r.now <- h | _ -> ()
+    in
+    loop ()
+end
+
+(* Interpret a script against either engine.  [push] schedules a thunk,
+   [spawn_await d k] runs a process that schedules a resumer [d] cycles
+   on, awaits it, and then calls [k]. *)
+let interpret ~now ~push ~spawn_await ~run steps =
+  let log = ref [] in
+  let note e = log := (e, now ()) :: !log in
+  let rec fire p () =
+    note (Fired p.id);
+    match p.awaits with
+    | None -> schedule_kids p
+    | Some d ->
+      spawn_await ~note p.id d (fun () ->
+          note (Resumed p.id);
+          schedule_kids p)
+  and schedule_kids p =
+    List.iter (fun (off, k) -> push ~at:(now () + off) (fire k)) p.kids
+  in
+  let clocks =
+    List.map
+      (function
+        | Add (off, p) ->
+          push ~at:(now () + off) (fire p);
+          now ()
+        | Run_until delta ->
+          run (Some (now () + delta));
+          now ())
+      steps
+  in
+  run None;
+  (List.rev !log, clocks @ [ now () ])
+
+let run_on_sim steps =
+  let sim = Sim.create () in
+  let now () = Sim.time sim in
+  let push ~at f = Sim.schedule sim ~at f in
+  let spawn_await ~note id d k =
+    Sim.spawn sim (fun () ->
+        note (Started id);
+        let resume = ref (fun () -> ()) in
+        Sim.schedule sim ~at:(Sim.now () + d) (fun () ->
+            note (Resumer id);
+            !resume ());
+        Sim.await (fun r -> resume := r);
+        k ())
+  in
+  interpret ~now ~push ~spawn_await ~run:(fun until -> Sim.run ?until sim) steps
+
+let run_on_reference steps =
+  let r = Ref_sim.create () in
+  let now () = r.Ref_sim.now in
+  let push ~at f = Ref_sim.push r ~at f in
+  (* A process start, its resumer and its resume hop are one push each,
+     in the order Sim makes them: spawn, resumer, then resume at the
+     resumer's tick. *)
+  let spawn_await ~note id d k =
+    push ~at:(now ()) (fun () ->
+        note (Started id);
+        push ~at:(now () + d) (fun () ->
+            note (Resumer id);
+            push ~at:(now ()) k))
+  in
+  interpret ~now ~push ~spawn_await ~run:(fun until -> Ref_sim.run ?until r) steps
+
+let gen_script =
+  let open QCheck.Gen in
+  let offsets = [| 0; 0; 1; 31; 32; 1024; 1 lsl 20; (1 lsl 25) + 7 |] in
+  let offset = frequency [ (2, return 0); (3, oneofa offsets) ] in
+  let next_id = ref 0 in
+  let prog =
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           let kids =
+             if n <= 0 then return []
+             else list_size (int_bound 3) (pair offset (self (n / 3)))
+           in
+           map2
+             (fun awaits kids ->
+               incr next_id;
+               { id = !next_id; awaits; kids })
+             (opt offset) kids)
+  in
+  let delta = oneofl [ -1000; -1; 0; 1; 31; 1024; 1 lsl 20; 1 lsl 26 ] in
+  list_size (int_range 1 8)
+    (frequency [ (3, map2 (fun o p -> Add (o, p)) offset prog); (2, map (fun d -> Run_until d) delta) ])
+
+(* The run loop against the one-heap reference: the same fired
+   (event, time) sequence, and the same clock after every step.  Covers
+   same-tick callback chains, await/resume hops at the resumer's tick,
+   wheel events due at a tick the ring is also serving, injections at a
+   parked clock, back-to-back bounded runs, and a horizon behind the
+   clock (which fires nothing, not even the current tick's ring). *)
+let prop_run_loop_matches_reference =
+  QCheck.Test.make ~name:"sim run loop matches one-heap (time, seq) reference" ~count:300
+    (QCheck.make gen_script) (fun steps -> run_on_sim steps = run_on_reference steps)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -721,6 +858,7 @@ let () =
         prop_pqueue_pop_sorted;
         prop_pqueue_boundary_lexicographic;
         prop_wheel_matches_heap;
+        prop_run_loop_matches_reference;
       ]
   in
   Alcotest.run "engine"
