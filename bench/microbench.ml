@@ -163,25 +163,31 @@ let bench_pqueue =
          let rec drain () = match Pqueue.pop q with Some _ -> drain () | None -> () in
          drain ()))
 
+(* Hand every tick up to [limit] to the ring and pop it, as Sim's run
+   loop does. *)
+let rec drain_wheel q ~limit =
+  while Wheel.ready q do
+    ignore (Wheel.pop q)
+  done;
+  if Wheel.advance q ~limit >= 0 then drain_wheel q ~limit
+
 let bench_wheel =
   Test.make ~name:"primitive:wheel push/pop x1k"
     (Staged.stage (fun () ->
          let q = Wheel.create ~dummy:0 in
          for i = 0 to 999 do
-           Wheel.push q ~time:((i * 7919) mod 1000) ~seq:i i
+           Wheel.push q ~time:((i * 7919) mod 1000) i
          done;
-         for _ = 0 to 999 do
-           ignore (Wheel.pop_min q)
-         done))
+         drain_wheel q ~limit:max_int))
 
 (* The motivating case for the wheel: near-term churn while thousands of
    far-future deadlines (parked threads) sit in the same queue.  The
    binary heap pays ~log(ballast) sift steps on every operation; the
-   wheel parks the ballast in outer levels / overflow and keeps the hot
-   tick O(1). *)
+   wheel parks the ballast in an outer level and keeps the hot tick
+   O(1). *)
 let with_far_ballast push bench =
   for i = 0 to 1_999 do
-    push ~time:(10_000_000 + (i * 1000)) ~seq:i (-1)
+    push ~time:(10_000_000 + (i * 1000)) i
   done;
   bench ()
 
@@ -189,7 +195,9 @@ let bench_pqueue_ballast =
   Test.make ~name:"primitive:pqueue push/pop x1k under 2k far ballast"
     (Staged.stage (fun () ->
          let q = Pqueue.create ~dummy:0 in
-         with_far_ballast (Pqueue.push q) (fun () ->
+         with_far_ballast
+           (fun ~time i -> Pqueue.push q ~time ~seq:i (-1))
+           (fun () ->
              for i = 0 to 999 do
                Pqueue.push q ~time:((i * 7919) mod 1000) ~seq:(2000 + i) i
              done;
@@ -201,13 +209,13 @@ let bench_wheel_ballast =
   Test.make ~name:"primitive:wheel push/pop x1k under 2k far ballast"
     (Staged.stage (fun () ->
          let q = Wheel.create ~dummy:0 in
-         with_far_ballast (Wheel.push q) (fun () ->
+         with_far_ballast
+           (fun ~time _ -> Wheel.push q ~time (-1))
+           (fun () ->
              for i = 0 to 999 do
-               Wheel.push q ~time:((i * 7919) mod 1000) ~seq:(2000 + i) i
+               Wheel.push q ~time:((i * 7919) mod 1000) i
              done;
-             for _ = 0 to 999 do
-               ignore (Wheel.pop_min q)
-             done)))
+             drain_wheel q ~limit:999)))
 
 let bench_histogram =
   Test.make ~name:"primitive:histogram record x1k"
@@ -225,6 +233,18 @@ let bench_sim_pingpong =
          Sim.spawn sim (fun () ->
              for _ = 1 to 1000 do
                Sim.delay 1
+             done);
+         Sim.run sim))
+
+(* Every hop lands 20 cycles on, alone in its wheel slot: the polling
+   pattern, a short fixed delay per loop turn. *)
+let bench_sim_delay_hops =
+  Test.make ~name:"primitive:engine near-future delay hops"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sim.delay 20
              done);
          Sim.run sim))
 
@@ -310,6 +330,7 @@ let all_tests =
       bench_wheel_ballast;
       bench_histogram;
       bench_sim_pingpong;
+      bench_sim_delay_hops;
       bench_sim_await_hops;
       bench_smt_core_churn;
       bench_e1;

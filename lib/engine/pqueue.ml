@@ -12,7 +12,7 @@
    The grow path seeds fresh capacity with [dummy] for the same reason.
 
    A single packed [time lsl k lor seq] key was considered and rejected:
-   [seq] is a global monotone counter with no fixed upper bound, so any
+   [seq] is the caller's monotone counter with no fixed upper bound, so any
    static bit split eventually corrupts the (time, seq) lexicographic
    order.  The comparator instead reads both arrays; the ordering is
    property-tested against the lexicographic reference at the tick
@@ -93,11 +93,6 @@ let push t ~time ~seq payload =
 let min_time t =
   assert (t.size > 0);
   t.times.(0)
-[@@sl.zero_alloc]
-
-let min_seq t =
-  assert (t.size > 0);
-  t.seqs.(0)
 [@@sl.zero_alloc]
 
 let pop_min t =

@@ -1,16 +1,19 @@
 (** Binary min-heap keyed by [(time, seq)].
 
-    The event queue of the simulator.  Ties on [time] are broken by the
-    monotonically increasing sequence number so that execution order is
-    deterministic and matches insertion order.
+    The reference model of the engine's event order: ties on [time] are
+    broken by the caller's sequence number, so a heap fed a monotone
+    [seq] pops in (time, push order) — the order {!Wheel} keeps without
+    any sequence number.  test/engine checks the wheel and the whole
+    {!Sim} run loop against it, and the microbench uses it as the
+    wheel's comparator.
 
     Times are immediate native ints (see [Sim.Time]); the heap stores
     keys and payloads in parallel unboxed arrays, so a push/pop pair
     allocates nothing beyond amortized array growth.  A single packed
-    [time*K + seq] int key is deliberately {e not} used: [seq] grows
-    without bound over a run (hundreds of millions of events), so no
-    fixed bit split preserves lexicographic [(time, seq)] order —
-    instead the comparator reads the two int arrays directly. *)
+    [time*K + seq] int key is deliberately {e not} used: [seq] may grow
+    without bound, so no fixed bit split preserves lexicographic
+    [(time, seq)] order — instead the comparator reads the two int
+    arrays directly. *)
 
 type 'a t
 
@@ -28,11 +31,6 @@ val push : 'a t -> time:int -> seq:int -> 'a -> unit
 val min_time : 'a t -> int
 (** Time of the earliest element.  Undefined (asserts) on an empty
     queue; pair with {!is_empty}.  Allocation-free. *)
-
-val min_seq : 'a t -> int
-(** Sequence number of the earliest element.  Undefined (asserts) on an
-    empty queue.  The wheel reads this when promoting overflow events so
-    re-insertion preserves the exact (time, seq) key. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest element's payload (read {!min_time}

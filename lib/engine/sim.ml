@@ -36,22 +36,9 @@ type proc = {
   mutable resumed_seq : int;  (* highest await already resumed *)
 }
 
-(* The ready ring: events pushed for the current tick, FIFO (so in seq
-   order), [len] of them from [head] in a power-of-two circular buffer.
-   See [push] and [run]. *)
-type 'a ring = {
-  mutable items : 'a array;
-  mutable seqs : int array;
-  mutable head : int;
-  mutable len : int;
-  filler : 'a;  (* seeds vacated slots, as Pqueue's [dummy] *)
-}
-
 type t = {
   mutable now : Time.t;
-  mutable seq : int;
-  queue : (unit -> unit) Wheel.t;  (* events pushed for a later tick *)
-  ready : (unit -> unit) ring;  (* events pushed for the current tick *)
+  queue : (unit -> unit) Wheel.t;  (* every pending event, see [run] *)
   mutable next_pid : int;
   procs : (int, proc) Hashtbl.t;  (* live (not yet returned) processes *)
   mutable events : int;  (* events popped by {!run}, for perf accounting *)
@@ -81,9 +68,7 @@ let create () =
   let t =
     {
       now = Time.zero;
-      seq = 0;
       queue = Wheel.create ~dummy:nop;
-      ready = { items = [||]; seqs = [||]; head = 0; len = 0; filler = nop };
       next_pid = 0;
       procs = Hashtbl.create 32;
       events = 0;
@@ -95,51 +80,9 @@ let create () =
 let time t = t.now
 let events_processed t = t.events
 
-(* Re-lay the ring out from index 0 at twice the capacity.  It starts
-   empty, so a world that never schedules costs nothing here. *)
-let ring_grow r =
-  let cap = Array.length r.items in
-  let cap' = max 8 (2 * cap) in
-  let items = Array.make cap' r.filler and seqs = Array.make cap' 0 in
-  for k = 0 to r.len - 1 do
-    let j = (r.head + k) land (cap - 1) in
-    items.(k) <- r.items.(j);
-    seqs.(k) <- r.seqs.(j)
-  done;
-  r.items <- items;
-  r.seqs <- seqs;
-  r.head <- 0
-
-(* [@@sl.zero_alloc]: the warm-path budget.  [ring_grow] allocates, but
-   amortized doubling runs O(log n) times per world; the per-event path
-   writes two slots of preallocated arrays. *)
-let ring_push r seq x =
-  if r.len = Array.length r.items then ring_grow r;
-  let i = (r.head + r.len) land (Array.length r.items - 1) in
-  r.items.(i) <- x;
-  r.seqs.(i) <- seq;
-  r.len <- r.len + 1
-[@@sl.zero_alloc]
-
-(* The vacated slot is re-seeded with [filler], so a fired thunk is
-   collectable as soon as the run loop drops it. *)
-let ring_pop r =
-  let i = r.head in
-  let x = r.items.(i) in
-  r.items.(i) <- r.filler;
-  r.head <- (i + 1) land (Array.length r.items - 1);
-  r.len <- r.len - 1;
-  x
-[@@sl.zero_alloc]
-
-(* An event for the current tick skips the wheel: it is later in seq than
-   everything already pending at this tick, so appending to the ring
-   keeps (time, seq) order.  About half of all events are these —
-   mostly [await] resume hops. *)
-let push t ~at thunk =
-  t.seq <- t.seq + 1;
-  if at = t.now then ring_push t.ready t.seq thunk
-  else Wheel.push t.queue ~time:at ~seq:t.seq thunk
+(* The wheel keeps push order within a tick.  About half of all events
+   are for the current tick, mostly [await] resume hops. *)
+let push t ~at thunk = Wheel.push t.queue ~time:at thunk
 
 let schedule t ~at thunk =
   if at < t.now then invalid_arg "Sim.schedule: time in the past";
@@ -181,6 +124,8 @@ let rec exec t proc f =
               (fun (k : (a, _) continuation) ->
                 if d < 0 then
                   discontinue k (Invalid_argument "Sim.delay: negative delay")
+                else if d > Time.max_tick - t.now then
+                  discontinue k (Invalid_argument "Sim.delay: past Time.max_tick")
                 else push t ~at:(t.now + d) (fun () -> continue k ()))
           | Fork_eff g ->
             Some
@@ -244,53 +189,36 @@ let stuck_summary t =
       (Printf.sprintf "%d process(es) still blocked: %s" (List.length blocked)
          (String.concat ", " (List.map describe_blocked blocked)))
 
-(* The hot loop.  Every ring entry is at [now], and the clock moves only
-   once the ring is empty, so the next event is either the ring head or
-   the wheel minimum, and the wheel's can only win at [now] with a lower
-   seq: an event the wheel holds for [now] was pushed before the clock
-   got there, so it precedes every ring entry.  Pops are therefore in
-   exact (time, seq) order, as with the wheel alone (property-tested in
-   test/engine against one Pqueue).  No option or tuple boxing on the
-   way.  Whichever way a bounded run ends — future event left beyond the
-   horizon, or queue drained dry — the clock parks at the horizon, so
-   [time] agrees between the two endings (it never moves backwards: a
-   second bounded run with an earlier horizon is a no-op on the clock,
-   and fires nothing, not even events due at the current tick). *)
+(* The hot loop.  The wheel hands over whole ticks in push order, so
+   the loop only pops the ready ring while it holds events, and
+   otherwise asks the wheel for the next tick up to the horizon.  No
+   option or tuple boxing on the way.  Whichever way a bounded run ends
+   — future event left beyond the horizon, or queue drained dry — the
+   clock parks at the horizon, so [time] agrees between the two endings
+   (it never moves backwards: a second bounded run with an earlier
+   horizon is a no-op on the clock, and fires nothing, not even events
+   due at the current tick).  The wheel's cursor may trail a parked
+   clock; a push for the parked tick then waits in a chain, and the next
+   [advance] reaches it before anything later. *)
 let run ?until t =
   let horizon = match until with None -> Time.max_tick | Some h -> h in
-  let park_at_horizon () =
-    match until with Some h when h > t.now -> t.now <- h | _ -> ()
-  in
-  let q = t.queue and r = t.ready in
+  let q = t.queue in
   let rec loop () =
-    if r.len > 0 then begin
+    if Wheel.ready q then begin
       if t.now <= horizon then begin
-        let thunk =
-          if
-            (not (Wheel.is_empty q))
-            && Wheel.min_time q = t.now
-            && Wheel.min_seq q < r.seqs.(r.head)
-          then Wheel.pop_min q
-          else ring_pop r
-        in
+        let thunk = Wheel.pop q in
         t.events <- t.events + 1;
         thunk ();
         loop ()
       end
     end
-    else if Wheel.is_empty q then park_at_horizon ()
     else begin
-      let time = Wheel.min_time q in
-      if time <= horizon then begin
-        let thunk = Wheel.pop_min q in
-        t.now <- time;
-        t.events <- t.events + 1;
-        thunk ();
+      let tick = Wheel.advance q ~limit:horizon in
+      if tick >= 0 then begin
+        t.now <- tick;
         loop ()
       end
-      else
-        (* Leave future events unprocessed; clock parks at the horizon. *)
-        park_at_horizon ()
+      else match until with Some h when h > t.now -> t.now <- h | _ -> ()
     end
   in
   loop ()

@@ -26,11 +26,11 @@
     [int64] the engine used previously bought nothing except an
     allocation on every scheduled event.  Overflow policy: ticks are
     never wrapped or masked; arithmetic past [max_tick] is a programming
-    error upstream (the engine itself only ever adds non-negative
-    delays to the current time and rejects negative delays).  The type
-    equality [t = int] is deliberately public: callers write plain
-    integer literals and arithmetic, and this module is the single
-    place documenting what those ints mean. *)
+    error upstream (the engine itself only ever adds delays to the
+    current time that keep it within [0, max_tick], and rejects the
+    rest).  The type equality [t = int] is deliberately public: callers
+    write plain integer literals and arithmetic, and this module is the
+    single place documenting what those ints mean. *)
 module Time : sig
   type t = int
 
@@ -65,15 +65,14 @@ val spawn : ?name:string -> ?daemon:bool -> t -> (unit -> unit) -> unit
     used by {!stuck} to identify processes abandoned mid-wait.
     [daemon] (default [false]) marks a process that is expected to park
     forever (a server loop, an IRQ context): it still appears in {!stuck}
-    but is excluded from {!suspects}.  Like every event for the current
-    tick, the start queues behind everything already due at this tick
-    (same-tick FIFO, see {!run}). *)
+    but is excluded from {!suspects}.  Like every event, the start
+    queues behind everything already scheduled for its tick (see {!run}). *)
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs callback [f] (not a blocking process) at
-    absolute time [at].  [at] must not precede the current time.  With
-    [at] equal to the current time, [f] runs after every event already
-    due at this tick (same-tick FIFO, see {!run}). *)
+    absolute time [at].  [at] must not precede the current time.  [f]
+    runs after every event already scheduled for [at], also when [at] is
+    the current time (see {!run}). *)
 
 val run : ?until:Time.t -> t -> unit
 (** Drive the event loop until the queue drains, or until simulated time
@@ -87,13 +86,12 @@ val run : ?until:Time.t -> t -> unit
     silently-missing results.
 
     Order: events fire by time, and within a tick in the order they were
-    scheduled.  Events scheduled for the current tick — [schedule ~at:now],
-    {!spawn}, {!fork} and every {!await} resume — are kept apart in a FIFO
-    ready ring, so they never pay for the timing wheel; those the wheel
-    holds for a tick were all scheduled before the clock reached it, so
-    they fire first, then the ring drains, and only then does the clock
-    move.  A horizon behind the clock fires nothing, not even events due
-    at the current tick. *)
+    scheduled.  The one queue, a {!Wheel}, keeps that order without
+    sequence numbers and hands the loop one whole tick at a time; an
+    event scheduled for the current tick — [schedule ~at:now], {!spawn},
+    {!fork} and every {!await} resume — joins the back of that tick, and
+    the clock moves only once the tick is drained.  A horizon behind the
+    clock fires nothing, not even events due at the current tick. *)
 
 (** {2 Abandoned-process reporting} *)
 
@@ -140,7 +138,9 @@ val now : unit -> Time.t
 (** Current simulated time.  Must be called from within a process. *)
 
 val delay : Time.t -> unit
-(** Suspend the calling process for the given number of cycles (≥ 0). *)
+(** Suspend the calling process for the given number of cycles (≥ 0).
+    A negative delay, or one that would carry the clock past
+    {!Time.max_tick}, raises [Invalid_argument] in the caller. *)
 
 val fork : (unit -> unit) -> unit
 (** Start a child process at the current time.  The child runs after the

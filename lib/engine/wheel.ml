@@ -1,53 +1,46 @@
 module Arena = Sl_util.Arena
 
-(* Hierarchical (hashed) timing wheel over 63-bit ticks: 5 levels of 32
-   slots, spanning 2^25 ticks of look-ahead, with two small binary heaps
-   bolted on — a *front* heap that funnels every pop, and an *overflow*
-   heap for events beyond the wheel's window (far-future deadlines and
-   the [Time.max_tick] park sentinel).
+(* Hierarchical (hashed) timing wheel over 63-bit ticks: a ready ring for
+   the cursor's tick, 5 levels of 32 slot chains spanning 2^25 ticks of
+   look-ahead, and one far list beyond them.  Every pending event of a
+   world lives here, and nothing here knows a sequence number: same-tick
+   order is push order because every chain is a FIFO.
 
    Placement.  [cursor] trails the earliest pending event.  An event at
-   [time] lands by [x = time lxor cursor]:
+   [time] (never before the cursor) lands by [x = time lxor cursor]:
 
-     x = 0 or time <= cursor   -> front heap (already due)
-     x < 2^25                  -> level (msb x / 5), slot (time >> 5l) & 31
-     x >= 2^25                 -> overflow heap
+     x = 0        -> ready ring (due at the cursor's tick)
+     x < 2^25     -> level (msb x / 5), slot (time >> 5l) & 31
+     x >= 2^25    -> far list
 
    The xor rule is the *windowed* wheel: an event's level is the highest
    5-bit band in which its time differs from the cursor, so all events in
    level l share every bit above 5(l+1) with the cursor, and a level-0
    slot holds exactly one tick.  Levels are time-ordered end to end
-   (every level-l time precedes every level-(l+1) time), so the next
-   event is always in the lowest occupied level, found by per-level
-   32-bit occupancy masks.
+   (every level-l time precedes every level-(l+1) time, and every wheel
+   time precedes every far time), so the next event is always in the
+   lowest occupied level, found by per-level 32-bit occupancy masks.
 
-   Advancing.  When the front heap runs dry, [ensure_front] cascades: it
-   jumps the cursor to the base time of the lowest occupied slot of the
-   lowest occupied level, then either transfers that slot (level 0: one
-   exact tick) into the front heap or re-homes its chain into strictly
-   lower levels — each node re-homes at most [levels] times over its
-   life, and the wheel's slot chains live in a flat {!Sl_util.Arena} so
-   none of this allocates.  Cascades never touch bits >= 25 of the
-   cursor, so overflow promotion is only needed when the wheel itself is
-   empty and the cursor jumps to the overflow minimum; promotion then
-   drains every overflow event that landed inside the new window
-   (overflow times outside the window are provably later than every
-   event inside it, so checking successive minima is complete).
+   Advancing.  [advance] takes the lowest occupied slot of the lowest
+   occupied level.  A one-node chain is one tick: the cursor goes
+   straight to that node's time and the node to the ring.  A longer
+   chain *cascades*: the cursor jumps to the slot's base time and the
+   chain re-homes in order, the base tick's events into the ring and the
+   rest into strictly lower levels (a level-0 slot is all base tick), so
+   each event re-homes at most [levels] times.  Neither move touches the
+   cursor's bits >= 25, so far events stay far until the levels are
+   empty; then the far list is scanned for its minimum, the cursor jumps
+   there, and the whole list re-homes in order.
 
-   Determinism.  Every pop goes through the front heap, which orders by
-   exact (time, seq) — the wheel only ever moves *whole future slots*
-   into it, and slots never split a tick, so the pop sequence is the
-   lexicographic (time, seq) order, bit-identical to the plain binary
-   heap this replaces (property-tested against it in test/engine).
-   Same-tick events therefore batch through the front heap in canonical
-   seq order however they were distributed over levels beforehand.
-
-   Cost.  Push is O(1) (arena node + occupancy bit, or a push into a
-   heap that stays small); pop is O(log front) where the front heap
-   holds only the current tick batch plus late inserts — against the
-   binary heap's O(log pending), which degraded every near-term op to
-   ~20 sift levels once thousands of far-future events (parked deadline
-   waits) shared the one heap.  See DESIGN.md, "Event queue v2". *)
+   Order.  Placement is a function of (time, cursor), and each move
+   above keeps every event where placement puts it, so the events of one
+   tick always share one chain.  Chains only append, and every re-home
+   walks a chain head to tail into chains that are empty when it starts,
+   so a chain's events of one tick are in push order.  A tick's chain
+   reaches the (empty) ring whole, before any event pushed for that tick
+   once the cursor is there, so the ring pops in push order too: the
+   order of a (time, seq) heap fed a monotone seq, property-tested
+   against {!Pqueue} in test/engine.  See DESIGN.md, "Event queue v3". *)
 
 let bits = 5
 let slot_count = 1 lsl bits  (* 32 *)
@@ -55,29 +48,69 @@ let levels = 5
 let span = 1 lsl (bits * levels)  (* 2^25 ticks of wheel window *)
 let slot_mask = slot_count - 1
 
+(* Chain index of the far list, after the levels*32 slot chains. *)
+let far = levels * slot_count
+
 type 'a t = {
-  front : 'a Pqueue.t;  (* events with time <= cursor; every pop's source *)
-  overflow : 'a Pqueue.t;  (* events beyond the window; min promoted on jump *)
-  arena : 'a Arena.t;  (* slot-chain nodes for everything in the wheel *)
-  heads : int array;  (* levels*32 chain heads into [arena]; Arena.nil = empty *)
+  arena : 'a Arena.t;  (* nodes of every chained event *)
+  heads : int array;  (* levels*32 slot chains, then the far list; nil = empty *)
+  tails : int array;  (* each chain's last node, where pushes append *)
   occ : int array;  (* per-level occupancy bitmask over slots *)
   mutable cursor : int;  (* trails the earliest pending event; never recedes *)
+  (* The ready ring: events at [cursor]'s tick, FIFO, [len] of them from
+     [head] in a power-of-two circular buffer. *)
+  mutable items : 'a array;
+  mutable head : int;
+  mutable len : int;
+  dummy : 'a;
 }
 
 let create ~dummy =
   {
-    front = Pqueue.create ~dummy;
-    overflow = Pqueue.create ~dummy;
     arena = Arena.create ~dummy;
-    heads = Array.make (levels * slot_count) Arena.nil;
+    heads = Array.make (far + 1) Arena.nil;
+    tails = Array.make (far + 1) Arena.nil;
     occ = Array.make levels 0;
     cursor = 0;
+    items = [||];
+    head = 0;
+    len = 0;
+    dummy;
   }
 
-let length t =
-  Pqueue.length t.front + Arena.live t.arena + Pqueue.length t.overflow
+let is_empty t = t.len = 0 && Arena.live t.arena = 0
+let ready t = t.len > 0
 
-let is_empty t = length t = 0
+(* Re-lay the ring out from index 0 at twice the capacity.  It starts
+   empty, so a world that never schedules costs nothing here. *)
+let ring_grow t =
+  let cap = Array.length t.items in
+  let items = Array.make (max 8 (2 * cap)) t.dummy in
+  for k = 0 to t.len - 1 do
+    items.(k) <- t.items.((t.head + k) land (cap - 1))
+  done;
+  t.items <- items;
+  t.head <- 0
+
+(* [@@sl.zero_alloc]: the warm-path budget.  [ring_grow] allocates, but
+   amortized doubling runs O(log n) times per world; the per-event path
+   writes one slot of a preallocated array. *)
+let ring_push t x =
+  if t.len = Array.length t.items then ring_grow t;
+  t.items.((t.head + t.len) land (Array.length t.items - 1)) <- x;
+  t.len <- t.len + 1
+[@@sl.zero_alloc]
+
+(* The vacated slot is re-seeded with [dummy], so a popped payload is
+   collectable as soon as the caller drops it. *)
+let pop t =
+  let i = t.head in
+  let x = t.items.(i) in
+  t.items.(i) <- t.dummy;
+  t.head <- (i + 1) land (Array.length t.items - 1);
+  t.len <- t.len - 1;
+  x
+[@@sl.zero_alloc]
 
 (* Level of a nonzero in-window xor: index of its highest 5-bit band. *)
 let level_of x =
@@ -88,44 +121,52 @@ let level_of x =
   else 4
 [@@sl.zero_alloc]
 
-(* Chain an existing arena node into the slot its time dictates.
-   Precondition: time > cursor and (time lxor cursor) < span. *)
-let chain_node t node =
-  let time = Arena.time t.arena node in
-  let level = level_of (time lxor t.cursor) in
-  let slot = (time lsr (level * bits)) land slot_mask in
-  (* [slot] is masked to 5 bits and [level] < 5, so [idx] is in bounds
-     of the 160-entry heads array by construction. *)
-  let idx = (level * slot_count) + slot in
-  Arena.set_next t.arena node (Array.unsafe_get t.heads idx);
-  Array.unsafe_set t.heads idx node;
-  Array.unsafe_set t.occ level (Array.unsafe_get t.occ level lor (1 lsl slot))
+(* Append [node] (its [next] already nil) to chain [idx].  [idx] is a
+   slot index or [far], in bounds of both arrays by construction. *)
+let append t idx node =
+  let tail = Array.unsafe_get t.tails idx in
+  if tail = Arena.nil then Array.unsafe_set t.heads idx node
+  else Arena.set_next t.arena tail node;
+  Array.unsafe_set t.tails idx node
 [@@sl.zero_alloc]
 
-(* [@@sl.zero_alloc]: the warm-path budget — an arena slot (amortized
-   growth aside) or a push into one of the two heaps, which share
-   Pqueue's budget. *)
-let push t ~time ~seq payload =
-  if time <= t.cursor then Pqueue.push t.front ~time ~seq payload
-  else if time lxor t.cursor >= span then
-    Pqueue.push t.overflow ~time ~seq payload
-  else chain_node t (Arena.alloc t.arena ~time ~seq payload)
+(* Chain [node], at [time], by [x]: the time's nonzero xor with the
+   cursor. *)
+let chain_node t node time x =
+  if x >= span then append t far node
+  else begin
+    let level = level_of x in
+    let slot = (time lsr (level * bits)) land slot_mask in
+    append t ((level * slot_count) + slot) node;
+    Array.unsafe_set t.occ level (Array.unsafe_get t.occ level lor (1 lsl slot))
+  end
 [@@sl.zero_alloc]
 
-(* Drain overflow events that fall inside the window around the (just
-   moved) cursor.  Overflow minima outside the window bound everything
-   behind them, so the loop stops at the first non-promotable event. *)
-let promote_overflow t =
-  while
-    (not (Pqueue.is_empty t.overflow))
-    && Pqueue.min_time t.overflow lxor t.cursor < span
-  do
-    let time = Pqueue.min_time t.overflow in
-    let seq = Pqueue.min_seq t.overflow in
-    let payload = Pqueue.pop_min t.overflow in
-    if time <= t.cursor then Pqueue.push t.front ~time ~seq payload
-    else chain_node t (Arena.alloc t.arena ~time ~seq payload)
-  done
+let push t ~time payload =
+  if time < t.cursor then invalid_arg "Wheel.push: time precedes the cursor";
+  let x = time lxor t.cursor in
+  if x = 0 then ring_push t payload
+  else chain_node t (Arena.alloc t.arena ~time payload) time x
+[@@sl.zero_alloc]
+
+(* Re-home a detached chain against the (just moved) cursor, head to
+   tail: the cursor's tick into the ring, everything else by placement. *)
+let rec rehome t node =
+  if node <> Arena.nil then begin
+    let next = Arena.next t.arena node in
+    let time = Arena.time t.arena node in
+    let x = time lxor t.cursor in
+    if x = 0 then begin
+      ring_push t (Arena.payload t.arena node);
+      Arena.free t.arena node
+    end
+    else begin
+      Arena.set_next t.arena node Arena.nil;
+      chain_node t node time x
+    end;
+    rehome t next
+  end
+[@@sl.zero_alloc]
 
 (* Index of the lowest set bit of a 32-bit occupancy mask in constant
    time: isolate the bit, multiply by a de Bruijn sequence, read the
@@ -145,85 +186,68 @@ let lowest_set_bit mask =
   Char.code (String.unsafe_get ctz_table ((lsb * debruijn32 land 0xFFFFFFFF) lsr 27))
 [@@sl.zero_alloc]
 
-(* Refill the front heap from the wheel (or overflow) if it is dry and
-   events remain.  Each iteration either transfers a level-0 slot (one
-   exact tick) into the front heap, re-homes a higher-level slot into
-   strictly lower levels, or jumps the cursor to the overflow minimum —
-   so the loop terminates and leaves the earliest pending event at the
-   front heap's root. *)
-let ensure_front t =
-  while
-    Pqueue.is_empty t.front
-    && (Arena.live t.arena > 0 || not (Pqueue.is_empty t.overflow))
-  do
-    if Arena.live t.arena = 0 then begin
-      (* Wheel dry: jump to the far future.  Promotion moves at least the
-         overflow minimum (its xor with the new cursor is 0: front). *)
-      t.cursor <- Pqueue.min_time t.overflow;
-      promote_overflow t
-    end
+let rec chain_min arena node m =
+  if node = Arena.nil then m
+  else
+    let time = Arena.time arena node in
+    chain_min arena (Arena.next arena node) (if time < m then time else m)
+
+(* Detach chain [idx] and return its head. *)
+let take t idx =
+  let head = t.heads.(idx) in
+  t.heads.(idx) <- Arena.nil;
+  t.tails.(idx) <- Arena.nil;
+  head
+
+(* Every wheel time precedes every far time, so the far list is only
+   consulted, and its O(far) minimum scan only paid, once the levels are
+   empty.  The jump moves at least the minimum's tick into the ring. *)
+let far_jump t ~limit =
+  let head = t.heads.(far) in
+  if head = Arena.nil then -1
+  else begin
+    let m = chain_min t.arena head max_int in
+    if m > limit then -1
     else begin
-      let level = ref 0 in
-      while t.occ.(!level) = 0 do
-        incr level
-      done;
-      let level = !level in
-      let slot = lowest_set_bit t.occ.(level) in
-      let idx = (level * slot_count) + slot in
-      let shift = level * bits in
-      (* Base time of the slot: cursor's bits above the band, the band
-         itself set to [slot], everything below zeroed.  Occupied slots
-         sit strictly above the cursor's own band (see the placement
-         invariant), so the cursor only moves forward. *)
-      let base =
-        t.cursor land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
-      in
-      t.cursor <- base;
-      let chain = t.heads.(idx) in
-      t.heads.(idx) <- Arena.nil;
-      t.occ.(level) <- t.occ.(level) land lnot (1 lsl slot);
-      if level = 0 then begin
-        (* The slot is exactly one tick: everything goes to the front
-           heap, which restores canonical seq order within the tick. *)
-        let node = ref chain in
-        while !node <> Arena.nil do
-          let n = !node in
-          node := Arena.next t.arena n;
-          Pqueue.push t.front ~time:(Arena.time t.arena n)
-            ~seq:(Arena.seq t.arena n)
-            (Arena.payload t.arena n);
-          Arena.free t.arena n
-        done
-      end
-      else begin
-        (* Re-home the chain: every node's xor with the new cursor is now
-           confined below this level's band.  Nodes move in place — no
-           arena churn — except the slot-base tick itself, which is due. *)
-        let node = ref chain in
-        while !node <> Arena.nil do
-          let n = !node in
-          node := Arena.next t.arena n;
-          if Arena.time t.arena n = t.cursor then begin
-            Pqueue.push t.front ~time:(Arena.time t.arena n)
-              ~seq:(Arena.seq t.arena n)
-              (Arena.payload t.arena n);
-            Arena.free t.arena n
-          end
-          else chain_node t n
-        done
-      end
+      t.cursor <- m;
+      rehome t (take t far);
+      m
     end
-  done
+  end
 
-let min_time t =
-  ensure_front t;
-  Pqueue.min_time t.front
-
-let min_seq t =
-  ensure_front t;
-  Pqueue.min_seq t.front
-
-let pop_min t =
-  ensure_front t;
-  Pqueue.pop_min t.front
+(* Each step either fires the one-node shortcut, cascades one slot into
+   strictly lower levels (or, at level 0, wholly into the ring), or jumps
+   to the far minimum, so the recursion terminates. *)
+let rec advance t ~limit =
+  assert (t.len = 0);
+  let occ = t.occ in
+  let level = ref 0 in
+  while !level < levels && occ.(!level) = 0 do
+    incr level
+  done;
+  let level = !level in
+  if level = levels then far_jump t ~limit
+  else begin
+    let slot = lowest_set_bit occ.(level) in
+    let idx = (level * slot_count) + slot in
+    let head = t.heads.(idx) in
+    (* A one-node chain is one tick, so the cursor goes straight to it.
+       A longer chain cascades from the slot's base time: the cursor's
+       bits above the band, the band set to [slot], everything below
+       zeroed.  Occupied slots sit strictly above the cursor's own band,
+       so either way the cursor only moves forward. *)
+    let tick =
+      if head = t.tails.(idx) then Arena.time t.arena head
+      else
+        let shift = level * bits in
+        t.cursor land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
+    in
+    if tick > limit then -1
+    else begin
+      occ.(level) <- occ.(level) land lnot (1 lsl slot);
+      t.cursor <- tick;
+      rehome t (take t idx);
+      if t.len > 0 then tick else advance t ~limit
+    end
+  end
 [@@sl.zero_alloc]

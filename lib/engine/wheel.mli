@@ -1,22 +1,21 @@
-(** Hierarchical timing wheel: the event queue behind {!Sim}.
+(** Hierarchical timing wheel: the one home of a {!Sim} world's pending
+    events.
 
-    Drop-in replacement for a (time, seq)-keyed binary heap: pops come
-    out in exact lexicographic (time, seq) order — property-tested
-    against {!Pqueue} as the reference model — but near-term push/pop is
-    O(1) amortized instead of O(log pending), because far-future events
-    (deadline waits, the [Time.max_tick] park sentinel) wait in outer
-    wheel levels or the overflow heap instead of deepening the hot path.
+    Events fire by time, and within a tick in push order.  The structure
+    keeps that order by itself, with no sequence numbers: every chain is
+    a FIFO, the events of one tick always share one chain, and moving a
+    chain walks it in order.  Push and pop are O(1), and allocation-free
+    once the arena and the ring are warm.
 
-    Structure: 5 levels x 32 slots covering a 2^25-tick window around an
-    internal cursor, slot chains in a flat {!Sl_util.Arena}, plus two
-    small {!Pqueue}s — a *front* heap every pop funnels through (which
-    restores canonical seq order within a tick) and an *overflow* heap
-    beyond the window.  See wheel.ml and DESIGN.md ("Event queue v2")
-    for the placement rule and the determinism argument.
+    Parts: a FIFO ready ring for the tick the internal cursor is at;
+    5 levels x 32 FIFO slot chains covering the 2{^25} ticks after it; and
+    one FIFO far list for events beyond that window.  Chain nodes live in
+    a flat {!Sl_util.Arena}.  See wheel.ml and DESIGN.md ("Event queue
+    v3") for the placement rule and the order argument.
 
-    Times must be non-negative; [push] accepts any time (a time at or
-    before the internal cursor goes straight to the front heap, so late
-    scheduling against a parked-ahead clock stays exact). *)
+    Use: {!pop} while {!ready}; once the ring is empty, {!advance} moves
+    the next tick's events into it.  Property-tested against {!Pqueue}
+    (a (time, seq) heap) one tick at a time in test/engine. *)
 
 type 'a t
 
@@ -26,19 +25,21 @@ val create : dummy:'a -> 'a t
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> time:int -> seq:int -> 'a -> unit
-(** O(1) amortized; allocation-free once arena and heaps are warm. *)
+val push : 'a t -> time:int -> 'a -> unit
+(** An event at the cursor's tick joins the back of the ready ring; a
+    later one is appended to the chain its time dictates.  [time] must
+    not precede the cursor, which trails every pending event (raises
+    [Invalid_argument] otherwise).  O(1), allocation-free once warm. *)
 
-val min_time : 'a t -> int
-(** Time of the earliest (time, seq) event.  The queue must be
-    non-empty.  May advance the internal cursor (refilling the front
-    heap); observable order is unaffected. *)
+val ready : 'a t -> bool
+(** The ready ring holds an event. *)
 
-val min_seq : 'a t -> int
-(** Sequence number of the earliest (time, seq) event.  The queue must be
-    non-empty.  {!Sim}'s run loop reads it to merge the wheel with its
-    same-tick ready ring. *)
+val pop : 'a t -> 'a
+(** Remove and return the ready ring's oldest event.  The ring must not
+    be empty. *)
 
-val pop_min : 'a t -> 'a
-(** Remove and return the earliest event's payload, lexicographic by
-    (time, seq).  The queue must be non-empty. *)
+val advance : 'a t -> limit:int -> int
+(** The ring must be empty.  If the earliest pending tick is at most
+    [limit], move the cursor to it, append that tick's events to the ring
+    in push order and return the tick.  Otherwise return [-1]: the
+    cursor may move, but never past [limit]. *)

@@ -1,8 +1,8 @@
 (* Flat node arena for int-keyed, intrusively chained event records.
 
-   Nodes live in parallel unboxed arrays — two int keys ([time]/[seq]),
-   one int [next] link, and one payload slot — so allocating a node on a
-   warm arena writes four array slots and touches no OCaml allocator at
+   Nodes live in parallel unboxed arrays — one int key ([time]), one
+   int [next] link, and one payload slot — so allocating a node on a
+   warm arena writes three array slots and touches no OCaml allocator at
    all.  [next] chains nodes into whatever structure the owner maintains
    (the timing wheel threads per-slot lists through it); [nil] terminates
    a chain and doubles as the freelist terminator.
@@ -15,7 +15,6 @@
 
 type 'a t = {
   mutable times : int array;
-  mutable seqs : int array;
   mutable next : int array;
   mutable payloads : 'a array;
   mutable high : int;  (* slots ever handed out; [high..cap) untouched *)
@@ -29,7 +28,6 @@ let nil = -1
 let create ~dummy =
   {
     times = [||];
-    seqs = [||];
     next = [||];
     payloads = [||];
     high = 0;
@@ -45,9 +43,6 @@ let grow t =
   let times = Array.make capacity' 0 in
   Array.blit t.times 0 times 0 t.high;
   t.times <- times;
-  let seqs = Array.make capacity' 0 in
-  Array.blit t.seqs 0 seqs 0 t.high;
-  t.seqs <- seqs;
   let next = Array.make capacity' nil in
   Array.blit t.next 0 next 0 t.high;
   t.next <- next;
@@ -57,9 +52,9 @@ let grow t =
 
 (* [@@sl.zero_alloc]: the warm-path budget.  [grow] allocates, but
    amortized doubling runs O(log n) times over an arena's lifetime; the
-   per-node path pops the freelist (or bumps [high]) and writes four
+   per-node path pops the freelist (or bumps [high]) and writes three
    unboxed slots. *)
-let alloc t ~time ~seq payload =
+let alloc t ~time payload =
   let i =
     if t.free <> nil then begin
       let i = t.free in
@@ -74,7 +69,6 @@ let alloc t ~time ~seq payload =
     end
   in
   Array.unsafe_set t.times i time;
-  Array.unsafe_set t.seqs i seq;
   Array.unsafe_set t.next i nil;
   Array.unsafe_set t.payloads i payload;
   t.live <- t.live + 1;
@@ -85,7 +79,6 @@ let alloc t ~time ~seq payload =
    index is only valid between [alloc] and [free], and the arrays never
    shrink), so the bounds checks are elided. *)
 let time t i = Array.unsafe_get t.times i [@@sl.zero_alloc]
-let seq t i = Array.unsafe_get t.seqs i [@@sl.zero_alloc]
 let next t i = Array.unsafe_get t.next i [@@sl.zero_alloc]
 let payload t i = Array.unsafe_get t.payloads i [@@sl.zero_alloc]
 let set_next t i n = Array.unsafe_set t.next i n [@@sl.zero_alloc]

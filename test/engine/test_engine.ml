@@ -229,6 +229,22 @@ let test_negative_delay_rejected () =
   Sim.run sim;
   check_bool "raised" true !raised
 
+(* [now + d] must not wrap past [Time.max_tick]: such a delay is rejected
+   like a negative one, while a delay landing exactly on max_tick runs. *)
+let test_delay_past_max_tick_rejected () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.spawn sim (fun () ->
+      Sim.delay 10;
+      (match Sim.delay max_int with
+       | () -> log := Printf.sprintf "resumed at %d" (Sim.now ()) :: !log
+       | exception Invalid_argument _ -> log := Printf.sprintf "rejected at %d" (Sim.now ()) :: !log);
+      Sim.delay (Sim.Time.max_tick - 10);
+      log := Printf.sprintf "at max_tick: %b" (Sim.now () = Sim.Time.max_tick) :: !log);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "rejected, then max_tick reached" [ "rejected at 10"; "at max_tick: true" ] (List.rev !log)
+
 (* --- Ivar --- *)
 
 let test_ivar_fill_wakes_readers () =
@@ -602,9 +618,24 @@ let prop_pqueue_boundary_lexicographic =
 
 let wheel_span = 1 lsl 25
 
-(* Every pop crosses at least one structural boundary: level-0/level-1
-   slot edges, a power-of-two cascade, or the wheel-window edge into the
-   overflow heap.  The expected order is simply ascending time. *)
+(* The ready ring's events, oldest first. *)
+let pop_ready w =
+  let rec go acc = if Wheel.ready w then go (Wheel.pop w :: acc) else List.rev acc in
+  go []
+
+(* Drain a wheel (ring empty) one tick at a time: [advance], then pop
+   until not ready.  Each tick comes back as (tick, its events in ring
+   order). *)
+let drain_ticks w =
+  let rec go acc =
+    let tick = Wheel.advance w ~limit:max_int in
+    if tick < 0 then List.rev acc else go ((tick, pop_ready w) :: acc)
+  in
+  go []
+
+(* Every tick crosses at least one structural boundary: level-0/level-1
+   slot edges, a power-of-two cascade, the old 2^25 window edge into the
+   far list, or max_tick.  The expected order is ascending time. *)
 let test_wheel_cascade_boundaries () =
   let w = Wheel.create ~dummy:"" in
   let entries =
@@ -613,104 +644,170 @@ let test_wheel_cascade_boundaries () =
       (63, "t63"); (64, "t64");
       (1023, "t1023"); (1024, "t1024"); (1025, "t1025");
       (wheel_span - 1, "span-1"); (wheel_span, "span"); (wheel_span + 1, "span+1");
+      (Sim.Time.max_tick, "max");
     ]
   in
-  List.iteri (fun i (time, v) -> Wheel.push w ~time ~seq:i v) entries;
-  let popped = List.init (List.length entries) (fun _ -> Wheel.pop_min w) in
-  Alcotest.(check (list string))
-    "ascending across slot/window boundaries" (List.map snd entries) popped;
+  List.iter (fun (time, v) -> Wheel.push w ~time v) (List.rev entries);
+  Alcotest.(check (list (pair int (list string))))
+    "one tick each, ascending across slot/window boundaries"
+    (List.map (fun (time, v) -> (time, [ v ])) entries)
+    (drain_ticks w);
   check_bool "empty after drain" true (Wheel.is_empty w)
 
-let test_wheel_same_tick_seq_order () =
-  (* Same-tick events must come back in seq order however the wheel
-     buffered them — the front heap restores the canonical order. *)
+let test_wheel_same_tick_push_order () =
+  (* Same-tick events come back in push order: pushed into one level-1
+     chain, cascaded into level 0, and joined there by a push made once
+     the cursor had moved up to the tick before. *)
   let w = Wheel.create ~dummy:(-1) in
-  List.iter (fun seq -> Wheel.push w ~time:100 ~seq seq) [ 5; 1; 4; 0; 3; 2 ];
-  Wheel.push w ~time:99 ~seq:9 9;
-  check_int "earlier tick first" 9 (Wheel.pop_min w);
-  for seq = 0 to 5 do
-    check_int "seq order within tick" seq (Wheel.pop_min w)
-  done
+  List.iter (fun v -> Wheel.push w ~time:1000 v) [ 5; 1; 4 ];
+  Wheel.push w ~time:999 9;
+  check_int "earlier tick first" 999 (Wheel.advance w ~limit:max_int);
+  (* At the tick just reached: behind the ring.  At the next tick: behind
+     the events cascaded there. *)
+  Wheel.push w ~time:999 8;
+  List.iter (fun v -> Wheel.push w ~time:1000 v) [ 0; 3; 2 ];
+  Alcotest.(check (list int)) "tick 999 in push order" [ 9; 8 ] (pop_ready w);
+  check_int "next tick" 1000 (Wheel.advance w ~limit:max_int);
+  Alcotest.(check (list int)) "tick 1000 in push order" [ 5; 1; 4; 0; 3; 2 ] (pop_ready w);
+  check_bool "empty" true (Wheel.is_empty w)
 
-let test_wheel_overflow_promotion () =
+let test_wheel_far_list_jump () =
   let w = Wheel.create ~dummy:(-1) in
-  (* Far-future deadlines beyond the 2^25 window plus the park sentinel:
-     all three start in the overflow heap. *)
-  Wheel.push w ~time:Sim.Time.max_tick ~seq:2 2;
-  Wheel.push w ~time:(1 lsl 30) ~seq:1 1;
-  Wheel.push w ~time:((1 lsl 30) + 5) ~seq:0 0;
-  check_int "cursor jumps to overflow min" 1 (Wheel.pop_min w);
-  check_int "promoted neighbour follows" 0 (Wheel.pop_min w);
-  (* A fresh push near the far-ahead cursor still beats the sentinel. *)
-  Wheel.push w ~time:((1 lsl 30) + 100) ~seq:3 3;
-  check_int "late near push" 3 (Wheel.pop_min w);
-  check_int "max_tick sentinel drains last" 2 (Wheel.pop_min w);
+  (* Beyond the 2^25 window of cursor 0: all four start in the far list. *)
+  Wheel.push w ~time:Sim.Time.max_tick 2;
+  Wheel.push w ~time:((1 lsl 30) + 5) 0;
+  Wheel.push w ~time:(1 lsl 30) 1;
+  Wheel.push w ~time:((1 lsl 30) + 5) 4;
+  check_int "no jump past the limit" (-1) (Wheel.advance w ~limit:((1 lsl 30) - 1));
+  check_int "cursor jumps to the far minimum" (1 lsl 30) (Wheel.advance w ~limit:max_int);
+  Alcotest.(check (list int)) "minimum tick" [ 1 ] (pop_ready w);
+  (* A fresh push near the far-ahead cursor still beats max_tick, and a
+     re-homed tick keeps its push order. *)
+  Wheel.push w ~time:((1 lsl 30) + 100) 3;
+  Alcotest.(check (list (pair int (list int))))
+    "re-homed ticks, then max_tick"
+    [ ((1 lsl 30) + 5, [ 0; 4 ]); ((1 lsl 30) + 100, [ 3 ]); (Sim.Time.max_tick, [ 2 ]) ]
+    (drain_ticks w);
+  check_bool "empty" true (Wheel.is_empty w);
+  (* At max_tick the cursor's own tick goes to the ring. *)
+  Wheel.push w ~time:Sim.Time.max_tick 5;
+  Alcotest.(check (list int)) "push at the cursor's max_tick" [ 5 ] (pop_ready w)
+
+let test_wheel_advance_limit () =
+  (* A failed advance may move the cursor, but never past the limit: a
+     push at the limit is still accepted and comes out first. *)
+  let w = Wheel.create ~dummy:(-1) in
+  Wheel.push w ~time:2000 0;
+  check_int "one-node chain beyond the limit, its slot base within" (-1)
+    (Wheel.advance w ~limit:1500);
+  Wheel.push w ~time:2001 1;
+  check_int "cascade stops at the limit" (-1) (Wheel.advance w ~limit:1500);
+  Wheel.push w ~time:1500 2;
+  check_int "one-node tick at the limit" 1500 (Wheel.advance w ~limit:1500);
+  Alcotest.(check (list int)) "pushed at the limit" [ 2 ] (pop_ready w);
+  Alcotest.(check (list (pair int (list int))))
+    "rest" [ (2000, [ 0 ]); (2001, [ 1 ]) ] (drain_ticks w);
+  (match Wheel.push w ~time:2000 9 with
+   | () -> Alcotest.fail "push before the cursor accepted"
+   | exception Invalid_argument _ -> ());
   check_bool "empty" true (Wheel.is_empty w)
 
 let test_arena_reuse () =
   let a = Arena.create ~dummy:"dummy" in
-  let i1 = Arena.alloc a ~time:5 ~seq:1 "one" in
-  let i2 = Arena.alloc a ~time:9 ~seq:2 "two" in
+  let i1 = Arena.alloc a ~time:5 "one" in
+  let i2 = Arena.alloc a ~time:9 "two" in
   check_int "live" 2 (Arena.live a);
   Alcotest.(check string) "payload" "one" (Arena.payload a i1);
   check_int "time" 9 (Arena.time a i2);
-  check_int "seq" 2 (Arena.seq a i2);
   check_int "fresh node next is nil" Arena.nil (Arena.next a i1);
   Arena.free a i1;
   check_int "live after free" 1 (Arena.live a);
-  let i3 = Arena.alloc a ~time:7 ~seq:3 "three" in
+  let i3 = Arena.alloc a ~time:7 "three" in
   check_int "freed slot recycled" i1 i3;
   Alcotest.(check string) "recycled payload" "three" (Arena.payload a i3);
   Arena.set_next a i3 i2;
   check_int "intrusive link" i2 (Arena.next a i3)
 
-(* Random schedule/advance interleavings checked pop-for-pop against the
-   binary heap as the reference model: the wheel's observable order must
-   be exactly the heap's lexicographic (time, seq) order.  Time classes
-   cover every placement branch — each wheel level, the overflow heap,
-   already-due pushes against an advanced cursor, and the max_tick park
-   sentinel. *)
+(* [a + b] for [b >= 0], saturating at max_tick instead of wrapping. *)
+let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
+
+(* Random push/advance interleavings checked tick by tick against the
+   binary heap as the reference model: each tick the wheel hands over
+   must be the heap's minimum time, with exactly the heap's events at
+   that time in (time, seq) order — push order.  Pushes are at or after
+   the tick last reached, like the run loop's, and cover every
+   placement: the tick just reached (the ring), each wheel level, the
+   old 2^25 window edge, far-list jumps, and max_tick; offsets saturate
+   at max_tick.  A bounded advance that finds nothing parks [now] at its
+   limit, as {!Sim.run} parks the clock. *)
 let prop_wheel_matches_heap =
   let open QCheck in
-  let op = option (pair (int_bound 6) (int_bound 1023)) in
+  let op =
+    Gen.oneof
+      [
+        Gen.map2 (fun cls jitter -> `Push (cls, jitter)) (Gen.int_bound 7) (Gen.int_bound 1023);
+        Gen.return `Tick;
+        Gen.map (fun d -> `Tick_until d) (Gen.int_bound 2048);
+      ]
+  in
+  let print = function
+    | `Push (cls, jitter) -> Printf.sprintf "push %d/%d" cls jitter
+    | `Tick -> "tick"
+    | `Tick_until d -> Printf.sprintf "tick+%d" d
+  in
   Test.make ~name:"wheel matches heap on random interleavings" ~count:300
-    (list op) (fun ops ->
+    (make ~print:(Print.list print) (Gen.list op)) (fun ops ->
       let wheel = Wheel.create ~dummy:(-1) in
       let heap = Pqueue.create ~dummy:(-1) in
       let seq = ref 0 in
-      let base = ref 0 in
+      let now = ref 0 in
       let ok = ref true in
-      let pop_both () =
-        if not (Pqueue.is_empty heap) then begin
-          let ht = Pqueue.min_time heap in
-          let wt = Wheel.min_time wheel in
-          let hv = Pqueue.pop_min heap in
-          let wv = Wheel.pop_min wheel in
-          base := ht;
-          if ht <> wt || hv <> wv then ok := false
-        end
+      let heap_tick () =
+        let time = Pqueue.min_time heap in
+        let rec take acc =
+          if (not (Pqueue.is_empty heap)) && Pqueue.min_time heap = time then
+            take (Pqueue.pop_min heap :: acc)
+          else List.rev acc
+        in
+        (time, take [])
+      in
+      let tick limit =
+        let expect =
+          if Pqueue.is_empty heap || Pqueue.min_time heap > limit then None
+          else Some (heap_tick ())
+        in
+        let got =
+          if Wheel.ready wheel then Some (!now, pop_ready wheel)
+          else
+            let t = Wheel.advance wheel ~limit in
+            if t < 0 then None else Some (t, pop_ready wheel)
+        in
+        if got <> expect then ok := false;
+        match got with Some (t, _) -> now := t | None -> now := max !now limit
       in
       List.iter
-        (fun opn ->
-          match opn with
-          | Some (cls, jitter) ->
+        (function
+          | `Push (cls, jitter) ->
+            let edge = sat_add (!now lor (wheel_span - 1)) 1 in
             let time =
               match cls with
-              | 0 -> !base + jitter  (* level 0/1 around the cursor *)
-              | 1 -> !base + 32 + jitter
-              | 2 -> !base + 1024 + (jitter lsl 5)  (* mid levels *)
-              | 3 -> !base + (1 lsl 20) + (jitter lsl 10)  (* top level *)
-              | 4 -> !base + (1 lsl 25) + (jitter lsl 15)  (* overflow *)
-              | 5 -> jitter  (* possibly already due after pops *)
-              | _ -> Sim.Time.max_tick  (* park sentinel *)
+              | 0 -> sat_add !now (jitter land 3)  (* the tick just reached *)
+              | 1 -> sat_add !now jitter  (* levels 0-1 *)
+              | 2 -> sat_add !now (1024 + (jitter lsl 5))  (* mid levels *)
+              | 3 -> sat_add !now ((1 lsl 20) + (jitter lsl 10))  (* top level *)
+              | 4 -> max !now (sat_add (edge - 512) jitter)  (* across the 2^25 edge *)
+              | 5 -> sat_add !now ((1 lsl 25) + (jitter lsl 15))  (* far list *)
+              | 6 -> sat_add !now ((1 lsl 40) + jitter)  (* far jump *)
+              | _ -> Sim.Time.max_tick
             in
             incr seq;
-            Wheel.push wheel ~time ~seq:!seq !seq;
+            Wheel.push wheel ~time !seq;
             Pqueue.push heap ~time ~seq:!seq !seq
-          | None -> pop_both ())
+          | `Tick -> tick max_int
+          | `Tick_until d -> tick (sat_add !now d))
         ops;
-      while not (Pqueue.is_empty heap) do
-        pop_both ()
+      while !ok && not (Pqueue.is_empty heap) do
+        tick max_int
       done;
       !ok && Wheel.is_empty wheel)
 
@@ -876,8 +973,9 @@ let () =
       ( "wheel",
         [
           Alcotest.test_case "cascade boundaries" `Quick test_wheel_cascade_boundaries;
-          Alcotest.test_case "same-tick seq order" `Quick test_wheel_same_tick_seq_order;
-          Alcotest.test_case "overflow promotion" `Quick test_wheel_overflow_promotion;
+          Alcotest.test_case "same-tick push order" `Quick test_wheel_same_tick_push_order;
+          Alcotest.test_case "far list jump" `Quick test_wheel_far_list_jump;
+          Alcotest.test_case "advance limit" `Quick test_wheel_advance_limit;
           Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         ] );
       ( "sim",
@@ -891,6 +989,8 @@ let () =
           Alcotest.test_case "schedule past rejected" `Quick test_schedule_past_rejected;
           Alcotest.test_case "same-time fifo" `Quick test_same_time_fifo;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "delay past max_tick rejected" `Quick
+            test_delay_past_max_tick_rejected;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         ] );
       ( "ivar",
