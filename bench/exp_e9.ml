@@ -30,10 +30,10 @@ let wake_latency_with_armed armed =
   let chip = Chip.create sim p ~cores:1 in
   let memory = Chip.memory chip in
   let mon = Chip.monitor_table chip in
-  (* Filler arms, attributed to a dormant filler thread. *)
-  let filler_key = { Monitor.core_id = 0; ptid = 999_999 } in
+  (* Filler arms, attributed to a dormant filler slot on core 0. *)
+  let filler = Monitor.register mon ~core_id:0 in
   for _ = 2 to armed do
-    Monitor.arm mon filler_key (Memory.alloc memory 1)
+    Monitor.arm mon filler (Memory.alloc memory 1)
   done;
   let doorbell = Memory.alloc memory 1 in
   let woke = ref 0 in

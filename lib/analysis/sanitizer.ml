@@ -70,11 +70,9 @@ let on_reg_access t ~insn ~actor ~target =
            actor insn target
            (state_name (mirror_state t target)))
 
-let monitor_key th = { Monitor.core_id = Chip.home_core th; ptid = Chip.ptid th }
-
 let on_parked t ~ptid =
   let th = Chip.find_thread t.chip ~ptid in
-  if Monitor.armed (Chip.monitor_table t.chip) (monitor_key th) = [] then
+  if Chip.armed th = [] then
     t.report ~rule:"mwait"
       ~key:(Printf.sprintf "no-monitor:%d" ptid)
       ~message:
@@ -121,9 +119,7 @@ let check_deadlock t ~addr_writes =
   let waiting =
     List.filter (fun th -> Chip.state th = Ptid.Waiting) (Chip.thread_list t.chip)
   in
-  let monitor = Chip.monitor_table t.chip in
-  let info =
-    List.map (fun th -> (Chip.ptid th, Monitor.armed monitor (monitor_key th))) waiting
+  let info = List.map (fun th -> (Chip.ptid th, Chip.armed th)) waiting
   in
   let exempt (_, addrs) =
     addrs = []

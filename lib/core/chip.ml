@@ -55,8 +55,8 @@ let wake_stop = -1  (* force-stopped while waiting *)
 let wake_deadline = -2  (* mwait_for deadline expired *)
 let wake_crash = -3  (* crash-stopped while parked: unwind the body *)
 
-(* Wake-cell states (low 2 bits of the [o_cell] hot slot). *)
-let cell_idle = 0  (* no park in progress *)
+(* Wake-cell states (low 2 bits of the [o_cell] hot slot; 0 is idle, no
+   park in progress). *)
 let cell_open = 1  (* parked, no event delivered yet *)
 let cell_full = 2  (* event delivered, value in [o_wval] *)
 
@@ -70,7 +70,7 @@ let cell_full = 2  (* event delivered, value in [o_wval] *)
    round-robin wake touched a dozen distinct cold lines.)
 
    slot 0 [o_meta]  : mslot << 22 | core << 2 | state   (state in the low
-                      2 bits; core below 2^20; interned Monitor slot above)
+                      2 bits; core below 2^20; registered Monitor slot above)
    slot 1 [o_cell]  : epoch << 2 | cell-state  (the reusable wake cell:
                       [epoch] counts park rounds, low bits a cell_ code)
    slot 2 [o_wval]  : wake value (addr >= 0 or a wake_* code)
@@ -89,48 +89,40 @@ let o_flags = 6
 let o_starts = 7
 let core_mask = 0xFFFFF  (* 20 bits *)
 
-(* Per-thread state is struct-of-arrays, indexed by a dense interned
-   [tid]: the chip is the hardware's dense context table, not a heap of
-   records.  A wakeup reads/writes the thread's [hot] line plus its
-   [fns] record instead of chasing five separately-allocated objects
-   (thread record, Ptid record, wake Ivar, monitor state, store entry),
-   and the park/wake protocol reuses the int-encoded wake cell in
-   [o_cell]/[o_wval] instead of allocating an Ivar + constructor per
-   park.  The cell's epoch counts park rounds: events scheduled against
-   an earlier round (a wake in flight when a force-stop claimed the
-   park) compare their captured epoch and stand down, exactly the
-   staleness the per-round Ivar's [is_full] used to encode.
+(* Per-thread state is one record per hardware thread plus its hot
+   line.  The record is the thread's handle: it holds everything the
+   thread owns off the wake path — identity, weight, registers, body,
+   TDT, secret key — and its preallocated closures.  The hot line holds
+   the wake path's scalars, indexed by a dense interned [tid]: a wakeup
+   reads/writes that line plus the handle instead of chasing five
+   separately-allocated objects (thread record, Ptid record, wake Ivar,
+   monitor state, store entry), and the park/wake protocol reuses the
+   int-encoded wake cell in [o_cell]/[o_wval] instead of allocating an
+   Ivar + constructor per park.  The cell's epoch counts park rounds:
+   events scheduled against an earlier round (a wake in flight when a
+   force-stop claimed the park) compare their captured epoch and stand
+   down, exactly the staleness the per-round Ivar's [is_full] used to
+   encode.
 
    Tids are interned, not raw ptids: experiments use sparse sentinel
    ptids (hypervisors at 9_000, handlers at 600), and several build a
-   fresh chip per measurement point — sizing eight parallel arrays by
-   the largest raw ptid cost ~100us of zeroed major-heap allocation per
-   world for a handful of threads, swamping short experiments.  The
-   [tids] table maps ptid -> tid on the cold paths (construction, TDT
-   translation); everything per-event is tid-indexed.  Externally
-   visible identifiers — probe events, exception descriptors, monitor /
-   SMT / state-store keys, fault hooks — always carry the real ptid. *)
+   fresh chip per measurement point — sizing the hot array by the
+   largest raw ptid would cost zeroed major-heap allocation per world
+   for a handful of threads.  The [tids] table maps ptid -> handle on
+   the cold paths (construction, TDT translation); everything per-event
+   goes through the handle.  Externally visible identifiers — probe
+   events, exception descriptors, SMT / state-store keys, fault hooks —
+   always carry the real ptid. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
   memory : Memory.t;
   monitor : Monitor.t;
   cores : core array;
-  (* ptid -> tid interning *)
-  tids : (int, int) Hashtbl.t;
+  tids : (int, thread) Hashtbl.t;  (* ptid -> handle *)
+  mutable threads : thread list;  (* every handle, newest first *)
   mutable n_tids : int;
-  (* dense tid-indexed thread state *)
-  mutable t_handle : thread option array;  (* canonical handles; None = no thread *)
   mutable hot : int array;  (* strided hot slots, see layout above *)
-  mutable t_fns : fns array;  (* per-thread closures + resume signal *)
-  mutable t_weight : float array;
-  mutable t_smt : int array;  (* Smt_core slot on the home core; -1 = not yet *)
-  mutable t_crashes : int array;
-  (* payloads *)
-  mutable t_regs : Regstate.t array;
-  mutable t_body : (thread -> unit) option array;
-  mutable t_tdt : Tdt.t option array;
-  mutable t_secret : int64 option array;
   mutable halted_reason : string option;
   mutable exn_seq : int64;
   mutable exn_count : int;
@@ -142,18 +134,12 @@ type t = {
   mutable faults : fault_hooks option;
 }
 
-and thread = { chip : t; tid : int; t_ptid : int }
-(* Handle on one hardware thread: the chip, the dense array index, and
-   the architectural ptid.  One canonical handle per thread, allocated
-   at [add_thread] and shared by every [find_thread]/[thread_list]. *)
-
-(* The thread's preallocated closures, one heap record per thread (a
-   single cache line) instead of four parallel pointer arrays.  Only
-   [f_resume] mutates per park round; the rest are fixed at
-   [add_thread].
+(* One hardware thread, allocated once at [add_thread] and shared by
+   every [find_thread]/[thread_list].  Only [resume] mutates per park
+   round; the closures are fixed at [add_thread].
 
    In-flight wake delivery: the scheduled event is the preallocated
-   [f_deliver] thunk reading its (epoch, addr) from the [o_pend]/
+   [deliver] thunk reading its (epoch, addr) from the [o_pend]/
    [o_pendaddr] hot slots, so the steady-state wake path schedules
    without allocating.  At most one delivery per thread is normally in
    flight (the monitor waiter is consumed when it fires and only
@@ -161,12 +147,22 @@ and thread = { chip : t; tid : int; t_ptid : int }
    rare overlap — force-stop + restart + re-park + second wake inside
    the first delivery's latency window — falls back to a capturing
    closure (see [monitor_wake]). *)
-and fns = {
-  mutable f_resume : int -> unit;  (* parked body's continuation *)
-  f_wake : Memory.addr -> unit;  (* preallocated monitor waiter *)
-  f_register : (int -> unit) -> unit;  (* preallocated await hook *)
-  f_deliver : unit -> unit;  (* preallocated wake-delivery event *)
-  f_signal : unit Signal.t;  (* start/stop resume signal *)
+and thread = {
+  chip : t;
+  tid : int;  (* index of the thread's line in [hot] *)
+  t_ptid : int;
+  weight : float;
+  regs : Regstate.t;
+  mutable smt : int;  (* Smt_core slot on the home core; -1 = not yet *)
+  mutable crashes : int;
+  mutable body : (thread -> unit) option;
+  mutable tdt : Tdt.t option;
+  mutable secret : int64 option;
+  mutable resume : int -> unit;  (* parked body's continuation *)
+  wake : Memory.addr -> unit;  (* monitor waiter *)
+  register : (int -> unit) -> unit;  (* await hook *)
+  deliver : unit -> unit;  (* wake-delivery event *)
+  signal : unit Signal.t;  (* start/stop resume signal *)
 }
 
 (* Raised inside a crash-stopped thread's body to unwind its instruction
@@ -174,17 +170,6 @@ and fns = {
 exception Crash_stop
 
 let dummy_resume : int -> unit = fun _ -> ()
-
-let dummy_fns =
-  {
-    f_resume = dummy_resume;
-    f_wake = (fun _ -> ());
-    f_register = (fun _ -> ());
-    f_deliver = (fun () -> ());
-    f_signal = Signal.create ();
-  }
-
-let dummy_regs : Regstate.t = Regstate.create ~vector:false ()
 
 (* Consulted at the end of [create]: lets observer libraries (analysis,
    fault injection) attach themselves to every chip built anywhere —
@@ -222,17 +207,9 @@ let create sim params ~cores =
             cache = Tdt.Cache.create ();
           });
     tids = Hashtbl.create 64;
+    threads = [];
     n_tids = 0;
-    t_handle = Array.make 64 None;
     hot = Array.make (64 * hot_stride) 0;
-    t_fns = Array.make 64 dummy_fns;
-    t_weight = Array.make 64 1.0;
-    t_smt = Array.make 64 (-1);
-    t_crashes = Array.make 64 0;
-    t_regs = Array.make 64 dummy_regs;
-    t_body = Array.make 64 None;
-    t_tdt = Array.make 64 None;
-    t_secret = Array.make 64 None;
     halted_reason = None;
     exn_seq = 0L;
     exn_count = 0;
@@ -271,10 +248,7 @@ let halted t = t.halted_reason
 
 let exists t ptid = Hashtbl.mem t.tids ptid
 
-let handle_of t ptid =
-  match Hashtbl.find_opt t.tids ptid with
-  | Some tid -> t.t_handle.(tid)
-  | None -> None
+let handle_of t ptid = Hashtbl.find_opt t.tids ptid
 
 (* Hot-slot accessors.  [meta] is slot 0, so the base index doubles as
    its address. *)
@@ -287,38 +261,17 @@ let set_tstate c i st =
 let tcore c i = (c.hot.(i * hot_stride) lsr 2) land core_mask
 let tmslot c i = c.hot.(i * hot_stride) asr 22
 
-(* Grow every tid-indexed array to cover [tid].  Tids are interned
-   densely, so this only ever doubles — never jumps to a sparse ptid. *)
+(* Grow [hot] to cover [tid].  Tids are interned densely, so this only
+   ever doubles — never jumps to a sparse ptid. *)
 let ensure_tid t tid =
-  let n = Array.length t.t_handle in
+  let n = Array.length t.hot / hot_stride in
   if tid >= n then begin
-    let cap = max (tid + 1) (2 * n) in
-    let grow a def =
-      let b = Array.make cap def in
-      Array.blit a 0 b 0 n;
-      b
-    in
-    let hot = Array.make (cap * hot_stride) 0 in
+    let hot = Array.make (max (tid + 1) (2 * n) * hot_stride) 0 in
     Array.blit t.hot 0 hot 0 (n * hot_stride);
-    t.hot <- hot;
-    t.t_handle <- grow t.t_handle None;
-    t.t_fns <- grow t.t_fns dummy_fns;
-    t.t_weight <- grow t.t_weight 1.0;
-    t.t_smt <- grow t.t_smt (-1);
-    t.t_crashes <- grow t.t_crashes 0;
-    t.t_regs <- grow t.t_regs dummy_regs;
-    t.t_body <- grow t.t_body None;
-    t.t_tdt <- grow t.t_tdt None;
-    t.t_secret <- grow t.t_secret None
+    t.hot <- hot
   end
 
-let thread_list t =
-  let acc = ref [] in
-  for tid = t.n_tids - 1 downto 0 do
-    match t.t_handle.(tid) with Some th -> acc := th :: !acc | None -> ()
-  done;
-  (* Tids are in spawn order; the contract is ptid order. *)
-  List.sort (fun a b -> compare a.t_ptid b.t_ptid) !acc
+let thread_list t = List.sort (fun a b -> compare a.t_ptid b.t_ptid) t.threads
 
 let find_thread t ~ptid =
   match handle_of t ptid with
@@ -326,9 +279,9 @@ let find_thread t ~ptid =
   | None -> invalid_arg "Chip.find_thread: unknown ptid"
 
 let attach th body =
-  match th.chip.t_body.(th.tid) with
+  match th.body with
   | Some _ -> invalid_arg "Chip.attach: body already attached"
-  | None -> th.chip.t_body.(th.tid) <- Some body
+  | None -> th.body <- Some body
 
 let ptid th = th.t_ptid
 let home_core th = tcore th.chip th.tid
@@ -343,12 +296,13 @@ let set_flag c i bit on =
 
 let mode th = if get_flag th.chip th.tid fl_super then Ptid.Supervisor else Ptid.User
 let is_supervisor th = get_flag th.chip th.tid fl_super
-let regs th = th.chip.t_regs.(th.tid)
-let set_tdt th table = th.chip.t_tdt.(th.tid) <- Some table
-let tdt th = th.chip.t_tdt.(th.tid)
+let regs th = th.regs
+let set_tdt th table = th.tdt <- Some table
+let tdt th = th.tdt
 let wakeup_count th = th.chip.hot.((th.tid * hot_stride) + o_wakeups)
 let start_count th = th.chip.hot.((th.tid * hot_stride) + o_starts)
-let crash_count th = th.chip.t_crashes.(th.tid)
+let crash_count th = th.crashes
+let armed th = Monitor.armed th.chip.monitor (tmslot th.chip th.tid)
 
 let own_core th = th.chip.cores.(tcore th.chip th.tid)
 
@@ -358,45 +312,42 @@ let pin_state th = State_store.pin (own_core th).store ~ptid:th.t_ptid
    touch — at the same calls that interned it by ptid, so [Smt_core]'s
    slot order (and [billed_threads]' order) is unchanged. *)
 let smt_slot th smt =
-  let c = th.chip in
-  let s = c.t_smt.(th.tid) in
-  if s >= 0 then s
+  if th.smt >= 0 then th.smt
   else begin
     let s = Smt_core.slot smt ~ptid:th.t_ptid in
-    c.t_smt.(th.tid) <- s;
+    th.smt <- s;
     s
   end
 
-let make_runnable th ~reason =
+(* The one state transition: write the hot state, put the thread on (or
+   take it off) its home core's execution units, emit the probe. *)
+let set_state th state ~reason =
   let c = th.chip in
-  let i = th.tid in
-  let b = i * hot_stride in
+  let b = th.tid * hot_stride in
   let m = c.hot.(b) in
-  let from_ = m land 3 in
-  c.hot.(b) <- (m land lnot 3) lor st_runnable;
+  let code = state_code state in
+  c.hot.(b) <- (m land lnot 3) lor code;
   let smt = c.cores.((m lsr 2) land core_mask).exec_unit in
-  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:c.t_weight.(i) true;
+  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:th.weight
+    (code = st_runnable);
   if c.probe_on then
     emit c
       (Probe.State_change
-         { ptid = th.t_ptid; from_ = state_of_code from_; to_ = Ptid.Runnable; reason })
+         { ptid = th.t_ptid; from_ = state_of_code (m land 3); to_ = state; reason })
 
-let make_not_runnable th state ~reason =
+(* Waiting -> Disabled (a force- or crash-stop of a parked thread): a
+   waiting thread is already off the execution units, so only the state
+   machine and probes move. *)
+let stop_waiting th ~reason =
   let c = th.chip in
-  let i = th.tid in
-  let b = i * hot_stride in
-  let m = c.hot.(b) in
-  let from_ = m land 3 in
-  c.hot.(b) <- (m land lnot 3) lor state_code state;
-  let smt = c.cores.((m lsr 2) land core_mask).exec_unit in
-  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:c.t_weight.(i) false;
+  set_tstate c th.tid st_disabled;
   if c.probe_on then
     emit c
       (Probe.State_change
-         { ptid = th.t_ptid; from_ = state_of_code from_; to_ = state; reason })
+         { ptid = th.t_ptid; from_ = Ptid.Waiting; to_ = Ptid.Disabled; reason })
 
 let run_body th =
-  match th.chip.t_body.(th.tid) with
+  match th.body with
   | None -> invalid_arg "Chip: starting a thread with no body attached"
   | Some body ->
     Sim.spawn ~name:(Printf.sprintf "ptid-%d" th.t_ptid) th.chip.sim (fun () ->
@@ -409,7 +360,7 @@ let run_body th =
           ());
         (* Instruction stream ended: the thread parks itself. *)
         if tstate th.chip th.tid = st_runnable then
-          make_not_runnable th Ptid.Disabled ~reason:"body-end")
+          set_state th Ptid.Disabled ~reason:"body-end")
 
 (* Block the calling body until its thread is runnable again.  Loops
    because a start can be followed by another stop before we get going.
@@ -420,10 +371,10 @@ let rec wait_until_runnable th =
   if tstate c th.tid <> st_runnable then begin
     if tstate c th.tid = st_disabled then begin
       Sim.set_daemon true;
-      Signal.wait c.t_fns.(th.tid).f_signal;
+      Signal.wait th.signal;
       Sim.set_daemon false
     end
-    else Signal.wait c.t_fns.(th.tid).f_signal;
+    else Signal.wait th.signal;
     wait_until_runnable th
   end
 
@@ -431,8 +382,6 @@ let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
   let smt = (own_core th).exec_unit in
   Smt_core.execute_slot smt ~slot:(smt_slot th smt) ~kind cycles
-
-let exec_int th ?kind cycles = exec th ?kind cycles
 
 (* --- wakeup machinery -------------------------------------------------- *)
 
@@ -444,10 +393,9 @@ let fill_wake th v =
   let b = (th.tid * hot_stride) + o_cell in
   c.hot.(b) <- (c.hot.(b) land lnot 3) lor cell_full;
   c.hot.(b + (o_wval - o_cell)) <- v;
-  let fns = c.t_fns.(th.tid) in
-  let r = fns.f_resume in
+  let r = th.resume in
   if r != dummy_resume then begin
-    fns.f_resume <- dummy_resume;
+    th.resume <- dummy_resume;
     r v
   end
 [@@sl.zero_alloc]
@@ -457,7 +405,7 @@ let read_wake th =
   let c = th.chip in
   let b = th.tid * hot_stride in
   if c.hot.(b + o_cell) land 3 = cell_full then c.hot.(b + o_wval)
-  else Sim.await c.t_fns.(th.tid).f_register
+  else Sim.await th.register
 
 (* The wake event scheduled by [monitor_wake], [latency] cycles after the
    triggering write.  [epoch] stamps the park round the waiter belonged
@@ -468,12 +416,12 @@ let deliver_wake th epoch addr =
   let c = th.chip in
   let i = th.tid in
   if c.hot.((i * hot_stride) + o_cell) <> (epoch lsl 2) lor cell_open then
-    Monitor.relatch_slot c.monitor (tmslot c i) addr
+    Monitor.relatch c.monitor (tmslot c i) addr
   else begin
-    make_runnable th ~reason:"mwait-wake";
+    set_state th Ptid.Runnable ~reason:"mwait-wake";
     if c.probe_on then
       emit c (Probe.Mwait_woke { ptid = th.t_ptid; addr; immediate = false });
-    Signal.emit c.t_fns.(i).f_signal ();
+    Signal.emit th.signal ();
     fill_wake th addr
   end
 
@@ -495,7 +443,7 @@ let monitor_wake th addr =
   if c.hot.(b + o_pend) land 1 = 0 then begin
     c.hot.(b + o_pend) <- (epoch lsl 1) lor 1;
     c.hot.(b + o_pendaddr) <- addr;
-    Sim.schedule c.sim ~at c.t_fns.(i).f_deliver
+    Sim.schedule c.sim ~at th.deliver
   end
   else
     (* Overlapping deliveries for one thread: each must carry its own
@@ -529,8 +477,8 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
          later one already made runnable: it changes no state, but still
          runs [on_ready] — the body spawn, if it was the first start. *)
       if tstate chip th.tid <> st_runnable then begin
-        make_runnable th ~reason;
-        Signal.emit chip.t_fns.(th.tid).f_signal ()
+        set_state th Ptid.Runnable ~reason;
+        Signal.emit th.signal ()
       end;
       on_ready ())
 
@@ -548,27 +496,14 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
 let crash_mark th ~kind ~restart_after =
   let chip = th.chip in
   let i = th.tid in
-  chip.t_crashes.(i) <- chip.t_crashes.(i) + 1;
+  th.crashes <- th.crashes + 1;
   set_flag chip i fl_crashed true;
   set_flag chip i fl_pending_start false;
-  Monitor.cancel_wait_slot chip.monitor (tmslot chip i);
-  Monitor.disarm_all_slot chip.monitor (tmslot chip i);
+  Monitor.cancel_wait chip.monitor (tmslot chip i);
+  Monitor.disarm_all chip.monitor (tmslot chip i);
   (let st = tstate chip i in
-   if st = st_runnable then make_not_runnable th Ptid.Disabled ~reason:"crash-stop"
-   else if st = st_waiting then begin
-     (* Mirror the force-stop path: a Waiting thread is already off the
-        execution units, only the state machine and probes move. *)
-     set_tstate chip i st_disabled;
-     if chip.probe_on then
-       emit chip
-         (Probe.State_change
-            {
-              ptid = th.t_ptid;
-              from_ = Ptid.Waiting;
-              to_ = Ptid.Disabled;
-              reason = "crash-stop";
-            })
-   end);
+   if st = st_runnable then set_state th Ptid.Disabled ~reason:"crash-stop"
+   else if st = st_waiting then stop_waiting th ~reason:"crash-stop");
   if chip.probe_on then emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind });
   let restart_at = Sim.time chip.sim + max 1 restart_after in
   Sim.schedule chip.sim ~at:restart_at (fun () ->
@@ -604,49 +539,54 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   let tid = t.n_tids in
   t.n_tids <- tid + 1;
   ensure_tid t tid;
-  Hashtbl.replace t.tids ptid tid;
-  let th = { chip = t; tid; t_ptid = ptid } in
-  t.t_handle.(tid) <- Some th;
-  let mslot = Monitor.slot_of_key t.monitor { Monitor.core_id; ptid } in
+  let mslot = Monitor.register t.monitor ~core_id in
+  (* A fresh hot line is all zero: idle wake cell, no delivery in
+     flight, zero counters. *)
   let b = tid * hot_stride in
   t.hot.(b) <- (mslot lsl 22) lor (core_id lsl 2) lor st_disabled;
-  t.hot.(b + o_cell) <- cell_idle;
-  t.hot.(b + o_wval) <- 0;
-  t.hot.(b + o_pend) <- 0;
-  t.hot.(b + o_pendaddr) <- 0;
-  t.hot.(b + o_wakeups) <- 0;
   t.hot.(b + o_flags) <- (match mode with Ptid.Supervisor -> fl_super | Ptid.User -> 0);
-  t.hot.(b + o_starts) <- 0;
-  t.t_weight.(tid) <- weight;
-  t.t_crashes.(tid) <- 0;
-  let rec fns =
+  let rec th =
     {
-      f_resume = dummy_resume;
-      f_wake = (fun addr -> monitor_wake th addr);
-      f_register = (fun resume -> fns.f_resume <- resume);
-      f_deliver =
+      chip = t;
+      tid;
+      t_ptid = ptid;
+      weight;
+      regs;
+      smt = -1;
+      crashes = 0;
+      body = None;
+      tdt = None;
+      secret = None;
+      resume = dummy_resume;
+      wake = (fun addr -> monitor_wake th addr);
+      register = (fun resume -> th.resume <- resume);
+      deliver =
         (fun () ->
-          let b = tid * hot_stride in
           let pend = t.hot.(b + o_pend) in
           t.hot.(b + o_pend) <- pend land lnot 1;
           deliver_wake th (pend lsr 1) t.hot.(b + o_pendaddr));
-      f_signal = Signal.create ();
+      signal = Signal.create ();
     }
   in
-  t.t_fns.(tid) <- fns;
-  t.t_regs.(tid) <- regs;
-  t.t_body.(tid) <- None;
-  t.t_tdt.(tid) <- None;
-  t.t_secret.(tid) <- None;
+  Hashtbl.replace t.tids ptid th;
+  t.threads <- th :: t.threads;
   th
 
 (* --- §3.1 instructions -------------------------------------------------- *)
 
 let insn_monitor th addr =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
-  Monitor.arm_slot th.chip.monitor (tmslot th.chip th.tid) addr;
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
+  Monitor.arm th.chip.monitor (tmslot th.chip th.tid) addr;
   if th.chip.probe_on then
     emit th.chip (Probe.Monitor_armed { ptid = th.t_ptid; addr })
+
+(* Whether park round [epoch] of thread [i] is still unclaimed: no wake
+   in flight (the cell is still open this round) and no force-stop
+   (still Waiting).  Top-level, not a local closure: that would be
+   allocated on every park. *)
+let unclaimed c i epoch =
+  c.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
+  && tstate c i = st_waiting
 
 (* Shared implementation of [mwait] (park until a monitored write) and
    [mwait_for] (same, but resume empty-handed at an absolute [deadline],
@@ -655,7 +595,7 @@ let insn_mwait_generic th ~deadline =
   let chip = th.chip in
   let i = th.tid in
   let mslot = tmslot chip i in
-  exec_int th ~kind:Smt_core.Overhead chip.params.Params.monitor_arm_cycles;
+  exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_arm_cycles;
   (* Sampled as a wake is consumed, parked or immediate: the thread
      dies holding the event — the doorbell was delivered but nothing
      will process it until the cold restart re-runs the body. *)
@@ -674,18 +614,18 @@ let insn_mwait_generic th ~deadline =
     let b = i * hot_stride in
     chip.hot.(b + o_cell) <- ((chip.hot.(b + o_cell) lsr 2) + 1) lsl 2;
     let epoch = chip.hot.(b + o_cell) lsr 2 in
-    let a = Monitor.mwait_slot chip.monitor mslot ~wake:chip.t_fns.(i).f_wake in
+    let a = Monitor.mwait chip.monitor mslot ~wake:th.wake in
     if a >= 0 then begin
       (* The write already happened; no sleep, only the match cost. *)
       chip.hot.(b + o_wakeups) <- chip.hot.(b + o_wakeups) + 1;
-      exec_int th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
+      exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
       if chip.probe_on then
         emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
       crash_on_wake ();
       Some a
     end
     else begin
-      make_not_runnable th Ptid.Waiting ~reason:"mwait-park";
+      set_state th Ptid.Waiting ~reason:"mwait-park";
       if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
       State_store.touch (own_core th).store ~ptid:th.t_ptid;
       chip.hot.(b + o_cell) <- (epoch lsl 2) lor cell_open;
@@ -697,14 +637,9 @@ let insn_mwait_generic th ~deadline =
           if at < now then now else at
         in
         Sim.schedule chip.sim ~at (fun () ->
-            (* Expire only if nothing else claimed the wait: no wake in
-               flight (cell still open this round) and no force-stop
-               (still Waiting). *)
-            if
-              chip.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
-              && tstate chip i = st_waiting
-            then begin
-              Monitor.cancel_wait_slot chip.monitor mslot;
+            (* Expire only if nothing else claimed the wait. *)
+            if unclaimed chip i epoch then begin
+              Monitor.cancel_wait chip.monitor mslot;
               fill_wake th wake_deadline;
               (* The empty-handed resume still pays the restart latency. *)
               let latency =
@@ -717,10 +652,10 @@ let insn_mwait_generic th ~deadline =
                   (* A force-stop may land inside the restart window; it
                      wins, and a later start re-runs the thread. *)
                   if tstate chip i = st_waiting then begin
-                    make_runnable th ~reason:"mwait-deadline";
+                    set_state th Ptid.Runnable ~reason:"mwait-deadline";
                     if chip.probe_on then
                       emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
-                    Signal.emit chip.t_fns.(i).f_signal ()
+                    Signal.emit th.signal ()
                   end)
             end));
       (* Fault injection: a spurious wakeup fires the wake callback with
@@ -732,17 +667,16 @@ let insn_mwait_generic th ~deadline =
         match f.spurious_wake_after ~ptid:th.t_ptid with
         | None -> ()
         | Some d ->
-          let key = { Monitor.core_id = tcore chip i; ptid = th.t_ptid } in
           Sim.schedule chip.sim
             ~at:(Sim.time chip.sim + d)
             (fun () ->
-              match Monitor.take_waiter chip.monitor key with
+              match Monitor.take_waiter chip.monitor mslot with
               | None -> ()  (* already woken, stopped or expired *)
               | Some w ->
                 emit chip
                   (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
                 let addr =
-                  match Monitor.armed chip.monitor key with
+                  match Monitor.armed chip.monitor mslot with
                   | addr :: _ -> addr
                   | [] -> 0
                 in
@@ -761,10 +695,7 @@ let insn_mwait_generic th ~deadline =
           Sim.schedule chip.sim
             ~at:(Sim.time chip.sim + max 0 after)
             (fun () ->
-              if
-                chip.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
-                && tstate chip i = st_waiting
-              then begin
+              if unclaimed chip i epoch then begin
                 crash_mark th ~kind:"crash-park" ~restart_after;
                 fill_wake th wake_crash
               end)));
@@ -817,7 +748,7 @@ let raise_exception th kind ~info =
   else begin
     (* Faults are involuntary: a latched start must not absorb them. *)
     set_flag chip th.tid fl_pending_start false;
-    make_not_runnable th Ptid.Disabled ~reason:"fault";
+    set_state th Ptid.Disabled ~reason:"fault";
     Sim.delay chip.params.Params.exception_descriptor_cycles;
     chip.exn_seq <- Int64.add chip.exn_seq 1L;
     Exception_desc.write chip.memory ~base:(Int64.to_int edp) ~seq:chip.exn_seq
@@ -826,11 +757,18 @@ let raise_exception th kind ~info =
     wait_until_runnable th
   end
 
-(* Translate a vtid through the caller's TDT, charging lookup costs.
-   Returns the target thread and its permissions, or faults the caller. *)
-let translate th ~vtid =
+(* --- §3.1 inter-thread instructions ---------------------------------------
+
+   Each is written once over a target resolver, [translate] (a vtid
+   through the caller's TDT) or [translate_keyed] (a raw ptid plus the
+   target's secret key).  The resolver charges its lookup after the
+   instruction's issue cost and returns the target with the caller's
+   permissions on it, or faults the caller; the operand (vtid or target
+   ptid) is the [info] of every fault the instruction raises. *)
+
+let translate th vtid =
   let chip = th.chip in
-  match chip.t_tdt.(th.tid) with
+  match th.tdt with
   | Some table -> (
     let r = Tdt.Cache.lookup_packed (own_core th).cache table ~vtid in
     let e = r asr 1 in
@@ -854,7 +792,7 @@ let translate th ~vtid =
       if hit then chip.params.Params.tdt_cached_lookup_cycles
       else chip.params.Params.tdt_miss_cycles
     in
-    exec_int th ~kind:Smt_core.Overhead cost;
+    exec th ~kind:Smt_core.Overhead cost;
     if e >= 0 then begin
       match handle_of chip (e lsr 4) with
       | Some target -> Some (target, Tdt.perms_of_bits (e land 0b1111))
@@ -882,6 +820,24 @@ let translate th ~vtid =
       raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid);
       None
     end
+
+(* §3.2 secret-key capability scheme: the caller must present the
+   target's published secret (supervisors pass regardless), and the key
+   grants everything, as a supervisor's direct addressing does. *)
+let translate_keyed ~key th target_ptid =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.tdt_cached_lookup_cycles;
+  match handle_of th.chip target_ptid with
+  | Some target
+    when is_supervisor th || Option.fold ~none:false ~some:(Int64.equal key) target.secret
+    ->
+    Some (target, Tdt.perms_all)
+  | Some _ ->
+    raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int target_ptid);
+    None
+  | None ->
+    raise_exception th Exception_desc.Invalid_thread_access
+      ~info:(Int64.of_int target_ptid);
+    None
 
 let permitted th perms check = is_supervisor th || check perms
 
@@ -924,21 +880,12 @@ let do_stop ~actor target =
   else begin
     let st = tstate c i in
     if st = st_runnable then begin
-      make_not_runnable target Ptid.Disabled ~reason:"stop";
+      set_state target Ptid.Disabled ~reason:"stop";
       emit c (Probe.Stop_edge { actor; target = target.t_ptid })
     end
     else if st = st_waiting then begin
-      Monitor.cancel_wait_slot c.monitor (tmslot c i);
-      set_tstate c i st_disabled;
-      if c.probe_on then
-        emit c
-          (Probe.State_change
-             {
-               ptid = target.t_ptid;
-               from_ = Ptid.Waiting;
-               to_ = Ptid.Disabled;
-               reason = "force-stop";
-             });
+      Monitor.cancel_wait c.monitor (tmslot c i);
+      stop_waiting target ~reason:"force-stop";
       emit c (Probe.Stop_edge { actor; target = target.t_ptid });
       (* Claim the open park (the old [Ivar.try_fill]): a deadline expiry
          may have claimed the cell already (thread mid-restart); the
@@ -948,23 +895,23 @@ let do_stop ~actor target =
     end
   end
 
-let insn_start th ~vtid =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match translate th ~vtid with
+let start_via resolve th operand =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
+  match resolve th operand with
   | None -> ()
   | Some (target, perms) ->
     if permitted th perms (fun p -> p.Tdt.can_start) then
       do_start ~actor:(Probe.Thread th.t_ptid) target
-    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid)
+    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
 
-let insn_stop th ~vtid =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match translate th ~vtid with
+let stop_via resolve th operand =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
+  match resolve th operand with
   | None -> ()
   | Some (target, perms) ->
     if permitted th perms (fun p -> p.Tdt.can_stop) then
       do_stop ~actor:(Probe.Thread th.t_ptid) target
-    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid)
+    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
 
 (* Permission for remote register access.  Reading needs any modify bit;
    writing needs the bit matching the register class; privileged control
@@ -977,115 +924,68 @@ let reg_writable th perms reg =
     perms.Tdt.can_modify_some || perms.Tdt.can_modify_most
   else Regstate.modify_most_allows reg && perms.Tdt.can_modify_most
 
-let insn_rpull th ~vtid reg =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match translate th ~vtid with
+let rpull_via resolve th operand reg =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
+  match resolve th operand with
   | None -> 0L
   | Some (target, perms) ->
     if not (permitted th perms reg_readable) then begin
-      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid);
+      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand);
       0L
     end
     else if tstate th.chip target.tid <> st_disabled then begin
-      raise_exception th Exception_desc.Invalid_thread_access ~info:(Int64.of_int vtid);
+      raise_exception th Exception_desc.Invalid_thread_access
+        ~info:(Int64.of_int operand);
       0L
     end
     else begin
       emit th.chip (Probe.Reg_pull { actor = th.t_ptid; target = target.t_ptid; reg });
-      Regstate.get (regs target) reg
+      Regstate.get target.regs reg
     end
 
-let insn_rpush th ~vtid reg value =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match translate th ~vtid with
+let rpush_via resolve th operand reg value =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
+  match resolve th operand with
   | None -> ()
   | Some (target, perms) ->
     if Regstate.is_privileged_reg reg && not (is_supervisor th) then
       (* §3.2: privileged-register access from user mode always faults so a
          supervisor can emulate it. *)
-      raise_exception th Exception_desc.Privileged_instruction ~info:(Int64.of_int vtid)
+      raise_exception th Exception_desc.Privileged_instruction
+        ~info:(Int64.of_int operand)
     else if not (is_supervisor th || reg_writable th perms reg) then
-      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid)
+      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
     else if tstate th.chip target.tid <> st_disabled then
-      raise_exception th Exception_desc.Invalid_thread_access ~info:(Int64.of_int vtid)
+      raise_exception th Exception_desc.Invalid_thread_access
+        ~info:(Int64.of_int operand)
     else begin
       emit th.chip (Probe.Reg_push { actor = th.t_ptid; target = target.t_ptid; reg });
-      Regstate.set (regs target) reg value
+      Regstate.set target.regs reg value
     end
 
-(* --- §3.2 secret-key capability scheme ---------------------------------- *)
-
-let insn_set_secret th key =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  th.chip.t_secret.(th.tid) <- Some key
-
-(* Resolve a raw ptid for a keyed operation: the caller must present the
-   target's published secret (supervisors pass regardless). *)
-let translate_keyed th ~target_ptid ~key =
-  let chip = th.chip in
-  exec_int th ~kind:Smt_core.Overhead chip.params.Params.tdt_cached_lookup_cycles;
-  match handle_of chip target_ptid with
-  | None ->
-    raise_exception th Exception_desc.Invalid_thread_access
-      ~info:(Int64.of_int target_ptid);
-    None
-  | Some target ->
-    if is_supervisor th then Some target
-    else begin
-      match chip.t_secret.(target.tid) with
-      | Some s when Int64.equal s key -> Some target
-      | Some _ | None ->
-        raise_exception th Exception_desc.Permission_denied
-          ~info:(Int64.of_int target_ptid);
-        None
-    end
+let insn_start th ~vtid = start_via translate th vtid
+let insn_stop th ~vtid = stop_via translate th vtid
+let insn_rpull th ~vtid reg = rpull_via translate th vtid reg
+let insn_rpush th ~vtid reg value = rpush_via translate th vtid reg value
 
 let insn_start_keyed th ~target_ptid ~key =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match translate_keyed th ~target_ptid ~key with
-  | None -> ()
-  | Some target -> do_start ~actor:(Probe.Thread th.t_ptid) target
+  start_via (translate_keyed ~key) th target_ptid
 
-let insn_stop_keyed th ~target_ptid ~key =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match translate_keyed th ~target_ptid ~key with
-  | None -> ()
-  | Some target -> do_stop ~actor:(Probe.Thread th.t_ptid) target
+let insn_stop_keyed th ~target_ptid ~key = stop_via (translate_keyed ~key) th target_ptid
 
 let insn_rpull_keyed th ~target_ptid ~key reg =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match translate_keyed th ~target_ptid ~key with
-  | None -> 0L
-  | Some target ->
-    if tstate th.chip target.tid <> st_disabled then begin
-      raise_exception th Exception_desc.Invalid_thread_access
-        ~info:(Int64.of_int target_ptid);
-      0L
-    end
-    else begin
-      emit th.chip (Probe.Reg_pull { actor = th.t_ptid; target = target.t_ptid; reg });
-      Regstate.get (regs target) reg
-    end
+  rpull_via (translate_keyed ~key) th target_ptid reg
 
 let insn_rpush_keyed th ~target_ptid ~key reg value =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match translate_keyed th ~target_ptid ~key with
-  | None -> ()
-  | Some target ->
-    if Regstate.is_privileged_reg reg && not (is_supervisor th) then
-      raise_exception th Exception_desc.Privileged_instruction
-        ~info:(Int64.of_int target_ptid)
-    else if tstate th.chip target.tid <> st_disabled then
-      raise_exception th Exception_desc.Invalid_thread_access
-        ~info:(Int64.of_int target_ptid)
-    else begin
-      emit th.chip (Probe.Reg_push { actor = th.t_ptid; target = target.t_ptid; reg });
-      Regstate.set (regs target) reg value
-    end
+  rpush_via (translate_keyed ~key) th target_ptid reg value
+
+let insn_set_secret th key =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
+  th.secret <- Some key
 
 let insn_invtid th ~vtid =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.tdt_cached_lookup_cycles;
-  match th.chip.t_tdt.(th.tid) with
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.tdt_cached_lookup_cycles;
+  match th.tdt with
   | Some table ->
     Tdt.Cache.invalidate (own_core th).cache table ~vtid;
     if th.chip.probe_on then
@@ -1093,8 +993,8 @@ let insn_invtid th ~vtid =
   | None -> ()
 
 let insn_set_tdt th table =
-  exec_int th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  if is_supervisor th then th.chip.t_tdt.(th.tid) <- Some table
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
+  if is_supervisor th then th.tdt <- Some table
   else raise_exception th Exception_desc.Privileged_instruction ~info:0L
 
 let load th addr =
@@ -1117,7 +1017,7 @@ let boot th =
   c.hot.((th.tid * hot_stride) + o_starts) <-
     c.hot.((th.tid * hot_stride) + o_starts) + 1;
   emit c (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
-  make_runnable th ~reason:"boot";
+  set_state th Ptid.Runnable ~reason:"boot";
   run_body th
 
 let shutdown th = do_stop ~actor:Probe.Boot th
@@ -1145,12 +1045,7 @@ let sum_hot t off =
   done;
   !acc
 
-let crash_total t =
-  let acc = ref 0 in
-  for tid = 0 to t.n_tids - 1 do
-    acc := !acc + t.t_crashes.(tid)
-  done;
-  !acc
+let crash_total t = List.fold_left (fun acc th -> acc + th.crashes) 0 t.threads
 
 let stats t =
   let tier_sum tier =

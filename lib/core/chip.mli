@@ -20,7 +20,9 @@ exception Halted of string
 type t
 
 type thread
-(** Handle on one hardware thread (a ptid bound to its home core). *)
+(** Handle on one hardware thread (a ptid bound to its home core): one
+    record per thread, allocated at {!add_thread} and shared by every
+    lookup. *)
 
 val create : Sl_engine.Sim.t -> Params.t -> cores:int -> t
 
@@ -82,8 +84,8 @@ val remove_creation_hook : key:string -> unit
 
 (** {2 Fault injection}
 
-    Installed per chip by [Sl_fault.Fault]; both hooks are sampled by the
-    wakeup machinery (see {!type:fault_hooks} fields). *)
+    Installed per chip by [Sl_fault.Fault]; all four hooks are sampled by
+    the wakeup machinery (see {!type:fault_hooks} fields). *)
 
 type fault_hooks = {
   spurious_wake_after : ptid:int -> int option;
@@ -141,6 +143,10 @@ val set_tdt : thread -> Tdt.t -> unit
     check — use {!Isa.set_tdt} for the in-simulation privileged write). *)
 
 val tdt : thread -> Tdt.t option
+
+val armed : thread -> Memory.addr list
+(** Addresses the thread has armed, in arming order. *)
+
 val wakeup_count : thread -> int
 val start_count : thread -> int
 

@@ -1,14 +1,12 @@
-type thread_key = { core_id : int; ptid : int }
-
 (* Waiter sentinel: a physically-unique closure meaning "no waiter", so
    parking stores the wake callback directly instead of boxing it in a
    fresh [Some] on every mwait. *)
 let none_waiter : Memory.addr -> unit = fun _ -> ()
 
-(* Struct-of-arrays layout.  External callers name threads by
-   {!thread_key}; the first touch interns the key into a dense [slot]
-   index, and all per-thread state lives in parallel arrays indexed by
-   that slot — [mwait]/wake/latch on the hot path are plain array loads.
+(* Struct-of-arrays layout.  A thread is named by the dense [slot] its
+   owner got from [register], and all per-thread state lives in parallel
+   arrays indexed by that slot — [mwait]/wake/latch on the hot path are
+   plain array loads.
 
    Armed (thread, addr) pairs live in a flat arena threaded by two
    intrusive doubly-linked lists per cell: the thread's armed list (in
@@ -17,10 +15,8 @@ let none_waiter : Memory.addr -> unit = fun _ -> ()
    order {!on_write} has always used).  [-1] is the null link. *)
 type t = {
   params : Params.t;
-  slot_of : (thread_key, int) Hashtbl.t;
   (* per-slot state *)
   mutable s_core : int array;
-  mutable s_ptid : int array;
   mutable s_pending : int array;  (* latched trigger addr; -1 = none *)
   mutable s_armed_n : int array;
   mutable s_thead : int array;  (* first-armed pair of the slot; -1 *)
@@ -37,22 +33,20 @@ type t = {
   mutable free_pair : int;
   mutable pairs : int;  (* arena high-water mark *)
   (* Membership index over armed (slot, addr) pairs, key packed into one
-     int: [arm]/[disarm] idempotence checks stay O(1) (arming K addresses
+     int: [arm] idempotence checks stay O(1) (arming K addresses
      was O(K^2) before this index existed; see E9).  Off the write path. *)
   pair_of : (int, int) Hashtbl.t;
   by_addr : Sl_util.Dense.t;  (* addr -> watcher-list head pair; -1 *)
   core_armed : Sl_util.Dense.t;  (* core_id -> armed count *)
   mutable scratch : int array;  (* write-delivery snapshot buffer *)
   mutable in_write : bool;
-  mutable fault_drop : (thread_key -> Memory.addr -> bool) option;
+  mutable fault_drop : (unit -> bool) option;
 }
 
 let create params =
   {
     params;
-    slot_of = Hashtbl.create 256;
     s_core = [||];
-    s_ptid = [||];
     s_pending = [||];
     s_armed_n = [||];
     s_thead = [||];
@@ -88,36 +82,30 @@ let set_fault_hook t f = t.fault_drop <- Some f
    boot storm went quadratic in [arm]. *)
 let pack_pair slot addr = ((slot lsl 32) lor addr) * 0x6A09E667F3BCC909
 
-let slot_of_key t key =
-  match Hashtbl.find_opt t.slot_of key with
-  | Some s -> s
-  | None ->
-    let s = t.slots in
-    if s = Array.length t.s_core then begin
-      let cap = max 64 (2 * s) in
-      let grow a def =
-        let b = Array.make cap def in
-        Array.blit a 0 b 0 s;
-        b
-      in
-      t.s_core <- grow t.s_core 0;
-      t.s_ptid <- grow t.s_ptid 0;
-      t.s_pending <- grow t.s_pending (-1);
-      t.s_armed_n <- grow t.s_armed_n 0;
-      t.s_thead <- grow t.s_thead (-1);
-      t.s_ttail <- grow t.s_ttail (-1);
-      t.s_waiter <- grow t.s_waiter none_waiter
-    end;
-    t.slots <- s + 1;
-    t.s_core.(s) <- key.core_id;
-    t.s_ptid.(s) <- key.ptid;
-    t.s_pending.(s) <- -1;
-    t.s_armed_n.(s) <- 0;
-    t.s_thead.(s) <- -1;
-    t.s_ttail.(s) <- -1;
-    t.s_waiter.(s) <- none_waiter;
-    Hashtbl.replace t.slot_of key s;
-    s
+let register t ~core_id =
+  let s = t.slots in
+  if s = Array.length t.s_core then begin
+    let cap = max 64 (2 * s) in
+    let grow a def =
+      let b = Array.make cap def in
+      Array.blit a 0 b 0 s;
+      b
+    in
+    t.s_core <- grow t.s_core 0;
+    t.s_pending <- grow t.s_pending (-1);
+    t.s_armed_n <- grow t.s_armed_n 0;
+    t.s_thead <- grow t.s_thead (-1);
+    t.s_ttail <- grow t.s_ttail (-1);
+    t.s_waiter <- grow t.s_waiter none_waiter
+  end;
+  t.slots <- s + 1;
+  t.s_core.(s) <- core_id;
+  t.s_pending.(s) <- -1;
+  t.s_armed_n.(s) <- 0;
+  t.s_thead.(s) <- -1;
+  t.s_ttail.(s) <- -1;
+  t.s_waiter.(s) <- none_waiter;
+  s
 
 let alloc_pair t =
   if t.free_pair >= 0 then begin
@@ -154,7 +142,7 @@ let core_armed_count t core_id = Sl_util.Dense.get t.core_armed core_id
 let bump_core t core_id delta =
   Sl_util.Dense.set t.core_armed core_id (core_armed_count t core_id + delta)
 
-let arm_slot t s addr =
+let arm t s addr =
   if addr < 0 then invalid_arg "Monitor.arm: negative address";
   let k = pack_pair s addr in
   if not (Hashtbl.mem t.pair_of k) then begin
@@ -178,30 +166,13 @@ let arm_slot t s addr =
     Sl_util.Dense.set t.by_addr addr p
   end
 
-let unlink_thread t s p =
-  let prev = t.p_tprev.(p) and next = t.p_tnext.(p) in
-  if prev >= 0 then t.p_tnext.(prev) <- next else t.s_thead.(s) <- next;
-  if next >= 0 then t.p_tprev.(next) <- prev else t.s_ttail.(s) <- prev
-
 let unlink_addr t p =
   let prev = t.p_aprev.(p) and next = t.p_anext.(p) in
   if prev >= 0 then t.p_anext.(prev) <- next
   else Sl_util.Dense.set t.by_addr t.p_addr.(p) next;
   if next >= 0 then t.p_aprev.(next) <- prev
 
-let disarm_slot t s addr =
-  let k = pack_pair s addr in
-  match Hashtbl.find_opt t.pair_of k with
-  | None -> ()
-  | Some p ->
-    Hashtbl.remove t.pair_of k;
-    unlink_thread t s p;
-    unlink_addr t p;
-    t.s_armed_n.(s) <- t.s_armed_n.(s) - 1;
-    bump_core t t.s_core.(s) (-1);
-    free_pair t p
-
-let disarm_all_slot t s =
+let disarm_all t s =
   let p = ref t.s_thead.(s) in
   while !p >= 0 do
     let next = t.p_tnext.(!p) in
@@ -215,16 +186,8 @@ let disarm_all_slot t s =
   t.s_ttail.(s) <- -1;
   t.s_armed_n.(s) <- 0
 
-let arm t key addr = arm_slot t (slot_of_key t key) addr
-let disarm t key addr = disarm_slot t (slot_of_key t key) addr
-let disarm_all t key = disarm_all_slot t (slot_of_key t key)
-
-let armed_count_slot t s = t.s_armed_n.(s)
-let armed_count t key = armed_count_slot t (slot_of_key t key)
-
-let armed t key =
+let armed t s =
   (* Walk the thread list backwards so consing yields arming order. *)
-  let s = slot_of_key t key in
   let acc = ref [] in
   let p = ref t.s_ttail.(s) in
   while !p >= 0 do
@@ -263,9 +226,7 @@ let on_write t addr _value =
          this one watcher — neither wake nor latch happens, exactly the
          lost-wakeup hardware failure.  A later write still wakes. *)
       let dropped =
-        match t.fault_drop with
-        | Some f -> f { core_id = t.s_core.(s); ptid = t.s_ptid.(s) } addr
-        | None -> false
+        match t.fault_drop with Some f -> f () | None -> false
       in
       if not dropped then begin
         let wake = t.s_waiter.(s) in
@@ -287,7 +248,7 @@ let attach t memory = Memory.add_write_hook memory (on_write t)
 
 (* Tagged-int mwait: the latched trigger address ([>= 0], consumed — the
    thread does not block), or [-1] after parking [wake]. *)
-let mwait_slot t s ~wake =
+let mwait t s ~wake =
   let pending = t.s_pending.(s) in
   if pending >= 0 then begin
     t.s_pending.(s) <- -1;
@@ -300,15 +261,9 @@ let mwait_slot t s ~wake =
     -1
   end
 
-let mwait t key ~wake =
-  let a = mwait_slot t (slot_of_key t key) ~wake in
-  if a >= 0 then `Immediate a else `Parked
+let cancel_wait t s = t.s_waiter.(s) <- none_waiter
 
-let cancel_wait_slot t s = t.s_waiter.(s) <- none_waiter
-let cancel_wait t key = cancel_wait_slot t (slot_of_key t key)
-
-let take_waiter t key =
-  let s = slot_of_key t key in
+let take_waiter t s =
   let w = t.s_waiter.(s) in
   if w == none_waiter then None
   else begin
@@ -316,10 +271,9 @@ let take_waiter t key =
     Some w
   end
 
-let has_waiter_slot t s = t.s_waiter.(s) != none_waiter
-let has_waiter t key = has_waiter_slot t (slot_of_key t key)
+let has_waiter t s = t.s_waiter.(s) != none_waiter
 
-let relatch_slot t s addr =
+let relatch t s addr =
   let wake = t.s_waiter.(s) in
   if wake != none_waiter then begin
     (* The thread already re-parked: deliver the event now. *)
@@ -327,8 +281,6 @@ let relatch_slot t s addr =
     wake addr
   end
   else if t.s_pending.(s) < 0 then t.s_pending.(s) <- addr
-
-let relatch t key addr = relatch_slot t (slot_of_key t key) addr
 
 let write_scan_cost t core_id =
   let armed = core_armed_count t core_id in

@@ -110,7 +110,7 @@ let link_mru t e =
    promoted-with-old-tick context is the *coldest* of the tier it joins.
    A single-ended walk is O(1) for one case and O(tier population) for
    the other — which made every round-robin wake over a large thread set
-   walk the whole L2 list (see DESIGN.md, "Event queue v2").  The
+   walk the whole L2 list.  The
    two-pointer scan costs 2·min(distance-from-warm, distance-from-cold)
    links, O(1) for both common cases, and lands [e] in exactly the slot
    the cold-end walk chose ([last_touch] ticks are globally unique, so

@@ -318,7 +318,7 @@ let attach_irq t irq =
       draw t t.ipi_rng "ipi.drop" t.plan.ipi_drop)
 
 let attach_chip t chip =
-  Monitor.set_fault_hook (Chip.monitor_table chip) (fun _key _addr ->
+  Monitor.set_fault_hook (Chip.monitor_table chip) (fun () ->
       draw t t.mwait_rng "mwait.lost" t.plan.mwait_lost);
   (* crash.boot_window > 0 correlates the crashes: they can only land
      before that simulated instant (boot/warm-up storms), after which the

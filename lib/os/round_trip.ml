@@ -13,6 +13,7 @@ let timed ~calls call =
   float_of_int (Sim.now () - t0) /. float_of_int calls
 
 let software params ~calls setup =
+  if calls < 1 then invalid_arg "Round_trip.software: calls must be at least 1";
   let sim = Sim.create () in
   let sched = Swsched.create sim params ~warmup:false ~cores:1 () in
   let call = setup sim sched in
@@ -25,6 +26,7 @@ let software params ~calls setup =
   !mean
 
 let hardware params ~calls setup =
+  if calls < 1 then invalid_arg "Round_trip.hardware: calls must be at least 1";
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores:2 in
   let client, call = setup chip in

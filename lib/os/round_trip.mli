@@ -5,7 +5,8 @@
     Each builder makes one complete world and times every design the
     same way: one client makes one untimed warm-up call, then [calls]
     timed back-to-back calls, and the builder reports the mean cycles
-    per timed call.  A design supplies only what one call does. *)
+    per timed call.  A design supplies only what one call does.  Both
+    builders raise [Invalid_argument] when [calls] is below 1. *)
 
 val software :
   Switchless.Params.t -> calls:int ->

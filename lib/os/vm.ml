@@ -19,6 +19,7 @@ let guest_chunk = 200
 
 let hw_timeshare params ~vms ~vcpus ~slice ~duration =
   if vms <= 0 || vcpus <= 0 then invalid_arg "Vm.hw_timeshare: need vms and vcpus";
+  if slice < 1 then invalid_arg "Vm.hw_timeshare: slice must be at least 1 cycle";
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores:2 in
   (* vCPU ptid of (vm, k): vm * 100 + k + 1. *)
@@ -72,6 +73,7 @@ let hw_timeshare params ~vms ~vcpus ~slice ~duration =
 
 let sw_timeshare params ~vms ~vcpus ~slice ~duration =
   if vms <= 0 || vcpus <= 0 then invalid_arg "Vm.sw_timeshare: need vms and vcpus";
+  if slice < 1 then invalid_arg "Vm.sw_timeshare: slice must be at least 1 cycle";
   let sim = Sim.create () in
   let sched = Swsched.create sim params ~cores:1 () in
   let active = ref 0 in

@@ -26,9 +26,11 @@ val hw_timeshare :
   duration:Sl_engine.Sim.Time.t -> result
 (** One guest core (plus a hypervisor core); [vms] VMs of [vcpus] hardware
     threads each, round-robin time-sliced every [slice] cycles for
-    [duration] cycles. *)
+    [duration] cycles.  Raises [Invalid_argument] when [vms], [vcpus] or
+    [slice] is below 1. *)
 
 val sw_timeshare :
   Switchless.Params.t -> vms:int -> vcpus:int -> slice:Sl_engine.Sim.Time.t ->
   duration:Sl_engine.Sim.Time.t -> result
-(** The conventional equivalent on one software-scheduled core. *)
+(** The conventional equivalent on one software-scheduled core, with the
+    same argument checks. *)

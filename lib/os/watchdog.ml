@@ -1,7 +1,6 @@
 module Sim = Sl_engine.Sim
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
-module Monitor = Switchless.Monitor
 module Ptid = Switchless.Ptid
 module Apic_timer = Sl_dev.Apic_timer
 
@@ -26,9 +25,8 @@ let ptid_of_name name =
    but monitor delivery triggers on the store itself, so the parked thread
    wakes, re-checks its predicate, and recovers from a lost wakeup.  If the
    fault injector drops the nudge delivery too, a later sweep retries. *)
-let nudge t th ~target_ptid ~core_id =
-  let key = { Monitor.core_id; ptid = target_ptid } in
-  match Monitor.armed (Chip.monitor_table t.chip) key with
+let nudge t th target =
+  match Chip.armed target with
   | [] -> ()
   | addrs ->
     t.nudges <- t.nudges + 1;
@@ -46,8 +44,7 @@ let sweep t th =
         | Some p when p <> self -> (
           match Chip.find_thread t.chip ~ptid:p with
           | target ->
-            if Chip.state target = Ptid.Waiting then
-              nudge t th ~target_ptid:p ~core_id:(Chip.home_core target)
+            if Chip.state target = Ptid.Waiting then nudge t th target
           | exception Invalid_argument _ -> ())
         | Some _ | None -> ())
     (Sim.stuck (Chip.sim t.chip))

@@ -9,6 +9,7 @@ module Memory = Switchless.Memory
 module Regstate = Switchless.Regstate
 module Smt_core = Switchless.Smt_core
 module Exception_desc = Switchless.Exception_desc
+module Tdt = Switchless.Tdt
 
 let check_int = Alcotest.(check int)
 let check_i64 = Alcotest.(check int64)
@@ -22,16 +23,17 @@ let setup () =
   (sim, chip)
 
 (* A supervisor handler on core 1 that restarts any faulting thread whose
-   descriptors land at [desc]; returns a counter of handled faults. *)
+   descriptors land at [desc]; returns the handled descriptors, newest
+   first. *)
 let install_handler chip desc =
-  let faults = ref 0 in
+  let faults = ref [] in
   let handler = Chip.add_thread chip ~core:1 ~ptid:900 ~mode:Ptid.Supervisor () in
   Chip.attach handler (fun th ->
       Isa.monitor th desc;
       let rec serve () =
         let _ = Isa.mwait th in
-        incr faults;
         let d = Exception_desc.read (Chip.memory chip) ~base:desc in
+        faults := d :: !faults;
         Isa.start th ~vtid:d.Exception_desc.ptid;
         serve ()
       in
@@ -73,7 +75,7 @@ let test_keyed_start_with_wrong_key_faults () =
       after := Chip.state target);
   Chip.boot attacker;
   Sim.run sim;
-  check_int "one permission fault" 1 !faults;
+  check_int "one permission fault" 1 (List.length !faults);
   check_bool "target untouched" true (!after = Ptid.Disabled || !after = Ptid.Runnable);
   (* The keyed stop must NOT have disabled the target before it parked on
      its own; here it had already returned, so Disabled is its own doing:
@@ -91,7 +93,7 @@ let test_keyed_access_without_published_key_faults () =
   Chip.attach user (fun th -> Isa.start_keyed th ~target_ptid:10 ~key:0L);
   Chip.boot user;
   Sim.run sim;
-  check_int "no key published -> fault" 1 !faults;
+  check_int "no key published -> fault" 1 (List.length !faults);
   check_int "target not started" 0 (Chip.start_count target)
 
 let test_keyed_rpush_rpull () =
@@ -125,7 +127,7 @@ let test_keyed_rpush_privileged_reg_still_faults () =
       Isa.rpush_keyed th ~target_ptid:10 ~key:7L Regstate.Tdt_base 1L);
   Chip.boot user;
   Sim.run sim;
-  check_int "privileged reg fault" 1 !faults;
+  check_int "privileged reg fault" 1 (List.length !faults);
   check_i64 "tdt base unchanged" 0L (Regstate.get (Chip.regs target) Regstate.Tdt_base)
 
 let test_supervisor_bypasses_keys () =
@@ -167,7 +169,115 @@ let test_key_rotation_revokes () =
       Isa.stop_keyed th ~target_ptid:10 ~key:1L);
   Chip.boot user;
   Sim.run sim;
-  check_int "stale key faults" 1 !faults
+  check_int "stale key faults" 1 (List.length !faults)
+
+(* --- keyed and TDT addressing --- *)
+
+(* Start, stop, rpull and rpush each name their target one of two ways:
+   a vtid through the caller's TDT, or the target's raw ptid plus its
+   published secret.  With a warm TDT entry granting all four bits, both
+   must charge the issue cost plus one cached lookup, and a failed
+   resolution or a refused access must fault with the operand — the vtid
+   or the target ptid, never the caller's ptid — as [info]. *)
+type via = Vtid of int | Key of int64
+
+let target_ptid = 10
+let vtid = 3
+let unmapped_vtid = 7
+let key = 0xC0FFEEL
+
+let start th = function
+  | Vtid vtid -> Isa.start th ~vtid
+  | Key key -> Isa.start_keyed th ~target_ptid ~key
+
+let stop th = function
+  | Vtid vtid -> Isa.stop th ~vtid
+  | Key key -> Isa.stop_keyed th ~target_ptid ~key
+
+let rpull th via reg =
+  match via with
+  | Vtid vtid -> Isa.rpull th ~vtid reg
+  | Key key -> Isa.rpull_keyed th ~target_ptid ~key reg
+
+let rpush th via reg v =
+  match via with
+  | Vtid vtid -> Isa.rpush th ~vtid reg v
+  | Key key -> Isa.rpush_keyed th ~target_ptid ~key reg v
+
+(* Each instruction once, in an order that keeps the accesses legal: the
+   start lands and the stop disables the target again before the
+   register accesses. *)
+let each_insn th via =
+  [
+    (fun () -> start th via);
+    (fun () -> stop th via);
+    (fun () -> rpush th via (Regstate.Gp 3) 42L);
+    (fun () -> ignore (rpull th via (Regstate.Gp 3)));
+  ]
+
+let test_keyed_and_tdt_cost_and_fault_alike () =
+  let sim, chip = setup () in
+  let target = Chip.add_thread chip ~core:1 ~ptid:target_ptid ~mode:Ptid.User () in
+  Chip.attach target (fun th -> Isa.set_secret th key);
+  Chip.boot target;
+  let desc = Memory.alloc (Chip.memory chip) Exception_desc.size_words in
+  let faults = install_handler chip desc in
+  let caller = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  let table = Tdt.create () in
+  Tdt.set table ~vtid ~ptid:target_ptid (Tdt.perms_of_bits 0b1111);
+  Chip.set_tdt caller table;
+  Regstate.set (Chip.regs caller) Regstate.Exception_descriptor_ptr (Int64.of_int desc);
+  let timed insn =
+    let t0 = Sim.now () in
+    insn ();
+    let spent = Sim.now () - t0 in
+    Sim.delay 10_000;
+    spent
+  in
+  let costs = ref [] in
+  Chip.attach caller (fun th ->
+      Sim.delay 100;
+      (* The target has published its key and is disabled; warm the TDT
+         entry so every timed lookup hits. *)
+      ignore (Isa.rpull th ~vtid (Regstate.Gp 0));
+      costs :=
+        List.map (fun via -> List.map timed (each_insn th via)) [ Vtid vtid; Key key ];
+      (* Refused: a wrong key and an unmapped vtid on every instruction,
+         then a privileged register both ways. *)
+      List.iter (fun via -> List.iter (fun insn -> insn ()) (each_insn th via))
+        [ Key (Int64.succ key); Vtid unmapped_vtid ];
+      rpush th (Key key) Regstate.Tdt_base 1L;
+      rpush th (Vtid vtid) Regstate.Tdt_base 1L);
+  Chip.boot caller;
+  Sim.run sim;
+  let lookup = p.Params.tdt_cached_lookup_cycles in
+  let expected =
+    [
+      p.Params.start_stop_issue_cycles + lookup;
+      p.Params.start_stop_issue_cycles + lookup;
+      p.Params.rpull_rpush_cycles + lookup;
+      p.Params.rpull_rpush_cycles + lookup;
+    ]
+  in
+  Alcotest.(check (list (list int))) "tdt and key: issue + cached lookup"
+    [ expected; expected ] !costs;
+  let seen (d : Exception_desc.descriptor) =
+    (Format.asprintf "ptid %d %a" d.ptid Exception_desc.pp_kind d.kind, d.info)
+  in
+  let fault kind info =
+    (Format.asprintf "ptid 1 %a" Exception_desc.pp_kind kind, Int64.of_int info)
+  in
+  let denied = fault Exception_desc.Permission_denied target_ptid in
+  let unmapped = fault Exception_desc.Invalid_thread_access unmapped_vtid in
+  Alcotest.(check (list (pair string int64)))
+    "one fault each, the operand as info"
+    [
+      denied; denied; denied; denied;
+      unmapped; unmapped; unmapped; unmapped;
+      fault Exception_desc.Privileged_instruction target_ptid;
+      fault Exception_desc.Privileged_instruction vtid;
+    ]
+    (List.rev_map seen !faults)
 
 (* --- per-thread billing (§4) --- *)
 
@@ -216,6 +326,8 @@ let () =
             test_keyed_rpush_privileged_reg_still_faults;
           Alcotest.test_case "supervisor bypass" `Quick test_supervisor_bypasses_keys;
           Alcotest.test_case "key rotation revokes" `Quick test_key_rotation_revokes;
+          Alcotest.test_case "keyed and TDT cost and fault alike" `Quick
+            test_keyed_and_tdt_cost_and_fault_alike;
         ] );
       ( "billing",
         [

@@ -86,6 +86,21 @@ let test_deterministic () =
   let b = Sched_policy.run ~mode:(Sched_policy.Preemptive 5_000) policy_cfg in
   Alcotest.(check int) "same elapsed" a.Server.elapsed_cycles b.Server.elapsed_cycles
 
+(* A slice below one cycle never advances the hypervisor's clock (0) or
+   cannot be waited at all (negative): both builders reject it up front. *)
+let test_rejects_bad_slice () =
+  List.iter
+    (fun slice ->
+      Alcotest.check_raises
+        (Printf.sprintf "hw slice %d" slice)
+        (Invalid_argument "Vm.hw_timeshare: slice must be at least 1 cycle")
+        (fun () -> ignore (Vm.hw_timeshare p ~vms:2 ~vcpus:2 ~slice ~duration:100_000));
+      Alcotest.check_raises
+        (Printf.sprintf "sw slice %d" slice)
+        (Invalid_argument "Vm.sw_timeshare: slice must be at least 1 cycle")
+        (fun () -> ignore (Vm.sw_timeshare p ~vms:2 ~vcpus:2 ~slice ~duration:100_000)))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "policies"
     [
@@ -96,6 +111,7 @@ let () =
           Alcotest.test_case "gap widens with finer slices" `Quick
             test_hw_beats_sw_more_as_slice_shrinks;
           Alcotest.test_case "single vm" `Quick test_single_vm_no_switches;
+          Alcotest.test_case "bad slice rejected" `Quick test_rejects_bad_slice;
         ] );
       ( "sched_policy",
         [

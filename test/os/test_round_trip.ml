@@ -55,6 +55,21 @@ let test_hardware_returns_its_chip () =
   Alcotest.(check int) "server started per call" 4
     (Chip.start_count (Chip.find_thread chip ~ptid:100))
 
+(* A mean over no timed calls is no number: 0 used to print nan cycles
+   per call and -1 a negative mean.  Both builders reject them up front. *)
+let test_rejects_no_calls () =
+  List.iter
+    (fun calls ->
+      Alcotest.check_raises
+        (Printf.sprintf "software calls=%d" calls)
+        (Invalid_argument "Round_trip.software: calls must be at least 1")
+        (fun () -> ignore (trap ~calls 0));
+      Alcotest.check_raises
+        (Printf.sprintf "hardware calls=%d" calls)
+        (Invalid_argument "Round_trip.hardware: calls must be at least 1")
+        (fun () -> ignore (hw ~calls 0)))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "round_trip"
     [
@@ -63,5 +78,6 @@ let () =
           Alcotest.test_case "trap mean is 450 + work" `Quick test_trap_mean;
           Alcotest.test_case "hw mean is 60 + work" `Quick test_hw_mean;
           Alcotest.test_case "hardware returns its chip" `Quick test_hardware_returns_its_chip;
+          Alcotest.test_case "fewer than one call rejected" `Quick test_rejects_no_calls;
         ] );
     ]
