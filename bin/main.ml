@@ -157,7 +157,10 @@ let server_cmd =
     Arg.(
       value
       & opt float 1.0
-      & info [ "cv2" ] ~docv:"CV2" ~doc:"Service-time squared coef. of variation.")
+      & info [ "cv2" ] ~docv:"CV2"
+          ~doc:
+            "Service-time squared coef. of variation: exponential at 1, bimodal \
+             otherwise.")
   in
   let mean =
     Arg.(
@@ -165,7 +168,7 @@ let server_cmd =
   in
   let run design seed rate count cores cv2 mean =
     let service =
-      if cv2 <= 1.0 then Sl_util.Dist.Exponential mean
+      if cv2 = 1.0 then Sl_util.Dist.Exponential mean
       else Sl_util.Dist.bimodal_with_cv2 ~mean ~cv2 ~p_long:0.02
     in
     let cfg = { Server.params = p; seed; cores; rate_per_kcycle = rate; service; count } in
@@ -243,8 +246,8 @@ let lock_cmd =
     let st = r.Contention.stats in
     let burn = r.Contention.useful +. r.Contention.poll +. r.Contention.overhead in
     Printf.printf "%s: %d critical sections over %d contenders in %d cycles (%.0f cycles/acquire)\n"
-      (Lock.kind_name kind) total n r.Contention.elapsed
-      (float_of_int r.Contention.elapsed /. float_of_int (max 1 total));
+      (Lock.kind_name kind) r.Contention.sections n r.Contention.elapsed
+      (float_of_int r.Contention.elapsed /. float_of_int (max 1 r.Contention.sections));
     Printf.printf "handoff (release->grant): %s\n"
       (Format.asprintf "%a" Histogram.pp_summary st.Lock.handoff);
     Printf.printf "contended %d/%d | parks %d | wakes %d\n" st.Lock.contended

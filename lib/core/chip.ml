@@ -27,27 +27,6 @@ type fault_hooks = {
          Restarted cold [restart] cycles later. *)
 }
 
-(* Thread state codes, the array encoding of [Ptid.state]. *)
-let st_runnable = 0
-let st_waiting = 1
-let st_disabled = 2
-
-let state_code = function
-  | Ptid.Runnable -> st_runnable
-  | Ptid.Waiting -> st_waiting
-  | Ptid.Disabled -> st_disabled
-
-let state_of_code c =
-  if c = st_runnable then Ptid.Runnable
-  else if c = st_waiting then Ptid.Waiting
-  else Ptid.Disabled
-
-(* Flag bits in the [o_flags] hot slot. *)
-let fl_spawned = 1
-let fl_pending_start = 2
-let fl_crashed = 4
-let fl_super = 8  (* supervisor mode *)
-
 (* Wake-cell values: a monitored-write (or spurious) wake carries the
    written address ([>= 0]); the negative codes are the other park
    outcomes (the constructors of the old [wake_event] variant). *)
@@ -55,64 +34,26 @@ let wake_stop = -1  (* force-stopped while waiting *)
 let wake_deadline = -2  (* mwait_for deadline expired *)
 let wake_crash = -3  (* crash-stopped while parked: unwind the body *)
 
-(* Wake-cell states (low 2 bits of the [o_cell] hot slot; 0 is idle, no
-   park in progress). *)
-let cell_open = 1  (* parked, no event delivered yet *)
-let cell_full = 2  (* event delivered, value in [o_wval] *)
+(* The wake cell of one park round. *)
+type cell =
+  | Idle  (* no park in progress *)
+  | Open  (* parked, no event delivered yet *)
+  | Full  (* event delivered, value in [wval] *)
 
-(* --- hot-slot layout ----------------------------------------------------
+(* Per-thread state is one record per hardware thread, the paper's
+   per-thread descriptor (§3.2, Table 1): a wakeup reads and writes that
+   record instead of chasing five separately-allocated objects (thread
+   record, Ptid record, wake Ivar, monitor state, store entry), and the
+   park/wake protocol reuses the record's wake cell ([epoch]/[cell]/
+   [wval]) instead of allocating an Ivar + constructor per park.  The
+   epoch counts park rounds: events scheduled against an earlier round
+   (a wake in flight when a force-stop claimed the park) compare their
+   captured epoch and stand down.
 
-   All per-thread scalars on the wake path live in one strided int array
-   [hot], [hot_stride] slots per ptid: 8 words = 64 bytes, so the whole
-   per-thread wake state is one cache line, the way the hardware's own
-   context table would pack it.  (The previous layout spread the same
-   fields over a dozen parallel arrays; at 2,000 resident threads every
-   round-robin wake touched a dozen distinct cold lines.)
-
-   slot 0 [o_meta]  : mslot << 22 | core << 2 | state   (state in the low
-                      2 bits; core below 2^20; registered Monitor slot above)
-   slot 1 [o_cell]  : epoch << 2 | cell-state  (the reusable wake cell:
-                      [epoch] counts park rounds, low bits a cell_ code)
-   slot 2 [o_wval]  : wake value (addr >= 0 or a wake_* code)
-   slot 3 [o_pend]  : pending-delivery epoch << 1 | in-flight bit
-   slot 4 [o_pendaddr] : pending-delivery address
-   slot 5 [o_wakeups]  : wakeup counter
-   slot 6 [o_flags]    : fl_* bits
-   slot 7 [o_starts]   : start counter *)
-let hot_stride = 8
-let o_cell = 1
-let o_wval = 2
-let o_pend = 3
-let o_pendaddr = 4
-let o_wakeups = 5
-let o_flags = 6
-let o_starts = 7
-let core_mask = 0xFFFFF  (* 20 bits *)
-
-(* Per-thread state is one record per hardware thread plus its hot
-   line.  The record is the thread's handle: it holds everything the
-   thread owns off the wake path — identity, weight, registers, body,
-   TDT, secret key — and its preallocated closures.  The hot line holds
-   the wake path's scalars, indexed by a dense interned [tid]: a wakeup
-   reads/writes that line plus the handle instead of chasing five
-   separately-allocated objects (thread record, Ptid record, wake Ivar,
-   monitor state, store entry), and the park/wake protocol reuses the
-   int-encoded wake cell in [o_cell]/[o_wval] instead of allocating an
-   Ivar + constructor per park.  The cell's epoch counts park rounds:
-   events scheduled against an earlier round (a wake in flight when a
-   force-stop claimed the park) compare their captured epoch and stand
-   down, exactly the staleness the per-round Ivar's [is_full] used to
-   encode.
-
-   Tids are interned, not raw ptids: experiments use sparse sentinel
-   ptids (hypervisors at 9_000, handlers at 600), and several build a
-   fresh chip per measurement point — sizing the hot array by the
-   largest raw ptid would cost zeroed major-heap allocation per world
-   for a handful of threads.  The [tids] table maps ptid -> handle on
-   the cold paths (construction, TDT translation); everything per-event
-   goes through the handle.  Externally visible identifiers — probe
-   events, exception descriptors, SMT / state-store keys, fault hooks —
-   always carry the real ptid. *)
+   The [tids] table maps ptid -> handle on the cold paths (construction,
+   TDT translation); everything per-event goes through the handle.
+   Externally visible identifiers — probe events, exception descriptors,
+   SMT / state-store keys, fault hooks — always carry the real ptid. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -121,8 +62,6 @@ type t = {
   cores : core array;
   tids : (int, thread) Hashtbl.t;  (* ptid -> handle *)
   mutable threads : thread list;  (* every handle, newest first *)
-  mutable n_tids : int;
-  mutable hot : int array;  (* strided hot slots, see layout above *)
   mutable halted_reason : string option;
   mutable exn_seq : int64;
   mutable exn_count : int;
@@ -135,34 +74,48 @@ type t = {
 }
 
 (* One hardware thread, allocated once at [add_thread] and shared by
-   every [find_thread]/[thread_list].  Only [resume] mutates per park
-   round; the closures are fixed at [add_thread].
+   every [find_thread]/[thread_list].  The wake path's fields come
+   first; the closures are fixed at [add_thread].
 
    In-flight wake delivery: the scheduled event is the preallocated
-   [deliver] thunk reading its (epoch, addr) from the [o_pend]/
-   [o_pendaddr] hot slots, so the steady-state wake path schedules
-   without allocating.  At most one delivery per thread is normally in
-   flight (the monitor waiter is consumed when it fires and only
-   re-registered by the next mwait, which runs after the delivery); the
-   rare overlap — force-stop + restart + re-park + second wake inside
-   the first delivery's latency window — falls back to a capturing
-   closure (see [monitor_wake]). *)
+   [deliver] thunk reading its (epoch, addr) from [pend_epoch]/
+   [pend_addr], so the steady-state wake path schedules without
+   allocating.  At most one delivery per thread is normally in flight
+   (the monitor waiter is consumed when it fires and only re-registered
+   by the next mwait, which runs after the delivery); the rare overlap —
+   force-stop + restart + re-park + second wake inside the first
+   delivery's latency window — falls back to a capturing closure (see
+   [monitor_wake]). *)
 and thread = {
   chip : t;
-  tid : int;  (* index of the thread's line in [hot] *)
+  mutable state : Ptid.state;
+  mutable epoch : int;  (* park rounds so far *)
+  mutable cell : cell;
+  mutable wval : int;  (* wake value (addr >= 0 or a wake_* code) *)
+  mutable resume : int -> unit;  (* parked body's continuation *)
+  mutable pending : bool;  (* [deliver] is scheduled *)
+  mutable pend_epoch : int;
+  mutable pend_addr : Memory.addr;
+  mutable wakeups : int;
+  core_id : int;  (* home core *)
+  mslot : int;  (* Monitor slot *)
+  smt : int;  (* Smt_core slot on the home core *)
   t_ptid : int;
   weight : float;
-  regs : Regstate.t;
-  mutable smt : int;  (* Smt_core slot on the home core; -1 = not yet *)
-  mutable crashes : int;
-  mutable body : (thread -> unit) option;
-  mutable tdt : Tdt.t option;
-  mutable secret : int64 option;
-  mutable resume : int -> unit;  (* parked body's continuation *)
   wake : Memory.addr -> unit;  (* monitor waiter *)
   register : (int -> unit) -> unit;  (* await hook *)
   deliver : unit -> unit;  (* wake-delivery event *)
   signal : unit Signal.t;  (* start/stop resume signal *)
+  mutable starts : int;
+  mutable spawned : bool;  (* body spawned at least once *)
+  mutable pending_start : bool;  (* latched start, absorbs the next stop *)
+  mutable crashed : bool;  (* crash-stopped, cold restart not yet run *)
+  supervisor : bool;
+  mutable crashes : int;
+  regs : Regstate.t;
+  mutable body : (thread -> unit) option;
+  mutable tdt : Tdt.t option;
+  mutable secret : int64 option;
 }
 
 (* Raised inside a crash-stopped thread's body to unwind its instruction
@@ -208,8 +161,6 @@ let create sim params ~cores =
           });
     tids = Hashtbl.create 64;
     threads = [];
-    n_tids = 0;
-    hot = Array.make (64 * hot_stride) 0;
     halted_reason = None;
     exn_seq = 0L;
     exn_count = 0;
@@ -250,27 +201,6 @@ let exists t ptid = Hashtbl.mem t.tids ptid
 
 let handle_of t ptid = Hashtbl.find_opt t.tids ptid
 
-(* Hot-slot accessors.  [meta] is slot 0, so the base index doubles as
-   its address. *)
-let tstate c i = c.hot.(i * hot_stride) land 3
-
-let set_tstate c i st =
-  let b = i * hot_stride in
-  c.hot.(b) <- (c.hot.(b) land lnot 3) lor st
-
-let tcore c i = (c.hot.(i * hot_stride) lsr 2) land core_mask
-let tmslot c i = c.hot.(i * hot_stride) asr 22
-
-(* Grow [hot] to cover [tid].  Tids are interned densely, so this only
-   ever doubles — never jumps to a sparse ptid. *)
-let ensure_tid t tid =
-  let n = Array.length t.hot / hot_stride in
-  if tid >= n then begin
-    let hot = Array.make (max (tid + 1) (2 * n) * hot_stride) 0 in
-    Array.blit t.hot 0 hot 0 (n * hot_stride);
-    t.hot <- hot
-  end
-
 let thread_list t = List.sort (fun a b -> compare a.t_ptid b.t_ptid) t.threads
 
 let find_thread t ~ptid =
@@ -284,63 +214,39 @@ let attach th body =
   | None -> th.body <- Some body
 
 let ptid th = th.t_ptid
-let home_core th = tcore th.chip th.tid
-let state th = state_of_code (tstate th.chip th.tid)
-
-let get_flag c i bit = c.hot.((i * hot_stride) + o_flags) land bit <> 0
-
-let set_flag c i bit on =
-  let s = (i * hot_stride) + o_flags in
-  if on then c.hot.(s) <- c.hot.(s) lor bit
-  else c.hot.(s) <- c.hot.(s) land lnot bit
-
-let mode th = if get_flag th.chip th.tid fl_super then Ptid.Supervisor else Ptid.User
-let is_supervisor th = get_flag th.chip th.tid fl_super
+let home_core th = th.core_id
+let state th = th.state
+let mode th = if th.supervisor then Ptid.Supervisor else Ptid.User
+let is_supervisor th = th.supervisor
 let regs th = th.regs
 let set_tdt th table = th.tdt <- Some table
 let tdt th = th.tdt
-let wakeup_count th = th.chip.hot.((th.tid * hot_stride) + o_wakeups)
-let start_count th = th.chip.hot.((th.tid * hot_stride) + o_starts)
+let wakeup_count th = th.wakeups
+let start_count th = th.starts
 let crash_count th = th.crashes
-let armed th = Monitor.armed th.chip.monitor (tmslot th.chip th.tid)
+let armed th = Monitor.armed th.chip.monitor th.mslot
 
-let own_core th = th.chip.cores.(tcore th.chip th.tid)
+let own_core th = th.chip.cores.(th.core_id)
 
 let pin_state th = State_store.pin (own_core th).store ~ptid:th.t_ptid
 
-(* The thread's slot on its home core's [Smt_core], interned on first
-   touch — at the same calls that interned it by ptid, so [Smt_core]'s
-   slot order (and [billed_threads]' order) is unchanged. *)
-let smt_slot th smt =
-  if th.smt >= 0 then th.smt
-  else begin
-    let s = Smt_core.slot smt ~ptid:th.t_ptid in
-    th.smt <- s;
-    s
-  end
-
-(* The one state transition: write the hot state, put the thread on (or
-   take it off) its home core's execution units, emit the probe. *)
+(* The one state transition: write the state, put the thread on (or take
+   it off) its home core's execution units, emit the probe. *)
 let set_state th state ~reason =
   let c = th.chip in
-  let b = th.tid * hot_stride in
-  let m = c.hot.(b) in
-  let code = state_code state in
-  c.hot.(b) <- (m land lnot 3) lor code;
-  let smt = c.cores.((m lsr 2) land core_mask).exec_unit in
-  Smt_core.set_runnable_slot smt ~slot:(smt_slot th smt) ~weight:th.weight
-    (code = st_runnable);
+  let from_ = th.state in
+  th.state <- state;
+  Smt_core.set_runnable_slot (own_core th).exec_unit ~slot:th.smt ~weight:th.weight
+    (state = Ptid.Runnable);
   if c.probe_on then
-    emit c
-      (Probe.State_change
-         { ptid = th.t_ptid; from_ = state_of_code (m land 3); to_ = state; reason })
+    emit c (Probe.State_change { ptid = th.t_ptid; from_; to_ = state; reason })
 
 (* Waiting -> Disabled (a force- or crash-stop of a parked thread): a
    waiting thread is already off the execution units, so only the state
    machine and probes move. *)
 let stop_waiting th ~reason =
   let c = th.chip in
-  set_tstate c th.tid st_disabled;
+  th.state <- Ptid.Disabled;
   if c.probe_on then
     emit c
       (Probe.State_change
@@ -359,29 +265,27 @@ let run_body th =
              raise only unwound the dead instruction stream. *)
           ());
         (* Instruction stream ended: the thread parks itself. *)
-        if tstate th.chip th.tid = st_runnable then
-          set_state th Ptid.Disabled ~reason:"body-end")
+        if th.state = Ptid.Runnable then set_state th Ptid.Disabled ~reason:"body-end")
 
 (* Block the calling body until its thread is runnable again.  Loops
    because a start can be followed by another stop before we get going.
    A disabled thread is parked by design (a server awaiting its next
    start), so it is daemon-marked for [Sim.suspects] while it waits. *)
 let rec wait_until_runnable th =
-  let c = th.chip in
-  if tstate c th.tid <> st_runnable then begin
-    if tstate c th.tid = st_disabled then begin
-      Sim.set_daemon true;
-      Signal.wait th.signal;
-      Sim.set_daemon false
-    end
-    else Signal.wait th.signal;
+  match th.state with
+  | Ptid.Runnable -> ()
+  | Ptid.Disabled ->
+    Sim.set_daemon true;
+    Signal.wait th.signal;
+    Sim.set_daemon false;
     wait_until_runnable th
-  end
+  | Ptid.Waiting ->
+    Signal.wait th.signal;
+    wait_until_runnable th
 
 let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
-  let smt = (own_core th).exec_unit in
-  Smt_core.execute_slot smt ~slot:(smt_slot th smt) ~kind cycles
+  Smt_core.execute_slot (own_core th).exec_unit ~slot:th.smt ~kind cycles
 
 (* --- wakeup machinery -------------------------------------------------- *)
 
@@ -389,10 +293,8 @@ let exec th ?(kind = Smt_core.Useful) cycles =
    registered its continuation — it always has, the park round suspends
    before any filler can run). *)
 let fill_wake th v =
-  let c = th.chip in
-  let b = (th.tid * hot_stride) + o_cell in
-  c.hot.(b) <- (c.hot.(b) land lnot 3) lor cell_full;
-  c.hot.(b + (o_wval - o_cell)) <- v;
+  th.cell <- Full;
+  th.wval <- v;
   let r = th.resume in
   if r != dummy_resume then begin
     th.resume <- dummy_resume;
@@ -402,47 +304,41 @@ let fill_wake th v =
 
 (* Block the calling body on its wake cell. *)
 let read_wake th =
-  let c = th.chip in
-  let b = th.tid * hot_stride in
-  if c.hot.(b + o_cell) land 3 = cell_full then c.hot.(b + o_wval)
-  else Sim.await th.register
+  match th.cell with Full -> th.wval | Idle | Open -> Sim.await th.register
 
 (* The wake event scheduled by [monitor_wake], [latency] cycles after the
    triggering write.  [epoch] stamps the park round the waiter belonged
-   to; if that round is over (the cell's epoch moved on) or something
-   else (force-stop, deadline, crash) already claimed the cell, the event
+   to; if that round is over (the epoch moved on) or something else
+   (force-stop, deadline, crash) already claimed the cell, the event
    must not be lost: latch it for the thread's next mwait. *)
 let deliver_wake th epoch addr =
   let c = th.chip in
-  let i = th.tid in
-  if c.hot.((i * hot_stride) + o_cell) <> (epoch lsl 2) lor cell_open then
-    Monitor.relatch c.monitor (tmslot c i) addr
-  else begin
+  match th.cell with
+  | Open when th.epoch = epoch ->
     set_state th Ptid.Runnable ~reason:"mwait-wake";
     if c.probe_on then
       emit c (Probe.Mwait_woke { ptid = th.t_ptid; addr; immediate = false });
     Signal.emit th.signal ();
     fill_wake th addr
-  end
+  | Idle | Open | Full -> Monitor.relatch c.monitor th.mslot addr
 
 (* The monitor waiter callback, preallocated per thread at [add_thread]:
    runs synchronously inside the triggering Memory.write. *)
 let monitor_wake th addr =
   let c = th.chip in
-  let i = th.tid in
-  let b = i * hot_stride in
-  let scan = Monitor.write_scan_cost c.monitor ((c.hot.(b) lsr 2) land core_mask) in
-  c.hot.(b + o_wakeups) <- c.hot.(b + o_wakeups) + 1;
+  let scan = Monitor.write_scan_cost c.monitor th.core_id in
+  th.wakeups <- th.wakeups + 1;
   let latency =
     c.params.Params.monitor_wake_cycles + scan
     + State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
     + c.params.Params.pipeline_start_cycles
   in
-  let epoch = c.hot.(b + o_cell) lsr 2 in
+  let epoch = th.epoch in
   let at = Sim.time c.sim + latency in
-  if c.hot.(b + o_pend) land 1 = 0 then begin
-    c.hot.(b + o_pend) <- (epoch lsl 1) lor 1;
-    c.hot.(b + o_pendaddr) <- addr;
+  if not th.pending then begin
+    th.pending <- true;
+    th.pend_epoch <- epoch;
+    th.pend_addr <- addr;
     Sim.schedule c.sim ~at th.deliver
   end
   else
@@ -476,7 +372,7 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
       (* A start hand-off delayed past a later one lands on a thread the
          later one already made runnable: it changes no state, but still
          runs [on_ready] — the body spawn, if it was the first start. *)
-      if tstate chip th.tid <> st_runnable then begin
+      if th.state <> Ptid.Runnable then begin
         set_state th Ptid.Runnable ~reason;
         Signal.emit th.signal ()
       end;
@@ -495,24 +391,23 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
    [wake_crash] for a parked thread). *)
 let crash_mark th ~kind ~restart_after =
   let chip = th.chip in
-  let i = th.tid in
   th.crashes <- th.crashes + 1;
-  set_flag chip i fl_crashed true;
-  set_flag chip i fl_pending_start false;
-  Monitor.cancel_wait chip.monitor (tmslot chip i);
-  Monitor.disarm_all chip.monitor (tmslot chip i);
-  (let st = tstate chip i in
-   if st = st_runnable then set_state th Ptid.Disabled ~reason:"crash-stop"
-   else if st = st_waiting then stop_waiting th ~reason:"crash-stop");
+  th.crashed <- true;
+  th.pending_start <- false;
+  Monitor.cancel_wait chip.monitor th.mslot;
+  Monitor.disarm_all chip.monitor th.mslot;
+  (match th.state with
+  | Ptid.Runnable -> set_state th Ptid.Disabled ~reason:"crash-stop"
+  | Ptid.Waiting -> stop_waiting th ~reason:"crash-stop"
+  | Ptid.Disabled -> ());
   if chip.probe_on then emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind });
   let restart_at = Sim.time chip.sim + max 1 restart_after in
   Sim.schedule chip.sim ~at:restart_at (fun () ->
       (* A start issued between crash and restart already respawned the
          body (see [do_start]); don't spawn a second instruction stream. *)
-      if get_flag chip i fl_crashed then begin
-        set_flag chip i fl_crashed false;
-        chip.hot.((i * hot_stride) + o_starts) <-
-          chip.hot.((i * hot_stride) + o_starts) + 1;
+      if th.crashed then begin
+        th.crashed <- false;
+        th.starts <- th.starts + 1;
         emit chip
           (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
         schedule_wakeup th ~extra:0 ~reason:"crash-restart" ~on_ready:(fun () ->
@@ -536,36 +431,42 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   let regs = Regstate.create ~vector () in
   let bytes = Regstate.footprint_bytes t.params regs in
   State_store.register (state_store t core_id) ~ptid ~bytes;
-  let tid = t.n_tids in
-  t.n_tids <- tid + 1;
-  ensure_tid t tid;
   let mslot = Monitor.register t.monitor ~core_id in
-  (* A fresh hot line is all zero: idle wake cell, no delivery in
-     flight, zero counters. *)
-  let b = tid * hot_stride in
-  t.hot.(b) <- (mslot lsl 22) lor (core_id lsl 2) lor st_disabled;
-  t.hot.(b + o_flags) <- (match mode with Ptid.Supervisor -> fl_super | Ptid.User -> 0);
+  let smt = Smt_core.slot (exec_core t core_id) ~ptid in
   let rec th =
     {
       chip = t;
-      tid;
+      state = Ptid.Disabled;
+      epoch = 0;
+      cell = Idle;
+      wval = 0;
+      resume = dummy_resume;
+      pending = false;
+      pend_epoch = 0;
+      pend_addr = 0;
+      wakeups = 0;
+      core_id;
+      mslot;
+      smt;
       t_ptid = ptid;
       weight;
-      regs;
-      smt = -1;
-      crashes = 0;
-      body = None;
-      tdt = None;
-      secret = None;
-      resume = dummy_resume;
       wake = (fun addr -> monitor_wake th addr);
       register = (fun resume -> th.resume <- resume);
       deliver =
         (fun () ->
-          let pend = t.hot.(b + o_pend) in
-          t.hot.(b + o_pend) <- pend land lnot 1;
-          deliver_wake th (pend lsr 1) t.hot.(b + o_pendaddr));
+          th.pending <- false;
+          deliver_wake th th.pend_epoch th.pend_addr);
       signal = Signal.create ();
+      starts = 0;
+      spawned = false;
+      pending_start = false;
+      crashed = false;
+      supervisor = (match mode with Ptid.Supervisor -> true | Ptid.User -> false);
+      crashes = 0;
+      regs;
+      body = None;
+      tdt = None;
+      secret = None;
     }
   in
   Hashtbl.replace t.tids ptid th;
@@ -576,25 +477,22 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
 
 let insn_monitor th addr =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
-  Monitor.arm th.chip.monitor (tmslot th.chip th.tid) addr;
+  Monitor.arm th.chip.monitor th.mslot addr;
   if th.chip.probe_on then
     emit th.chip (Probe.Monitor_armed { ptid = th.t_ptid; addr })
 
-(* Whether park round [epoch] of thread [i] is still unclaimed: no wake
+(* Whether park round [epoch] of the thread is still unclaimed: no wake
    in flight (the cell is still open this round) and no force-stop
    (still Waiting).  Top-level, not a local closure: that would be
    allocated on every park. *)
-let unclaimed c i epoch =
-  c.hot.((i * hot_stride) + o_cell) = (epoch lsl 2) lor cell_open
-  && tstate c i = st_waiting
+let unclaimed th epoch =
+  th.epoch = epoch && th.cell = Open && th.state = Ptid.Waiting
 
 (* Shared implementation of [mwait] (park until a monitored write) and
    [mwait_for] (same, but resume empty-handed at an absolute [deadline],
    umwait-style).  Returns [None] only on deadline expiry. *)
 let insn_mwait_generic th ~deadline =
   let chip = th.chip in
-  let i = th.tid in
-  let mslot = tmslot chip i in
   exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_arm_cycles;
   (* Sampled as a wake is consumed, parked or immediate: the thread
      dies holding the event — the doorbell was delivered but nothing
@@ -608,16 +506,15 @@ let insn_mwait_generic th ~deadline =
       | Some restart_after -> crash_self th ~kind:"crash-wake" ~restart_after)
   in
   let rec park () =
-    (* A new park round: bump the cell's epoch (state back to idle); stale
-       events from earlier rounds compare epochs and stand down (the
-       per-round Ivar used to go Full instead). *)
-    let b = i * hot_stride in
-    chip.hot.(b + o_cell) <- ((chip.hot.(b + o_cell) lsr 2) + 1) lsl 2;
-    let epoch = chip.hot.(b + o_cell) lsr 2 in
-    let a = Monitor.mwait chip.monitor mslot ~wake:th.wake in
+    (* A new park round: bump the epoch (cell back to idle); stale events
+       from earlier rounds compare epochs and stand down. *)
+    let epoch = th.epoch + 1 in
+    th.epoch <- epoch;
+    th.cell <- Idle;
+    let a = Monitor.mwait chip.monitor th.mslot ~wake:th.wake in
     if a >= 0 then begin
       (* The write already happened; no sleep, only the match cost. *)
-      chip.hot.(b + o_wakeups) <- chip.hot.(b + o_wakeups) + 1;
+      th.wakeups <- th.wakeups + 1;
       exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
       if chip.probe_on then
         emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
@@ -628,7 +525,7 @@ let insn_mwait_generic th ~deadline =
       set_state th Ptid.Waiting ~reason:"mwait-park";
       if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
       State_store.touch (own_core th).store ~ptid:th.t_ptid;
-      chip.hot.(b + o_cell) <- (epoch lsl 2) lor cell_open;
+      th.cell <- Open;
       (match deadline with
       | None -> ()
       | Some at ->
@@ -638,8 +535,8 @@ let insn_mwait_generic th ~deadline =
         in
         Sim.schedule chip.sim ~at (fun () ->
             (* Expire only if nothing else claimed the wait. *)
-            if unclaimed chip i epoch then begin
-              Monitor.cancel_wait chip.monitor mslot;
+            if unclaimed th epoch then begin
+              Monitor.cancel_wait chip.monitor th.mslot;
               fill_wake th wake_deadline;
               (* The empty-handed resume still pays the restart latency. *)
               let latency =
@@ -651,7 +548,7 @@ let insn_mwait_generic th ~deadline =
                 (fun () ->
                   (* A force-stop may land inside the restart window; it
                      wins, and a later start re-runs the thread. *)
-                  if tstate chip i = st_waiting then begin
+                  if th.state = Ptid.Waiting then begin
                     set_state th Ptid.Runnable ~reason:"mwait-deadline";
                     if chip.probe_on then
                       emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
@@ -670,13 +567,13 @@ let insn_mwait_generic th ~deadline =
           Sim.schedule chip.sim
             ~at:(Sim.time chip.sim + d)
             (fun () ->
-              match Monitor.take_waiter chip.monitor mslot with
+              match Monitor.take_waiter chip.monitor th.mslot with
               | None -> ()  (* already woken, stopped or expired *)
               | Some w ->
                 emit chip
                   (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
                 let addr =
-                  match Monitor.armed chip.monitor mslot with
+                  match Monitor.armed chip.monitor th.mslot with
                   | addr :: _ -> addr
                   | [] -> 0
                 in
@@ -695,13 +592,12 @@ let insn_mwait_generic th ~deadline =
           Sim.schedule chip.sim
             ~at:(Sim.time chip.sim + max 0 after)
             (fun () ->
-              if unclaimed chip i epoch then begin
+              if unclaimed th epoch then begin
                 crash_mark th ~kind:"crash-park" ~restart_after;
                 fill_wake th wake_crash
               end)));
       let v = read_wake th in
-      let s = (i * hot_stride) + o_cell in
-      chip.hot.(s) <- chip.hot.(s) land lnot 3;
+      th.cell <- Idle;
       if v >= 0 then begin
         crash_on_wake ();
         Some v
@@ -747,7 +643,7 @@ let raise_exception th kind ~info =
   end
   else begin
     (* Faults are involuntary: a latched start must not absorb them. *)
-    set_flag chip th.tid fl_pending_start false;
+    th.pending_start <- false;
     set_state th Ptid.Disabled ~reason:"fault";
     Sim.delay chip.params.Params.exception_descriptor_cycles;
     chip.exn_seq <- Int64.add chip.exn_seq 1L;
@@ -843,57 +739,45 @@ let permitted th perms check = is_supervisor th || check perms
 
 let do_start ~actor target =
   let c = target.chip in
-  let i = target.tid in
-  let st = tstate c i in
-  if st = st_disabled then begin
-    c.hot.((i * hot_stride) + o_starts) <- c.hot.((i * hot_stride) + o_starts) + 1;
+  match target.state with
+  | Ptid.Disabled ->
+    target.starts <- target.starts + 1;
     emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = false });
-    if not (get_flag c i fl_spawned) then begin
-      set_flag c i fl_spawned true;
-      schedule_wakeup target ~extra:0 ~reason:"start-wake" ~on_ready:(fun () ->
-          run_body target)
-    end
-    else if get_flag c i fl_crashed then begin
-      (* Crash-stopped and not yet auto-restarted: the old instruction
-         stream is gone, so an explicit start must respawn the body (and
-         the scheduled auto-restart then sees [crashed = false]). *)
-      set_flag c i fl_crashed false;
-      schedule_wakeup target ~extra:0 ~reason:"start-wake" ~on_ready:(fun () ->
-          run_body target)
-    end
-    else
-      schedule_wakeup target ~extra:0 ~reason:"start-wake" ~on_ready:(fun () -> ())
-  end
-  else if st = st_runnable then begin
+    (* The first start spawns the body.  So does a start of a
+       crash-stopped thread not yet auto-restarted: the old instruction
+       stream is gone, and the scheduled auto-restart then sees
+       [crashed = false] and stands down. *)
+    let respawn = (not target.spawned) || target.crashed in
+    target.spawned <- true;
+    target.crashed <- false;
+    schedule_wakeup target ~extra:0 ~reason:"start-wake"
+      ~on_ready:(if respawn then fun () -> run_body target else fun () -> ())
+  | Ptid.Runnable ->
     (* Already enabled: latch the start so it cannot be lost to a stop
        that is architecturally in flight (e.g. a server parking itself). *)
-    set_flag c i fl_pending_start true;
+    target.pending_start <- true;
     emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = true })
-  end
+  | Ptid.Waiting -> ()
 
 let do_stop ~actor target =
   let c = target.chip in
-  let i = target.tid in
-  if get_flag c i fl_pending_start then
+  if target.pending_start then
     (* The latched start absorbs this stop; the thread keeps running. *)
-    set_flag c i fl_pending_start false
-  else begin
-    let st = tstate c i in
-    if st = st_runnable then begin
+    target.pending_start <- false
+  else
+    match target.state with
+    | Ptid.Runnable ->
       set_state target Ptid.Disabled ~reason:"stop";
       emit c (Probe.Stop_edge { actor; target = target.t_ptid })
-    end
-    else if st = st_waiting then begin
-      Monitor.cancel_wait c.monitor (tmslot c i);
+    | Ptid.Waiting ->
+      Monitor.cancel_wait c.monitor target.mslot;
       stop_waiting target ~reason:"force-stop";
       emit c (Probe.Stop_edge { actor; target = target.t_ptid });
       (* Claim the open park (the old [Ivar.try_fill]): a deadline expiry
          may have claimed the cell already (thread mid-restart); the
          force-stop still wins via the state check in the restart event. *)
-      if c.hot.((i * hot_stride) + o_cell) land 3 = cell_open then
-        fill_wake target wake_stop
-    end
-  end
+      if target.cell = Open then fill_wake target wake_stop
+    | Ptid.Disabled -> ()
 
 let start_via resolve th operand =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
@@ -933,7 +817,7 @@ let rpull_via resolve th operand reg =
       raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand);
       0L
     end
-    else if tstate th.chip target.tid <> st_disabled then begin
+    else if target.state <> Ptid.Disabled then begin
       raise_exception th Exception_desc.Invalid_thread_access
         ~info:(Int64.of_int operand);
       0L
@@ -955,7 +839,7 @@ let rpush_via resolve th operand reg value =
         ~info:(Int64.of_int operand)
     else if not (is_supervisor th || reg_writable th perms reg) then
       raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
-    else if tstate th.chip target.tid <> st_disabled then
+    else if target.state <> Ptid.Disabled then
       raise_exception th Exception_desc.Invalid_thread_access
         ~info:(Int64.of_int operand)
     else begin
@@ -1012,10 +896,9 @@ let store th addr value =
 
 let boot th =
   let c = th.chip in
-  if get_flag c th.tid fl_spawned then invalid_arg "Chip.boot: thread already started";
-  set_flag c th.tid fl_spawned true;
-  c.hot.((th.tid * hot_stride) + o_starts) <-
-    c.hot.((th.tid * hot_stride) + o_starts) + 1;
+  if th.spawned then invalid_arg "Chip.boot: thread already started";
+  th.spawned <- true;
+  th.starts <- th.starts + 1;
   emit c (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
   set_state th Ptid.Runnable ~reason:"boot";
   run_body th
@@ -1035,17 +918,9 @@ type stats = {
   demotions : int;
 }
 
-(* Tids are dense: every index below [n_tids] is a live thread, so these
-   walk exactly the registered threads — no Hashtbl fold, no empty-slot
-   scan. *)
-let sum_hot t off =
-  let acc = ref 0 in
-  for tid = 0 to t.n_tids - 1 do
-    acc := !acc + t.hot.((tid * hot_stride) + off)
-  done;
-  !acc
+let sum_threads t f = List.fold_left (fun acc th -> acc + f th) 0 t.threads
 
-let crash_total t = List.fold_left (fun acc th -> acc + th.crashes) 0 t.threads
+let crash_total t = sum_threads t (fun th -> th.crashes)
 
 let stats t =
   let tier_sum tier =
@@ -1054,8 +929,8 @@ let stats t =
       0 t.cores
   in
   {
-    total_wakeups = sum_hot t o_wakeups;
-    total_starts = sum_hot t o_starts;
+    total_wakeups = sum_threads t (fun th -> th.wakeups);
+    total_starts = sum_threads t (fun th -> th.starts);
     total_exceptions = t.exn_count;
     rf_wakes = tier_sum State_store.Register_file;
     l2_wakes = tier_sum State_store.L2;

@@ -22,7 +22,9 @@ type t
 type thread
 (** Handle on one hardware thread (a ptid bound to its home core): one
     record per thread, allocated at {!add_thread} and shared by every
-    lookup. *)
+    lookup.  It holds all of the thread's state — run state, wake cell,
+    counters, flags, registers, and its monitor and execution-unit slots —
+    so the chip keeps no per-thread array. *)
 
 val create : Sl_engine.Sim.t -> Params.t -> cores:int -> t
 

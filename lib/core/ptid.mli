@@ -4,7 +4,7 @@
     on the pipeline), {e waiting} (parked by [mwait] until a monitored
     write) or {e disabled} (frozen until another thread [start]s it), and
     runs in one privilege mode.  The per-thread state itself lives in
-    {!Chip}'s dense context table; the transition {e semantics} (costs,
+    {!Chip}'s per-thread record; the transition {e semantics} (costs,
     monitor interaction, permission checks) live in {!Chip} and {!Isa}. *)
 
 type state = Runnable | Waiting | Disabled

@@ -48,9 +48,9 @@ val execute : t -> ptid:int -> kind:kind -> int -> unit
     cache the slot instead of paying a ptid lookup per call. *)
 
 val slot : t -> ptid:int -> int
-(** The ptid's slot on this core, interned on first use.  Interning order
-    is {!billed_threads}' order, so cache the slot where the ptid-keyed
-    call would have been made. *)
+(** The ptid's slot on this core, interned on first use ({!Chip} interns
+    each thread's slot when the thread is added).  Interning order is
+    {!billed_threads}' order. *)
 
 val set_runnable_slot : t -> slot:int -> weight:float -> bool -> unit
 (** {!set_runnable} by slot. *)

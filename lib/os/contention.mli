@@ -58,4 +58,5 @@ val run :
     booted; the last contender to finish stops it.  [horizon] bounds
     the run ([Sim.run ~until], which leaves [elapsed] at the horizon);
     by default the world runs until every contender is done.  [gap]
-    cycles run after each section's release, none when it is 0. *)
+    cycles run after each section's release, none when it is 0.
+    Raises [Invalid_argument] when [threads] is below 1. *)

@@ -224,6 +224,116 @@ let test_delayed_start_overtaken_by_retry () =
   check_int "no runnable -> runnable transition" 0 !runnable_twice;
   check_int "body ran exactly once" 1 !runs
 
+(* Two wake deliveries in flight for one thread: a force-stop and
+   restart inside the first delivery's latency window let the re-parked
+   thread take a second wake.  Each delivery must keep its own (park
+   round, address): the stale first one re-latches [a1], the second
+   wakes the thread with [a2], and the next mwait returns [a1] at once.
+   500 filler arms on a zero-capacity monitor table stretch every wake
+   by a 1,004-cycle write scan, so the window is wide. *)
+let test_overlapping_deliveries () =
+  let sim = Sim.create () in
+  let chip = Chip.create sim { p with Params.monitor_capacity_per_core = 0 } ~cores:2 in
+  let mem = Chip.memory chip in
+  let a1 = Memory.alloc mem 1 and a2 = Memory.alloc mem 1 in
+  let monitor = Chip.monitor_table chip in
+  let filler = Switchless.Monitor.register monitor ~core_id:0 in
+  let base = Memory.alloc mem 500 in
+  for k = 0 to 499 do
+    Switchless.Monitor.arm monitor filler (base + k)
+  done;
+  let wakes = ref [] in
+  let waiter = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Chip.attach waiter (fun th ->
+      Isa.monitor th a1;
+      Isa.monitor th a2;
+      while true do
+        let a = Isa.mwait th in
+        wakes := (a, Sim.now ()) :: !wakes
+      done);
+  Chip.boot waiter;
+  let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.exec th 5000;
+      Memory.write mem a1 1L;
+      Isa.stop th ~vtid:1;
+      Isa.start th ~vtid:1;
+      Isa.exec th 100;
+      Memory.write mem a2 1L);
+  Chip.boot boss;
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "a2 wakes the re-parked thread, then a1 arrives re-latched"
+    [ (a2, 6138); (a1, 6148) ]
+    (List.rev !wakes)
+
+(* A force-stop inside the 20-cycle restart window of an expired
+   [mwait_for] wins: the restart event stands down (no timeout probe,
+   the thread stays disabled), and only the later start resumes the
+   thread with [None]. *)
+let test_deadline_restart_lost_to_stop () =
+  let sim, chip = setup () in
+  let timeouts = ref 0 in
+  Chip.set_probe chip (function
+    | Switchless.Probe.Mwait_timeout _ -> incr timeouts
+    | _ -> ());
+  let result = ref (Some 0) and resumed_at = ref 0 in
+  let waiter = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Chip.attach waiter (fun th ->
+      result := Isa.mwait_for th ~deadline:1000;
+      resumed_at := Sim.now ());
+  Chip.boot waiter;
+  let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.exec th 1001;
+      Isa.stop th ~vtid:1;
+      Isa.exec th 5000;
+      Isa.start th ~vtid:1);
+  Chip.boot boss;
+  Sim.run sim;
+  check_bool "empty-handed" true (!result = None);
+  check_int "resumed by the start" 6029 !resumed_at;
+  check_int "no timeout probe" 0 !timeouts;
+  check_bool "body ended disabled" true (Chip.state waiter = Ptid.Disabled)
+
+(* An explicit start between a crash-stop and its cold restart respawns
+   the body; the scheduled restart then stands down, so the body runs
+   exactly twice and the thread counts two starts. *)
+let test_start_of_crashed_thread () =
+  let sim, chip = setup () in
+  let crashed = ref false in
+  Chip.set_fault_hooks chip
+    {
+      Chip.spurious_wake_after = (fun ~ptid:_ -> None);
+      start_extra_cycles = (fun ~ptid:_ -> 0);
+      crash_park_after =
+        (fun ~ptid ->
+          if ptid = 1 && not !crashed then begin
+            crashed := true;
+            Some (10, 100_000)
+          end
+          else None);
+      crash_at_wake = (fun ~ptid:_ -> None);
+    };
+  let addr = Memory.alloc (Chip.memory chip) 1 in
+  let runs = ref 0 in
+  let victim = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Chip.attach victim (fun th ->
+      incr runs;
+      Isa.monitor th addr;
+      ignore (Isa.mwait th : int));
+  Chip.boot victim;
+  let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.exec th 496;
+      Isa.start th ~vtid:1);
+  Chip.boot boss;
+  Sim.run sim;
+  check_bool "crashed mid-park" true !crashed;
+  check_int "body ran twice" 2 !runs;
+  check_int "one crash" 1 (Chip.crash_count victim);
+  check_int "boot and the explicit start" 2 (Chip.start_count victim)
+
 let test_rpush_rpull_roundtrip () =
   let sim, chip = setup () in
   let read_back = ref 0L in
@@ -503,6 +613,12 @@ let () =
             test_start_latches_against_inflight_stop;
           Alcotest.test_case "delayed start overtaken by retry" `Quick
             test_delayed_start_overtaken_by_retry;
+          Alcotest.test_case "overlapping wake deliveries" `Quick
+            test_overlapping_deliveries;
+          Alcotest.test_case "deadline restart lost to a stop" `Quick
+            test_deadline_restart_lost_to_stop;
+          Alcotest.test_case "start of a crash-stopped thread" `Quick
+            test_start_of_crashed_thread;
         ] );
       ( "remote registers",
         [

@@ -77,6 +77,16 @@ let test_watchdog () =
   | None -> Alcotest.fail "watchdog requested but not returned"
   | Some wd -> Alcotest.(check bool) "swept" true (Watchdog.sweeps wd > 0)
 
+(* A world with no contender runs no section: refused, not reported as
+   an empty run. *)
+let test_no_contenders () =
+  Alcotest.check_raises "threads 0"
+    (Invalid_argument "Contention.run: threads must be at least 1") (fun () ->
+      ignore
+        (Contention.run ~cores:4 ~placement:Rr ~threads:0 ~quota:(Shared 2000)
+           ~section:(Exec 400) ~gap:0 Lock.Park_mwait
+          : Contention.result))
+
 let () =
   Alcotest.run "contention"
     [
@@ -86,6 +96,7 @@ let () =
             test_shared_quota;
           Alcotest.test_case "per-thread quota: no exit acquire" `Quick
             test_each_quota;
+          Alcotest.test_case "no contenders is refused" `Quick test_no_contenders;
         ] );
       ( "pins",
         [
