@@ -260,6 +260,19 @@ let bench_sim_await_hops =
              done);
          Sim.run sim))
 
+(* The same hops through [suspend]/[wake]: the process's preallocated
+   resume, so a hop allocates only the runtime's continuation. *)
+let bench_sim_suspend_hops =
+  let wake_at_once = Sim.suspension Sim.wake in
+  Test.make ~name:"primitive:engine 1k same-tick suspend/wake hops"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sim.suspend wake_at_once
+             done);
+         Sim.run sim))
+
 (* 64 unit-weight threads time-sharing a 2-wide core: every advance
    serves up to 64 jobs on [Smt_core]'s uniform-rate path (the scenario
    of test/core's allocation bound). *)
@@ -332,6 +345,7 @@ let all_tests =
       bench_sim_pingpong;
       bench_sim_delay_hops;
       bench_sim_await_hops;
+      bench_sim_suspend_hops;
       bench_smt_core_churn;
       bench_e1;
       bench_e2;

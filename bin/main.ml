@@ -83,7 +83,7 @@ let wakeup_cmd =
     Arg.(value & opt int 10_000 & info [ "period" ] ~docv:"CYCLES" ~doc:"Tick period.")
   in
   let run ticks period =
-        let m = Io_path.timer_wakeup_mwait p ~ticks ~period in
+    let m = Io_path.timer_wakeup_mwait p ~ticks ~period in
     let i = Io_path.timer_wakeup_interrupt p ~ticks ~period in
     Printf.printf "mwait:     %s\n" (Format.asprintf "%a" Histogram.pp_summary m);
     Printf.printf "interrupt: %s\n" (Format.asprintf "%a" Histogram.pp_summary i)

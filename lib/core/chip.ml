@@ -92,7 +92,7 @@ and thread = {
   mutable epoch : int;  (* park rounds so far *)
   mutable cell : cell;
   mutable wval : int;  (* wake value (addr >= 0 or a wake_* code) *)
-  mutable resume : int -> unit;  (* parked body's continuation *)
+  mutable resume : Sim.waker;  (* the parked body's waker *)
   mutable pending : bool;  (* [deliver] is scheduled *)
   mutable pend_epoch : int;
   mutable pend_addr : Memory.addr;
@@ -103,7 +103,7 @@ and thread = {
   t_ptid : int;
   weight : float;
   wake : Memory.addr -> unit;  (* monitor waiter *)
-  register : (int -> unit) -> unit;  (* await hook *)
+  mutable suspension : Sim.suspension;  (* parks the body's waker in [resume] *)
   deliver : unit -> unit;  (* wake-delivery event *)
   signal : unit Signal.t;  (* start/stop resume signal *)
   mutable starts : int;
@@ -122,7 +122,8 @@ and thread = {
    stream; caught in [run_body], never escapes the chip. *)
 exception Crash_stop
 
-let dummy_resume : int -> unit = fun _ -> ()
+(* A thread's [suspension] until [add_thread] builds it. *)
+let unset_suspension = Sim.suspension (fun _ -> ())
 
 (* Consulted at the end of [create]: lets observer libraries (analysis,
    fault injection) attach themselves to every chip built anywhere —
@@ -289,22 +290,27 @@ let exec th ?(kind = Smt_core.Useful) cycles =
 
 (* --- wakeup machinery -------------------------------------------------- *)
 
-(* Fill the thread's wake cell and resume the parked body (if it already
-   registered its continuation — it always has, the park round suspends
-   before any filler can run). *)
+(* Fill the thread's wake cell and wake the parked body (if it already
+   registered its waker — it always has, the park round suspends before
+   any filler can run).  Only paths that find the cell [Open] fill it,
+   so [wval] holds until the body reads it. *)
 let fill_wake th v =
   th.cell <- Full;
   th.wval <- v;
-  let r = th.resume in
-  if r != dummy_resume then begin
-    th.resume <- dummy_resume;
-    r v
+  let w = th.resume in
+  if w != Sim.no_waker then begin
+    th.resume <- Sim.no_waker;
+    Sim.wake w
   end
 [@@sl.zero_alloc]
 
 (* Block the calling body on its wake cell. *)
 let read_wake th =
-  match th.cell with Full -> th.wval | Idle | Open -> Sim.await th.register
+  match th.cell with
+  | Full -> th.wval
+  | Idle | Open ->
+    Sim.suspend th.suspension;
+    th.wval
 
 (* The wake event scheduled by [monitor_wake], [latency] cycles after the
    triggering write.  [epoch] stamps the park round the waiter belonged
@@ -440,7 +446,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       epoch = 0;
       cell = Idle;
       wval = 0;
-      resume = dummy_resume;
+      resume = Sim.no_waker;
       pending = false;
       pend_epoch = 0;
       pend_addr = 0;
@@ -451,7 +457,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       t_ptid = ptid;
       weight;
       wake = (fun addr -> monitor_wake th addr);
-      register = (fun resume -> th.resume <- resume);
+      suspension = unset_suspension;
       deliver =
         (fun () ->
           th.pending <- false;
@@ -469,6 +475,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       secret = None;
     }
   in
+  th.suspension <- Sim.suspension (fun waker -> th.resume <- waker);
   Hashtbl.replace t.tids ptid th;
   t.threads <- th :: t.threads;
   th

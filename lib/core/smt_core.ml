@@ -54,13 +54,13 @@ type t = {
   (* In-flight jobs, dense by slot: [j_kind.(s) = -1] means no job. *)
   mutable j_kind : int array;
   mutable j_rem : float array;  (* cycles of service still owed *)
-  (* Completion cells replacing the per-[execute] Ivar: the executing
-     thread's await resume is parked in [j_resume] (via the preallocated
-     [j_register] closure) and called directly when the job finishes.
-     Sound because nothing yields between [execute]'s reschedule and its
-     await, so a completion can never fire before its reader registers. *)
-  mutable j_resume : (unit -> unit) array;
-  mutable j_register : ((unit -> unit) -> unit) array;
+  (* Completion cells: the executing thread's waker is parked in
+     [j_resume] (by the slot's preallocated [j_suspension]) and woken
+     when the job finishes.  Sound because nothing yields between
+     [execute]'s reschedule and its suspend, so a completion can never
+     fire before its reader registers. *)
+  mutable j_resume : Sim.waker array;
+  mutable j_suspension : Sim.suspension array;
   mutable njobs : int;
   mutable rpos : int array;  (* slot -> index in rslot/rweight; -1 *)
   mutable rslot : int array;  (* runnable slots, compact prefix [0, rcount) *)
@@ -93,9 +93,7 @@ type t = {
   mutable min_valid : bool;  (* ... valid only when this is set *)
 }
 
-let dummy_resume : unit -> unit = fun () -> ()
-let dummy_register : (unit -> unit) -> unit = fun _ -> ()
-
+let no_suspension = Sim.suspension (fun _ -> ())
 
 let create sim params ~core_id =
   {
@@ -107,8 +105,8 @@ let create sim params ~core_id =
     nslots = 0;
     j_kind = Array.make 16 (-1);
     j_rem = Array.make 16 0.0;
-    j_resume = Array.make 16 dummy_resume;
-    j_register = Array.make 16 dummy_register;
+    j_resume = Array.make 16 Sim.no_waker;
+    j_suspension = Array.make 16 no_suspension;
     njobs = 0;
     rpos = Array.make 16 (-1);
     rslot = Array.make 16 0;
@@ -147,8 +145,8 @@ let ensure_slot t slot =
     t.s_ptid <- grow t.s_ptid (-1);
     t.j_kind <- grow t.j_kind (-1);
     t.j_rem <- grow t.j_rem 0.0;
-    t.j_resume <- grow t.j_resume dummy_resume;
-    t.j_register <- grow t.j_register dummy_register;
+    t.j_resume <- grow t.j_resume Sim.no_waker;
+    t.j_suspension <- grow t.j_suspension no_suspension;
     t.rpos <- grow t.rpos (-1);
     t.b_cycles <- grow t.b_cycles 0.0;
     t.b_flag <- grow t.b_flag 0
@@ -284,16 +282,16 @@ let compute_rates t =
     done
   end
 
-(* Retire [slot]'s job and resume the thread awaiting it.  The resume
+(* Retire [slot]'s job and wake the thread waiting for it.  The wake
    only queues the thread's continuation at the current instant, so the
    caller's scratch state stays valid. *)
 let complete t slot =
   t.j_kind.(slot) <- -1;
   t.njobs <- t.njobs - 1;
-  let r = t.j_resume.(slot) in
-  if r != dummy_resume then begin
-    t.j_resume.(slot) <- dummy_resume;
-    r ()
+  let w = t.j_resume.(slot) in
+  if w != Sim.no_waker then begin
+    t.j_resume.(slot) <- Sim.no_waker;
+    Sim.wake w
   end
 
 (* The rate of every job when nothing is frozen and every runnable weight
@@ -317,9 +315,12 @@ let[@inline] unit_rate t =
    runnable array itself — in the order the scratch arrays would have
    held it — with no scratch pass and no water-filling.  Both paths
    serve highest index first, so same-advance completions keep one
-   order.  The loop body allocates nothing: [busy] accumulates in a
-   local and billing is written out inline, since a float passed to a
-   non-inlined call is boxed. *)
+   order.  The loop body allocates nothing and calls no C code: [busy]
+   and the work of each kind accumulate in locals, billing is written
+   out inline (a float passed to a non-inlined call is boxed), and the
+   served amount is a plain comparison — [Float.min] calls
+   [caml_signbit_float].  Each accumulator sees the same additions in
+   the same order as before, so every sum is bit-identical. *)
 let advance t =
   let now = Sim.time t.sim in
   let elapsed = float_of_int (now - t.last_update) in
@@ -337,6 +338,7 @@ let advance t =
       end
     in
     let busy = ref !(t.busy) in
+    let useful = ref t.work.(0) and poll = ref t.work.(1) and overhead = ref t.work.(2) in
     let live_min = ref infinity in
     (* Only jobs served just now can finish (frozen jobs owe > 1e-6 by
        the invariant above); they complete in serve-loop order. *)
@@ -345,13 +347,14 @@ let advance t =
       let kind = t.j_kind.(slot) in
       if kind >= 0 then begin
         let rem = t.j_rem.(slot) in
-        let served =
-          Float.min rem (elapsed *. if uniform then urate else t.srate.(i))
-        in
+        let share = elapsed *. if uniform then urate else t.srate.(i) in
+        let served = if rem < share then rem else share in
         let left = rem -. served in
         t.j_rem.(slot) <- left;
         busy := !busy +. served;
-        t.work.(kind) <- t.work.(kind) +. served;
+        if kind = 0 then useful := !useful +. served
+        else if kind = 1 then poll := !poll +. served
+        else overhead := !overhead +. served;
         t.b_flag.(slot) <- 1;
         t.b_cycles.(slot) <- t.b_cycles.(slot) +. served;
         if left > 1e-6 then begin
@@ -361,6 +364,9 @@ let advance t =
       end
     done;
     t.busy := !busy;
+    t.work.(0) <- !useful;
+    t.work.(1) <- !poll;
+    t.work.(2) <- !overhead;
     if t.frozen = 0 then begin
       t.min_rem <- !live_min;
       t.min_valid <- !live_min < infinity
@@ -370,13 +376,15 @@ let advance t =
 
 (* Unit weights, nothing frozen: every job is active at [unit_rate], so
    the earliest completion is the least-remaining job's.  [dt] below is
-   bit-identical to the general path's minimum, since ceil/round/max are
-   monotone.  This runs once per completion event in the common
-   experiment shape, hence the allocation budget; the delay comes back
-   as an immediate int, since a float result would be boxed.
-   Precondition: a job is in flight. *)
+   bit-identical to the general path's minimum, since ceil and the
+   floor at 1 are monotone.  [Float.round] of a [ceil] is the identity,
+   and [Float.max] would call into C, so both are left out.  This runs
+   once per completion event in the common experiment shape, hence the
+   allocation budget; the delay comes back as an immediate int, since a
+   float result would be boxed.  Precondition: a job is in flight. *)
 let next_unit_weight_dt t =
-  int_of_float (Float.max 1.0 (Float.round (Float.ceil (t.min_rem /. unit_rate t))))
+  let dt = Float.ceil (t.min_rem /. unit_rate t) in
+  if dt < 1.0 then 1 else int_of_float dt
 [@@sl.zero_alloc]
 
 (* Schedule the next completion event, invalidating older ones.  With no
@@ -394,10 +402,8 @@ let rec reschedule t =
         for i = t.scount - 1 downto 0 do
           let rate = t.srate.(i) in
           if rate > 0.0 then begin
-            let dt =
-              Float.max 1.0
-                (Float.round (Float.ceil (t.j_rem.(t.sslot.(i)) /. rate)))
-            in
+            let dt = Float.ceil (t.j_rem.(t.sslot.(i)) /. rate) in
+            let dt = if dt < 1.0 then 1.0 else dt in
             if dt < !next then next := dt
           end
         done;
@@ -426,7 +432,8 @@ let set_runnable_slot t ~slot ~weight runnable =
     if (not had) && has_job t slot then begin
       (* A frozen job thaws back into the active set. *)
       t.frozen <- t.frozen - 1;
-      if t.min_valid then t.min_rem <- Float.min t.min_rem t.j_rem.(slot)
+      let rem = t.j_rem.(slot) in
+      if t.min_valid && rem < t.min_rem then t.min_rem <- rem
     end
   end
   else begin
@@ -452,14 +459,14 @@ let execute_slot t ~slot ~kind cycles =
       t.min_rem <- rem;
       t.min_valid <- true
     end
-    else if t.min_valid then t.min_rem <- Float.min t.min_rem rem;
+    else if t.min_valid && rem < t.min_rem then t.min_rem <- rem;
     t.j_kind.(slot) <- kind_index kind;
     t.j_rem.(slot) <- rem;
     t.njobs <- t.njobs + 1;
     reschedule t;
-    if t.j_register.(slot) == dummy_register then
-      t.j_register.(slot) <- (fun resume -> t.j_resume.(slot) <- resume);
-    Sim.await t.j_register.(slot)
+    if t.j_suspension.(slot) == no_suspension then
+      t.j_suspension.(slot) <- Sim.suspension (fun waker -> t.j_resume.(slot) <- waker);
+    Sim.suspend t.j_suspension.(slot)
   end
 
 let set_runnable t ~ptid ~weight runnable =

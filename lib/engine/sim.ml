@@ -24,17 +24,20 @@ end
 
 type blocked = { pid : int; name : string option; blocked_since : Time.t }
 
-type status = Ready | Blocked of Time.t
+(* [proc.blocked_since] of a process that is not waiting. *)
+let not_blocked = -1
 
 type proc = {
   pid : int;
   pname : string option;
-  mutable status : status;
+  mutable blocked_since : Time.t;  (* [not_blocked] unless suspended *)
   mutable daemon : bool;
       (* parked-by-design (servers, IRQ loops): excluded from {!suspects} *)
   mutable await_seq : int;  (* awaits issued by this process *)
   mutable resumed_seq : int;  (* highest await already resumed *)
 }
+
+type waker = unit -> unit
 
 type t = {
   mutable now : Time.t;
@@ -42,14 +45,51 @@ type t = {
   mutable next_pid : int;
   procs : (int, proc) Hashtbl.t;  (* live (not yet returned) processes *)
   mutable events : int;  (* events popped by {!run}, for perf accounting *)
+  mutable nested : bool;  (* a run of another world is inside one of our events *)
 }
 
 type _ Effect.t +=
-  | Now_eff : Time.t Effect.t
   | Delay_eff : Time.t -> unit Effect.t
   | Fork_eff : (unit -> unit) -> unit Effect.t
   | Await_eff : (('a -> unit) -> unit) -> 'a Effect.t
+  | Suspend_eff : (waker -> unit) -> unit Effect.t
   | Daemon_eff : bool -> unit Effect.t
+
+type suspension = unit Effect.t  (* a [Suspend_eff], built once per waiting point *)
+
+(* A process's suspension in {!suspend}, made with the process by
+   [exec].  Only the process's handler and waker reference it, never
+   [procs]: the bench and perfbench creation hooks keep every world
+   alive, and a world must not keep a parked process's stack alive once
+   nothing can wake it. *)
+type parking = {
+  world : t;
+  proc : proc;
+  mutable k : (unit, unit) continuation;  (* spent unless [parked] *)
+  mutable parked : bool;
+  hop : unit -> unit;  (* the wake's event: [continue k ()] *)
+  waker : waker;
+}
+
+(* The continuation of a parking that has not parked yet: one captured
+   at start-up and never resumed. *)
+let no_k : (unit, unit) continuation =
+  let k : (unit, unit) continuation option ref = ref None in
+  match_with perform (Suspend_eff ignore)
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
+          match eff with Suspend_eff _ -> Some (fun c -> k := Some c) | _ -> None);
+    };
+  Option.get !k
+
+let no_waker : waker = fun () -> invalid_arg "Sim.wake: no suspension to wake"
+
+(* The world whose [run] is executing on this domain, if any; [now]
+   reads its clock. *)
+let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 (* Lets the bench harness observe every simulation world an experiment
    builds (for end-of-run stuck reporting) without the experiments
@@ -72,6 +112,7 @@ let create () =
       next_pid = 0;
       procs = Hashtbl.create 32;
       events = 0;
+      nested = false;
     }
   in
   (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
@@ -94,7 +135,7 @@ let new_proc t ?name ?(daemon = false) () =
     {
       pid = t.next_pid;
       pname = name;
-      status = Ready;
+      blocked_since = not_blocked;
       daemon;
       await_seq = 0;
       resumed_seq = 0;
@@ -105,20 +146,58 @@ let new_proc t ?name ?(daemon = false) () =
 
 let retire t proc = Hashtbl.remove t.procs proc.pid
 
+(* Resume a parked process: the same same-tick hop as an [await]
+   resume, with nothing allocated. *)
+let wake_parking p =
+  if not p.parked then invalid_arg "Sim.wake: no suspension to wake";
+  p.parked <- false;
+  p.proc.blocked_since <- not_blocked;
+  push p.world ~at:p.world.now p.hop
+[@@sl.zero_alloc]
+
+(* The handler of a suspension that reaches a process of a world other
+   than the one running: a [schedule] callback of a run nested inside
+   that process. *)
+let foreign_suspend =
+  Some
+    (fun (k : (unit, unit) continuation) ->
+      discontinue k (Invalid_argument "Sim.suspend: the process belongs to another world"))
+
 (* Run [f] as a coroutine: effects performed by [f] (and whatever it calls)
    suspend it and re-enqueue a continuation event.  [proc] is the
-   bookkeeping record used by {!stuck}: a process is [Blocked] between an
-   [Await_eff] suspension and the matching resume. *)
+   bookkeeping record used by {!stuck}: a process is blocked between an
+   [Await_eff] or [Suspend_eff] suspension and the matching resume. *)
 let rec exec t proc f =
+  let rec p =
+    {
+      world = t;
+      proc;
+      k = no_k;
+      parked = false;
+      hop = (fun () -> continue p.k ());
+      waker = (fun () -> wake_parking p);
+    }
+  in
+  (* Preallocated, so that a suspension allocates only the runtime's
+     continuation.  [effc] registers the waker before the handler gets
+     [k]; a wake from the registrar is a queued hop, which runs only
+     after [k] is stored. *)
+  let on_suspend = Some (fun (k : (unit, unit) continuation) -> p.k <- k) in
   match_with f ()
     {
       retc = (fun () -> retire t proc);
       exnc = (fun e -> retire t proc; raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | Now_eff ->
-            Some (fun (k : (a, _) continuation) -> continue k t.now)
+          | Suspend_eff register ->
+            if t.nested then foreign_suspend
+            else begin
+              p.parked <- true;
+              proc.blocked_since <- t.now;
+              register p.waker;
+              on_suspend
+            end
           | Delay_eff d ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -147,12 +226,12 @@ let rec exec t proc f =
                    [resumed_seq], whatever the process awaits next. *)
                 proc.await_seq <- proc.await_seq + 1;
                 let seq = proc.await_seq in
-                proc.status <- Blocked t.now;
+                proc.blocked_since <- t.now;
                 register (fun v ->
                     if proc.resumed_seq >= seq then
                       invalid_arg "Sim.await: resume called twice";
                     proc.resumed_seq <- seq;
-                    proc.status <- Ready;
+                    proc.blocked_since <- not_blocked;
                     (* [t.now] is read when the resumer fires, so the
                        process wakes at the resumer's current time. *)
                     push t ~at:t.now (fun () -> continue k v)))
@@ -166,10 +245,8 @@ let spawn ?name ?daemon t f =
 let blocked_procs t ~include_daemons =
   Hashtbl.fold
     (fun _ proc acc ->
-      match proc.status with
-      | Ready -> acc
-      | Blocked _ when proc.daemon && not include_daemons -> acc
-      | Blocked since -> { pid = proc.pid; name = proc.pname; blocked_since = since } :: acc)
+      if proc.blocked_since = not_blocked || (proc.daemon && not include_daemons) then acc
+      else { pid = proc.pid; name = proc.pname; blocked_since = proc.blocked_since } :: acc)
     t.procs []
   |> List.sort (fun (a : blocked) (b : blocked) -> compare a.pid b.pid)
 
@@ -199,7 +276,9 @@ let stuck_summary t =
    horizon is a no-op on the clock, and fires nothing, not even events
    due at the current tick).  The wheel's cursor may trail a parked
    clock; a push for the parked tick then waits in a chain, and the next
-   [advance] reaches it before anything later. *)
+   [advance] reaches it before anything later.  While the loop runs,
+   [running] names this world, and a caller's world is marked [nested];
+   both come back when the loop returns or raises. *)
 let run ?until t =
   let horizon = match until with None -> Time.max_tick | Some h -> h in
   let q = t.queue in
@@ -221,10 +300,27 @@ let run ?until t =
       else match until with Some h when h > t.now -> t.now <- h | _ -> ()
     end
   in
-  loop ()
+  let outer = Domain.DLS.get running in
+  let mark nested = match outer with Some o when o != t -> o.nested <- nested | _ -> () in
+  Domain.DLS.set running (Some t);
+  mark true;
+  Fun.protect
+    ~finally:(fun () ->
+      mark false;
+      Domain.DLS.set running outer)
+    loop
 
-let now () = perform Now_eff
+let now () =
+  match Domain.DLS.get running with
+  | Some t -> t.now
+  | None -> invalid_arg "Sim.now: no world is running on this domain"
+
 let delay d = perform (Delay_eff d)
 let fork f = perform (Fork_eff f)
 let await register = perform (Await_eff register)
+
+let suspension register : suspension = Suspend_eff register
+let suspend (s : suspension) = perform s
+
+let wake (w : waker) = w () [@@sl.zero_alloc]
 let set_daemon d = perform (Daemon_eff d)

@@ -80,7 +80,8 @@ val run : ?until:Time.t -> t -> unit
     way a bounded run ends — events left beyond the horizon or queue
     drained dry — the clock parks at the horizon, so {!time} reads the
     same in both cases (the clock never moves backwards when [until] is
-    already in the past).  Processes still blocked in {!await} when the
+    already in the past).  Processes still blocked in {!await} or
+    {!suspend} when the
     loop stops are abandoned — inspect {!stuck} afterwards to find out
     whether that happened, instead of discovering a wedged model by its
     silently-missing results.
@@ -89,7 +90,7 @@ val run : ?until:Time.t -> t -> unit
     scheduled.  The one queue, a {!Wheel}, keeps that order without
     sequence numbers and hands the loop one whole tick at a time; an
     event scheduled for the current tick — [schedule ~at:now], {!spawn},
-    {!fork} and every {!await} resume — joins the back of that tick, and
+    {!fork} and every {!await} resume or {!wake} — joins the back of that tick, and
     the clock moves only once the tick is drained.  A horizon behind the
     clock fires nothing, not even events due at the current tick. *)
 
@@ -98,12 +99,14 @@ val run : ?until:Time.t -> t -> unit
 type blocked = {
   pid : int;  (** Process id, in spawn order starting at 1. *)
   name : string option;  (** The [?name] given to {!spawn}, if any. *)
-  blocked_since : Time.t;  (** Simulated time of the un-resumed {!await}. *)
+  blocked_since : Time.t;
+      (** Simulated time of the un-resumed {!await} or {!suspend}. *)
 }
 
 val stuck : t -> blocked list
-(** Processes currently suspended in {!await} with no resume in flight —
-    after {!run} returns with an empty queue these are blocked forever
+(** Processes currently suspended in {!await} or {!suspend} with no
+    resume in flight — after {!run} returns with an empty queue these are
+    blocked forever
     (a deadlocked model, a lost wakeup, or a server parked by design).
     Sorted by pid.  Processes merely scheduled past a [?until] horizon are
     not stuck: they still hold a queued event. *)
@@ -132,10 +135,19 @@ val clear_creation_hook : unit -> unit
 
 (** {2 Operations available inside a process}
 
-    Calling these outside a running process raises [Effect.Unhandled]. *)
+    {!delay}, {!fork}, {!await}, {!suspend} and {!set_daemon} suspend or
+    mark the calling process; called outside any process they raise
+    [Effect.Unhandled].  {!now} raises [Invalid_argument] when no
+    world's {!run} is executing on the calling domain. *)
 
 val now : unit -> Time.t
-(** Current simulated time.  Must be called from within a process. *)
+(** Current simulated time of the world whose {!run} is executing on
+    this domain: inside a process, or inside a {!schedule} callback, it
+    is the time of the event being run.  A plain read, no effect: [run]
+    records its world in a domain-local slot and gives the caller's
+    world back when it returns or raises, so a run nested inside a
+    process reads its own clock and the outer world reads its own again
+    afterwards.  Raises [Invalid_argument] outside any run. *)
 
 val delay : Time.t -> unit
 (** Suspend the calling process for the given number of cycles (≥ 0).
@@ -151,7 +163,55 @@ val await : (('a -> unit) -> unit) -> 'a
     one-shot [resume] callback that re-enqueues the process with a result
     value.  This is the primitive from which ivars, signals and queues are
     built.  [resume] may be called immediately or at any later simulated
-    time, but at most once. *)
+    time, but at most once: a second call, or a call while the process
+    waits in a later [await], raises [Invalid_argument].  Each [await]
+    allocates its resume, its hop event and the effect's closures (25
+    words on OCaml 5.1, the runtime's continuation included); hot paths
+    with a fixed waiter use {!suspend}. *)
+
+(** {2 Suspend and wake}
+
+    The allocation-free way to block.  A caller builds a {!suspension}
+    once per waiting point (a thread's wake cell, a core's job slot),
+    each process's resume is made once with the process, so a
+    suspension allocates only the runtime's continuation (2 words on
+    OCaml 5.1), and a wake pushes a preallocated event.  The parked continuation is
+    reachable only through the process's waker: a world whose process
+    is parked for good does not keep that process's stack alive once
+    the waker is dropped. *)
+
+type waker
+(** The resume of one process, the same for each of its suspensions. *)
+
+val no_waker : waker
+(** A placeholder for an empty waker cell.  {!wake} on it raises
+    [Invalid_argument]. *)
+
+type suspension
+(** A waiting point: its registrar, built once and suspended on any
+    number of times. *)
+
+val suspension : (waker -> unit) -> suspension
+(** [suspension register] is a waiting point whose suspensions hand
+    the suspended process's waker to [register], which stores it where
+    the waking side finds it.  [register] runs as the process parks;
+    a wake from inside it takes effect once the process has parked. *)
+
+val suspend : suspension -> unit
+(** Suspend the calling process at the waiting point.  The process
+    counts as blocked for {!stuck} and {!suspects} until the wake.
+    Raises [Invalid_argument] instead of parking a process when the
+    suspension comes from a {!schedule} callback of a run nested inside
+    that process (the process belongs to another world than the one
+    running). *)
+
+val wake : waker -> unit
+(** Re-enqueue the suspended process at the current time of its world,
+    behind every event already scheduled for that tick: the same
+    same-tick hop as an {!await} resume.  Allocates nothing.  A second
+    wake of one suspension raises [Invalid_argument].  Since the waker
+    outlives the suspension, a caller that keeps it must clear its cell
+    when it wakes it (see {!no_waker}). *)
 
 val set_daemon : bool -> unit
 (** Mark (or unmark) the calling process as a daemon for {!suspects}

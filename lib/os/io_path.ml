@@ -403,6 +403,7 @@ let run_load_flexsc cfg = run Flexsc cfg
 (* --- timer-tick wakeup latency ------------------------------------------ *)
 
 let timer_wakeup_mwait params ~ticks ~period =
+  if ticks < 1 then invalid_arg "Io_path.timer_wakeup_mwait: ticks must be at least 1";
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores:1 in
   let timer = Apic_timer.create sim params (Chip.memory chip) ~period () in
@@ -423,6 +424,7 @@ let timer_wakeup_mwait params ~ticks ~period =
   latencies
 
 let timer_wakeup_interrupt params ~ticks ~period =
+  if ticks < 1 then invalid_arg "Io_path.timer_wakeup_interrupt: ticks must be at least 1";
   let sim = Sim.create () in
   let doorbell = Mailbox.create () in
   let sched, raise_irq =

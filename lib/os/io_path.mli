@@ -111,8 +111,9 @@ val run_load_flexsc : config -> result
 
 val timer_wakeup_mwait : Switchless.Params.t -> ticks:int -> period:Sl_engine.Sim.Time.t -> Sl_util.Histogram.t
 (** A kernel thread mwaits on the APIC tick counter; returns the
-    distribution of tick-to-running latency. *)
+    distribution of tick-to-running latency.  Raises [Invalid_argument]
+    when [ticks < 1]. *)
 
 val timer_wakeup_interrupt : Switchless.Params.t -> ticks:int -> period:Sl_engine.Sim.Time.t -> Sl_util.Histogram.t
 (** The conventional path: timer IRQ → handler → scheduler wake of the
-    blocked kernel thread. *)
+    blocked kernel thread.  Raises [Invalid_argument] when [ticks < 1]. *)

@@ -302,17 +302,18 @@ let unit_weight_churn () =
 (* The serve loop must not allocate per served job.  The [zero-alloc]
    static rule cannot see a float boxed at a non-inlined call, which is
    how ~4 words per served job once crept in; this bound can.  What is
-   left per [execute] is the await, its resume hop and the completion
-   event's closure.  Measured on the second run, so one-off growth of
-   the core's arrays does not count. *)
+   left per [execute] (17.7 words on OCaml 5.1) is the suspension's
+   continuation and the completion event's closure; the bound fails if
+   [execute] goes back to [Sim.await] (42.5 words).  Measured on the
+   second run, so one-off growth of the core's arrays does not count. *)
 let test_uniform_serve_allocation () =
   unit_weight_churn ();
   let before = Gc.minor_words () in
   unit_weight_churn ();
   let per_execute = (Gc.minor_words () -. before) /. float_of_int (64 * 200) in
   check_bool
-    (Printf.sprintf "%.1f minor words per execute < 60" per_execute)
-    true (per_execute < 60.0)
+    (Printf.sprintf "%.1f minor words per execute < 24" per_execute)
+    true (per_execute < 24.0)
 
 let () =
   let qsuite =

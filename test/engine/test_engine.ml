@@ -543,6 +543,184 @@ let test_stuck_ignores_horizon_parked () =
   Sim.run ~until:10 sim;
   Alcotest.(check int) "not stuck" 0 (List.length (Sim.stuck sim))
 
+(* --- Sim.await resume guards --- *)
+
+let resume_twice = Invalid_argument "Sim.await: resume called twice"
+
+let test_await_resume_twice () =
+  let sim = Sim.create () in
+  let saved = ref (fun () -> ()) and woke = ref 0 in
+  Sim.spawn sim (fun () ->
+      Sim.await (fun resume -> saved := resume);
+      incr woke);
+  Sim.run sim;
+  !saved ();
+  Alcotest.check_raises "second resume" resume_twice (fun () -> !saved ());
+  Sim.run sim;
+  check_int "woken once" 1 !woke
+
+(* The resume of an earlier await, called while the process waits in a
+   later one, is refused and leaves the later wait in place. *)
+let test_await_stale_resume () =
+  let sim = Sim.create () in
+  let first = ref (fun () -> ()) and second = ref (fun () -> ()) in
+  let rounds = ref 0 in
+  Sim.spawn sim (fun () ->
+      Sim.await (fun resume -> first := resume);
+      incr rounds;
+      Sim.await (fun resume -> second := resume);
+      incr rounds);
+  Sim.run sim;
+  !first ();
+  Sim.run sim;
+  check_int "in the second await" 1 !rounds;
+  Alcotest.check_raises "stale resume" resume_twice (fun () -> !first ());
+  Sim.run sim;
+  check_int "still waiting" 1 (List.length (Sim.stuck sim));
+  !second ();
+  Sim.run sim;
+  check_int "second await resumed" 2 !rounds
+
+(* --- Sim.suspend / Sim.wake --- *)
+
+let woken_twice = Invalid_argument "Sim.wake: no suspension to wake"
+
+(* A waiting point whose registrar drops the waker: nothing can wake a
+   process parked there. *)
+let forever = Sim.suspension (fun _ -> ())
+
+let test_wake_twice_rejected () =
+  let sim = Sim.create () in
+  let saved = ref Sim.no_waker and woke = ref 0 in
+  Sim.spawn sim (fun () ->
+      Sim.suspend (Sim.suspension (fun w -> saved := w));
+      incr woke);
+  Sim.run sim;
+  Sim.wake !saved;
+  Alcotest.check_raises "second wake" woken_twice (fun () -> Sim.wake !saved);
+  Sim.run sim;
+  check_int "woken once" 1 !woke;
+  Alcotest.check_raises "placeholder" woken_twice (fun () -> Sim.wake Sim.no_waker)
+
+(* A wake hops at the waker's current time, behind what that tick
+   already holds, and a woken process can park at the same point
+   again. *)
+let test_wake_is_a_same_tick_hop () =
+  let sim = Sim.create () in
+  let cell = ref Sim.no_waker and log = ref [] in
+  let point = Sim.suspension (fun w -> cell := w) in
+  Sim.spawn sim (fun () ->
+      for round = 1 to 2 do
+        Sim.suspend point;
+        log := Printf.sprintf "woke %d@%d" round (Sim.now ()) :: !log
+      done);
+  Sim.spawn sim (fun () ->
+      for at = 1 to 2 do
+        Sim.delay (at * 10 - Sim.now ());
+        let w = !cell in
+        cell := Sim.no_waker;
+        Sim.wake w;
+        Sim.schedule sim ~at:(Sim.now ()) (fun () -> log := "callback" :: !log)
+      done);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "order" [ "woke 1@10"; "callback"; "woke 2@20"; "callback" ] (List.rev !log)
+
+(* A [schedule] callback of a run nested inside a process of another
+   world suspends: the handler that catches it is the outer process's,
+   which must refuse rather than park the outer process. *)
+let test_suspend_from_another_world_raises () =
+  let outer = Sim.create () and inner = Sim.create () in
+  let outcome = ref "not run" in
+  Sim.schedule inner ~at:5 (fun () -> Sim.suspend forever);
+  Sim.spawn outer (fun () ->
+      match Sim.run inner with
+      | () -> outcome := "returned"
+      | exception Invalid_argument msg -> outcome := msg);
+  Sim.run outer;
+  Alcotest.(check string)
+    "refused" "Sim.suspend: the process belongs to another world" !outcome;
+  check_int "outer process finished" 0 (List.length (Sim.stuck outer))
+
+let test_stuck_lists_suspended () =
+  let sim = Sim.create () in
+  Sim.spawn ~name:"parked" sim (fun () ->
+      Sim.delay 7;
+      Sim.suspend forever);
+  Sim.run sim;
+  match Sim.stuck sim with
+  | [ b ] ->
+    Alcotest.(check (option string)) "name" (Some "parked") b.Sim.name;
+    check_int "blocked since" 7 b.Sim.blocked_since
+  | other -> Alcotest.failf "expected one stuck process, got %d" (List.length other)
+
+let test_suspects_skip_suspended_daemon () =
+  let sim = Sim.create () in
+  Sim.spawn ~name:"server" ~daemon:true sim (fun () -> Sim.suspend forever);
+  Sim.spawn ~name:"client" sim (fun () ->
+      Sim.delay 2;
+      Sim.suspend forever);
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "stuck" [ "server"; "client" ]
+    (List.filter_map (fun b -> b.Sim.name) (Sim.stuck sim));
+  Alcotest.(check (list string))
+    "suspects" [ "client" ]
+    (List.filter_map (fun b -> b.Sim.name) (Sim.suspects sim))
+
+(* A world kept after its run (the bench hooks keep every world) must
+   not keep the stack of a process parked for good alive: here nothing
+   but that stack references [payload], and the registrar drops the
+   waker. *)
+let parked_stack_collected park =
+  let sim = Sim.create () in
+  let collected = ref false in
+  Sim.spawn sim (fun () ->
+      let payload = Bytes.make 64 'x' in
+      Gc.finalise (fun _ -> collected := true) payload;
+      park ();
+      ignore (Sys.opaque_identity payload));
+  Sim.run sim;
+  Gc.full_major ();
+  Gc.full_major ();
+  check_int "still parked" 1 (List.length (Sim.stuck (Sys.opaque_identity sim)));
+  !collected
+
+let test_parked_stack_not_retained () =
+  check_bool "suspend" true (parked_stack_collected (fun () -> Sim.suspend forever));
+  check_bool "await" true (parked_stack_collected (fun () -> Sim.await (fun _ -> ())))
+
+(* --- Sim.now --- *)
+
+let test_now_outside_run_raises () =
+  Alcotest.check_raises "outside"
+    (Invalid_argument "Sim.now: no world is running on this domain") (fun () ->
+      ignore (Sim.now () : int))
+
+let test_now_in_schedule_callback () =
+  let sim = Sim.create () in
+  let seen = ref (-1) in
+  Sim.schedule sim ~at:42 (fun () -> seen := Sim.now ());
+  Sim.run sim;
+  check_int "event time" 42 !seen
+
+let test_now_restored_after_nested_run () =
+  let outer = Sim.create () and inner = Sim.create () in
+  let inner_seen = ref (-1) and before = ref (-1) and after = ref (-1) in
+  Sim.schedule inner ~at:100 (fun () -> inner_seen := Sim.now ());
+  Sim.spawn outer (fun () ->
+      Sim.delay 5;
+      before := Sim.now ();
+      Sim.run inner;
+      after := Sim.now ());
+  Sim.run outer;
+  check_int "inner clock" 100 !inner_seen;
+  check_int "outer before" 5 !before;
+  check_int "outer after" 5 !after;
+  Alcotest.check_raises "none after the outer run"
+    (Invalid_argument "Sim.now: no world is running on this domain") (fun () ->
+      ignore (Sim.now () : int))
+
 (* --- determinism property --- *)
 
 let run_noise_simulation seed =
@@ -1029,6 +1207,33 @@ let () =
           Alcotest.test_case "reports abandoned" `Quick test_stuck_reports_abandoned_process;
           Alcotest.test_case "empty when resumed" `Quick test_stuck_empty_when_all_resume;
           Alcotest.test_case "ignores horizon" `Quick test_stuck_ignores_horizon_parked;
+        ] );
+      ( "await",
+        [
+          Alcotest.test_case "resume called twice" `Quick test_await_resume_twice;
+          Alcotest.test_case "stale resume from an earlier await" `Quick
+            test_await_stale_resume;
+        ] );
+      ( "suspend",
+        [
+          Alcotest.test_case "second wake raises" `Quick test_wake_twice_rejected;
+          Alcotest.test_case "wake is a same-tick hop" `Quick test_wake_is_a_same_tick_hop;
+          Alcotest.test_case "suspend from another world raises" `Quick
+            test_suspend_from_another_world_raises;
+          Alcotest.test_case "stuck lists a suspended process" `Quick
+            test_stuck_lists_suspended;
+          Alcotest.test_case "suspects skip a suspended daemon" `Quick
+            test_suspects_skip_suspended_daemon;
+          Alcotest.test_case "parked stack not retained" `Quick
+            test_parked_stack_not_retained;
+        ] );
+      ( "now",
+        [
+          Alcotest.test_case "raises outside any run" `Quick test_now_outside_run_raises;
+          Alcotest.test_case "inside a schedule callback" `Quick
+            test_now_in_schedule_callback;
+          Alcotest.test_case "nested run restores the outer clock" `Quick
+            test_now_restored_after_nested_run;
         ] );
       ("properties", qsuite);
     ]

@@ -137,6 +137,15 @@ let test_timer_wakeup_latencies () =
   check_int "irq p50" 1807 (Histogram.quantile i 0.5);
   check_int "irq max" 5285 (Histogram.max_value i)
 
+(* Zero ticks used to return two empty histograms ("n=0 mean=0.0 ..."). *)
+let test_timer_wakeup_needs_a_tick () =
+  Alcotest.check_raises "mwait"
+    (Invalid_argument "Io_path.timer_wakeup_mwait: ticks must be at least 1") (fun () ->
+      ignore (Io_path.timer_wakeup_mwait p ~ticks:0 ~period:10_000 : Histogram.t));
+  Alcotest.check_raises "interrupt"
+    (Invalid_argument "Io_path.timer_wakeup_interrupt: ticks must be at least 1")
+    (fun () -> ignore (Io_path.timer_wakeup_interrupt p ~ticks:0 ~period:10_000 : Histogram.t))
+
 let () =
   Alcotest.run "io_path"
     [
@@ -157,5 +166,8 @@ let () =
           Alcotest.test_case "rss(1) == mwait" `Quick test_rss_single_queue_equals_mwait;
         ] );
       ( "timer",
-        [ Alcotest.test_case "tick wakeup latencies" `Quick test_timer_wakeup_latencies ] );
+        [
+          Alcotest.test_case "tick wakeup latencies" `Quick test_timer_wakeup_latencies;
+          Alcotest.test_case "zero ticks rejected" `Quick test_timer_wakeup_needs_a_tick;
+        ] );
     ]
