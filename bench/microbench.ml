@@ -226,6 +226,9 @@ let bench_histogram =
          done;
          ignore (Histogram.quantile h 0.99)))
 
+(* A lone process on an idle world: each [delay] continues inline
+   ([Sim.skip_to]) and pops no event.  The await and suspend rows below
+   measure the event path. *)
 let bench_sim_pingpong =
   Test.make ~name:"primitive:engine 1k event ping-pong"
     (Staged.stage (fun () ->
@@ -236,8 +239,8 @@ let bench_sim_pingpong =
              done);
          Sim.run sim))
 
-(* Every hop lands 20 cycles on, alone in its wheel slot: the polling
-   pattern, a short fixed delay per loop turn. *)
+(* The polling pattern, a short fixed delay per loop turn, with nothing
+   else due: every delay continues inline, as in the row above. *)
 let bench_sim_delay_hops =
   Test.make ~name:"primitive:engine near-future delay hops"
     (Staged.stage (fun () ->
@@ -289,6 +292,36 @@ let bench_smt_core_churn =
                  Smt_core.execute core ~ptid ~kind:Smt_core.Useful cycles
                done)
          done;
+         Sim.run sim))
+
+(* One thread executing 1,000 one-cycle jobs alone on a core.  On an
+   idle world every [execute] continues inline ([Sim.skip_to]): no
+   event, no suspension.  A callback every tick keeps an event due, so
+   the same kernel pays each job's completion event, wake hop and
+   suspend/resume, plus one heartbeat event.  The pair shows what an
+   [execute] costs with and without the skip. *)
+let smt_core_lone_job ~heartbeat =
+  let name =
+    if heartbeat then "primitive:smt_core lone job x1k executes, 1-cycle heartbeat"
+    else "primitive:smt_core lone job x1k executes, idle world"
+  in
+  Test.make ~name
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         let core = Smt_core.create sim p ~core_id:0 in
+         let jobs = 1000 in
+         if heartbeat then begin
+           let rec beat () =
+             let now = Sim.time sim in
+             if now < jobs then Sim.schedule sim ~at:(now + 1) beat
+           in
+           Sim.schedule sim ~at:0 beat
+         end;
+         Sim.spawn sim (fun () ->
+             Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+             for _ = 1 to jobs do
+               Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 1
+             done);
          Sim.run sim))
 
 (* -- one kernel per experiment table/figure -- *)
@@ -347,6 +380,8 @@ let all_tests =
       bench_sim_await_hops;
       bench_sim_suspend_hops;
       bench_smt_core_churn;
+      smt_core_lone_job ~heartbeat:false;
+      smt_core_lone_job ~heartbeat:true;
       bench_e1;
       bench_e2;
       bench_e2_interrupt;

@@ -613,18 +613,32 @@ let () =
         "Simulator for the hardware threading model of 'A Case Against (Most) \
          Context Switches' (HotOS '21)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        params_cmd;
+        wakeup_cmd;
+        syscall_cmd;
+        server_cmd;
+        lock_cmd;
+        load_cmd;
+        netstack_cmd;
+        vm_cmd;
+        explore_cmd;
+        check_cmd;
+      ]
+  in
+  (* The libraries reject out-of-range parameters (a zero rate, a loss
+     of 1, no cores) with [Invalid_argument]: that is the user's error,
+     so it is reported as a usage error.  Any other exception is an
+     internal error, as cmdliner itself would report it. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            params_cmd;
-            wakeup_cmd;
-            syscall_cmd;
-            server_cmd;
-            lock_cmd;
-            load_cmd;
-            netstack_cmd;
-            vm_cmd;
-            explore_cmd;
-            check_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+     | code -> code
+     | exception Invalid_argument msg ->
+       prerr_endline ("switchless-sim: " ^ msg);
+       Cmd.Exit.cli_error
+     | exception e ->
+       prerr_endline
+         ("switchless-sim: internal error, uncaught exception: " ^ Printexc.to_string e);
+       Cmd.Exit.internal_error)

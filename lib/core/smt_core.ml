@@ -43,6 +43,15 @@ let kind_index = function Useful -> 0 | Poll -> 1 | Overhead -> 2
    jobs that finish in the same advance complete in the order the serve
    loop visits them — a function of the runnable array's history, never
    of a hash seed. *)
+
+(* The two floats the serve path stores on every advance.  An all-float
+   record holds them unboxed, where a [float ref] or a float field of
+   [t] (a mixed record) would box each stored value. *)
+type floats = {
+  mutable busy : float;  (* pipeline capacity used, see {!busy_capacity_cycles} *)
+  mutable min_rem : float;  (* least remaining over active jobs, see [min_valid] *)
+}
+
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -68,7 +77,7 @@ type t = {
   mutable rcount : int;
   mutable last_update : Sim.Time.t;
   mutable epoch : int;  (* stamps completion events; bumps invalidate them *)
-  busy : float ref;
+  f : floats;
   work : float array;  (* indexed by kind *)
   (* Billing, dense by slot. *)
   mutable b_cycles : float array;
@@ -85,12 +94,11 @@ type t = {
      ([nonunit = 0]), processor sharing degenerates to one rate for all
      n active jobs ([unit_rate], bit-identical to water-filling), and the
      earliest completion is that of the job with the least remaining
-     work — so the next event time follows from [min_rem] alone, in
+     work — so the next event time follows from [f.min_rem] alone, in
      O(1). *)
   mutable frozen : int;  (* jobs whose thread is not currently runnable *)
   mutable nonunit : int;  (* runnable threads whose weight is not 1.0 *)
-  mutable min_rem : float;  (* least remaining over active jobs ... *)
-  mutable min_valid : bool;  (* ... valid only when this is set *)
+  mutable min_valid : bool;  (* [f.min_rem] is valid only when this is set *)
 }
 
 let no_suspension = Sim.suspension (fun _ -> ())
@@ -114,7 +122,7 @@ let create sim params ~core_id =
     rcount = 0;
     last_update = 0;
     epoch = 0;
-    busy = ref 0.0;
+    f = { busy = 0.0; min_rem = infinity };
     work = Array.make 3 0.0;
     b_cycles = Array.make 16 0.0;
     b_flag = Array.make 16 0;
@@ -125,7 +133,6 @@ let create sim params ~core_id =
     scount = 0;
     frozen = 0;
     nonunit = 0;
-    min_rem = infinity;
     min_valid = false;
   }
 
@@ -337,7 +344,7 @@ let advance t =
         t.scount
       end
     in
-    let busy = ref !(t.busy) in
+    let busy = ref t.f.busy in
     let useful = ref t.work.(0) and poll = ref t.work.(1) and overhead = ref t.work.(2) in
     let live_min = ref infinity in
     (* Only jobs served just now can finish (frozen jobs owe > 1e-6 by
@@ -363,12 +370,12 @@ let advance t =
         else complete t slot
       end
     done;
-    t.busy := !busy;
+    t.f.busy <- !busy;
     t.work.(0) <- !useful;
     t.work.(1) <- !poll;
     t.work.(2) <- !overhead;
     if t.frozen = 0 then begin
-      t.min_rem <- !live_min;
+      t.f.min_rem <- !live_min;
       t.min_valid <- !live_min < infinity
     end
     else t.min_valid <- false
@@ -383,40 +390,43 @@ let advance t =
    allocation budget; the delay comes back as an immediate int, since a
    float result would be boxed.  Precondition: a job is in flight. *)
 let next_unit_weight_dt t =
-  let dt = Float.ceil (t.min_rem /. unit_rate t) in
+  let dt = Float.ceil (t.f.min_rem /. unit_rate t) in
   if dt < 1.0 then 1 else int_of_float dt
 [@@sl.zero_alloc]
 
-(* Schedule the next completion event, invalidating older ones.  With no
-   job in flight there is nothing to schedule or scan. *)
-let rec reschedule t =
-  t.epoch <- t.epoch + 1;
-  if t.njobs > 0 then begin
-    let epoch = t.epoch in
-    let dt =
-      if t.frozen = 0 && t.nonunit = 0 && t.min_valid then next_unit_weight_dt t
-      else begin
-        collect_active t;
-        compute_rates t;
-        let next = ref infinity in
-        for i = t.scount - 1 downto 0 do
-          let rate = t.srate.(i) in
-          if rate > 0.0 then begin
-            let dt = Float.ceil (t.j_rem.(t.sslot.(i)) /. rate) in
-            let dt = if dt < 1.0 then 1.0 else dt in
-            if dt < !next then next := dt
-          end
-        done;
-        if !next < infinity then int_of_float !next else -1
+(* Cycles from now to the next completion, or -1 if no active job is
+   served.  Precondition: a job is in flight. *)
+let next_dt t =
+  if t.frozen = 0 && t.nonunit = 0 && t.min_valid then next_unit_weight_dt t
+  else begin
+    collect_active t;
+    compute_rates t;
+    let next = ref infinity in
+    for i = t.scount - 1 downto 0 do
+      let rate = t.srate.(i) in
+      if rate > 0.0 then begin
+        let dt = Float.ceil (t.j_rem.(t.sslot.(i)) /. rate) in
+        let dt = if dt < 1.0 then 1.0 else dt in
+        if dt < !next then next := dt
       end
-    in
-    if dt >= 0 then
-      Sim.schedule t.sim ~at:(Sim.time t.sim + dt) (fun () ->
-          if epoch = t.epoch then begin
-            advance t;
-            reschedule t
-          end)
+    done;
+    if !next < infinity then int_of_float !next else -1
   end
+
+(* Schedule the next completion event [dt] cycles from now (none if
+   [dt < 0]), invalidating older ones.  With no job in flight there is
+   nothing to schedule or scan. *)
+let rec schedule_completion t dt =
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
+  if dt >= 0 then
+    Sim.schedule t.sim ~at:(Sim.time t.sim + dt) (fun () ->
+        if epoch = t.epoch then begin
+          advance t;
+          reschedule t
+        end)
+
+and reschedule t = schedule_completion t (if t.njobs > 0 then next_dt t else -1)
 
 let slot t ~ptid = slot_of t ptid
 
@@ -433,7 +443,7 @@ let set_runnable_slot t ~slot ~weight runnable =
       (* A frozen job thaws back into the active set. *)
       t.frozen <- t.frozen - 1;
       let rem = t.j_rem.(slot) in
-      if t.min_valid && rem < t.min_rem then t.min_rem <- rem
+      if t.min_valid && rem < t.f.min_rem then t.f.min_rem <- rem
     end
   end
   else begin
@@ -456,17 +466,28 @@ let execute_slot t ~slot ~kind cycles =
     advance t;
     let rem = float_of_int cycles in
     if t.njobs = 0 then begin
-      t.min_rem <- rem;
+      t.f.min_rem <- rem;
       t.min_valid <- true
     end
-    else if t.min_valid && rem < t.min_rem then t.min_rem <- rem;
+    else if t.min_valid && rem < t.f.min_rem then t.f.min_rem <- rem;
     t.j_kind.(slot) <- kind_index kind;
     t.j_rem.(slot) <- rem;
     t.njobs <- t.njobs + 1;
-    reschedule t;
-    if t.j_suspension.(slot) == no_suspension then
-      t.j_suspension.(slot) <- Sim.suspension (fun waker -> t.j_resume.(slot) <- waker);
-    Sim.suspend t.j_suspension.(slot)
+    (* The core's only job, served at full rate: if nothing else is due
+       before it completes, do in place what its completion event would
+       do, with no event and no suspension.  No waker is registered, so
+       the completion wakes nobody. *)
+    let dt = next_dt t in
+    if t.njobs = 1 && Sim.skip_to t.sim (Sim.time t.sim + dt) then begin
+      advance t;
+      reschedule t
+    end
+    else begin
+      schedule_completion t dt;
+      if t.j_suspension.(slot) == no_suspension then
+        t.j_suspension.(slot) <- Sim.suspension (fun waker -> t.j_resume.(slot) <- waker);
+      Sim.suspend t.j_suspension.(slot)
+    end
   end
 
 let set_runnable t ~ptid ~weight runnable =
@@ -480,7 +501,7 @@ let runnable_count t = t.rcount
 
 let busy_capacity_cycles t =
   advance t;
-  !(t.busy)
+  t.f.busy
 
 let work_done t kind =
   advance t;

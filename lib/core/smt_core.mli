@@ -39,7 +39,10 @@ val execute : t -> ptid:int -> kind:kind -> int -> unit
     of the ptid.  Blocks the calling process until done.  The ptid must be
     runnable when called; it may be paused and resumed while in flight.
     At most one in-flight [execute] per ptid.  [cycles = 0] returns
-    immediately. *)
+    immediately.  The core's only job may complete inline: when nothing
+    else is due before it finishes ({!Sl_engine.Sim.skip_to}), the clock
+    moves to its completion and [execute] returns without an event or a
+    suspension, with the same results. *)
 
 (** {2 Slot-keyed entry points}
 

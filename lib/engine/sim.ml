@@ -46,6 +46,8 @@ type t = {
   procs : (int, proc) Hashtbl.t;  (* live (not yet returned) processes *)
   mutable events : int;  (* events popped by {!run}, for perf accounting *)
   mutable nested : bool;  (* a run of another world is inside one of our events *)
+  mutable horizon : Time.t;  (* the executing [run]'s [until] *)
+  mutable in_proc : bool;  (* the code running is one of our processes' *)
 }
 
 type _ Effect.t +=
@@ -57,17 +59,18 @@ type _ Effect.t +=
 
 type suspension = unit Effect.t  (* a [Suspend_eff], built once per waiting point *)
 
-(* A process's suspension in {!suspend}, made with the process by
-   [exec].  Only the process's handler and waker reference it, never
-   [procs]: the bench and perfbench creation hooks keep every world
-   alive, and a world must not keep a parked process's stack alive once
-   nothing can wake it. *)
+(* Where a process waits in {!suspend} or a blocking {!delay}, made
+   with the process by [exec].  Only the process's handler, its waker
+   and a pending delay's event reference it, never [procs]: the bench
+   and perfbench creation hooks keep every world alive, and a world
+   must not keep a parked process's stack alive once nothing can wake
+   it. *)
 type parking = {
   world : t;
   proc : proc;
-  mutable k : (unit, unit) continuation;  (* spent unless [parked] *)
+  mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
   mutable parked : bool;
-  hop : unit -> unit;  (* the wake's event: [continue k ()] *)
+  hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
   waker : waker;
 }
 
@@ -113,6 +116,8 @@ let create () =
       procs = Hashtbl.create 32;
       events = 0;
       nested = false;
+      horizon = Time.max_tick;
+      in_proc = false;
     }
   in
   (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
@@ -163,10 +168,29 @@ let foreign_suspend =
     (fun (k : (unit, unit) continuation) ->
       discontinue k (Invalid_argument "Sim.suspend: the process belongs to another world"))
 
+(* An [await]'s resume: checks the process's monotone await counter and
+   queues the hop at the resumer's current time.  The closures capture
+   the parking record, which reaches both the process and its world. *)
+let resume_await p seq k v =
+  let proc = p.proc and t = p.world in
+  (* The double-resume guard rides the proc's monotone await counter
+     instead of a fresh [bool ref] per await: a stale resumer's
+     captured [seq] is already covered by [resumed_seq], whatever the
+     process awaits next. *)
+  if proc.resumed_seq >= seq then invalid_arg "Sim.await: resume called twice";
+  proc.resumed_seq <- seq;
+  proc.blocked_since <- not_blocked;
+  push t ~at:t.now (fun () ->
+      t.in_proc <- true;
+      continue k v)
+
 (* Run [f] as a coroutine: effects performed by [f] (and whatever it calls)
    suspend it and re-enqueue a continuation event.  [proc] is the
    bookkeeping record used by {!stuck}: a process is blocked between an
-   [Await_eff] or [Suspend_eff] suspension and the matching resume. *)
+   [Await_eff] or [Suspend_eff] suspension and the matching resume.
+   [t.in_proc] holds while the process's code runs: from its start or
+   any resume until it blocks or returns.  An exception that escapes a
+   process escapes the run, which restores the flag. *)
 let rec exec t proc f =
   let rec p =
     {
@@ -174,18 +198,25 @@ let rec exec t proc f =
       proc;
       k = no_k;
       parked = false;
-      hop = (fun () -> continue p.k ());
+      hop =
+        (fun () ->
+          p.world.in_proc <- true;
+          continue p.k ());
       waker = (fun () -> wake_parking p);
     }
   in
-  (* Preallocated, so that a suspension allocates only the runtime's
-     continuation.  [effc] registers the waker before the handler gets
-     [k]; a wake from the registrar is a queued hop, which runs only
+  (* Preallocated, so that a suspension or a delay allocates only the
+     runtime's continuation.  [effc] registers the waker, or queues the
+     delay's hop, before the handler gets [k]; either hop runs only
      after [k] is stored. *)
   let on_suspend = Some (fun (k : (unit, unit) continuation) -> p.k <- k) in
+  t.in_proc <- true;
   match_with f ()
     {
-      retc = (fun () -> retire t proc);
+      retc =
+        (fun () ->
+          t.in_proc <- false;
+          retire t proc);
       exnc = (fun e -> retire t proc; raise e);
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
@@ -193,19 +224,22 @@ let rec exec t proc f =
           | Suspend_eff register ->
             if t.nested then foreign_suspend
             else begin
+              t.in_proc <- false;
               p.parked <- true;
               proc.blocked_since <- t.now;
               register p.waker;
               on_suspend
             end
           | Delay_eff d ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                if d < 0 then
-                  discontinue k (Invalid_argument "Sim.delay: negative delay")
-                else if d > Time.max_tick - t.now then
-                  discontinue k (Invalid_argument "Sim.delay: past Time.max_tick")
-                else push t ~at:(t.now + d) (fun () -> continue k ()))
+            if d < 0 then
+              Some (fun k -> discontinue k (Invalid_argument "Sim.delay: negative delay"))
+            else if d > Time.max_tick - t.now then
+              Some (fun k -> discontinue k (Invalid_argument "Sim.delay: past Time.max_tick"))
+            else begin
+              t.in_proc <- false;
+              push t ~at:(t.now + d) p.hop;
+              on_suspend
+            end
           | Fork_eff g ->
             Some
               (fun (k : (a, _) continuation) ->
@@ -220,21 +254,12 @@ let rec exec t proc f =
           | Await_eff register ->
             Some
               (fun (k : (a, _) continuation) ->
-                (* The double-resume guard rides the proc's monotone await
-                   counter instead of a fresh [bool ref] per await: a
-                   stale resumer's captured [seq] is already covered by
-                   [resumed_seq], whatever the process awaits next. *)
+                let proc = p.proc in
                 proc.await_seq <- proc.await_seq + 1;
                 let seq = proc.await_seq in
-                proc.blocked_since <- t.now;
-                register (fun v ->
-                    if proc.resumed_seq >= seq then
-                      invalid_arg "Sim.await: resume called twice";
-                    proc.resumed_seq <- seq;
-                    proc.blocked_since <- not_blocked;
-                    (* [t.now] is read when the resumer fires, so the
-                       process wakes at the resumer's current time. *)
-                    push t ~at:t.now (fun () -> continue k v)))
+                proc.blocked_since <- p.world.now;
+                p.world.in_proc <- false;
+                register (fun v -> resume_await p seq k v))
           | _ -> None);
     }
 
@@ -277,8 +302,10 @@ let stuck_summary t =
    due at the current tick).  The wheel's cursor may trail a parked
    clock; a push for the parked tick then waits in a chain, and the next
    [advance] reaches it before anything later.  While the loop runs,
-   [running] names this world, and a caller's world is marked [nested];
-   both come back when the loop returns or raises. *)
+   [running] names this world, a caller's world is marked [nested], and
+   [t.horizon] holds the horizon for {!skip_to}; all three come back
+   when the loop returns or raises, and so does [t.in_proc], which the
+   loop clears so that its callbacks are never taken for processes. *)
 let run ?until t =
   let horizon = match until with None -> Time.max_tick | Some h -> h in
   let q = t.queue in
@@ -302,11 +329,16 @@ let run ?until t =
   in
   let outer = Domain.DLS.get running in
   let mark nested = match outer with Some o when o != t -> o.nested <- nested | _ -> () in
+  let outer_horizon = t.horizon and outer_in_proc = t.in_proc in
   Domain.DLS.set running (Some t);
   mark true;
+  t.horizon <- horizon;
+  t.in_proc <- false;
   Fun.protect
     ~finally:(fun () ->
       mark false;
+      t.horizon <- outer_horizon;
+      t.in_proc <- outer_in_proc;
       Domain.DLS.set running outer)
     loop
 
@@ -315,7 +347,28 @@ let now () =
   | Some t -> t.now
   | None -> invalid_arg "Sim.now: no world is running on this domain"
 
-let delay d = perform (Delay_eff d)
+(* A blocked process's path to [at] is one event that resumes it there
+   (a delay's hop, or a completion that wakes it plus the wake's
+   same-tick hop).  When no other event is due by [at], and the clock
+   may reach [at] in the executing run, nothing can run before that
+   path or beside it at [at], so moving the clock there and continuing
+   inline is indistinguishable from it, except in [events].  The caller
+   must be one of the world's own processes ([in_proc]): not a
+   callback, and not code inside a run nested in one of its processes
+   ([nested]).  [due] never misses a pending tick, and a spurious "due"
+   only costs the skip. *)
+let skip_to t at =
+  t.in_proc && (not t.nested) && at >= t.now && at <= t.horizon
+  && (not (Wheel.due t.queue ~limit:at))
+  &&
+  (t.now <- at;
+   true)
+[@@sl.zero_alloc]
+
+let delay d =
+  match Domain.DLS.get running with
+  | Some t when d <= Time.max_tick - t.now && skip_to t (t.now + d) -> ()
+  | _ -> perform (Delay_eff d)
 let fork f = perform (Fork_eff f)
 let await register = perform (Await_eff register)
 

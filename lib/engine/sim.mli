@@ -54,10 +54,12 @@ val time : t -> Time.t
 (** Current simulated time, readable from outside any process. *)
 
 val events_processed : t -> int
-(** Number of events the event loop has executed so far in this world.
-    The unit of throughput accounting: the bench harness sums this over
-    every world an experiment builds and reports events per wall-clock
-    second in its perf trailer. *)
+(** Number of events the event loop has popped and run so far in this
+    world.  A process that continues inline ({!skip_to}, {!delay})
+    pops none, so the count measures the engine's own work, not the
+    simulated work.  The bench harness sums this over every world an
+    experiment builds and reports events per wall-clock second in its
+    perf trailer. *)
 
 val spawn : ?name:string -> ?daemon:bool -> t -> (unit -> unit) -> unit
 (** [spawn t f] registers [f] as a process starting at the current time.
@@ -151,8 +153,25 @@ val now : unit -> Time.t
 
 val delay : Time.t -> unit
 (** Suspend the calling process for the given number of cycles (≥ 0).
-    A negative delay, or one that would carry the clock past
-    {!Time.max_tick}, raises [Invalid_argument] in the caller. *)
+    When nothing else is due by then, the process continues inline
+    instead (see {!skip_to}): the clock moves and [delay] returns
+    without an event.  A negative delay, or one that would carry the
+    clock past {!Time.max_tick}, raises [Invalid_argument] in the
+    caller. *)
+
+val skip_to : t -> Time.t -> bool
+(** [skip_to t at] is for a process of [t] about to block until tick
+    [at] (not before the current time), where one event would resume
+    it.  It moves the clock to [at] and returns [true] when nothing
+    else can run before the process resumes: no event is due in [t] by
+    [at], [at] is within the horizon of the executing {!run}, and the
+    caller is a process of [t] whose run is executing: not a
+    {!schedule} callback, and not code inside a run nested in one of
+    [t]'s processes.
+    The caller then continues inline, doing in place what the resuming
+    event would have done.  Nothing can tell the difference, except
+    {!events_processed}.  Otherwise it returns [false] and changes
+    nothing, and the caller blocks as usual.  Allocation-free. *)
 
 val fork : (unit -> unit) -> unit
 (** Start a child process at the current time.  The child runs after the
@@ -165,7 +184,7 @@ val await : (('a -> unit) -> unit) -> 'a
     built.  [resume] may be called immediately or at any later simulated
     time, but at most once: a second call, or a call while the process
     waits in a later [await], raises [Invalid_argument].  Each [await]
-    allocates its resume, its hop event and the effect's closures (25
+    allocates its resume, its hop event and the effect's closures (24
     words on OCaml 5.1, the runtime's continuation included); hot paths
     with a fixed waiter use {!suspend}. *)
 

@@ -215,33 +215,57 @@ let far_jump t ~limit =
     end
   end
 
+(* The lowest level with an occupied slot, or [levels] if none. *)
+let lowest_level occ =
+  let level = ref 0 in
+  while !level < levels && Array.unsafe_get occ !level = 0 do
+    incr level
+  done;
+  !level
+[@@sl.zero_alloc]
+
+(* The tick [advance] moves the cursor to for occupied slot [slot] of
+   [level], chain [idx].  A one-node chain is one tick, so the cursor
+   goes straight to it.  A longer chain cascades from the slot's base
+   time: the cursor's bits above the band, the band set to [slot],
+   everything below zeroed.  Occupied slots sit strictly above the
+   cursor's own band, so either way the cursor only moves forward.  The
+   slot's events share the cursor's bits above the band and carry
+   [slot] in it, so none precedes the tick, and the slot holds the
+   earliest pending events. *)
+let[@inline] slot_tick t ~level ~slot idx =
+  let head = Array.unsafe_get t.heads idx in
+  if head = Array.unsafe_get t.tails idx then Arena.time t.arena head
+  else
+    let shift = level * bits in
+    t.cursor land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
+
+(* Nothing moves, so a caller can ask before it decides whether to
+   block.  With the levels empty, every far event differs from the
+   cursor above bit 25, so none precedes the cursor's next 2^25
+   boundary; past max_tick that bound wraps negative, hence due. *)
+let due t ~limit =
+  t.len > 0
+  ||
+  let level = lowest_level t.occ in
+  if level = levels then t.heads.(far) <> Arena.nil && (t.cursor lor (span - 1)) + 1 <= limit
+  else
+    let slot = lowest_set_bit t.occ.(level) in
+    slot_tick t ~level ~slot ((level * slot_count) + slot) <= limit
+[@@sl.zero_alloc]
+
 (* Each step either fires the one-node shortcut, cascades one slot into
    strictly lower levels (or, at level 0, wholly into the ring), or jumps
    to the far minimum, so the recursion terminates. *)
 let rec advance t ~limit =
   assert (t.len = 0);
   let occ = t.occ in
-  let level = ref 0 in
-  while !level < levels && occ.(!level) = 0 do
-    incr level
-  done;
-  let level = !level in
+  let level = lowest_level occ in
   if level = levels then far_jump t ~limit
   else begin
     let slot = lowest_set_bit occ.(level) in
     let idx = (level * slot_count) + slot in
-    let head = t.heads.(idx) in
-    (* A one-node chain is one tick, so the cursor goes straight to it.
-       A longer chain cascades from the slot's base time: the cursor's
-       bits above the band, the band set to [slot], everything below
-       zeroed.  Occupied slots sit strictly above the cursor's own band,
-       so either way the cursor only moves forward. *)
-    let tick =
-      if head = t.tails.(idx) then Arena.time t.arena head
-      else
-        let shift = level * bits in
-        t.cursor land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
-    in
+    let tick = slot_tick t ~level ~slot idx in
     if tick > limit then -1
     else begin
       occ.(level) <- occ.(level) land lnot (1 lsl slot);

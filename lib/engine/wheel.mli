@@ -34,6 +34,13 @@ val push : 'a t -> time:int -> 'a -> unit
 val ready : 'a t -> bool
 (** The ready ring holds an event. *)
 
+val due : 'a t -> limit:int -> bool
+(** Whether an event at a tick at most [limit] may be pending: [true]
+    whenever one is (the ready ring included), and sometimes also when
+    the earliest pending tick is a little past [limit] (a multi-node
+    slot chain reports its slot's base tick).  Moves nothing.  O(1),
+    allocation-free. *)
+
 val pop : 'a t -> 'a
 (** Remove and return the ready ring's oldest event.  The ring must not
     be empty. *)

@@ -5,14 +5,18 @@ Usage:
   perf_check.py smoke BASELINE.json CURRENT.json [MAX_SLOWDOWN]
   perf_check.py trajectory [REPO_DIR]
 
-smoke: fails (exit 1) if any experiment in CURRENT regressed in events/s
-by more than MAX_SLOWDOWN (default 5.0) against BASELINE.  The bound is
-loose on purpose: CI runners are noisy and this gate exists to catch
-accidental quadratic blowups in the engine hot paths, not scheduler
-jitter.  Every experiment in CURRENT must exist in BASELINE: an unknown
-id is a hard error, not a skip, otherwise a typo in the CI experiment
-list (or a new experiment never added to the baseline) runs forever
-unchecked.  Experiments in BASELINE but absent from CURRENT are fine;
+smoke: fails (exit 1) if any experiment in CURRENT takes more than
+MAX_SLOWDOWN (default 5.0) times its BASELINE wall time.  Wall time, not
+events/s: an engine change may do the same simulated work in fewer
+events (a process that continues inline pops none), which lowers
+events/s while the run gets faster.  With equal event counts the two
+ratios are equal, so for an unchanged workload it is the same test as an
+events/s gate.  The bound is loose on purpose: CI runners are noisy and
+this gate exists to catch accidental quadratic blowups in the engine hot
+paths, not scheduler jitter.  Every experiment in CURRENT must exist in
+BASELINE: an unknown id is a hard error, not a skip, otherwise a typo in
+the CI experiment list (or a new experiment never added to the baseline)
+runs forever unchecked.  Experiments in BASELINE but absent from CURRENT are fine;
 CI smokes a subset of the full committed suite.
 
 trajectory: loads every BENCH_pr<N>.json in REPO_DIR (default: cwd) in
@@ -33,9 +37,9 @@ ns/run is wall clock on the author's machine of the day.  Writes the
 tables to $GITHUB_STEP_SUMMARY when set, and always prints them.
 
 Both modes show but never gate experiments whose wall time is under
-MIN_WALL_S: events/s on a sub-millisecond run is clock-granularity and
-scheduler jitter, not engine throughput (e10's committed history spans
-38x with a byte-identical workload).
+MIN_WALL_S: a sub-millisecond run's wall time (and so its events/s) is
+clock-granularity and scheduler jitter, not engine throughput (e10's
+committed history spans 38x with a byte-identical workload).
 """
 
 import glob
@@ -98,24 +102,24 @@ def smoke(args):
                   "add it to the committed perf file or fix the experiment list")
             failed = True
             continue
-        base_eps, cur_eps = events_per_s(base), events_per_s(cur)
-        if base_eps <= 0.0:
-            print(f"{exp_id}: FAIL — baseline has no usable events/s")
+        base_wall, cur_wall = wall(base), wall(cur)
+        if base_wall <= 0.0:
+            print(f"{exp_id}: FAIL — baseline has no usable wall time")
             failed = True
             continue
-        if cur_eps <= 0.0:
-            print(f"{exp_id}: FAIL — current run has no usable events/s")
+        if cur_wall <= 0.0:
+            print(f"{exp_id}: FAIL — current run has no usable wall time")
             failed = True
             continue
-        slowdown = base_eps / cur_eps
+        slowdown = cur_wall / base_wall
         status = "ok"
-        if wall(base) < MIN_WALL_S or wall(cur) < MIN_WALL_S:
+        if base_wall < MIN_WALL_S or cur_wall < MIN_WALL_S:
             status = "noise (run < 1ms, not gated)"
         elif slowdown > max_slowdown:
             status = f"FAIL (>{max_slowdown:g}x regression)"
             failed = True
         print(
-            f"{exp_id}: baseline {base_eps:,.0f} ev/s, current {cur_eps:,.0f} ev/s, "
+            f"{exp_id}: baseline {base_wall:.4f} s, current {cur_wall:.4f} s, "
             f"slowdown {slowdown:.2f}x — {status}"
         )
     return failed

@@ -282,6 +282,104 @@ let prop_uniform_path_matches_water_filling =
     ~count:300 (QCheck.make gen_job_set) (fun (width, jobs) ->
       run_job_set ~width ~weight:1.0 jobs = run_job_set ~width ~weight:2.0 jobs)
 
+(* --- The only job continues inline (Sim.skip_to) --- *)
+
+(* A callback every tick up to [until]: an event is always due, so no
+   [execute] can complete inline. *)
+let heartbeat sim ~until =
+  let rec beat () =
+    let now = Sim.time sim in
+    if now < until then Sim.schedule sim ~at:(now + 1) beat
+  in
+  Sim.schedule sim ~at:0 beat
+
+(* One thread alone on an idle core: a 7-cycle delay, then one execute.
+   When the execute returned, and the world's event count. *)
+let lone_execute ~beat cycles =
+  with_core (fun sim core ->
+      if beat then heartbeat sim ~until:1_000;
+      let returned = ref (-1) in
+      Sim.spawn sim (fun () ->
+          Sim.delay 7;
+          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful cycles;
+          returned := Sim.now ());
+      Sim.run sim;
+      (!returned, Sim.events_processed sim))
+
+(* Counted against the same world running a zero-cycle execute, which
+   returns at once. *)
+let test_lone_execute_inline () =
+  let added ~beat =
+    let at, events = lone_execute ~beat 100 in
+    let _, without = lone_execute ~beat 0 in
+    (at, events - without)
+  in
+  Alcotest.(check (pair int int)) "idle world: no event" (107, 0) (added ~beat:false);
+  Alcotest.(check (pair int int))
+    "heartbeat: completion and hop" (107, 2) (added ~beat:true)
+
+(* An event pushed earlier for a tick at or before the completion runs
+   before [execute] returns; one a tick later runs after, and the
+   execute then completed inline (two events: the start and the
+   callback). *)
+let test_due_event_runs_before_execute_returns () =
+  let order at =
+    with_core (fun sim core ->
+        let log = ref [] in
+        let note what = log := Printf.sprintf "%s@%d" what (Sim.time sim) :: !log in
+        Sim.schedule sim ~at (fun () -> note "callback");
+        Sim.spawn sim (fun () ->
+            Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+            Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100;
+            note "returned");
+        Sim.run sim;
+        (List.rev !log, Sim.events_processed sim))
+  in
+  let check = Alcotest.(check (pair (list string) int)) in
+  check "before" ([ "callback@99"; "returned@100" ], 4) (order 99);
+  check "at the same tick" ([ "callback@100"; "returned@100" ], 4) (order 100);
+  check "after" ([ "returned@100"; "callback@101" ], 2) (order 101)
+
+(* A completion past the run's horizon is not taken inline: the thread
+   is still executing with the clock at the horizon, and the next run
+   completes it on time. *)
+let test_execute_past_horizon_waits () =
+  with_core (fun sim core ->
+      let returned = ref (-1) in
+      Sim.spawn sim (fun () ->
+          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100;
+          returned := Sim.now ());
+      Sim.run ~until:60 sim;
+      check_i64 "clock at the horizon" 60 (Sim.time sim);
+      check_i64 "still executing" (-1) !returned;
+      Sim.run sim;
+      check_i64 "returned at its completion" 100 !returned)
+
+(* Outside a process an execute has nothing to suspend, even alone on
+   an idle core: it raises as it always did, also once a process's
+   exception has escaped the previous run. *)
+let test_execute_outside_process_raises () =
+  let raises_unhandled sim =
+    match Sim.run sim with () -> false | exception Effect.Unhandled _ -> true
+  in
+  let execute core () = Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 10 in
+  with_core (fun sim core ->
+      Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+      Sim.schedule sim ~at:5 (execute core);
+      check_bool "from a callback on an idle world" true (raises_unhandled sim));
+  with_core (fun sim core ->
+      Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+      Sim.spawn sim (fun () ->
+          execute core ();
+          failwith "escaped");
+      (match Sim.run sim with
+       | () -> Alcotest.fail "the exception did not escape"
+       | exception Failure _ -> ());
+      Sim.schedule sim ~at:(Sim.time sim + 5) (execute core);
+      check_bool "after a process's exception escaped" true (raises_unhandled sim))
+
 (* 64 unit-weight threads time-share a 2-wide core, 200 executes each:
    every advance serves up to 64 jobs on the uniform path.  Also the
    microbench kernel "smt_core 64 unit-weight jobs x200 executes". *)
@@ -302,9 +400,10 @@ let unit_weight_churn () =
 (* The serve loop must not allocate per served job.  The [zero-alloc]
    static rule cannot see a float boxed at a non-inlined call, which is
    how ~4 words per served job once crept in; this bound can.  What is
-   left per [execute] (17.7 words on OCaml 5.1) is the suspension's
+   left per [execute] (14.9 words on OCaml 5.1) is the suspension's
    continuation and the completion event's closure; the bound fails if
-   [execute] goes back to [Sim.await] (42.5 words).  Measured on the
+   [busy] or [min_rem] is boxed again on every store (17.7 words), or
+   if [execute] goes back to [Sim.await] (42.5 words).  Measured on the
    second run, so one-off growth of the core's arrays does not count. *)
 let test_uniform_serve_allocation () =
   unit_weight_churn ();
@@ -312,8 +411,8 @@ let test_uniform_serve_allocation () =
   unit_weight_churn ();
   let per_execute = (Gc.minor_words () -. before) /. float_of_int (64 * 200) in
   check_bool
-    (Printf.sprintf "%.1f minor words per execute < 24" per_execute)
-    true (per_execute < 24.0)
+    (Printf.sprintf "%.1f minor words per execute < 16.5" per_execute)
+    true (per_execute < 16.5)
 
 let () =
   let qsuite =
@@ -339,6 +438,16 @@ let () =
           Alcotest.test_case "double execute rejected" `Quick test_double_execute_rejected;
           Alcotest.test_case "simultaneous completions in serve order" `Quick
             test_simultaneous_completions_resume_in_serve_order;
+        ] );
+      ( "inline",
+        [
+          Alcotest.test_case "lone execute adds no event" `Quick test_lone_execute_inline;
+          Alcotest.test_case "due event runs before the execute returns" `Quick
+            test_due_event_runs_before_execute_returns;
+          Alcotest.test_case "execute past the horizon waits" `Quick
+            test_execute_past_horizon_waits;
+          Alcotest.test_case "execute outside a process raises" `Quick
+            test_execute_outside_process_raises;
         ] );
       ( "accounting",
         [

@@ -245,6 +245,93 @@ let test_delay_past_max_tick_rejected () =
   Alcotest.(check (list string))
     "rejected, then max_tick reached" [ "rejected at 10"; "at max_tick: true" ] (List.rev !log)
 
+(* --- Continuing inline: a wait with nothing else due (Sim.skip_to) --- *)
+
+(* A callback every tick up to [until]: an event is always due, so no
+   positive wait can continue inline.  A callback, not a process, so it
+   never continues inline itself. *)
+let heartbeat sim ~until =
+  let rec beat () =
+    let now = Sim.time sim in
+    if now < until then Sim.schedule sim ~at:(now + 1) beat
+  in
+  Sim.schedule sim ~at:0 beat
+
+(* A lone process on an idle world continues inline through its delays:
+   the clock moves as before, and the start is the only event.  With the
+   heartbeat each delay is one hop again. *)
+let test_lone_delay_inline () =
+  let lone ~beat =
+    let sim = Sim.create () in
+    if beat then heartbeat sim ~until:100;
+    let seen = ref [] in
+    Sim.spawn sim (fun () ->
+        for _ = 1 to 3 do
+          Sim.delay 10;
+          seen := Sim.now () :: !seen
+        done);
+    Sim.run sim;
+    (List.rev !seen, Sim.events_processed sim)
+  in
+  Alcotest.(check (pair (list int) int)) "idle world" ([ 10; 20; 30 ], 1) (lone ~beat:false);
+  Alcotest.(check (pair (list int) int))
+    "101 beats, the start and three hops" ([ 10; 20; 30 ], 105) (lone ~beat:true)
+
+(* An event pushed earlier for a tick at or before the delay's end runs
+   before the delay returns; one a tick later runs after, and the delay
+   then continued inline (two events: the start and the callback). *)
+let test_due_event_runs_before_delay_returns () =
+  let order at =
+    let sim = Sim.create () in
+    let log = ref [] in
+    let note what = log := Printf.sprintf "%s@%d" what (Sim.time sim) :: !log in
+    Sim.schedule sim ~at (fun () -> note "callback");
+    Sim.spawn sim (fun () ->
+        Sim.delay 10;
+        note "returned");
+    Sim.run sim;
+    (List.rev !log, Sim.events_processed sim)
+  in
+  let check = Alcotest.(check (pair (list string) int)) in
+  check "before" ([ "callback@9"; "returned@10" ], 3) (order 9);
+  check "at the same tick" ([ "callback@10"; "returned@10" ], 3) (order 10);
+  check "after" ([ "returned@10"; "callback@11" ], 2) (order 11)
+
+(* A delay that ends past the run's horizon is not taken inline: the
+   process waits with the clock at the horizon, and the next run ends
+   the delay on time. *)
+let test_delay_past_horizon_waits () =
+  let sim = Sim.create () in
+  let returned = ref (-1) in
+  Sim.spawn sim (fun () ->
+      Sim.delay 100;
+      returned := Sim.now ());
+  Sim.run ~until:60 sim;
+  check_int "clock at the horizon" 60 (Sim.time sim);
+  check_int "still waiting" (-1) !returned;
+  Sim.run sim;
+  check_int "returned at its tick" 100 !returned
+
+let raises_unhandled sim =
+  match Sim.run sim with () -> false | exception Effect.Unhandled _ -> true
+
+(* Outside a process a delay has nothing to suspend, even with nothing
+   else due: it raises as it always did, also in a run after one that a
+   process's exception escaped. *)
+let test_delay_outside_process_raises () =
+  let sim = Sim.create () in
+  Sim.schedule sim ~at:5 (fun () -> Sim.delay 10);
+  check_bool "from a callback on an idle world" true (raises_unhandled sim);
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () ->
+      Sim.delay 3;
+      failwith "escaped");
+  (match Sim.run sim with
+   | () -> Alcotest.fail "the exception did not escape"
+   | exception Failure _ -> ());
+  Sim.schedule sim ~at:(Sim.time sim + 5) (fun () -> Sim.delay 10);
+  check_bool "after a process's exception escaped" true (raises_unhandled sim)
+
 (* --- Ivar --- *)
 
 let test_ivar_fill_wakes_readers () =
@@ -917,7 +1004,9 @@ let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
    placement: the tick just reached (the ring), each wheel level, the
    old 2^25 window edge, far-list jumps, and max_tick; offsets saturate
    at max_tick.  A bounded advance that finds nothing parks [now] at its
-   limit, as {!Sim.run} parks the clock. *)
+   limit, as {!Sim.run} parks the clock.  A peek ([Wheel.due]) reports
+   the earliest pending tick at that very tick and at any later limit,
+   and nothing on an empty wheel. *)
 let prop_wheel_matches_heap =
   let open QCheck in
   let op =
@@ -926,12 +1015,15 @@ let prop_wheel_matches_heap =
         Gen.map2 (fun cls jitter -> `Push (cls, jitter)) (Gen.int_bound 7) (Gen.int_bound 1023);
         Gen.return `Tick;
         Gen.map (fun d -> `Tick_until d) (Gen.int_bound 2048);
+        Gen.map (fun d -> `Peek d)
+          (Gen.oneof [ Gen.int_bound 64; Gen.int_bound (1 lsl 26); Gen.return max_int ]);
       ]
   in
   let print = function
     | `Push (cls, jitter) -> Printf.sprintf "push %d/%d" cls jitter
     | `Tick -> "tick"
     | `Tick_until d -> Printf.sprintf "tick+%d" d
+    | `Peek d -> Printf.sprintf "peek+%d" d
   in
   Test.make ~name:"wheel matches heap on random interleavings" ~count:300
     (make ~print:(Print.list print) (Gen.list op)) (fun ops ->
@@ -982,7 +1074,16 @@ let prop_wheel_matches_heap =
             Wheel.push wheel ~time !seq;
             Pqueue.push heap ~time ~seq:!seq !seq
           | `Tick -> tick max_int
-          | `Tick_until d -> tick (sat_add !now d))
+          | `Tick_until d -> tick (sat_add !now d)
+          | `Peek d ->
+            let limit = sat_add !now d in
+            let due = Wheel.due wheel ~limit in
+            if Pqueue.is_empty heap then (if due then ok := false)
+            else begin
+              let first = Pqueue.min_time heap in
+              if (first <= limit && not due) || not (Wheel.due wheel ~limit:first) then
+                ok := false
+            end)
         ops;
       while !ok && not (Pqueue.is_empty heap) do
         tick max_int
@@ -1126,6 +1227,110 @@ let prop_run_loop_matches_reference =
   QCheck.Test.make ~name:"sim run loop matches one-heap (time, seq) reference" ~count:300
     (QCheck.make gen_script) (fun steps -> run_on_sim steps = run_on_reference steps)
 
+(* --- Continuing inline changes nothing observable --- *)
+
+module Params = Switchless.Params
+module Smt_core = Switchless.Smt_core
+
+(* A process's steps.  [Exec] runs on core [c mod cores] at the given
+   weight; [Read] blocks until some [Fill] (or the world's late fill)
+   fills the ivar. *)
+type op =
+  | Wait of int
+  | Exec of int * float * int
+  | Fork of op list
+  | Fill of int
+  | Read of int
+
+type world = { width : int; ncores : int; fill_at : int; horizon : int; procs : op list list }
+
+let ivar_count = 3
+
+let rec print_op = function
+  | Wait d -> Printf.sprintf "wait %d" d
+  | Exec (c, w, n) -> Printf.sprintf "exec %d/%g/%d" c w n
+  | Fork ops -> Printf.sprintf "fork [%s]" (String.concat "; " (List.map print_op ops))
+  | Fill i -> Printf.sprintf "fill %d" i
+  | Read i -> Printf.sprintf "read %d" i
+
+let print_world w =
+  Printf.sprintf "width %d, %d cores, fill at %d, first run until %d:\n%s" w.width w.ncores
+    w.fill_at w.horizon
+    (String.concat "\n"
+       (List.map (fun ops -> "  " ^ String.concat "; " (List.map print_op ops)) w.procs))
+
+let gen_world =
+  let open QCheck.Gen in
+  let rec ops depth = list_size (int_range 1 6) (op depth)
+  and op depth =
+    frequency
+      ([
+         (3, map (fun d -> Wait d) (oneof [ int_bound 2; int_bound 60 ]));
+         ( 4,
+           map3
+             (fun c w n -> Exec (c, w, n))
+             (int_bound 2) (oneofl [ 1.0; 1.0; 2.0 ]) (int_range 1 120) );
+         (1, map (fun i -> Fill i) (int_bound (ivar_count - 1)));
+         (1, map (fun i -> Read i) (int_bound (ivar_count - 1)));
+       ]
+      @ if depth > 0 then [ (1, map (fun o -> Fork o) (ops (depth - 1))) ] else [])
+  in
+  map3
+    (fun (width, ncores) (fill_at, horizon) procs -> { width; ncores; fill_at; horizon; procs })
+    (pair (int_range 1 2) (int_range 1 3))
+    (pair (int_bound 3000) (int_bound 2000))
+    (list_size (int_range 1 5) (ops 2))
+
+(* Run a world: a bounded run, then one to the end.  Every process logs
+   (process, step, time) after each step; the result also holds the
+   clock after the bounded run and each core's service.  With [beat], a
+   heartbeat keeps an event due at every tick while a process lives, so
+   no positive wait continues inline. *)
+let run_world ~beat w =
+  let sim = Sim.create () in
+  let params = { Params.default with Params.smt_width = w.width } in
+  let cores = Array.init w.ncores (fun core_id -> Smt_core.create sim params ~core_id) in
+  let ivars = Array.init ivar_count (fun _ -> Ivar.create ()) in
+  let log = ref [] and live = ref 0 and next_ptid = ref 0 in
+  let rec start ops =
+    let ptid = !next_ptid in
+    incr next_ptid;
+    incr live;
+    fun () ->
+      List.iteri
+        (fun step op ->
+          (match op with
+           | Wait d -> Sim.delay d
+           | Exec (c, weight, n) ->
+             let core = cores.(c mod w.ncores) in
+             Smt_core.set_runnable core ~ptid ~weight true;
+             Smt_core.execute core ~ptid ~kind:Smt_core.Useful n;
+             Smt_core.set_runnable core ~ptid ~weight false
+           | Fork child -> Sim.fork (start child)
+           | Fill i -> ignore (Ivar.try_fill ivars.(i) () : bool)
+           | Read i -> Ivar.read ivars.(i));
+          log := (ptid, step, Sim.now ()) :: !log)
+        ops;
+      decr live
+  in
+  List.iter (fun ops -> Sim.spawn sim (start ops)) w.procs;
+  Sim.schedule sim ~at:w.fill_at (fun () ->
+      Array.iter (fun iv -> ignore (Ivar.try_fill iv () : bool)) ivars);
+  if beat then begin
+    let rec tick () = if !live > 0 then Sim.schedule sim ~at:(Sim.time sim + 1) tick in
+    Sim.schedule sim ~at:0 tick
+  end;
+  Sim.run ~until:w.horizon sim;
+  let parked = Sim.time sim in
+  Sim.run sim;
+  let service = Array.map (fun core -> Smt_core.busy_capacity_cycles core) cores in
+  (List.rev !log, parked, service, !live)
+
+let prop_inline_waits_unobservable =
+  QCheck.Test.make ~name:"continuing inline matches a world that never can" ~count:200
+    (QCheck.make ~print:print_world gen_world) (fun w ->
+      run_world ~beat:false w = run_world ~beat:true w)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1134,6 +1339,7 @@ let () =
         prop_pqueue_boundary_lexicographic;
         prop_wheel_matches_heap;
         prop_run_loop_matches_reference;
+        prop_inline_waits_unobservable;
       ]
   in
   Alcotest.run "engine"
@@ -1170,6 +1376,16 @@ let () =
           Alcotest.test_case "delay past max_tick rejected" `Quick
             test_delay_past_max_tick_rejected;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+        ] );
+      ( "inline",
+        [
+          Alcotest.test_case "lone delay adds no event" `Quick test_lone_delay_inline;
+          Alcotest.test_case "due event runs before the delay returns" `Quick
+            test_due_event_runs_before_delay_returns;
+          Alcotest.test_case "delay past the horizon waits" `Quick
+            test_delay_past_horizon_waits;
+          Alcotest.test_case "delay outside a process raises" `Quick
+            test_delay_outside_process_raises;
         ] );
       ( "ivar",
         [
