@@ -12,13 +12,14 @@ let create ~chip ~report ~writers =
 
 let state_name st = Format.asprintf "%a" Ptid.pp_state st
 
-let allowed_transition = function
+(* A parked thread becomes runnable only by its wake or its deadline. *)
+let allowed_transition ~reason = function
   | Ptid.Disabled, Ptid.Runnable (* boot / start-wake *)
   | Ptid.Runnable, Ptid.Disabled (* stop / body-end / fault *)
   | Ptid.Runnable, Ptid.Waiting (* mwait-park *)
-  | Ptid.Waiting, Ptid.Runnable (* mwait-wake *)
   | Ptid.Waiting, Ptid.Disabled (* force-stop *) ->
     true
+  | Ptid.Waiting, Ptid.Runnable -> reason = "mwait-wake" || reason = "mwait-deadline"
   | _ -> false
 
 let mirror_state t ptid =
@@ -35,7 +36,7 @@ let on_state_change t ~ptid ~from_ ~to_ ~reason =
            "ptid %d transition %s -> %s (%s) but the last observed state was %s: \
             a state change bypassed the probe"
            ptid (state_name from_) (state_name to_) reason (state_name expected));
-  if not (allowed_transition (from_, to_)) then
+  if not (allowed_transition ~reason (from_, to_)) then
     t.report ~rule:"lifecycle"
       ~key:(Printf.sprintf "transition:%d:%s:%s" ptid (state_name from_) (state_name to_))
       ~message:

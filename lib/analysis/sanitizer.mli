@@ -4,7 +4,9 @@
 
     - {b lifecycle}: every [State_change] must be one of the five legal
       ptid transitions (Disabled→Runnable, Runnable→Disabled,
-      Runnable→Waiting, Waiting→Runnable, Waiting→Disabled), and must
+      Runnable→Waiting, Waiting→Runnable, Waiting→Disabled), the
+      Waiting→Runnable one only for reason ["mwait-wake"] or
+      ["mwait-deadline"], and must
       depart from the state the sanitizer's own mirror last observed —
       divergence means some code mutated thread state without going
       through the chip's transition functions.  [rpull]/[rpush] must also

@@ -1,5 +1,4 @@
 module Sim = Sl_engine.Sim
-module Signal = Sl_engine.Signal
 
 exception Halted of string
 
@@ -103,9 +102,8 @@ and thread = {
   t_ptid : int;
   weight : float;
   wake : Memory.addr -> unit;  (* monitor waiter *)
-  mutable suspension : Sim.suspension;  (* parks the body's waker in [resume] *)
+  mutable suspension : Sim.suspension;  (* the body's park point, see [wake_body] *)
   deliver : unit -> unit;  (* wake-delivery event *)
-  signal : unit Signal.t;  (* start/stop resume signal *)
   mutable starts : int;
   mutable spawned : bool;  (* body spawned at least once *)
   mutable pending_start : bool;  (* latched start, absorbs the next stop *)
@@ -121,9 +119,6 @@ and thread = {
 (* Raised inside a crash-stopped thread's body to unwind its instruction
    stream; caught in [run_body], never escapes the chip. *)
 exception Crash_stop
-
-(* A thread's [suspension] until [add_thread] builds it. *)
-let unset_suspension = Sim.suspension (fun _ -> ())
 
 (* Consulted at the end of [create]: lets observer libraries (analysis,
    fault injection) attach themselves to every chip built anywhere —
@@ -268,21 +263,31 @@ let run_body th =
         (* Instruction stream ended: the thread parks itself. *)
         if th.state = Ptid.Runnable then set_state th Ptid.Disabled ~reason:"body-end")
 
+(* The body parks at one point, its thread's [suspension]: on its wake
+   cell in an mwait, and in [wait_until_runnable].  Invariant: it is
+   parked on its cell exactly when the cell is [Open], and then only
+   [fill_wake] wakes it; the start-wake and the deadline restart act
+   only on a thread whose cell is not [Open]. *)
+let wake_body th =
+  let w = th.resume in
+  if w != Sim.no_waker then begin
+    th.resume <- Sim.no_waker;
+    Sim.wake w
+  end
+[@@sl.zero_alloc]
+
 (* Block the calling body until its thread is runnable again.  Loops
    because a start can be followed by another stop before we get going.
    A disabled thread is parked by design (a server awaiting its next
    start), so it is daemon-marked for [Sim.suspects] while it waits. *)
 let rec wait_until_runnable th =
-  match th.state with
-  | Ptid.Runnable -> ()
-  | Ptid.Disabled ->
-    Sim.set_daemon true;
-    Signal.wait th.signal;
-    Sim.set_daemon false;
+  if th.state <> Ptid.Runnable then begin
+    let disabled = th.state = Ptid.Disabled in
+    if disabled then Sim.set_daemon true;
+    Sim.suspend th.suspension;
+    if disabled then Sim.set_daemon false;
     wait_until_runnable th
-  | Ptid.Waiting ->
-    Signal.wait th.signal;
-    wait_until_runnable th
+  end
 
 let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
@@ -297,20 +302,8 @@ let exec th ?(kind = Smt_core.Useful) cycles =
 let fill_wake th v =
   th.cell <- Full;
   th.wval <- v;
-  let w = th.resume in
-  if w != Sim.no_waker then begin
-    th.resume <- Sim.no_waker;
-    Sim.wake w
-  end
+  wake_body th
 [@@sl.zero_alloc]
-
-(* Block the calling body on its wake cell. *)
-let read_wake th =
-  match th.cell with
-  | Full -> th.wval
-  | Idle | Open ->
-    Sim.suspend th.suspension;
-    th.wval
 
 (* The wake event scheduled by [monitor_wake], [latency] cycles after the
    triggering write.  [epoch] stamps the park round the waiter belonged
@@ -324,7 +317,6 @@ let deliver_wake th epoch addr =
     set_state th Ptid.Runnable ~reason:"mwait-wake";
     if c.probe_on then
       emit c (Probe.Mwait_woke { ptid = th.t_ptid; addr; immediate = false });
-    Signal.emit th.signal ();
     fill_wake th addr
   | Idle | Open | Full -> Monitor.relatch c.monitor th.mslot addr
 
@@ -376,11 +368,13 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
     ~at:(Sim.time chip.sim + latency)
     (fun () ->
       (* A start hand-off delayed past a later one lands on a thread the
-         later one already made runnable: it changes no state, but still
-         runs [on_ready] — the body spawn, if it was the first start. *)
-      if th.state <> Ptid.Runnable then begin
+         later one already made runnable, which may have parked in mwait
+         since: like [do_start], it leaves a [Waiting] thread alone (else
+         the next stop would miss the park), but still runs [on_ready] —
+         the body spawn, if it was the first start. *)
+      if th.state = Ptid.Disabled then begin
         set_state th Ptid.Runnable ~reason;
-        Signal.emit th.signal ()
+        wake_body th
       end;
       on_ready ())
 
@@ -457,12 +451,11 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       t_ptid = ptid;
       weight;
       wake = (fun addr -> monitor_wake th addr);
-      suspension = unset_suspension;
+      suspension = Sim.no_suspension;
       deliver =
         (fun () ->
           th.pending <- false;
           deliver_wake th th.pend_epoch th.pend_addr);
-      signal = Signal.create ();
       starts = 0;
       spawned = false;
       pending_start = false;
@@ -554,12 +547,13 @@ let insn_mwait_generic th ~deadline =
                 ~at:(Sim.time chip.sim + latency)
                 (fun () ->
                   (* A force-stop may land inside the restart window; it
-                     wins, and a later start re-runs the thread. *)
-                  if th.state = Ptid.Waiting then begin
+                     wins, and a later start re-runs the thread, which
+                     may even have parked again, in a later round. *)
+                  if th.state = Ptid.Waiting && th.epoch = epoch then begin
                     set_state th Ptid.Runnable ~reason:"mwait-deadline";
                     if chip.probe_on then
                       emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
-                    Signal.emit th.signal ()
+                    wake_body th
                   end)
             end));
       (* Fault injection: a spurious wakeup fires the wake callback with
@@ -603,7 +597,9 @@ let insn_mwait_generic th ~deadline =
                 crash_mark th ~kind:"crash-park" ~restart_after;
                 fill_wake th wake_crash
               end)));
-      let v = read_wake th in
+      (* Park on the cell just opened, which only [fill_wake] fills. *)
+      Sim.suspend th.suspension;
+      let v = th.wval in
       th.cell <- Idle;
       if v >= 0 then begin
         crash_on_wake ();

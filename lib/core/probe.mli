@@ -46,9 +46,12 @@ type event =
       from_ : Ptid.state;
       to_ : Ptid.state;
       reason : string;
-          (** One of ["boot"], ["start-wake"], ["mwait-wake"],
-              ["mwait-deadline"], ["stop"], ["force-stop"],
-              ["mwait-park"], ["body-end"], ["fault"]. *)
+          (** One of ["boot"], ["start-wake"], ["crash-restart"],
+              ["mwait-wake"], ["mwait-deadline"], ["stop"],
+              ["force-stop"], ["crash-stop"], ["mwait-park"],
+              ["body-end"], ["fault"].  [Waiting] → [Runnable] happens
+              only by wake (["mwait-wake"]) or deadline
+              (["mwait-deadline"]). *)
     }
   | Monitor_armed of { ptid : int; addr : Memory.addr }
   | Mwait_parked of { ptid : int }

@@ -64,12 +64,13 @@ type t = {
   mutable j_kind : int array;
   mutable j_rem : float array;  (* cycles of service still owed *)
   (* Completion cells: the executing thread's waker is parked in
-     [j_resume] (by the slot's preallocated [j_suspension]) and woken
-     when the job finishes.  Sound because nothing yields between
-     [execute]'s reschedule and its suspend, so a completion can never
-     fire before its reader registers. *)
+     [j_resume.(parking)] by the core's one [suspension] and woken when
+     the job finishes.  Sound because nothing yields between [execute]'s
+     reschedule and its suspend, so a completion can never fire before
+     its reader registers. *)
   mutable j_resume : Sim.waker array;
-  mutable j_suspension : Sim.suspension array;
+  mutable parking : int;  (* the slot whose thread is suspending *)
+  mutable suspension : Sim.suspension;
   mutable njobs : int;
   mutable rpos : int array;  (* slot -> index in rslot/rweight; -1 *)
   mutable rslot : int array;  (* runnable slots, compact prefix [0, rcount) *)
@@ -101,40 +102,43 @@ type t = {
   mutable min_valid : bool;  (* [f.min_rem] is valid only when this is set *)
 }
 
-let no_suspension = Sim.suspension (fun _ -> ())
-
 let create sim params ~core_id =
-  {
-    sim;
-    params;
-    core_id;
-    slots = Hashtbl.create 64;
-    s_ptid = Array.make 16 (-1);
-    nslots = 0;
-    j_kind = Array.make 16 (-1);
-    j_rem = Array.make 16 0.0;
-    j_resume = Array.make 16 Sim.no_waker;
-    j_suspension = Array.make 16 no_suspension;
-    njobs = 0;
-    rpos = Array.make 16 (-1);
-    rslot = Array.make 16 0;
-    rweight = Array.make 16 0.0;
-    rcount = 0;
-    last_update = 0;
-    epoch = 0;
-    f = { busy = 0.0; min_rem = infinity };
-    work = Array.make 3 0.0;
-    b_cycles = Array.make 16 0.0;
-    b_flag = Array.make 16 0;
-    sslot = Array.make 16 0;
-    sweight = Array.make 16 0.0;
-    srate = Array.make 16 0.0;
-    scapped = Array.make 16 false;
-    scount = 0;
-    frozen = 0;
-    nonunit = 0;
-    min_valid = false;
-  }
+  let t =
+    {
+      sim;
+      params;
+      core_id;
+      slots = Hashtbl.create 64;
+      s_ptid = Array.make 16 (-1);
+      nslots = 0;
+      j_kind = Array.make 16 (-1);
+      j_rem = Array.make 16 0.0;
+      j_resume = Array.make 16 Sim.no_waker;
+      parking = -1;
+      suspension = Sim.no_suspension;
+      njobs = 0;
+      rpos = Array.make 16 (-1);
+      rslot = Array.make 16 0;
+      rweight = Array.make 16 0.0;
+      rcount = 0;
+      last_update = 0;
+      epoch = 0;
+      f = { busy = 0.0; min_rem = infinity };
+      work = Array.make 3 0.0;
+      b_cycles = Array.make 16 0.0;
+      b_flag = Array.make 16 0;
+      sslot = Array.make 16 0;
+      sweight = Array.make 16 0.0;
+      srate = Array.make 16 0.0;
+      scapped = Array.make 16 false;
+      scount = 0;
+      frozen = 0;
+      nonunit = 0;
+      min_valid = false;
+    }
+  in
+  t.suspension <- Sim.suspension (fun waker -> t.j_resume.(t.parking) <- waker);
+  t
 
 let core_id t = t.core_id
 
@@ -153,7 +157,6 @@ let ensure_slot t slot =
     t.j_kind <- grow t.j_kind (-1);
     t.j_rem <- grow t.j_rem 0.0;
     t.j_resume <- grow t.j_resume Sim.no_waker;
-    t.j_suspension <- grow t.j_suspension no_suspension;
     t.rpos <- grow t.rpos (-1);
     t.b_cycles <- grow t.b_cycles 0.0;
     t.b_flag <- grow t.b_flag 0
@@ -484,9 +487,8 @@ let execute_slot t ~slot ~kind cycles =
     end
     else begin
       schedule_completion t dt;
-      if t.j_suspension.(slot) == no_suspension then
-        t.j_suspension.(slot) <- Sim.suspension (fun waker -> t.j_resume.(slot) <- waker);
-      Sim.suspend t.j_suspension.(slot)
+      t.parking <- slot;
+      Sim.suspend t.suspension
     end
   end
 

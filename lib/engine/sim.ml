@@ -33,9 +33,10 @@ type proc = {
   mutable blocked_since : Time.t;  (* [not_blocked] unless suspended *)
   mutable daemon : bool;
       (* parked-by-design (servers, IRQ loops): excluded from {!suspects} *)
-  mutable await_seq : int;  (* awaits issued by this process *)
-  mutable resumed_seq : int;  (* highest await already resumed *)
 }
+
+(* [t.running_pid] while no process's code runs: pids start at 1. *)
+let no_pid = 0
 
 type waker = unit -> unit
 
@@ -47,17 +48,17 @@ type t = {
   mutable events : int;  (* events popped by {!run}, for perf accounting *)
   mutable nested : bool;  (* a run of another world is inside one of our events *)
   mutable horizon : Time.t;  (* the executing [run]'s [until] *)
-  mutable in_proc : bool;  (* the code running is one of our processes' *)
+  mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
 }
 
+(* The only two ways a process blocks. *)
 type _ Effect.t +=
   | Delay_eff : Time.t -> unit Effect.t
-  | Fork_eff : (unit -> unit) -> unit Effect.t
-  | Await_eff : (('a -> unit) -> unit) -> 'a Effect.t
   | Suspend_eff : (waker -> unit) -> unit Effect.t
-  | Daemon_eff : bool -> unit Effect.t
 
-type suspension = unit Effect.t  (* a [Suspend_eff], built once per waiting point *)
+type suspension = unit Effect.t  (* a [Suspend_eff] carrying its registrar *)
+
+let no_suspension : suspension = Suspend_eff ignore
 
 (* Where a process waits in {!suspend} or a blocking {!delay}, made
    with the process by [exec].  Only the process's handler, its waker
@@ -78,7 +79,7 @@ type parking = {
    at start-up and never resumed. *)
 let no_k : (unit, unit) continuation =
   let k : (unit, unit) continuation option ref = ref None in
-  match_with perform (Suspend_eff ignore)
+  match_with perform no_suspension
     {
       retc = ignore;
       exnc = raise;
@@ -117,7 +118,7 @@ let create () =
       events = 0;
       nested = false;
       horizon = Time.max_tick;
-      in_proc = false;
+      running_pid = no_pid;
     }
   in
   (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
@@ -127,7 +128,7 @@ let time t = t.now
 let events_processed t = t.events
 
 (* The wheel keeps push order within a tick.  About half of all events
-   are for the current tick, mostly [await] resume hops. *)
+   are for the current tick, mostly resume hops. *)
 let push t ~at thunk = Wheel.push t.queue ~time:at thunk
 
 let schedule t ~at thunk =
@@ -136,23 +137,13 @@ let schedule t ~at thunk =
 
 let new_proc t ?name ?(daemon = false) () =
   t.next_pid <- t.next_pid + 1;
-  let proc =
-    {
-      pid = t.next_pid;
-      pname = name;
-      blocked_since = not_blocked;
-      daemon;
-      await_seq = 0;
-      resumed_seq = 0;
-    }
-  in
+  let proc = { pid = t.next_pid; pname = name; blocked_since = not_blocked; daemon } in
   Hashtbl.replace t.procs proc.pid proc;
   proc
 
 let retire t proc = Hashtbl.remove t.procs proc.pid
 
-(* Resume a parked process: the same same-tick hop as an [await]
-   resume, with nothing allocated. *)
+(* Resume a parked process: a same-tick hop, with nothing allocated. *)
 let wake_parking p =
   if not p.parked then invalid_arg "Sim.wake: no suspension to wake";
   p.parked <- false;
@@ -160,38 +151,21 @@ let wake_parking p =
   push p.world ~at:p.world.now p.hop
 [@@sl.zero_alloc]
 
-(* The handler of a suspension that reaches a process of a world other
-   than the one running: a [schedule] callback of a run nested inside
-   that process. *)
-let foreign_suspend =
-  Some
-    (fun (k : (unit, unit) continuation) ->
-      discontinue k (Invalid_argument "Sim.suspend: the process belongs to another world"))
+(* The handler's answer to a block it must not take: the process gets
+   [Invalid_argument msg] where it blocked. *)
+let refuse msg =
+  Some (fun (k : (unit, unit) continuation) -> discontinue k (Invalid_argument msg))
 
-(* An [await]'s resume: checks the process's monotone await counter and
-   queues the hop at the resumer's current time.  The closures capture
-   the parking record, which reaches both the process and its world. *)
-let resume_await p seq k v =
-  let proc = p.proc and t = p.world in
-  (* The double-resume guard rides the proc's monotone await counter
-     instead of a fresh [bool ref] per await: a stale resumer's
-     captured [seq] is already covered by [resumed_seq], whatever the
-     process awaits next. *)
-  if proc.resumed_seq >= seq then invalid_arg "Sim.await: resume called twice";
-  proc.resumed_seq <- seq;
-  proc.blocked_since <- not_blocked;
-  push t ~at:t.now (fun () ->
-      t.in_proc <- true;
-      continue k v)
-
-(* Run [f] as a coroutine: effects performed by [f] (and whatever it calls)
-   suspend it and re-enqueue a continuation event.  [proc] is the
-   bookkeeping record used by {!stuck}: a process is blocked between an
-   [Await_eff] or [Suspend_eff] suspension and the matching resume.
-   [t.in_proc] holds while the process's code runs: from its start or
-   any resume until it blocks or returns.  An exception that escapes a
-   process escapes the run, which restores the flag. *)
-let rec exec t proc f =
+(* Run [f] as a coroutine: a suspend or a delay performed by [f] (and
+   whatever it calls) parks its continuation in the parking record
+   until the waker or the delay's event pushes the hop.  [proc] is the
+   bookkeeping record used by {!stuck}: a process is blocked between a
+   suspension and its wake.  [t.running_pid] names the process while
+   its code runs: from its start or any resume until it blocks or
+   returns.  An exception that escapes a process escapes the run, which
+   restores the field.  While [t.nested], a block comes from a callback
+   of a run nested inside the process, and is refused. *)
+let exec t proc f =
   let rec p =
     {
       world = t;
@@ -200,7 +174,7 @@ let rec exec t proc f =
       parked = false;
       hop =
         (fun () ->
-          p.world.in_proc <- true;
+          p.world.running_pid <- p.proc.pid;
           continue p.k ());
       waker = (fun () -> wake_parking p);
     }
@@ -210,56 +184,35 @@ let rec exec t proc f =
      delay's hop, before the handler gets [k]; either hop runs only
      after [k] is stored. *)
   let on_suspend = Some (fun (k : (unit, unit) continuation) -> p.k <- k) in
-  t.in_proc <- true;
+  t.running_pid <- proc.pid;
   match_with f ()
     {
       retc =
         (fun () ->
-          t.in_proc <- false;
+          t.running_pid <- no_pid;
           retire t proc);
       exnc = (fun e -> retire t proc; raise e);
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Suspend_eff register ->
-            if t.nested then foreign_suspend
+            if t.nested then refuse "Sim.suspend: the process belongs to another world"
             else begin
-              t.in_proc <- false;
+              t.running_pid <- no_pid;
               p.parked <- true;
               proc.blocked_since <- t.now;
               register p.waker;
               on_suspend
             end
           | Delay_eff d ->
-            if d < 0 then
-              Some (fun k -> discontinue k (Invalid_argument "Sim.delay: negative delay"))
-            else if d > Time.max_tick - t.now then
-              Some (fun k -> discontinue k (Invalid_argument "Sim.delay: past Time.max_tick"))
+            if t.nested then refuse "Sim.delay: the process belongs to another world"
+            else if d < 0 then refuse "Sim.delay: negative delay"
+            else if d > Time.max_tick - t.now then refuse "Sim.delay: past Time.max_tick"
             else begin
-              t.in_proc <- false;
+              t.running_pid <- no_pid;
               push t ~at:(t.now + d) p.hop;
               on_suspend
             end
-          | Fork_eff g ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let child = new_proc t () in
-                push t ~at:t.now (fun () -> exec t child g);
-                continue k ())
-          | Daemon_eff d ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                proc.daemon <- d;
-                continue k ())
-          | Await_eff register ->
-            Some
-              (fun (k : (a, _) continuation) ->
-                let proc = p.proc in
-                proc.await_seq <- proc.await_seq + 1;
-                let seq = proc.await_seq in
-                proc.blocked_since <- p.world.now;
-                p.world.in_proc <- false;
-                register (fun v -> resume_await p seq k v))
           | _ -> None);
     }
 
@@ -304,8 +257,9 @@ let stuck_summary t =
    [advance] reaches it before anything later.  While the loop runs,
    [running] names this world, a caller's world is marked [nested], and
    [t.horizon] holds the horizon for {!skip_to}; all three come back
-   when the loop returns or raises, and so does [t.in_proc], which the
-   loop clears so that its callbacks are never taken for processes. *)
+   when the loop returns or raises, and so does [t.running_pid], which
+   the loop clears so that its callbacks are never taken for
+   processes. *)
 let run ?until t =
   let horizon = match until with None -> Time.max_tick | Some h -> h in
   let q = t.queue in
@@ -329,16 +283,16 @@ let run ?until t =
   in
   let outer = Domain.DLS.get running in
   let mark nested = match outer with Some o when o != t -> o.nested <- nested | _ -> () in
-  let outer_horizon = t.horizon and outer_in_proc = t.in_proc in
+  let outer_horizon = t.horizon and outer_pid = t.running_pid in
   Domain.DLS.set running (Some t);
   mark true;
   t.horizon <- horizon;
-  t.in_proc <- false;
+  t.running_pid <- no_pid;
   Fun.protect
     ~finally:(fun () ->
       mark false;
       t.horizon <- outer_horizon;
-      t.in_proc <- outer_in_proc;
+      t.running_pid <- outer_pid;
       Domain.DLS.set running outer)
     loop
 
@@ -353,12 +307,12 @@ let now () =
    may reach [at] in the executing run, nothing can run before that
    path or beside it at [at], so moving the clock there and continuing
    inline is indistinguishable from it, except in [events].  The caller
-   must be one of the world's own processes ([in_proc]): not a
+   must be one of the world's own processes ([running_pid]): not a
    callback, and not code inside a run nested in one of its processes
    ([nested]).  [due] never misses a pending tick, and a spurious "due"
    only costs the skip. *)
 let skip_to t at =
-  t.in_proc && (not t.nested) && at >= t.now && at <= t.horizon
+  t.running_pid <> no_pid && (not t.nested) && at >= t.now && at <= t.horizon
   && (not (Wheel.due t.queue ~limit:at))
   &&
   (t.now <- at;
@@ -369,11 +323,36 @@ let delay d =
   match Domain.DLS.get running with
   | Some t when d <= Time.max_tick - t.now && skip_to t (t.now + d) -> ()
   | _ -> perform (Delay_eff d)
-let fork f = perform (Fork_eff f)
-let await register = perform (Await_eff register)
 
 let suspension register : suspension = Suspend_eff register
 let suspend (s : suspension) = perform s
 
 let wake (w : waker) = w () [@@sl.zero_alloc]
-let set_daemon d = perform (Daemon_eff d)
+
+(* An await is one suspension whose registrar hands [register] a
+   resume over a fresh one-shot cell.  The cell is the double-resume
+   guard: only the first resume finds it empty, so neither a second
+   resume nor a stale one from an earlier await reaches the waker. *)
+let await register =
+  let cell = ref None in
+  suspend
+    (Suspend_eff
+       (fun waker ->
+         register (fun v ->
+             if Option.is_some !cell then invalid_arg "Sim.await: resume called twice";
+             cell := Some v;
+             wake waker)));
+  Option.get !cell
+
+(* The world whose process is running on this domain, for the calls
+   that act on that process without blocking it. *)
+let running_world op =
+  match Domain.DLS.get running with
+  | Some t when t.running_pid <> no_pid -> t
+  | _ -> invalid_arg (op ^ ": not called from a process")
+
+let fork f = spawn (running_world "Sim.fork") f
+
+let set_daemon d =
+  let t = running_world "Sim.set_daemon" in
+  (Hashtbl.find t.procs t.running_pid).daemon <- d

@@ -5,8 +5,10 @@
     functions executed as effect-based coroutines: inside a process
     you call {!delay}, {!await}, {!fork} and {!now} directly, writing
     blocking-style code (the very model the paper advocates for systems
-    software).  The event loop is single-threaded and deterministic: events
-    with equal timestamps fire in scheduling order.
+    software).  A process blocks in one of two ways, {!delay} and
+    {!suspend} (on which {!await} is built).  The event loop is
+    single-threaded and deterministic: events with equal timestamps fire
+    in scheduling order.
 
     {2 Typical use}
 
@@ -82,18 +84,17 @@ val run : ?until:Time.t -> t -> unit
     way a bounded run ends — events left beyond the horizon or queue
     drained dry — the clock parks at the horizon, so {!time} reads the
     same in both cases (the clock never moves backwards when [until] is
-    already in the past).  Processes still blocked in {!await} or
-    {!suspend} when the
-    loop stops are abandoned — inspect {!stuck} afterwards to find out
-    whether that happened, instead of discovering a wedged model by its
-    silently-missing results.
+    already in the past).  Processes still blocked in {!suspend} or
+    {!await} when the loop stops are abandoned — inspect {!stuck}
+    afterwards to find out whether that happened, instead of discovering
+    a wedged model by its silently-missing results.
 
     Order: events fire by time, and within a tick in the order they were
     scheduled.  The one queue, a {!Wheel}, keeps that order without
     sequence numbers and hands the loop one whole tick at a time; an
     event scheduled for the current tick — [schedule ~at:now], {!spawn},
-    {!fork} and every {!await} resume or {!wake} — joins the back of that tick, and
-    the clock moves only once the tick is drained.  A horizon behind the
+    {!fork} and every {!wake}, an {!await} resume's too — joins the back
+    of that tick, and the clock moves only once the tick is drained.  A horizon behind the
     clock fires nothing, not even events due at the current tick. *)
 
 (** {2 Abandoned-process reporting} *)
@@ -108,8 +109,8 @@ type blocked = {
 val stuck : t -> blocked list
 (** Processes currently suspended in {!await} or {!suspend} with no
     resume in flight — after {!run} returns with an empty queue these are
-    blocked forever
-    (a deadlocked model, a lost wakeup, or a server parked by design).
+    blocked forever (a deadlocked model, a lost wakeup, or a server
+    parked by design).
     Sorted by pid.  Processes merely scheduled past a [?until] horizon are
     not stuck: they still hold a queued event. *)
 
@@ -137,10 +138,13 @@ val clear_creation_hook : unit -> unit
 
 (** {2 Operations available inside a process}
 
-    {!delay}, {!fork}, {!await}, {!suspend} and {!set_daemon} suspend or
-    mark the calling process; called outside any process they raise
-    [Effect.Unhandled].  {!now} raises [Invalid_argument] when no
-    world's {!run} is executing on the calling domain. *)
+    {!delay}, {!suspend} and {!await} block the calling process and
+    raise [Effect.Unhandled] outside any process; {!fork} and
+    {!set_daemon} are plain calls on it and raise [Invalid_argument]
+    there.  All five raise [Invalid_argument] in a {!schedule} callback
+    of a run nested inside a process of another world, rather than act
+    on that process.  {!now} raises [Invalid_argument] when no world's
+    {!run} is executing on the calling domain. *)
 
 val now : unit -> Time.t
 (** Current simulated time of the world whose {!run} is executing on
@@ -184,17 +188,18 @@ val await : (('a -> unit) -> unit) -> 'a
     built.  [resume] may be called immediately or at any later simulated
     time, but at most once: a second call, or a call while the process
     waits in a later [await], raises [Invalid_argument].  Each [await]
-    allocates its resume, its hop event and the effect's closures (24
-    words on OCaml 5.1, the runtime's continuation included); hot paths
-    with a fixed waiter use {!suspend}. *)
+    is one {!suspension} whose resume fills a fresh value cell and
+    {!wake}s the process: 19 words on OCaml 5.1, the continuation
+    included; hot paths with a fixed waiter build theirs once. *)
 
 (** {2 Suspend and wake}
 
-    The allocation-free way to block.  A caller builds a {!suspension}
-    once per waiting point (a thread's wake cell, a core's job slot),
-    each process's resume is made once with the process, so a
-    suspension allocates only the runtime's continuation (2 words on
-    OCaml 5.1), and a wake pushes a preallocated event.  The parked continuation is
+    The one way to park a process until something wakes it.  A caller
+    builds a {!suspension} once per waiting point (a thread's wake
+    cell, a core's job completion), each process's resume is made once
+    with the process, so a suspension allocates only the runtime's
+    continuation (2 words on OCaml 5.1), and a wake pushes a
+    preallocated event.  The parked continuation is
     reachable only through the process's waker: a world whose process
     is parked for good does not keep that process's stack alive once
     the waker is dropped. *)
@@ -216,6 +221,10 @@ val suspension : (waker -> unit) -> suspension
     the waking side finds it.  [register] runs as the process parks;
     a wake from inside it takes effect once the process has parked. *)
 
+val no_suspension : suspension
+(** A placeholder for a suspension field set once its registrar's record
+    exists.  A process suspended on it stays parked for good. *)
+
 val suspend : suspension -> unit
 (** Suspend the calling process at the waiting point.  The process
     counts as blocked for {!stuck} and {!suspects} until the wake.
@@ -226,9 +235,8 @@ val suspend : suspension -> unit
 
 val wake : waker -> unit
 (** Re-enqueue the suspended process at the current time of its world,
-    behind every event already scheduled for that tick: the same
-    same-tick hop as an {!await} resume.  Allocates nothing.  A second
-    wake of one suspension raises [Invalid_argument].  Since the waker
+    behind every event already scheduled for that tick.  Allocates
+    nothing.  A second wake of one suspension raises [Invalid_argument].  Since the waker
     outlives the suspension, a caller that keeps it must clear its cell
     when it wakes it (see {!no_waker}). *)
 
@@ -236,4 +244,4 @@ val set_daemon : bool -> unit
 (** Mark (or unmark) the calling process as a daemon for {!suspects}
     purposes.  Use when a process only becomes park-by-design partway
     through its life (e.g. a hardware thread entering the disabled
-    state). *)
+    state).  Allocates nothing. *)

@@ -284,7 +284,22 @@ let test_lifecycle_sanitizer_synthetic () =
   Sanitizer.on_event san
     (Probe.State_change
        { ptid = 1; from_ = Ptid.Runnable; to_ = Ptid.Waiting; reason = "mwait-park" });
+  (* A parked thread leaves Waiting for Runnable by its wake or its
+     deadline, never by a start. *)
+  List.iter
+    (fun reason ->
+      Sanitizer.on_event san
+        (Probe.State_change { ptid = 1; from_ = Ptid.Waiting; to_ = Ptid.Runnable; reason });
+      Sanitizer.on_event san
+        (Probe.State_change
+           { ptid = 1; from_ = Ptid.Runnable; to_ = Ptid.Waiting; reason = "mwait-park" }))
+    [ "mwait-wake"; "mwait-deadline" ];
   check_int "legal transitions silent" 0 (List.length !got);
+  Sanitizer.on_event san
+    (Probe.State_change
+       { ptid = 1; from_ = Ptid.Waiting; to_ = Ptid.Runnable; reason = "start-wake" });
+  check_bool "a start waking a parked thread reported" true (List.mem "lifecycle" !got);
+  got := [];
   (* Illegal: Disabled -> Waiting (and diverges from the mirror). *)
   Sanitizer.on_event san
     (Probe.State_change

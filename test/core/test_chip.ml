@@ -224,6 +224,48 @@ let test_delayed_start_overtaken_by_retry () =
   check_int "no runnable -> runnable transition" 0 !runnable_twice;
   check_int "body ran exactly once" 1 !runs
 
+(* Two start hand-offs of a force-stopped thread in flight at once: the
+   first makes it runnable and its body re-parks in [mwait] before the
+   second lands.  The second must leave the parked thread [Waiting], as
+   a start aimed at a [Waiting] thread does, so that the next stop
+   claims the park and the doorbell after it wakes nobody. *)
+let test_second_start_hand_off_keeps_park () =
+  let sim, chip = setup () in
+  let mem = Chip.memory chip in
+  let doorbell = Memory.alloc mem 1 in
+  let start_wakes_of_parked = ref 0 in
+  Chip.set_probe chip (function
+    | Switchless.Probe.State_change
+        { ptid = 1; from_ = Ptid.Waiting; to_ = Ptid.Runnable; reason = "start-wake" } ->
+      incr start_wakes_of_parked
+    | _ -> ());
+  let woke = ref 0 in
+  let waiter = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Chip.attach waiter (fun th ->
+      Isa.monitor th doorbell;
+      while true do
+        ignore (Isa.mwait th : Memory.addr);
+        incr woke
+      done);
+  Chip.boot waiter;
+  let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.exec th 100;
+      Isa.stop th ~vtid:1;
+      (* Two starts 4 cycles apart, each landing 20 cycles after its
+         issue: the waiter re-parks between the two hand-offs. *)
+      Isa.start th ~vtid:1;
+      Isa.start th ~vtid:1;
+      Isa.exec th 100;
+      Isa.stop th ~vtid:1;
+      Isa.exec th 100;
+      Isa.store th doorbell 1L);
+  Chip.boot boss;
+  Sim.run sim;
+  check_int "the second hand-off left the parked thread alone" 0 !start_wakes_of_parked;
+  check_int "the stopped thread slept through the doorbell" 0 !woke;
+  check_bool "still disabled" true (Chip.state waiter = Ptid.Disabled)
+
 (* Two wake deliveries in flight for one thread: a force-stop and
    restart inside the first delivery's latency window let the re-parked
    thread take a second wake.  Each delivery must keep its own (park
@@ -295,6 +337,53 @@ let test_deadline_restart_lost_to_stop () =
   check_int "resumed by the start" 6029 !resumed_at;
   check_int "no timeout probe" 0 !timeouts;
   check_bool "body ended disabled" true (Chip.state waiter = Ptid.Disabled)
+
+(* The restart of an expired [mwait_for] overtaken by a stop and a
+   start.  With room for one context in the register file, a wake of
+   [other] has demoted the waiter's state to L2, so the restart waits out
+   a 30-cycle transfer, while the start finds the state back in the
+   register file and lands first.  The body returns [None] and parks in
+   a new [mwait] before the old restart fires, which must leave that
+   park alone. *)
+let test_stale_deadline_restart_keeps_park () =
+  let one_context = Regstate.footprint_bytes p (Regstate.create ()) in
+  let sim = Sim.create () in
+  let chip = Chip.create sim { p with Params.rf_capacity_bytes = one_context } ~cores:2 in
+  let mem = Chip.memory chip in
+  let idle = Memory.alloc mem 1 and doorbell = Memory.alloc mem 1 in
+  let timeouts = ref 0 in
+  Chip.set_probe chip (function
+    | Switchless.Probe.Mwait_timeout _ -> incr timeouts
+    | _ -> ());
+  let result = ref (Some 0) and resumed_at = ref 0 and parked_again = ref false in
+  let waiter = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Chip.attach waiter (fun th ->
+      Isa.monitor th idle;
+      result := Isa.mwait_for th ~deadline:1000;
+      resumed_at := Sim.now ();
+      parked_again := true;
+      ignore (Isa.mwait th : Memory.addr);
+      parked_again := false);
+  Chip.boot waiter;
+  let other = Chip.add_thread chip ~core:0 ~ptid:3 ~mode:Ptid.Supervisor () in
+  Chip.attach other (fun th ->
+      Isa.monitor th doorbell;
+      ignore (Isa.mwait th : Memory.addr));
+  Chip.boot other;
+  let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.exec th 500;
+      Isa.store th doorbell 1L;
+      Isa.exec th 497;
+      Isa.stop th ~vtid:1;
+      Isa.start th ~vtid:1);
+  Chip.boot boss;
+  Sim.run sim;
+  check_bool "empty-handed" true (!result = None);
+  check_int "resumed by the start" 1026 !resumed_at;
+  check_int "no timeout probe" 0 !timeouts;
+  check_bool "parked in the new mwait" true !parked_again;
+  check_bool "still waiting" true (Chip.state waiter = Ptid.Waiting)
 
 (* An explicit start between a crash-stop and its cold restart respawns
    the body; the scheduled restart then stands down, so the body runs
@@ -598,9 +687,9 @@ let test_determinism_of_chip_runs () =
    that rule cannot follow through [Sim]: 32 minor words per round trip
    on OCaml 5.1 with an [exec] alone on its core continuing inline and
    [Smt_core]'s serve path storing unboxed floats, 96 with every [exec]
-   an event and a suspension, 246 with the wake cell and [Smt_core] on
-   [Sim.await].  Measured as the difference between two run lengths, so
-   that world set-up cancels out. *)
+   an event and a suspension, 74 with the wake cell and [Smt_core] on
+   [Sim.await] (19 words an await).  Measured as the difference between
+   two run lengths, so that world set-up cancels out. *)
 let monitor_ping_pong rounds =
   let sim, chip = setup () in
   let mem = Chip.memory chip in
@@ -638,6 +727,42 @@ let test_ping_pong_allocation () =
     (Printf.sprintf "%.1f minor words per round trip < 40" per_round_trip)
     true (per_round_trip < 40.0)
 
+(* A server that stops itself after each request, started once per
+   request from another core: per round trip one start hand-off, one
+   self-stop and one park until the next start, each of the server's
+   parks at its thread's one suspension point.  41 minor words on OCaml
+   5.1; 93 while the park waited on a [Signal] through [Sim.await] and
+   [Sim.set_daemon] was an effect.  Measured like the ping-pong above. *)
+let self_stopping_server requests =
+  let sim, chip = setup () in
+  let server = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach server (fun th ->
+      while true do
+        Isa.exec th 100;
+        Isa.stop th ~vtid:2
+      done);
+  let client = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach client (fun th ->
+      for _ = 1 to requests do
+        Isa.start th ~vtid:2;
+        Isa.exec th 1000
+      done);
+  Chip.boot client;
+  Sim.run sim;
+  check_int "every request started the server" requests (Chip.start_count server)
+
+let test_stop_start_allocation () =
+  self_stopping_server 100;
+  let words requests =
+    let before = Gc.minor_words () in
+    self_stopping_server requests;
+    Gc.minor_words () -. before
+  in
+  let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
+  check_bool
+    (Printf.sprintf "%.1f minor words per stop -> start round trip < 48" per_round_trip)
+    true (per_round_trip < 48.0)
+
 let () =
   Alcotest.run "chip"
     [
@@ -659,10 +784,14 @@ let () =
             test_start_latches_against_inflight_stop;
           Alcotest.test_case "delayed start overtaken by retry" `Quick
             test_delayed_start_overtaken_by_retry;
+          Alcotest.test_case "second start hand-off keeps the park" `Quick
+            test_second_start_hand_off_keeps_park;
           Alcotest.test_case "overlapping wake deliveries" `Quick
             test_overlapping_deliveries;
           Alcotest.test_case "deadline restart lost to a stop" `Quick
             test_deadline_restart_lost_to_stop;
+          Alcotest.test_case "stale deadline restart keeps the park" `Quick
+            test_stale_deadline_restart_keeps_park;
           Alcotest.test_case "start of a crash-stopped thread" `Quick
             test_start_of_crashed_thread;
         ] );
@@ -694,5 +823,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_determinism_of_chip_runs;
           Alcotest.test_case "ping-pong round-trip allocation" `Quick
             test_ping_pong_allocation;
+          Alcotest.test_case "stop -> start round-trip allocation" `Quick
+            test_stop_start_allocation;
         ] );
     ]

@@ -13,16 +13,38 @@ module State_store = Switchless.State_store
 
 (* Property 1: a counter protocol survives arbitrary stop/start
    interference.  A driver increments a shared counter and rings a
-   doorbell; a meddler randomly stops/starts the worker.  The worker
+   doorbell; a meddler randomly stops/starts the worker, and about half
+   of the start hand-offs are delayed by up to 300 cycles (drawn from a
+   second stream), so that hand-offs overtake one another.  The worker
    (mwait + catch-up loop) must end having observed every increment:
    the monitor latch + the start latch together guarantee no event is
-   lost. *)
+   lost.  And a parked worker must leave [Waiting] for [Runnable] only
+   by its wake or its deadline, the sanitizer's lifecycle rule: a start
+   that marked it runnable would let the next stop miss the park. *)
 let prop_no_lost_events_under_interference =
   QCheck.Test.make ~name:"no lost events under random stop/start" ~count:60
     QCheck.(pair (int_bound 1000) (list_of_size Gen.(1 -- 25) (int_range 1 400)))
     (fun (seed, gaps) ->
       let sim = Sim.create () in
       let chip = Chip.create sim Params.default ~cores:2 in
+      let rng = Sl_util.Rng.create (Int64.of_int (seed + 1)) in
+      let delays = Sl_util.Rng.split rng in
+      Chip.set_fault_hooks chip
+        {
+          Chip.spurious_wake_after = (fun ~ptid:_ -> None);
+          start_extra_cycles =
+            (fun ~ptid:_ ->
+              if Sl_util.Rng.bool delays then 1 + Sl_util.Rng.int delays 300 else 0);
+          crash_park_after = (fun ~ptid:_ -> None);
+          crash_at_wake = (fun ~ptid:_ -> None);
+        };
+      let woken_otherwise = ref 0 in
+      Chip.set_probe chip (function
+        | Switchless.Probe.State_change
+            { from_ = Ptid.Waiting; to_ = Ptid.Runnable; reason; _ }
+          when reason <> "mwait-wake" && reason <> "mwait-deadline" ->
+          incr woken_otherwise
+        | _ -> ());
       let memory = Chip.memory chip in
       let counter = Memory.alloc memory 1 in
       let doorbell = Memory.alloc memory 1 in
@@ -53,7 +75,6 @@ let prop_no_lost_events_under_interference =
               Memory.write memory doorbell 1L)
             gaps);
       (* Meddler: random stop/start storms from another core. *)
-      let rng = Sl_util.Rng.create (Int64.of_int (seed + 1)) in
       let boss = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
       Chip.attach boss (fun th ->
           for _ = 1 to 30 do
@@ -65,7 +86,7 @@ let prop_no_lost_events_under_interference =
           Isa.start th ~vtid:1);
       Chip.boot boss;
       Sim.run ~until:2_000_000 sim;
-      Int64.to_int !seen = total)
+      Int64.to_int !seen = total && !woken_otherwise = 0)
 
 (* Property 2: work conservation under random freeze windows — a job of W
    cycles interrupted by arbitrary stop/start pairs still completes, and

@@ -403,7 +403,7 @@ let unit_weight_churn () =
    left per [execute] (14.9 words on OCaml 5.1) is the suspension's
    continuation and the completion event's closure; the bound fails if
    [busy] or [min_rem] is boxed again on every store (17.7 words), or
-   if [execute] goes back to [Sim.await] (42.5 words).  Measured on the
+   if [execute] goes back to [Sim.await] (36.8 words).  Measured on the
    second run, so one-off growth of the core's arrays does not count. *)
 let test_uniform_serve_allocation () =
   unit_weight_churn ();

@@ -714,20 +714,36 @@ let test_wake_is_a_same_tick_hop () =
     "order" [ "woke 1@10"; "callback"; "woke 2@20"; "callback" ] (List.rev !log)
 
 (* A [schedule] callback of a run nested inside a process of another
-   world suspends: the handler that catches it is the outer process's,
-   which must refuse rather than park the outer process. *)
-let test_suspend_from_another_world_raises () =
-  let outer = Sim.create () and inner = Sim.create () in
-  let outcome = ref "not run" in
-  Sim.schedule inner ~at:5 (fun () -> Sim.suspend forever);
-  Sim.spawn outer (fun () ->
-      match Sim.run inner with
-      | () -> outcome := "returned"
-      | exception Invalid_argument msg -> outcome := msg);
-  Sim.run outer;
-  Alcotest.(check string)
-    "refused" "Sim.suspend: the process belongs to another world" !outcome;
-  check_int "outer process finished" 0 (List.length (Sim.stuck outer))
+   world: a block reaches the outer process's handler, and [fork] or
+   [set_daemon] the world whose callback it is.  Each must refuse with
+   [Invalid_argument] in the callback rather than park, fork into or
+   mark the outer process, so that the inner run returns and the outer
+   process finishes. *)
+let test_calls_from_another_world_raise () =
+  let foreign = "the process belongs to another world" in
+  List.iter
+    (fun (name, call, expected) ->
+      let outer = Sim.create () and inner = Sim.create () in
+      let refusal = ref "none" and returned = ref false in
+      Sim.schedule inner ~at:5 (fun () ->
+          match call () with () -> () | exception Invalid_argument msg -> refusal := msg);
+      Sim.spawn outer (fun () ->
+          Sim.run inner;
+          returned := true);
+      Sim.run outer;
+      Alcotest.(check string) (name ^ ": refused in the callback") expected !refusal;
+      check_bool (name ^ ": the inner run returned") true !returned;
+      check_int (name ^ ": nothing stuck") 0 (List.length (Sim.stuck outer));
+      check_int (name ^ ": no process forked") 1 (Sim.events_processed outer))
+    [
+      ("suspend", (fun () -> Sim.suspend forever), "Sim.suspend: " ^ foreign);
+      ("await", (fun () -> Sim.await (fun _ -> ())), "Sim.suspend: " ^ foreign);
+      ("delay", (fun () -> Sim.delay 3), "Sim.delay: " ^ foreign);
+      ("fork", (fun () -> Sim.fork ignore), "Sim.fork: not called from a process");
+      ( "set_daemon",
+        (fun () -> Sim.set_daemon true),
+        "Sim.set_daemon: not called from a process" );
+    ]
 
 let test_stuck_lists_suspended () =
   let sim = Sim.create () in
@@ -776,6 +792,61 @@ let parked_stack_collected park =
 let test_parked_stack_not_retained () =
   check_bool "suspend" true (parked_stack_collected (fun () -> Sim.suspend forever));
   check_bool "await" true (parked_stack_collected (fun () -> Sim.await (fun _ -> ())))
+
+(* [fork] and [set_daemon] are plain calls on the running process:
+   with none running, in a callback too, they raise. *)
+let test_process_calls_outside_a_process_raise () =
+  let refused call =
+    match call () with () -> false | exception Invalid_argument _ -> true
+  in
+  let fork () = Sim.fork ignore and set_daemon () = Sim.set_daemon true in
+  check_bool "fork, no world running" true (refused fork);
+  check_bool "set_daemon, no world running" true (refused set_daemon);
+  let sim = Sim.create () in
+  let in_callback = ref [] in
+  Sim.schedule sim ~at:3 (fun () -> in_callback := [ refused fork; refused set_daemon ]);
+  Sim.run sim;
+  Alcotest.(check (list bool)) "in a callback" [ true; true ] !in_callback;
+  check_int "nothing forked" 1 (Sim.events_processed sim)
+
+(* --- allocation --- *)
+
+(* Words allocated per call of [op] inside one process, as the
+   difference between two run lengths, so that world set-up cancels
+   out.  OCaml 5.1. *)
+let words_per op =
+  let run n =
+    let sim = Sim.create () in
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          op ()
+        done);
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. before
+  in
+  ignore (run 1_000 : float);
+  (run 20_000 -. run 10_000) /. 10_000.0
+
+(* One suspension, its registrar and resume closures, the value cell and
+   the runtime's continuation: 19 words.  24 as its own effect, with a
+   hop closure per resume. *)
+let test_await_allocation () =
+  let w = words_per (fun () -> Sim.await (fun resume -> resume ())) in
+  check_bool (Printf.sprintf "%.1f minor words per await round trip < 21" w) true (w < 21.0)
+
+(* The child's bookkeeping, its start event and its handler: 69 words.
+   86 with [fork] an effect. *)
+let test_fork_allocation () =
+  let w = words_per (fun () -> Sim.fork ignore) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per fork with its child < 75" w)
+    true (w < 75.0)
+
+(* A plain call: 12 words as an effect. *)
+let test_set_daemon_allocation () =
+  let w = words_per (fun () -> Sim.set_daemon true) in
+  check_bool (Printf.sprintf "%.1f minor words per set_daemon = 0" w) true (w = 0.0)
 
 (* --- Sim.now --- *)
 
@@ -1376,6 +1447,8 @@ let () =
           Alcotest.test_case "delay past max_tick rejected" `Quick
             test_delay_past_max_tick_rejected;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+          Alcotest.test_case "fork and set_daemon outside a process" `Quick
+            test_process_calls_outside_a_process_raise;
         ] );
       ( "inline",
         [
@@ -1434,14 +1507,21 @@ let () =
         [
           Alcotest.test_case "second wake raises" `Quick test_wake_twice_rejected;
           Alcotest.test_case "wake is a same-tick hop" `Quick test_wake_is_a_same_tick_hop;
-          Alcotest.test_case "suspend from another world raises" `Quick
-            test_suspend_from_another_world_raises;
+          Alcotest.test_case "calls from another world raise" `Quick
+            test_calls_from_another_world_raise;
           Alcotest.test_case "stuck lists a suspended process" `Quick
             test_stuck_lists_suspended;
           Alcotest.test_case "suspects skip a suspended daemon" `Quick
             test_suspects_skip_suspended_daemon;
           Alcotest.test_case "parked stack not retained" `Quick
             test_parked_stack_not_retained;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "await round trip" `Quick test_await_allocation;
+          Alcotest.test_case "fork with its child" `Quick test_fork_allocation;
+          Alcotest.test_case "set_daemon allocates nothing" `Quick
+            test_set_daemon_allocation;
         ] );
       ( "now",
         [
