@@ -339,6 +339,10 @@ let bench_e2 =
   Test.make ~name:"E2:io sweep point (mwait, 500 pkts)"
     (Staged.stage (fun () -> ignore (Io_path.run Io_path.Mwait (tiny_io 500 0.4))))
 
+let bench_e2_polling =
+  Test.make ~name:"E2:io sweep point (polling, 500 pkts)"
+    (Staged.stage (fun () -> ignore (Io_path.run Io_path.Polling (tiny_io 500 0.4))))
+
 let bench_e2_interrupt =
   Test.make ~name:"E2:io sweep point (interrupt, 500 pkts)"
     (Staged.stage (fun () -> ignore (Io_path.run Io_path.Irq (tiny_io 500 0.4))))
@@ -384,6 +388,7 @@ let all_tests =
       smt_core_lone_job ~heartbeat:true;
       bench_e1;
       bench_e2;
+      bench_e2_polling;
       bench_e2_interrupt;
       bench_e7;
       bench_e13;

@@ -293,6 +293,23 @@ let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
   Smt_core.execute_slot (own_core th).exec_unit ~slot:th.smt ~kind cycles
 
+(* [exec th ~kind gap] until [ready ()], checking before each gap.
+   [ready] reads simulated state that only an event can change, so
+   while no event runs it keeps its answer: the gaps that would each
+   continue inline ([Smt_core.serve_lone_gaps]) need no check between
+   them, and the gap after them, which cannot continue inline, is an
+   ordinary [exec].  [kind] is passed on unwrapped, so that no option
+   is allocated per gap. *)
+let spin th ~kind ~gap ready =
+  if gap < 1 then invalid_arg "Chip.spin: gap must be at least 1";
+  let core = (own_core th).exec_unit in
+  while not (ready ()) do
+    Smt_core.serve_lone_gaps core ~slot:th.smt ~kind gap;
+    wait_until_runnable th;
+    Smt_core.execute_slot core ~slot:th.smt ~kind gap
+  done
+[@@sl.zero_alloc]
+
 (* --- wakeup machinery -------------------------------------------------- *)
 
 (* Fill the thread's wake cell and wake the parked body (if it already

@@ -164,6 +164,17 @@ val pin_state : thread -> unit
 val exec : thread -> ?kind:Smt_core.kind -> int -> unit
 (** Consume pipeline cycles on the thread's home core ({!Smt_core.execute}). *)
 
+val spin : thread -> kind:Smt_core.kind -> gap:int -> (unit -> bool) -> unit
+(** [spin th ~kind ~gap ready] is [while not (ready ()) do exec th ~kind
+    gap done]: a polling loop paying [gap] cycles per empty check.  It
+    ends at the same tick, with the same events and the same core state,
+    bit for bit.  When the core holds no other job, the gaps that end
+    before anything else is due are served in one call
+    ({!Smt_core.serve_lone_gaps}) with no check between them, so
+    [ready] must read only simulated state that nothing but an event
+    changes (a device register, a shared word), never the clock.
+    Raises [Invalid_argument] when [gap] is below 1. *)
+
 val insn_monitor : thread -> Memory.addr -> unit
 val insn_mwait : thread -> Memory.addr
 

@@ -30,6 +30,15 @@ val exec : thread -> ?kind:Smt_core.kind -> int -> unit
 (** Run [cycles] worth of ordinary instructions (placeholder for "the
     thread computes").  Default kind is [Useful]. *)
 
+val spin : thread -> kind:Smt_core.kind -> gap:int -> (unit -> bool) -> unit
+(** [spin th ~kind ~gap ready] runs [exec th ~kind gap] until [ready ()]
+    holds, checking before each gap: a polling loop, [gap] cycles per
+    empty check.  Same clock, events and core state as that loop, bit
+    for bit, but an idle stretch with nothing else due costs one call,
+    not one per check (see {!Chip.spin}), so [ready] must read only
+    state that an event changes, never the clock.  [gap] must be at
+    least 1 (a 0 gap would never end). *)
+
 val monitor : thread -> Memory.addr -> unit
 (** Arm one more monitored address for the calling thread. *)
 

@@ -492,6 +492,48 @@ let execute_slot t ~slot ~kind cycles =
     end
   end
 
+(* A spinner's idle gaps in one call.  With no job on the core and the
+   slot runnable, an [execute_slot] of [gap] is the core's only job at
+   full rate, so it continues inline exactly when its end is at most
+   the quiet tick, and then leaves the core as it found it, bar the
+   sums, the clock and the epoch.  Every such gap, k of them back to
+   back, is served here.  Each accumulator gets its k additions of
+   [gap] one by one, as the k executes would make them: one addition of
+   k·gap rounds differently once a sum holds a fraction or passes 2^53.
+   The fields the executes would leave behind are set once: the served
+   slot owes 0.0, the minimum is invalid, and the epoch has moved k
+   times.  The loop keeps the three sums in locals, so no float is
+   boxed. *)
+let serve_lone_gaps t ~slot ~kind gap =
+  if gap > 0 && t.njobs = 0 && t.rpos.(slot) >= 0 then begin
+    let now = Sim.time t.sim in
+    let quiet = Sim.quiet_until t.sim in
+    if quiet > now && quiet - now >= gap then begin
+      let k = (quiet - now) / gap in
+      let at = now + (k * gap) in
+      if Sim.skip_to t.sim at then begin
+        let g = float_of_int gap and kind = kind_index kind in
+        let busy = ref t.f.busy and work = ref t.work.(kind) in
+        let billed = ref t.b_cycles.(slot) in
+        for _ = 1 to k do
+          busy := !busy +. g;
+          work := !work +. g;
+          billed := !billed +. g
+        done;
+        t.f.busy <- !busy;
+        t.work.(kind) <- !work;
+        t.b_cycles.(slot) <- !billed;
+        t.b_flag.(slot) <- 1;
+        t.j_rem.(slot) <- 0.0;
+        t.f.min_rem <- infinity;
+        t.min_valid <- false;
+        t.epoch <- t.epoch + k;
+        t.last_update <- at
+      end
+    end
+  end
+[@@sl.zero_alloc]
+
 let set_runnable t ~ptid ~weight runnable =
   set_runnable_slot t ~slot:(slot_of t ptid) ~weight runnable
 

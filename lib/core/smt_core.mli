@@ -61,6 +61,20 @@ val set_runnable_slot : t -> slot:int -> weight:float -> bool -> unit
 val execute_slot : t -> slot:int -> kind:kind -> int -> unit
 (** {!execute} by slot. *)
 
+val serve_lone_gaps : t -> slot:int -> kind:kind -> int -> unit
+(** [serve_lone_gaps t ~slot ~kind gap] does at once what a run of
+    [execute_slot t ~slot ~kind gap] calls would do while each one
+    continues inline: when the core holds no job, the slot is runnable
+    and [gap > 0], it serves every whole gap that ends by
+    {!Sl_engine.Sim.quiet_until}, back to back from now, and moves the
+    clock to the end of the last.  The clock, the core's state and
+    every sum end bit for bit as those executes would leave them: each
+    accumulator ({!busy_capacity_cycles}, the kind's {!work_done}, the
+    slot's {!thread_cycles}) gets one addition of [gap] per gap.
+    Otherwise, and when not even one gap fits, it does nothing.  No
+    event, no suspension, no allocation.  For a spinner between checks
+    of a condition that nothing but an event can change ({!Chip.spin}). *)
+
 val runnable_count : t -> int
 (** Threads currently admitted to the sharing set. *)
 

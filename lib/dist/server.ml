@@ -53,9 +53,15 @@ let finish ~sim ~latencies ~slowdowns ~switch_overhead =
     switch_overhead_cycles = switch_overhead;
   }
 
+(* A run serves at least one request: with none, each runner would
+   report an empty, idle run as a result. *)
+let check_count fn cfg =
+  if cfg.count < 1 then invalid_arg (fn ^ ": count must be at least 1")
+
 (* --- software thread-per-request ---------------------------------------- *)
 
 let run_software ?quantum cfg =
+  check_count "Server.run_software" cfg;
   let sim = Sim.create () in
   let sched = Swsched.create sim cfg.params ?quantum ~cores:cfg.cores () in
   let latencies = Histogram.create () in
@@ -162,6 +168,7 @@ let hw_pool chip ~pool_per_core ~request ~complete =
   inbox
 
 let run_hw_pool ?(pool_per_core = 64) cfg =
+  check_count "Server.run_hw_pool" cfg;
   let sim = Sim.create () in
   let chip = Chip.create sim cfg.params ~cores:cfg.cores in
   let latencies = Histogram.create () in
@@ -192,6 +199,7 @@ let run_hw_pool_closed ?(pool_per_core = 64) ?timeout ?slo ?horizon ~clients
     ~think cfg =
   if clients <= 0 then
     invalid_arg "Server.run_hw_pool_closed: clients must be positive";
+  check_count "Server.run_hw_pool_closed" cfg;
   let sim = Sim.create () in
   let chip = Chip.create sim cfg.params ~cores:cfg.cores in
   let inbox =

@@ -39,6 +39,8 @@ type config = {
 }
 
 val run_software : ?quantum:Sl_engine.Sim.Time.t -> config -> stats
+(** Raises [Invalid_argument] when [cfg.count] is below 1, as do the two
+    pool runners below. *)
 
 val run_hw_pool : ?pool_per_core:int -> config -> stats
 (** [pool_per_core] defaults to 64 hardware worker threads per core.

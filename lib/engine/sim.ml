@@ -256,7 +256,7 @@ let stuck_summary t =
    clock; a push for the parked tick then waits in a chain, and the next
    [advance] reaches it before anything later.  While the loop runs,
    [running] names this world, a caller's world is marked [nested], and
-   [t.horizon] holds the horizon for {!skip_to}; all three come back
+   [t.horizon] holds the horizon for {!quiet_until}; all three come back
    when the loop returns or raises, and so does [t.running_pid], which
    the loop clears so that its callbacks are never taken for
    processes. *)
@@ -301,19 +301,28 @@ let now () =
   | Some t -> t.now
   | None -> invalid_arg "Sim.now: no world is running on this domain"
 
+(* The last tick to which the running process may continue inline:
+   the wheel's quiet tick, capped at the executing run's horizon.  Only
+   one of the world's processes ([running_pid]) may: not a callback,
+   and not code inside a run nested in one of its processes ([nested]),
+   for which it is [min_int]. *)
+let quiet_until t =
+  if t.running_pid = no_pid || t.nested then min_int
+  else
+    let quiet = Wheel.quiet_until t.queue in
+    if quiet < t.horizon then quiet else t.horizon
+[@@sl.zero_alloc]
+
 (* A blocked process's path to [at] is one event that resumes it there
    (a delay's hop, or a completion that wakes it plus the wake's
    same-tick hop).  When no other event is due by [at], and the clock
    may reach [at] in the executing run, nothing can run before that
    path or beside it at [at], so moving the clock there and continuing
-   inline is indistinguishable from it, except in [events].  The caller
-   must be one of the world's own processes ([running_pid]): not a
-   callback, and not code inside a run nested in one of its processes
-   ([nested]).  [due] never misses a pending tick, and a spurious "due"
-   only costs the skip. *)
+   inline is indistinguishable from it, except in [events].  The quiet
+   tick never reaches a pending tick, and falling short of one only
+   costs the skip. *)
 let skip_to t at =
-  t.running_pid <> no_pid && (not t.nested) && at >= t.now && at <= t.horizon
-  && (not (Wheel.due t.queue ~limit:at))
+  at >= t.now && at <= quiet_until t
   &&
   (t.now <- at;
    true)

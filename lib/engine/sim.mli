@@ -163,15 +163,22 @@ val delay : Time.t -> unit
     clock past {!Time.max_tick}, raises [Invalid_argument] in the
     caller. *)
 
+val quiet_until : t -> Time.t
+(** The last tick to which the calling process of [t] may continue
+    inline: no event is due in [t] at or before it, and it is within
+    the horizon of the executing {!run}.  It may fall a little short of
+    the tick before the earliest pending event (see
+    {!Wheel.quiet_until}), never past it.  [min_int] when the caller is
+    not a process of [t] whose run is executing: in a {!schedule}
+    callback, or in code inside a run nested in one of [t]'s processes.
+    Moves nothing.  Allocation-free. *)
+
 val skip_to : t -> Time.t -> bool
 (** [skip_to t at] is for a process of [t] about to block until tick
     [at] (not before the current time), where one event would resume
     it.  It moves the clock to [at] and returns [true] when nothing
-    else can run before the process resumes: no event is due in [t] by
-    [at], [at] is within the horizon of the executing {!run}, and the
-    caller is a process of [t] whose run is executing: not a
-    {!schedule} callback, and not code inside a run nested in one of
-    [t]'s processes.
+    else can run before the process resumes: [at] is at most
+    {!quiet_until}[ t].
     The caller then continues inline, doing in place what the resuming
     event would have done.  Nothing can tell the difference, except
     {!events_processed}.  Otherwise it returns [false] and changes

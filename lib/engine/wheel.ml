@@ -241,17 +241,23 @@ let[@inline] slot_tick t ~level ~slot idx =
     t.cursor land lnot ((1 lsl (shift + bits)) - 1) lor (slot lsl shift)
 
 (* Nothing moves, so a caller can ask before it decides whether to
-   block.  With the levels empty, every far event differs from the
-   cursor above bit 25, so none precedes the cursor's next 2^25
-   boundary; past max_tick that bound wraps negative, hence due. *)
-let due t ~limit =
-  t.len > 0
-  ||
-  let level = lowest_level t.occ in
-  if level = levels then t.heads.(far) <> Arena.nil && (t.cursor lor (span - 1)) + 1 <= limit
+   block.  The ready ring's events are at the cursor's tick.  Otherwise
+   the lowest occupied slot of the lowest occupied level bounds every
+   pending event from below: a one-node chain by its exact time, a
+   longer one by its slot's base tick.  With the levels empty, every
+   far event differs from the cursor above bit 25, so none precedes the
+   cursor's next 2^25 boundary; and the cursor's bits above 25 are not
+   all set (a far time exceeds it there), so the tick before that
+   boundary does not wrap. *)
+let quiet_until t =
+  if t.len > 0 then t.cursor - 1
   else
-    let slot = lowest_set_bit t.occ.(level) in
-    slot_tick t ~level ~slot ((level * slot_count) + slot) <= limit
+    let level = lowest_level t.occ in
+    if level < levels then
+      let slot = lowest_set_bit (Array.unsafe_get t.occ level) in
+      slot_tick t ~level ~slot ((level * slot_count) + slot) - 1
+    else if t.heads.(far) = Arena.nil then max_int
+    else t.cursor lor (span - 1)
 [@@sl.zero_alloc]
 
 (* Each step either fires the one-node shortcut, cascades one slot into

@@ -34,11 +34,12 @@ val push : 'a t -> time:int -> 'a -> unit
 val ready : 'a t -> bool
 (** The ready ring holds an event. *)
 
-val due : 'a t -> limit:int -> bool
-(** Whether an event at a tick at most [limit] may be pending: [true]
-    whenever one is (the ready ring included), and sometimes also when
-    the earliest pending tick is a little past [limit] (a multi-node
-    slot chain reports its slot's base tick).  Moves nothing.  O(1),
+val quiet_until : 'a t -> int
+(** The last tick up to which nothing is pending: every pending event is
+    at a later tick ([max_int] when the wheel is empty).  It is the tick
+    before the earliest pending event's, or a little earlier when that
+    event shares a slot chain with others (the chain reports its slot's
+    base tick), never at or past it.  Moves nothing.  O(1),
     allocation-free. *)
 
 val pop : 'a t -> 'a

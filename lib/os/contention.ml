@@ -28,6 +28,8 @@ let params = { Params.default with Params.monitor_capacity_per_core = 1_000_000 
 let run ?patience ?(watchdog = false) ?horizon ~cores ~placement ~threads ~quota
     ~section ~gap kind =
   if threads < 1 then invalid_arg "Contention.run: threads must be at least 1";
+  (match quota with
+   | Shared n | Each n -> if n < 1 then invalid_arg "Contention.run: quota must be at least 1");
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores in
   let lock = Lock.create ?patience chip kind in

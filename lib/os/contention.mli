@@ -59,4 +59,5 @@ val run :
     the run ([Sim.run ~until], which leaves [elapsed] at the horizon);
     by default the world runs until every contender is done.  [gap]
     cycles run after each section's release, none when it is 0.
-    Raises [Invalid_argument] when [threads] is below 1. *)
+    Raises [Invalid_argument] when [threads] or the quota's [n] is
+    below 1. *)

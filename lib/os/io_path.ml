@@ -219,17 +219,19 @@ let mwait_hardened w ~watchdog =
   nic_server (Chip.exec_core chip 0) nic
 
 (* The kernel-bypass status quo: spin on the queue, paying [poll_gap]
-   Poll cycles per empty check. *)
+   Poll cycles per empty check.  Only the poller serves, so [w.stop]
+   cannot change while it spins. *)
 let polling w =
   let chip, nic = chip_nic w () in
   let poller = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  let arrived () = Nic.pending nic > 0 in
   Chip.attach poller (fun th ->
       while not w.stop do
         match Nic.poll nic with
         | Some pkt ->
           Isa.exec th (demand w pkt);
           served w pkt.Nic.injected_at
-        | None -> Isa.exec th ~kind:Smt_core.Poll poll_gap
+        | None -> Isa.spin th ~kind:Smt_core.Poll ~gap:poll_gap arrived
       done);
   Chip.boot poller;
   chip_background w chip ~ptid:2;
@@ -349,14 +351,15 @@ let flexsc w =
 (* --- the builder ------------------------------------------------------------ *)
 
 let run ?(background = false) delivery (cfg : config) =
+  if cfg.count < 1 then invalid_arg "Io_path.run: count must be at least 1";
   let w =
     {
       cfg;
       sim = Sim.create ();
       lat = Latency.create ~slo:cfg.slo ();
-      services = Array.make (max 1 cfg.count) 0;
+      services = Array.make cfg.count 0;
       background;
-      stop = cfg.count <= 0;
+      stop = false;
       background_done = 0.0;
     }
   in

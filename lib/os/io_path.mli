@@ -98,8 +98,8 @@ val run : ?background:bool -> delivery -> config -> result
 (** Serve [count] requests through one design.  [background] (default
     false) runs a best-effort batch job on the same core, so the run also
     shows whether the design lets other work proceed (the paper's
-    co-location argument).  Raises [Invalid_argument] on [Rss q] with
-    [q <= 0]. *)
+    co-location argument).  Raises [Invalid_argument] when [count] is
+    below 1, and on [Rss q] with [q <= 0]. *)
 
 val run_load_mwait : config -> result
 val run_load_polling : config -> result

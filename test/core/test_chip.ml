@@ -763,6 +763,116 @@ let test_stop_start_allocation () =
     (Printf.sprintf "%.1f minor words per stop -> start round trip < 48" per_round_trip)
     true (per_round_trip < 48.0)
 
+(* --- spin: a polling loop whose idle gaps cost one call --- *)
+
+module Smt_core = Switchless.Smt_core
+
+(* A lone spinner on a one-core chip, polling a flag that a callback
+   sets at [flag_at] (at least 1, so the body starts first), [gap]
+   cycles per empty check.  Returns when the spin returned, the events
+   popped, how often [ready] was read and the core's busy cycles. *)
+let lone_spinner ?(flag = false) ~gap ~flag_at () =
+  let sim, chip = setup ~cores:1 () in
+  let flag = ref flag and reads = ref 0 and returned = ref (-1) in
+  let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  let ready () =
+    incr reads;
+    !flag
+  in
+  Chip.attach th (fun th ->
+      Isa.spin th ~kind:Smt_core.Poll ~gap ready;
+      returned := Sim.now ());
+  Sim.schedule sim ~at:flag_at (fun () -> flag := true);
+  Chip.boot th;
+  Sim.run sim;
+  ( !returned,
+    Sim.events_processed sim,
+    !reads,
+    Smt_core.busy_capacity_cycles (Chip.exec_core chip 0) )
+
+(* A 0 gap would poll forever at one tick; the gap is checked first,
+   even when [ready] already holds. *)
+let test_spin_gap_below_one () =
+  List.iter
+    (fun (gap, flag) ->
+      let sim, chip = setup ~cores:1 () in
+      let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+      Chip.attach th (fun th -> Isa.spin th ~kind:Smt_core.Poll ~gap (fun () -> flag));
+      Chip.boot th;
+      Alcotest.check_raises (Printf.sprintf "gap %d" gap)
+        (Invalid_argument "Chip.spin: gap must be at least 1") (fun () -> Sim.run sim))
+    [ (0, false); (-1, false); (0, true) ]
+
+(* With [ready] already true the spin is one read: the world is the one
+   where the body never spins. *)
+let test_spin_ready_at_once () =
+  let returned, events, reads, busy = lone_spinner ~flag:true ~gap:20 ~flag_at:500 () in
+  check_int "returned at once" 0 returned;
+  check_int "one read" 1 reads;
+  Alcotest.(check (float 0.0)) "no cycle spent" 0.0 busy;
+  let sim, chip = setup ~cores:1 () in
+  let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach th (fun _ -> ());
+  Sim.schedule sim ~at:500 ignore;
+  Chip.boot th;
+  Sim.run sim;
+  check_int "no event added" (Sim.events_processed sim) events
+
+(* From a [schedule] callback a spin does what an [exec] does there,
+   even with the thread runnable on an idle core, where a process's
+   gaps would continue inline: it has no process to suspend. *)
+let test_spin_from_a_callback () =
+  let raised f =
+    let sim, chip = setup ~cores:1 () in
+    let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+    Chip.attach th (fun _ -> ());
+    Sim.schedule sim ~at:0 (fun () -> f th);
+    Chip.boot th;
+    match Sim.run sim with () -> "returned" | exception e -> Printexc.to_string e
+  in
+  let exec = raised (fun th -> Isa.exec th ~kind:Smt_core.Poll 20) in
+  check_bool "exec raises" true (exec <> "returned");
+  Alcotest.(check string)
+    "spin raises as exec does" exec
+    (raised (fun th -> Isa.spin th ~kind:Smt_core.Poll ~gap:20 (fun () -> false)))
+
+(* Alone on an idle world with one callback at [t], the spinner serves
+   every gap that ends before [t] in one call, blocks in the gap that
+   reaches [t], and returns at that gap's end, the first boundary at or
+   after [t]: one blocked gap's events (completion and hop) beside the
+   callback's, and two reads of [ready], however many gaps it polled. *)
+let test_spin_lone_idle_stretch () =
+  List.iter
+    (fun (t, gap) ->
+      let case = Printf.sprintf "t %d, gap %d" t gap in
+      let returned, events, reads, busy = lone_spinner ~gap ~flag_at:t () in
+      let _, at_once, _, _ = lone_spinner ~flag:true ~gap ~flag_at:t () in
+      let boundary = (t + gap - 1) / gap * gap in
+      check_int (case ^ ": returned") boundary returned;
+      check_int (case ^ ": events") (at_once + 2) events;
+      check_int (case ^ ": reads") 2 reads;
+      Alcotest.(check (float 0.0)) (case ^ ": busy") (float_of_int boundary) busy)
+    [ (1, 1); (1, 20); (20, 20); (21, 20); (1_000, 7); (12_345, 40); (999_983, 3) ]
+
+(* Spinning over 10,000 more idle gaps allocates no word: 0.0 minor
+   words per gap on OCaml 5.1.  The plain loop of [Isa.exec th ~kind
+   gap], with [kind] a variable, allocates 2 per gap (the option that
+   wraps an optional argument), and pays one call per gap.  Measured
+   as the difference between two stretch lengths, so that world set-up
+   cancels out. *)
+let test_spin_allocation () =
+  let gap = 20 in
+  let words gaps =
+    let before = Gc.minor_words () in
+    ignore (lone_spinner ~gap ~flag_at:(gaps * gap) () : int * int * int * float);
+    Gc.minor_words () -. before
+  in
+  ignore (words 100 : float);
+  let per_gap = (words 20_000 -. words 10_000) /. 10_000.0 in
+  check_bool
+    (Printf.sprintf "%.4f minor words per idle gap < 0.001" per_gap)
+    true (per_gap < 0.001)
+
 let () =
   Alcotest.run "chip"
     [
@@ -825,5 +935,15 @@ let () =
             test_ping_pong_allocation;
           Alcotest.test_case "stop -> start round-trip allocation" `Quick
             test_stop_start_allocation;
+        ] );
+      ( "spin",
+        [
+          Alcotest.test_case "gap below 1 refused" `Quick test_spin_gap_below_one;
+          Alcotest.test_case "ready at once spends nothing" `Quick test_spin_ready_at_once;
+          Alcotest.test_case "from a callback raises as exec does" `Quick
+            test_spin_from_a_callback;
+          Alcotest.test_case "lone idle stretch is one blocked gap" `Quick
+            test_spin_lone_idle_stretch;
+          Alcotest.test_case "idle gaps allocate nothing" `Quick test_spin_allocation;
         ] );
     ]

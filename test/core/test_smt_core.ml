@@ -380,6 +380,48 @@ let test_execute_outside_process_raises () =
       Sim.schedule sim ~at:(Sim.time sim + 5) (execute core);
       check_bool "after a process's exception escaped" true (raises_unhandled sim))
 
+(* A lone spin's gaps are added one at a time, as the executes they
+   stand for add them.  Pinned where the order shows: busy at 2^53 - 1
+   on a 1-wide core, then 1-cycle gaps until a callback at 2^53 + 3.
+   From 2^53 on doubles are 2 apart, so each 1-cycle addition rounds
+   back to 2^53 (ties to even): the two gaps served in one call leave
+   every sum at 2^53, as the plain loop of executes does, where one
+   addition of both would land on 2^53 + 2 and the last gap then on
+   2^53 + 4.  A sum that is whole below 2^53, or a few ulps off whole
+   (which is all a finished job leaves behind), ended the same either
+   way in every case tried, so only a pinned case like this one tells
+   them apart. *)
+let test_lone_gaps_add_one_at_a_time () =
+  let big = (1 lsl 53) - 1 in
+  let world ~spin =
+    with_core ~smt_width:1 (fun sim core ->
+        let flag = ref false in
+        Sim.schedule sim ~at:(big + 4) (fun () -> flag := true);
+        Sim.spawn sim (fun () ->
+            Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+            Smt_core.execute core ~ptid:1 ~kind:Smt_core.Poll big;
+            let slot = Smt_core.slot core ~ptid:1 in
+            while not !flag do
+              if spin then Smt_core.serve_lone_gaps core ~slot ~kind:Smt_core.Poll 1;
+              Smt_core.execute_slot core ~slot ~kind:Smt_core.Poll 1
+            done);
+        Sim.run sim;
+        let bits = Int64.bits_of_float in
+        [
+          Int64.of_int (Sim.time sim);
+          Int64.of_int (Sim.events_processed sim);
+          bits (Smt_core.busy_capacity_cycles core);
+          bits (Smt_core.work_done core Smt_core.Poll);
+          bits (Smt_core.thread_cycles core ~ptid:1);
+        ])
+  in
+  let spun = world ~spin:true in
+  Alcotest.(check (list int64))
+    "same clock, events and sums as the executes" (world ~spin:false) spun;
+  let whole = Int64.bits_of_float (Float.of_int (1 lsl 53)) in
+  Alcotest.(check (list int64))
+    "every sum at 2^53" [ Int64.of_int (big + 4); 8L; whole; whole; whole ] spun
+
 (* 64 unit-weight threads time-share a 2-wide core, 200 executes each:
    every advance serves up to 64 jobs on the uniform path.  Also the
    microbench kernel "smt_core 64 unit-weight jobs x200 executes". *)
@@ -448,6 +490,8 @@ let () =
             test_execute_past_horizon_waits;
           Alcotest.test_case "execute outside a process raises" `Quick
             test_execute_outside_process_raises;
+          Alcotest.test_case "lone gaps add one at a time" `Quick
+            test_lone_gaps_add_one_at_a_time;
         ] );
       ( "accounting",
         [

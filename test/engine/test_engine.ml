@@ -1075,9 +1075,9 @@ let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
    placement: the tick just reached (the ring), each wheel level, the
    old 2^25 window edge, far-list jumps, and max_tick; offsets saturate
    at max_tick.  A bounded advance that finds nothing parks [now] at its
-   limit, as {!Sim.run} parks the clock.  A peek ([Wheel.due]) reports
-   the earliest pending tick at that very tick and at any later limit,
-   and nothing on an empty wheel. *)
+   limit, as {!Sim.run} parks the clock.  A peek ([Wheel.quiet_until])
+   stops short of the earliest pending tick, and reads [max_int] on an
+   empty wheel. *)
 let prop_wheel_matches_heap =
   let open QCheck in
   let op =
@@ -1086,15 +1086,14 @@ let prop_wheel_matches_heap =
         Gen.map2 (fun cls jitter -> `Push (cls, jitter)) (Gen.int_bound 7) (Gen.int_bound 1023);
         Gen.return `Tick;
         Gen.map (fun d -> `Tick_until d) (Gen.int_bound 2048);
-        Gen.map (fun d -> `Peek d)
-          (Gen.oneof [ Gen.int_bound 64; Gen.int_bound (1 lsl 26); Gen.return max_int ]);
+        Gen.return `Peek;
       ]
   in
   let print = function
     | `Push (cls, jitter) -> Printf.sprintf "push %d/%d" cls jitter
     | `Tick -> "tick"
     | `Tick_until d -> Printf.sprintf "tick+%d" d
-    | `Peek d -> Printf.sprintf "peek+%d" d
+    | `Peek -> "peek"
   in
   Test.make ~name:"wheel matches heap on random interleavings" ~count:300
     (make ~print:(Print.list print) (Gen.list op)) (fun ops ->
@@ -1146,15 +1145,10 @@ let prop_wheel_matches_heap =
             Pqueue.push heap ~time ~seq:!seq !seq
           | `Tick -> tick max_int
           | `Tick_until d -> tick (sat_add !now d)
-          | `Peek d ->
-            let limit = sat_add !now d in
-            let due = Wheel.due wheel ~limit in
-            if Pqueue.is_empty heap then (if due then ok := false)
-            else begin
-              let first = Pqueue.min_time heap in
-              if (first <= limit && not due) || not (Wheel.due wheel ~limit:first) then
-                ok := false
-            end)
+          | `Peek ->
+            let quiet = Wheel.quiet_until wheel in
+            if Pqueue.is_empty heap then (if quiet <> max_int then ok := false)
+            else if quiet >= Pqueue.min_time heap then ok := false)
         ops;
       while !ok && not (Pqueue.is_empty heap) do
         tick max_int
@@ -1305,10 +1299,13 @@ module Smt_core = Switchless.Smt_core
 
 (* A process's steps.  [Exec] runs on core [c mod cores] at the given
    weight; [Read] blocks until some [Fill] (or the world's late fill)
-   fills the ivar. *)
+   fills the ivar.  [Spin] polls on a core like [Exec], one gap per
+   check, until the ivar is filled, at [Useful] (so its gaps add to the
+   sums that shared executes built) or [Poll]. *)
 type op =
   | Wait of int
   | Exec of int * float * int
+  | Spin of int * float * int * int * Smt_core.kind
   | Fork of op list
   | Fill of int
   | Read of int
@@ -1320,6 +1317,9 @@ let ivar_count = 3
 let rec print_op = function
   | Wait d -> Printf.sprintf "wait %d" d
   | Exec (c, w, n) -> Printf.sprintf "exec %d/%g/%d" c w n
+  | Spin (c, w, gap, i, kind) ->
+    Printf.sprintf "spin %d/%g/%d%s until %d" c w gap
+      (if kind = Smt_core.Poll then "/poll" else "") i
   | Fork ops -> Printf.sprintf "fork [%s]" (String.concat "; " (List.map print_op ops))
   | Fill i -> Printf.sprintf "fill %d" i
   | Read i -> Printf.sprintf "read %d" i
@@ -1341,6 +1341,12 @@ let gen_world =
            map3
              (fun c w n -> Exec (c, w, n))
              (int_bound 2) (oneofl [ 1.0; 1.0; 2.0 ]) (int_range 1 120) );
+         ( 2,
+           map3
+             (fun (c, w) (gap, i) kind -> Spin (c, w, gap, i, kind))
+             (pair (int_bound 2) (oneofl [ 1.0; 1.0; 2.0 ]))
+             (pair (int_range 1 40) (int_bound (ivar_count - 1)))
+             (oneofl [ Smt_core.Useful; Smt_core.Useful; Smt_core.Poll ]) );
          (1, map (fun i -> Fill i) (int_bound (ivar_count - 1)));
          (1, map (fun i -> Read i) (int_bound (ivar_count - 1)));
        ]
@@ -1354,10 +1360,14 @@ let gen_world =
 
 (* Run a world: a bounded run, then one to the end.  Every process logs
    (process, step, time) after each step; the result also holds the
-   clock after the bounded run and each core's service.  With [beat], a
-   heartbeat keeps an event due at every tick while a process lives, so
-   no positive wait continues inline. *)
-let run_world ~beat w =
+   clock after the bounded run and each core's sums, as float bits: its
+   busy capacity, each kind's work and each process's cycles.  With
+   [beat], a heartbeat keeps an event due at every tick while a process
+   lives, so no positive wait continues inline.  With [spin], a [Spin]
+   serves its lone gaps in one call ([Smt_core.serve_lone_gaps], as
+   [Chip.spin] does) before each ordinary gap; without it, it is the
+   plain loop of executes.  The events popped come back beside. *)
+let run_world ~beat ~spin w =
   let sim = Sim.create () in
   let params = { Params.default with Params.smt_width = w.width } in
   let cores = Array.init w.ncores (fun core_id -> Smt_core.create sim params ~core_id) in
@@ -1377,6 +1387,15 @@ let run_world ~beat w =
              Smt_core.set_runnable core ~ptid ~weight true;
              Smt_core.execute core ~ptid ~kind:Smt_core.Useful n;
              Smt_core.set_runnable core ~ptid ~weight false
+           | Spin (c, weight, gap, i, kind) ->
+             let core = cores.(c mod w.ncores) in
+             Smt_core.set_runnable core ~ptid ~weight true;
+             let slot = Smt_core.slot core ~ptid in
+             while Option.is_none (Ivar.peek ivars.(i)) do
+               if spin then Smt_core.serve_lone_gaps core ~slot ~kind gap;
+               Smt_core.execute_slot core ~slot ~kind gap
+             done;
+             Smt_core.set_runnable core ~ptid ~weight false
            | Fork child -> Sim.fork (start child)
            | Fill i -> ignore (Ivar.try_fill ivars.(i) () : bool)
            | Read i -> Ivar.read ivars.(i));
@@ -1394,13 +1413,26 @@ let run_world ~beat w =
   Sim.run ~until:w.horizon sim;
   let parked = Sim.time sim in
   Sim.run sim;
-  let service = Array.map (fun core -> Smt_core.busy_capacity_cycles core) cores in
-  (List.rev !log, parked, service, !live)
+  let bits = Int64.bits_of_float in
+  let sums core =
+    ( bits (Smt_core.busy_capacity_cycles core),
+      List.map
+        (fun kind -> bits (Smt_core.work_done core kind))
+        Smt_core.[ Useful; Poll; Overhead ],
+      List.init !next_ptid (fun ptid -> bits (Smt_core.thread_cycles core ~ptid)) )
+  in
+  ((List.rev !log, parked, Array.map sums cores, !live), Sim.events_processed sim)
 
+(* The spin world against the plain loop of executes (events included:
+   the lone gaps it serves at once would each have continued inline),
+   and against the heartbeat world, where nothing continues inline. *)
 let prop_inline_waits_unobservable =
   QCheck.Test.make ~name:"continuing inline matches a world that never can" ~count:200
     (QCheck.make ~print:print_world gen_world) (fun w ->
-      run_world ~beat:false w = run_world ~beat:true w)
+      let spun, spun_events = run_world ~beat:false ~spin:true w in
+      let looped, looped_events = run_world ~beat:false ~spin:false w in
+      let beaten, _ = run_world ~beat:true ~spin:true w in
+      spun = looped && spun_events = looped_events && spun = beaten)
 
 let () =
   let qsuite =

@@ -87,6 +87,23 @@ let test_no_contenders () =
            ~section:(Exec 400) ~gap:0 Lock.Park_mwait
           : Contention.result))
 
+(* A quota of no section has nothing to measure: refused, not shown as
+   "0 critical sections" at some cost per acquire. *)
+let test_empty_quota () =
+  List.iter
+    (fun (name, quota) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Contention.run: quota must be at least 1") (fun () ->
+          ignore
+            (Contention.run ~cores:4 ~placement:Rr ~threads:4 ~quota ~section:(Exec 400)
+               ~gap:0 Lock.Park_mwait
+              : Contention.result)))
+    [
+      ("shared 0", Contention.Shared 0);
+      ("each 0", Contention.Each 0);
+      ("each -3", Contention.Each (-3));
+    ]
+
 let () =
   Alcotest.run "contention"
     [
@@ -97,6 +114,7 @@ let () =
           Alcotest.test_case "per-thread quota: no exit acquire" `Quick
             test_each_quota;
           Alcotest.test_case "no contenders is refused" `Quick test_no_contenders;
+          Alcotest.test_case "an empty quota is refused" `Quick test_empty_quota;
         ] );
       ( "pins",
         [

@@ -146,6 +146,19 @@ let test_timer_wakeup_needs_a_tick () =
     (Invalid_argument "Io_path.timer_wakeup_interrupt: ticks must be at least 1")
     (fun () -> ignore (Io_path.timer_wakeup_interrupt p ~ticks:0 ~period:10_000 : Histogram.t))
 
+(* A run of no request has nothing to measure: refused, not shown as
+   "served 0 ... waste 100.0%". *)
+let test_count_below_one_refused () =
+  List.iter
+    (fun count ->
+      List.iter
+        (fun design ->
+          Alcotest.check_raises (Printf.sprintf "count %d" count)
+            (Invalid_argument "Io_path.run: count must be at least 1") (fun () ->
+              ignore (Io_path.run design { small_cfg with Io_path.count } : Io_path.result)))
+        Io_path.[ Mwait; Polling; Irq; Napi; Flexsc ])
+    [ 0; -5 ]
+
 let () =
   Alcotest.run "io_path"
     [
@@ -164,6 +177,7 @@ let () =
           Alcotest.test_case "irq delivery cap" `Quick test_irq_delivery_cap;
           Alcotest.test_case "rss scales" `Quick test_rss_scales_past_single_thread;
           Alcotest.test_case "rss(1) == mwait" `Quick test_rss_single_queue_equals_mwait;
+          Alcotest.test_case "count below 1 refused" `Quick test_count_below_one_refused;
         ] );
       ( "timer",
         [

@@ -231,6 +231,30 @@ let test_hw_pool_beats_software_tail () =
     (Printf.sprintf "hw p99 slowdown %.1f < sw %.1f" hw99 sw99)
     true (hw99 < sw99)
 
+(* A run of no request has nothing to measure: refused, not shown as
+   "completed 0 in 256 cycles". *)
+let refuses_no_request fn run =
+  List.iter
+    (fun count ->
+      Alcotest.check_raises (Printf.sprintf "count %d" count)
+        (Invalid_argument (fn ^ ": count must be at least 1")) (fun () ->
+          run { server_cfg with Server.count }))
+    [ 0; -5 ]
+
+let test_software_refuses_no_request () =
+  refuses_no_request "Server.run_software" (fun cfg ->
+      ignore (Server.run_software cfg : Server.stats))
+
+let test_hw_pool_refuses_no_request () =
+  refuses_no_request "Server.run_hw_pool" (fun cfg ->
+      ignore (Server.run_hw_pool cfg : Server.stats))
+
+let test_closed_pool_refuses_no_request () =
+  refuses_no_request "Server.run_hw_pool_closed" (fun cfg ->
+      ignore
+        (Server.run_hw_pool_closed ~clients:4 ~think:(Sl_util.Dist.Constant 1000.0) cfg
+          : Server.closed_stats))
+
 let test_percentile_edge_cases () =
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Server.percentile [||] 0.99);
   Alcotest.(check (float 1e-9)) "single" 5.0 (Server.percentile [| 5.0 |] 0.5);
@@ -315,6 +339,12 @@ let () =
           Alcotest.test_case "hw pool completes" `Quick test_hw_server_completes;
           Alcotest.test_case "hw tail wins" `Quick test_hw_pool_beats_software_tail;
           Alcotest.test_case "percentile edges" `Quick test_percentile_edge_cases;
+          Alcotest.test_case "software: count below 1 refused" `Quick
+            test_software_refuses_no_request;
+          Alcotest.test_case "hw pool: count below 1 refused" `Quick
+            test_hw_pool_refuses_no_request;
+          Alcotest.test_case "closed pool: count below 1 refused" `Quick
+            test_closed_pool_refuses_no_request;
         ] );
       ( "rpc",
         [
