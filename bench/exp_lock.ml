@@ -285,15 +285,12 @@ let alloc_audit () =
   (* The measured window starts after a warmup pair, inside the thread
      body, so chip/lock construction and slot registration stay out of
      the numbers; only the steady-state loop (including the engine
-     events it schedules) is counted.  [Gc.minor] empties the minor heap
-     right before the window opens: [Gc.allocated_bytes] over-reports by
-     roughly a minor-heap's worth when a minor collection lands inside
-     the window, and whether one does depends on the GC phase the
-     surrounding tables left behind (it differed across [-j] levels).
-     The window itself allocates a few thousand words — far below the
-     minor-heap size — so starting from an empty minor heap makes the
-     reading exact and identical on every domain.  [step chip] builds
-     what one side needs and returns its per-round step. *)
+     events it schedules) is counted, by [Sl_util.Alloc_meter].
+     [Gc.minor] empties the minor heap right before the window opens, so
+     that no window depends on the GC phase the surrounding tables left
+     behind: the window allocates a few thousand words, far below the
+     minor-heap size, and no collection lands inside it.  [step chip]
+     builds what one side needs and returns its per-round step. *)
   let audit_run step =
     let sim = Sim.create () in
     let chip = Chip.create sim params ~cores:1 in
@@ -303,11 +300,11 @@ let alloc_audit () =
     Chip.attach th (fun t ->
         step t;
         Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
+        let a0 = Sl_util.Alloc_meter.words () in
         for _ = 1 to rounds do
           step t
         done;
-        words := (Gc.allocated_bytes () -. a0) /. 8.0);
+        words := Sl_util.Alloc_meter.words () -. a0);
     Chip.boot th;
     Sim.run sim;
     !words

@@ -150,7 +150,7 @@ let run_job_once (id, title, f) =
     report_abandoned id (List.rev !sims);
     report_recovery id
   in
-  let alloc0 = Gc.allocated_bytes () in
+  let alloc0 = Sl_util.Alloc_meter.words () in
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let failure, output =
@@ -161,7 +161,7 @@ let run_job_once (id, title, f) =
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let gc1 = Gc.quick_stat () in
-  let alloc_words = (Gc.allocated_bytes () -. alloc0) /. 8.0 in
+  let alloc_words = Sl_util.Alloc_meter.words () -. alloc0 in
   let events =
     List.fold_left (fun acc s -> acc + Sl_engine.Sim.events_processed s) 0 !sims
   in

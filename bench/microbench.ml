@@ -8,7 +8,6 @@ open Bechamel
 open Toolkit
 
 module Sim = Sl_engine.Sim
-module Pqueue = Sl_engine.Pqueue
 module Wheel = Sl_engine.Wheel
 module Histogram = Sl_util.Histogram
 module Json = Sl_util.Json
@@ -72,12 +71,12 @@ let time_wakes ~pattern n =
   (* Drain the boot storm outside the timed window. *)
   Sim.run ~until:boot_horizon sim;
   let ev0 = Sim.events_processed sim in
-  let w0 = Gc.minor_words () in
+  let w0 = Sl_util.Alloc_meter.words () in
   let t0 = Unix.gettimeofday () in
   Sim.run ~until:(boot_horizon + (scaling_wakes * gap) + 1000) sim;
   let t1 = Unix.gettimeofday () in
   let events = Sim.events_processed sim - ev0 in
-  let words = Gc.minor_words () -. w0 in
+  let words = Sl_util.Alloc_meter.words () -. w0 in
   Printf.printf "  [diag n=%d] events/wake %.2f  words/wake %.1f\n%!" n
     (float_of_int events /. float_of_int scaling_wakes)
     (words /. float_of_int scaling_wakes);
@@ -153,16 +152,6 @@ let lock_scaling_rows () =
 
 (* -- primitive kernels -- *)
 
-let bench_pqueue =
-  Test.make ~name:"primitive:pqueue push/pop x1k"
-    (Staged.stage (fun () ->
-         let q = Pqueue.create ~dummy:0 in
-         for i = 0 to 999 do
-           Pqueue.push q ~time:((i * 7919) mod 1000) ~seq:i i
-         done;
-         let rec drain () = match Pqueue.pop q with Some _ -> drain () | None -> () in
-         drain ()))
-
 (* Hand every tick up to [limit] to the ring and pop it, as Sim's run
    loop does. *)
 let rec drain_wheel q ~limit =
@@ -181,41 +170,20 @@ let bench_wheel =
          drain_wheel q ~limit:max_int))
 
 (* The motivating case for the wheel: near-term churn while thousands of
-   far-future deadlines (parked threads) sit in the same queue.  The
-   binary heap pays ~log(ballast) sift steps on every operation; the
-   wheel parks the ballast in an outer level and keeps the hot tick
-   O(1). *)
-let with_far_ballast push bench =
-  for i = 0 to 1_999 do
-    push ~time:(10_000_000 + (i * 1000)) i
-  done;
-  bench ()
-
-let bench_pqueue_ballast =
-  Test.make ~name:"primitive:pqueue push/pop x1k under 2k far ballast"
-    (Staged.stage (fun () ->
-         let q = Pqueue.create ~dummy:0 in
-         with_far_ballast
-           (fun ~time i -> Pqueue.push q ~time ~seq:i (-1))
-           (fun () ->
-             for i = 0 to 999 do
-               Pqueue.push q ~time:((i * 7919) mod 1000) ~seq:(2000 + i) i
-             done;
-             for _ = 0 to 999 do
-               ignore (Pqueue.pop_min q)
-             done)))
-
+   far-future deadlines (parked threads) sit in the same queue.  A binary
+   heap pays ~log(ballast) sift steps on every operation; the wheel
+   parks the ballast in an outer level and keeps the hot tick O(1). *)
 let bench_wheel_ballast =
   Test.make ~name:"primitive:wheel push/pop x1k under 2k far ballast"
     (Staged.stage (fun () ->
          let q = Wheel.create ~dummy:0 in
-         with_far_ballast
-           (fun ~time _ -> Wheel.push q ~time (-1))
-           (fun () ->
-             for i = 0 to 999 do
-               Wheel.push q ~time:((i * 7919) mod 1000) i
-             done;
-             drain_wheel q ~limit:999)))
+         for i = 0 to 1_999 do
+           Wheel.push q ~time:(10_000_000 + (i * 1000)) (-1)
+         done;
+         for i = 0 to 999 do
+           Wheel.push q ~time:((i * 7919) mod 1000) i
+         done;
+         drain_wheel q ~limit:999))
 
 let bench_histogram =
   Test.make ~name:"primitive:histogram record x1k"
@@ -374,9 +342,7 @@ let bench_e15 =
 let all_tests =
   Test.make_grouped ~name:"switchless"
     [
-      bench_pqueue;
       bench_wheel;
-      bench_pqueue_ballast;
       bench_wheel_ballast;
       bench_histogram;
       bench_sim_pingpong;

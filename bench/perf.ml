@@ -3,7 +3,7 @@
 
    One record per experiment run: wall-clock seconds, simulation events
    executed (summed over every Sim world the experiment built),
-   throughput, words allocated in the running domain, and GC pressure
+   throughput, words allocated ([Sl_util.Alloc_meter]), and GC pressure
    (minor/major collections during the run, top-of-heap words after it).
    The harness writes them as a JSON file (via -perf-out) so successive
    PRs accumulate a perf trajectory that CI can diff.  With [-repeat N]

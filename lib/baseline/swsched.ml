@@ -1,5 +1,5 @@
 module Sim = Sl_engine.Sim
-module Mailbox = Sl_engine.Mailbox
+module Ivar = Sl_engine.Ivar
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
@@ -15,7 +15,7 @@ type t = {
   params : Params.t;
   cores : Smt_core.t array;
   mutable free : context list;  (* idle contexts *)
-  waiters : (context -> unit) Queue.t;  (* threads queued for a context *)
+  waiters : context Ivar.t Queue.t;  (* threads queued for a context *)
   warmup : bool;
   quantum : int option;
   n_contexts : int;
@@ -76,11 +76,13 @@ let acquire t thread =
     match t.free with
     | ctx :: _ -> take ctx
     | [] ->
-      Sl_engine.Sim.await (fun resume -> Queue.push resume t.waiters))
+      let handed = Ivar.create () in
+      Queue.push handed t.waiters;
+      Ivar.read handed)
 
 let release t ctx =
   match Queue.take_opt t.waiters with
-  | Some resume -> resume ctx
+  | Some handed -> Ivar.fill handed ctx
   | None -> t.free <- ctx :: t.free
 
 (* Charge the software switch cost on the context that is switching. *)

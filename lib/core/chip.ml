@@ -793,9 +793,9 @@ let do_stop ~actor target =
       Monitor.cancel_wait c.monitor target.mslot;
       stop_waiting target ~reason:"force-stop";
       emit c (Probe.Stop_edge { actor; target = target.t_ptid });
-      (* Claim the open park (the old [Ivar.try_fill]): a deadline expiry
-         may have claimed the cell already (thread mid-restart); the
-         force-stop still wins via the state check in the restart event. *)
+      (* Claim the open park: a deadline expiry may have claimed the
+         cell already (thread mid-restart); the force-stop still wins
+         via the state check in the restart event. *)
       if target.cell = Open then fill_wake target wake_stop
     | Ptid.Disabled -> ()
 

@@ -1,13 +1,13 @@
-(* The dominant lifecycle is create -> (fill | one read -> fill): every
-   simulated instruction's completion is an ivar, so the representation
-   is tuned to allocate nothing beyond the ivar cell itself until a
-   second reader shows up (rare: broadcast completions).  Waiters resume
-   in FIFO registration order either way — [Many] keeps the reversed
-   cons order and un-reverses on fill. *)
+(* The dominant lifecycle is create -> (fill | one read -> fill), so no
+   list is allocated until a second reader shows up (rare: broadcast
+   activations).  A reader parks at a suspension whose registrar keeps
+   its waker here, and finds the value in [Full] once woken.  Waiters
+   wake in FIFO registration order either way — [Many] keeps the
+   reversed cons order and un-reverses on fill. *)
 type 'a state =
   | Empty
-  | One of ('a -> unit)
-  | Many of ('a -> unit) list  (* reversed registration order; length >= 2 *)
+  | One of Sim.waker
+  | Many of Sim.waker list  (* reversed registration order; length >= 2 *)
   | Full of 'a
 
 type 'a t = { mutable state : 'a state }
@@ -18,12 +18,12 @@ let fill t v =
   match t.state with
   | Full _ -> invalid_arg "Ivar.fill: already full"
   | Empty -> t.state <- Full v
-  | One resume ->
+  | One waker ->
     t.state <- Full v;
-    resume v
-  | Many waiters ->
+    Sim.wake waker
+  | Many wakers ->
     t.state <- Full v;
-    List.iter (fun resume -> resume v) (List.rev waiters)
+    List.iter Sim.wake (List.rev wakers)
 
 let try_fill t v =
   match t.state with
@@ -35,15 +35,19 @@ let try_fill t v =
 let peek t = match t.state with Full v -> Some v | Empty | One _ | Many _ -> None
 
 let read t =
+  (match t.state with
+  | Full _ -> ()
+  | Empty | One _ | Many _ ->
+    Sim.suspend
+      (Sim.suspension (fun waker ->
+           match t.state with
+           | Empty -> t.state <- One waker
+           | One first -> t.state <- Many [ waker; first ]
+           | Many wakers -> t.state <- Many (waker :: wakers)
+           | Full _ ->
+             (* Unreachable: nothing runs between the dispatch above and
+                the registration. *)
+             assert false)));
   match t.state with
   | Full v -> v
-  | Empty | One _ | Many _ ->
-    Sim.await (fun resume ->
-        match t.state with
-        | Empty -> t.state <- One resume
-        | One first -> t.state <- Many [ resume; first ]
-        | Many waiters -> t.state <- Many (resume :: waiters)
-        | Full _ ->
-          (* Unreachable: nothing runs between the dispatch above and
-             the await registration. *)
-          assert false)
+  | Empty | One _ | Many _ -> invalid_arg "Ivar.read: woken before the fill"

@@ -1,7 +1,9 @@
-(** Write-once synchronization variables.
+(** Write-once synchronization variables: the engine's one waiting
+    object, which {!Mailbox} and the software scheduler build on.
 
     An ivar starts empty, is filled exactly once, and wakes every process
-    blocked in {!read}.  The standard way to model a completion
+    blocked in {!read}, in the order they began to read ({!Sim.suspend}
+    and {!Sim.wake}).  The standard way to model a completion
     notification (e.g. "this unit of work finished executing"). *)
 
 type 'a t

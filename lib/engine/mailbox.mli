@@ -2,7 +2,8 @@
 
     The workhorse for request queues: producers {!send} without blocking,
     consumers {!recv} and block while empty.  Items are delivered in FIFO
-    order; blocked receivers are served in FIFO order. *)
+    order; blocked receivers are served and woken in FIFO order, each
+    waiting on an {!Ivar} of its own that {!send} fills. *)
 
 type 'a t
 

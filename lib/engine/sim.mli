@@ -3,10 +3,11 @@
     Time is a cycle counter represented as an immediate 63-bit native
     [int] (see {!Time}).  Simulated activities are ordinary OCaml
     functions executed as effect-based coroutines: inside a process
-    you call {!delay}, {!await}, {!fork} and {!now} directly, writing
-    blocking-style code (the very model the paper advocates for systems
-    software).  A process blocks in one of two ways, {!delay} and
-    {!suspend} (on which {!await} is built).  The event loop is
+    you call {!delay}, {!fork} and {!now} directly, and wait on an
+    {!Ivar}, writing blocking-style code (the very model the paper
+    advocates for systems software).  A process blocks in one of two
+    ways, {!delay} and {!suspend} (on which {!Ivar} and {!await} are
+    built).  The event loop is
     single-threaded and deterministic: events with equal timestamps fire
     in scheduling order.
 
@@ -191,13 +192,16 @@ val fork : (unit -> unit) -> unit
 val await : (('a -> unit) -> unit) -> 'a
 (** [await register] suspends the calling process; [register] receives a
     one-shot [resume] callback that re-enqueues the process with a result
-    value.  This is the primitive from which ivars, signals and queues are
-    built.  [resume] may be called immediately or at any later simulated
+    value.  [resume] may be called immediately or at any later simulated
     time, but at most once: a second call, or a call while the process
     waits in a later [await], raises [Invalid_argument].  Each [await]
     is one {!suspension} whose resume fills a fresh value cell and
     {!wake}s the process: 19 words on OCaml 5.1, the continuation
-    included; hot paths with a fixed waiter build theirs once. *)
+    included.  Nothing in the simulator's libraries calls it: they wait
+    on an {!Ivar}, which parks through {!suspend} (create, blocked read
+    and fill: 15 words), and hot paths with a fixed waiter build their
+    suspension once.  It stays for perfbench's wake-scale driver, which
+    registers resume closures. *)
 
 (** {2 Suspend and wake}
 

@@ -40,7 +40,7 @@ module Arena = Sl_util.Arena
    reaches the (empty) ring whole, before any event pushed for that tick
    once the cursor is there, so the ring pops in push order too: the
    order of a (time, seq) heap fed a monotone seq, property-tested
-   against {!Pqueue} in test/engine.  See DESIGN.md, "Event queue v3". *)
+   against test/engine's Pqueue.  See DESIGN.md, "Event queue v3". *)
 
 let bits = 5
 let slot_count = 1 lsl bits  (* 32 *)

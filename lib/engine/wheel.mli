@@ -14,14 +14,14 @@
     v3") for the placement rule and the order argument.
 
     Use: {!pop} while {!ready}; once the ring is empty, {!advance} moves
-    the next tick's events into it.  Property-tested against {!Pqueue}
-    (a (time, seq) heap) one tick at a time in test/engine. *)
+    the next tick's events into it.  Property-tested against Pqueue, a
+    (time, seq) heap in test/engine, one tick at a time. *)
 
 type 'a t
 
 val create : dummy:'a -> 'a t
 (** [dummy] seeds vacated payload slots so popped values are immediately
-    collectable (same contract as {!Pqueue.create}). *)
+    collectable (the contract of test/engine's Pqueue too). *)
 
 val is_empty : 'a t -> bool
 

@@ -1,5 +1,5 @@
 module Sim = Sl_engine.Sim
-module Signal = Sl_engine.Signal
+module Ivar = Sl_engine.Ivar
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
@@ -77,7 +77,9 @@ let sw_timeshare params ~vms ~vcpus ~slice ~duration =
   let sim = Sim.create () in
   let sched = Swsched.create sim params ~cores:1 () in
   let active = ref 0 in
-  let activation = Array.init vms (fun _ -> Signal.create ()) in
+  (* A VM's vCPUs wait for its next activation on the VM's ivar; an
+     activation fills it and swaps in a fresh one for the round after. *)
+  let activation = Array.init vms (fun _ -> Ivar.create ()) in
   let stopping = ref false in
   for vm = 0 to vms - 1 do
     for _ = 1 to vcpus do
@@ -85,7 +87,7 @@ let sw_timeshare params ~vms ~vcpus ~slice ~duration =
       Sim.spawn sim (fun () ->
           while not !stopping do
             if !active = vm then Swsched.exec th guest_chunk
-            else ignore (Signal.wait activation.(vm))
+            else Ivar.read activation.(vm)
           done)
     done
   done;
@@ -96,7 +98,9 @@ let sw_timeshare params ~vms ~vcpus ~slice ~duration =
         if vms > 1 then begin
           incr switches;
           active := (!active + 1) mod vms;
-          Signal.emit activation.(!active) ()
+          let round = activation.(!active) in
+          activation.(!active) <- Ivar.create ();
+          Ivar.fill round ()
         end
       done);
   Sim.run ~until:duration sim;

@@ -3,8 +3,14 @@ module Memory = Switchless.Memory
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
-let read ?(kind = Smt_core.Overhead) chip th addr =
-  Chip.exec th ~kind 1;
+(* Each passes a constant [~kind]: a variable passed on to [Chip.exec]'s
+   optional argument would allocate its [Some] on every read. *)
+let read chip th addr =
+  Chip.exec th ~kind:Smt_core.Overhead 1;
+  Memory.read (Chip.memory chip) addr
+
+let poll chip th addr =
+  Chip.exec th ~kind:Smt_core.Poll 1;
   Memory.read (Chip.memory chip) addr
 
 let write chip th addr v =

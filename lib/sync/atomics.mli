@@ -19,12 +19,13 @@
 
 module Chip = Switchless.Chip
 module Memory = Switchless.Memory
-module Smt_core = Switchless.Smt_core
 
-val read : ?kind:Smt_core.kind -> Chip.t -> Chip.thread -> Memory.addr -> int64
-(** One-cycle load by [thread].  [kind] defaults to [Overhead]; spin
-    loops pass [Poll] so wasted lock-wait cycles land in the poll
-    bucket. *)
+val read : Chip.t -> Chip.thread -> Memory.addr -> int64
+(** One-cycle load by [thread], charged as [Overhead]. *)
+
+val poll : Chip.t -> Chip.thread -> Memory.addr -> int64
+(** {!read} charged as [Poll]: spin loops poll, so wasted lock-wait
+    cycles land in the poll bucket.  Neither allocates. *)
 
 val write : Chip.t -> Chip.thread -> Memory.addr -> int64 -> unit
 (** One-cycle store by [thread]; fires monitor write hooks. *)

@@ -206,7 +206,7 @@ let tas_slow t s =
 let ticket_acquire t s =
   let my = Int64.to_int (Atomics.fetch_add t.chip s.th t.word 1L) in
   let a = note_join t s in
-  let cur = Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th t.serving) in
+  let cur = Int64.to_int (Atomics.poll t.chip s.th t.serving) in
   if cur = my then finish t s ~contended:false a
   else begin
     t.waiting <- t.waiting + 1;
@@ -215,7 +215,7 @@ let ticket_acquire t s =
         (* Backoff proportional to queue distance: a waiter k places back
            cannot be served for at least k critical sections. *)
         Isa.exec s.th ~kind:Smt_core.Poll (min spin_cap (max 16 ((my - cur) * 64)));
-        loop (Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th t.serving))
+        loop (Int64.to_int (Atomics.poll t.chip s.th t.serving))
       end
     in
     loop cur;
@@ -235,7 +235,7 @@ let ticket_release t s =
 let mcs_wait_spin t s ~target =
   let backoff = ref 32 in
   while
-    Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th s.grant) < target
+    Int64.to_int (Atomics.poll t.chip s.th s.grant) < target
   do
     Isa.exec s.th ~kind:Smt_core.Poll !backoff;
     backoff := min spin_cap (!backoff * 2)
@@ -302,7 +302,7 @@ let mcs_release t s =
     (* A successor swapped the tail but has not linked itself yet; it is
        one store away, so a brief poll is bounded. *)
     let rec wait_link () =
-      let n = Int64.to_int (Atomics.read ~kind:Smt_core.Poll t.chip s.th s.next) in
+      let n = Int64.to_int (Atomics.poll t.chip s.th s.next) in
       if n = 0 then begin
         Isa.exec s.th ~kind:Smt_core.Poll 8;
         wait_link ()

@@ -11,7 +11,7 @@
    [next], and the vacated payload slot is re-seeded with [dummy]
    immediately: a popped event's closure must become collectable the
    moment it is handed out, not when the slot happens to be reused (the
-   same discipline as Pqueue's payload re-seeding). *)
+   same discipline as test/engine's reference heap). *)
 
 type 'a t = {
   mutable times : int array;

@@ -83,6 +83,28 @@ let test_fcfs_runs_to_completion () =
   Alcotest.(check (list string)) "fifo completion" [ "b"; "a" ] !order;
   check_int "exactly two switches" 2 (Swsched.switch_count sched)
 
+(* A freed context goes to the longest-queued thread: four threads
+   queue behind a running one in an order unlike their spawn order,
+   and run in the order they queued. *)
+let test_freed_context_in_arrival_order () =
+  let sim = Sim.create () in
+  let one_ctx = { p with Params.smt_width = 1 } in
+  let sched = Swsched.create sim one_ctx ~cores:1 () in
+  let order = ref [] in
+  let holder = Swsched.thread sched () in
+  Sim.spawn sim (fun () -> Swsched.exec holder 1000);
+  List.iter
+    (fun (name, at) ->
+      let th = Swsched.thread sched () in
+      Sim.spawn sim (fun () ->
+          Sim.delay at;
+          Swsched.exec th 100;
+          order := name :: !order))
+    [ ("a", 20); ("b", 40); ("c", 10); ("d", 30) ];
+  Sim.run sim;
+  Alcotest.(check (list string)) "arrival order" [ "c"; "a"; "d"; "b" ] (List.rev !order);
+  check_int "a switch per thread" 5 (Swsched.switch_count sched)
+
 let test_contexts_match_cores_times_width () =
   let sim = Sim.create () in
   let sched = Swsched.create sim p ~cores:3 () in
@@ -212,6 +234,8 @@ let () =
           Alcotest.test_case "single thread" `Quick test_single_thread_no_switch_after_first;
           Alcotest.test_case "two threads switch" `Quick test_two_threads_pay_switches;
           Alcotest.test_case "fcfs run-to-completion" `Quick test_fcfs_runs_to_completion;
+          Alcotest.test_case "freed context in arrival order" `Quick
+            test_freed_context_in_arrival_order;
           Alcotest.test_case "context count" `Quick test_contexts_match_cores_times_width;
           Alcotest.test_case "vector switch cost" `Quick test_vector_thread_switch_cost;
         ] );

@@ -4,8 +4,7 @@
     broken by the caller's sequence number, so a heap fed a monotone
     [seq] pops in (time, push order) — the order {!Wheel} keeps without
     any sequence number.  test/engine checks the wheel and the whole
-    {!Sim} run loop against it, and the microbench uses it as the
-    wheel's comparator.
+    {!Sim} run loop against it.
 
     Times are immediate native ints (see [Sim.Time]); the heap stores
     keys and payloads in parallel unboxed arrays, so a push/pop pair

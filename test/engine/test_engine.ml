@@ -2,9 +2,7 @@
 
 module Sim = Sl_engine.Sim
 module Ivar = Sl_engine.Ivar
-module Signal = Sl_engine.Signal
 module Mailbox = Sl_engine.Mailbox
-module Pqueue = Sl_engine.Pqueue
 module Wheel = Sl_engine.Wheel
 module Arena = Sl_util.Arena
 
@@ -367,52 +365,25 @@ let test_ivar_double_fill_rejected () =
       Ivar.fill iv 3);
   Alcotest.(check (option int)) "peek" (Some 1) (Ivar.peek iv)
 
-(* --- Signal --- *)
-
-let test_signal_broadcast () =
+(* Readers wake in the order they began to read, not in spawn order,
+   each at the fill's tick. *)
+let test_ivar_readers_wake_in_registration_order () =
   let sim = Sim.create () in
-  let s = Signal.create () in
-  let woke = ref 0 in
-  for _ = 1 to 5 do
-    Sim.spawn sim (fun () ->
-        let v = Signal.wait s in
-        woke := !woke + v)
-  done;
+  let iv = Ivar.create () in
+  let woke = ref [] in
+  List.iter
+    (fun (name, at) ->
+      Sim.spawn sim (fun () ->
+          Sim.delay at;
+          Ivar.read iv;
+          woke := (name, Sim.now ()) :: !woke))
+    [ ("a", 3); ("b", 1); ("c", 4); ("d", 2) ];
   Sim.spawn sim (fun () ->
-      Sim.delay 3;
-      Signal.emit s 10);
+      Sim.delay 10;
+      Ivar.fill iv ());
   Sim.run sim;
-  check_int "five waiters x 10" 50 !woke
-
-let test_signal_not_buffered () =
-  let sim = Sim.create () in
-  let s = Signal.create () in
-  let woke = ref false in
-  Sim.spawn sim (fun () ->
-      Signal.emit s ();
-      (* Waiter arrives after the emission: must not wake. *)
-      Sim.fork (fun () ->
-          Signal.wait s;
-          woke := true));
-  Sim.run sim;
-  check_bool "late waiter still blocked" false !woke
-
-let test_signal_rewait_sees_next_emission () =
-  let sim = Sim.create () in
-  let s = Signal.create () in
-  let count = ref 0 in
-  Sim.spawn sim (fun () ->
-      Signal.wait s;
-      incr count;
-      Signal.wait s;
-      incr count);
-  Sim.spawn sim (fun () ->
-      Sim.delay 1;
-      Signal.emit s ();
-      Sim.delay 1;
-      Signal.emit s ());
-  Sim.run sim;
-  check_int "two wakeups" 2 !count
+  Alcotest.(check (list (pair string int)))
+    "registration order" [ ("b", 10); ("d", 10); ("a", 10); ("c", 10) ] (List.rev !woke)
 
 (* --- Mailbox --- *)
 
@@ -813,14 +784,25 @@ let test_process_calls_outside_a_process_raise () =
 
 (* Words allocated per call of [op] inside one process, as the
    difference between two run lengths, so that world set-up cancels
-   out.  OCaml 5.1. *)
-let words_per op =
+   out.  With [wake], each [op] blocks until a second process, which
+   delays a cycle before each call, calls [wake ()]: a ping-pong round,
+   whose waker's delay blocks behind the woken process's hop.
+   OCaml 5.1. *)
+let words_per ?wake op =
   let run n =
     let sim = Sim.create () in
     Sim.spawn sim (fun () ->
         for _ = 1 to n do
           op ()
         done);
+    Option.iter
+      (fun wake ->
+        Sim.spawn sim (fun () ->
+            for _ = 1 to n do
+              Sim.delay 1;
+              wake ()
+            done))
+      wake;
     let before = Gc.minor_words () in
     Sim.run sim;
     Gc.minor_words () -. before
@@ -847,6 +829,29 @@ let test_fork_allocation () =
 let test_set_daemon_allocation () =
   let w = words_per (fun () -> Sim.set_daemon true) in
   check_bool (Printf.sprintf "%.1f minor words per set_daemon = 0" w) true (w = 0.0)
+
+(* The ivar, its [Full] and the waker's delay, and the read's
+   suspension, registrar closure, continuation and [One]: 20 words.
+   34 when [read] waited through [Sim.await]. *)
+let test_ivar_round_trip_allocation () =
+  let current = ref (Ivar.create ()) in
+  let w =
+    words_per
+      ~wake:(fun () -> Ivar.fill !current ())
+      (fun () ->
+        current := Ivar.create ();
+        Ivar.read !current)
+  in
+  check_bool (Printf.sprintf "%.1f minor words per ivar round trip < 27" w) true (w < 27.0)
+
+(* A blocked receive adds its queue cell and the two options: 27 words.
+   36 when the receiver waited through [Sim.await]. *)
+let test_mailbox_round_trip_allocation () =
+  let mb = Mailbox.create () in
+  let w = words_per ~wake:(fun () -> Mailbox.send mb ()) (fun () -> Mailbox.recv mb) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per blocked recv and send < 32" w)
+    true (w < 32.0)
 
 (* --- Sim.now --- *)
 
@@ -1292,6 +1297,132 @@ let prop_run_loop_matches_reference =
   QCheck.Test.make ~name:"sim run loop matches one-heap (time, seq) reference" ~count:300
     (QCheck.make gen_script) (fun steps -> run_on_sim steps = run_on_reference steps)
 
+(* --- Mailbox against a FIFO model --- *)
+
+(* A process's steps on one shared mailbox.  A [Send] at step [i] of
+   process [p] sends [p * 1000 + i], so every item is distinct. *)
+type mb_op = Send | Recv | Recv_for of int | Try_recv | Pause of int
+
+let print_mb_op = function
+  | Send -> "send"
+  | Recv -> "recv"
+  | Recv_for w -> Printf.sprintf "recv_for %d" w
+  | Try_recv -> "try_recv"
+  | Pause d -> Printf.sprintf "pause %d" d
+
+let gen_mb_procs =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, return Send);
+        (2, return Recv);
+        (2, map (fun w -> Recv_for w) (int_range (-1) 12));
+        (1, return Try_recv);
+        (3, map (fun d -> Pause d) (int_bound 8));
+      ]
+  in
+  list_size (int_range 1 5) (list_size (int_bound 8) op)
+
+let print_mb_procs procs =
+  String.concat " | " (List.map (fun ops -> String.concat "; " (List.map print_mb_op ops)) procs)
+
+let item p i = (p * 1000) + i
+
+(* Every receive's (process, step, result, tick) and the items left in
+   the mailbox once the run has drained; then the items sent (a step
+   after a receive that never returns does not run). *)
+let mailbox_on_sim procs =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] and sent = ref [] in
+  List.iteri
+    (fun p ops ->
+      Sim.spawn sim (fun () ->
+          List.iteri
+            (fun i op ->
+              let note v = got := (p, i, v, Sim.now ()) :: !got in
+              match op with
+              | Send ->
+                sent := item p i :: !sent;
+                Mailbox.send mb (item p i)
+              | Recv -> note (Some (Mailbox.recv mb))
+              | Recv_for within -> note (Mailbox.recv_for mb ~within)
+              | Try_recv -> note (Mailbox.try_recv mb)
+              | Pause d -> Sim.delay d)
+            ops))
+    procs;
+  Sim.run sim;
+  let rec drain acc = match Mailbox.try_recv mb with Some v -> drain (v :: acc) | None -> List.rev acc in
+  ((List.rev !got, drain []), !sent)
+
+(* The same processes over a pure FIFO model on the one-heap reference
+   engine.  A blocked receiver waits in a list; a send hands its item to
+   the oldest waiter, and a timeout takes its own waiter out of the
+   list.  Every resume is a push at the current tick, a process's start
+   too; a [recv_for]'s timeout is a child started at the current tick
+   that waits [within] more. *)
+let mailbox_on_reference procs =
+  let r = Ref_sim.create () in
+  let now () = r.Ref_sim.now in
+  let hop f = Ref_sim.push r ~at:(now ()) f in
+  let items = ref [] and waiting = ref [] and got = ref [] and waiters = ref 0 in
+  let gives_up = function Try_recv -> true | Recv_for within -> within <= 0 | _ -> false in
+  let rec go p i = function
+    | [] -> ()
+    | op :: rest -> (
+      let note v = got := (p, i, v, now ()) :: !got in
+      let next () = go p (i + 1) rest in
+      match (op, !items) with
+      | Send, _ ->
+        (match !waiting with
+        | (_, resume) :: ws ->
+          waiting := ws;
+          hop (fun () -> resume (Some (item p i)))
+        | [] -> items := !items @ [ item p i ]);
+        next ()
+      | Pause d, _ -> Ref_sim.push r ~at:(now () + d) next
+      | _, v :: vs ->
+        items := vs;
+        note (Some v);
+        next ()
+      | _, [] when gives_up op ->
+        note None;
+        next ()
+      | _, [] -> (
+        incr waiters;
+        let id = !waiters in
+        let resume v =
+          note v;
+          next ()
+        in
+        waiting := !waiting @ [ (id, resume) ];
+        match op with
+        | Recv_for within ->
+          hop (fun () ->
+              Ref_sim.push r ~at:(now () + within) (fun () ->
+                  if List.mem_assoc id !waiting then begin
+                    waiting := List.remove_assoc id !waiting;
+                    hop (fun () -> resume None)
+                  end))
+        | _ -> ()))
+  in
+  List.iteri (fun p ops -> hop (fun () -> go p 0 ops)) procs;
+  Ref_sim.run r;
+  (List.rev !got, !items)
+
+(* Each receive returns the model's value at the model's tick, and the
+   same items are left over.  On its own, too: every sent item is
+   received once or left over, never lost and never delivered twice. *)
+let prop_mailbox_matches_fifo_model =
+  QCheck.Test.make ~name:"mailbox matches a FIFO model" ~count:500
+    (QCheck.make ~print:print_mb_procs ~shrink:QCheck.Shrink.(list ~shrink:list) gen_mb_procs)
+    (fun procs ->
+      let ((got, left) as sim), sent = mailbox_on_sim procs in
+      let delivered = List.filter_map (fun (_, _, v, _) -> v) got in
+      List.sort compare (delivered @ left) = List.sort compare sent
+      && sim = mailbox_on_reference procs)
+
 (* --- Continuing inline changes nothing observable --- *)
 
 module Params = Switchless.Params
@@ -1442,6 +1573,7 @@ let () =
         prop_pqueue_boundary_lexicographic;
         prop_wheel_matches_heap;
         prop_run_loop_matches_reference;
+        prop_mailbox_matches_fifo_model;
         prop_inline_waits_unobservable;
       ]
   in
@@ -1497,12 +1629,8 @@ let () =
           Alcotest.test_case "fill wakes readers" `Quick test_ivar_fill_wakes_readers;
           Alcotest.test_case "read after fill" `Quick test_ivar_read_after_fill_immediate;
           Alcotest.test_case "double fill rejected" `Quick test_ivar_double_fill_rejected;
-        ] );
-      ( "signal",
-        [
-          Alcotest.test_case "broadcast" `Quick test_signal_broadcast;
-          Alcotest.test_case "not buffered" `Quick test_signal_not_buffered;
-          Alcotest.test_case "re-wait" `Quick test_signal_rewait_sees_next_emission;
+          Alcotest.test_case "readers wake in registration order" `Quick
+            test_ivar_readers_wake_in_registration_order;
         ] );
       ( "mailbox",
         [
@@ -1554,6 +1682,9 @@ let () =
           Alcotest.test_case "fork with its child" `Quick test_fork_allocation;
           Alcotest.test_case "set_daemon allocates nothing" `Quick
             test_set_daemon_allocation;
+          Alcotest.test_case "ivar round trip" `Quick test_ivar_round_trip_allocation;
+          Alcotest.test_case "blocked mailbox round trip" `Quick
+            test_mailbox_round_trip_allocation;
         ] );
       ( "now",
         [

@@ -13,6 +13,7 @@ module Memory = Switchless.Memory
 module Rng = Sl_util.Rng
 module Lock = Sl_sync.Lock
 module Bqueue = Sl_sync.Bqueue
+module Atomics = Sl_sync.Atomics
 module Analysis = Sl_analysis.Analysis
 
 let params =
@@ -245,6 +246,34 @@ let prop_bqueue_conservation =
       && !consumed_n = total
       && Int64.equal !consumed_sum expect_sum)
 
+(* --- allocation ------------------------------------------------------------ *)
+
+(* A steady poll loop allocates nothing per read: 0.0 minor words on
+   OCaml 5.1; 2.0 while spin loops read through [Atomics.read ~kind],
+   whose optional argument, passed on as a variable, allocated a [Some]
+   per call.  Measured inside the polling thread, as the difference
+   between two loop lengths. *)
+let test_poll_allocation () =
+  let words reads =
+    let sim = Sim.create () in
+    let chip = Chip.create sim params ~cores:1 in
+    let word = Memory.alloc (Chip.memory chip) 1 in
+    let th = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+    let words = ref nan in
+    Chip.attach th (fun t ->
+        let before = Gc.minor_words () in
+        for _ = 1 to reads do
+          ignore (Atomics.poll chip t word : int64)
+        done;
+        words := Gc.minor_words () -. before);
+    Chip.boot th;
+    Sim.run sim;
+    !words
+  in
+  ignore (words 100 : float);
+  let per_read = (words 20_000 -. words 10_000) /. 10_000.0 in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per poll = 0" per_read) true (per_read = 0.0)
+
 let () =
   Alcotest.run "sync"
     [
@@ -256,4 +285,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_parking_waiter_set;
           QCheck_alcotest.to_alcotest prop_bqueue_conservation;
         ] );
+      ("alloc", [ Alcotest.test_case "steady poll loop" `Quick test_poll_allocation ]);
     ]
