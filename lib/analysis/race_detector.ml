@@ -98,6 +98,7 @@ let on_write t ~ptid ~addr =
         (fun rptid racc acc ->
           if rptid <> ptid && not (ordered c racc) then racc :: acc else acc)
         st.readers []
+      |> List.sort (fun a b -> Int.compare a.ptid b.ptid)
     in
     List.iter
       (fun racc ->
@@ -108,7 +109,7 @@ let on_write t ~ptid ~addr =
                "read-write race on [0x%x]: write by ptid %d (t=%d) vs read \
                 by ptid %d (t=%d) are unordered"
                addr ptid (t.now ()) racc.ptid racc.time))
-      (List.sort (fun a b -> Int.compare a.ptid b.ptid) racing)
+      racing
   end;
   st.writer <- Some { ptid; epoch = Vclock.get c ptid; time = t.now () };
   Vclock.tick c ptid;

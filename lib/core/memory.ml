@@ -1,8 +1,10 @@
 type addr = int
 
-(* Words live in flat unboxed [int64 array]s indexed by address, so a
-   store is a bounds check and one unboxed write instead of the old
-   hash + bucket walk.  The address space is split at the bump
+(* Words live in [int64 array]s indexed by address, so a store is a
+   bounds check and one array write instead of the old hash + bucket
+   walk.  OCaml boxes the [int64]s of such an array: each slot holds a
+   pointer, so a store of a computed value allocates its 3-word box at
+   the caller (a constant such as [0L] is shared).  The address space is split at the bump
    allocator's base: everything {!alloc} hands out is dense from
    [heap_base], so [heap] is indexed by [addr - heap_base] and never
    carries a 4096-word dead prefix; the handful of small test-constant

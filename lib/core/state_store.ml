@@ -283,12 +283,12 @@ let check t =
   let issues = ref [] in
   let problem fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
   let resident = Array.make 4 0 in
-  Hashtbl.iter
-    (fun _ e ->
-      resident.(tier_index e.tier) <- resident.(tier_index e.tier) + e.bytes;
-      if e.pinned && e.tier <> Register_file then
-        problem "ptid %d is pinned but resides in %s" e.ptid (tier_name e.tier))
-    t.entries;
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+  |> List.sort (fun a b -> Int.compare a.ptid b.ptid)
+  |> List.iter (fun e ->
+         resident.(tier_index e.tier) <- resident.(tier_index e.tier) + e.bytes;
+         if e.pinned && e.tier <> Register_file then
+           problem "ptid %d is pinned but resides in %s" e.ptid (tier_name e.tier));
   List.iter
     (fun tier ->
       let idx = tier_index tier in

@@ -32,6 +32,11 @@ type t = {
   mutable dma_dropped : int;
   mutable doorbells_dropped : int;
   mutable doorbells_duplicated : int;
+  (* Admitted packets whose DMA is in flight: ids [landed, next_id),
+     packet [id] at [flight.(id land (Array.length flight - 1))]. *)
+  mutable flight : packet array;
+  mutable landed : int;
+  land_next : unit -> unit;  (* the landing event, built once *)
 }
 
 (* Lets the fault injector attach to every NIC built inside experiment
@@ -42,6 +47,56 @@ let creation_hook : (t -> unit) option Domain.DLS.key =
 
 let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
 let clear_creation_hook () = Domain.DLS.set creation_hook None
+
+let no_packet = { pkt_id = -1; flow = 0; injected_at = 0 }
+
+(* The descriptor DMA, then the tail-pointer doorbell write, of the
+   oldest packet in flight.  Every packet waits the same
+   [dma_write_cycles] and each admission pushes one landing event, so the
+   landings come out in admission order and the k-th pops the k-th
+   packet admitted. *)
+let land_oldest t =
+  let i = t.landed land (Array.length t.flight - 1) in
+  let pkt = t.flight.(i) in
+  t.flight.(i) <- no_packet;
+  t.landed <- t.landed + 1;
+  let q_idx = pkt.flow mod Array.length t.rx in
+  let q = t.rx.(q_idx) in
+  let dma_lost =
+    match t.faults with Some f -> f.dma_drop ~queue:q_idx | None -> false
+  in
+  if dma_lost then
+    (* The descriptor write was lost in the fabric: no ring entry, no
+       doorbell.  The packet is gone; only the counter remembers it. *)
+    t.dma_dropped <- t.dma_dropped + 1
+  else begin
+    let slot = q.tail mod t.queue_depth in
+    q.ring.(slot) <- Some pkt;
+    Memory.write t.memory (q.ring_base + slot) (Int64.of_int pkt.pkt_id);
+    q.tail <- q.tail + 1;
+    let bell_lost =
+      match t.faults with
+      | Some f -> f.doorbell_drop ~queue:q_idx
+      | None -> false
+    in
+    if bell_lost then
+      (* Descriptor landed but the tail-pointer update did not: the
+         classic lost doorbell.  The data is pollable, yet nothing
+         wakes a parked monitor until a later packet's doorbell. *)
+      t.doorbells_dropped <- t.doorbells_dropped + 1
+    else begin
+      Memory.write t.memory q.tail_addr (Int64.of_int q.tail);
+      (match t.faults with
+      | Some f when f.doorbell_dup ~queue:q_idx ->
+        (* A replayed doorbell: same tail value written twice.  The
+           second write latches a pending trigger, producing a spurious
+           immediate mwait return downstream. *)
+        t.doorbells_duplicated <- t.doorbells_duplicated + 1;
+        Memory.write t.memory q.tail_addr (Int64.of_int q.tail)
+      | Some _ | None -> ());
+      Notify.fire t.sim t.params t.memory t.notify
+    end
+  end
 
 let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_depth () =
   if queue_depth <= 0 then invalid_arg "Nic.create: queue_depth must be positive";
@@ -56,20 +111,24 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
       drops = 0;
     }
   in
-  let t =
+  let rx = Array.init queues (fun _ -> make_queue ()) in
+  let rec t =
     {
       sim;
       params;
       memory;
       notify;
       queue_depth;
-      rx = Array.init queues (fun _ -> make_queue ());
+      rx;
       next_id = 0;
       dropped = 0;
       faults = None;
       dma_dropped = 0;
       doorbells_dropped = 0;
       doorbells_duplicated = 0;
+      flight = Array.make 16 no_packet;
+      landed = 0;
+      land_next = (fun () -> land_oldest t);
     }
   in
   (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
@@ -81,55 +140,40 @@ let queue_count t = Array.length t.rx
 let queue_tail_addr t i = t.rx.(i).tail_addr
 let rx_tail_addr t = queue_tail_addr t 0
 
-let inject ?flow t =
+(* Put the packet with the next id in flight, doubling the buffer when
+   it is full.  Its length stays a power of two, so ids wrap with a
+   mask. *)
+let put_in_flight t pkt =
+  let cap = Array.length t.flight in
+  if t.next_id - t.landed = cap then begin
+    let grown = Array.make (2 * cap) no_packet in
+    for id = t.landed to t.next_id - 1 do
+      grown.(id land ((2 * cap) - 1)) <- t.flight.(id land (cap - 1))
+    done;
+    t.flight <- grown
+  end;
+  t.flight.(t.next_id land (Array.length t.flight - 1)) <- pkt
+
+(* Steer, count a ring-full drop, or stamp the packet and put its DMA in
+   flight.  True when admitted. *)
+let admit ?flow t =
   let flow = match flow with Some f -> f | None -> t.next_id in
-  let q_idx = flow mod Array.length t.rx in
-  let q = t.rx.(q_idx) in
+  let q = t.rx.(flow mod Array.length t.rx) in
   if q.tail - q.head >= t.queue_depth then begin
     t.dropped <- t.dropped + 1;
-    q.drops <- q.drops + 1
+    q.drops <- q.drops + 1;
+    false
   end
   else begin
-    let pkt = { pkt_id = t.next_id; flow; injected_at = Sim.now () } in
+    put_in_flight t { pkt_id = t.next_id; flow; injected_at = Sim.time t.sim };
     t.next_id <- t.next_id + 1;
-    (* DMA of the descriptor, then the tail-pointer doorbell write. *)
-    Sim.delay t.params.Params.dma_write_cycles;
-    let dma_lost =
-      match t.faults with Some f -> f.dma_drop ~queue:q_idx | None -> false
-    in
-    if dma_lost then
-      (* The descriptor write was lost in the fabric: no ring entry, no
-         doorbell.  The packet is gone; only the counter remembers it. *)
-      t.dma_dropped <- t.dma_dropped + 1
-    else begin
-      let slot = q.tail mod t.queue_depth in
-      q.ring.(slot) <- Some pkt;
-      Memory.write t.memory (q.ring_base + slot) (Int64.of_int pkt.pkt_id);
-      q.tail <- q.tail + 1;
-      let bell_lost =
-        match t.faults with
-        | Some f -> f.doorbell_drop ~queue:q_idx
-        | None -> false
-      in
-      if bell_lost then
-        (* Descriptor landed but the tail-pointer update did not: the
-           classic lost doorbell.  The data is pollable, yet nothing
-           wakes a parked monitor until a later packet's doorbell. *)
-        t.doorbells_dropped <- t.doorbells_dropped + 1
-      else begin
-        Memory.write t.memory q.tail_addr (Int64.of_int q.tail);
-        (match t.faults with
-        | Some f when f.doorbell_dup ~queue:q_idx ->
-          (* A replayed doorbell: same tail value written twice.  The
-             second write latches a pending trigger, producing a spurious
-             immediate mwait return downstream. *)
-          t.doorbells_duplicated <- t.doorbells_duplicated + 1;
-          Memory.write t.memory q.tail_addr (Int64.of_int q.tail)
-        | Some _ | None -> ());
-        Notify.fire t.sim t.params t.memory t.notify
-      end
-    end
+    Sim.schedule t.sim ~at:(Sim.time t.sim + t.params.Params.dma_write_cycles) t.land_next;
+    true
   end
+
+let arrive ?flow t = ignore (admit ?flow t : bool)
+
+let inject ?flow t = if admit ?flow t then Sim.delay t.params.Params.dma_write_cycles
 
 let poll_queue t i =
   let q = t.rx.(i) in

@@ -33,11 +33,23 @@ val rx_tail_addr : t -> Switchless.Memory.addr
 
 val queue_tail_addr : t -> int -> Switchless.Memory.addr
 
-val inject : ?flow:int -> t -> unit
+val arrive : ?flow:int -> t -> unit
 (** One packet with the given flow label (default: consecutive ids, i.e.
-    round-robin across queues) arrives now.  Must be called from a
-    process (the DMA takes [dma_write_cycles]).  Dropped (counted) when
-    the steered ring is full. *)
+    round-robin across queues) arrives now.  The device admits it at
+    once: it steers the packet to a queue and, when that ring is full,
+    drops it (counted in {!dropped}); otherwise it stamps the next
+    [pkt_id] and [injected_at] = now.  The descriptor and the tail
+    doorbell land [dma_write_cycles] later, in an event of the device's
+    own, followed by the notification.  Every packet's DMA takes the
+    same time, so packets land in the order they were admitted, across
+    queues.  The ring-full check counts landed descriptors only.  Never
+    blocks: callable from a process or a {!Sl_engine.Sim.schedule}
+    callback. *)
+
+val inject : ?flow:int -> t -> unit
+(** {!arrive}, then, for an admitted packet, wait out the DMA: the
+    calling process resumes just after its descriptor and doorbell
+    landed.  Must be called from a process. *)
 
 val poll : t -> packet option
 (** Take the next descriptor from queue 0, if any. *)
@@ -60,8 +72,7 @@ val dropped_queue : t -> int -> int
 (** {2 Fault injection}
 
     Installed per NIC by [Sl_fault.Fault].  Each predicate is sampled once
-    per injected packet at the relevant point of the DMA + doorbell
-    sequence. *)
+    per admitted packet at the relevant point of its landing. *)
 
 type faults = {
   dma_drop : queue:int -> bool;

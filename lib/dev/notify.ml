@@ -7,10 +7,10 @@ type t =
   | Msix of Memory.addr
   | Irq_line of (unit -> unit)
 
-let fire _sim params memory = function
+let fire sim params memory = function
   | Silent -> ()
   | Msix addr ->
-    Sim.delay params.Params.msix_translation_cycles;
-    let v = Memory.read memory addr in
-    Memory.write memory addr (Int64.add v 1L)
+    Sim.schedule sim
+      ~at:(Sim.time sim + params.Params.msix_translation_cycles)
+      (fun () -> Memory.write memory addr (Int64.add (Memory.read memory addr) 1L))
   | Irq_line raise_line -> raise_line ()

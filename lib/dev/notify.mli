@@ -19,5 +19,9 @@ type t =
 
 val fire :
   Sl_engine.Sim.t -> Switchless.Params.t -> Switchless.Memory.t -> t -> unit
-(** Deliver the notification at the current simulated time (MSI-X pays
-    its translation delay first).  Must be called from a process. *)
+(** Deliver the notification of a device event happening now.  Never
+    blocks, so a device's own event can call it as well as a process:
+    [Irq_line] calls its callback now, and [Msix] schedules its vector
+    write [msix_translation_cycles] later, in an event of its own.  The
+    caller goes on at once; an MSI-X write never delays the device that
+    fired it. *)

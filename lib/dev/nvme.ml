@@ -81,13 +81,16 @@ let submit t =
       | Some _ | None -> 0)
     | None -> 0
   in
-  Sim.fork (fun () ->
-      Sim.delay (service + stall);
-      Sim.delay t.params.Params.dma_write_cycles;
-      t.in_flight <- t.in_flight - 1;
-      t.completed <- t.completed + 1;
-      Queue.push { cmd_id = id; submitted_at; completed_at = Sim.now () } t.completions;
-      Memory.write t.memory t.cq_tail_addr (Int64.of_int t.completed));
+  let complete () =
+    t.in_flight <- t.in_flight - 1;
+    t.completed <- t.completed + 1;
+    Queue.push { cmd_id = id; submitted_at; completed_at = Sim.now () } t.completions;
+    Memory.write t.memory t.cq_tail_addr (Int64.of_int t.completed)
+  in
+  (* The device latency, then the completion DMA. *)
+  Sim.after 0 (fun () ->
+      Sim.after (service + stall) (fun () ->
+          Sim.after t.params.Params.dma_write_cycles complete));
   id
 
 let in_flight t = t.in_flight

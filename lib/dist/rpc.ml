@@ -37,10 +37,10 @@ let call s ~client =
     int_of_float (Sl_util.Dist.sample r.rtt r.rng) + r.server_work
   in
   let delay = if delay < 1 then 1 else delay in
-  Sim.fork (fun () ->
-      Sim.delay delay;
-      r.completed <- r.completed + 1;
-      Memory.write (Chip.memory r.chip) s.resp seq);
+  Sim.after 0 (fun () ->
+      Sim.after delay (fun () ->
+          r.completed <- r.completed + 1;
+          Memory.write (Chip.memory r.chip) s.resp seq));
   let rec wait () =
     let _ = Isa.mwait client in
     if Int64.compare (Isa.load client s.resp) seq < 0 then wait ()

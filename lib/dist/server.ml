@@ -73,7 +73,7 @@ let run_software ?quantum cfg =
     ~sink:(fun req ->
       (* One fresh software thread per request. *)
       let worker = Swsched.thread sched () in
-      Sim.fork (fun () ->
+      Sim.spawn sim (fun () ->
           Swsched.exec worker req.Openloop.service_cycles;
           record latencies slowdowns req));
   Sim.run sim;

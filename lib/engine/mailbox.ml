@@ -26,11 +26,11 @@ let recv_for t ~within =
   | None when within <= 0 -> None
   | None ->
     (* One-shot race between the sender and the timeout: whoever fills
-       the receiver's ivar first wins. *)
+       the receiver's ivar first wins.  The timeout is an event at the
+       current tick, behind the events already due, that schedules the
+       give-up. *)
     let r = wait t in
-    Sim.fork (fun () ->
-        Sim.delay within;
-        ignore (Ivar.try_fill r None : bool));
+    Sim.after 0 (fun () -> Sim.after within (fun () -> ignore (Ivar.try_fill r None : bool)));
     Ivar.read r
 
 let try_recv t = Queue.take_opt t.items

@@ -19,7 +19,11 @@ val recv_for : 'a t -> within:Sim.Time.t -> 'a option
 (** [recv_for t ~within] dequeues like {!recv} but gives up after
     [within] cycles, returning [None] (and leaving no receiver behind).
     [within ≤ 0] degenerates to {!try_recv}.  Lets interrupt-driven
-    consumers survive a dropped IPI instead of parking forever. *)
+    consumers survive a dropped IPI instead of parking forever.  The
+    timeout is two callbacks, not a process: one at the current tick
+    ({!Sim.after}[ 0]) that schedules the give-up [within] cycles
+    later, so it fires where a timer process started by the receive
+    would.  A send that beats it leaves the give-up a no-op. *)
 
 val try_recv : 'a t -> 'a option
 (** Non-blocking dequeue. *)

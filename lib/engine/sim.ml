@@ -362,6 +362,14 @@ let running_world op =
 
 let fork f = spawn (running_world "Sim.fork") f
 
+let after d f =
+  match Domain.DLS.get running with
+  | Some t ->
+    if d < 0 then invalid_arg "Sim.after: negative delay";
+    if d > Time.max_tick - t.now then invalid_arg "Sim.after: past Time.max_tick";
+    push t ~at:(t.now + d) f
+  | None -> invalid_arg "Sim.after: no world is running on this domain"
+
 let set_daemon d =
   let t = running_world "Sim.set_daemon" in
   (Hashtbl.find t.procs t.running_pid).daemon <- d

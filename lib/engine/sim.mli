@@ -189,6 +189,17 @@ val fork : (unit -> unit) -> unit
 (** Start a child process at the current time.  The child runs after the
     caller next blocks (deterministic FIFO order). *)
 
+val after : Time.t -> (unit -> unit) -> unit
+(** [after d f] runs callback [f] (not a blocking process) [d] cycles
+    from now in the world whose {!run} is executing, behind every event
+    already scheduled for that tick: {!schedule} without the world at
+    hand.  Callable from a process and from a callback.  From a process,
+    [after 0] holds the position a {!fork}ed child's start would, so
+    [after 0 (fun () -> after d g)] runs [g] where a child that delays
+    [d] and then runs [g] would, without the child.  A negative [d], or
+    one past {!Time.max_tick}, raises [Invalid_argument], and so does a
+    call while no world's run is executing. *)
+
 val await : (('a -> unit) -> unit) -> 'a
 (** [await register] suspends the calling process; [register] receives a
     one-shot [resume] callback that re-enqueues the process with a result

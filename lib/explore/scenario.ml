@@ -371,7 +371,7 @@ let watchdog_rescue () =
   Openloop.run sim (Sl_util.Rng.create 5L)
     ~arrivals:(Arrivals.poisson ~rate_per_kcycle:0.5)
     ~service:(Dist.Constant 300.) ~count
-    ~sink:(fun _req -> Sim.fork (fun () -> Nic.inject nic));
+    ~sink:(fun _req -> Sim.schedule sim ~at:(Sim.time sim) (fun () -> Nic.arrive nic));
   Sim.run ~until:50_000_000 sim;
   ( [
       ( !processed = count,

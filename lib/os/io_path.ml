@@ -110,9 +110,11 @@ type server = {
   post : Openloop.request -> unit;
 }
 
-let nic_server core nic =
-  let inject () = Nic.inject nic in
-  { core; nic = Some nic; post = (fun _ -> Sim.fork inject) }
+(* An arrival reaches the device in an event at the arrival tick, behind
+   the events already due then. *)
+let nic_server w core nic =
+  let arrive () = Nic.arrive nic in
+  { core; nic = Some nic; post = (fun _ -> Sim.schedule w.sim ~at:(Sim.time w.sim) arrive) }
 
 (* --- the paper's designs: hardware threads on one chip --------------------- *)
 
@@ -152,7 +154,7 @@ let mwait w ~queues =
     Chip.boot net
   done;
   chip_background w chip ~ptid:(queues + 1);
-  nic_server (Chip.exec_core chip 0) nic
+  nic_server w (Chip.exec_core chip 0) nic
 
 (* mwait that survives a faulty wakeup substrate: deadline-bounded waits,
    polling after repeated missed wakeups, mwait again once the storm
@@ -216,7 +218,7 @@ let mwait_hardened w ~watchdog =
   Chip.boot net;
   chip_background w chip ~ptid:2;
   Option.iter Watchdog.start watchdog;
-  nic_server (Chip.exec_core chip 0) nic
+  nic_server w (Chip.exec_core chip 0) nic
 
 (* The kernel-bypass status quo: spin on the queue, paying [poll_gap]
    Poll cycles per empty check.  Only the poller serves, so [w.stop]
@@ -235,7 +237,7 @@ let polling w =
       done);
   Chip.boot poller;
   chip_background w chip ~ptid:2;
-  nic_server (Chip.exec_core chip 0) nic
+  nic_server w (Chip.exec_core chip 0) nic
 
 (* --- the kernel status quo: a legacy IRQ and a software scheduler ---------- *)
 
@@ -271,7 +273,7 @@ let kernel_nic w ~gate ~on_irq ~serve =
     let bg = Swsched.thread sched () in
     Sim.spawn w.sim (fun () -> background_loop w (fun n -> Swsched.exec bg n))
   end;
-  nic_server (Swsched.cores sched).(0) dev
+  nic_server w (Swsched.cores sched).(0) dev
 
 (* One hardirq per packet: the handler runs the scheduler, pulls the
    descriptor and publishes the packet to the app's backlog.  Handlers

@@ -36,9 +36,8 @@ let run ?(seed = 1L) ?(loss = 0.0) ?(link_delay = 2000) ~params ~segments () =
   (* The wire: one-way delay plus independent loss, each direction. *)
   let transmit ring ~seq =
     let dropped = Sl_util.Rng.float rng < loss in
-    Sim.fork (fun () ->
-        Sim.delay link_delay;
-        if not dropped then Nic.inject ~flow:seq ring)
+    Sim.after 0 (fun () ->
+        Sim.after link_delay (fun () -> if not dropped then Nic.arrive ~flow:seq ring))
   in
   let timer = Apic_timer.create sim params memory ~period:(rto / 2) () in
   let retransmissions = ref 0 in

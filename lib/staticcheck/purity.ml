@@ -33,11 +33,25 @@ let print_banned =
     "Format.eprintf";
   ]
 
+(* Traversals that visit a table's bindings in hash order, which
+   [OCAMLRUNPARAM=R] reseeds per run. *)
+let hashtbl_order_banned =
+  [
+    "Hashtbl.iter";
+    "Hashtbl.fold";
+    "Hashtbl.to_seq";
+    "Hashtbl.to_seq_keys";
+    "Hashtbl.to_seq_values";
+  ]
+
+let sorts = [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq" ]
+
 type ctx = {
   file : string;
   check_prints : bool;
   mutable binding : string;
   mutable found : Site.t list;
+  mutable sorted : expression list;  (* traversal idents whose result a sort takes *)
 }
 
 let report ctx ~rule ~loc message =
@@ -51,10 +65,44 @@ let report ctx ~rule ~loc message =
     }
     :: ctx.found
 
+let resolves_to names e =
+  match e.exp_desc with
+  | Texp_ident (raw, _, _) ->
+    Spath.matches_any names (Spath.resolve_value e.exp_env raw) <> None
+  | _ -> false
+
+(* [x] is a traversal's application: remember its function. *)
+let mark_sorted ctx x =
+  match x.exp_desc with
+  | Texp_apply (fn, _) when resolves_to hashtbl_order_banned fn ->
+    ctx.sorted <- fn :: ctx.sorted
+  | _ -> ()
+
+(* A traversal's result goes straight into a sort when it is the last
+   argument of [sort cmp] or of a partial [sort cmp]: the type checker
+   turns [traversal ... |> sort cmp] and [sort cmp @@ traversal ...]
+   into the second shape. *)
+let note_sorts ctx fn args =
+  let sort =
+    match fn.exp_desc with
+    | Texp_apply (g, _) -> resolves_to sorts g
+    | _ -> resolves_to sorts fn
+  in
+  match List.rev args with (_, Some x) :: _ when sort -> mark_sorted ctx x | _ -> ()
+
 let visit_expr ctx e =
   match e.exp_desc with
+  | Texp_apply (fn, args) -> note_sorts ctx fn args
   | Texp_ident (raw, _, _) -> (
     let p = Spath.resolve_value e.exp_env raw in
+    if Spath.matches_any hashtbl_order_banned p <> None && not (List.memq e ctx.sorted)
+    then
+      report ctx ~rule:"hashtbl-order" ~loc:e.exp_loc
+        (Printf.sprintf
+           "%s visits bindings in hash order, which the hash seed changes; \
+            sort its result straight away, or justify an order-free \
+            reduction in staticcheck.allow"
+           (Spath.name p));
     match Spath.matches_any determinism_banned p with
     | Some _ ->
       report ctx ~rule:"determinism" ~loc:e.exp_loc
@@ -85,7 +133,7 @@ let visit_expr ctx e =
   | _ -> ()
 
 let check ~file ~check_prints str =
-  let ctx = { file; check_prints; binding = "-"; found = [] } in
+  let ctx = { file; check_prints; binding = "-"; found = []; sorted = [] } in
   let it =
     {
       Tast_iterator.default_iterator with

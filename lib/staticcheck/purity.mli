@@ -5,6 +5,14 @@
     string literal mentioning it is not, and a [try ... with _ ->] is
     recognised from the typedtree rather than a token stack.
 
+    [hashtbl-order] flags [Hashtbl.iter], [Hashtbl.fold] and
+    [Hashtbl.to_seq*], which visit bindings in hash order, unless the
+    traversal's result goes straight into a [List] sort:
+    [List.sort cmp (Hashtbl.fold ...)], [Hashtbl.fold ... |> List.sort
+    cmp] or [List.sort cmp @@ Hashtbl.fold ...].  An order-free
+    reduction (a count, a max over distinct keys) takes a justified
+    allowlist line instead.
+
     [check_prints] is false for terminal-facing directories ([util]). *)
 
 val check :

@@ -14,12 +14,21 @@ type request = {
 val run :
   Sl_engine.Sim.t -> Sl_util.Rng.t -> arrivals:Arrivals.t ->
   service:Sl_util.Dist.t -> count:int -> sink:(request -> unit) -> unit
-(** Spawn a generator process emitting [count] requests; [sink] is invoked
-    from the generator process at each arrival instant (it may fork, send
-    to a mailbox, inject into a device, …).  Gaps come from
-    {!Arrivals.sampler} (Poisson, bursty MMPP, …; clamped to ≥ 1 cycle),
-    service demands are drawn from [service] on the same RNG stream
-    (clamped to ≥ 0 cycles), one gap then one demand per request. *)
+(** Emit [count] requests, one event per arrival, with no process.  A
+    start event at the current tick (before {!Sl_engine.Sim.run}: at
+    time 0) builds the gap sampler and schedules the first arrival;
+    each arrival event calls [sink] and schedules the next.  Gaps come
+    from {!Arrivals.sampler} (Poisson, bursty MMPP, …; clamped to ≥ 1
+    cycle), service demands are drawn from [service] on the same RNG
+    stream (clamped to ≥ 0 cycles), one gap then one demand per
+    request; the next gap is drawn after [sink] returns.
+
+    [sink] runs in a {!Sl_engine.Sim.schedule} callback at the arrival
+    instant, so it must not block: it may send to a mailbox, call
+    [Nic.arrive], schedule an event, or start a process with
+    [Sim.spawn sim] (which runs at the arrival tick, behind the events
+    already due then).  Forking a child, a delay and every blocking wait
+    raise there. *)
 
 val utilization :
   rate_per_kcycle:float -> mean_service:float -> servers:float -> float

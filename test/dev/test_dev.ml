@@ -7,6 +7,8 @@ module Nic = Sl_dev.Nic
 module Notify = Sl_dev.Notify
 module Apic_timer = Sl_dev.Apic_timer
 module Nvme = Sl_dev.Nvme
+module Openloop = Sl_workload.Openloop
+module Arrivals = Sl_workload.Arrivals
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -84,6 +86,135 @@ let test_nic_msix_notify () =
   check_int "time includes translation"
     (p.Params.dma_write_cycles + p.Params.msix_translation_cycles)
     (Sim.time sim)
+
+(* Every memory write of a world, as (tick, address, value), oldest
+   first. *)
+let log_writes sim mem =
+  let log = ref [] in
+  Memory.add_write_hook mem (fun addr v -> log := (Sim.time sim, addr, v) :: !log);
+  fun () -> List.rev !log
+
+let ticks_of addr writes =
+  List.filter_map (fun (t, a, _) -> if a = addr then Some t else None) writes
+
+let dma = p.Params.dma_write_cycles
+
+let poll_ids nic q =
+  List.init (Nic.pending_queue nic q) (fun _ ->
+      match Nic.poll_queue nic q with Some pkt -> pkt.Nic.pkt_id | None -> -1)
+
+let test_nic_arrive_from_callback () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let nic = Nic.create sim p mem ~queue_depth:8 () in
+  let writes = log_writes sim mem in
+  let pending_at_arrival = ref (-1) in
+  Sim.schedule sim ~at:100 (fun () ->
+      Nic.arrive nic;
+      pending_at_arrival := Nic.pending nic);
+  Sim.run sim;
+  check_int "nothing lands at the arrival tick" 0 !pending_at_arrival;
+  (match Nic.poll nic with
+  | Some pkt ->
+    check_int "stamped at the arrival tick" 100 pkt.Nic.injected_at;
+    check_int "first id" 0 pkt.Nic.pkt_id
+  | None -> Alcotest.fail "expected packet");
+  Alcotest.(check (list int)) "descriptor then doorbell, one DMA later"
+    [ 100 + dma; 100 + dma ]
+    (List.map (fun (t, _, _) -> t) (writes ()));
+  check_int "clock stops at the landing" (100 + dma) (Sim.time sim)
+
+let test_nic_arrive_lands_fifo_across_queues () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let nic = Nic.create sim p mem ~queues:3 ~queue_depth:8 () in
+  let writes = log_writes sim mem in
+  (* Four packets in flight at once, over three queues. *)
+  List.iter
+    (fun (at, flow) -> Sim.schedule sim ~at (fun () -> Nic.arrive ~flow nic))
+    [ (10, 2); (10, 0); (11, 1); (12, 2) ];
+  Sim.run sim;
+  let tails = List.init 3 (Nic.queue_tail_addr nic) in
+  let doorbell (t, a, _) = Option.map (fun q -> (t, q)) (List.find_index (( = ) a) tails) in
+  Alcotest.(check (list (pair int int))) "doorbells in admission order"
+    [ (10 + dma, 2); (10 + dma, 0); (11 + dma, 1); (12 + dma, 2) ]
+    (List.filter_map doorbell (writes ()));
+  Alcotest.(check (list (list int))) "ids by queue" [ [ 1 ]; [ 2 ]; [ 0; 3 ] ]
+    (List.init 3 (poll_ids nic))
+
+(* More packets in flight at once than the device's in-flight buffer
+   starts with: it grows and keeps their order. *)
+let test_nic_arrive_burst () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let nic = Nic.create sim p mem ~queues:3 ~queue_depth:64 () in
+  let writes = log_writes sim mem in
+  Sim.schedule sim ~at:0 (fun () ->
+      for i = 0 to 39 do
+        Nic.arrive ~flow:(i mod 3) nic
+      done);
+  Sim.schedule sim ~at:1 (fun () -> Nic.arrive ~flow:0 nic);
+  Sim.run sim;
+  let every3 q = List.filter (fun i -> i mod 3 = q) (List.init 40 Fun.id) in
+  Alcotest.(check (list (list int))) "ids by queue, in admission order"
+    [ every3 0 @ [ 40 ]; every3 1; every3 2 ]
+    (List.init 3 (poll_ids nic));
+  check_int "the last write one DMA after the late arrival" (1 + dma)
+    (List.fold_left (fun _ (t, _, _) -> t) 0 (writes ()));
+  check_int "writes" 82 (List.length (writes ()))
+
+let test_nic_arrive_drops_at_arrival () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let nic = Nic.create sim p mem ~queue_depth:1 () in
+  let writes = log_writes sim mem in
+  let dropped_at_arrival = ref (-1) in
+  Sim.schedule sim ~at:0 (fun () -> Nic.arrive nic);
+  Sim.schedule sim ~at:(dma + 5) (fun () ->
+      Nic.arrive nic;
+      dropped_at_arrival := Nic.dropped nic);
+  Sim.run sim;
+  check_int "counted in the arrival's own event" 1 !dropped_at_arrival;
+  check_int "clock" (dma + 5) (Sim.time sim);
+  check_int "one landing only" 2 (List.length (writes ()));
+  check_int "delivered" 1 (Nic.delivered nic)
+
+let test_nic_arrive_msix_after_landing () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let vector = Memory.alloc mem 1 in
+  let nic = Nic.create sim p mem ~notify:(Notify.Msix vector) ~queue_depth:8 () in
+  let writes = log_writes sim mem in
+  Sim.schedule sim ~at:20 (fun () -> Nic.arrive nic);
+  Sim.run sim;
+  Alcotest.(check (list int)) "doorbell one DMA after the arrival" [ 20 + dma ]
+    (ticks_of (Nic.rx_tail_addr nic) (writes ()));
+  Alcotest.(check (list int)) "vector one translation after the doorbell"
+    [ 20 + dma + p.Params.msix_translation_cycles ]
+    (ticks_of vector (writes ()));
+  check_i64 "vector bumped" 1L (Memory.read mem vector)
+
+(* Arrivals of a Poisson stream into a NIC nobody drains, each an event
+   at its arrival tick that calls [Nic.arrive], as [Io_path] posts them:
+   the request, the packet, its ring option, two boxed words and the
+   draws' boxes, 36 words.  110 when each arrival forked a process that
+   waited out the DMA. *)
+let test_openloop_arrival_allocation () =
+  let run n =
+    let sim = Sim.create () in
+    let nic = Nic.create sim p (Memory.create ()) ~queue_depth:(n + 1) () in
+    let arrive () = Nic.arrive nic in
+    Openloop.run sim (Sl_util.Rng.create 1L)
+      ~arrivals:(Arrivals.poisson ~rate_per_kcycle:0.5)
+      ~service:(Sl_util.Dist.Exponential 500.0) ~count:n
+      ~sink:(fun _ -> Sim.schedule sim ~at:(Sim.time sim) arrive);
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. before
+  in
+  ignore (run 1_000 : float);
+  let w = (run 20_000 -. run 10_000) /. 10_000.0 in
+  check_bool (Printf.sprintf "%.1f minor words per arrival < 40" w) true (w < 40.0)
 
 let test_timer_ticks_and_counter () =
   let sim = Sim.create () in
@@ -221,6 +352,25 @@ let test_nic_fault_hooks () =
   check_i64 "final tail reflects second delivery" 2L
     (Memory.read mem (Nic.rx_tail_addr nic))
 
+(* The counter write of tick k lands at k x period, and its MSI-X
+   vector write one translation later: notifying never delays the next
+   tick. *)
+let test_timer_msix_keeps_period () =
+  let sim = Sim.create () in
+  let mem = Memory.create () in
+  let vector = Memory.alloc mem 1 in
+  let timer = Apic_timer.create sim p mem ~notify:(Notify.Msix vector) ~period:100 () in
+  let writes = log_writes sim mem in
+  Apic_timer.start timer;
+  Sim.schedule sim ~at:450 (fun () -> Apic_timer.stop timer);
+  Sim.run sim;
+  let msix = p.Params.msix_translation_cycles in
+  Alcotest.(check (list int)) "ticks at k x period" [ 100; 200; 300; 400 ]
+    (ticks_of (Apic_timer.count_addr timer) (writes ()));
+  Alcotest.(check (list int)) "vector writes one translation later"
+    [ 100 + msix; 200 + msix; 300 + msix; 400 + msix ]
+    (ticks_of vector (writes ()))
+
 let test_nvme_completion_flow () =
   let sim = Sim.create () in
   let mem = Memory.create () in
@@ -275,11 +425,21 @@ let () =
           Alcotest.test_case "multiqueue drop accounting" `Quick
             test_nic_multiqueue_drop_accounting;
           Alcotest.test_case "fault hooks" `Quick test_nic_fault_hooks;
+          Alcotest.test_case "arrive from a callback" `Quick test_nic_arrive_from_callback;
+          Alcotest.test_case "arrive lands fifo across queues" `Quick
+            test_nic_arrive_lands_fifo_across_queues;
+          Alcotest.test_case "arrive burst" `Quick test_nic_arrive_burst;
+          Alcotest.test_case "arrive drops at arrival" `Quick test_nic_arrive_drops_at_arrival;
+          Alcotest.test_case "arrive msix after landing" `Quick
+            test_nic_arrive_msix_after_landing;
+          Alcotest.test_case "open-loop arrival allocation" `Quick
+            test_openloop_arrival_allocation;
         ] );
       ( "timer",
         [
           Alcotest.test_case "ticks and counter" `Quick test_timer_ticks_and_counter;
           Alcotest.test_case "start idempotent" `Quick test_timer_stop_is_idempotent;
+          Alcotest.test_case "msix keeps the period" `Quick test_timer_msix_keeps_period;
         ] );
       ( "nvme",
         [

@@ -853,6 +853,20 @@ let test_mailbox_round_trip_allocation () =
     (Printf.sprintf "%.1f minor words per blocked recv and send < 32" w)
     true (w < 32.0)
 
+(* A [recv_for] that the send beats: the blocked receive's words plus
+   the timeout's two callbacks, 36 words.  106 when the timeout was a
+   forked child that delayed. *)
+let test_recv_for_round_trip_allocation () =
+  let mb = Mailbox.create () in
+  let w =
+    words_per
+      ~wake:(fun () -> Mailbox.send mb ())
+      (fun () -> ignore (Mailbox.recv_for mb ~within:1_000 : unit option))
+  in
+  check_bool
+    (Printf.sprintf "%.1f minor words per recv_for and send < 40" w)
+    true (w < 40.0)
+
 (* --- Sim.now --- *)
 
 let test_now_outside_run_raises () =
@@ -1685,6 +1699,8 @@ let () =
           Alcotest.test_case "ivar round trip" `Quick test_ivar_round_trip_allocation;
           Alcotest.test_case "blocked mailbox round trip" `Quick
             test_mailbox_round_trip_allocation;
+          Alcotest.test_case "recv_for round trip" `Quick
+            test_recv_for_round_trip_allocation;
         ] );
       ( "now",
         [

@@ -133,6 +133,136 @@ let prop_every_delivery_serves_the_same_requests =
           && abs_float (s.Io_path.useful_cycles -. expected) <= 1e-9 *. expected)
         deliveries)
 
+(* Property 5: arrivals as events replay the world they replaced.  A
+   random world is built twice.  The event path: [Openloop.run], whose
+   sink schedules an event at the arrival tick that calls [Nic.arrive].
+   The process path, the shape these arrivals had before: a generator
+   process looping [Sim.delay (next_gap ())] that forks, per request, a
+   process that arrives and waits out the DMA ([Nic.inject]).  Both
+   must show the same packets (id, flow, stamp), the same memory writes
+   at the same ticks (descriptors, doorbells), the same receive ticks,
+   the same drops and the same final clock.  Event counts differ by
+   design and are not compared. *)
+module Nic = Sl_dev.Nic
+module Notify = Sl_dev.Notify
+module Openloop = Sl_workload.Openloop
+module Mailbox = Sl_engine.Mailbox
+module Memory = Switchless.Memory
+
+type arrival_world = {
+  seed : int;
+  bursty : bool;  (* two-state MMPP, else Poisson *)
+  rate_tenths : int;  (* arrivals per 10 kcycles *)
+  count : int;
+  queues : int;
+  flows : bool;  (* explicit flow labels, else the NIC's ids *)
+  depth : int;  (* ring depth: small ones drop *)
+  irq : bool;  (* consumer: an Irq_line into a mailbox, else mwait threads *)
+  work : int;  (* cycles per received packet *)
+}
+
+type observed = {
+  received : (int * int * int * int) list;  (* tick, pkt_id, flow, injected_at *)
+  writes : (int * int * int64) list;  (* tick, address, value *)
+  drops : int list;  (* by queue *)
+  clock : int;
+}
+
+let observe_arrivals ~processes w =
+  let sim = Sim.create () in
+  let params = Params.default in
+  let rate = float_of_int w.rate_tenths /. 10.0 in
+  let arrivals =
+    if w.bursty then Arrivals.bursty ~rate_per_kcycle:rate ~amplitude:0.8 ~mean_dwell:3000.0
+    else Arrivals.poisson ~rate_per_kcycle:rate
+  in
+  let service = Dist.Exponential 400.0 in
+  let flow_of i = if w.flows then Some (((i * 7) + w.seed) mod 5) else None in
+  let received = ref [] in
+  let rec drain nic q work =
+    match Nic.poll_queue nic q with
+    | Some pkt ->
+      received := (Sim.now (), pkt.Nic.pkt_id, pkt.Nic.flow, pkt.Nic.injected_at) :: !received;
+      work ();
+      drain nic q work
+    | None -> ()
+  in
+  let create memory notify =
+    Nic.create sim params memory ~notify ~queues:w.queues ~queue_depth:w.depth ()
+  in
+  let nic, memory =
+    if w.irq then begin
+      let memory = Memory.create () in
+      let bell = Mailbox.create () in
+      let nic = create memory (Notify.Irq_line (fun () -> Mailbox.send bell ())) in
+      Sim.spawn sim (fun () ->
+          while true do
+            Mailbox.recv bell;
+            for q = 0 to w.queues - 1 do
+              drain nic q (fun () -> Sim.delay w.work)
+            done
+          done);
+      (nic, memory)
+    end
+    else begin
+      let chip = Chip.create sim params ~cores:1 in
+      let nic = create (Chip.memory chip) Notify.Silent in
+      for q = 0 to w.queues - 1 do
+        let th = Chip.add_thread chip ~core:0 ~ptid:(q + 1) ~mode:Ptid.Supervisor () in
+        Chip.attach th (fun th ->
+            Isa.monitor th (Nic.queue_tail_addr nic q);
+            while true do
+              if Nic.pending_queue nic q = 0 then ignore (Isa.mwait th);
+              drain nic q (fun () -> Isa.exec th w.work)
+            done);
+        Chip.boot th
+      done;
+      (nic, Chip.memory chip)
+    end
+  in
+  let writes = ref [] in
+  Memory.add_write_hook memory (fun addr v -> writes := (Sim.time sim, addr, v) :: !writes);
+  let rng = Rng.create (Int64.of_int w.seed) in
+  if processes then
+    Sim.spawn sim (fun () ->
+        let next_gap = Arrivals.sampler arrivals rng in
+        for i = 0 to w.count - 1 do
+          Sim.delay (next_gap ());
+          ignore (Dist.sample service rng : float);
+          let flow = flow_of i in
+          Sim.fork (fun () -> Nic.inject ?flow nic)
+        done)
+  else
+    Openloop.run sim rng ~arrivals ~service ~count:w.count ~sink:(fun req ->
+        let flow = flow_of req.Openloop.req_id in
+        Sim.schedule sim ~at:(Sim.time sim) (fun () -> Nic.arrive ?flow nic));
+  Sim.run sim;
+  {
+    received = List.rev !received;
+    writes = List.rev !writes;
+    drops = List.init w.queues (Nic.dropped_queue nic);
+    clock = Sim.time sim;
+  }
+
+let arrival_world_gen =
+  QCheck.map
+    (fun (seed, bursty, rate_tenths, count, queues, flows, depth, irq, work) ->
+      { seed; bursty; rate_tenths; count; queues; flows; depth; irq; work })
+    QCheck.(
+      tup9 (int_range 1 1_000_000) bool (int_range 1 80) (int_range 1 200) (int_range 1 4)
+        bool (int_range 1 8) bool (int_range 1 3000))
+  |> QCheck.set_print (fun w ->
+         Printf.sprintf
+           "seed %d, %s at %d/10k, %d requests, %d queues%s, depth %d, %s consumer, work %d"
+           w.seed (if w.bursty then "MMPP" else "Poisson") w.rate_tenths w.count w.queues
+           (if w.flows then " with flows" else "") w.depth (if w.irq then "irq" else "mwait")
+           w.work)
+
+let prop_arrival_events_replay_processes =
+  QCheck.Test.make ~name:"arrival events replay arrival processes" ~count:60
+    arrival_world_gen (fun w ->
+      observe_arrivals ~processes:false w = observe_arrivals ~processes:true w)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -141,6 +271,7 @@ let () =
         prop_io_conservation;
         prop_designs_do_same_useful_work;
         prop_every_delivery_serves_the_same_requests;
+        prop_arrival_events_replay_processes;
       ]
   in
   Alcotest.run "os_properties" [ ("properties", qsuite) ]

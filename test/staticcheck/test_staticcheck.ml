@@ -89,6 +89,20 @@ let test_purity_print_exemption () =
   check_bool "no-print suppressed" false (List.mem "no-print" rules);
   check_bool "determinism still on" true (List.mem "determinism" rules)
 
+let test_hashtbl_order_flags_traversals () =
+  Alcotest.check pairs "unsorted traversals, through an alias too"
+    [
+      ("hashtbl-order", "keys");
+      ("hashtbl-order", "render");
+      ("hashtbl-order", "first");
+      ("hashtbl-order", "sorted_later");
+    ]
+    (findings purity "hashtbl_order_bad.ml")
+
+let test_hashtbl_order_silent_on_sorted () =
+  Alcotest.check pairs "sort, pipe into sort, sort @@, strings" []
+    (findings purity "hashtbl_order_good.ml")
+
 (* --- missing mli ---------------------------------------------------------- *)
 
 let mli_findings basename =
@@ -224,6 +238,10 @@ let () =
             test_purity_silent_on_strings_and_named;
           Alcotest.test_case "print exemption" `Quick
             test_purity_print_exemption;
+          Alcotest.test_case "hashtbl traversals flagged" `Quick
+            test_hashtbl_order_flags_traversals;
+          Alcotest.test_case "sorted traversals silent" `Quick
+            test_hashtbl_order_silent_on_sorted;
         ] );
       ( "missing-mli",
         [

@@ -74,6 +74,29 @@ let test_service_never_negative () =
   Sim.run sim;
   check_bool "non-negative service" true !ok
 
+(* The sink runs in the arrival's event, not in a process: it cannot
+   fork a child, and a process it spawns starts at the arrival tick. *)
+let test_sink_fork_raises () =
+  let sim = Sim.create () in
+  Openloop.run sim (Rng.create 1L) ~arrivals:(Arrivals.Stationary (Dist.Constant 100.0))
+    ~service:(Dist.Constant 1.0) ~count:1
+    ~sink:(fun _ -> Sim.fork ignore);
+  Alcotest.check_raises "fork from the sink"
+    (Invalid_argument "Sim.fork: not called from a process") (fun () -> Sim.run sim)
+
+let test_sink_spawn_starts_at_arrival () =
+  let sim = Sim.create () in
+  let started = ref [] in
+  Openloop.run sim (Rng.create 1L) ~arrivals:(Arrivals.Stationary (Dist.Constant 100.0))
+    ~service:(Dist.Constant 1.0) ~count:3
+    ~sink:(fun req ->
+      Sim.spawn sim (fun () ->
+          started := (req.Openloop.req_id, Sim.now ()) :: !started;
+          Sim.delay 250));
+  Sim.run sim;
+  Alcotest.(check (list (pair int int))) "each process starts at its arrival"
+    [ (0, 100); (1, 200); (2, 300) ] (List.rev !started)
+
 let test_utilization_formula () =
   Alcotest.(check (float 1e-9)) "rho" 0.5
     (Openloop.utilization ~rate_per_kcycle:1.0 ~mean_service:1000.0 ~servers:2.0)
@@ -267,6 +290,8 @@ let () =
           Alcotest.test_case "poisson rate" `Quick test_poisson_rate_roughly_matches;
           Alcotest.test_case "service non-negative" `Quick test_service_never_negative;
           Alcotest.test_case "utilization" `Quick test_utilization_formula;
+          Alcotest.test_case "sink cannot fork" `Quick test_sink_fork_raises;
+          Alcotest.test_case "sink spawns at arrival" `Quick test_sink_spawn_starts_at_arrival;
         ] );
       ( "arrivals",
         [
