@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- micro           # microbenchmarks (opt-in)
      dune exec bench/main.exe -- -j 4 e1 e2 e7   # fan out over 4 domains
      dune exec bench/main.exe -- -j auto         # one domain per core
-     dune exec bench/main.exe -- -perf-out BENCH_pr3.json
+     dune exec bench/main.exe -- -perf-out run.perf.json
 
    With [-j N] experiments run on N worker domains.  Each experiment's
    stdout is captured into a per-domain buffer (Sl_util.Sink) and
@@ -96,19 +96,13 @@ let report_recovery id =
    escaped exception so it re-raises at the experiment's canonical
    position in the output order, after its partial output is printed. *)
 type job_result = {
-  id : string;
+  perf : Perf.record;
   output : string;
-  wall_s : float;
-  events : int;
-  alloc_words : float;
-  minor_collections : int;
-  major_collections : int;
-  top_heap_words : int;
   sanitizer_failed : bool;
   failure : (exn * Printexc.raw_backtrace) option;
 }
 
-let run_job_once (id, title, f) =
+let run_job (id, title, f) =
   let sanitizer_failed = ref false in
   let sims = ref [] in
   let body () =
@@ -152,6 +146,9 @@ let run_job_once (id, title, f) =
   in
   let alloc0 = Sl_util.Alloc_meter.words () in
   let gc0 = Gc.quick_stat () in
+  (* Minor words repeat exactly for a fixed -j 1 invocation; the meter's
+     major part does not (see Sl_util.Alloc_meter). *)
+  let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let failure, output =
     Sink.with_buffer (fun () ->
@@ -160,42 +157,31 @@ let run_job_once (id, title, f) =
         | exception e -> Some (e, Printexc.get_raw_backtrace ()))
   in
   let wall_s = Unix.gettimeofday () -. t0 in
+  let minor_words = int_of_float (Gc.minor_words () -. minor0) in
   let gc1 = Gc.quick_stat () in
   let alloc_words = Sl_util.Alloc_meter.words () -. alloc0 in
   let events =
     List.fold_left (fun acc s -> acc + Sl_engine.Sim.events_processed s) 0 !sims
   in
   {
-    id;
+    perf =
+      {
+        Perf.id;
+        wall_s;
+        events;
+        minor_words;
+        alloc_words;
+        minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
+        major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
+      };
     output;
-    wall_s;
-    events;
-    alloc_words;
-    minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
-    major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-    top_heap_words = gc1.Gc.top_heap_words;
     sanitizer_failed = !sanitizer_failed;
     failure;
   }
 
-(* Best-of-N: rerun the (deterministic) experiment and keep the fastest
-   run's resource numbers.  The first run's captured stdout is kept —
-   repeats produce byte-identical output — and a failure on any repeat is
-   reported rather than papered over. *)
-let run_job ~repeat item =
-  let best = ref (run_job_once item) in
-  let n = ref 1 in
-  while !n < repeat && (!best).failure = None do
-    incr n;
-    let r = run_job_once item in
-    if r.failure <> None then best := r
-    else if r.wall_s < (!best).wall_s then best := { r with output = (!best).output }
-  done;
-  !best
-
 let usage () =
   Printf.eprintf
-    "usage: main.exe [-j N|auto] [-repeat N] [-perf-out FILE] [-micro-out FILE]\n\
+    "usage: main.exe [-j N|auto] [-perf-out FILE] [-micro-out FILE]\n\
 \       [experiment ids...]\n";
   exit 2
 
@@ -210,16 +196,8 @@ let parse_jobs = function
       Printf.eprintf "-j expects a positive count or 'auto'\n";
       exit 2)
 
-let parse_repeat s =
-  match int_of_string_opt s with
-  | Some n when n > 0 -> min n 100
-  | _ ->
-    Printf.eprintf "-repeat expects a positive count\n";
-    exit 2
-
 let () =
   let jobs = ref 1 in
-  let repeat = ref 1 in
   let perf_out = ref None in
   let ids = ref [] in
   let rec parse = function
@@ -227,16 +205,13 @@ let () =
     | "-j" :: v :: rest ->
       jobs := parse_jobs v;
       parse rest
-    | "-repeat" :: v :: rest ->
-      repeat := parse_repeat v;
-      parse rest
     | "-perf-out" :: path :: rest ->
       perf_out := Some path;
       parse rest
     | "-micro-out" :: path :: rest ->
       Microbench.json_out := Some path;
       parse rest
-    | ("-j" | "-repeat" | "-perf-out" | "-micro-out" | "-h" | "-help" | "--help") :: _ ->
+    | ("-j" | "-perf-out" | "-micro-out" | "-h" | "-help" | "--help") :: _ ->
       usage ()
     | id :: rest ->
       ids := id :: !ids;
@@ -269,30 +244,27 @@ let () =
   let t0 = Unix.gettimeofday () in
   let records = ref [] in
   let sanitizer_failures = ref 0 in
-  Sl_util.Parallel.run_ordered ~jobs:!jobs (run_job ~repeat:!repeat) items
+  Sl_util.Parallel.run_ordered ~jobs:!jobs run_job items
     ~consume:(fun _ r ->
       print_string r.output;
       flush stdout;
       (* Timing is the one nondeterministic line, so it goes to stderr;
          stdout keeps the blank separator and stays byte-stable. *)
-      Printf.eprintf "[%s done in %.1fs]\n" r.id r.wall_s;
+      Printf.eprintf "[%s done in %.1fs]\n" r.perf.id r.perf.wall_s;
       flush stderr;
       print_newline ();
       if r.sanitizer_failed then incr sanitizer_failures;
-      records :=
-        { Perf.id = r.id; wall_s = r.wall_s; events = r.events;
-          alloc_words = r.alloc_words; minor_collections = r.minor_collections;
-          major_collections = r.major_collections;
-          top_heap_words = r.top_heap_words }
-        :: !records;
+      records := r.perf :: !records;
       match r.failure with
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ());
   let total_wall_s = Unix.gettimeofday () -. t0 in
+  (* The peak is the process's running maximum, so it is read once, after
+     every experiment ran. *)
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
   Option.iter
     (fun path ->
-      Perf.write ~path ~jobs:!jobs ~repeat:!repeat ~total_wall_s
-        (List.rev !records))
+      Perf.write ~path ~jobs:!jobs ~total_wall_s ~top_heap_words (List.rev !records))
     !perf_out;
   if !sanitizer_failures > 0 then begin
     Printf.eprintf "sanitizers reported findings in %d experiment(s)\n"

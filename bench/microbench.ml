@@ -362,7 +362,7 @@ let all_tests =
     ]
 
 (* When set (via bench/main.ml's -micro-out), [run] also writes the rows
-   as a JSON artifact so CI can archive the micro-op trajectory. *)
+   as a JSON artifact, which CI archives per run. *)
 let json_out : string option ref = ref None
 
 let write_json ~path rows =

@@ -10,6 +10,7 @@ type queue = {
   ring : packet option array;
   mutable head : int;  (* consumer position (absolute count) *)
   mutable tail : int;  (* producer position (absolute count) *)
+  mutable in_flight : int;  (* admitted, DMA not yet landed *)
   mutable drops : int;  (* ring-full drops steered at this queue *)
 }
 
@@ -62,6 +63,7 @@ let land_oldest t =
   t.landed <- t.landed + 1;
   let q_idx = pkt.flow mod Array.length t.rx in
   let q = t.rx.(q_idx) in
+  q.in_flight <- q.in_flight - 1;
   let dma_lost =
     match t.faults with Some f -> f.dma_drop ~queue:q_idx | None -> false
   in
@@ -108,6 +110,7 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
       ring = Array.make queue_depth None;
       head = 0;
       tail = 0;
+      in_flight = 0;
       drops = 0;
     }
   in
@@ -155,17 +158,19 @@ let put_in_flight t pkt =
   t.flight.(t.next_id land (Array.length t.flight - 1)) <- pkt
 
 (* Steer, count a ring-full drop, or stamp the packet and put its DMA in
-   flight.  True when admitted. *)
+   flight.  A descriptor in flight holds its ring slot already.  True when
+   admitted. *)
 let admit ?flow t =
   let flow = match flow with Some f -> f | None -> t.next_id in
   let q = t.rx.(flow mod Array.length t.rx) in
-  if q.tail - q.head >= t.queue_depth then begin
+  if q.tail - q.head + q.in_flight >= t.queue_depth then begin
     t.dropped <- t.dropped + 1;
     q.drops <- q.drops + 1;
     false
   end
   else begin
     put_in_flight t { pkt_id = t.next_id; flow; injected_at = Sim.time t.sim };
+    q.in_flight <- q.in_flight + 1;
     t.next_id <- t.next_id + 1;
     Sim.schedule t.sim ~at:(Sim.time t.sim + t.params.Params.dma_write_cycles) t.land_next;
     true

@@ -42,9 +42,10 @@ val arrive : ?flow:int -> t -> unit
     doorbell land [dma_write_cycles] later, in an event of the device's
     own, followed by the notification.  Every packet's DMA takes the
     same time, so packets land in the order they were admitted, across
-    queues.  The ring-full check counts landed descriptors only.  Never
-    blocks: callable from a process or a {!Sl_engine.Sim.schedule}
-    callback. *)
+    queues.  The ring-full check counts unconsumed descriptors and those
+    whose DMA is still in flight, so a ring never holds more than
+    [queue_depth].  Never blocks: callable from a process or a
+    {!Sl_engine.Sim.schedule} callback. *)
 
 val inject : ?flow:int -> t -> unit
 (** {!arrive}, then, for an admitted packet, wait out the DMA: the

@@ -23,7 +23,12 @@ val recv_for : 'a t -> within:Sim.Time.t -> 'a option
     timeout is two callbacks, not a process: one at the current tick
     ({!Sim.after}[ 0]) that schedules the give-up [within] cycles
     later, so it fires where a timer process started by the receive
-    would.  A send that beats it leaves the give-up a no-op. *)
+    would.  A send that beats it leaves the give-up a no-op.  The hop
+    is semantics, not an output-order shim: a process that, at the
+    receive's tick, waits until the deadline tick runs there before the
+    give-up.  Beside [recv_for k], [pause k; send] delivers its item
+    (test/engine's FIFO model checks it); a give-up scheduled directly
+    would time out instead. *)
 
 val try_recv : 'a t -> 'a option
 (** Non-blocking dequeue. *)

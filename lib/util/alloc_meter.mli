@@ -11,4 +11,8 @@ val words : unit -> float
     state (50 blocks of 10,001 words read as 480,105 words in a fresh
     process and as 740,720 beside a million live words), so a window's
     reading can depend on the work before it.  The minor part is
-    exact. *)
+    exact, so the gated allocation count is minor words alone: the
+    bench harness records the [Gc.minor_words] delta per experiment
+    beside this meter's, and test/golden's counts files pin it for the
+    golden [-j 1] invocations.  Direct major allocations are set-up
+    (array growth), which the gate gives up. *)

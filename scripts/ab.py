@@ -11,9 +11,15 @@ built there; the working tree, uncommitted changes included, is the
 change side.
 
 --suite [EXP ...] runs `bench/main.exe -perf-out` over the named
-experiments (all of the default suite when none are named) at -j 1, once
-per side per pair.  Each pair checks that stdout is byte-identical and
-prints every experiment whose event count differs.
+experiments, which both sides must know (each side's own default suite
+when none are named), at -j 1, once per side per pair.  Each pair reports whether stdout is
+byte-identical and every experiment whose events or minor words differ;
+those facts are gated exactly by the goldens and the counts files in
+test/golden, where an intended change is promoted, so here they are
+reported only.  An experiment on one side only, or a base perf file
+without minor words, is reported and not compared.  The suite gates wall
+time: it fails when an experiment whose base median is at least
+MIN_WALL_S has a change median more than MAX_SLOWDOWN times it.
 
 --workload W (lock-contend, io-load, wake-scale) runs each side's own
 perfbench, built the way perfbench/run.py builds it (into the side's
@@ -26,8 +32,9 @@ each side, the change/base ratio of the medians and how many pairs the
 change won (higher or lower is better as BENCHMARK.json declares; the
 suite's wall times are lower-is-better).
 
-Exit status: 0 when stdout, event counts and fingerprints were equal in
-every pair, 1 when any differed, 2 when a side could not be built or run.
+Exit status: 0 when no experiment was slower than the bound and
+fingerprints were equal in every pair, 1 otherwise, 2 when a side could
+not be built or run.
 """
 
 import argparse
@@ -41,10 +48,14 @@ import subprocess
 import sys
 import tempfile
 
-SUITE = ("t1 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 elock r1").split()
 WORKLOADS = ["lock-contend", "io-load", "wake-scale"]
 # Metrics that identify the simulated work rather than measure its cost.
 IDENTITY = ("sim.fingerprint", "engine.events")
+# Both sides are timed on the same runner, so wall times need no
+# normalisation.  Runs shorter than MIN_WALL_S time set-up and host noise;
+# the counts files gate their events and words instead.
+MAX_SLOWDOWN = 2.0
+MIN_WALL_S = 0.05
 
 
 def fail(msg):
@@ -142,28 +153,44 @@ def summarize(samples, better):
         print("%-24s %32s %32s %7.3f %6s" % (metric, fmt(bq), fmt(cq), ratio, won))
 
 
+def compare(brec, crec, key):
+    """How key compares across the experiments both perf files hold."""
+    if any(key not in r for r in brec.values()):
+        return key + " not in base's perf file"
+    moved = ["%s %d -> %d (%+d)" % (e, brec[e][key], crec[e][key],
+                                    crec[e][key] - brec[e][key])
+             for e in brec if e in crec and crec[e][key] != brec[e][key]]
+    return key + (" equal" if not moved else " differ: " + ", ".join(moved))
+
+
 def suite_pairs(base, change, exps, pairs, scratch):
-    same = True
-    samples = {}
+    totals, walls = [], {}
     for i in range(pairs):
         order = (base, change) if i % 2 == 0 else (change, base)
         got = {}
         for side in order:
             got[side.name] = side.suite(exps, os.path.join(scratch, side.name + ".json"))
         (bout, brec, bwall), (cout, crec, cwall) = got["base"], got["change"]
-        line = "pair %d (%s first): stdout %s" % (
-            i + 1, order[0].name, "identical" if bout == cout else "DIFFERS")
-        same = same and bout == cout
-        moved = ["%s %d -> %d (%+d)" % (e, brec[e]["events"], crec[e]["events"],
-                                        crec[e]["events"] - brec[e]["events"])
-                 for e in brec if crec[e]["events"] != brec[e]["events"]]
-        print(line + "; events " + ("equal" if not moved else "differ: " + ", ".join(moved)))
-        same = same and not moved
-        samples.setdefault("suite.wall_s", []).append((bwall, cwall))
+        notes = ["stdout " + ("identical" if bout == cout else "differs")]
+        notes += ["%s on the %s side only" % (e, "base" if e in brec else "change")
+                  for e in sorted(set(brec) ^ set(crec))]
+        notes += [compare(brec, crec, "events"), compare(brec, crec, "minor_words")]
+        print("pair %d (%s first): %s" % (i + 1, order[0].name, "; ".join(notes)))
+        totals.append((bwall, cwall))
         for e in brec:
-            samples.setdefault(e + ".wall_s", []).append((brec[e]["wall_s"], crec[e]["wall_s"]))
+            if e in crec:
+                walls.setdefault(e, []).append((brec[e]["wall_s"], crec[e]["wall_s"]))
+    samples = {"suite.wall_s": totals}
+    samples.update((e + ".wall_s", ws) for e, ws in walls.items())
     summarize(samples, lambda _m: "lower")
-    return same
+    fast = True
+    for e, ws in walls.items():
+        b, c = (statistics.median(side) for side in zip(*ws))
+        if b >= MIN_WALL_S and c > MAX_SLOWDOWN * b:
+            print("ab: %s median wall time %.3g s is %.2fx the base's %.3g s (bound %gx)"
+                  % (e, c, c / b, b, MAX_SLOWDOWN))
+            fast = False
+    return fast
 
 
 def workload_pairs(base, change, workload, seed, seconds, pairs):
@@ -209,22 +236,23 @@ def main():
     run_suite = args.suite is not None or args.workload is None
     base = Side("base", add_worktree(args.rev))
     change = Side("change", ".")
-    same = True
+    ok = True
     if run_suite:
-        exps = args.suite or SUITE
+        exps = args.suite or []
         for side in (base, change):
             side.build_suite()
-        print("== suite at -j 1: %s (%s vs working tree)" % (" ".join(exps), args.rev))
+        print("== suite at -j 1: %s (%s vs working tree)"
+              % (" ".join(exps) or "default", args.rev))
         with tempfile.TemporaryDirectory(prefix="ab-perf-") as scratch:
-            same = suite_pairs(base, change, exps, args.pairs, scratch) and same
+            ok = suite_pairs(base, change, exps, args.pairs, scratch) and ok
     if args.workload:
         for side in (base, change):
             side.build_perfbench()
         print("== perfbench %s, seed %d, %g s per run (%s vs working tree)"
               % (args.workload, args.seed, args.seconds, args.rev))
-        same = workload_pairs(base, change, args.workload, args.seed, args.seconds,
-                              args.pairs) and same
-    return 0 if same else 1
+        ok = workload_pairs(base, change, args.workload, args.seed, args.seconds,
+                            args.pairs) and ok
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

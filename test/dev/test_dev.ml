@@ -179,6 +179,22 @@ let test_nic_arrive_drops_at_arrival () =
   check_int "one landing only" 2 (List.length (writes ()));
   check_int "delivered" 1 (Nic.delivered nic)
 
+(* A descriptor whose DMA is in flight holds its ring slot: the second
+   arrival one tick after the first finds a depth-1 ring full, so the
+   ring never holds more than its depth and no packet is lost uncounted. *)
+let test_nic_in_flight_holds_its_slot () =
+  let sim = Sim.create () in
+  let nic = Nic.create sim p (Memory.create ()) ~queue_depth:1 () in
+  Sim.schedule sim ~at:0 (fun () -> Nic.arrive nic);
+  Sim.schedule sim ~at:1 (fun () -> Nic.arrive nic);
+  Sim.run sim;
+  check_int "pending" 1 (Nic.pending nic);
+  check_int "dropped" 1 (Nic.dropped nic);
+  (match Nic.poll nic with
+  | Some pkt -> check_int "the first packet is delivered" 0 pkt.Nic.pkt_id
+  | None -> Alcotest.fail "expected a packet");
+  check_bool "drained" true (Nic.poll nic = None)
+
 let test_nic_arrive_msix_after_landing () =
   let sim = Sim.create () in
   let mem = Memory.create () in
@@ -432,6 +448,8 @@ let () =
           Alcotest.test_case "arrive drops at arrival" `Quick test_nic_arrive_drops_at_arrival;
           Alcotest.test_case "arrive msix after landing" `Quick
             test_nic_arrive_msix_after_landing;
+          Alcotest.test_case "in-flight DMA holds its slot" `Quick
+            test_nic_in_flight_holds_its_slot;
           Alcotest.test_case "open-loop arrival allocation" `Quick
             test_openloop_arrival_allocation;
         ] );

@@ -258,10 +258,14 @@ let arrival_world_gen =
            (if w.flows then " with flows" else "") w.depth (if w.irq then "irq" else "mwait")
            w.work)
 
+(* Every request is either received or counted as a ring-full drop. *)
+let conserves w o = List.length o.received + List.fold_left ( + ) 0 o.drops = w.count
+
 let prop_arrival_events_replay_processes =
   QCheck.Test.make ~name:"arrival events replay arrival processes" ~count:60
     arrival_world_gen (fun w ->
-      observe_arrivals ~processes:false w = observe_arrivals ~processes:true w)
+      let events = observe_arrivals ~processes:false w in
+      conserves w events && events = observe_arrivals ~processes:true w)
 
 let () =
   let qsuite =
