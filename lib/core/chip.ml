@@ -70,6 +70,8 @@ type t = {
          installed (the perf configuration) not even the event record is
          allocated. *)
   mutable faults : fault_hooks option;
+  mutable parking : thread;  (* the thread suspending on [park] *)
+  mutable park : Sim.suspension;  (* every body's one park point, see [park_body] *)
 }
 
 (* One hardware thread, allocated once at [add_thread] and shared by
@@ -102,7 +104,6 @@ and thread = {
   t_ptid : int;
   weight : float;
   wake : Memory.addr -> unit;  (* monitor waiter *)
-  mutable suspension : Sim.suspension;  (* the body's park point, see [wake_body] *)
   deliver : unit -> unit;  (* wake-delivery event *)
   mutable starts : int;
   mutable spawned : bool;  (* body spawned at least once *)
@@ -143,27 +144,68 @@ let create sim params ~cores =
   let memory = Memory.create () in
   let monitor = Monitor.create params in
   Monitor.attach monitor memory;
-  {
-    sim;
-    params;
-    memory;
-    monitor;
-    cores =
-      Array.init cores (fun core_id ->
-          {
-            exec_unit = Smt_core.create sim params ~core_id;
-            store = State_store.create params;
-            cache = Tdt.Cache.create ();
-          });
-    tids = Hashtbl.create 64;
-    threads = [];
-    halted_reason = None;
-    exn_seq = 0L;
-    exn_count = 0;
-    probe = None;
-    probe_on = false;
-    faults = None;
-  }
+  let cores =
+    Array.init cores (fun core_id ->
+        {
+          exec_unit = Smt_core.create sim params ~core_id;
+          store = State_store.create params;
+          cache = Tdt.Cache.create ();
+        })
+  in
+  let tids = Hashtbl.create 64 and regs = Regstate.create () in
+  let rec t =
+    {
+      sim;
+      params;
+      memory;
+      monitor;
+      cores;
+      tids;
+      threads = [];
+      halted_reason = None;
+      exn_seq = 0L;
+      exn_count = 0;
+      probe = None;
+      probe_on = false;
+      faults = None;
+      parking = nobody;
+      park = Sim.no_suspension;
+    }
+  (* What [parking] names before any thread parks: a thread of no core
+     that never runs. *)
+  and nobody =
+    {
+      chip = t;
+      state = Ptid.Disabled;
+      epoch = 0;
+      cell = Idle;
+      wval = 0;
+      resume = Sim.no_waker;
+      pending = false;
+      pend_epoch = 0;
+      pend_addr = 0;
+      wakeups = 0;
+      core_id = -1;
+      mslot = -1;
+      smt = -1;
+      t_ptid = -1;
+      weight = 1.0;
+      wake = ignore;
+      deliver = ignore;
+      starts = 0;
+      spawned = false;
+      pending_start = false;
+      crashed = false;
+      supervisor = false;
+      crashes = 0;
+      regs;
+      body = None;
+      tdt = None;
+      secret = None;
+    }
+  in
+  t.park <- Sim.suspension (fun waker -> t.parking.resume <- waker);
+  t
 
 let create sim params ~cores =
   let t = create sim params ~cores in
@@ -263,11 +305,17 @@ let run_body th =
         (* Instruction stream ended: the thread parks itself. *)
         if th.state = Ptid.Runnable then set_state th Ptid.Disabled ~reason:"body-end")
 
-(* The body parks at one point, its thread's [suspension]: on its wake
-   cell in an mwait, and in [wait_until_runnable].  Invariant: it is
-   parked on its cell exactly when the cell is [Open], and then only
-   [fill_wake] wakes it; the start-wake and the deadline restart act
-   only on a thread whose cell is not [Open]. *)
+(* The body parks at one point, its chip's [park], which keeps the
+   waker in the thread that [parking] names: on its wake cell in an
+   mwait, and in [wait_until_runnable].  Invariant: it is parked on its
+   cell exactly when the cell is [Open], and then only [fill_wake] wakes
+   it; the start-wake and the deadline restart act only on a thread
+   whose cell is not [Open]. *)
+let park_body th =
+  let c = th.chip in
+  c.parking <- th;
+  Sim.suspend c.park
+
 let wake_body th =
   let w = th.resume in
   if w != Sim.no_waker then begin
@@ -284,7 +332,7 @@ let rec wait_until_runnable th =
   if th.state <> Ptid.Runnable then begin
     let disabled = th.state = Ptid.Disabled in
     if disabled then Sim.set_daemon true;
-    Sim.suspend th.suspension;
+    park_body th;
     if disabled then Sim.set_daemon false;
     wait_until_runnable th
   end
@@ -468,7 +516,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       t_ptid = ptid;
       weight;
       wake = (fun addr -> monitor_wake th addr);
-      suspension = Sim.no_suspension;
       deliver =
         (fun () ->
           th.pending <- false;
@@ -485,7 +532,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       secret = None;
     }
   in
-  th.suspension <- Sim.suspension (fun waker -> th.resume <- waker);
   Hashtbl.replace t.tids ptid th;
   t.threads <- th :: t.threads;
   th
@@ -505,147 +551,142 @@ let insn_monitor th addr =
 let unclaimed th epoch =
   th.epoch = epoch && th.cell = Open && th.state = Ptid.Waiting
 
-(* Shared implementation of [mwait] (park until a monitored write) and
-   [mwait_for] (same, but resume empty-handed at an absolute [deadline],
-   umwait-style).  Returns [None] only on deadline expiry. *)
-let insn_mwait_generic th ~deadline =
-  let chip = th.chip in
-  exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_arm_cycles;
-  (* Sampled as a wake is consumed, parked or immediate: the thread
-     dies holding the event — the doorbell was delivered but nothing
-     will process it until the cold restart re-runs the body. *)
-  let crash_on_wake () =
-    match chip.faults with
+(* Sampled as a wake is consumed, parked or immediate: the thread dies
+   holding the event — the doorbell was delivered but nothing will
+   process it until the cold restart re-runs the body. *)
+let crash_on_wake th =
+  match th.chip.faults with
+  | None -> ()
+  | Some f -> (
+    match f.crash_at_wake ~ptid:th.t_ptid with
     | None -> ()
-    | Some f -> (
-      match f.crash_at_wake ~ptid:th.t_ptid with
-      | None -> ()
-      | Some restart_after -> crash_self th ~kind:"crash-wake" ~restart_after)
+    | Some restart_after -> crash_self th ~kind:"crash-wake" ~restart_after)
+
+(* [mwait_for]'s expiry at [at], in park round [epoch]. *)
+let schedule_deadline th epoch at =
+  let chip = th.chip in
+  let at =
+    let now = Sim.time chip.sim in
+    if at < now then now else at
   in
-  let rec park () =
-    (* A new park round: bump the epoch (cell back to idle); stale events
-       from earlier rounds compare epochs and stand down. *)
-    let epoch = th.epoch + 1 in
-    th.epoch <- epoch;
-    th.cell <- Idle;
-    let a = Monitor.mwait chip.monitor th.mslot ~wake:th.wake in
-    if a >= 0 then begin
-      (* The write already happened; no sleep, only the match cost. *)
-      th.wakeups <- th.wakeups + 1;
-      exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
-      if chip.probe_on then
-        emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
-      crash_on_wake ();
-      Some a
-    end
-    else begin
-      set_state th Ptid.Waiting ~reason:"mwait-park";
-      if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
-      State_store.touch (own_core th).store ~ptid:th.t_ptid;
-      th.cell <- Open;
-      (match deadline with
-      | None -> ()
-      | Some at ->
-        let at =
-          let now = Sim.time chip.sim in
-          if at < now then now else at
+  Sim.schedule chip.sim ~at (fun () ->
+      (* Expire only if nothing else claimed the wait. *)
+      if unclaimed th epoch then begin
+        Monitor.cancel_wait chip.monitor th.mslot;
+        fill_wake th wake_deadline;
+        (* The empty-handed resume still pays the restart latency. *)
+        let latency =
+          State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
+          + chip.params.Params.pipeline_start_cycles
         in
-        Sim.schedule chip.sim ~at (fun () ->
-            (* Expire only if nothing else claimed the wait. *)
-            if unclaimed th epoch then begin
-              Monitor.cancel_wait chip.monitor th.mslot;
-              fill_wake th wake_deadline;
-              (* The empty-handed resume still pays the restart latency. *)
-              let latency =
-                State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
-                + chip.params.Params.pipeline_start_cycles
-              in
-              Sim.schedule chip.sim
-                ~at:(Sim.time chip.sim + latency)
-                (fun () ->
-                  (* A force-stop may land inside the restart window; it
-                     wins, and a later start re-runs the thread, which
-                     may even have parked again, in a later round. *)
-                  if th.state = Ptid.Waiting && th.epoch = epoch then begin
-                    set_state th Ptid.Runnable ~reason:"mwait-deadline";
-                    if chip.probe_on then
-                      emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
-                    wake_body th
-                  end)
-            end));
-      (* Fault injection: a spurious wakeup fires the wake callback with
-         no write having happened; the woken code re-checks its predicate
-         and re-parks, as real code must. *)
-      (match chip.faults with
-      | None -> ()
-      | Some f -> (
-        match f.spurious_wake_after ~ptid:th.t_ptid with
-        | None -> ()
-        | Some d ->
-          Sim.schedule chip.sim
-            ~at:(Sim.time chip.sim + d)
-            (fun () ->
-              match Monitor.take_waiter chip.monitor th.mslot with
-              | None -> ()  (* already woken, stopped or expired *)
-              | Some w ->
-                emit chip
-                  (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
-                let addr =
-                  match Monitor.armed chip.monitor th.mslot with
-                  | addr :: _ -> addr
-                  | [] -> 0
-                in
-                w addr)));
-      (* Fault injection: a crash-stop lands mid-park.  The scheduled
-         event claims the wait only if nothing else already did (no wake
-         in flight, no force-stop, no deadline); the filled cell unwinds
-         the parked body, which run_body retires, and [crash_mark] has
-         already scheduled the cold restart. *)
-      (match chip.faults with
-      | None -> ()
-      | Some f -> (
-        match f.crash_park_after ~ptid:th.t_ptid with
-        | None -> ()
-        | Some (after, restart_after) ->
-          Sim.schedule chip.sim
-            ~at:(Sim.time chip.sim + max 0 after)
-            (fun () ->
-              if unclaimed th epoch then begin
-                crash_mark th ~kind:"crash-park" ~restart_after;
-                fill_wake th wake_crash
-              end)));
-      (* Park on the cell just opened, which only [fill_wake] fills. *)
-      Sim.suspend th.suspension;
-      let v = th.wval in
-      th.cell <- Idle;
-      if v >= 0 then begin
-        crash_on_wake ();
-        Some v
-      end
-      else if v = wake_deadline then begin
-        wait_until_runnable th;
-        None
-      end
-      else if v = wake_stop then begin
-        (* Force-stopped while waiting; when restarted, wait again. *)
-        wait_until_runnable th;
-        park ()
-      end
-      else begin
-        (* Crash-stopped while parked: bookkeeping already ran in the
-           crash event; unwind the dead instruction stream. *)
-        raise Crash_stop
-      end
+        Sim.schedule chip.sim
+          ~at:(Sim.time chip.sim + latency)
+          (fun () ->
+            (* A force-stop may land inside the restart window; it
+               wins, and a later start re-runs the thread, which
+               may even have parked again, in a later round. *)
+            if th.state = Ptid.Waiting && th.epoch = epoch then begin
+              set_state th Ptid.Runnable ~reason:"mwait-deadline";
+              if chip.probe_on then emit chip (Probe.Mwait_timeout { ptid = th.t_ptid });
+              wake_body th
+            end)
+      end)
+
+(* The park-time fault samples of round [epoch]. *)
+let inject_park_faults th f epoch =
+  let chip = th.chip in
+  (* A spurious wakeup fires the wake callback with no write having
+     happened; the woken code re-checks its predicate and re-parks, as
+     real code must. *)
+  (match f.spurious_wake_after ~ptid:th.t_ptid with
+  | None -> ()
+  | Some d ->
+    Sim.schedule chip.sim
+      ~at:(Sim.time chip.sim + d)
+      (fun () ->
+        match Monitor.take_waiter chip.monitor th.mslot with
+        | None -> ()  (* already woken, stopped or expired *)
+        | Some w ->
+          emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
+          let addr =
+            match Monitor.armed chip.monitor th.mslot with addr :: _ -> addr | [] -> 0
+          in
+          w addr));
+  (* A crash-stop lands mid-park.  The scheduled event claims the wait
+     only if nothing else already did (no wake in flight, no
+     force-stop, no deadline); the filled cell unwinds the parked body,
+     which run_body retires, and [crash_mark] has already scheduled the
+     cold restart. *)
+  match f.crash_park_after ~ptid:th.t_ptid with
+  | None -> ()
+  | Some (after, restart_after) ->
+    Sim.schedule chip.sim
+      ~at:(Sim.time chip.sim + max 0 after)
+      (fun () ->
+        if unclaimed th epoch then begin
+          crash_mark th ~kind:"crash-park" ~restart_after;
+          fill_wake th wake_crash
+        end)
+
+(* One park round of [mwait] (park until a monitored write) and of
+   [mwait_for] ([timed]: the same, but resume empty-handed at the
+   absolute [deadline], umwait-style).  A tagged int, as
+   [Monitor.mwait]'s: the woken address ([>= 0]), or [wake_deadline]
+   on expiry.  Top-level, so that a park allocates no closure. *)
+let rec mwait_round th ~timed ~deadline =
+  let chip = th.chip in
+  (* A new park round: bump the epoch (cell back to idle); stale events
+     from earlier rounds compare epochs and stand down. *)
+  let epoch = th.epoch + 1 in
+  th.epoch <- epoch;
+  th.cell <- Idle;
+  let a = Monitor.mwait chip.monitor th.mslot ~wake:th.wake in
+  if a >= 0 then begin
+    (* The write already happened; no sleep, only the match cost. *)
+    th.wakeups <- th.wakeups + 1;
+    exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
+    if chip.probe_on then
+      emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
+    crash_on_wake th;
+    a
+  end
+  else begin
+    set_state th Ptid.Waiting ~reason:"mwait-park";
+    if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
+    State_store.touch (own_core th).store ~ptid:th.t_ptid;
+    th.cell <- Open;
+    if timed then schedule_deadline th epoch deadline;
+    (match chip.faults with None -> () | Some f -> inject_park_faults th f epoch);
+    (* Park on the cell just opened, which only [fill_wake] fills. *)
+    park_body th;
+    let v = th.wval in
+    th.cell <- Idle;
+    if v >= 0 then begin
+      crash_on_wake th;
+      v
     end
-  in
-  park ()
+    else if v = wake_deadline then begin
+      wait_until_runnable th;
+      wake_deadline
+    end
+    else if v = wake_stop then begin
+      (* Force-stopped while waiting; when restarted, wait again. *)
+      wait_until_runnable th;
+      mwait_round th ~timed ~deadline
+    end
+    else
+      (* Crash-stopped while parked: bookkeeping already ran in the
+         crash event; unwind the dead instruction stream. *)
+      raise Crash_stop
+  end
 
 let insn_mwait th =
-  match insn_mwait_generic th ~deadline:None with
-  | Some addr -> addr
-  | None -> assert false (* no deadline, so no Deadline outcome *)
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
+  mwait_round th ~timed:false ~deadline:0
 
-let insn_mwait_for th ~deadline = insn_mwait_generic th ~deadline:(Some deadline)
+let insn_mwait_for th ~deadline =
+  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
+  mwait_round th ~timed:true ~deadline
 
 (* Fault the calling thread through its exception-descriptor pointer. *)
 let raise_exception th kind ~info =

@@ -178,11 +178,13 @@ val spin : thread -> kind:Smt_core.kind -> gap:int -> (unit -> bool) -> unit
 val insn_monitor : thread -> Memory.addr -> unit
 val insn_mwait : thread -> Memory.addr
 
-(** [mwait] with an absolute deadline (umwait-style): returns [None] when
-    the deadline passes with no monitored write, after paying the normal
-    restart latency.  A pending latched trigger still returns immediately;
-    a write racing the expiry is latched for the next mwait, never lost. *)
-val insn_mwait_for : thread -> deadline:Sl_engine.Sim.Time.t -> Memory.addr option
+(** [mwait] with an absolute deadline (umwait-style): returns the woken
+    address ([>= 0]), or a negative number when the deadline passes with
+    no monitored write, after paying the normal restart latency (see
+    {!Isa.mwait_for}).  A pending latched trigger still returns
+    immediately; a write racing the expiry is latched for the next mwait,
+    never lost. *)
+val insn_mwait_for : thread -> deadline:Sl_engine.Sim.Time.t -> int
 val insn_start : thread -> vtid:int -> unit
 val insn_stop : thread -> vtid:int -> unit
 val insn_rpull : thread -> vtid:int -> Regstate.reg -> int64

@@ -4,7 +4,11 @@ let exec = Chip.exec
 let spin = Chip.spin
 let monitor = Chip.insn_monitor
 let mwait = Chip.insn_mwait
-let mwait_for = Chip.insn_mwait_for
+
+let mwait_for th ~deadline =
+  let a = Chip.insn_mwait_for th ~deadline in
+  if a >= 0 then Some a else None
+
 let start = Chip.insn_start
 let stop = Chip.insn_stop
 let rpull = Chip.insn_rpull

@@ -6,69 +6,41 @@ type reg =
   | Exception_descriptor_ptr
   | Tdt_base
 
-type t = {
-  gp : int64 array;
-  mutable rip : int64;
-  mutable rflags : int64;
-  vector : int64 array option;
-  mutable exception_descriptor_ptr : int64;
-  mutable tdt_base : int64;
-}
+(* One flat buffer of 64-bit words, written unboxed: GP 0-15, rip,
+   rflags, edp and tdt, then a vector context's 16 lanes.  A context
+   nothing has written to holds the shared empty buffer, and every
+   register reads [0L]; the first write allocates the buffer. *)
+type t = { vector : bool; mutable words : Bytes.t }
 
-let create ?(vector = false) () =
-  {
-    gp = Array.make 16 0L;
-    rip = 0L;
-    rflags = 0L;
-    vector = (if vector then Some (Array.make 16 0L) else None);
-    exception_descriptor_ptr = 0L;
-    tdt_base = 0L;
-  }
+let create ?(vector = false) () = { vector; words = Bytes.empty }
 
-let has_vector t = t.vector <> None
+let footprint_bytes params t = Params.regstate_bytes params ~vector:t.vector
 
-let footprint_bytes params t =
-  Params.regstate_bytes params ~vector:(has_vector t)
-
-let check_gp i =
-  if i < 0 || i > 15 then invalid_arg "Regstate: GP register out of range"
-
-let vector_bank t i =
-  if i < 0 || i > 15 then invalid_arg "Regstate: vector register out of range";
-  match t.vector with
-  | Some bank -> bank
-  | None -> invalid_arg "Regstate: vector access on a non-vector context"
-
-let get t = function
+(* The byte offset of [reg] in the buffer. *)
+let offset t = function
   | Gp i ->
-    check_gp i;
-    t.gp.(i)
-  | Rip -> t.rip
-  | Rflags -> t.rflags
-  | Vector i -> (vector_bank t i).(i)
-  | Exception_descriptor_ptr -> t.exception_descriptor_ptr
-  | Tdt_base -> t.tdt_base
+    if i < 0 || i > 15 then invalid_arg "Regstate: GP register out of range";
+    8 * i
+  | Rip -> 8 * 16
+  | Rflags -> 8 * 17
+  | Exception_descriptor_ptr -> 8 * 18
+  | Tdt_base -> 8 * 19
+  | Vector i ->
+    if i < 0 || i > 15 then invalid_arg "Regstate: vector register out of range";
+    if not t.vector then invalid_arg "Regstate: vector access on a non-vector context";
+    8 * (20 + i)
+
+let get t reg =
+  let off = offset t reg in
+  if Bytes.length t.words = 0 then 0L else Bytes.get_int64_ne t.words off
 
 let set t reg v =
-  match reg with
-  | Gp i ->
-    check_gp i;
-    t.gp.(i) <- v
-  | Rip -> t.rip <- v
-  | Rflags -> t.rflags <- v
-  | Vector i -> (vector_bank t i).(i) <- v
-  | Exception_descriptor_ptr -> t.exception_descriptor_ptr <- v
-  | Tdt_base -> t.tdt_base <- v
+  let off = offset t reg in
+  if Bytes.length t.words = 0 then
+    t.words <- Bytes.make (8 * if t.vector then 36 else 20) '\000';
+  Bytes.set_int64_ne t.words off v
 
-let copy t =
-  {
-    gp = Array.copy t.gp;
-    rip = t.rip;
-    rflags = t.rflags;
-    vector = Option.map Array.copy t.vector;
-    exception_descriptor_ptr = t.exception_descriptor_ptr;
-    tdt_base = t.tdt_base;
-  }
+let copy t = { t with words = Bytes.copy t.words }
 
 let is_privileged_reg = function
   | Exception_descriptor_ptr | Tdt_base -> true

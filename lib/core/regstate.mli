@@ -6,7 +6,16 @@
     64-bit lane each; the simulator cares about footprint and remote
     access semantics, not SIMD arithmetic).  Two novel control registers
     from §3.1: the exception-descriptor pointer and the thread-descriptor-
-    table base. *)
+    table base.
+
+    A context is one flat buffer of 64-bit words, sized to the
+    registers it models (GP, rip, rflags and the two control registers,
+    plus the vector lanes of a vector context) and written unboxed.  The
+    buffer is allocated by the first write: until then every register
+    reads [0L], and the context holds no register storage, so the
+    thousands of contexts a parked core keeps cost the heap a few words
+    each.  The storage the model charges is {!footprint_bytes}, not the
+    buffer's size. *)
 
 type reg =
   | Gp of int  (** General-purpose register 0–15 (rsp is [Gp 4]). *)
@@ -21,8 +30,8 @@ type reg =
 type t
 
 val create : ?vector:bool -> unit -> t
-(** Fresh zeroed context.  [vector] (default [false]) selects the larger
-    784-byte footprint. *)
+(** Fresh zeroed context, with no buffer until its first write.
+    [vector] (default [false]) selects the larger 784-byte footprint. *)
 
 val footprint_bytes : Params.t -> t -> int
 (** 272 or 784 bytes under the default parameters. *)
@@ -32,8 +41,10 @@ val get : t -> reg -> int64
     access on a non-vector context. *)
 
 val set : t -> reg -> int64 -> unit
+(** Raises as {!get} does.  The first write allocates the buffer. *)
 
 val copy : t -> t
+(** An independent context with the same register values. *)
 
 val is_privileged_reg : reg -> bool
 (** Control registers that only supervisor-mode threads (or callers with

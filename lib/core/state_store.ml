@@ -114,33 +114,37 @@ let link_mru t e =
    two-pointer scan costs 2·min(distance-from-warm, distance-from-cold)
    links, O(1) for both common cases, and lands [e] in exactly the slot
    the cold-end walk chose ([last_touch] ticks are globally unique, so
-   the sorted position is unambiguous). *)
+   the sorted position is unambiguous).
+
+   Invariant of [scan sent e warm cold]: every entry strictly warm-side
+   of [warm] has a newer tick than [e]; every entry strictly cold-side of
+   [cold] has an older one.  The sentinel's [max_int] tick keeps the warm
+   test from firing at the list head, so an empty segment resolves
+   through the cold arm. *)
+let rec scan sent e warm cold =
+  if warm.last_touch < e.last_touch then begin
+    (* [e] is warmer than [warm] and colder than everything before it:
+       insert immediately before [warm]. *)
+    e.next <- warm;
+    e.prev <- warm.prev;
+    warm.prev.next <- e;
+    warm.prev <- e
+  end
+  else if cold == sent || cold.last_touch > e.last_touch then begin
+    (* [e] is colder than [cold] (or the list segment is exhausted):
+       insert immediately after [cold]. *)
+    e.prev <- cold;
+    e.next <- cold.next;
+    cold.next.prev <- e;
+    cold.next <- e
+  end
+  else scan sent e warm.next cold.prev
+[@@sl.zero_alloc]
+
 let link_by_recency t e =
   let sent = t.recency.(tier_index e.tier) in
-  (* Invariant: every entry strictly warm-side of [warm] has a newer tick
-     than [e]; every entry strictly cold-side of [cold] has an older one.
-     The sentinel's [max_int] tick keeps the warm test from firing at the
-     list head, so an empty segment resolves through the cold arm. *)
-  let rec scan warm cold =
-    if warm.last_touch < e.last_touch then begin
-      (* [e] is warmer than [warm] and colder than everything before it:
-         insert immediately before [warm]. *)
-      e.next <- warm;
-      e.prev <- warm.prev;
-      warm.prev.next <- e;
-      warm.prev <- e
-    end
-    else if cold == sent || cold.last_touch > e.last_touch then begin
-      (* [e] is colder than [cold] (or the list segment is exhausted):
-         insert immediately after [cold]. *)
-      e.prev <- cold;
-      e.next <- cold.next;
-      cold.next.prev <- e;
-      cold.next <- e
-    end
-    else scan warm.next cold.prev
-  in
-  scan sent.next sent.prev
+  scan sent e sent.next sent.prev
+[@@sl.zero_alloc]
 
 let set_fault_hook t f = t.fault <- Some f
 let ecc_retry_count t = t.ecc_retries
@@ -169,14 +173,19 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* The first unpinned entry from [pos] toward the warm end, or [sent]
+   (which is not pinned). *)
+let rec unpinned_from sent pos =
+  if pos == sent || not pos.pinned then pos else unpinned_from sent pos.prev
+[@@sl.zero_alloc]
+
 (* Coldest unpinned entry currently resident in [tier]: first unpinned
-   entry from the cold end of the recency list. *)
+   entry from the cold end of the recency list, or the tier's sentinel
+   when every resident entry is pinned (or there is none). *)
 let coldest t tier =
   let sent = t.recency.(tier_index tier) in
-  let rec go pos =
-    if pos == sent then None else if pos.pinned then go pos.prev else Some pos
-  in
-  go sent.prev
+  unpinned_from sent sent.prev
+[@@sl.zero_alloc]
 
 let move t e tier =
   unlink e;
@@ -184,6 +193,7 @@ let move t e tier =
   e.tier <- tier;
   t.used.(tier_index tier) <- t.used.(tier_index tier) + e.bytes;
   link_by_recency t e
+[@@sl.zero_alloc]
 
 (* Demote cold entries out of [tier] until [bytes] fit, cascading down. *)
 let rec make_room t tier bytes =
@@ -191,17 +201,17 @@ let rec make_room t tier bytes =
     invalid_arg "State_store: context larger than tier capacity";
   if tier <> Dram then
     while free_bytes t tier < bytes do
-      match coldest t tier with
-      | None ->
+      let victim = coldest t tier in
+      if victim == t.recency.(tier_index tier) then
         (* Everything resident is pinned; overflow to the next tier is the
            caller's job, so report failure by raising. *)
-        invalid_arg "State_store: tier full of pinned contexts"
-      | Some victim ->
-        let next = tier_of_index (tier_index tier + 1) in
-        make_room t next victim.bytes;
-        move t victim next;
-        t.demotions <- t.demotions + 1
+        invalid_arg "State_store: tier full of pinned contexts";
+      let next = tier_of_index (tier_index tier + 1) in
+      make_room t next victim.bytes;
+      move t victim next;
+      t.demotions <- t.demotions + 1
     done
+[@@sl.zero_alloc]
 
 let register t ~ptid ~bytes =
   if ptid < 0 then invalid_arg "State_store.register: negative ptid";
@@ -229,11 +239,13 @@ let promote_to_rf t e =
     make_room t Register_file e.bytes;
     move t e Register_file
   end
+[@@sl.zero_alloc]
 
 let refresh t e =
   unlink e;
   e.last_touch <- tick t;
   link_mru t e
+[@@sl.zero_alloc]
 
 let wake_transfer_cycles t ~ptid =
   let e = find t ptid in
@@ -262,6 +274,7 @@ let wake_transfer_cycles t ~ptid =
   promote_to_rf t e;
   refresh t e;
   cost
+[@@sl.zero_alloc]
 
 let touch t ~ptid = refresh t (find t ptid)
 

@@ -37,7 +37,9 @@ val wake_transfer_cycles : t -> ptid:int -> int
 (** Cost (cycles) of bringing the thread's state to the register file from
     its current tier — 0 when already resident — and perform the
     promotion, evicting cold contexts as needed.  The caller adds the
-    pipeline start cost. *)
+    pipeline start cost.  Allocates nothing, also when the promotion
+    demotes a chain of contexts down the tiers (an installed fault hook
+    allocates what it allocates). *)
 
 val touch : t -> ptid:int -> unit
 (** Mark the thread's state as recently used (run by the recency policy). *)

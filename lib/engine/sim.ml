@@ -27,29 +27,26 @@ type blocked = { pid : int; name : string option; blocked_since : Time.t }
 (* [proc.blocked_since] of a process that is not waiting. *)
 let not_blocked = -1
 
+(* A live process, linked into its world's ring in pid order. *)
 type proc = {
   pid : int;
-  pname : string option;
+  pname : string;  (* [unnamed] unless spawned with a name *)
   mutable blocked_since : Time.t;  (* [not_blocked] unless suspended *)
   mutable daemon : bool;
       (* parked-by-design (servers, IRQ loops): excluded from {!suspects} *)
+  mutable prev : proc;
+  mutable next : proc;
 }
+
+(* The name of a process spawned without one.  Allocated here, and
+   compared with [==], so that no name a caller passes is taken for
+   it. *)
+let unnamed = String.make 1 '-'
 
 (* [t.running_pid] while no process's code runs: pids start at 1. *)
 let no_pid = 0
 
 type waker = unit -> unit
-
-type t = {
-  mutable now : Time.t;
-  queue : (unit -> unit) Wheel.t;  (* every pending event, see [run] *)
-  mutable next_pid : int;
-  procs : (int, proc) Hashtbl.t;  (* live (not yet returned) processes *)
-  mutable events : int;  (* events popped by {!run}, for perf accounting *)
-  mutable nested : bool;  (* a run of another world is inside one of our events *)
-  mutable horizon : Time.t;  (* the executing [run]'s [until] *)
-  mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
-}
 
 (* The only two ways a process blocks. *)
 type _ Effect.t +=
@@ -59,21 +56,6 @@ type _ Effect.t +=
 type suspension = unit Effect.t  (* a [Suspend_eff] carrying its registrar *)
 
 let no_suspension : suspension = Suspend_eff ignore
-
-(* Where a process waits in {!suspend} or a blocking {!delay}, made
-   with the process by [exec].  Only the process's handler, its waker
-   and a pending delay's event reference it, never [procs]: the bench
-   and perfbench creation hooks keep every world alive, and a world
-   must not keep a parked process's stack alive once nothing can wake
-   it. *)
-type parking = {
-  world : t;
-  proc : proc;
-  mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
-  mutable parked : bool;
-  hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
-  waker : waker;
-}
 
 (* The continuation of a parking that has not parked yet: one captured
    at start-up and never resumed. *)
@@ -90,6 +72,35 @@ let no_k : (unit, unit) continuation =
   Option.get !k
 
 let no_waker : waker = fun () -> invalid_arg "Sim.wake: no suspension to wake"
+
+type t = {
+  mutable now : Time.t;
+  queue : (unit -> unit) Wheel.t;  (* every pending event, see [run] *)
+  mutable next_pid : int;
+  procs : proc;  (* sentinel of the ring of live (not yet returned) processes *)
+  mutable events : int;  (* events popped by {!run}, for perf accounting *)
+  mutable nested : bool;  (* a run of another world is inside one of our events *)
+  mutable horizon : Time.t;  (* the executing [run]'s [until] *)
+  mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
+  mutable current : parking;  (* the running process's, else [idle] *)
+  idle : parking;
+  handler : (unit, unit) handler;  (* every process's, see [exec] *)
+}
+
+(* Where a process waits in {!suspend} or a blocking {!delay}, made
+   with the process by [exec].  Only the process's waker, a pending
+   hop's event and, while the process runs, [current] reference it,
+   never the ring: the bench and perfbench creation hooks keep every
+   world alive, and a world must not keep a parked process's stack
+   alive once nothing can wake it. *)
+and parking = {
+  world : t;
+  proc : proc;
+  mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
+  mutable parked : bool;
+  hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
+  waker : waker;
+}
 
 (* The world whose [run] is executing on this domain, if any; [now]
    reads its clock. *)
@@ -108,40 +119,9 @@ let clear_creation_hook () = Domain.DLS.set creation_hook None
 
 let nop () = ()
 
-let create () =
-  let t =
-    {
-      now = Time.zero;
-      queue = Wheel.create ~dummy:nop;
-      next_pid = 0;
-      procs = Hashtbl.create 32;
-      events = 0;
-      nested = false;
-      horizon = Time.max_tick;
-      running_pid = no_pid;
-    }
-  in
-  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
-  t
-
-let time t = t.now
-let events_processed t = t.events
-
 (* The wheel keeps push order within a tick.  About half of all events
    are for the current tick, mostly resume hops. *)
 let push t ~at thunk = Wheel.push t.queue ~time:at thunk
-
-let schedule t ~at thunk =
-  if at < t.now then invalid_arg "Sim.schedule: time in the past";
-  push t ~at thunk
-
-let new_proc t ?name ?(daemon = false) () =
-  t.next_pid <- t.next_pid + 1;
-  let proc = { pid = t.next_pid; pname = name; blocked_since = not_blocked; daemon } in
-  Hashtbl.replace t.procs proc.pid proc;
-  proc
-
-let retire t proc = Hashtbl.remove t.procs proc.pid
 
 (* Resume a parked process: a same-tick hop, with nothing allocated. *)
 let wake_parking p =
@@ -151,20 +131,135 @@ let wake_parking p =
   push p.world ~at:p.world.now p.hop
 [@@sl.zero_alloc]
 
+let retire proc =
+  proc.prev.next <- proc.next;
+  proc.next.prev <- proc.prev;
+  proc.prev <- proc;
+  proc.next <- proc
+
+(* The running process returned, or an exception escaped it. *)
+let finish t =
+  let p = t.current in
+  t.running_pid <- no_pid;
+  t.current <- t.idle;
+  retire p.proc
+
 (* The handler's answer to a block it must not take: the process gets
    [Invalid_argument msg] where it blocked. *)
 let refuse msg =
   Some (fun (k : (unit, unit) continuation) -> discontinue k (Invalid_argument msg))
 
-(* Run [f] as a coroutine: a suspend or a delay performed by [f] (and
-   whatever it calls) parks its continuation in the parking record
-   until the waker or the delay's event pushes the hop.  [proc] is the
-   bookkeeping record used by {!stuck}: a process is blocked between a
-   suspension and its wake.  [t.running_pid] names the process while
-   its code runs: from its start or any resume until it blocks or
-   returns.  An exception that escapes a process escapes the run, which
-   restores the field.  While [t.nested], a block comes from a callback
+(* The effect half of a world's one handler, which finds the blocking
+   process in [t.current] ([exec] and each hop set it).  A block clears
+   [running_pid] before it registers the waker or queues the delay's
+   hop, so a registrar runs as a callback would, and hands [k] to
+   [on_suspend], which stores it in the parking and takes [current]
+   back to [idle]; either hop runs only after that.  So a suspension
+   allocates only the runtime's continuation, and [current] never holds
+   a parked process.  While [t.nested], a block comes from a callback
    of a run nested inside the process, and is refused. *)
+let handle t (on_suspend : ((unit, unit) continuation -> unit) option) (type a)
+    (eff : a Effect.t) :
+    ((a, unit) continuation -> unit) option =
+  match eff with
+  | Suspend_eff register ->
+    if t.nested then refuse "Sim.suspend: the process belongs to another world"
+    else begin
+      let p = t.current in
+      t.running_pid <- no_pid;
+      p.parked <- true;
+      p.proc.blocked_since <- t.now;
+      register p.waker;
+      on_suspend
+    end
+  | Delay_eff d ->
+    if t.nested then refuse "Sim.delay: the process belongs to another world"
+    else if d < 0 then refuse "Sim.delay: negative delay"
+    else if d > Time.max_tick - t.now then refuse "Sim.delay: past Time.max_tick"
+    else begin
+      t.running_pid <- no_pid;
+      push t ~at:(t.now + d) t.current.hop;
+      on_suspend
+    end
+  | _ -> None
+
+(* A world and its one handler, whose record and closures every
+   process shares.  [idle] stands in [current] while no process runs;
+   its proc is the sentinel of the process ring. *)
+let create () =
+  let queue = Wheel.create ~dummy:nop in
+  let rec t =
+    {
+      now = Time.zero;
+      queue;
+      next_pid = 0;
+      procs = ring;
+      events = 0;
+      nested = false;
+      horizon = Time.max_tick;
+      running_pid = no_pid;
+      current = idle;
+      idle;
+      handler =
+        {
+          retc = (fun () -> finish t);
+          exnc = (fun e -> finish t; raise e);
+          effc = (fun eff -> handle t on_suspend eff);
+        };
+    }
+  and idle = { world = t; proc = ring; k = no_k; parked = false; hop = nop; waker = no_waker }
+  and ring =
+    {
+      pid = no_pid;
+      pname = unnamed;
+      blocked_since = not_blocked;
+      daemon = false;
+      prev = ring;
+      next = ring;
+    }
+  and on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.current.k <- k;
+        t.current <- t.idle)
+  in
+  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
+  t
+
+let time t = t.now
+let events_processed t = t.events
+
+let schedule t ~at thunk =
+  if at < t.now then invalid_arg "Sim.schedule: time in the past";
+  push t ~at thunk
+
+(* A new process joins the ring's tail: pids only grow, so the ring
+   stays in pid order. *)
+let new_proc t ?(name = unnamed) ?(daemon = false) () =
+  t.next_pid <- t.next_pid + 1;
+  let tail = t.procs.prev in
+  let proc =
+    {
+      pid = t.next_pid;
+      pname = name;
+      blocked_since = not_blocked;
+      daemon;
+      prev = tail;
+      next = t.procs;
+    }
+  in
+  tail.next <- proc;
+  t.procs.prev <- proc;
+  proc
+
+(* Run [f] as a coroutine under the world's handler: a suspend or a
+   delay performed by [f] (and whatever it calls) parks its
+   continuation in the parking record until the waker or the delay's
+   event pushes the hop.  [proc] is the bookkeeping record used by
+   {!stuck}: a process is blocked between a suspension and its wake.
+   [t.running_pid] and [t.current] name the process while its code
+   runs: from its start or any resume until it blocks or returns.  An
+   exception that escapes a process retires it and escapes the run. *)
 let exec t proc f =
   let rec p =
     {
@@ -174,59 +269,38 @@ let exec t proc f =
       parked = false;
       hop =
         (fun () ->
-          p.world.running_pid <- p.proc.pid;
+          let t = p.world in
+          t.running_pid <- p.proc.pid;
+          t.current <- p;
           continue p.k ());
       waker = (fun () -> wake_parking p);
     }
   in
-  (* Preallocated, so that a suspension or a delay allocates only the
-     runtime's continuation.  [effc] registers the waker, or queues the
-     delay's hop, before the handler gets [k]; either hop runs only
-     after [k] is stored. *)
-  let on_suspend = Some (fun (k : (unit, unit) continuation) -> p.k <- k) in
   t.running_pid <- proc.pid;
-  match_with f ()
-    {
-      retc =
-        (fun () ->
-          t.running_pid <- no_pid;
-          retire t proc);
-      exnc = (fun e -> retire t proc; raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
-          match eff with
-          | Suspend_eff register ->
-            if t.nested then refuse "Sim.suspend: the process belongs to another world"
-            else begin
-              t.running_pid <- no_pid;
-              p.parked <- true;
-              proc.blocked_since <- t.now;
-              register p.waker;
-              on_suspend
-            end
-          | Delay_eff d ->
-            if t.nested then refuse "Sim.delay: the process belongs to another world"
-            else if d < 0 then refuse "Sim.delay: negative delay"
-            else if d > Time.max_tick - t.now then refuse "Sim.delay: past Time.max_tick"
-            else begin
-              t.running_pid <- no_pid;
-              push t ~at:(t.now + d) p.hop;
-              on_suspend
-            end
-          | _ -> None);
-    }
+  t.current <- p;
+  match_with f () t.handler
 
 let spawn ?name ?daemon t f =
   let proc = new_proc t ?name ?daemon () in
   push t ~at:t.now (fun () -> exec t proc f)
 
+(* The ring walked from its tail, so the list comes out in pid order. *)
 let blocked_procs t ~include_daemons =
-  Hashtbl.fold
-    (fun _ proc acc ->
-      if proc.blocked_since = not_blocked || (proc.daemon && not include_daemons) then acc
-      else { pid = proc.pid; name = proc.pname; blocked_since = proc.blocked_since } :: acc)
-    t.procs []
-  |> List.sort (fun (a : blocked) (b : blocked) -> compare a.pid b.pid)
+  let rec collect (proc : proc) acc =
+    if proc == t.procs then acc
+    else
+      collect proc.prev
+        (if proc.blocked_since = not_blocked || (proc.daemon && not include_daemons)
+         then acc
+         else
+           {
+             pid = proc.pid;
+             name = (if proc.pname == unnamed then None else Some proc.pname);
+             blocked_since = proc.blocked_since;
+           }
+           :: acc)
+  in
+  collect t.procs.prev []
 
 let stuck t = blocked_procs t ~include_daemons:true
 let suspects t = blocked_procs t ~include_daemons:false
@@ -257,9 +331,9 @@ let stuck_summary t =
    [advance] reaches it before anything later.  While the loop runs,
    [running] names this world, a caller's world is marked [nested], and
    [t.horizon] holds the horizon for {!quiet_until}; all three come back
-   when the loop returns or raises, and so does [t.running_pid], which
-   the loop clears so that its callbacks are never taken for
-   processes. *)
+   when the loop returns or raises, and so do [t.running_pid] and
+   [t.current], which the loop clears so that its callbacks are never
+   taken for processes. *)
 let run ?until t =
   let horizon = match until with None -> Time.max_tick | Some h -> h in
   let q = t.queue in
@@ -283,16 +357,19 @@ let run ?until t =
   in
   let outer = Domain.DLS.get running in
   let mark nested = match outer with Some o when o != t -> o.nested <- nested | _ -> () in
-  let outer_horizon = t.horizon and outer_pid = t.running_pid in
+  let outer_horizon = t.horizon and outer_pid = t.running_pid
+  and outer_current = t.current in
   Domain.DLS.set running (Some t);
   mark true;
   t.horizon <- horizon;
   t.running_pid <- no_pid;
+  t.current <- t.idle;
   Fun.protect
     ~finally:(fun () ->
       mark false;
       t.horizon <- outer_horizon;
       t.running_pid <- outer_pid;
+      t.current <- outer_current;
       Domain.DLS.set running outer)
     loop
 
@@ -370,6 +447,4 @@ let after d f =
     push t ~at:(t.now + d) f
   | None -> invalid_arg "Sim.after: no world is running on this domain"
 
-let set_daemon d =
-  let t = running_world "Sim.set_daemon" in
-  (Hashtbl.find t.procs t.running_pid).daemon <- d
+let set_daemon d = (running_world "Sim.set_daemon").current.proc.daemon <- d

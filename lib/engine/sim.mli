@@ -187,7 +187,11 @@ val skip_to : t -> Time.t -> bool
 
 val fork : (unit -> unit) -> unit
 (** Start a child process at the current time.  The child runs after the
-    caller next blocks (deterministic FIFO order). *)
+    caller next blocks (deterministic FIFO order).  A fork and its
+    child's run cost 40 words on OCaml 5.1: the child's bookkeeping
+    (its process and parking records, hop and waker), its start event
+    and its continuation; every process of a world shares the world's
+    one effect handler. *)
 
 val after : Time.t -> (unit -> unit) -> unit
 (** [after d f] runs callback [f] (not a blocking process) [d] cycles
@@ -217,8 +221,8 @@ val await : (('a -> unit) -> unit) -> 'a
 (** {2 Suspend and wake}
 
     The one way to park a process until something wakes it.  A caller
-    builds a {!suspension} once per waiting point (a thread's wake
-    cell, a core's job completion), each process's resume is made once
+    builds a {!suspension} once per waiting point (a chip's park point,
+    a core's job completion), each process's resume is made once
     with the process, so a suspension allocates only the runtime's
     continuation (2 words on OCaml 5.1), and a wake pushes a
     preallocated event.  The parked continuation is

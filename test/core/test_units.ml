@@ -78,6 +78,83 @@ let test_regstate_copy_independent () =
   check_i64 "original unchanged" 1L (Regstate.get a (Regstate.Gp 0));
   check_i64 "copy changed" 2L (Regstate.get b (Regstate.Gp 0))
 
+(* Every register class sits in one flat buffer: values that use all
+   64 bits round-trip at both ends of it and at each class's slot, and
+   no write reaches a neighbour. *)
+let test_regstate_every_class_round_trips () =
+  let regs =
+    [
+      Regstate.Gp 0;
+      Regstate.Gp 15;
+      Regstate.Rip;
+      Regstate.Rflags;
+      Regstate.Exception_descriptor_ptr;
+      Regstate.Tdt_base;
+      Regstate.Vector 0;
+      Regstate.Vector 15;
+    ]
+  in
+  let value i = Int64.(logxor min_int (mul 0x0101010101010101L (of_int (i + 1)))) in
+  List.iter
+    (fun vector ->
+      let r = Regstate.create ~vector () in
+      let regs =
+        if vector then regs
+        else List.filter (function Regstate.Vector _ -> false | _ -> true) regs
+      in
+      List.iteri (fun i reg -> Regstate.set r reg (value i)) regs;
+      List.iteri
+        (fun i reg ->
+          check_i64 (Format.asprintf "%a (vector %b)" Regstate.pp_reg reg vector) (value i)
+            (Regstate.get r reg))
+        regs;
+      check_i64 "gp 1 untouched" 0L (Regstate.get r (Regstate.Gp 1));
+      check_i64 "gp 14 untouched" 0L (Regstate.get r (Regstate.Gp 14));
+      if vector then begin
+        check_i64 "v1 untouched" 0L (Regstate.get r (Regstate.Vector 1));
+        check_i64 "v14 untouched" 0L (Regstate.get r (Regstate.Vector 14))
+      end)
+    [ false; true ]
+
+(* Until its first write a context reads [0L] everywhere and holds no
+   register storage: its record and the shared empty buffer, 5 words on
+   OCaml 5.1 (27 when it carried its register arrays from the start). *)
+let test_regstate_unwritten_holds_no_storage () =
+  List.iter
+    (fun vector ->
+      let r = Regstate.create ~vector () in
+      let classes =
+        [
+          Regstate.Gp 0;
+          Regstate.Gp 15;
+          Regstate.Rip;
+          Regstate.Rflags;
+          Regstate.Exception_descriptor_ptr;
+          Regstate.Tdt_base;
+        ]
+        @ if vector then [ Regstate.Vector 0; Regstate.Vector 15 ] else []
+      in
+      List.iter
+        (fun reg ->
+          check_i64 (Format.asprintf "%a" Regstate.pp_reg reg) 0L (Regstate.get r reg))
+        classes;
+      let words = Obj.reachable_words (Obj.repr r) in
+      check_bool (Printf.sprintf "%d words (vector %b) <= 5" words vector) true (words <= 5))
+    [ false; true ]
+
+(* A copy shares nothing with its source, written or not. *)
+let test_regstate_copy_of_unwritten () =
+  let a = Regstate.create ~vector:true () in
+  let b = Regstate.copy a in
+  Regstate.set b (Regstate.Vector 15) 7L;
+  check_i64 "source unwritten" 0L (Regstate.get a (Regstate.Vector 15));
+  check_bool "source holds no storage" true (Obj.reachable_words (Obj.repr a) <= 5);
+  let c = Regstate.copy b in
+  Regstate.set b (Regstate.Vector 15) 8L;
+  Regstate.set c Regstate.Rip 9L;
+  check_i64 "copy keeps the value at copy time" 7L (Regstate.get c (Regstate.Vector 15));
+  check_i64 "source unchanged by the copy's write" 0L (Regstate.get b Regstate.Rip)
+
 let test_regstate_footprint () =
   let p = Params.default in
   check_int "gp footprint" 272 (Regstate.footprint_bytes p (Regstate.create ()));
@@ -239,6 +316,12 @@ let () =
           Alcotest.test_case "vector guard" `Quick test_regstate_vector_access_guard;
           Alcotest.test_case "bounds" `Quick test_regstate_bounds;
           Alcotest.test_case "copy" `Quick test_regstate_copy_independent;
+          Alcotest.test_case "every class round-trips" `Quick
+            test_regstate_every_class_round_trips;
+          Alcotest.test_case "unwritten holds no storage" `Quick
+            test_regstate_unwritten_holds_no_storage;
+          Alcotest.test_case "copy of an unwritten context" `Quick
+            test_regstate_copy_of_unwritten;
           Alcotest.test_case "footprint" `Quick test_regstate_footprint;
           Alcotest.test_case "permission classes" `Quick test_regstate_permission_classes;
         ] );
