@@ -87,9 +87,9 @@ let wake_latency_for_tier tier =
     | State_store.L3 -> 8 + 16
     | State_store.Dram -> 8 + 16 + 32
   in
-  for i = 1 to fillers do
-    State_store.register store ~ptid:(1000 + i) ~bytes:272
-  done;
+  let filler =
+    Array.init fillers (fun i -> State_store.register store ~ptid:(1001 + i) ~bytes:272)
+  in
   let woke_at = ref 0 in
   Chip.attach th (fun t ->
       Isa.monitor t doorbell;
@@ -101,13 +101,9 @@ let wake_latency_for_tier tier =
          global LRU victim) and promote them all: ptid 1 sinks exactly to
          the target tier. *)
       Sim.delay 10_000;
-      for i = 1 to fillers do
-        State_store.touch store ~ptid:(1000 + i)
-      done;
-      for i = 1 to fillers do
-        ignore (State_store.wake_transfer_cycles store ~ptid:(1000 + i))
-      done;
-      assert (fillers = 0 || State_store.tier_of store ~ptid:1 = tier);
+      Array.iter (State_store.touch store) filler;
+      Array.iter (fun e -> ignore (State_store.wake_transfer_cycles store e)) filler;
+      assert (fillers = 0 || State_store.tier_of store (Chip.store_entry th) = tier);
       Sim.delay 10_000;
       Memory.write memory doorbell 1L);
   Sim.run sim;
@@ -141,8 +137,11 @@ let wake_sweep ~pin_first ~prefetch n =
   let first_lat = Histogram.create () in
   let doorbells = Array.init n (fun _ -> Memory.alloc memory 1) in
   let wake_request = Array.make n 0 in
+  let threads =
+    Array.init n (fun i -> Chip.add_thread chip ~core:0 ~ptid:(i + 1) ~mode:Ptid.User ())
+  in
   for i = 0 to n - 1 do
-    let th = Chip.add_thread chip ~core:0 ~ptid:(i + 1) ~mode:Ptid.User () in
+    let th = threads.(i) in
     Chip.attach th (fun t ->
         Isa.monitor t doorbells.(i);
         let rec loop () =
@@ -155,7 +154,7 @@ let wake_sweep ~pin_first ~prefetch n =
         loop ());
     Chip.boot th
   done;
-  if pin_first then Chip.pin_state (Chip.find_thread chip ~ptid:1);
+  if pin_first then Chip.pin_state threads.(0);
   let rounds = 3 in
   Sim.spawn sim (fun () ->
       (* Let the boot storm (every thread arming its monitor) drain before
@@ -163,7 +162,7 @@ let wake_sweep ~pin_first ~prefetch n =
       Sim.delay (max 1000 (20 * n));
       for _ = 1 to rounds do
         for i = 0 to n - 1 do
-          if prefetch then State_store.prefetch store ~ptid:(i + 1);
+          if prefetch then State_store.prefetch store (Chip.store_entry threads.(i));
           wake_request.(i) <- Sim.now ();
           Memory.write memory doorbells.(i) 1L;
           (* Give the wake time to complete before the next one. *)

@@ -144,6 +144,10 @@ let run_job (id, title, f) =
     report_abandoned id (List.rev !sims);
     report_recovery id
   in
+  (* Each experiment starts from a compacted heap, so its wall time and
+     collections do not carry major work left by the experiments before
+     it.  Outside the timed window; it moves no minor word. *)
+  Gc.full_major ();
   let alloc0 = Sl_util.Alloc_meter.words () in
   let gc0 = Gc.quick_stat () in
   (* Minor words repeat exactly for a fixed -j 1 invocation; the meter's

@@ -254,10 +254,11 @@ let bench_smt_core_churn =
          let core = Smt_core.create sim { p with Params.smt_width = 2 } ~core_id:0 in
          for ptid = 0 to 63 do
            let cycles = 50 + (ptid * 37 mod 101) in
+           let slot = Smt_core.add_slot core ~ptid in
            Sim.spawn sim (fun () ->
-               Smt_core.set_runnable core ~ptid ~weight:1.0 true;
+               Smt_core.set_runnable core ~slot ~weight:1.0 true;
                for _ = 1 to 200 do
-                 Smt_core.execute core ~ptid ~kind:Smt_core.Useful cycles
+                 Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles
                done)
          done;
          Sim.run sim))
@@ -285,10 +286,11 @@ let smt_core_lone_job ~heartbeat =
            in
            Sim.schedule sim ~at:0 beat
          end;
+         let slot = Smt_core.add_slot core ~ptid:1 in
          Sim.spawn sim (fun () ->
-             Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+             Smt_core.set_runnable core ~slot ~weight:1.0 true;
              for _ = 1 to jobs do
-               Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 1
+               Smt_core.execute core ~slot ~kind:Smt_core.Useful 1
              done);
          Sim.run sim))
 

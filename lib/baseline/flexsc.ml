@@ -13,12 +13,13 @@ let worker_ptid = 777_777
 
 let serve sim ?(batch_window = 500) ~core ~work ~complete () =
   let t = { entries = Mailbox.create (); calls = 0; batches = 0 } in
+  let slot = Smt_core.add_slot core ~ptid:worker_ptid in
   let run_entry e =
-    Smt_core.execute core ~ptid:worker_ptid ~kind:Smt_core.Useful (work e);
+    Smt_core.execute core ~slot ~kind:Smt_core.Useful (work e);
     complete e
   in
   Sim.spawn sim ~name:"flexsc-worker" ~daemon:true (fun () ->
-      Smt_core.set_runnable core ~ptid:worker_ptid ~weight:1.0 true;
+      Smt_core.set_runnable core ~slot ~weight:1.0 true;
       let rec loop () =
         (* Sleep until something is posted, then let a batch accumulate. *)
         let first = Mailbox.recv t.entries in

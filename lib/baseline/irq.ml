@@ -43,21 +43,21 @@ let create sim params ~cores =
   in
   Array.iteri
     (fun core_id core ->
-      let ptid = irq_ptid core_id in
+      let slot = Smt_core.add_slot core ~ptid:(irq_ptid core_id) in
       let queue = t.queues.(core_id) in
       (* The IRQ context parks between interrupts by design. *)
       Sim.spawn ~name:(Printf.sprintf "irq-core-%d" core_id) ~daemon:true sim
         (fun () ->
           let exec cycles =
-            Smt_core.execute core ~ptid ~kind:Smt_core.Overhead cycles
+            Smt_core.execute core ~slot ~kind:Smt_core.Overhead cycles
           in
           let rec serve () =
             let { handler } = Mailbox.recv queue in
-            Smt_core.set_runnable core ~ptid ~weight:irq_weight true;
+            Smt_core.set_runnable core ~slot ~weight:irq_weight true;
             exec params.Params.interrupt_entry_cycles;
             handler ~exec;
             exec params.Params.interrupt_exit_cycles;
-            Smt_core.set_runnable core ~ptid ~weight:irq_weight false;
+            Smt_core.set_runnable core ~slot ~weight:irq_weight false;
             serve ()
           in
           serve ()))

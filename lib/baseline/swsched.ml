@@ -5,7 +5,7 @@ module Smt_core = Switchless.Smt_core
 
 type context = {
   core : Smt_core.t;
-  ptid : int;
+  slot : int;  (* on [core] *)
   mutable last_thread : int;  (* -1: never ran anyone *)
   mutable last_vector : bool;
 }
@@ -38,10 +38,10 @@ let create sim params ?(warmup = true) ?quantum ~cores:n_cores () =
   let free = ref [] in
   Array.iteri
     (fun core_id core ->
-      for slot = 0 to params.Params.smt_width - 1 do
-        let ptid = (core_id * 1024) + slot in
-        Smt_core.set_runnable core ~ptid ~weight:1.0 true;
-        free := { core; ptid; last_thread = -1; last_vector = false } :: !free
+      for i = 0 to params.Params.smt_width - 1 do
+        let slot = Smt_core.add_slot core ~ptid:((core_id * 1024) + i) in
+        Smt_core.set_runnable core ~slot ~weight:1.0 true;
+        free := { core; slot; last_thread = -1; last_vector = false } :: !free
       done)
     cores;
   {
@@ -93,7 +93,7 @@ let charge_switch t ctx ~incoming_vector =
   in
   t.switches <- t.switches + 1;
   t.switch_overhead <- t.switch_overhead +. float_of_int cost;
-  Smt_core.execute ctx.core ~ptid:ctx.ptid ~kind:Smt_core.Overhead cost
+  Smt_core.execute ctx.core ~slot:ctx.slot ~kind:Smt_core.Overhead cost
 
 let exec thread ?(kind = Smt_core.Useful) cycles =
   if cycles < 0 then invalid_arg "Swsched.exec: negative cycles";
@@ -112,7 +112,7 @@ let exec thread ?(kind = Smt_core.Useful) cycles =
       | None -> !remaining
       | Some q -> if q < !remaining then q else !remaining
     in
-    Smt_core.execute ctx.core ~ptid:ctx.ptid ~kind slice;
+    Smt_core.execute ctx.core ~slot:ctx.slot ~kind slice;
     remaining := !remaining - slice;
     (* Hand off to the longest-waiting thread: with a quantum this is
        round-robin. *)

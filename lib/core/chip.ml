@@ -50,9 +50,12 @@ type cell =
    captured epoch and stand down.
 
    The [tids] table maps ptid -> handle on the cold paths (construction,
-   TDT translation); everything per-event goes through the handle.
-   Externally visible identifiers — probe events, exception descriptors,
-   SMT / state-store keys, fault hooks — always carry the real ptid. *)
+   TDT translation); everything per-event goes through the handle.  It
+   is the chip's one ptid table: below it, each unit names the thread
+   by the handle it handed out, which the thread record keeps (its
+   State_store entry, its Smt_core and Monitor slots).  Externally
+   visible identifiers — probe events, exception descriptors, billing
+   labels, fault hooks — always carry the real ptid. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
@@ -101,6 +104,7 @@ and thread = {
   core_id : int;  (* home core *)
   mslot : int;  (* Monitor slot *)
   smt : int;  (* Smt_core slot on the home core *)
+  entry : State_store.entry;  (* context on the home core's store *)
   t_ptid : int;
   weight : float;
   wake : Memory.addr -> unit;  (* monitor waiter *)
@@ -152,7 +156,9 @@ let create sim params ~cores =
           cache = Tdt.Cache.create ();
         })
   in
-  let tids = Hashtbl.create 64 and regs = Regstate.create () in
+  let tids = Hashtbl.create 64
+  and regs = Regstate.create ()
+  and entry = State_store.placeholder () in
   let rec t =
     {
       sim;
@@ -188,6 +194,7 @@ let create sim params ~cores =
       core_id = -1;
       mslot = -1;
       smt = -1;
+      entry;
       t_ptid = -1;
       weight = 1.0;
       wake = ignore;
@@ -263,10 +270,12 @@ let wakeup_count th = th.wakeups
 let start_count th = th.starts
 let crash_count th = th.crashes
 let armed th = Monitor.armed th.chip.monitor th.mslot
+let store_entry th = th.entry
+let smt_slot th = th.smt
 
 let own_core th = th.chip.cores.(th.core_id)
 
-let pin_state th = State_store.pin (own_core th).store ~ptid:th.t_ptid
+let pin_state th = State_store.pin (own_core th).store th.entry
 
 (* The one state transition: write the state, put the thread on (or take
    it off) its home core's execution units, emit the probe. *)
@@ -274,7 +283,7 @@ let set_state th state ~reason =
   let c = th.chip in
   let from_ = th.state in
   th.state <- state;
-  Smt_core.set_runnable_slot (own_core th).exec_unit ~slot:th.smt ~weight:th.weight
+  Smt_core.set_runnable (own_core th).exec_unit ~slot:th.smt ~weight:th.weight
     (state = Ptid.Runnable);
   if c.probe_on then
     emit c (Probe.State_change { ptid = th.t_ptid; from_; to_ = state; reason })
@@ -294,7 +303,7 @@ let run_body th =
   match th.body with
   | None -> invalid_arg "Chip: starting a thread with no body attached"
   | Some body ->
-    Sim.spawn ~name:(Printf.sprintf "ptid-%d" th.t_ptid) th.chip.sim (fun () ->
+    Sim.spawn_thread th.chip.sim ~ptid:th.t_ptid (fun () ->
         (match body th with
         | () -> ()
         | exception Crash_stop ->
@@ -339,7 +348,7 @@ let rec wait_until_runnable th =
 
 let exec th ?(kind = Smt_core.Useful) cycles =
   wait_until_runnable th;
-  Smt_core.execute_slot (own_core th).exec_unit ~slot:th.smt ~kind cycles
+  Smt_core.execute (own_core th).exec_unit ~slot:th.smt ~kind cycles
 
 (* [exec th ~kind gap] until [ready ()], checking before each gap.
    [ready] reads simulated state that only an event can change, so
@@ -354,7 +363,7 @@ let spin th ~kind ~gap ready =
   while not (ready ()) do
     Smt_core.serve_lone_gaps core ~slot:th.smt ~kind gap;
     wait_until_runnable th;
-    Smt_core.execute_slot core ~slot:th.smt ~kind gap
+    Smt_core.execute core ~slot:th.smt ~kind gap
   done
 [@@sl.zero_alloc]
 
@@ -393,7 +402,7 @@ let monitor_wake th addr =
   th.wakeups <- th.wakeups + 1;
   let latency =
     c.params.Params.monitor_wake_cycles + scan
-    + State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
+    + State_store.wake_transfer_cycles (own_core th).store th.entry
     + c.params.Params.pipeline_start_cycles
   in
   let epoch = th.epoch in
@@ -415,14 +424,14 @@ let monitor_wake th addr =
 let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
   let chip = th.chip in
   let core = own_core th in
-  let transfer = State_store.wake_transfer_cycles core.store ~ptid:th.t_ptid in
+  let transfer = State_store.wake_transfer_cycles core.store th.entry in
   (* Fault injection: a delayed start hand-off stretches the wakeup. *)
   let fault_extra =
     match chip.faults with
     | None -> 0
     | Some f ->
       let d = f.start_extra_cycles ~ptid:th.t_ptid in
-      if d > 0 then
+      if d > 0 && chip.probe_on then
         emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind = "start-delay" });
       d
   in
@@ -473,8 +482,9 @@ let crash_mark th ~kind ~restart_after =
       if th.crashed then begin
         th.crashed <- false;
         th.starts <- th.starts + 1;
-        emit chip
-          (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
+        if chip.probe_on then
+          emit chip
+            (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
         schedule_wakeup th ~extra:0 ~reason:"crash-restart" ~on_ready:(fun () ->
             run_body th)
       end)
@@ -495,9 +505,9 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   if weight <= 0.0 then invalid_arg "Chip.add_thread: weight must be positive";
   let regs = Regstate.create ~vector () in
   let bytes = Regstate.footprint_bytes t.params regs in
-  State_store.register (state_store t core_id) ~ptid ~bytes;
+  let entry = State_store.register (state_store t core_id) ~ptid ~bytes in
   let mslot = Monitor.register t.monitor ~core_id in
-  let smt = Smt_core.slot (exec_core t core_id) ~ptid in
+  let smt = Smt_core.add_slot (exec_core t core_id) ~ptid in
   let rec th =
     {
       chip = t;
@@ -513,6 +523,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       core_id;
       mslot;
       smt;
+      entry;
       t_ptid = ptid;
       weight;
       wake = (fun addr -> monitor_wake th addr);
@@ -576,7 +587,7 @@ let schedule_deadline th epoch at =
         fill_wake th wake_deadline;
         (* The empty-handed resume still pays the restart latency. *)
         let latency =
-          State_store.wake_transfer_cycles (own_core th).store ~ptid:th.t_ptid
+          State_store.wake_transfer_cycles (own_core th).store th.entry
           + chip.params.Params.pipeline_start_cycles
         in
         Sim.schedule chip.sim
@@ -607,7 +618,8 @@ let inject_park_faults th f epoch =
         match Monitor.take_waiter chip.monitor th.mslot with
         | None -> ()  (* already woken, stopped or expired *)
         | Some w ->
-          emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
+          if chip.probe_on then
+            emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
           let addr =
             match Monitor.armed chip.monitor th.mslot with addr :: _ -> addr | [] -> 0
           in
@@ -653,7 +665,7 @@ let rec mwait_round th ~timed ~deadline =
   else begin
     set_state th Ptid.Waiting ~reason:"mwait-park";
     if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
-    State_store.touch (own_core th).store ~ptid:th.t_ptid;
+    State_store.touch (own_core th).store th.entry;
     th.cell <- Open;
     if timed then schedule_deadline th epoch deadline;
     (match chip.faults with None -> () | Some f -> inject_park_faults th f epoch);
@@ -692,7 +704,7 @@ let insn_mwait_for th ~deadline =
 let raise_exception th kind ~info =
   let chip = th.chip in
   chip.exn_count <- chip.exn_count + 1;
-  emit chip (Probe.Exception_raised { ptid = th.t_ptid; kind; info });
+  if chip.probe_on then emit chip (Probe.Exception_raised { ptid = th.t_ptid; kind; info });
   let edp = Regstate.get (regs th) Regstate.Exception_descriptor_ptr in
   if edp = 0L then begin
     let reason =
@@ -803,7 +815,8 @@ let do_start ~actor target =
   match target.state with
   | Ptid.Disabled ->
     target.starts <- target.starts + 1;
-    emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = false });
+    if c.probe_on then
+      emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = false });
     (* The first start spawns the body.  So does a start of a
        crash-stopped thread not yet auto-restarted: the old instruction
        stream is gone, and the scheduled auto-restart then sees
@@ -817,7 +830,8 @@ let do_start ~actor target =
     (* Already enabled: latch the start so it cannot be lost to a stop
        that is architecturally in flight (e.g. a server parking itself). *)
     target.pending_start <- true;
-    emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = true })
+    if c.probe_on then
+      emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = true })
   | Ptid.Waiting -> ()
 
 let do_stop ~actor target =
@@ -829,11 +843,11 @@ let do_stop ~actor target =
     match target.state with
     | Ptid.Runnable ->
       set_state target Ptid.Disabled ~reason:"stop";
-      emit c (Probe.Stop_edge { actor; target = target.t_ptid })
+      if c.probe_on then emit c (Probe.Stop_edge { actor; target = target.t_ptid })
     | Ptid.Waiting ->
       Monitor.cancel_wait c.monitor target.mslot;
       stop_waiting target ~reason:"force-stop";
-      emit c (Probe.Stop_edge { actor; target = target.t_ptid });
+      if c.probe_on then emit c (Probe.Stop_edge { actor; target = target.t_ptid });
       (* Claim the open park: a deadline expiry may have claimed the
          cell already (thread mid-restart); the force-stop still wins
          via the state check in the restart event. *)
@@ -884,7 +898,8 @@ let rpull_via resolve th operand reg =
       0L
     end
     else begin
-      emit th.chip (Probe.Reg_pull { actor = th.t_ptid; target = target.t_ptid; reg });
+      if th.chip.probe_on then
+        emit th.chip (Probe.Reg_pull { actor = th.t_ptid; target = target.t_ptid; reg });
       Regstate.get target.regs reg
     end
 
@@ -904,7 +919,8 @@ let rpush_via resolve th operand reg value =
       raise_exception th Exception_desc.Invalid_thread_access
         ~info:(Int64.of_int operand)
     else begin
-      emit th.chip (Probe.Reg_push { actor = th.t_ptid; target = target.t_ptid; reg });
+      if th.chip.probe_on then
+        emit th.chip (Probe.Reg_push { actor = th.t_ptid; target = target.t_ptid; reg });
       Regstate.set target.regs reg value
     end
 
@@ -960,7 +976,8 @@ let boot th =
   if th.spawned then invalid_arg "Chip.boot: thread already started";
   th.spawned <- true;
   th.starts <- th.starts + 1;
-  emit c (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
+  if c.probe_on then
+    emit c (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });
   set_state th Ptid.Runnable ~reason:"boot";
   run_body th
 

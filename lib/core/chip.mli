@@ -23,8 +23,10 @@ type thread
 (** Handle on one hardware thread (a ptid bound to its home core): one
     record per thread, allocated at {!add_thread} and shared by every
     lookup.  It holds all of the thread's state — run state, wake cell,
-    counters, flags, registers, and its monitor and execution-unit slots —
-    so the chip keeps no per-thread array. *)
+    counters, flags, registers, and the handles its home core's units
+    gave it (monitor and execution-unit slots, state-store entry) — so
+    the chip keeps no per-thread array, and only its one ptid table
+    ({!find_thread}) is keyed by ptid. *)
 
 val create : Sl_engine.Sim.t -> Params.t -> cores:int -> t
 
@@ -43,8 +45,9 @@ val add_thread :
   t -> core:int -> ptid:int -> mode:Ptid.mode -> ?vector:bool ->
   ?weight:float -> unit -> thread
 (** Register a hardware thread on its home core.  Its context is admitted
-    to the core's state store.  Ptids are unique chip-wide.  The thread is
-    born disabled with no body. *)
+    to the core's state store.  Ptids are unique chip-wide: a taken one
+    raises [Invalid_argument].  The thread is born disabled with no
+    body. *)
 
 val attach : thread -> (thread -> unit) -> unit
 (** Give the thread its instruction stream.  May be called once. *)
@@ -155,6 +158,16 @@ val start_count : thread -> int
 val pin_state : thread -> unit
 (** Pin this thread's context in its core's register file (§4
     criticality-based placement). *)
+
+val store_entry : thread -> State_store.entry
+(** The thread's context on its home core's {!state_store}, for calls
+    such as {!State_store.tier_of} and {!State_store.prefetch}.  The chip
+    keeps the one ptid table ({!find_thread}); the units below it name
+    the thread by the handles they handed out, this and {!smt_slot}. *)
+
+val smt_slot : thread -> int
+(** The thread's slot on its home core's {!exec_core}, for calls such as
+    {!Smt_core.thread_cycles}. *)
 
 (** {2 Instruction semantics (used by Isa; callable directly)}
 

@@ -48,7 +48,7 @@ let pick t =
     | Locality -> (
       let store = Chip.state_store t.chip t.core in
       let resident w =
-        State_store.tier_of store ~ptid:(Chip.ptid w.thread)
+        State_store.tier_of store (Chip.store_entry w.thread)
         = State_store.Register_file
       in
       match List.find_opt resident t.parked with

@@ -12,7 +12,9 @@ let none_waiter : Memory.addr -> unit = fun _ -> ()
    intrusive doubly-linked lists per cell: the thread's armed list (in
    arming order, appended at the tail) and the address's watcher list
    (most-recently-armed first, prepended at the head — the delivery
-   order {!on_write} has always used).  [-1] is the null link. *)
+   order {!on_write} has always used).  [-1] is the null link.  The two
+   lists are the only index: [arm] finds an armed pair by walking both
+   at once, so there is no pair table to keep or to hash into. *)
 type t = {
   params : Params.t;
   (* per-slot state *)
@@ -32,10 +34,6 @@ type t = {
   mutable p_anext : int array;
   mutable free_pair : int;
   mutable pairs : int;  (* arena high-water mark *)
-  (* Membership index over armed (slot, addr) pairs, key packed into one
-     int: [arm] idempotence checks stay O(1) (arming K addresses
-     was O(K^2) before this index existed; see E9).  Off the write path. *)
-  pair_of : (int, int) Hashtbl.t;
   by_addr : Sl_util.Dense.t;  (* addr -> watcher-list head pair; -1 *)
   core_armed : Sl_util.Dense.t;  (* core_id -> armed count *)
   mutable scratch : int array;  (* write-delivery snapshot buffer *)
@@ -61,7 +59,6 @@ let create params =
     p_anext = [||];
     free_pair = -1;
     pairs = 0;
-    pair_of = Hashtbl.create 1024;
     by_addr = Sl_util.Dense.create ();
     core_armed = Sl_util.Dense.create ~default:0 ();
     scratch = Array.make 16 0;
@@ -70,17 +67,6 @@ let create params =
   }
 
 let set_fault_hook t f = t.fault_drop <- Some f
-
-(* (slot, addr) packed into one immediate int so the membership probe
-   allocates no tuple.  Addresses are word indices (far below 2^32) and
-   slots count threads (far below 2^30).  The multiply is a bijection
-   (odd constant, arithmetic mod 2^63) that decorrelates the halves:
-   the polymorphic hash folds an int's high and low 32 bits with xor,
-   and a plain [(slot lsl 32) lor addr] makes that fold nearly constant
-   when slots and addresses advance in lockstep (thread i arming
-   doorbell base+i) — every key landed in one bucket and a 2k-thread
-   boot storm went quadratic in [arm]. *)
-let pack_pair slot addr = ((slot lsl 32) lor addr) * 0x6A09E667F3BCC909
 
 let register t ~core_id =
   let s = t.slots in
@@ -142,12 +128,23 @@ let core_armed_count t core_id = Sl_util.Dense.get t.core_armed core_id
 let bump_core t core_id delta =
   Sl_util.Dense.set t.core_armed core_id (core_armed_count t core_id + delta)
 
+(* Whether slot [s] has armed [addr]: such a pair sits on both the
+   slot's armed list (from [tp]) and the address's watcher list (from
+   [ap]), so the two are walked in lockstep and the first to end
+   answers no.  The cost is the shorter list: one step for a thread
+   arming many fresh addresses (E9) and for a lock word many threads
+   watch. *)
+let rec is_armed t s addr tp ap =
+  tp >= 0 && ap >= 0
+  && (t.p_addr.(tp) = addr || t.p_slot.(ap) = s
+     || is_armed t s addr t.p_tnext.(tp) t.p_anext.(ap))
+[@@sl.zero_alloc]
+
 let arm t s addr =
   if addr < 0 then invalid_arg "Monitor.arm: negative address";
-  let k = pack_pair s addr in
-  if not (Hashtbl.mem t.pair_of k) then begin
+  let watchers = Sl_util.Dense.get t.by_addr addr in
+  if not (is_armed t s addr t.s_thead.(s) watchers) then begin
     let p = alloc_pair t in
-    Hashtbl.replace t.pair_of k p;
     t.p_addr.(p) <- addr;
     t.p_slot.(p) <- s;
     (* Append to the thread's armed list (arming order). *)
@@ -159,10 +156,9 @@ let arm t s addr =
     t.s_armed_n.(s) <- t.s_armed_n.(s) + 1;
     bump_core t t.s_core.(s) 1;
     (* Prepend to the address's watcher list (most-recent-first). *)
-    let h = Sl_util.Dense.get t.by_addr addr in
     t.p_aprev.(p) <- -1;
-    t.p_anext.(p) <- h;
-    if h >= 0 then t.p_aprev.(h) <- p;
+    t.p_anext.(p) <- watchers;
+    if watchers >= 0 then t.p_aprev.(watchers) <- p;
     Sl_util.Dense.set t.by_addr addr p
   end
 
@@ -176,7 +172,6 @@ let disarm_all t s =
   let p = ref t.s_thead.(s) in
   while !p >= 0 do
     let next = t.p_tnext.(!p) in
-    Hashtbl.remove t.pair_of (pack_pair s t.p_addr.(!p));
     unlink_addr t !p;
     free_pair t !p;
     p := next

@@ -30,7 +30,9 @@ val register : t -> core_id:int -> int
     stable for the lifetime of [t]. *)
 
 val arm : t -> int -> Memory.addr -> unit
-(** Arm one more address for the slot.  Idempotent per (slot, addr). *)
+(** Arm one more address for the slot.  Idempotent per (slot, addr):
+    finding an armed pair costs the shorter of the slot's armed list and
+    the address's watcher list, with no table beside them. *)
 
 val disarm_all : t -> int -> unit
 

@@ -7,21 +7,20 @@ let kind_index = function Useful -> 0 | Poll -> 1 | Overhead -> 2
 (* Hot-path note: [advance]/[reschedule] run on every runnability change
    and every [execute], so with N runnable threads a boot storm that arms
    N monitors is N calls touching N jobs each.  Per-thread state is laid
-   out struct-of-arrays, indexed by an interned dense [slot]: in-flight
-   work lives in unboxed [j_rem]/[j_kind] parallel arrays (serving a job
-   is two array stores, no [float ref] cell or record field to chase),
+   out struct-of-arrays, indexed by a dense [slot]: in-flight work lives
+   in unboxed [j_rem]/[j_kind] parallel arrays (serving a job is two
+   array stores, no [float ref] cell or record field to chase),
    billing in an unboxed [b_cycles] array, and the active set is
    collected into reusable scratch arrays ([sslot]/[sweight]/[srate]/
    [scapped]) instead of freshly consed lists.
 
-   Slots are interned, not raw ptids: callers key this module by ptid,
-   and ptids are sparse sentinels in places (the flexsc worker is
-   777_777, hypervisors are 9_000) — sizing the dense arrays by the raw
-   ptid would allocate megabytes per core for a handful of threads,
-   which dominated experiments that build a fresh world per measurement
-   point.  The [slots] table is consulted once per ptid-keyed call; the
-   slot-keyed entry points skip it ([Chip] caches each thread's slot), and
-   every per-event loop below is slot-indexed.
+   Slots are handed out densely by [add_slot], never raw ptids: ptids
+   are sparse sentinels in places (the flexsc worker is 777_777,
+   hypervisors are 9_000), and sizing the dense arrays by the raw ptid
+   would allocate megabytes per core for a handful of threads.  Every
+   caller keeps the slot it was given ([Chip] in each thread's record),
+   so there is no ptid table to consult; the ptid is only the label
+   that [billed_threads] reports.
 
    In the common shape — nothing frozen, every weight 1.0 — [advance]
    serves at one closed-form rate straight off the runnable array, with
@@ -56,9 +55,7 @@ type t = {
   sim : Sim.t;
   params : Params.t;
   core_id : int;
-  (* ptid -> slot interning; [s_ptid] is the reverse map. *)
-  slots : (int, int) Hashtbl.t;
-  mutable s_ptid : int array;
+  mutable s_ptid : int array;  (* each slot's ptid, for [billed_threads] *)
   mutable nslots : int;
   (* In-flight jobs, dense by slot: [j_kind.(s) = -1] means no job. *)
   mutable j_kind : int array;
@@ -108,7 +105,6 @@ let create sim params ~core_id =
       sim;
       params;
       core_id;
-      slots = Hashtbl.create 64;
       s_ptid = Array.make 16 (-1);
       nslots = 0;
       j_kind = Array.make 16 (-1);
@@ -142,7 +138,7 @@ let create sim params ~core_id =
 
 let core_id t = t.core_id
 
-(* Grow every slot-indexed array to cover [slot].  Slots are interned
+(* Grow every slot-indexed array to cover [slot].  Slots are handed out
    densely, so this only ever doubles — never jumps to a sparse ptid. *)
 let ensure_slot t slot =
   let n = Array.length t.j_kind in
@@ -162,17 +158,12 @@ let ensure_slot t slot =
     t.b_flag <- grow t.b_flag 0
   end
 
-(* Intern [ptid], allocating its slot on first use. *)
-let slot_of t ptid =
-  match Hashtbl.find_opt t.slots ptid with
-  | Some s -> s
-  | None ->
-    let s = t.nslots in
-    t.nslots <- s + 1;
-    ensure_slot t s;
-    t.s_ptid.(s) <- ptid;
-    Hashtbl.replace t.slots ptid s;
-    s
+let add_slot t ~ptid =
+  let s = t.nslots in
+  t.nslots <- s + 1;
+  ensure_slot t s;
+  t.s_ptid.(s) <- ptid;
+  s
 
 let has_job t slot = t.j_kind.(slot) >= 0
 
@@ -431,9 +422,7 @@ let rec schedule_completion t dt =
 
 and reschedule t = schedule_completion t (if t.njobs > 0 then next_dt t else -1)
 
-let slot t ~ptid = slot_of t ptid
-
-let set_runnable_slot t ~slot ~weight runnable =
+let set_runnable t ~slot ~weight runnable =
   if weight <= 0.0 then invalid_arg "Smt_core.set_runnable: weight must be positive";
   advance t;
   let si = t.rpos.(slot) in
@@ -459,7 +448,7 @@ let set_runnable_slot t ~slot ~weight runnable =
   end;
   reschedule t
 
-let execute_slot t ~slot ~kind cycles =
+let execute t ~slot ~kind cycles =
   if cycles < 0 then invalid_arg "Smt_core.execute: negative cycles";
   if cycles > 0 then begin
     if t.rpos.(slot) < 0 then
@@ -493,7 +482,7 @@ let execute_slot t ~slot ~kind cycles =
   end
 
 (* A spinner's idle gaps in one call.  With no job on the core and the
-   slot runnable, an [execute_slot] of [gap] is the core's only job at
+   slot runnable, an [execute] of [gap] is the core's only job at
    full rate, so it continues inline exactly when its end is at most
    the quiet tick, and then leaves the core as it found it, bar the
    sums, the clock and the epoch.  Every such gap, k of them back to
@@ -534,13 +523,6 @@ let serve_lone_gaps t ~slot ~kind gap =
   end
 [@@sl.zero_alloc]
 
-let set_runnable t ~ptid ~weight runnable =
-  set_runnable_slot t ~slot:(slot_of t ptid) ~weight runnable
-
-(* Interns only for real work, as [execute_slot] reads no slot otherwise. *)
-let execute t ~ptid ~kind cycles =
-  execute_slot t ~slot:(if cycles > 0 then slot_of t ptid else -1) ~kind cycles
-
 let runnable_count t = t.rcount
 
 let busy_capacity_cycles t =
@@ -551,11 +533,9 @@ let work_done t kind =
   advance t;
   t.work.(kind_index kind)
 
-let thread_cycles t ~ptid =
+let thread_cycles t ~slot =
   advance t;
-  match Hashtbl.find_opt t.slots ptid with
-  | Some s -> t.b_cycles.(s)
-  | None -> 0.0
+  t.b_cycles.(slot)
 
 let billed_threads t =
   advance t;

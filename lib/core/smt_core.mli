@@ -30,40 +30,32 @@ val create : Sl_engine.Sim.t -> Params.t -> core_id:int -> t
 
 val core_id : t -> int
 
-val set_runnable : t -> ptid:int -> weight:float -> bool -> unit
-(** Admit the ptid to (or remove it from) the sharing set.  Removal with
-    an in-flight {!execute} freezes the job's remaining work. *)
+val add_slot : t -> ptid:int -> int
+(** A fresh slot on this core, the handle that names one thread in
+    every call below; its owner keeps it ({!Chip} in each thread's
+    record).  Slots are dense from 0.  [ptid] is only the label that
+    {!billed_threads} reports; the core keeps no ptid table.  Slot
+    order is {!billed_threads}' order. *)
 
-val execute : t -> ptid:int -> kind:kind -> int -> unit
-(** [execute t ~ptid ~kind cycles] consumes [cycles] of service on behalf
-    of the ptid.  Blocks the calling process until done.  The ptid must be
-    runnable when called; it may be paused and resumed while in flight.
-    At most one in-flight [execute] per ptid.  [cycles = 0] returns
-    immediately.  The core's only job may complete inline: when nothing
-    else is due before it finishes ({!Sl_engine.Sim.skip_to}), the clock
-    moves to its completion and [execute] returns without an event or a
-    suspension, with the same results. *)
+val set_runnable : t -> slot:int -> weight:float -> bool -> unit
+(** Admit the slot's thread to (or remove it from) the sharing set.
+    Removal with an in-flight {!execute} freezes the job's remaining
+    work. *)
 
-(** {2 Slot-keyed entry points}
-
-    The same operations keyed by the thread's dense slot on this core
-    instead of its ptid, for callers on the per-event path ({!Chip}) that
-    cache the slot instead of paying a ptid lookup per call. *)
-
-val slot : t -> ptid:int -> int
-(** The ptid's slot on this core, interned on first use ({!Chip} interns
-    each thread's slot when the thread is added).  Interning order is
-    {!billed_threads}' order. *)
-
-val set_runnable_slot : t -> slot:int -> weight:float -> bool -> unit
-(** {!set_runnable} by slot. *)
-
-val execute_slot : t -> slot:int -> kind:kind -> int -> unit
-(** {!execute} by slot. *)
+val execute : t -> slot:int -> kind:kind -> int -> unit
+(** [execute t ~slot ~kind cycles] consumes [cycles] of service on
+    behalf of the slot's thread.  Blocks the calling process until done.
+    The slot must be runnable when called; it may be paused and resumed
+    while in flight.  At most one in-flight [execute] per slot.
+    [cycles = 0] returns immediately.  The core's only job may complete
+    inline: when nothing else is due before it finishes
+    ({!Sl_engine.Sim.skip_to}), the clock moves to its completion and
+    [execute] returns without an event or a suspension, with the same
+    results. *)
 
 val serve_lone_gaps : t -> slot:int -> kind:kind -> int -> unit
 (** [serve_lone_gaps t ~slot ~kind gap] does at once what a run of
-    [execute_slot t ~slot ~kind gap] calls would do while each one
+    [execute t ~slot ~kind gap] calls would do while each one
     continues inline: when the core holds no job, the slot is runnable
     and [gap > 0], it serves every whole gap that ends by
     {!Sl_engine.Sim.quiet_until}, back to back from now, and moves the
@@ -85,11 +77,11 @@ val busy_capacity_cycles : t -> float
 val work_done : t -> kind -> float
 (** Service delivered so far, split by work kind. *)
 
-val thread_cycles : t -> ptid:int -> float
-(** Service delivered to one thread so far — §4's "fine-grain tracking of
-    threads' resource consumption for cloud billing".  0 for threads that
-    never ran here. *)
+val thread_cycles : t -> slot:int -> float
+(** Service delivered to the slot's thread so far — §4's "fine-grain
+    tracking of threads' resource consumption for cloud billing".  0 for
+    a thread that never ran. *)
 
 val billed_threads : t -> (int * float) list
-(** All (ptid, cycles) pairs with non-zero consumption, unordered. *)
+(** All (ptid, cycles) pairs with non-zero consumption, in slot order. *)
 

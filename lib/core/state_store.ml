@@ -43,12 +43,11 @@ type corruption = Ecc_corrected | Silent
    entries demotion deals in. *)
 type t = {
   params : Params.t;
-  (* ptid-keyed map.  A ptid-indexed array is tempting but wrong here:
-     one world freely mixes dense worker ptids with sparse sentinel ones
-     (hypervisor 9000, t1's 500/600), so a direct map sized by max ptid
-     taxes every fresh world for the gap.  [Hashtbl.find] on the wake
-     path allocates nothing — it returns the stored entry. *)
-  entries : (int, entry) Hashtbl.t;
+  (* No ptid table: the owner of a context keeps the [entry] that
+     [register] returned and passes it on every later call, so a wake
+     reaches its context without a lookup.  The recency lists are the
+     only index, and [check] walks them. *)
+  mutable registered : int;  (* entries admitted so far *)
   used : int array;  (* bytes per tier; index by tier_index *)
   recency : entry array;  (* per-tier list sentinel; index by tier_index *)
   mutable clock : int;  (* recency counter *)
@@ -76,7 +75,7 @@ let make_sentinel tier =
 let create params =
   {
     params;
-    entries = Hashtbl.create 64;
+    registered = 0;
     used = Array.make 4 0;
     recency = Array.init 4 (fun i -> make_sentinel (tier_of_index i));
     clock = 0;
@@ -167,8 +166,6 @@ let transfer_cycles t = function
 let free_bytes t tier =
   if tier = Dram then max_int else capacity_bytes t tier - used_bytes t tier
 
-let find t ptid = Hashtbl.find t.entries ptid
-
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
@@ -215,8 +212,6 @@ let rec make_room t tier bytes =
 
 let register t ~ptid ~bytes =
   if ptid < 0 then invalid_arg "State_store.register: negative ptid";
-  if Hashtbl.mem t.entries ptid then
-    invalid_arg "State_store.register: ptid already registered";
   if bytes <= 0 then invalid_arg "State_store.register: non-positive size";
   let rec first_fit idx =
     let tier = tier_of_index idx in
@@ -229,10 +224,13 @@ let register t ~ptid ~bytes =
     { ptid; bytes; tier; last_touch = tick t; pinned = false; prev = e; next = e }
   in
   t.used.(tier_index tier) <- t.used.(tier_index tier) + bytes;
-  Hashtbl.replace t.entries ptid e;
-  link_mru t e
+  t.registered <- t.registered + 1;
+  link_mru t e;
+  e
 
-let tier_of t ~ptid = (find t ptid).tier
+let placeholder () = make_sentinel Dram
+
+let tier_of _ e = e.tier
 
 let promote_to_rf t e =
   if e.tier <> Register_file then begin
@@ -247,8 +245,7 @@ let refresh t e =
   link_mru t e
 [@@sl.zero_alloc]
 
-let wake_transfer_cycles t ~ptid =
-  let e = find t ptid in
+let wake_transfer_cycles t e =
   let from = e.tier in
   let cost = transfer_cycles t from in
   (* Fault injection: an ECC-corrected corruption re-reads the context
@@ -259,7 +256,7 @@ let wake_transfer_cycles t ~ptid =
     match t.fault with
     | None -> cost
     | Some f -> (
-      match f ~ptid with
+      match f ~ptid:e.ptid with
       | Some Ecc_corrected ->
         t.ecc_retries <- t.ecc_retries + 1;
         cost * 2
@@ -276,65 +273,57 @@ let wake_transfer_cycles t ~ptid =
   cost
 [@@sl.zero_alloc]
 
-let touch t ~ptid = refresh t (find t ptid)
+let touch = refresh
 
-let pin t ~ptid =
-  let e = find t ptid in
+let pin t e =
   if not e.pinned then begin
     promote_to_rf t e;
     e.pinned <- true
   end
 
-let unpin t ~ptid = (find t ptid).pinned <- false
+let unpin _ e = e.pinned <- false
 
-let prefetch t ~ptid =
-  let e = find t ptid in
+let prefetch t e =
   promote_to_rf t e;
   refresh t e
 
+(* The recency lists are the store's only index, so the audit walks
+   them: each walk checks its tier's membership and order and sums its
+   bytes, and the four lists together must hold every registered
+   entry.  Pinned entries found outside the register file are reported
+   last, in ptid order. *)
 let check t =
   let issues = ref [] in
   let problem fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
-  let resident = Array.make 4 0 in
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-  |> List.sort (fun a b -> Int.compare a.ptid b.ptid)
-  |> List.iter (fun e ->
-         resident.(tier_index e.tier) <- resident.(tier_index e.tier) + e.bytes;
-         if e.pinned && e.tier <> Register_file then
-           problem "ptid %d is pinned but resides in %s" e.ptid (tier_name e.tier));
-  List.iter
-    (fun tier ->
-      let idx = tier_index tier in
-      if resident.(idx) <> t.used.(idx) then
-        problem "%s accounting drift: used counter says %d bytes, entries sum to %d"
-          (tier_name tier) t.used.(idx) resident.(idx);
-      if tier <> Dram && t.used.(idx) > capacity_bytes t tier then
-        problem "%s over capacity: %d bytes used of %d" (tier_name tier)
-          t.used.(idx) (capacity_bytes t tier);
-      (* Recency-list integrity: every link resident in this tier, sorted
-         newest-to-coldest, one list node per resident entry. *)
-      let sent = t.recency.(idx) in
-      let listed = ref 0 in
-      let pos = ref sent.next in
+  let pinned_away = ref [] and listed = ref 0 in
+  Array.iteri
+    (fun idx sent ->
+      let tier = tier_of_index idx in
+      let bytes = ref 0 and pos = ref sent.next in
       while !pos != sent do
-        incr listed;
         let e = !pos in
+        incr listed;
+        bytes := !bytes + e.bytes;
+        if e.pinned && e.tier <> Register_file then pinned_away := e :: !pinned_away;
         if e.tier <> tier then
-          problem "%s recency list holds ptid %d resident in %s" (tier_name tier)
-            e.ptid (tier_name e.tier);
-        if !pos.next != sent && !pos.next.last_touch > e.last_touch then
+          problem "%s recency list holds ptid %d resident in %s" (tier_name tier) e.ptid
+            (tier_name e.tier);
+        if e.next != sent && e.next.last_touch > e.last_touch then
           problem "%s recency list out of order at ptid %d" (tier_name tier) e.ptid;
         pos := e.next
       done;
-      let resident_count =
-        Hashtbl.fold
-          (fun _ e n -> if e.tier = tier then n + 1 else n)
-          t.entries 0
-      in
-      if !listed <> resident_count then
-        problem "%s recency list tracks %d entries, %d resident" (tier_name tier)
-          !listed resident_count)
-    [ Register_file; L2; L3; Dram ];
+      if !bytes <> t.used.(idx) then
+        problem "%s accounting drift: used counter says %d bytes, entries sum to %d"
+          (tier_name tier) t.used.(idx) !bytes;
+      if tier <> Dram && t.used.(idx) > capacity_bytes t tier then
+        problem "%s over capacity: %d bytes used of %d" (tier_name tier) t.used.(idx)
+          (capacity_bytes t tier))
+    t.recency;
+  if !listed <> t.registered then
+    problem "recency lists track %d entries, %d registered" !listed t.registered;
+  List.sort (fun a b -> Int.compare a.ptid b.ptid) !pinned_away
+  |> List.iter (fun e ->
+         problem "ptid %d is pinned but resides in %s" e.ptid (tier_name e.tier));
   List.rev !issues
 
 let transfer_count t tier = t.transfers.(tier_index tier)

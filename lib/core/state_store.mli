@@ -25,34 +25,45 @@ type t
 val create : Params.t -> t
 (** One store per core. *)
 
-val register : t -> ptid:int -> bytes:int -> unit
+type entry
+(** One registered context: the handle its owner keeps and passes to
+    every operation below.  The store has no ptid table, so there is no
+    lookup on any path; an entry of another store is a programming
+    error.  Ptids are not checked for uniqueness here ({!Chip.add_thread}
+    rejects a taken one). *)
+
+val register : t -> ptid:int -> bytes:int -> entry
 (** Admit a new thread's context, placed in the fastest tier with free
-    space (no eviction on admission).  Raises [Invalid_argument] if the
-    ptid is already registered. *)
+    space (no eviction on admission), and return its entry.  [ptid] is
+    the label that {!check} reports and the fault hook receives. *)
 
-val tier_of : t -> ptid:int -> tier
-(** Raises [Not_found] for unregistered ptids. *)
+val placeholder : unit -> entry
+(** An entry of no store, for a record that needs one before it has a
+    context.  Passing it to an operation of a store is a programming
+    error. *)
 
-val wake_transfer_cycles : t -> ptid:int -> int
-(** Cost (cycles) of bringing the thread's state to the register file from
+val tier_of : t -> entry -> tier
+
+val wake_transfer_cycles : t -> entry -> int
+(** Cost (cycles) of bringing the context to the register file from
     its current tier — 0 when already resident — and perform the
     promotion, evicting cold contexts as needed.  The caller adds the
     pipeline start cost.  Allocates nothing, also when the promotion
     demotes a chain of contexts down the tiers (an installed fault hook
     allocates what it allocates). *)
 
-val touch : t -> ptid:int -> unit
-(** Mark the thread's state as recently used (run by the recency policy). *)
+val touch : t -> entry -> unit
+(** Mark the context as recently used (run by the recency policy). *)
 
-val pin : t -> ptid:int -> unit
-(** Keep this thread's state in the register file permanently.  Raises
+val pin : t -> entry -> unit
+(** Keep this context in the register file permanently.  Raises
     [Invalid_argument] when the register file cannot hold all pinned
     contexts. *)
 
-val unpin : t -> ptid:int -> unit
+val unpin : t -> entry -> unit
 
-val prefetch : t -> ptid:int -> unit
-(** Promote the thread's state to the register file in the background (no
+val prefetch : t -> entry -> unit
+(** Promote the context to the register file in the background (no
     cost charged); a subsequent wake finds it resident. *)
 
 val used_bytes : t -> tier -> int
@@ -63,7 +74,10 @@ val capacity_bytes : t -> tier -> int
 val check : t -> string list
 (** Audit the store's internal invariants: per-tier [used] counters match
     the sum of resident entries, no bounded tier exceeds its capacity,
-    and pinned contexts are register-file resident.  Returns a
+    pinned contexts are register-file resident, and the per-tier recency
+    lists are sorted, hold only their tier's entries and together hold
+    every registered entry.  It walks those lists, the store's only
+    index (pinned findings in ptid order).  Returns a
     human-readable description of each violation (empty = healthy).
     Used by the analysis sanitizer; a non-empty result indicates a bug in
     the placement policy itself. *)

@@ -22,7 +22,12 @@ module Time = struct
   let to_string = string_of_int
 end
 
-type blocked = { pid : int; name : string option; blocked_since : Time.t }
+type blocked = {
+  pid : int;
+  name : string option;
+  ptid : int option;
+  blocked_since : Time.t;
+}
 
 (* [proc.blocked_since] of a process that is not waiting. *)
 let not_blocked = -1
@@ -31,6 +36,7 @@ let not_blocked = -1
 type proc = {
   pid : int;
   pname : string;  (* [unnamed] unless spawned with a name *)
+  pptid : int;  (* the hardware thread it runs, [no_ptid] for none *)
   mutable blocked_since : Time.t;  (* [not_blocked] unless suspended *)
   mutable daemon : bool;
       (* parked-by-design (servers, IRQ loops): excluded from {!suspects} *)
@@ -42,6 +48,9 @@ type proc = {
    compared with [==], so that no name a caller passes is taken for
    it. *)
 let unnamed = String.make 1 '-'
+
+(* [proc.pptid] of a process that runs no hardware thread. *)
+let no_ptid = -1
 
 (* [t.running_pid] while no process's code runs: pids start at 1. *)
 let no_pid = 0
@@ -212,6 +221,7 @@ let create () =
     {
       pid = no_pid;
       pname = unnamed;
+      pptid = no_ptid;
       blocked_since = not_blocked;
       daemon = false;
       prev = ring;
@@ -235,13 +245,14 @@ let schedule t ~at thunk =
 
 (* A new process joins the ring's tail: pids only grow, so the ring
    stays in pid order. *)
-let new_proc t ?(name = unnamed) ?(daemon = false) () =
+let new_proc t ~name ~ptid ~daemon =
   t.next_pid <- t.next_pid + 1;
   let tail = t.procs.prev in
   let proc =
     {
       pid = t.next_pid;
       pname = name;
+      pptid = ptid;
       blocked_since = not_blocked;
       daemon;
       prev = tail;
@@ -280,9 +291,14 @@ let exec t proc f =
   t.current <- p;
   match_with f () t.handler
 
-let spawn ?name ?daemon t f =
-  let proc = new_proc t ?name ?daemon () in
-  push t ~at:t.now (fun () -> exec t proc f)
+let start t proc f = push t ~at:t.now (fun () -> exec t proc f)
+
+let spawn ?(name = unnamed) ?(daemon = false) t f =
+  start t (new_proc t ~name ~ptid:no_ptid ~daemon) f
+
+let spawn_thread t ~ptid f =
+  if ptid < 0 then invalid_arg "Sim.spawn_thread: negative ptid";
+  start t (new_proc t ~name:unnamed ~ptid ~daemon:false) f
 
 (* The ring walked from its tail, so the list comes out in pid order. *)
 let blocked_procs t ~include_daemons =
@@ -296,6 +312,7 @@ let blocked_procs t ~include_daemons =
            {
              pid = proc.pid;
              name = (if proc.pname == unnamed then None else Some proc.pname);
+             ptid = (if proc.pptid = no_ptid then None else Some proc.pptid);
              blocked_since = proc.blocked_since;
            }
            :: acc)
@@ -305,10 +322,13 @@ let blocked_procs t ~include_daemons =
 let stuck t = blocked_procs t ~include_daemons:true
 let suspects t = blocked_procs t ~include_daemons:false
 
+(* A hardware thread's process is named after its ptid here, when it
+   is reported, not at each spawn. *)
 let describe_blocked b =
-  match b.name with
-  | Some n -> Printf.sprintf "%s (pid %d, since %d)" n b.pid b.blocked_since
-  | None -> Printf.sprintf "pid %d (since %d)" b.pid b.blocked_since
+  match (b.ptid, b.name) with
+  | Some p, _ -> Printf.sprintf "ptid-%d (pid %d, since %d)" p b.pid b.blocked_since
+  | None, Some n -> Printf.sprintf "%s (pid %d, since %d)" n b.pid b.blocked_since
+  | None, None -> Printf.sprintf "pid %d (since %d)" b.pid b.blocked_since
 
 let stuck_summary t =
   match stuck t with

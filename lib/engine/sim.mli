@@ -73,6 +73,13 @@ val spawn : ?name:string -> ?daemon:bool -> t -> (unit -> unit) -> unit
     but is excluded from {!suspects}.  Like every event, the start
     queues behind everything already scheduled for its tick (see {!run}). *)
 
+val spawn_thread : t -> ptid:int -> (unit -> unit) -> unit
+(** [spawn_thread t ~ptid f] is [spawn t f] for the instruction stream
+    of hardware thread [ptid] (≥ 0, else [Invalid_argument]): the
+    process carries the ptid as an int, {!stuck} reports it in
+    [blocked.ptid], and {!stuck_summary} names it "ptid-N".  Nothing is
+    formatted or boxed per spawn. *)
+
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs callback [f] (not a blocking process) at
     absolute time [at].  [at] must not precede the current time.  [f]
@@ -103,6 +110,7 @@ val run : ?until:Time.t -> t -> unit
 type blocked = {
   pid : int;  (** Process id, in spawn order starting at 1. *)
   name : string option;  (** The [?name] given to {!spawn}, if any. *)
+  ptid : int option;  (** The [~ptid] given to {!spawn_thread}, if any. *)
   blocked_since : Time.t;
       (** Simulated time of the un-resumed {!await} or {!suspend}. *)
 }
@@ -117,7 +125,10 @@ val stuck : t -> blocked list
 
 val stuck_summary : t -> string option
 (** Human-readable one-liner of {!stuck} (count plus names/ids), or
-    [None] when no process is blocked. *)
+    [None] when no process is blocked.  Each process reads
+    "ptid-N (pid P, since T)" when it runs hardware thread N,
+    "NAME (pid P, since T)" when it was spawned with a name, and
+    "pid P (since T)" otherwise. *)
 
 val suspects : t -> blocked list
 (** {!stuck} minus daemon processes (see {!spawn} and {!set_daemon}): the

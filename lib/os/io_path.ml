@@ -342,12 +342,12 @@ let flexsc w =
       ~complete:(fun req -> served w req.Openloop.arrival)
       ()
   in
-  if w.background then
+  if w.background then begin
+    let slot = Smt_core.add_slot core ~ptid:flexsc_background_ptid in
     Sim.spawn w.sim (fun () ->
-        let ptid = flexsc_background_ptid in
-        Smt_core.set_runnable core ~ptid ~weight:0.25 true;
-        background_loop w (fun n ->
-            Smt_core.execute core ~ptid ~kind:Smt_core.Useful n));
+        Smt_core.set_runnable core ~slot ~weight:0.25 true;
+        background_loop w (fun n -> Smt_core.execute core ~slot ~kind:Smt_core.Useful n))
+  end;
   { core; nic = None; post = Flexsc.post worker }
 
 (* --- the builder ------------------------------------------------------------ *)

@@ -14,12 +14,6 @@ type t = {
   mutable stopped : bool;
 }
 
-(* Chip bodies run as sim processes named by [Chip.run_body]. *)
-let ptid_of_name name =
-  match Scanf.sscanf name "ptid-%d" (fun p -> p) with
-  | p -> Some p
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
-
 (* Re-store the current value of every address the stuck thread has armed.
    The write is value-preserving — the nudge cannot corrupt protocol state —
    but monitor delivery triggers on the store itself, so the parked thread
@@ -37,10 +31,11 @@ let sweep t th =
   t.sweeps <- t.sweeps + 1;
   let now = Sim.now () in
   let self = Chip.ptid t.wd in
+  (* Chip bodies run as sim processes that carry their ptid. *)
   List.iter
-    (fun { Sim.name; blocked_since; _ } ->
+    (fun { Sim.ptid; blocked_since; _ } ->
       if now - blocked_since >= t.stuck_after then
-        match Option.bind name ptid_of_name with
+        match ptid with
         | Some p when p <> self -> (
           match Chip.find_thread t.chip ~ptid:p with
           | target ->

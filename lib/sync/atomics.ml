@@ -17,16 +17,12 @@ let write chip th addr v =
   Chip.exec th ~kind:Smt_core.Overhead 1;
   Memory.write (Chip.memory chip) addr v
 
-(* Pay the RMW issue latency up front; the read and write then commit in
-   the same event callback, with no simulated time in between — that
-   instant is the linearization point. *)
-let rmw chip th addr f =
-  Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
-  let m = Chip.memory chip in
-  let old = Memory.read m addr in
-  Memory.write m addr (f old);
-  old
-
+(* Each RMW pays its issue latency up front; the read and write then
+   commit in the same event callback, with no simulated time in
+   between — that instant is the linearization point.  Each is written
+   out, with no closure for its update: [exchange] allocates nothing and
+   [fetch_add] only its sum's box, which [Memory]'s [int64 array]
+   needs. *)
 let cas chip th addr ~expect ~desired =
   Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
   let m = Chip.memory chip in
@@ -37,5 +33,16 @@ let cas chip th addr ~expect ~desired =
   end
   else false
 
-let exchange chip th addr v = rmw chip th addr (fun _ -> v)
-let fetch_add chip th addr d = rmw chip th addr (fun old -> Int64.add old d)
+let exchange chip th addr v =
+  Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
+  let m = Chip.memory chip in
+  let old = Memory.read m addr in
+  Memory.write m addr v;
+  old
+
+let fetch_add chip th addr d =
+  Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
+  let m = Chip.memory chip in
+  let old = Memory.read m addr in
+  Memory.write m addr (Int64.add old d);
+  old

@@ -37,7 +37,8 @@ val cas :
     CAS does not write (and so wakes no monitors). *)
 
 val exchange : Chip.t -> Chip.thread -> Memory.addr -> int64 -> int64
-(** Atomic swap; returns the previous value. *)
+(** Atomic swap; returns the previous value.  Allocates nothing. *)
 
 val fetch_add : Chip.t -> Chip.thread -> Memory.addr -> int64 -> int64
-(** Atomic add; returns the previous value. *)
+(** Atomic add; returns the previous value.  Allocates only the sum's
+    3-word box. *)

@@ -5,10 +5,15 @@ Usage:
   ab.py REV [--pairs N (10)] [--suite [EXP ...]] [--workload W] [--seed S (1)]
             [--seconds T (10)]
 
-Run from the root of the source tree.  REV is checked out into a
-temporary `git worktree` (removed on exit, also on error or Ctrl-C) and
-built there; the working tree, uncommitted changes included, is the
-change side.
+Run from the root of the source tree.  Both sides run from sibling
+copies in one temporary directory (removed on exit, also on error or
+Ctrl-C), never from the checkout, so that neither side gains or loses by
+where it sits: REV is checked out there as a `git worktree`, and the
+working tree's tracked and untracked files (uncommitted changes
+included, ignored files left out) are copied beside it as the change
+side.  When REV is the working tree's own commit and the tree is clean,
+both sides run the same code and the run is printed as an A/A floor:
+its ratios are the harness's own spread.
 
 --suite [EXP ...] runs `bench/main.exe -perf-out` over the named
 experiments, which both sides must know (each side's own default suite
@@ -16,10 +21,12 @@ when none are named), at -j 1, once per side per pair.  Each pair reports whethe
 byte-identical and every experiment whose events or minor words differ;
 those facts are gated exactly by the goldens and the counts files in
 test/golden, where an intended change is promoted, so here they are
-reported only.  An experiment on one side only, or a base perf file
-without minor words, is reported and not compared.  The suite gates wall
-time: it fails when an experiment whose base median is at least
-MIN_WALL_S has a change median more than MAX_SLOWDOWN times it.
+reported only.  Beside each experiment's wall time it prints each
+side's median minor and major collections, which tell GC work apart
+from the experiment's own.  An experiment on one side only, or a base
+perf file without minor words, is reported and not compared.  The suite
+gates wall time: it fails when an experiment whose base median is at
+least MIN_WALL_S has a change median more than MAX_SLOWDOWN times it.
 
 --workload W (lock-contend, io-load, wake-scale) runs each side's own
 perfbench, built the way perfbench/run.py builds it (into the side's
@@ -79,19 +86,37 @@ def checked(cmd, cwd, env=None):
     return proc
 
 
-def add_worktree(rev):
+def sibling_trees(rev):
+    """(base, change): REV's worktree and a copy of the working tree, side
+    by side in one temporary directory."""
     tmp = tempfile.mkdtemp(prefix="ab-")
-    tree = os.path.join(tmp, "base")
+    base, change = os.path.join(tmp, "base"), os.path.join(tmp, "change")
 
     def remove():
-        subprocess.run(["git", "worktree", "remove", "--force", tree],
+        subprocess.run(["git", "worktree", "remove", "--force", base],
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         subprocess.run(["git", "worktree", "prune"], stderr=subprocess.DEVNULL)
         shutil.rmtree(tmp, ignore_errors=True)
 
     atexit.register(remove)
-    checked(["git", "worktree", "add", "--detach", tree, rev], ".")
-    return tree
+    checked(["git", "worktree", "add", "--detach", base, rev], ".")
+    listed = checked(["git", "ls-files", "-z", "--cached", "--others",
+                      "--exclude-standard"], ".").stdout.decode()
+    for path in filter(None, listed.split("\0")):
+        if not os.path.lexists(path):  # deleted, not yet staged
+            continue
+        dest = os.path.join(change, path)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        shutil.copy2(path, dest, follow_symlinks=False)
+    return base, change
+
+
+def same_code(rev):
+    """Whether REV is the working tree's commit and the tree is clean."""
+    def commit(r):
+        return checked(["git", "rev-parse", "--verify", r + "^{commit}"], ".").stdout.strip()
+    dirty = checked(["git", "status", "--porcelain"], ".").stdout.strip()
+    return commit(rev) == commit("HEAD") and not dirty
 
 
 class Side:
@@ -136,9 +161,11 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def summarize(samples, better):
+def summarize(samples, better, notes=None):
     """samples: {metric: [(base, change), ...]}; better: metric -> 'higher', 'lower' or
-    None (no direction known: no win count)."""
+    None (no direction known: no win count); notes: {metric: text printed after
+    its row}."""
+    notes = notes or {}
     print("%-24s %32s %32s %7s %6s" % ("metric", "base median [q1, q3]",
                                        "change median [q1, q3]", "ratio", "wins"))
     for metric, pairs in samples.items():
@@ -150,7 +177,19 @@ def summarize(samples, better):
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
         fmt = lambda q: "%.4g [%.4g, %.4g]" % (q[1], q[0], q[2])
         won = "%d/%d" % (wins, len(pairs)) if way else "-"
-        print("%-24s %32s %32s %7.3f %6s" % (metric, fmt(bq), fmt(cq), ratio, won))
+        print("%-24s %32s %32s %7.3f %6s%s" % (metric, fmt(bq), fmt(cq), ratio, won,
+                                               notes.get(metric, "")))
+
+
+def collections(pairs):
+    """'  gc minor B/C major B/C': each side's median collections over the
+    pairs ('-' where a perf file has none)."""
+    def med(side, key):
+        xs = [rec[side].get(key) for rec in pairs]
+        return "-" if None in xs else "%g" % statistics.median(xs)
+    return "  gc minor %s/%s major %s/%s" % (
+        med(0, "minor_collections"), med(1, "minor_collections"),
+        med(0, "major_collections"), med(1, "major_collections"))
 
 
 def compare(brec, crec, key):
@@ -164,7 +203,7 @@ def compare(brec, crec, key):
 
 
 def suite_pairs(base, change, exps, pairs, scratch):
-    totals, walls = [], {}
+    totals, walls, recs = [], {}, {}
     for i in range(pairs):
         order = (base, change) if i % 2 == 0 else (change, base)
         got = {}
@@ -180,9 +219,11 @@ def suite_pairs(base, change, exps, pairs, scratch):
         for e in brec:
             if e in crec:
                 walls.setdefault(e, []).append((brec[e]["wall_s"], crec[e]["wall_s"]))
+                recs.setdefault(e, []).append((brec[e], crec[e]))
     samples = {"suite.wall_s": totals}
     samples.update((e + ".wall_s", ws) for e, ws in walls.items())
-    summarize(samples, lambda _m: "lower")
+    summarize(samples, lambda _m: "lower",
+              {e + ".wall_s": collections(rs) for e, rs in recs.items()})
     fast = True
     for e, ws in walls.items():
         b, c = (statistics.median(side) for side in zip(*ws))
@@ -234,21 +275,26 @@ def main():
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: sys.exit(2))
     run_suite = args.suite is not None or args.workload is None
-    base = Side("base", add_worktree(args.rev))
-    change = Side("change", ".")
+    floor = same_code(args.rev)
+    base_root, change_root = sibling_trees(args.rev)
+    base, change = Side("base", base_root), Side("change", change_root)
+    if floor:
+        print("== A/A floor: %s is the working tree's commit and the tree is clean, so both"
+              " sides run the same code; the ratios below are the harness's own spread"
+              % args.rev)
     ok = True
     if run_suite:
         exps = args.suite or []
         for side in (base, change):
             side.build_suite()
-        print("== suite at -j 1: %s (%s vs working tree)"
+        print("== suite at -j 1: %s (%s vs a copy of the working tree)"
               % (" ".join(exps) or "default", args.rev))
         with tempfile.TemporaryDirectory(prefix="ab-perf-") as scratch:
             ok = suite_pairs(base, change, exps, args.pairs, scratch) and ok
     if args.workload:
         for side in (base, change):
             side.build_perfbench()
-        print("== perfbench %s, seed %d, %g s per run (%s vs working tree)"
+        print("== perfbench %s, seed %d, %g s per run (%s vs a copy of the working tree)"
               % (args.workload, args.seed, args.seconds, args.rev))
         ok = workload_pairs(base, change, args.workload, args.seed, args.seconds,
                             args.pairs) and ok

@@ -308,9 +308,9 @@ let test_lifecycle_sanitizer_synthetic () =
 
 let test_state_store_check_healthy () =
   let store = State_store.create p in
-  State_store.register store ~ptid:1 ~bytes:512;
-  State_store.register store ~ptid:2 ~bytes:2048;
-  ignore (State_store.wake_transfer_cycles store ~ptid:2 : int);
+  ignore (State_store.register store ~ptid:1 ~bytes:512 : State_store.entry);
+  let e2 = State_store.register store ~ptid:2 ~bytes:2048 in
+  ignore (State_store.wake_transfer_cycles store e2 : int);
   Alcotest.(check (list string)) "healthy store" [] (State_store.check store)
 
 (* --- clean end-to-end workload --- *)

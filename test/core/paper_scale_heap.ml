@@ -1,12 +1,12 @@
 (* The paper's scale (§1: tens to thousands of hardware threads per
    core) as a heap check: 100 cores × 1,000 parked ptids, one doorbell
-   each, must hold fewer than [bound] heap words per parked ptid.  About
-   2 s and a few hundred MB of host memory, so it is kept out of
-   `dune runtest`; CI's perf-smoke job runs it:
+   each, must hold fewer than [bound] heap words (1 KB) per parked
+   ptid.  About 2 s and a few hundred MB of host memory, so it is kept
+   out of `dune runtest`; CI's perf-smoke job runs it:
 
      dune exec test/core/paper_scale_heap.exe *)
 
-let bound = 160.0
+let bound = 128.0
 
 let () =
   let words = Parked_heap.words_per_ptid ~cores:100 ~per_core:1_000 in

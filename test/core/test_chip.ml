@@ -734,15 +734,117 @@ let test_ping_pong_allocation () =
 (* The heap a parked hardware thread holds: 12,000 threads on one core,
    each armed on its own doorbell and parked in mwait, read as live
    words after a full major collection against the same world before
-   the first thread was added.  143 words on OCaml 5.1 (DESIGN.md,
-   "Memory per parked ptid" has the table); 216 while every process
-   built its own effect handler, every thread its own park point, and
-   every context its 24-word register file before anything wrote it. *)
+   the first thread was added.  128 words on OCaml 5.1 (DESIGN.md,
+   "Memory per parked ptid" has the table); 143 while the chip, the
+   state store and the core each kept a ptid table and every process
+   its formatted name, 216 while every process built its own effect
+   handler, every thread its own park point, and every context its
+   24-word register file before anything wrote it. *)
 let test_parked_ptid_heap () =
   let words = Parked_heap.words_per_ptid ~cores:1 ~per_core:12_000 in
   check_bool
-    (Printf.sprintf "%.1f heap words per parked ptid < 160" words)
-    true (words < 160.0)
+    (Printf.sprintf "%.1f heap words per parked ptid < 135" words)
+    true (words < 135.0)
+
+(* Setting up a thread: minor words per [add_thread] + [attach] +
+   [boot] over 1,000 threads on one core, all sharing one body, the
+   growth of the per-core arrays included.  182 words on OCaml 5.1
+   while each thread was hashed into the chip's, the store's and the
+   core's ptid tables and each boot formatted the process's name. *)
+let test_thread_setup_allocation () =
+  let n = 1_000 in
+  let sim, chip = setup ~cores:1 () in
+  let body th = Isa.exec th 1 in
+  let before = Gc.minor_words () in
+  for ptid = 1 to n do
+    let th = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User () in
+    Chip.attach th body;
+    Chip.boot th
+  done;
+  let per_thread = (Gc.minor_words () -. before) /. float_of_int n in
+  Sim.run sim;
+  check_bool
+    (Printf.sprintf "%.1f minor words per thread set up < 150" per_thread)
+    true (per_thread < 150.0)
+
+(* The chip's one ptid table is the one that refuses a taken ptid; the
+   units below it take whatever handle they hand out. *)
+let test_duplicate_ptid_rejected () =
+  let _, chip = setup () in
+  ignore (Chip.add_thread chip ~core:0 ~ptid:7 ~mode:Ptid.User () : Chip.thread);
+  Alcotest.check_raises "same core" (Invalid_argument "Chip.add_thread: ptid already exists")
+    (fun () -> ignore (Chip.add_thread chip ~core:0 ~ptid:7 ~mode:Ptid.User () : Chip.thread));
+  Alcotest.check_raises "other core" (Invalid_argument "Chip.add_thread: ptid already exists")
+    (fun () -> ignore (Chip.add_thread chip ~core:1 ~ptid:7 ~mode:Ptid.User () : Chip.thread));
+  check_int "one thread" 1 (List.length (Chip.thread_list chip))
+
+(* A body's process carries its thread's ptid, and only the report
+   names it: [Sim.stuck] gives the ptid and no name, and the summary
+   reads "ptid-N" as it did when every spawn formatted that name.  A
+   named process and an unnamed one read as before. *)
+let test_stuck_reports_ptid () =
+  let sim, chip = setup () in
+  let bell = Memory.alloc (Chip.memory chip) 1 in
+  let th = Chip.add_thread chip ~core:1 ~ptid:42 ~mode:Ptid.User () in
+  Chip.attach th (fun th ->
+      Isa.monitor th bell;
+      ignore (Isa.mwait th : Memory.addr));
+  Chip.boot th;
+  let never = Sl_engine.Ivar.create () in
+  Sim.spawn sim ~name:"server" (fun () -> Sl_engine.Ivar.read never);
+  Sim.spawn sim (fun () -> Sl_engine.Ivar.read never);
+  Sim.run sim;
+  (match Sim.stuck sim with
+  | [ thread; server; plain ] ->
+    Alcotest.(check (option int)) "thread's ptid" (Some 42) thread.Sim.ptid;
+    Alcotest.(check (option string)) "thread unnamed" None thread.Sim.name;
+    Alcotest.(check (option int)) "server has no ptid" None server.Sim.ptid;
+    Alcotest.(check (option int)) "plain has no ptid" None plain.Sim.ptid
+  | l -> Alcotest.failf "%d blocked processes, 3 expected" (List.length l));
+  let since = (List.hd (Sim.stuck sim)).Sim.blocked_since in
+  Alcotest.(check (option string))
+    "summary"
+    (Some
+       (Printf.sprintf
+          "3 process(es) still blocked: ptid-42 (pid 1, since %d), server (pid 2, since 0), pid 3 (since 0)"
+          since))
+    (Sim.stuck_summary sim)
+
+(* A start -> stop round trip from one thread to another: the start's
+   wake-up event and thaw, the stop's freeze.  With no probe installed
+   neither builds its probe event.  38 minor words on OCaml 5.1; 45
+   while both built their [Start_edge] and [Stop_edge] records
+   unconditionally.  Measured like the ping-pong above. *)
+let start_stop_round_trips rounds =
+  let sim, chip = setup () in
+  let worker = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach worker (fun th ->
+      while true do
+        Isa.exec th 1_000_000_000
+      done);
+  let boss = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      for _ = 1 to rounds do
+        Isa.start th ~vtid:2;
+        Isa.exec th 1000;
+        Isa.stop th ~vtid:2;
+        Isa.exec th 1000
+      done);
+  Chip.boot boss;
+  Sim.run sim;
+  check_int "every round started the worker" rounds (Chip.start_count worker)
+
+let test_start_stop_allocation () =
+  start_stop_round_trips 100;
+  let words rounds =
+    let before = Gc.minor_words () in
+    start_stop_round_trips rounds;
+    Gc.minor_words () -. before
+  in
+  let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
+  check_bool
+    (Printf.sprintf "%.1f minor words per start -> stop round trip < 40" per_round_trip)
+    true (per_round_trip < 40.0)
 
 (* A server that stops itself after each request, started once per
    request from another core: per round trip one start hand-off, one
@@ -949,10 +1051,15 @@ let () =
           Alcotest.test_case "stats" `Quick test_chip_stats;
           Alcotest.test_case "deterministic" `Quick test_determinism_of_chip_runs;
           Alcotest.test_case "parked ptid heap" `Quick test_parked_ptid_heap;
+          Alcotest.test_case "thread set-up allocation" `Quick test_thread_setup_allocation;
+          Alcotest.test_case "duplicate ptid rejected" `Quick test_duplicate_ptid_rejected;
+          Alcotest.test_case "stuck reports the ptid" `Quick test_stuck_reports_ptid;
           Alcotest.test_case "ping-pong round-trip allocation" `Quick
             test_ping_pong_allocation;
           Alcotest.test_case "stop -> start round-trip allocation" `Quick
             test_stop_start_allocation;
+          Alcotest.test_case "start -> stop round-trip allocation" `Quick
+            test_start_stop_allocation;
         ] );
       ( "spin",
         [

@@ -114,7 +114,9 @@ let prop_work_survives_freezing =
             pauses);
       Chip.boot boss;
       Sim.run ~until:10_000_000 sim;
-      let billed = Smt_core.thread_cycles (Chip.exec_core chip 0) ~ptid:1 in
+      let billed =
+        Smt_core.thread_cycles (Chip.exec_core chip 0) ~slot:(Chip.smt_slot worker)
+      in
       !finished && abs_float (billed -. float_of_int work) < 1.0)
 
 (* Property 3: state placement invariants hold under random pin/unpin/
@@ -132,22 +134,21 @@ let prop_state_store_with_pins =
     QCheck.(list_of_size Gen.(1 -- 60) (pair (int_bound 3) (int_bound 11)))
     (fun ops ->
       let store = State_store.create small in
-      for ptid = 0 to 11 do
-        State_store.register store ~ptid ~bytes:272
-      done;
+      let entry = Array.init 12 (fun ptid -> State_store.register store ~ptid ~bytes:272) in
       let ok = ref true in
       List.iter
         (fun (op, ptid) ->
           (* Wake, pin and prefetch may all legitimately refuse when the
              register file is saturated with pinned contexts. *)
+          let e = entry.(ptid) in
           match op with
           | 0 -> (
-            try ignore (State_store.wake_transfer_cycles store ~ptid)
+            try ignore (State_store.wake_transfer_cycles store e)
             with Invalid_argument _ -> ())
-          | 1 -> ( try State_store.pin store ~ptid with Invalid_argument _ -> ())
-          | 2 -> State_store.unpin store ~ptid
+          | 1 -> ( try State_store.pin store e with Invalid_argument _ -> ())
+          | 2 -> State_store.unpin store e
           | _ -> (
-            try State_store.prefetch store ~ptid with Invalid_argument _ -> ()))
+            try State_store.prefetch store e with Invalid_argument _ -> ()))
         ops;
       List.iter
         (fun tier ->

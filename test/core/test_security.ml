@@ -292,9 +292,11 @@ let test_billing_tracks_per_thread_consumption () =
   Sim.run sim;
   let core = Chip.exec_core chip 0 in
   let close x y = abs_float (x -. y) < 1.0 in
-  check_bool "thread 1 billed 1000" true (close (Smt_core.thread_cycles core ~ptid:1) 1000.0);
-  check_bool "thread 2 billed 250" true (close (Smt_core.thread_cycles core ~ptid:2) 250.0);
-  check_bool "unknown thread billed 0" true (Smt_core.thread_cycles core ~ptid:99 = 0.0);
+  let billed th = Smt_core.thread_cycles core ~slot:(Chip.smt_slot th) in
+  check_bool "thread 1 billed 1000" true (close (billed a) 1000.0);
+  check_bool "thread 2 billed 250" true (close (billed b) 250.0);
+  let idle = Chip.add_thread chip ~core:0 ~ptid:99 ~mode:Ptid.User () in
+  check_bool "a thread that never ran billed 0" true (billed idle = 0.0);
   let total = List.fold_left (fun acc (_, c) -> acc +. c) 0.0 (Smt_core.billed_threads core) in
   check_bool "billing sums to busy" true
     (close total (Smt_core.busy_capacity_cycles core))
@@ -310,7 +312,7 @@ let test_billing_includes_overhead_kinds () =
   Sim.run sim;
   let core = Chip.exec_core chip 0 in
   check_bool "all kinds billed to the thread" true
-    (abs_float (Smt_core.thread_cycles core ~ptid:1 -. 175.0) < 1.0)
+    (abs_float (Smt_core.thread_cycles core ~slot:(Chip.smt_slot a) -. 175.0) < 1.0)
 
 let () =
   Alcotest.run "security"

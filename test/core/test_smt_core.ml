@@ -13,13 +13,15 @@ let with_core ?(smt_width = 2) f =
   let core = Smt_core.create sim params ~core_id:0 in
   f sim core
 
-(* Run [cycles] of work for [ptid] and record the completion time. *)
+(* Run [cycles] of work for [ptid] on a fresh slot and record the
+   completion time. *)
 let job sim core ~ptid ?(kind = Smt_core.Useful) ?(weight = 1.0) ?(start = 0) cycles finished =
+  let slot = Smt_core.add_slot core ~ptid in
   Sim.spawn sim (fun () ->
       Sim.delay start;
-      Smt_core.set_runnable core ~ptid ~weight true;
-      Smt_core.execute core ~ptid ~kind cycles;
-      Smt_core.set_runnable core ~ptid ~weight false;
+      Smt_core.set_runnable core ~slot ~weight true;
+      Smt_core.execute core ~slot ~kind cycles;
+      Smt_core.set_runnable core ~slot ~weight false;
       finished := Sim.now ())
 
 let test_single_job_full_rate () =
@@ -89,23 +91,25 @@ let test_late_arrival_slows_first () =
 let test_stop_freezes_work () =
   with_core ~smt_width:1 (fun sim core ->
       let t = ref 0 in
+      let slot = Smt_core.add_slot core ~ptid:1 in
       Sim.spawn sim (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 1000;
+          Smt_core.set_runnable core ~slot ~weight:1.0 true;
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful 1000;
           t := Sim.now ());
       (* Freeze from 200 to 700. *)
       Sim.schedule sim ~at:200 (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 false);
+          Smt_core.set_runnable core ~slot ~weight:1.0 false);
       Sim.schedule sim ~at:700 (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true);
+          Smt_core.set_runnable core ~slot ~weight:1.0 true);
       Sim.run sim;
       check_i64 "paused 500 cycles" 1500 !t)
 
 let test_zero_cycles_returns_immediately () =
   with_core (fun sim core ->
       let t = ref (-1) in
+      let slot = Smt_core.add_slot core ~ptid:1 in
       Sim.spawn sim (fun () ->
-          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 0;
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful 0;
           t := Sim.now ());
       Sim.run sim;
       check_i64 "no time consumed" 0 !t)
@@ -113,8 +117,9 @@ let test_zero_cycles_returns_immediately () =
 let test_execute_requires_runnable () =
   with_core (fun sim core ->
       let raised = ref false in
+      let slot = Smt_core.add_slot core ~ptid:9 in
       Sim.spawn sim (fun () ->
-          match Smt_core.execute core ~ptid:9 ~kind:Smt_core.Useful 10 with
+          match Smt_core.execute core ~slot ~kind:Smt_core.Useful 10 with
           | () -> ()
           | exception Invalid_argument _ -> raised := true);
       Sim.run sim;
@@ -123,12 +128,13 @@ let test_execute_requires_runnable () =
 let test_double_execute_rejected () =
   with_core (fun sim core ->
       let raised = ref false in
+      let slot = Smt_core.add_slot core ~ptid:1 in
       Sim.spawn sim (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100);
+          Smt_core.set_runnable core ~slot ~weight:1.0 true;
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful 100);
       Sim.spawn sim (fun () ->
           Sim.delay 10;
-          match Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100 with
+          match Smt_core.execute core ~slot ~kind:Smt_core.Useful 100 with
           | () -> ()
           | exception Invalid_argument _ -> raised := true);
       Sim.run sim;
@@ -149,11 +155,12 @@ let test_work_accounting_by_kind () =
 
 let test_runnable_count () =
   with_core (fun sim core ->
+      let s1 = Smt_core.add_slot core ~ptid:1 and s2 = Smt_core.add_slot core ~ptid:2 in
       Sim.spawn sim (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-          Smt_core.set_runnable core ~ptid:2 ~weight:1.0 true;
+          Smt_core.set_runnable core ~slot:s1 ~weight:1.0 true;
+          Smt_core.set_runnable core ~slot:s2 ~weight:1.0 true;
           Alcotest.(check int) "two runnable" 2 (Smt_core.runnable_count core);
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 false;
+          Smt_core.set_runnable core ~slot:s1 ~weight:1.0 false;
           Alcotest.(check int) "one runnable" 1 (Smt_core.runnable_count core));
       Sim.run sim)
 
@@ -171,10 +178,11 @@ let prop_work_conservation =
       List.iteri
         (fun i cycles ->
           let t = List.nth completions i in
+          let slot = Smt_core.add_slot core ~ptid:i in
           Sim.spawn sim (fun () ->
-              Smt_core.set_runnable core ~ptid:i ~weight:1.0 true;
-              Smt_core.execute core ~ptid:i ~kind:Smt_core.Useful cycles;
-              Smt_core.set_runnable core ~ptid:i ~weight:1.0 false;
+              Smt_core.set_runnable core ~slot ~weight:1.0 true;
+              Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles;
+              Smt_core.set_runnable core ~slot ~weight:1.0 false;
               t := Sim.now ()))
         cycles_list;
       Sim.run sim;
@@ -200,9 +208,10 @@ let simultaneous_completion_order () =
       for i = 0 to 11 do
         (* Sparse ptids, so any hash-bucket order would show. *)
         let ptid = (i * 7919) + 3 in
+        let slot = Smt_core.add_slot core ~ptid in
         Sim.spawn sim (fun () ->
-            Smt_core.set_runnable core ~ptid ~weight:1.0 true;
-            Smt_core.execute core ~ptid ~kind:Smt_core.Useful 600;
+            Smt_core.set_runnable core ~slot ~weight:1.0 true;
+            Smt_core.execute core ~slot ~kind:Smt_core.Useful 600;
             order := ptid :: !order)
       done;
       Sim.run sim;
@@ -237,30 +246,32 @@ let run_job_set ~width ~weight jobs =
   let n = List.length jobs in
   let state = Array.make n 0 (* 0 waiting, 1 executing, 2 done *) in
   let done_at = Array.make n (-1) in
+  let slots = Array.init n (fun ptid -> Smt_core.add_slot core ~ptid) in
   List.iteri
     (fun ptid j ->
+      let slot = slots.(ptid) in
       Sim.spawn sim (fun () ->
           Sim.delay j.start;
-          Smt_core.set_runnable core ~ptid ~weight true;
+          Smt_core.set_runnable core ~slot ~weight true;
           state.(ptid) <- 1;
-          Smt_core.execute core ~ptid ~kind:j.kind j.cycles;
+          Smt_core.execute core ~slot ~kind:j.kind j.cycles;
           state.(ptid) <- 2;
           done_at.(ptid) <- Sim.now ();
-          Smt_core.set_runnable core ~ptid ~weight false);
+          Smt_core.set_runnable core ~slot ~weight false);
       List.iter
         (fun (off, len) ->
           Sim.schedule sim ~at:(j.start + off) (fun () ->
               if state.(ptid) = 1 then begin
-                Smt_core.set_runnable core ~ptid ~weight false;
+                Smt_core.set_runnable core ~slot ~weight false;
                 Sim.schedule sim ~at:(Sim.time sim + len) (fun () ->
-                    Smt_core.set_runnable core ~ptid ~weight true)
+                    Smt_core.set_runnable core ~slot ~weight true)
               end))
         j.toggles)
     jobs;
   Sim.run sim;
   let bits = Int64.bits_of_float in
   ( Array.to_list done_at,
-    List.init n (fun ptid -> bits (Smt_core.thread_cycles core ~ptid)),
+    Array.to_list (Array.map (fun slot -> bits (Smt_core.thread_cycles core ~slot)) slots),
     List.map
       (fun k -> bits (Smt_core.work_done core k))
       [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ],
@@ -299,10 +310,11 @@ let lone_execute ~beat cycles =
   with_core (fun sim core ->
       if beat then heartbeat sim ~until:1_000;
       let returned = ref (-1) in
+      let slot = Smt_core.add_slot core ~ptid:1 in
       Sim.spawn sim (fun () ->
           Sim.delay 7;
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful cycles;
+          Smt_core.set_runnable core ~slot ~weight:1.0 true;
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles;
           returned := Sim.now ());
       Sim.run sim;
       (!returned, Sim.events_processed sim))
@@ -329,9 +341,10 @@ let test_due_event_runs_before_execute_returns () =
         let log = ref [] in
         let note what = log := Printf.sprintf "%s@%d" what (Sim.time sim) :: !log in
         Sim.schedule sim ~at (fun () -> note "callback");
+        let slot = Smt_core.add_slot core ~ptid:1 in
         Sim.spawn sim (fun () ->
-            Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-            Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100;
+            Smt_core.set_runnable core ~slot ~weight:1.0 true;
+            Smt_core.execute core ~slot ~kind:Smt_core.Useful 100;
             note "returned");
         Sim.run sim;
         (List.rev !log, Sim.events_processed sim))
@@ -347,9 +360,10 @@ let test_due_event_runs_before_execute_returns () =
 let test_execute_past_horizon_waits () =
   with_core (fun sim core ->
       let returned = ref (-1) in
+      let slot = Smt_core.add_slot core ~ptid:1 in
       Sim.spawn sim (fun () ->
-          Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-          Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 100;
+          Smt_core.set_runnable core ~slot ~weight:1.0 true;
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful 100;
           returned := Sim.now ());
       Sim.run ~until:60 sim;
       check_i64 "clock at the horizon" 60 (Sim.time sim);
@@ -364,20 +378,22 @@ let test_execute_outside_process_raises () =
   let raises_unhandled sim =
     match Sim.run sim with () -> false | exception Effect.Unhandled _ -> true
   in
-  let execute core () = Smt_core.execute core ~ptid:1 ~kind:Smt_core.Useful 10 in
+  let execute core slot () = Smt_core.execute core ~slot ~kind:Smt_core.Useful 10 in
   with_core (fun sim core ->
-      Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-      Sim.schedule sim ~at:5 (execute core);
+      let slot = Smt_core.add_slot core ~ptid:1 in
+      Smt_core.set_runnable core ~slot ~weight:1.0 true;
+      Sim.schedule sim ~at:5 (execute core slot);
       check_bool "from a callback on an idle world" true (raises_unhandled sim));
   with_core (fun sim core ->
-      Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
+      let slot = Smt_core.add_slot core ~ptid:1 in
+      Smt_core.set_runnable core ~slot ~weight:1.0 true;
       Sim.spawn sim (fun () ->
-          execute core ();
+          execute core slot ();
           failwith "escaped");
       (match Sim.run sim with
        | () -> Alcotest.fail "the exception did not escape"
        | exception Failure _ -> ());
-      Sim.schedule sim ~at:(Sim.time sim + 5) (execute core);
+      Sim.schedule sim ~at:(Sim.time sim + 5) (execute core slot);
       check_bool "after a process's exception escaped" true (raises_unhandled sim))
 
 (* A lone spin's gaps are added one at a time, as the executes they
@@ -397,13 +413,13 @@ let test_lone_gaps_add_one_at_a_time () =
     with_core ~smt_width:1 (fun sim core ->
         let flag = ref false in
         Sim.schedule sim ~at:(big + 4) (fun () -> flag := true);
+        let slot = Smt_core.add_slot core ~ptid:1 in
         Sim.spawn sim (fun () ->
-            Smt_core.set_runnable core ~ptid:1 ~weight:1.0 true;
-            Smt_core.execute core ~ptid:1 ~kind:Smt_core.Poll big;
-            let slot = Smt_core.slot core ~ptid:1 in
+            Smt_core.set_runnable core ~slot ~weight:1.0 true;
+            Smt_core.execute core ~slot ~kind:Smt_core.Poll big;
             while not !flag do
               if spin then Smt_core.serve_lone_gaps core ~slot ~kind:Smt_core.Poll 1;
-              Smt_core.execute_slot core ~slot ~kind:Smt_core.Poll 1
+              Smt_core.execute core ~slot ~kind:Smt_core.Poll 1
             done);
         Sim.run sim;
         let bits = Int64.bits_of_float in
@@ -412,7 +428,7 @@ let test_lone_gaps_add_one_at_a_time () =
           Int64.of_int (Sim.events_processed sim);
           bits (Smt_core.busy_capacity_cycles core);
           bits (Smt_core.work_done core Smt_core.Poll);
-          bits (Smt_core.thread_cycles core ~ptid:1);
+          bits (Smt_core.thread_cycles core ~slot);
         ])
   in
   let spun = world ~spin:true in
@@ -431,10 +447,11 @@ let unit_weight_churn () =
   let core = Smt_core.create sim params ~core_id:0 in
   for p = 0 to 63 do
     let cycles = 50 + (p * 37 mod 101) in
+    let slot = Smt_core.add_slot core ~ptid:p in
     Sim.spawn sim (fun () ->
-        Smt_core.set_runnable core ~ptid:p ~weight:1.0 true;
+        Smt_core.set_runnable core ~slot ~weight:1.0 true;
         for _ = 1 to 200 do
-          Smt_core.execute core ~ptid:p ~kind:Smt_core.Useful cycles
+          Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles
         done)
   done;
   Sim.run sim

@@ -189,6 +189,71 @@ let prop_monitor_matches_model =
                | None -> real = -1)
            slots keys)
 
+(* [Monitor.arm] finds an armed pair by walking the slot's armed list
+   and the address's watcher list in lockstep, so its idempotence must
+   hold whichever list is the longer one, and wherever in each the pair
+   sits.  One slot arms many addresses and many slots watch one address,
+   the fan-out or the fan-in first, each with a few stray arms beside;
+   then every pair is armed again in a shuffled order.  The armed lists,
+   the per-core counts and a write's delivery order to the shared
+   address must match the model's, which checks membership with
+   [List.mem]. *)
+let prop_arm_idempotent_on_long_lists =
+  QCheck.Test.make ~name:"arm idempotent on long armed and watcher lists" ~count:100
+    QCheck.(
+      quad (int_range 1 80) (int_range 1 80) bool
+        (list_of_size Gen.(0 -- 20) (pair (int_bound 79) (int_bound 79))))
+    (fun (fan_out, fan_in, out_first, strays) ->
+      let mem = Memory.create () in
+      let mon = Monitor.create Params.default in
+      Monitor.attach mon mem;
+      let model = Model.create () in
+      let nslots = max fan_in 2 in
+      let keys = Array.init nslots (fun i -> (i mod 2, i)) in
+      let slots = Array.map (fun (core_id, _) -> Monitor.register mon ~core_id) keys in
+      let shared = 0x1000 in
+      let own i = 0x2000 + i in
+      let arms = ref [] in
+      let arm i a =
+        arms := (i, a) :: !arms;
+        Monitor.arm mon slots.(i) a;
+        Model.arm model keys.(i) a
+      in
+      let arm_fan_out () = for j = 0 to fan_out - 1 do arm 0 (own j) done
+      and arm_fan_in () = for i = 0 to fan_in - 1 do arm i shared done in
+      if out_first then (arm_fan_out (); arm_fan_in ())
+      else (arm_fan_in (); arm_fan_out ());
+      List.iter (fun (i, j) -> arm (i mod nslots) (own j)) strays;
+      (* Every pair again, in an order that mixes both fans. *)
+      let again = Array.of_list !arms in
+      let rng = Random.State.make [| fan_out; fan_in; List.length strays |] in
+      for k = Array.length again - 1 downto 1 do
+        let r = Random.State.int rng (k + 1) in
+        let x = again.(k) in
+        again.(k) <- again.(r);
+        again.(r) <- x
+      done;
+      Array.iter (fun (i, a) -> arm i a) again;
+      let log = Buffer.create 64 and model_log = Buffer.create 64 in
+      let note buf (core, ptid) a = Buffer.add_string buf (Printf.sprintf "%d:%d@%d;" core ptid a) in
+      Array.iteri
+        (fun i k ->
+          ignore (Monitor.mwait mon slots.(i) ~wake:(note log k) : int);
+          ignore (Model.mwait model k ~wake:(note model_log k) : int option))
+        keys;
+      Memory.write mem shared 1L;
+      Model.write model shared;
+      Array.for_all2 (fun s k -> Monitor.armed mon s = Model.armed model k) slots keys
+      && List.for_all
+           (fun core ->
+             Monitor.core_armed_count mon core
+             = Array.fold_left
+                 (fun acc ((c, _) as k) ->
+                   if c = core then acc + List.length (Model.armed model k) else acc)
+                 0 keys)
+           [ 0; 1 ]
+      && Buffer.contents log = Buffer.contents model_log)
+
 (* ---------------------------------------------------------------------
    Chip-level interleavings: spawn / park / wake / crash / restart.
 
@@ -316,6 +381,6 @@ let prop_chip_matches_model =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_monitor_matches_model; prop_chip_matches_model ]
+      [ prop_monitor_matches_model; prop_arm_idempotent_on_long_lists; prop_chip_matches_model ]
   in
   Alcotest.run "soa_model" [ ("soa-vs-reference", qsuite) ]

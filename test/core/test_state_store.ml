@@ -8,6 +8,11 @@ let check_bool = Alcotest.(check bool)
 
 let tier = Alcotest.testable State_store.pp_tier ( = )
 
+(* Contexts of ptids 0 .. n-1, registered in that order; the entry of
+   ptid i is at index i. *)
+let register_all ?(bytes = 272) s n =
+  Array.init n (fun ptid -> State_store.register s ~ptid ~bytes)
+
 (* Tiny capacities so tests exercise eviction with few threads:
    RF holds 2 GP contexts, L2 holds 4, L3 holds 8. *)
 let small_params =
@@ -20,116 +25,92 @@ let small_params =
 
 let test_first_fit_placement () =
   let s = State_store.create small_params in
-  for ptid = 0 to 13 do
-    State_store.register s ~ptid ~bytes:272
-  done;
-  Alcotest.check tier "0 in RF" State_store.Register_file (State_store.tier_of s ~ptid:0);
-  Alcotest.check tier "1 in RF" State_store.Register_file (State_store.tier_of s ~ptid:1);
-  Alcotest.check tier "2 in L2" State_store.L2 (State_store.tier_of s ~ptid:2);
-  Alcotest.check tier "5 in L2" State_store.L2 (State_store.tier_of s ~ptid:5);
-  Alcotest.check tier "6 in L3" State_store.L3 (State_store.tier_of s ~ptid:6);
-  Alcotest.check tier "13 in L3" State_store.L3 (State_store.tier_of s ~ptid:13);
-  State_store.register s ~ptid:14 ~bytes:272;
-  Alcotest.check tier "overflow to DRAM" State_store.Dram (State_store.tier_of s ~ptid:14)
+  let e = register_all s 14 in
+  Alcotest.check tier "0 in RF" State_store.Register_file (State_store.tier_of s e.(0));
+  Alcotest.check tier "1 in RF" State_store.Register_file (State_store.tier_of s e.(1));
+  Alcotest.check tier "2 in L2" State_store.L2 (State_store.tier_of s e.(2));
+  Alcotest.check tier "5 in L2" State_store.L2 (State_store.tier_of s e.(5));
+  Alcotest.check tier "6 in L3" State_store.L3 (State_store.tier_of s e.(6));
+  Alcotest.check tier "13 in L3" State_store.L3 (State_store.tier_of s e.(13));
+  let e14 = State_store.register s ~ptid:14 ~bytes:272 in
+  Alcotest.check tier "overflow to DRAM" State_store.Dram (State_store.tier_of s e14)
 
 let test_wake_costs_follow_tier_ladder () =
   let s = State_store.create small_params in
-  for ptid = 0 to 14 do
-    State_store.register s ~ptid ~bytes:272
-  done;
-  check_int "RF wake free" 0 (State_store.wake_transfer_cycles s ~ptid:0);
+  let e = register_all s 15 in
+  check_int "RF wake free" 0 (State_store.wake_transfer_cycles s e.(0));
   (* ptid 2 is in L2. *)
   let s2 = State_store.create small_params in
-  for ptid = 0 to 14 do
-    State_store.register s2 ~ptid ~bytes:272
-  done;
+  let e2 = register_all s2 15 in
   check_int "L2 wake" small_params.Params.l2_transfer_cycles
-    (State_store.wake_transfer_cycles s2 ~ptid:2);
+    (State_store.wake_transfer_cycles s2 e2.(2));
   check_int "L3 wake" small_params.Params.l3_transfer_cycles
-    (State_store.wake_transfer_cycles s2 ~ptid:7);
+    (State_store.wake_transfer_cycles s2 e2.(7));
   check_int "DRAM wake" small_params.Params.dram_transfer_cycles
-    (State_store.wake_transfer_cycles s2 ~ptid:14)
+    (State_store.wake_transfer_cycles s2 e2.(14))
 
 let test_wake_promotes_to_rf () =
   let s = State_store.create small_params in
-  for ptid = 0 to 6 do
-    State_store.register s ~ptid ~bytes:272
-  done;
-  ignore (State_store.wake_transfer_cycles s ~ptid:6);
-  Alcotest.check tier "promoted" State_store.Register_file (State_store.tier_of s ~ptid:6);
+  let e = register_all s 7 in
+  ignore (State_store.wake_transfer_cycles s e.(6));
+  Alcotest.check tier "promoted" State_store.Register_file (State_store.tier_of s e.(6));
   (* RF held 0 and 1; someone was demoted to make room. *)
   let rf_count =
     List.length
       (List.filter
-         (fun ptid -> State_store.tier_of s ~ptid = State_store.Register_file)
-         [ 0; 1; 2; 3; 4; 5; 6 ])
+         (fun e -> State_store.tier_of s e = State_store.Register_file)
+         (Array.to_list e))
   in
   check_int "RF holds exactly 2" 2 rf_count;
   check_bool "a demotion happened" true (State_store.demotion_count s >= 1)
 
 let test_lru_victim_selection () =
   let s = State_store.create small_params in
-  State_store.register s ~ptid:0 ~bytes:272;
-  State_store.register s ~ptid:1 ~bytes:272;
-  State_store.register s ~ptid:2 ~bytes:272;
+  let e = register_all s 3 in
   (* Touch 0 so 1 is the cold one; wake 2 must evict 1, not 0. *)
-  State_store.touch s ~ptid:0;
-  ignore (State_store.wake_transfer_cycles s ~ptid:2);
-  Alcotest.check tier "0 stays" State_store.Register_file (State_store.tier_of s ~ptid:0);
-  Alcotest.check tier "1 demoted" State_store.L2 (State_store.tier_of s ~ptid:1);
-  Alcotest.check tier "2 resident" State_store.Register_file (State_store.tier_of s ~ptid:2)
+  State_store.touch s e.(0);
+  ignore (State_store.wake_transfer_cycles s e.(2));
+  Alcotest.check tier "0 stays" State_store.Register_file (State_store.tier_of s e.(0));
+  Alcotest.check tier "1 demoted" State_store.L2 (State_store.tier_of s e.(1));
+  Alcotest.check tier "2 resident" State_store.Register_file (State_store.tier_of s e.(2))
 
 let test_pinning_protects_from_eviction () =
   let s = State_store.create small_params in
-  State_store.register s ~ptid:0 ~bytes:272;
-  State_store.register s ~ptid:1 ~bytes:272;
-  State_store.register s ~ptid:2 ~bytes:272;
-  State_store.pin s ~ptid:0;
-  State_store.pin s ~ptid:1;
+  let e = register_all s 3 in
+  State_store.pin s e.(0);
+  State_store.pin s e.(1);
   (* RF is now entirely pinned; waking 2 cannot evict. *)
   Alcotest.check_raises "all pinned"
     (Invalid_argument "State_store: tier full of pinned contexts") (fun () ->
-      ignore (State_store.wake_transfer_cycles s ~ptid:2));
-  State_store.unpin s ~ptid:1;
-  ignore (State_store.wake_transfer_cycles s ~ptid:2);
+      ignore (State_store.wake_transfer_cycles s e.(2)));
+  State_store.unpin s e.(1);
+  ignore (State_store.wake_transfer_cycles s e.(2));
   Alcotest.check tier "pinned survivor" State_store.Register_file
-    (State_store.tier_of s ~ptid:0);
-  Alcotest.check tier "unpinned was evicted" State_store.L2 (State_store.tier_of s ~ptid:1)
+    (State_store.tier_of s e.(0));
+  Alcotest.check tier "unpinned was evicted" State_store.L2 (State_store.tier_of s e.(1))
 
 let test_prefetch_makes_wake_free () =
   let s = State_store.create small_params in
-  for ptid = 0 to 6 do
-    State_store.register s ~ptid ~bytes:272
-  done;
-  State_store.prefetch s ~ptid:6;
-  check_int "prefetched wake is free" 0 (State_store.wake_transfer_cycles s ~ptid:6)
+  let e = register_all s 7 in
+  State_store.prefetch s e.(6);
+  check_int "prefetched wake is free" 0 (State_store.wake_transfer_cycles s e.(6))
 
 let test_vector_contexts_take_more_room () =
   (* RF sized for 2 GP contexts (544 B) cannot hold a 784-byte vector
      context at all; L2 (1088 B) holds exactly one. *)
   let s = State_store.create small_params in
-  State_store.register s ~ptid:0 ~bytes:784;
-  State_store.register s ~ptid:1 ~bytes:784;
+  let e = register_all ~bytes:784 s 2 in
   Alcotest.check tier "first vector context lands in L2" State_store.L2
-    (State_store.tier_of s ~ptid:0);
+    (State_store.tier_of s e.(0));
   Alcotest.check tier "second overflows to L3" State_store.L3
-    (State_store.tier_of s ~ptid:1)
-
-let test_duplicate_register_rejected () =
-  let s = State_store.create small_params in
-  State_store.register s ~ptid:0 ~bytes:272;
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "State_store.register: ptid already registered") (fun () ->
-      State_store.register s ~ptid:0 ~bytes:272)
+    (State_store.tier_of s e.(1))
 
 let test_transfer_counters () =
   let s = State_store.create small_params in
-  for ptid = 0 to 6 do
-    State_store.register s ~ptid ~bytes:272
-  done;
-  ignore (State_store.wake_transfer_cycles s ~ptid:0);
-  ignore (State_store.wake_transfer_cycles s ~ptid:2);
-  ignore (State_store.wake_transfer_cycles s ~ptid:6);
+  let e = register_all s 7 in
+  ignore (State_store.wake_transfer_cycles s e.(0));
+  ignore (State_store.wake_transfer_cycles s e.(2));
+  ignore (State_store.wake_transfer_cycles s e.(6));
   check_int "RF-resident wakes" 1 (State_store.transfer_count s State_store.Register_file);
   check_int "L2 wakes" 1 (State_store.transfer_count s State_store.L2);
   check_int "L3 wakes" 1 (State_store.transfer_count s State_store.L3)
@@ -141,10 +122,8 @@ let prop_capacity_invariant =
     QCheck.(list_of_size Gen.(1 -- 100) (int_bound 19))
     (fun wakes ->
       let s = State_store.create small_params in
-      for ptid = 0 to 19 do
-        State_store.register s ~ptid ~bytes:272
-      done;
-      List.iter (fun ptid -> ignore (State_store.wake_transfer_cycles s ~ptid)) wakes;
+      let e = register_all s 20 in
+      List.iter (fun ptid -> ignore (State_store.wake_transfer_cycles s e.(ptid))) wakes;
       State_store.used_bytes s State_store.Register_file
       <= State_store.capacity_bytes s State_store.Register_file
       && State_store.used_bytes s State_store.L2
@@ -158,10 +137,8 @@ let prop_bytes_conserved =
     QCheck.(list_of_size Gen.(1 -- 100) (int_bound 19))
     (fun wakes ->
       let s = State_store.create small_params in
-      for ptid = 0 to 19 do
-        State_store.register s ~ptid ~bytes:272
-      done;
-      List.iter (fun ptid -> ignore (State_store.wake_transfer_cycles s ~ptid)) wakes;
+      let e = register_all s 20 in
+      List.iter (fun ptid -> ignore (State_store.wake_transfer_cycles s e.(ptid))) wakes;
       let total =
         List.fold_left
           (fun acc tier -> acc + State_store.used_bytes s tier)
@@ -242,8 +219,6 @@ module Model = struct
       done
 
   let register m ~ptid ~bytes =
-    if Hashtbl.mem m.tbl ptid then
-      invalid_arg "State_store.register: ptid already registered";
     let rec first_fit tier =
       if tier = State_store.Dram
          || (free m tier >= bytes && bytes <= capacity m tier)
@@ -318,46 +293,48 @@ let prop_matches_reference_model =
     (fun ops ->
       let s = State_store.create small_params in
       let m = Model.create small_params in
+      (* ptid -> the store's entry *)
       let registered = Hashtbl.create 16 in
       List.for_all
         (fun (op, ptid) ->
-          let known = Hashtbl.mem registered ptid in
+          let entry = Hashtbl.find_opt registered ptid in
           let ok =
-            match op with
-            | 0 when not known ->
+            match (op, entry) with
+            | 0, None ->
               (* A third of the contexts are full-vector sized. *)
               let bytes = if ptid mod 3 = 0 then 784 else 272 in
-              Hashtbl.replace registered ptid ();
               agree string_of_int
-                (fun () -> State_store.register s ~ptid ~bytes; 0)
+                (fun () ->
+                  Hashtbl.replace registered ptid (State_store.register s ~ptid ~bytes);
+                  0)
                 (fun () -> Model.register m ~ptid ~bytes; 0)
-            | 1 when known ->
+            | 1, Some e ->
               agree string_of_int
-                (fun () -> State_store.wake_transfer_cycles s ~ptid)
+                (fun () -> State_store.wake_transfer_cycles s e)
                 (fun () -> Model.wake m ~ptid)
-            | 2 when known ->
+            | 2, Some e ->
               agree string_of_int
-                (fun () -> State_store.touch s ~ptid; 0)
+                (fun () -> State_store.touch s e; 0)
                 (fun () -> Model.touch m ~ptid; 0)
-            | 3 when known ->
+            | 3, Some e ->
               agree string_of_int
-                (fun () -> State_store.pin s ~ptid; 0)
+                (fun () -> State_store.pin s e; 0)
                 (fun () -> Model.pin m ~ptid; 0)
-            | 4 when known ->
+            | 4, Some e ->
               agree string_of_int
-                (fun () -> State_store.unpin s ~ptid; 0)
+                (fun () -> State_store.unpin s e; 0)
                 (fun () -> Model.unpin m ~ptid; 0)
-            | 5 when known ->
+            | 5, Some e ->
               agree string_of_int
-                (fun () -> State_store.prefetch s ~ptid; 0)
+                (fun () -> State_store.prefetch s e; 0)
                 (fun () -> Model.prefetch m ~ptid; 0)
             | _ -> true
           in
           ok
           && Hashtbl.fold
-               (fun ptid () acc ->
+               (fun ptid e acc ->
                  acc
-                 && State_store.tier_of s ~ptid = (Hashtbl.find m.Model.tbl ptid).Model.tier)
+                 && State_store.tier_of s e = (Hashtbl.find m.Model.tbl ptid).Model.tier)
                registered true
           && State_store.demotion_count s = m.Model.demotions
           && List.for_all
@@ -376,12 +353,10 @@ let prop_matches_reference_model =
 let test_wake_chain_allocates_nothing () =
   let s = State_store.create small_params in
   let n = 20 in
-  for ptid = 0 to n - 1 do
-    State_store.register s ~ptid ~bytes:272
-  done;
+  let e = register_all s n in
   let wakes k =
     for i = 0 to k - 1 do
-      ignore (State_store.wake_transfer_cycles s ~ptid:(i mod n) : int)
+      ignore (State_store.wake_transfer_cycles s e.(i mod n) : int)
     done
   in
   (* One round to reach the steady state: the oldest context is in DRAM. *)
@@ -416,7 +391,6 @@ let () =
           Alcotest.test_case "wake promotes" `Quick test_wake_promotes_to_rf;
           Alcotest.test_case "LRU victim" `Quick test_lru_victim_selection;
           Alcotest.test_case "vector contexts" `Quick test_vector_contexts_take_more_room;
-          Alcotest.test_case "duplicate rejected" `Quick test_duplicate_register_rejected;
         ] );
       ( "policies",
         [

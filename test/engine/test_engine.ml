@@ -1586,10 +1586,14 @@ let run_world ~beat ~spin w =
   let cores = Array.init w.ncores (fun core_id -> Smt_core.create sim params ~core_id) in
   let ivars = Array.init ivar_count (fun _ -> Ivar.create ()) in
   let log = ref [] and live = ref 0 and next_ptid = ref 0 in
+  (* Every process takes a slot on every core, in ptid order, so its
+     slot on each core is its ptid. *)
   let rec start ops =
     let ptid = !next_ptid in
     incr next_ptid;
     incr live;
+    Array.iter (fun core -> ignore (Smt_core.add_slot core ~ptid : int)) cores;
+    let slot = ptid in
     fun () ->
       List.iteri
         (fun step op ->
@@ -1597,18 +1601,17 @@ let run_world ~beat ~spin w =
            | Wait d -> Sim.delay d
            | Exec (c, weight, n) ->
              let core = cores.(c mod w.ncores) in
-             Smt_core.set_runnable core ~ptid ~weight true;
-             Smt_core.execute core ~ptid ~kind:Smt_core.Useful n;
-             Smt_core.set_runnable core ~ptid ~weight false
+             Smt_core.set_runnable core ~slot ~weight true;
+             Smt_core.execute core ~slot ~kind:Smt_core.Useful n;
+             Smt_core.set_runnable core ~slot ~weight false
            | Spin (c, weight, gap, i, kind) ->
              let core = cores.(c mod w.ncores) in
-             Smt_core.set_runnable core ~ptid ~weight true;
-             let slot = Smt_core.slot core ~ptid in
+             Smt_core.set_runnable core ~slot ~weight true;
              while Option.is_none (Ivar.peek ivars.(i)) do
                if spin then Smt_core.serve_lone_gaps core ~slot ~kind gap;
-               Smt_core.execute_slot core ~slot ~kind gap
+               Smt_core.execute core ~slot ~kind gap
              done;
-             Smt_core.set_runnable core ~ptid ~weight false
+             Smt_core.set_runnable core ~slot ~weight false
            | Fork child -> Sim.fork (start child)
            | Fill i -> ignore (Ivar.try_fill ivars.(i) () : bool)
            | Read i -> Ivar.read ivars.(i));
@@ -1632,7 +1635,7 @@ let run_world ~beat ~spin w =
       List.map
         (fun kind -> bits (Smt_core.work_done core kind))
         Smt_core.[ Useful; Poll; Overhead ],
-      List.init !next_ptid (fun ptid -> bits (Smt_core.thread_cycles core ~ptid)) )
+      List.init !next_ptid (fun slot -> bits (Smt_core.thread_cycles core ~slot)) )
   in
   ((List.rev !log, parked, Array.map sums cores, !live), Sim.events_processed sim)
 

@@ -248,13 +248,10 @@ let prop_bqueue_conservation =
 
 (* --- allocation ------------------------------------------------------------ *)
 
-(* A steady poll loop allocates nothing per read: 0.0 minor words on
-   OCaml 5.1; 2.0 while spin loops read through [Atomics.read ~kind],
-   whose optional argument, passed on as a variable, allocated a [Some]
-   per call.  Measured inside the polling thread, as the difference
-   between two loop lengths. *)
-let test_poll_allocation () =
-  let words reads =
+(* Minor words per call of [op] on one word, measured inside the
+   calling thread, as the difference between two loop lengths. *)
+let words_per_call op =
+  let words calls =
     let sim = Sim.create () in
     let chip = Chip.create sim params ~cores:1 in
     let word = Memory.alloc (Chip.memory chip) 1 in
@@ -262,8 +259,8 @@ let test_poll_allocation () =
     let words = ref nan in
     Chip.attach th (fun t ->
         let before = Gc.minor_words () in
-        for _ = 1 to reads do
-          ignore (Atomics.poll chip t word : int64)
+        for _ = 1 to calls do
+          ignore (op chip t word : int64)
         done;
         words := Gc.minor_words () -. before);
     Chip.boot th;
@@ -271,8 +268,25 @@ let test_poll_allocation () =
     !words
   in
   ignore (words 100 : float);
-  let per_read = (words 20_000 -. words 10_000) /. 10_000.0 in
+  (words 20_000 -. words 10_000) /. 10_000.0
+
+(* A steady poll loop allocates nothing per read: 0.0 minor words on
+   OCaml 5.1; 2.0 while spin loops read through [Atomics.read ~kind],
+   whose optional argument, passed on as a variable, allocated a [Some]
+   per call. *)
+let test_poll_allocation () =
+  let per_read = words_per_call Atomics.poll in
   Alcotest.(check bool) (Printf.sprintf "%.2f minor words per poll = 0" per_read) true (per_read = 0.0)
+
+(* An exchange allocates nothing and a fetch_add only its sum's 3-word
+   box ([Memory] holds boxed [int64]s).  Both read 4.00 and 7.00 words
+   while they shared a read-modify-write that took the update as a
+   closure. *)
+let test_rmw_allocation () =
+  let swap = words_per_call (fun chip t word -> Atomics.exchange chip t word 1L) in
+  let add = words_per_call (fun chip t word -> Atomics.fetch_add chip t word 1L) in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per exchange = 0" swap) true (swap = 0.0);
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per fetch_add <= 3" add) true (add <= 3.0)
 
 let () =
   Alcotest.run "sync"
@@ -285,5 +299,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_parking_waiter_set;
           QCheck_alcotest.to_alcotest prop_bqueue_conservation;
         ] );
-      ("alloc", [ Alcotest.test_case "steady poll loop" `Quick test_poll_allocation ]);
+      ( "alloc",
+        [
+          Alcotest.test_case "steady poll loop" `Quick test_poll_allocation;
+          Alcotest.test_case "exchange and fetch_add" `Quick test_rmw_allocation;
+        ] );
     ]
