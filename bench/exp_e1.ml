@@ -11,7 +11,6 @@
    restart); the interrupt path ≥ 10x that (IRQ entry + scheduler +
    context switch + exit). *)
 
-open! Capture
 module Params = Switchless.Params
 module Io_path = Sl_os.Io_path
 module Arrivals = Sl_workload.Arrivals
@@ -30,11 +29,11 @@ let latency_row name h =
     Tablefmt.Float (Params.cycles_to_ns p (Histogram.quantile h 0.5));
   ]
 
-let run () =
+let run b =
   let ticks = 2000 and period = 50_000 in
   let mwait = Io_path.timer_wakeup_mwait p ~ticks ~period in
   let irq = Io_path.timer_wakeup_interrupt p ~ticks ~period in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E1a: timer-tick wakeup latency (cycles)"
        ~header:[ "design"; "events"; "p50"; "p99"; "max"; "p50 ns @3GHz" ]
        [ latency_row "mwait hw thread" mwait; latency_row "timer IRQ + sched" irq ]);
@@ -51,7 +50,7 @@ let run () =
   let m = latencies Io_path.Mwait in
   let poll = latencies Io_path.Polling in
   let intr = latencies Io_path.Irq in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E1b: NIC single-packet wakeup at ~0 load (cycles)"
        ~header:[ "design"; "events"; "p50"; "p99"; "max"; "p50 ns @3GHz" ]
        [
@@ -59,7 +58,7 @@ let run () =
          latency_row "polling core" poll;
          latency_row "NIC IRQ + sched" intr;
        ]);
-  Printf.printf
+  Printf.bprintf b
     "mwait p50 / irq p50 = %.1fx improvement (paper predicts >= 10x)\n\n"
     (float_of_int (Histogram.quantile irq 0.5)
     /. float_of_int (Histogram.quantile mwait 0.5))

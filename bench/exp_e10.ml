@@ -9,7 +9,6 @@
    Expected shape: latency grows roughly linearly in the nesting depth;
    depth 1 costs ≈ descriptor(16) + wake(26) + handler work + start(24). *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -81,16 +80,16 @@ let triple_fault_check () =
   | () -> "BUG: not halted"
   | exception Chip.Halted _ -> "halted (as specified)"
 
-let run () =
+let run b =
   let rows =
     List.map
       (fun depth ->
         [ Tablefmt.Int depth; Tablefmt.Int (chain_latency depth) ])
       [ 1; 2; 3; 4 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:"E10: fault-to-resume latency vs handler-chain depth (100-cycle handlers)"
        ~header:[ "nesting depth"; "victim latency (cyc)" ]
        rows);
-  Printf.printf "chain with no terminal handler: %s\n\n" (triple_fault_check ())
+  Printf.bprintf b "chain with no terminal handler: %s\n\n" (triple_fault_check ())

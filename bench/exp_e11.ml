@@ -12,7 +12,6 @@
    approaches wake(26) + 500 cycles, while the batch threads keep the
    remaining capacity (work conservation — no polling reserve needed). *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -67,7 +66,7 @@ let measure weight =
   in
   (latencies, batch_done)
 
-let run () =
+let run b =
   let rows =
     List.map
       (fun weight ->
@@ -80,13 +79,13 @@ let run () =
         ])
       [ 1.0; 4.0; 16.0; 64.0 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E11: time-critical handler on a crowded core (500-cyc response, 8 batch threads)"
        ~header:[ "handler weight"; "p50 resp (cyc)"; "p99 resp (cyc)"; "batch Mcycles" ]
        rows);
-  print_endline
+  Buffer.add_string b
     "Expected: p50 falls from ~2,300 (fair share 2/9 of a pipe) toward ~530\n\
      (full pipe + wake) as the weight rises; batch throughput barely moves\n\
-     because the handler's demand is only 10% of one pipe.\n"
+     because the handler's demand is only 10% of one pipe.\n\n"

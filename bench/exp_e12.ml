@@ -12,7 +12,6 @@
    p50 latency carries a ~30-60-cycle state-transfer surcharge and its
    RF-hit fraction collapses, while LIFO/Locality stay ≈ 100% RF wakes. *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -70,7 +69,7 @@ let measure policy =
   in
   (latencies, rf_frac, stats.Chip.demotions, !done_count)
 
-let run () =
+let run b =
   let rows =
     List.map
       (fun (name, policy) ->
@@ -89,7 +88,7 @@ let run () =
         ("Locality", Hw_dispatch.Locality);
       ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E12: dispatch policy x state hierarchy (600 workers, 240 fit in the RF)"

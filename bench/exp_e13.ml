@@ -11,7 +11,6 @@
    (vCPUs x switch cost) approaches the slice length — the paper's "the
    scheduler will run in much tighter loops" enabled quantitatively. *)
 
-open! Capture
 module Vm = Sl_os.Vm
 module Params = Switchless.Params
 module Tablefmt = Sl_util.Tablefmt
@@ -19,7 +18,7 @@ module Tablefmt = Sl_util.Tablefmt
 let p = Params.default
 let duration = 4_000_000
 
-let run () =
+let run b =
   let slices = [ 500_000; 100_000; 20_000; 5_000 ] in
   let rows =
     List.map
@@ -35,7 +34,7 @@ let run () =
         ])
       slices
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E13: guest utilization under VM time-sharing (2 VMs x 2 vCPUs, 1 core)"

@@ -17,7 +17,6 @@
    preemption this cheap would cost an IPI + full context switch
    (~4-5 kcycles) per quantum in the conventional design. *)
 
-open! Capture
 module Server = Sl_dist.Server
 module Sched_policy = Sl_dist.Sched_policy
 module Params = Switchless.Params
@@ -35,7 +34,7 @@ let cfg rate =
     count = 2500;
   }
 
-let run () =
+let run b =
   let rates = [ 0.2; 0.4; 0.6; 0.8 ] in
   let rows =
     List.map
@@ -53,7 +52,7 @@ let run () =
           ] ))
       rates
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E14: p99 slowdown, 2-runnable concurrency limit, CV^2=16 (5k-cycle quantum)"

@@ -11,14 +11,13 @@
    timeouts (6x link delay) pace recovery; exactly-once delivery
    throughout. *)
 
-open! Capture
 module Netstack = Sl_os.Netstack
 module Params = Switchless.Params
 module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
 
-let run () =
+let run b =
   let losses = [ 0.0; 0.05; 0.1; 0.2; 0.3 ] in
   let rows =
     List.map
@@ -35,13 +34,13 @@ let run () =
         ])
       losses
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E15: reliable transport on hw threads (2k-cycle links, stop-and-wait)"
        ~header:
          [ "loss %"; "delivered"; "retx"; "dups"; "goodput/kcyc"; "cyc/segment" ]
        rows);
-  print_endline
+  Buffer.add_string b
     "All timers are monitor wakeups on the APIC tick counter; the session\n\
-     takes zero interrupts and burns zero polling cycles.\n"
+     takes zero interrupts and burns zero polling cycles.\n\n"

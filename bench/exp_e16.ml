@@ -22,7 +22,6 @@
    client population against the hardware pool server, showing why
    closed-loop numbers hide the collapse the open-loop sweep exposes. *)
 
-open! Capture
 module Params = Switchless.Params
 module Io_path = Sl_os.Io_path
 module Server = Sl_dist.Server
@@ -76,7 +75,7 @@ let knee_cell = function
   | Some load -> Tablefmt.String (Printf.sprintf "%.2f" load)
   | None -> Tablefmt.String ">1.20"
 
-let run () =
+let run b =
   let exp_service = Dist.Exponential mean_service in
   let bimodal_service =
     Dist.bimodal_with_cv2 ~mean:mean_service ~cv2:16.0 ~p_long:0.02
@@ -89,15 +88,15 @@ let run () =
   let series results =
     List.map (fun (load, summaries) -> (load, p99_row summaries)) results
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E16a: p99 sojourn (cycles) vs offered load, exponential service (mean 1400)"
        ~x_label:"load/capacity" ~columns (series exp_results));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E16b: p99 sojourn (cycles) vs offered load, bimodal service (CV^2 = 16)"
        ~x_label:"load/capacity" ~columns (series bimodal_results));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E16c: p99 sojourn (cycles) vs offered load, Pareto service (shape 2.5)"
        ~x_label:"load/capacity" ~columns (series pareto_results));
@@ -106,7 +105,7 @@ let run () =
     let _, summaries = List.nth exp_results (List.length exp_results - 1) in
     (List.nth summaries design_idx).Latency.goodput_per_kcycle
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E16d: saturation knee (lowest load with p99 > SLO; 30k cycles, bimodal 150k)"
@@ -148,7 +147,7 @@ let run () =
           ] ))
       [ 0.0; 0.5; 0.9 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E16e: burstiness (2-state MMPP, mean load 0.6): p99 and SLO misses"
@@ -181,7 +180,7 @@ let run () =
           ] ))
       [ 1; 2; 4; 8; 16; 32; 64 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E16f: closed loop (hw pool, think 8k): p99 stays bounded past capacity"
@@ -193,10 +192,10 @@ let run () =
   let k_irq = knee exp_results ~slo 2 in
   (match (k_mwait, k_irq) with
   | Some m, Some i ->
-    Printf.printf
+    Printf.bprintf b
       "E16 verdict: irq+sched p99 knee at %.2f of capacity vs mwait %.2f (factor %.2fx earlier)\n\n"
       i m (m /. i)
   | _ ->
-    Printf.printf "E16 verdict: no knee within the swept range (mwait %s, irq %s)\n\n"
+    Printf.bprintf b "E16 verdict: no knee within the swept range (mwait %s, irq %s)\n\n"
       (match k_mwait with Some l -> Printf.sprintf "%.2f" l | None -> ">1.2")
       (match k_irq with Some l -> Printf.sprintf "%.2f" l | None -> ">1.2"))

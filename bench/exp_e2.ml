@@ -13,7 +13,6 @@
    saturates at its hardirq's delivery cap (~0.45 pkts/kcycle), while
    NAPI keeps up but keeps the floor. *)
 
-open! Capture
 module Io_path = Sl_os.Io_path
 module Arrivals = Sl_workload.Arrivals
 module Histogram = Sl_util.Histogram
@@ -47,7 +46,7 @@ let rss_sweep () =
       (rate, [ p99 single; p99 rss; tput single; tput rss ]))
     rss_rates
 
-let run () =
+let run b =
   let sweep =
     List.map
       (fun rate ->
@@ -60,17 +59,17 @@ let run () =
   in
   let p99 (s : Io_path.stats) = float_of_int (Histogram.quantile s.Io_path.latencies 0.99) in
   let p50 (s : Io_path.stats) = float_of_int (Histogram.quantile s.Io_path.latencies 0.5) in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series ~title:"E2a: p50 latency (cycles) vs offered load"
        ~x_label:"pkts/kcycle"
        ~columns:[ "mwait"; "polling"; "interrupt"; "irq+NAPI" ]
        (List.map (fun (r, m, p, i, n) -> (r, [ p50 m; p50 p; p50 i; p50 n ])) sweep));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series ~title:"E2b: p99 latency (cycles) vs offered load"
        ~x_label:"pkts/kcycle"
        ~columns:[ "mwait"; "polling"; "interrupt"; "irq+NAPI" ]
        (List.map (fun (r, m, p, i, n) -> (r, [ p99 m; p99 p; p99 i; p99 n ])) sweep));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series ~title:"E2c: wasted-cycle fraction (%) vs offered load"
        ~x_label:"pkts/kcycle"
        ~columns:[ "mwait"; "polling"; "interrupt"; "irq+NAPI" ]
@@ -84,7 +83,7 @@ let run () =
                 100.0 *. Io_path.wasted_fraction n;
               ] ))
           sweep));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E2d: smartNIC steering (4 RX queues, 1 hw thread each) vs single thread"

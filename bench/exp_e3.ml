@@ -11,7 +11,6 @@
    mechanism tax and beats FlexSC on latency whenever the batch window
    exceeds ~100 cycles. *)
 
-open! Capture
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
@@ -63,7 +62,7 @@ let pollution_sensitivity () =
       ])
     [ 4; 16; 64; 256 ]
 
-let run () =
+let run b =
   let works = [ 0; 100; 500; 2000; 10000 ] in
   let rows =
     List.map
@@ -83,25 +82,25 @@ let run () =
         ])
       works
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:"E3: cycles per synchronous syscall (batch window 300 for FlexSC)"
        ~header:
          [ "kernel work"; "trap"; "flexsc"; "hw thread"; "tax:trap"; "tax:flexsc"; "tax:hw" ]
        rows);
-  Printf.printf
+  Printf.bprintf b
     "Mechanism tax at work=500: trap %.0f, flexsc %.0f, hw %.0f cycles\n\n"
     (measure_trap 500 -. 500.0)
     (measure_flexsc 500 -. 500.0)
     (measure_hw 500 -. 500.0);
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E3b: indirect trap cost measured on the cache/TLB model vs the flat charge"
        ~header:
          [ "working set KiB"; "warm walk"; "after trap"; "measured tax"; "flat charge" ]
        (pollution_sensitivity ()));
-  print_endline
+  Buffer.add_string b
     "The flat 300-cycle charge matches small working sets; large sets pay\n\
      more per trap (FlexSC's finding) — making the trap column in E3 a\n\
-     lower bound and the hardware-thread win conservative.\n"
+     lower bound and the hardware-thread win conservative.\n\n"

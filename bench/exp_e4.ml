@@ -13,7 +13,6 @@
    - hardware-thread syscall whose server thread is vector-capable
      (measured end to end: the extra state affects only placement). *)
 
-open! Capture
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
@@ -46,10 +45,10 @@ let measure_hw ~vector =
          let app = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
          (app, fun th -> Hw_channel.call sys ~client:th ~work ())))
 
-let run () =
+let run b =
   let sw_gp = Ctx_cost.software_switch_cycles p ~out_vector:false ~in_vector:false () in
   let sw_vec = Ctx_cost.software_switch_cycles p ~out_vector:true ~in_vector:true () in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E4a: software context-switch cost by register class"
        ~header:[ "contexts"; "state bytes"; "switch cycles" ]
        [
@@ -59,7 +58,7 @@ let run () =
   let trap_fp = measure_trap_with_fp () in
   let hw_gp = measure_hw ~vector:false in
   let hw_vec = measure_hw ~vector:true in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:"E4b: 500-cycle syscall when the KERNEL uses vector registers"
        ~header:[ "design"; "cycles/call"; "client-visible FP tax" ]
@@ -80,7 +79,7 @@ let run () =
            Tablefmt.Float (hw_vec -. hw_gp);
          ];
        ]);
-  print_endline
+  Buffer.add_string b
     "Expected: the vector-capable kernel hardware thread costs the client\n\
      nothing — its 784-byte context only occupies more register-file space —\n\
-     while the trap design pays the xsave tax on every call.\n"
+     while the trap design pays the xsave tax on every call.\n\n"

@@ -11,7 +11,6 @@
    row chains TWO hops (app → proxy → service), where the scheduler-based
    design pays the tax twice. *)
 
-open! Capture
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
@@ -94,7 +93,7 @@ let measure_proxy_chain_sw work =
         Sl_engine.Ivar.read reply;
         Swsched.exec client ~kind:Smt_core.Overhead p.Params.trap_exit_cycles)
 
-let run () =
+let run b =
   let works = [ 100; 500; 2000 ] in
   let rows =
     List.map
@@ -107,12 +106,12 @@ let run () =
         ])
       works
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E5a: service round trip (cycles) by IPC design"
        ~header:[ "service work"; "monolithic"; "microkernel sw IPC"; "hw-thread IPC" ]
        rows);
   let work = 500 in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:"E5b: container proxy chain (app -> proxy(200) -> service(500))"
        ~header:[ "design"; "cycles/request" ]

@@ -14,7 +14,6 @@
    cost while holding zero privilege; SplitX approaches raw work latency
    but pays a polling core for it. *)
 
-open! Capture
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Ptid = Switchless.Ptid
@@ -50,7 +49,7 @@ let measure_remote () =
       let remote = Hypervisor.Remote.create chip ~core:1 ~hyp_ptid:200 () in
       (user_guest chip, fun th -> Hypervisor.Remote.vmexit remote ~guest:th ~handle_work))
 
-let run () =
+let run b =
   let ik = measure_inkernel () in
   let iso, iso_poll = measure_isolated () in
   let rem, rem_poll = measure_remote () in
@@ -63,7 +62,7 @@ let run () =
       Tablefmt.String privileged;
     ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E6: VM-exit cost (300-cycle handler)"
        ~header:[ "design"; "cycles/exit"; "mechanism tax"; "poll kcycles"; "privilege" ]
        [
@@ -71,4 +70,4 @@ let run () =
          row "isolated hw thread" iso iso_poll "none (user)";
          row "SplitX remote core" rem rem_poll "none, +1 core";
        ]);
-  Printf.printf "isolated vs in-kernel: %.1fx cheaper, with zero privilege\n\n" (ik /. iso)
+  Printf.bprintf b "isolated vs in-kernel: %.1fx cheaper, with zero privilege\n\n" (ik /. iso)

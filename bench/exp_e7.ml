@@ -16,7 +16,6 @@
    with load while PS stays flat — short requests no longer wait behind
    long ones. *)
 
-open! Capture
 module Server = Sl_dist.Server
 module Params = Switchless.Params
 module Tablefmt = Sl_util.Tablefmt
@@ -47,16 +46,16 @@ let sweep ~service =
       (rate, [ p99 fcfs; p99 rr; p99 hw ]))
     rates
 
-let run () =
+let run b =
   let low_disp = Sl_util.Dist.Exponential mean_service in
   let high_disp = Sl_util.Dist.bimodal_with_cv2 ~mean:mean_service ~cv2:16.0 ~p_long:0.02 in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E7a: p99 slowdown vs load, CV^2 = 1 (exponential service)"
        ~x_label:"req/kcycle"
        ~columns:[ "sw FCFS"; "sw RR 5k"; "hw PS" ]
        (sweep ~service:low_disp));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E7b: p99 slowdown vs load, CV^2 = 16 (bimodal service)"
        ~x_label:"req/kcycle"
@@ -77,7 +76,7 @@ let run () =
         (cv2, [ p99 fcfs; p99 hw ]))
       [ 1.0; 4.0; 16.0; 25.0 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E7c: p99 slowdown vs service-time CV^2 (load 0.8 req/kcycle)"
        ~x_label:"CV^2"
@@ -87,7 +86,7 @@ let run () =
   let c = cfg ~rate:1.2 ~service:high_disp in
   let fcfs = Server.run_software c in
   let rr = Server.run_software ~quantum:5000 c in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E7d: software switch overhead at req/kcycle = 1.2, CV^2 = 16"
        ~header:[ "design"; "switch Mcycles"; "per request" ]
        [

@@ -18,7 +18,6 @@
    pinned thread stays at 26 cycles regardless of N; prefetched wakes
    return to RF cost. *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -31,7 +30,7 @@ module Tablefmt = Sl_util.Tablefmt
 
 let p = Params.default
 
-let capacity_table () =
+let capacity_table b =
   let tiers =
     [
       ("register file", p.Params.rf_capacity_bytes);
@@ -50,11 +49,11 @@ let capacity_table () =
         ])
       tiers
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E8a: context capacity per storage tier"
        ~header:[ "tier"; "KiB"; "272 B contexts"; "784 B contexts" ]
        rows);
-  Printf.printf
+  Printf.bprintf b
     "paper checks: 64 KiB RF holds %d full-vector contexts (paper: 83) and %d GP\n\
      contexts (paper: up to 224-240); 100 cores x 64 KiB = %.1f MB (paper: 6.4 MB)\n\n"
     (p.Params.rf_capacity_bytes / p.Params.regstate_bytes_full)
@@ -109,7 +108,7 @@ let wake_latency_for_tier tier =
   Sim.run sim;
   !woke_at - 20_000
 
-let latency_ladder () =
+let latency_ladder b =
   let rows =
     List.map
       (fun tier ->
@@ -119,7 +118,7 @@ let latency_ladder () =
         ])
       [ State_store.Register_file; State_store.L2; State_store.L3; State_store.Dram ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"E8b: measured mwait-wake latency by resident tier (cycles)"
        ~header:[ "state resides in"; "wake latency" ]
        rows)
@@ -172,7 +171,7 @@ let wake_sweep ~pin_first ~prefetch n =
   Sim.run ~until:(max 1000 (20 * n) + (rounds * n * 400) + 1000) sim;
   (Histogram.mean lat, Histogram.max_value lat, Histogram.mean first_lat)
 
-let thread_count_sweep () =
+let thread_count_sweep b =
   let counts = [ 16; 64; 240; 500; 1000; 2000 ] in
   let rows =
     List.map
@@ -184,14 +183,14 @@ let thread_count_sweep () =
           [ mean; float_of_int max_v; pinned; pf_mean ] ))
       counts
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E8c: wake latency vs threads/core (round-robin wakes, cycles)"
        ~x_label:"threads"
        ~columns:[ "mean"; "max"; "pinned thread"; "with prefetch" ]
        rows)
 
-let run () =
-  capacity_table ();
-  latency_ladder ();
-  thread_count_sweep ()
+let run b =
+  capacity_table b;
+  latency_ladder b;
+  thread_count_sweep b

@@ -11,7 +11,6 @@
    sufficiently high, we can avoid [per-thread multi-address polling]"
    within the limits of practical hardware. *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -49,7 +48,7 @@ let wake_latency_with_armed armed =
   Sim.run sim;
   !woke - 1000
 
-let run () =
+let run b =
   let counts = [ 16; 128; 512; 1024; 1536; 2048; 4096 ] in
   let rows =
     List.map
@@ -63,12 +62,12 @@ let run () =
           ] ))
       counts
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E9: mwait wake latency vs armed addresses per core (table capacity 1024)"
        ~x_label:"armed" ~columns:[ "wake latency (cyc)"; "overflow scan (cyc)" ]
        rows);
-  print_endline
+  Buffer.add_string b
     "Expected: flat at ~26 cycles through the fast-table capacity, then a\n\
-     linear overflow penalty — hundreds of armed monitors per core are free.\n"
+     linear overflow penalty — hundreds of armed monitors per core are free.\n\n"

@@ -29,7 +29,6 @@
    paying only the thundering herd (wakes/handoff ≈ contenders) which
    mcs.mwait removes with one targeted wake per handoff. *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Params = Switchless.Params
 module Chip = Switchless.Chip
@@ -80,7 +79,7 @@ let total_for n = match n with 1 -> 400 | 16 -> 600 | 64 -> 800 | 250 -> 600 | _
 
 let sweep_cs = 600
 
-let contender_sweep () =
+let contender_sweep b =
   let outcomes =
     List.map
       (fun n ->
@@ -99,7 +98,7 @@ let contender_sweep () =
         (float_of_int n, List.map (fun (_, o) -> metric o) per_kind))
       outcomes
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          (Printf.sprintf
@@ -108,19 +107,19 @@ let contender_sweep () =
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series (fun o -> Histogram.mean o.Contention.stats.Lock.handoff)));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E-LOCK a2: throughput (cycles per critical section, lower is better)"
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series cycles_per_cs));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E-LOCK a3: spin waste (poll fraction of executed cycles)"
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series poll_fraction));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E-LOCK a4: fairness (max-min acquire spread over contenders)"
        ~x_label:"contenders"
@@ -129,13 +128,13 @@ let contender_sweep () =
             let st = o.Contention.stats in
             if st.Lock.acquires = 0 then 0.0
             else float_of_int (st.Lock.max_count - st.Lock.min_count))));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E-LOCK a5: FIFO distance (mean |grant rank - join rank|)"
        ~x_label:"contenders"
        ~columns:(List.map kind_col kinds)
        (series (fun o -> o.Contention.stats.Lock.fifo_distance_mean)));
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:"E-LOCK a6: wakes per contended handoff (the parking herd)"
        ~x_label:"contenders"
@@ -148,7 +147,7 @@ let contender_sweep () =
 
 (* --- (b) critical-section sweep: the spin-vs-park crossover --- *)
 
-let cs_sweep () =
+let cs_sweep b =
   let lengths = [ 100; 600; 3000; 10_000 ] in
   let rows =
     List.map
@@ -161,7 +160,7 @@ let cs_sweep () =
             kinds ))
       lengths
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render_series
        ~title:
          "E-LOCK b: critical-section sweep at 64 contenders (cycles per critical \
@@ -172,7 +171,7 @@ let cs_sweep () =
 
 (* --- (c) placement --- *)
 
-let placement_compare () =
+let placement_compare b =
   let rows =
     List.map
       (fun kind ->
@@ -188,7 +187,7 @@ let placement_compare () =
         ])
       kinds
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          "E-LOCK c: hot (one core) vs round-robin placement, 64 contenders, cs=600"
@@ -198,7 +197,7 @@ let placement_compare () =
 
 (* --- (d) shared counter + producer-consumer --- *)
 
-let counter_scenario () =
+let counter_scenario b =
   let threads = 32 and per_thread = 40 in
   let rows =
     List.map
@@ -219,7 +218,7 @@ let counter_scenario () =
         ])
       kinds
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:
          (Printf.sprintf
@@ -228,7 +227,7 @@ let counter_scenario () =
        ~header:[ "lock"; "counter"; "conserved"; "elapsed"; "handoff"; "spread" ]
        rows)
 
-let producer_consumer () =
+let producer_consumer b =
   let producers = 4 and consumers = 4 and items = 100 and capacity = 16 in
   let sim = Sim.create () in
   let chip = Chip.create sim params ~cores in
@@ -260,7 +259,7 @@ let producer_consumer () =
   let total = producers * items in
   let expected_sum = total * (total + 1) / 2 in
   let st = Lock.stats (Bqueue.lock q) in
-  Printf.printf
+  Printf.bprintf b
     "E-LOCK d2: producer-consumer on park.mwait lock + condvars: %d produced, %d \
      consumed, %d in queue (conservation %s), payload sum %Ld (%s), %d cycles, \
      lock handoff mean %.0f\n\n"
@@ -280,12 +279,12 @@ let producer_consumer () =
    simulated events, so the allocation delta isolates the lock layer's
    own per-acquire allocation — which must be zero in steady state (the
    fast path is [@@sl.zero_alloc]-checked; see lib/staticcheck). *)
-let alloc_audit () =
+let alloc_audit b =
   let rounds = 2000 in
   (* The measured window starts after a warmup pair, inside the thread
      body, so chip/lock construction and slot registration stay out of
      the numbers; only the steady-state loop (including the engine
-     events it schedules) is counted, by [Sl_util.Alloc_meter].
+     events it schedules) is counted, in minor words.
      [Gc.minor] empties the minor heap right before the window opens, so
      that no window depends on the GC phase the surrounding tables left
      behind: the window allocates a few thousand words, far below the
@@ -300,11 +299,11 @@ let alloc_audit () =
     Chip.attach th (fun t ->
         step t;
         Gc.minor ();
-        let a0 = Sl_util.Alloc_meter.words () in
+        let w0 = Gc.minor_words () in
         for _ = 1 to rounds do
           step t
         done;
-        words := Sl_util.Alloc_meter.words () -. a0);
+        words := Gc.minor_words () -. w0);
     Chip.boot th;
     Sim.run sim;
     !words
@@ -327,10 +326,10 @@ let alloc_audit () =
      allocation shows in every window: each side reports the least of
      three measured windows. *)
   let least_of_three run =
-    let a = run () in
-    let b = run () in
-    let c = run () in
-    Float.min a (Float.min b c)
+    let w1 = run () in
+    let w2 = run () in
+    let w3 = run () in
+    Float.min w1 (Float.min w2 w3)
   in
   (* Interleave a throwaway pass first so both measured passes run with
      equally warm code paths. *)
@@ -339,7 +338,7 @@ let alloc_audit () =
   let lock_words = least_of_three lock_run in
   let base_words = least_of_three baseline_run in
   let delta = (lock_words -. base_words) /. float_of_int rounds in
-  Printf.printf
+  Printf.bprintf b
     "E-LOCK e: lock-layer allocation %+.3f words/acquire over %d uncontended \
      acquire/release pairs vs bare-atomics baseline (fast path \
      [@@sl.zero_alloc]-checked): %s\n\n"
@@ -348,7 +347,7 @@ let alloc_audit () =
 
 (* --- acceptance summary --- *)
 
-let acceptance outcomes =
+let acceptance b outcomes =
   (* mwait parking within 2x of MCS spin handoff at low contention, and
      FIFO locks within the FIFO model's fairness bound (spread <= 1 plus
      the uniform exit acquire), for every measured contender count. *)
@@ -364,7 +363,7 @@ let acceptance outcomes =
         in
         let ticket_spread = spread Lock.Ticket in
         let mcs_spread = spread Lock.Mcs_spin in
-        Printf.printf
+        Printf.bprintf b
           "E-LOCK accept @%4d contenders: park.mwait handoff %.0f vs mcs.spin %.0f \
            (%.2fx, %s); spread ticket=%d mcs=%d (FIFO bound 1: %s)\n"
           n park mcs
@@ -375,13 +374,13 @@ let acceptance outcomes =
           (if ticket_spread <= 1 && mcs_spread <= 1 then "ok" else "EXCEEDED")
       end)
     outcomes;
-  print_newline ()
+  Buffer.add_char b '\n'
 
-let run () =
-  let outcomes = contender_sweep () in
-  cs_sweep ();
-  placement_compare ();
-  counter_scenario ();
-  producer_consumer ();
-  alloc_audit ();
-  acceptance outcomes
+let run b =
+  let outcomes = contender_sweep b in
+  cs_sweep b;
+  placement_compare b;
+  counter_scenario b;
+  producer_consumer b;
+  alloc_audit b;
+  acceptance b outcomes

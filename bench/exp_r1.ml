@@ -15,7 +15,6 @@
    smoke-test alias in the root dune file uses to pin one fixed fault
    schedule. *)
 
-open! Capture
 module Fault = Sl_fault.Fault
 module Scenario = Sl_explore.Scenario
 
@@ -81,7 +80,7 @@ let rows =
 let pairs l = String.concat "," (List.map (fun (k, n) -> Printf.sprintf "%S:%d" k n) l)
 
 (* Replay [r] twice, check what the row promises, print one JSON line. *)
-let replay r =
+let replay b r =
   let fail msg = failwith (Printf.sprintf "r1/%s: %s" r.name msg) in
   let sc =
     match Scenario.find r.scenario with
@@ -92,7 +91,9 @@ let replay r =
   if sc.Scenario.run r.plan <> o then
     fail "replay diverged: same plan, different outcome";
   if not o.Scenario.pass then begin
-    List.iter (Format.printf "%a@." Sl_analysis.Report.pp) o.Scenario.findings;
+    List.iter
+      (Format.kasprintf (Buffer.add_string b) "%a@." Sl_analysis.Report.pp)
+      o.Scenario.findings;
     fail o.Scenario.reason
   end;
   let must_fire what fired =
@@ -102,15 +103,15 @@ let replay r =
   in
   must_fire "fault class" o.Scenario.injected r.faults;
   must_fire "recovery site" o.Scenario.recovery r.sites;
-  Printf.printf
+  Printf.bprintf b
     "{\"scenario\":%S,\"spec\":%S,\"replay\":\"identical\",\"injected\":{%s},\"recovery\":{%s},%s}\n"
     r.name
     (Sl_util.Json.escape (Fault.to_spec r.plan))
     (pairs o.Scenario.injected) (pairs o.Scenario.recovery)
     (pairs o.Scenario.summary)
 
-let run () =
-  List.iter replay
+let run b =
+  List.iter (replay b)
     (match Sys.getenv_opt "SWITCHLESS_FAULTS" with
     | Some spec ->
       [ row "env-chaos" "io.watchdog.r1" spec; row "env-closedloop" "pool.closed.r1" spec ]
@@ -118,5 +119,5 @@ let run () =
   (* Scenario recovery counts were reported per row above; leave the
      harness-level trailer (bench/main.ml) empty for r1. *)
   Sl_util.Recovery.reset ();
-  Printf.printf
+  Printf.bprintf b
     "r1: all scenarios survived: no findings, no deadlocks, no lost requests, replays identical\n\n"

@@ -3,7 +3,6 @@
    entry we attempt start / stop / rpush-gp / rpush-rip through the real
    ISA and report what the hardware allowed. *)
 
-open! Capture
 module Sim = Sl_engine.Sim
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
@@ -62,7 +61,7 @@ let attempt op vtid =
   Sim.run ~until:100_000 sim;
   if !faulted then "fault" else "ok"
 
-let run () =
+let run b =
   let t = table_one () in
   let rows =
     List.map
@@ -76,7 +75,7 @@ let run () =
         ])
       (Tdt.entries t)
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render ~title:"T1: Thread Descriptor Table (paper Table 1)"
        ~header:[ "vtid"; "ptid"; "permissions"; "" ]
        rows);
@@ -92,12 +91,12 @@ let run () =
         ])
       [ 0x0; 0x1; 0x2; 0x3 ]
   in
-  Tablefmt.print
+  Printf.bprintf b "%s\n"
     (Tablefmt.render
        ~title:"T1 check: what the caller may actually do (start-stop-some-most)"
        ~header:[ "vtid"; "start"; "stop"; "rpush gp"; "rpush rip" ]
        check_rows);
-  print_endline
+  Buffer.add_string b
     "Expected: vtid 0 start-only; vtid 1 nothing (invalid); vtid 2 all four;\n\
      vtid 3 all but rpush-rip (targets are disabled, so rpush of a gp reg\n\
-     succeeds where the bit allows)."
+     succeeds where the bit allows).\n"

@@ -10,14 +10,12 @@
      dune exec bench/main.exe -- -j auto         # one domain per core
      dune exec bench/main.exe -- -perf-out run.perf.json
 
-   With [-j N] experiments run on N worker domains.  Each experiment's
-   stdout is captured into a per-domain buffer (Sl_util.Sink) and
-   replayed in the canonical sequential order, so stdout is
-   byte-identical at every -j level; only the [id done in Xs] timing
-   lines differ, and those go to stderr.  [-j 1] (the default) spawns no
-   domains at all and runs everything in this one. *)
-
-module Sink = Sl_util.Sink
+   With [-j N] experiments run on N worker domains.  Each experiment
+   prints into the buffer its job hands it, and the buffers are printed
+   in the canonical sequential order, so stdout is byte-identical at
+   every -j level; only the [id done in Xs] timing lines differ, and
+   those go to stderr.  [-j 1] (the default) spawns no domains at all
+   and runs everything in this one. *)
 
 let experiments =
   [
@@ -70,11 +68,11 @@ let fault_plan =
    [suspects] is the subset that looks like a genuine deadlock.  Counts
    only, so the trailer stays one short line however many threads an
    experiment parks. *)
-let report_abandoned id sims =
+let report_abandoned b id sims =
   let total f = List.fold_left (fun acc s -> acc + List.length (f s)) 0 sims in
   let stuck_total = total Sl_engine.Sim.stuck in
   if stuck_total > 0 then
-    Sink.printf "{\"experiment\":%S,\"stuck\":%d,\"suspects\":%d}\n" id
+    Printf.bprintf b "{\"experiment\":%S,\"stuck\":%d,\"suspects\":%d}\n" id
       stuck_total (total Sl_engine.Sim.suspects)
 
 (* Per-site recovery counters (Sl_util.Recovery) accumulated during the
@@ -83,18 +81,19 @@ let report_abandoned id sims =
    trailer is a pure function of this experiment's run — and empty (no
    line at all) when nothing had to recover, which keeps the fault-free
    stdout unchanged. *)
-let report_recovery id =
+let report_recovery b id =
   match Sl_util.Recovery.snapshot () with
   | [] -> ()
   | sites ->
-    Sink.printf "{\"experiment\":%S,\"recovery\":{%s}}\n" id
+    Printf.bprintf b "{\"experiment\":%S,\"recovery\":{%s}}\n" id
       (String.concat ","
          (List.map (fun (k, n) -> Printf.sprintf "%S:%d" k n) sites))
 
 (* Everything the scheduler needs back from one experiment, wherever it
-   ran.  [output] is the complete captured stdout; [failure] carries an
-   escaped exception so it re-raises at the experiment's canonical
-   position in the output order, after its partial output is printed. *)
+   ran.  [output] is everything the experiment printed into its buffer;
+   [failure] carries an escaped exception so it re-raises at the
+   experiment's canonical position in the output order, after its
+   partial output is printed. *)
 type job_result = {
   perf : Perf.record;
   output : string;
@@ -102,34 +101,36 @@ type job_result = {
   failure : (exn * Printexc.raw_backtrace) option;
 }
 
-let run_job (id, title, f) =
+let run_job (id, title, run) =
+  let b = Buffer.create 4096 in
   let sanitizer_failed = ref false in
   let sims = ref [] in
   let body () =
     Sl_util.Recovery.reset ();
-    Sink.printf "---------------------------------------------------------------\n";
-    Sink.printf "%s — %s\n" (String.uppercase_ascii id) title;
-    Sink.printf "---------------------------------------------------------------\n";
+    Printf.bprintf b "---------------------------------------------------------------\n";
+    Printf.bprintf b "%s — %s\n" (String.uppercase_ascii id) title;
+    Printf.bprintf b "---------------------------------------------------------------\n";
     (* The machine-readable header records everything needed to replay this
        run: sanitizer state and the canonical fault spec, seed included. *)
-    Sink.printf "{\"experiment\":%S,\"sanitize\":%b,\"faults\":%s}\n" id sanitize
+    Printf.bprintf b "{\"experiment\":%S,\"sanitize\":%b,\"faults\":%s}\n" id sanitize
       (match fault_plan with
       | None -> "null"
       | Some plan -> Printf.sprintf "%S" (Sl_fault.Fault.to_spec plan));
     (* r1 manages its own sanitizers and fault plans (each scenario gets a
        dedicated injector and asserts on the findings itself). *)
     let self_managed = id = "r1" in
+    let f () = run b in
     let f =
       if not (sanitize && not self_managed) then f
       else fun () ->
         let (), findings = Sl_analysis.Analysis.with_all f in
-        Sink.printf "[%s sanitizers: %s]\n" id
+        Printf.bprintf b "[%s sanitizers: %s]\n" id
           (Sl_analysis.Report.summary findings);
         if findings <> [] then begin
           sanitizer_failed := true;
           List.iter
             (fun fg ->
-              Format.kasprintf Sink.emit "%a@." Sl_analysis.Report.pp fg)
+              Format.kasprintf (Buffer.add_string b) "%a@." Sl_analysis.Report.pp fg)
             findings
         end
     in
@@ -139,31 +140,28 @@ let run_job (id, title, f) =
         fun () -> Sl_fault.Fault.with_ambient (Sl_fault.Fault.create plan) f
       | _ -> f
     in
-    Sl_engine.Sim.set_creation_hook (fun s -> sims := s :: !sims);
-    Fun.protect ~finally:Sl_engine.Sim.clear_creation_hook f;
-    report_abandoned id (List.rev !sims);
-    report_recovery id
+    Sl_engine.Sim.observing ~key:"bench"
+      (function Sl_engine.Sim.World s -> sims := s :: !sims | _ -> ())
+      f;
+    report_abandoned b id (List.rev !sims);
+    report_recovery b id
   in
   (* Each experiment starts from a compacted heap, so its wall time and
      collections do not carry major work left by the experiments before
      it.  Outside the timed window; it moves no minor word. *)
   Gc.full_major ();
-  let alloc0 = Sl_util.Alloc_meter.words () in
   let gc0 = Gc.quick_stat () in
-  (* Minor words repeat exactly for a fixed -j 1 invocation; the meter's
-     major part does not (see Sl_util.Alloc_meter). *)
+  (* Minor words repeat exactly for a fixed -j 1 invocation. *)
   let minor0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let failure, output =
-    Sink.with_buffer (fun () ->
-        match body () with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+  let failure =
+    match body () with
+    | () -> None
+    | exception e -> Some (e, Printexc.get_raw_backtrace ())
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let minor_words = int_of_float (Gc.minor_words () -. minor0) in
   let gc1 = Gc.quick_stat () in
-  let alloc_words = Sl_util.Alloc_meter.words () -. alloc0 in
   let events =
     List.fold_left (fun acc s -> acc + Sl_engine.Sim.events_processed s) 0 !sims
   in
@@ -174,11 +172,10 @@ let run_job (id, title, f) =
         wall_s;
         events;
         minor_words;
-        alloc_words;
         minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
         major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
       };
-    output;
+    output = Buffer.contents b;
     sanitizer_failed = !sanitizer_failed;
     failure;
   }

@@ -3,7 +3,6 @@
    One Test.make per table/figure, so regressions in simulator speed are
    visible alongside the simulated results. *)
 
-open! Capture
 open Bechamel
 open Toolkit
 
@@ -42,7 +41,7 @@ let p = Params.default
 let scaling_counts = [ 64; 512; 2000 ]
 let scaling_wakes = 6_000  (* total wakes timed, whatever N *)
 
-let time_wakes ~pattern n =
+let time_wakes b ~pattern n =
   let sim = Sim.create () in
   let params = { p with Params.monitor_capacity_per_core = 1_000_000 } in
   let chip = Chip.create sim params ~cores:1 in
@@ -71,24 +70,24 @@ let time_wakes ~pattern n =
   (* Drain the boot storm outside the timed window. *)
   Sim.run ~until:boot_horizon sim;
   let ev0 = Sim.events_processed sim in
-  let w0 = Sl_util.Alloc_meter.words () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Sim.run ~until:(boot_horizon + (scaling_wakes * gap) + 1000) sim;
   let t1 = Unix.gettimeofday () in
   let events = Sim.events_processed sim - ev0 in
-  let words = Sl_util.Alloc_meter.words () -. w0 in
-  Printf.printf "  [diag n=%d] events/wake %.2f  words/wake %.1f\n%!" n
+  let words = Gc.minor_words () -. w0 in
+  Printf.bprintf b "  [diag n=%d] events/wake %.2f  words/wake %.1f\n%!" n
     (float_of_int events /. float_of_int scaling_wakes)
     (words /. float_of_int scaling_wakes);
   let ns_per_wake = (t1 -. t0) *. 1e9 /. float_of_int scaling_wakes in
   (ns_per_wake, events)
 
-let scaling_rows () =
+let scaling_rows b =
   List.concat_map
     (fun n ->
       List.map
         (fun (tag, pattern) ->
-          let ns, _events = time_wakes ~pattern n in
+          let ns, _events = time_wakes b ~pattern n in
           (Printf.sprintf "scaling:wake %s n=%d" tag n, ns))
         [ ("hot", `Hot); ("rr", `Round_robin) ])
     scaling_counts
@@ -386,8 +385,8 @@ let write_json ~path rows =
            ]);
       output_char oc '\n')
 
-let run () =
-  print_endline "== Microbenchmarks (bechamel; wall-clock per simulated kernel) ==";
+let run b =
+  Buffer.add_string b "== Microbenchmarks (bechamel; wall-clock per simulated kernel) ==\n";
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] all_tests in
   let ols =
@@ -405,9 +404,9 @@ let run () =
       rows := (name, ns) :: !rows)
     results;
   let rows = List.sort compare !rows in
-  let rows = rows @ scaling_rows () @ lock_scaling_rows () in
+  let rows = rows @ scaling_rows b @ lock_scaling_rows () in
   List.iter
-    (fun (name, ns) -> Printf.printf "  %-45s %12.0f ns/run\n" name ns)
+    (fun (name, ns) -> Printf.bprintf b "  %-45s %12.0f ns/run\n" name ns)
     rows;
   (match !json_out with None -> () | Some path -> write_json ~path rows);
-  print_newline ()
+  Buffer.add_char b '\n'

@@ -3,8 +3,8 @@
 
    One record per experiment run: wall-clock seconds, simulation events
    executed (summed over every Sim world the experiment built), minor
-   words allocated, words allocated ([Sl_util.Alloc_meter]) and GC
-   pressure (minor/major collections during the run).  The harness
+   words allocated and GC pressure (minor/major collections during the
+   run).  The harness
    writes them as a JSON file (via -perf-out), with the process's peak
    heap after the whole run, for scripts/ab.py and the counts golden in
    test/golden. *)
@@ -16,7 +16,6 @@ type record = {
   wall_s : float;
   events : int;
   minor_words : int;
-  alloc_words : float;
   minor_collections : int;
   major_collections : int;
 }
@@ -28,7 +27,6 @@ let record_json r =
       ("wall_s", Json.float r.wall_s);
       ("events", string_of_int r.events);
       ("minor_words", string_of_int r.minor_words);
-      ("alloc_words", Json.float r.alloc_words);
       ("minor_collections", string_of_int r.minor_collections);
       ("major_collections", string_of_int r.major_collections);
     ]
@@ -36,7 +34,7 @@ let record_json r =
 let suite_json ~jobs ~total_wall_s ~top_heap_words records =
   Json.obj
     [
-      ("schema", Json.quote "switchless-bench-perf/3");
+      ("schema", Json.quote "switchless-bench-perf/4");
       ("jobs", string_of_int jobs);
       ("domains_available", string_of_int (Domain.recommended_domain_count ()));
       ("total_wall_s", Json.float total_wall_s);

@@ -60,7 +60,7 @@ let params_cmd =
         ("vmexit entry+exit (cyc)", float_of_int (p.Params.vmexit_entry_cycles + p.Params.vmexit_exit_cycles));
       ]
     in
-    Tablefmt.print
+    print_endline
       (Tablefmt.render ~title:"cost model (see DESIGN.md for sources)"
          ~header:[ "parameter"; "value" ]
          (List.map (fun (k, v) -> [ Tablefmt.String k; Tablefmt.Float v ]) rows))

@@ -97,7 +97,7 @@ let () =
           Tablefmt.Float (per_tenant_cycles.(t) /. 1000.0);
         ])
   in
-  Tablefmt.print
+  print_endline
     (Tablefmt.render ~title:"per-tenant service and bill"
        ~header:[ "tenant"; "requests"; "p50 (cyc)"; "p99 (cyc)"; "billed kcycles" ]
        rows);

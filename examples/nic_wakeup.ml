@@ -40,7 +40,7 @@ let () =
         ])
       designs
   in
-  Tablefmt.print
+  print_endline
     (Tablefmt.render
        ~title:"NIC RX path at ~20% load, 500-cycle packets, with background job"
        ~header:

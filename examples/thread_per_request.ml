@@ -72,7 +72,7 @@ let tail_latency () =
       Tablefmt.Float (s.Server.switch_overhead_cycles /. 1.0e6);
     ]
   in
-  Tablefmt.print
+  print_endline
     (Tablefmt.render ~title:"thread-per-request server"
        ~header:[ "design"; "done"; "p50 slowdown"; "p99 slowdown"; "switch Mcyc" ]
        [

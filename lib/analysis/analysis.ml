@@ -119,28 +119,11 @@ let finish t =
   end;
   findings t
 
-(** {2 Fleet enablement via the chip creation hook} *)
-
-type collector = { mutable active : t list }
-
-let hook_key = "analysis"
-
-let enable_all () =
-  let c = { active = [] } in
-  Chip.add_creation_hook ~key:hook_key (fun chip -> c.active <- enable chip :: c.active);
-  c
-
-let disable_all () = Chip.remove_creation_hook ~key:hook_key
-
-let harvest c = List.concat_map finish (List.rev c.active)
-
 let with_all f =
-  let c = enable_all () in
+  let active = ref [] in
   let result =
-    try f ()
-    with e ->
-      disable_all ();
-      raise e
+    Sim.observing ~key:"analysis"
+      (function Chip.Chip chip -> active := enable chip :: !active | _ -> ())
+      f
   in
-  disable_all ();
-  (result, harvest c)
+  (result, List.concat_map finish (List.rev !active))

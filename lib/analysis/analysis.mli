@@ -12,9 +12,9 @@
 
     Two ways to attach:
     - {!enable} on a chip you hold;
-    - {!with_all}, which installs the global {!Switchless.Chip}
-      creation hook for the duration of a call, so chips built deep
-      inside experiment runners are instrumented too. *)
+    - {!with_all}, which observes chip creation (see [Sim.observe]) for
+      the duration of a call, so chips built deep inside experiment
+      runners are instrumented too. *)
 
 open Switchless
 
@@ -46,7 +46,8 @@ val dropped : t -> int
 (** {2 Instrumenting chips created elsewhere} *)
 
 val with_all : (unit -> 'a) -> 'a * Report.finding list
-(** [with_all f] instruments every chip created while [f] runs (via the
-    global creation hook, removed afterwards, also on exception), then
-    {!finish}es each of them; findings in chip creation order.  Calls do
-    not nest. *)
+(** [with_all f] instruments every chip created while [f] runs (through
+    an observer under the key ["analysis"], removed afterwards, also on
+    exception), then {!finish}es each of them; findings in chip creation
+    order.  A nested call instruments the chips created during it, and
+    the enclosing call's observer comes back when it returns. *)

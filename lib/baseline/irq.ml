@@ -14,14 +14,7 @@ type t = {
   mutable dropped_ipis : int;
 }
 
-(* Lets the fault injector attach to every IRQ fabric built inside
-   experiment runners, mirroring [Chip.add_creation_hook].  Domain-local,
-   like all ambient creation hooks. *)
-let creation_hook : (t -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
-let clear_creation_hook () = Domain.DLS.set creation_hook None
+type Sim.component += Irq of t
 
 (* The IRQ context's ptid on each core; chosen outside Swsched's range. *)
 let irq_ptid core_id = (core_id * 1024) + 999
@@ -62,7 +55,7 @@ let create sim params ~cores =
           in
           serve ()))
     cores;
-  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
+  Sim.announce (Irq t);
   t
 
 let set_ipi_drop_fault t f = t.ipi_drop <- Some f

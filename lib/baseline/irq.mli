@@ -36,7 +36,5 @@ val set_ipi_drop_fault : t -> (unit -> bool) -> unit
 
 val dropped_ipi_count : t -> int
 
-val set_creation_hook : (t -> unit) -> unit
-(** Global hook invoked on every {!create} (see [Chip.add_creation_hook]). *)
-
-val clear_creation_hook : unit -> unit
+type Sl_engine.Sim.component += Irq of t
+(** Announced at the end of every {!create} (see [Sim.observe]). *)

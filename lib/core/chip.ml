@@ -125,23 +125,11 @@ and thread = {
    stream; caught in [run_body], never escapes the chip. *)
 exception Crash_stop
 
-(* Consulted at the end of [create]: lets observer libraries (analysis,
-   fault injection) attach themselves to every chip built anywhere —
-   including deep inside experiment runners — without the core depending
-   on them.  Keyed so several observers can coexist; domain-local so
-   observers installed by one parallel experiment runner never attach to
-   chips built by another. *)
-let creation_hooks : (string * (t -> unit)) list Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> [])
+type Sim.component += Chip of t
 
-let add_creation_hook ~key f =
-  Domain.DLS.set creation_hooks
-    (List.filter (fun (k, _) -> k <> key) (Domain.DLS.get creation_hooks)
-    @ [ (key, f) ])
-
-let remove_creation_hook ~key =
-  Domain.DLS.set creation_hooks
-    (List.filter (fun (k, _) -> k <> key) (Domain.DLS.get creation_hooks))
+(* Kept for perfbench/obs.ml until it observes [Chip] itself. *)
+let add_creation_hook ~key f = Sim.observe ~key (function Chip t -> f t | _ -> ())
+let remove_creation_hook ~key = Sim.unobserve ~key
 
 let create sim params ~cores =
   if cores <= 0 then invalid_arg "Chip.create: need at least one core";
@@ -216,7 +204,7 @@ let create sim params ~cores =
 
 let create sim params ~cores =
   let t = create sim params ~cores in
-  List.iter (fun (_, f) -> f t) (Domain.DLS.get creation_hooks);
+  Sim.announce (Chip t);
   t
 
 let set_probe t f =
@@ -731,14 +719,34 @@ let raise_exception th kind ~info =
    Each is written once over a target resolver, [translate] (a vtid
    through the caller's TDT) or [translate_keyed] (a raw ptid plus the
    target's secret key).  The resolver charges its lookup after the
-   instruction's issue cost and returns the target with the caller's
-   permissions on it, or faults the caller; the operand (vtid or target
-   ptid) is the [info] of every fault the instruction raises. *)
+   instruction's issue cost and returns the target, once the caller
+   holds one of the Table 1 permission bits in [need] on it ([0] needs
+   none); otherwise it faults the caller and raises [No_target].  The
+   operand (vtid or target ptid) is the [info] of every fault the
+   instruction raises.  Nothing here allocates on the way to a target. *)
 
-let translate th vtid =
+exception No_target
+
+(* [need] masks over the bits of [Tdt.perms_of_bits]: start, stop,
+   either modify bit, and modify-most alone. *)
+let need_start = 0b1000
+let need_stop = 0b0100
+let need_modify_any = 0b0011
+let need_modify_most = 0b0001
+
+let fault th kind operand =
+  raise_exception th kind ~info:(Int64.of_int operand);
+  raise No_target
+
+let target_of th ptid operand =
+  match Hashtbl.find th.chip.tids ptid with
+  | target -> target
+  | exception Not_found -> fault th Exception_desc.Invalid_thread_access operand
+
+let translate ~need th vtid =
   let chip = th.chip in
   match th.tdt with
-  | Some table -> (
+  | Some table ->
     let r = Tdt.Cache.lookup_packed (own_core th).cache table ~vtid in
     let e = r asr 1 in
     let hit = r land 1 = 1 in
@@ -762,53 +770,32 @@ let translate th vtid =
       else chip.params.Params.tdt_miss_cycles
     in
     exec th ~kind:Smt_core.Overhead cost;
-    if e >= 0 then begin
-      match handle_of chip (e lsr 4) with
-      | Some target -> Some (target, Tdt.perms_of_bits (e land 0b1111))
-      | None ->
-        raise_exception th Exception_desc.Invalid_thread_access
-          ~info:(Int64.of_int vtid);
-        None
-    end
+    if e < 0 then fault th Exception_desc.Invalid_thread_access vtid
     else begin
-      raise_exception th Exception_desc.Invalid_thread_access
-        ~info:(Int64.of_int vtid);
-      None
-    end)
+      let target = target_of th (e lsr 4) vtid in
+      if need = 0 || is_supervisor th || e land need <> 0 then target
+      else fault th Exception_desc.Permission_denied vtid
+    end
   | None ->
-    if is_supervisor th then begin
-      (* Supervisors without a table address ptids directly. *)
-      match handle_of chip vtid with
-      | Some target -> Some (target, Tdt.perms_all)
-      | None ->
-        raise_exception th Exception_desc.Invalid_thread_access
-          ~info:(Int64.of_int vtid);
-        None
-    end
-    else begin
-      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int vtid);
-      None
-    end
+    (* Supervisors without a table address ptids directly, with every
+       permission. *)
+    if is_supervisor th then target_of th vtid vtid
+    else fault th Exception_desc.Permission_denied vtid
 
 (* §3.2 secret-key capability scheme: the caller must present the
    target's published secret (supervisors pass regardless), and the key
    grants everything, as a supervisor's direct addressing does. *)
-let translate_keyed ~key th target_ptid =
+let translate_keyed ~key ~need:_ th target_ptid =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.tdt_cached_lookup_cycles;
-  match handle_of th.chip target_ptid with
-  | Some target
-    when is_supervisor th || Option.fold ~none:false ~some:(Int64.equal key) target.secret
-    ->
-    Some (target, Tdt.perms_all)
-  | Some _ ->
-    raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int target_ptid);
-    None
-  | None ->
-    raise_exception th Exception_desc.Invalid_thread_access
-      ~info:(Int64.of_int target_ptid);
-    None
+  let target = target_of th target_ptid target_ptid in
+  let keyed = match target.secret with Some s -> Int64.equal s key | None -> false in
+  if is_supervisor th || keyed then target
+  else fault th Exception_desc.Permission_denied target_ptid
 
-let permitted th perms check = is_supervisor th || check perms
+(* The actor of a start or stop edge: a ptid, or [boot_actor] for the
+   boot-time supervisor.  Its probe origin is built only for a probe. *)
+let boot_actor = -1
+let origin actor = if actor = boot_actor then Probe.Boot else Probe.Thread actor
 
 let do_start ~actor target =
   let c = target.chip in
@@ -816,7 +803,8 @@ let do_start ~actor target =
   | Ptid.Disabled ->
     target.starts <- target.starts + 1;
     if c.probe_on then
-      emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = false });
+      emit c
+        (Probe.Start_edge { actor = origin actor; target = target.t_ptid; latched = false });
     (* The first start spawns the body.  So does a start of a
        crash-stopped thread not yet auto-restarted: the old instruction
        stream is gone, and the scheduled auto-restart then sees
@@ -831,7 +819,8 @@ let do_start ~actor target =
        that is architecturally in flight (e.g. a server parking itself). *)
     target.pending_start <- true;
     if c.probe_on then
-      emit c (Probe.Start_edge { actor; target = target.t_ptid; latched = true })
+      emit c
+        (Probe.Start_edge { actor = origin actor; target = target.t_ptid; latched = true })
   | Ptid.Waiting -> ()
 
 let do_stop ~actor target =
@@ -843,11 +832,13 @@ let do_stop ~actor target =
     match target.state with
     | Ptid.Runnable ->
       set_state target Ptid.Disabled ~reason:"stop";
-      if c.probe_on then emit c (Probe.Stop_edge { actor; target = target.t_ptid })
+      if c.probe_on then
+        emit c (Probe.Stop_edge { actor = origin actor; target = target.t_ptid })
     | Ptid.Waiting ->
       Monitor.cancel_wait c.monitor target.mslot;
       stop_waiting target ~reason:"force-stop";
-      if c.probe_on then emit c (Probe.Stop_edge { actor; target = target.t_ptid });
+      if c.probe_on then
+        emit c (Probe.Stop_edge { actor = origin actor; target = target.t_ptid });
       (* Claim the open park: a deadline expiry may have claimed the
          cell already (thread mid-restart); the force-stop still wins
          via the state check in the restart event. *)
@@ -856,43 +847,25 @@ let do_stop ~actor target =
 
 let start_via resolve th operand =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match resolve th operand with
-  | None -> ()
-  | Some (target, perms) ->
-    if permitted th perms (fun p -> p.Tdt.can_start) then
-      do_start ~actor:(Probe.Thread th.t_ptid) target
-    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
+  match resolve ~need:need_start th operand with
+  | target -> do_start ~actor:th.t_ptid target
+  | exception No_target -> ()
 
 let stop_via resolve th operand =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match resolve th operand with
-  | None -> ()
-  | Some (target, perms) ->
-    if permitted th perms (fun p -> p.Tdt.can_stop) then
-      do_stop ~actor:(Probe.Thread th.t_ptid) target
-    else raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
+  match resolve ~need:need_stop th operand with
+  | target -> do_stop ~actor:th.t_ptid target
+  | exception No_target -> ()
 
-(* Permission for remote register access.  Reading needs any modify bit;
-   writing needs the bit matching the register class; privileged control
-   registers always need a supervisor caller. *)
-let reg_readable perms = perms.Tdt.can_modify_some || perms.Tdt.can_modify_most
-
-let reg_writable th perms reg =
-  if Regstate.is_privileged_reg reg then is_supervisor th
-  else if Regstate.modify_some_allows reg then
-    perms.Tdt.can_modify_some || perms.Tdt.can_modify_most
-  else Regstate.modify_most_allows reg && perms.Tdt.can_modify_most
-
+(* Remote register access needs a modify bit: reading, either one;
+   writing, the one matching the register class.  Privileged control
+   registers need no bit but always a supervisor caller. *)
 let rpull_via resolve th operand reg =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match resolve th operand with
-  | None -> 0L
-  | Some (target, perms) ->
-    if not (permitted th perms reg_readable) then begin
-      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand);
-      0L
-    end
-    else if target.state <> Ptid.Disabled then begin
+  match resolve ~need:need_modify_any th operand with
+  | exception No_target -> 0L
+  | target ->
+    if target.state <> Ptid.Disabled then begin
       raise_exception th Exception_desc.Invalid_thread_access
         ~info:(Int64.of_int operand);
       0L
@@ -905,16 +878,20 @@ let rpull_via resolve th operand reg =
 
 let rpush_via resolve th operand reg value =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match resolve th operand with
-  | None -> ()
-  | Some (target, perms) ->
-    if Regstate.is_privileged_reg reg && not (is_supervisor th) then
+  let privileged = Regstate.is_privileged_reg reg in
+  let need =
+    if privileged then 0
+    else if Regstate.modify_some_allows reg then need_modify_any
+    else need_modify_most
+  in
+  match resolve ~need th operand with
+  | exception No_target -> ()
+  | target ->
+    if privileged && not (is_supervisor th) then
       (* §3.2: privileged-register access from user mode always faults so a
          supervisor can emulate it. *)
       raise_exception th Exception_desc.Privileged_instruction
         ~info:(Int64.of_int operand)
-    else if not (is_supervisor th || reg_writable th perms reg) then
-      raise_exception th Exception_desc.Permission_denied ~info:(Int64.of_int operand)
     else if target.state <> Ptid.Disabled then
       raise_exception th Exception_desc.Invalid_thread_access
         ~info:(Int64.of_int operand)
@@ -981,7 +958,7 @@ let boot th =
   set_state th Ptid.Runnable ~reason:"boot";
   run_body th
 
-let shutdown th = do_stop ~actor:Probe.Boot th
+let shutdown th = do_stop ~actor:boot_actor th
 
 (* --- statistics --------------------------------------------------------- *)
 

@@ -78,14 +78,17 @@ val thread_list : t -> thread list
 val set_probe : t -> (Probe.event -> unit) -> unit
 val clear_probe : t -> unit
 
-val add_creation_hook : key:string -> (t -> unit) -> unit
-(** Install a global hook invoked at the end of every {!create} — this is
+type Sl_engine.Sim.component += Chip of t
+(** Announced at the end of every {!create} (see [Sim.observe]): this is
     how [sl_analysis] and [sl_fault] attach to chips built deep inside
-    experiment runners without the core depending on them.  Hooks are
-    keyed so independent observers coexist; installing under an existing
-    key replaces that hook. *)
+    experiment runners without the core depending on them. *)
+
+val add_creation_hook : key:string -> (t -> unit) -> unit
+(** [Sim.observe ~key] of every [Chip].  Kept only for perfbench/obs.ml;
+    it goes when the benchmark moves to [Sim.observe]. *)
 
 val remove_creation_hook : key:string -> unit
+(** [Sim.unobserve ~key]. *)
 
 (** {2 Fault injection}
 

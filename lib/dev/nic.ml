@@ -40,14 +40,13 @@ type t = {
   land_next : unit -> unit;  (* the landing event, built once *)
 }
 
-(* Lets the fault injector attach to every NIC built inside experiment
-   runners, mirroring [Chip.add_creation_hook].  Domain-local, like all
-   ambient creation hooks. *)
-let creation_hook : (t -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+type Sim.component += Nic of t
 
-let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
-let clear_creation_hook () = Domain.DLS.set creation_hook None
+(* Kept for perfbench/obs.ml until it observes [Nic] itself. *)
+let set_creation_hook f =
+  Sim.observe ~key:"nic.creation_hook" (function Nic t -> f t | _ -> ())
+
+let clear_creation_hook () = Sim.unobserve ~key:"nic.creation_hook"
 
 let no_packet = { pkt_id = -1; flow = 0; injected_at = 0 }
 
@@ -134,7 +133,7 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
       land_next = (fun () -> land_oldest t);
     }
   in
-  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
+  Sim.announce (Nic t);
   t
 
 let set_faults t f = t.faults <- Some f

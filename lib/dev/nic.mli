@@ -96,8 +96,14 @@ val dma_dropped : t -> int
 val doorbells_dropped : t -> int
 val doorbells_duplicated : t -> int
 
+type Sl_engine.Sim.component += Nic of t
+(** Announced at the end of every {!create} (see [Sim.observe]), so the
+    fault injector can attach to NICs built deep inside experiment
+    runners. *)
+
 val set_creation_hook : (t -> unit) -> unit
-(** Global hook invoked on every {!create}, so the fault injector can
-    attach to NICs built deep inside experiment runners.  At most one. *)
+(** [Sim.observe] of every [Nic], under a key of its own.  Kept only for
+    perfbench/obs.ml; it goes when the benchmark moves to [Sim.observe]. *)
 
 val clear_creation_hook : unit -> unit
+(** Remove the observer {!set_creation_hook} installed. *)

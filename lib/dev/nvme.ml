@@ -20,14 +20,7 @@ type t = {
   mutable stall_cycles_total : int;
 }
 
-(* Lets the fault injector attach to every NVMe device built inside
-   experiment runners, mirroring [Chip.add_creation_hook].  Domain-local,
-   like all ambient creation hooks. *)
-let creation_hook : (t -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
-let clear_creation_hook () = Domain.DLS.set creation_hook None
+type Sim.component += Nvme of t
 
 let create _sim params memory ?(queue_depth = 64) ~latency ~rng () =
   if queue_depth <= 0 then invalid_arg "Nvme.create: queue_depth must be positive";
@@ -48,7 +41,7 @@ let create _sim params memory ?(queue_depth = 64) ~latency ~rng () =
       stall_cycles_total = 0;
     }
   in
-  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
+  Sim.announce (Nvme t);
   t
 
 let set_stall_fault t f = t.stall_fault <- Some f

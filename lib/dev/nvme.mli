@@ -43,7 +43,5 @@ val set_stall_fault : t -> (unit -> int option) -> unit
 val stall_count : t -> int
 val stall_cycles_total : t -> int
 
-val set_creation_hook : (t -> unit) -> unit
-(** Global hook invoked on every {!create} (see [Nic.set_creation_hook]). *)
-
-val clear_creation_hook : unit -> unit
+type Sl_engine.Sim.component += Nvme of t
+(** Announced at the end of every {!create} (see [Sim.observe]). *)

@@ -99,7 +99,7 @@ type t = {
 (* Where a process waits in {!suspend} or a blocking {!delay}, made
    with the process by [exec].  Only the process's waker, a pending
    hop's event and, while the process runs, [current] reference it,
-   never the ring: the bench and perfbench creation hooks keep every
+   never the ring: the bench and perfbench world observers keep every
    world alive, and a world must not keep a parked process's stack
    alive once nothing can wake it. *)
 and parking = {
@@ -115,16 +115,45 @@ and parking = {
    reads its clock. *)
 let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(* Lets the bench harness observe every simulation world an experiment
-   builds (for end-of-run stuck reporting) without the experiments
-   threading the worlds out themselves.  Domain-local: each runner domain
-   installs (and sees) only its own hook, so experiments fanned out over
-   [Domain.spawn] never observe one another's worlds. *)
-let creation_hook : (t -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* Every world component announces itself at the end of its [create],
+   and observers (the bench harness, fault injection, the sanitizers)
+   attach to components built deep inside experiment runners without the
+   builders knowing of them.  One keyed list, in installation order;
+   domain-local, so observers installed by one parallel experiment
+   runner never see components built by another. *)
+type component = ..
+type component += World of t
 
-let set_creation_hook f = Domain.DLS.set creation_hook (Some f)
-let clear_creation_hook () = Domain.DLS.set creation_hook None
+let observers : (string * (component -> unit)) list Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> [])
+
+let unobserve ~key =
+  Domain.DLS.set observers
+    (List.filter (fun (k, _) -> k <> key) (Domain.DLS.get observers))
+
+let observe ~key f =
+  unobserve ~key;
+  Domain.DLS.set observers (Domain.DLS.get observers @ [ (key, f) ])
+
+let observing ~key f body =
+  let outer = List.assoc_opt key (Domain.DLS.get observers) in
+  observe ~key f;
+  Fun.protect body ~finally:(fun () ->
+      match outer with Some g -> observe ~key g | None -> unobserve ~key)
+
+let rec announce_to c = function
+  | [] -> ()
+  | (_, f) :: rest ->
+    f c;
+    announce_to c rest
+
+let announce c = announce_to c (Domain.DLS.get observers)
+
+(* Kept for perfbench/obs.ml until it observes [World] itself. *)
+let set_creation_hook f =
+  observe ~key:"sim.creation_hook" (function World t -> f t | _ -> ())
+
+let clear_creation_hook () = unobserve ~key:"sim.creation_hook"
 
 let nop () = ()
 
@@ -233,7 +262,7 @@ let create () =
         t.current.k <- k;
         t.current <- t.idle)
   in
-  (match Domain.DLS.get creation_hook with Some f -> f t | None -> ());
+  announce (World t);
   t
 
 let time t = t.now

@@ -135,18 +135,42 @@ val suspects : t -> blocked list
     blocked processes that are plausibly deadlocked rather than parked by
     design.  The bench harness surfaces these in its JSON trailer. *)
 
-(** {2 Observation hook} *)
+(** {2 Observers}
+
+    Every world component announces itself at the end of its [create]:
+    {!create} announces [World], and the chip and the devices extend
+    {!component} with their own constructors.  Observers attach to
+    components built deep inside experiment runners this way (the bench
+    harness collects worlds, fault injection and the sanitizers attach
+    to chips and devices) without the builders knowing of them.  The
+    observers form one list per domain, so an observer installed in one
+    domain never sees components created in another. *)
+
+type component = ..
+type component += World of t
+
+val observe : key:string -> (component -> unit) -> unit
+(** Append an observer under [key].  Observing under a key already
+    present replaces that observer and moves it last.  An observer
+    ignores the components it does not match. *)
+
+val unobserve : key:string -> unit
+(** Remove the observer under [key], if any; the others stay. *)
+
+val observing : key:string -> (component -> unit) -> (unit -> 'a) -> 'a
+(** [observing ~key f body] runs [body] with [f] observing under [key],
+    then puts back what [key] held before, also on raise: nothing, or
+    the observer [f] replaced (which then runs last). *)
+
+val announce : component -> unit
+(** Call every observer on [c], in installation order. *)
 
 val set_creation_hook : (t -> unit) -> unit
-(** Install a callback invoked on every subsequent {!create}.  Used by the
-    bench harness to collect the simulation worlds an experiment builds so
-    it can report {!suspects} afterwards.  Only one hook at a time, and
-    the hook is domain-local: a hook installed in one domain never fires
-    for worlds created in another, so parallel experiment runners do not
-    share observer state. *)
+(** [observe] of every [World], under a key of its own.  Kept only for
+    perfbench/obs.ml; it goes when the benchmark moves to {!observe}. *)
 
 val clear_creation_hook : unit -> unit
-(** Remove the calling domain's hook, if any. *)
+(** Remove the observer {!set_creation_hook} installed. *)
 
 (** {2 Operations available inside a process}
 

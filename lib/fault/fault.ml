@@ -365,26 +365,12 @@ let attach_chip t chip =
         else None)
   done
 
-let chip_hook_key = "fault"
-
-let install_ambient t =
-  Chip.add_creation_hook ~key:chip_hook_key (attach_chip t);
-  Nic.set_creation_hook (attach_nic t);
-  Nvme.set_creation_hook (attach_nvme t);
-  Irq.set_creation_hook (attach_irq t)
-
-let clear_ambient () =
-  Chip.remove_creation_hook ~key:chip_hook_key;
-  Nic.clear_creation_hook ();
-  Nvme.clear_creation_hook ();
-  Irq.clear_creation_hook ()
-
 let with_ambient t f =
-  install_ambient t;
-  match f () with
-  | v ->
-    clear_ambient ();
-    v
-  | exception e ->
-    clear_ambient ();
-    raise e
+  Sl_engine.Sim.observing ~key:"fault"
+    (function
+      | Chip.Chip c -> attach_chip t c
+      | Nic.Nic n -> attach_nic t n
+      | Nvme.Nvme d -> attach_nvme t d
+      | Irq.Irq i -> attach_irq t i
+      | _ -> ())
+    f

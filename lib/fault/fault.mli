@@ -136,11 +136,13 @@ val attach_nic : t -> Sl_dev.Nic.t -> unit
 (** {2 Ambient installation}
 
     Experiments build chips and devices deep inside their runners, so the
-    injector can register creation hooks that attach it to every instance
-    created while installed — the mechanism behind the
-    [SWITCHLESS_FAULTS] env hook in [bench/main.ml]. *)
+    injector observes their creation (see [Sim.observe]) and attaches
+    itself to every instance created while it observes — the mechanism
+    behind the [SWITCHLESS_FAULTS] env hook in [bench/main.ml]. *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a
-(** Runs [f] with creation hooks installed that attach this injector to
-    every chip, NIC, NVMe device and IRQ controller created meanwhile;
-    the hooks are cleared afterwards, even if [f] raises. *)
+(** Runs [f] with one observer, under the key ["fault"], that attaches
+    this injector to every chip, NIC, NVMe device and IRQ controller
+    created meanwhile.  Afterwards, even if [f] raises, the key holds
+    again what it held before: nothing, or the injector of an enclosing
+    [with_ambient]. *)

@@ -48,7 +48,6 @@ let sorts = [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq
 
 type ctx = {
   file : string;
-  check_prints : bool;
   mutable binding : string;
   mutable found : Site.t list;
   mutable sorted : expression list;  (* traversal idents whose result a sort takes *)
@@ -110,16 +109,15 @@ let visit_expr ctx e =
            "%s depends on the host clock/entropy and breaks simulation \
             determinism"
            (Spath.name p))
-    | None ->
-      if ctx.check_prints then (
-        match Spath.matches_any print_banned p with
-        | Some _ ->
-          report ctx ~rule:"no-print" ~loc:e.exp_loc
-            (Printf.sprintf
-               "%s writes to the terminal from library code; return data or \
-                take a formatter instead"
-               (Spath.name p))
-        | None -> ()))
+    | None -> (
+      match Spath.matches_any print_banned p with
+      | Some _ ->
+        report ctx ~rule:"no-print" ~loc:e.exp_loc
+          (Printf.sprintf
+             "%s writes to the terminal from library code; return data or \
+              take a formatter instead"
+             (Spath.name p))
+      | None -> ()))
   | Texp_try (_, cases) -> (
     (* Only a handler whose first pattern is the bare wildcard: a
        trailing [| _ ->] after named exceptions is a deliberate
@@ -132,8 +130,8 @@ let visit_expr ctx e =
     | _ -> ())
   | _ -> ()
 
-let check ~file ~check_prints str =
-  let ctx = { file; check_prints; binding = "-"; found = []; sorted = [] } in
+let check ~file str =
+  let ctx = { file; binding = "-"; found = []; sorted = [] } in
   let it =
     {
       Tast_iterator.default_iterator with

@@ -13,7 +13,6 @@
     reduction (a count, a max over distinct keys) takes a justified
     allowlist line instead.
 
-    [check_prints] is false for terminal-facing directories ([util]). *)
+    [no-print] has no exempt directory: nothing in [lib/] prints. *)
 
-val check :
-  file:string -> check_prints:bool -> Typedtree.structure -> Site.t list
+val check : file:string -> Typedtree.structure -> Site.t list

@@ -1,11 +1,3 @@
-(* Terminal-facing directories keep their print exemption. *)
-let print_exempt_dirs = [ "util" ]
-
-let exempt_from_prints source =
-  List.exists
-    (fun dir -> List.mem dir (String.split_on_char '/' source))
-    print_exempt_dirs
-
 let missing_mli (u : Cmt_load.unit_) =
   if u.Cmt_load.interface then []
   else
@@ -21,11 +13,10 @@ let missing_mli (u : Cmt_load.unit_) =
 
 let check_unit (u : Cmt_load.unit_) =
   let file = u.Cmt_load.source in
-  let check_prints = not (exempt_from_prints file) in
   missing_mli u
   @ Protocol.check ~file u.Cmt_load.structure
   @ Domain_safety.check ~file u.Cmt_load.structure
-  @ Purity.check ~file ~check_prints u.Cmt_load.structure
+  @ Purity.check ~file u.Cmt_load.structure
   @ Zero_alloc.check ~file u.Cmt_load.structure
 
 let scan roots =

@@ -62,7 +62,3 @@ let render_series ~title ~x_label ~columns points =
       points
   in
   render ~title ~header rows
-
-let print block =
-  Sink.emit block;
-  Sink.emit "\n"

@@ -18,6 +18,3 @@ val render_series :
 (** [render_series ~title ~x_label ~columns points] renders a sweep, one
     line per x value.  Each point must supply exactly [List.length columns]
     y values. *)
-
-val print : string -> unit
-(** Print a rendered block followed by a blank line on stdout. *)

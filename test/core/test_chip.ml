@@ -812,8 +812,11 @@ let test_stuck_reports_ptid () =
 
 (* A start -> stop round trip from one thread to another: the start's
    wake-up event and thaw, the stop's freeze.  With no probe installed
-   neither builds its probe event.  38 minor words on OCaml 5.1; 45
-   while both built their [Start_edge] and [Stop_edge] records
+   neither builds its probe event, nor its actor, and the target
+   resolves without an option or a tuple.  20 minor words on OCaml 5.1;
+   38 while each resolve returned [Some (target, perms)] (and the ptid
+   lookup its own [Some]) and each caller built [Probe.Thread], 45 while
+   both built their [Start_edge] and [Stop_edge] records
    unconditionally.  Measured like the ping-pong above. *)
 let start_stop_round_trips rounds =
   let sim, chip = setup () in
@@ -843,15 +846,17 @@ let test_start_stop_allocation () =
   in
   let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f minor words per start -> stop round trip < 40" per_round_trip)
-    true (per_round_trip < 40.0)
+    (Printf.sprintf "%.1f minor words per start -> stop round trip < 22" per_round_trip)
+    true (per_round_trip < 22.0)
 
 (* A server that stops itself after each request, started once per
    request from another core: per round trip one start hand-off, one
    self-stop and one park until the next start, each of the server's
-   parks at its thread's one suspension point.  41 minor words on OCaml
-   5.1; 93 while the park waited on a [Signal] through [Sim.await] and
-   [Sim.set_daemon] was an effect.  Measured like the ping-pong above. *)
+   parks at its thread's one suspension point.  16 minor words on OCaml
+   5.1; 34 while each start and stop resolved its target into
+   [Some (target, perms)], 93 while the park waited on a [Signal]
+   through [Sim.await] and [Sim.set_daemon] was an effect.  Measured
+   like the ping-pong above. *)
 let self_stopping_server requests =
   let sim, chip = setup () in
   let server = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
@@ -879,8 +884,8 @@ let test_stop_start_allocation () =
   in
   let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f minor words per stop -> start round trip < 48" per_round_trip)
-    true (per_round_trip < 48.0)
+    (Printf.sprintf "%.1f minor words per stop -> start round trip < 18" per_round_trip)
+    true (per_round_trip < 18.0)
 
 (* --- spin: a polling loop whose idle gaps cost one call --- *)
 

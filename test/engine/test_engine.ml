@@ -966,6 +966,59 @@ let test_now_restored_after_nested_run () =
     (Invalid_argument "Sim.now: no world is running on this domain") (fun () ->
       ignore (Sim.now () : int))
 
+(* --- Sim.observe: the one observer registry --- *)
+
+(* Each observer appends its key to [log] for every world announced;
+   [with_observers] removes them again whatever the test does. *)
+let log_world log key = function Sim.World _ -> log := key :: !log | _ -> ()
+
+let with_observers keys f =
+  Fun.protect ~finally:(fun () -> List.iter (fun key -> Sim.unobserve ~key) keys) f
+
+let announced_to log =
+  log := [];
+  ignore (Sim.create () : Sim.t);
+  List.rev !log
+
+let test_observers_in_installation_order () =
+  let log = ref [] in
+  with_observers [ "a"; "b"; "c" ] (fun () ->
+      List.iter (fun key -> Sim.observe ~key (log_world log key)) [ "a"; "b"; "c" ];
+      Alcotest.(check (list string)) "installation order" [ "a"; "b"; "c" ]
+        (announced_to log))
+
+let test_reobserved_key_runs_last () =
+  let log = ref [] in
+  with_observers [ "a"; "b" ] (fun () ->
+      Sim.observe ~key:"a" (log_world log "a");
+      Sim.observe ~key:"b" (log_world log "b");
+      Sim.observe ~key:"a" (log_world log "a'");
+      Alcotest.(check (list string)) "replaced, then last" [ "b"; "a'" ]
+        (announced_to log))
+
+let test_unobserve_removes_only_its_key () =
+  let log = ref [] in
+  with_observers [ "a"; "b" ] (fun () ->
+      Sim.observe ~key:"a" (log_world log "a");
+      Sim.observe ~key:"b" (log_world log "b");
+      Sim.unobserve ~key:"a";
+      Sim.unobserve ~key:"absent";
+      Alcotest.(check (list string)) "b stays" [ "b" ] (announced_to log))
+
+let test_observing_restores_the_key () =
+  let log = ref [] in
+  with_observers [ "k" ] (fun () ->
+      Sim.observe ~key:"k" (log_world log "outer");
+      let inside = Sim.observing ~key:"k" (log_world log "inner") (fun () -> announced_to log) in
+      Alcotest.(check (list string)) "inner replaces" [ "inner" ] inside;
+      Alcotest.(check (list string)) "outer back" [ "outer" ] (announced_to log);
+      (match Sim.observing ~key:"k" (log_world log "raised") (fun () -> raise Exit) with
+      | () -> Alcotest.fail "body raised"
+      | exception Exit -> ());
+      Alcotest.(check (list string)) "outer back after a raise" [ "outer" ]
+        (announced_to log));
+  Alcotest.(check (list string)) "nothing left" [] (announced_to log)
+
 (* --- determinism property --- *)
 
 let run_noise_simulation seed =
@@ -1778,6 +1831,17 @@ let () =
             test_mailbox_round_trip_allocation;
           Alcotest.test_case "recv_for round trip" `Quick
             test_recv_for_round_trip_allocation;
+        ] );
+      ( "observe",
+        [
+          Alcotest.test_case "installation order" `Quick
+            test_observers_in_installation_order;
+          Alcotest.test_case "re-observed key runs last" `Quick
+            test_reobserved_key_runs_last;
+          Alcotest.test_case "unobserve removes only its key" `Quick
+            test_unobserve_removes_only_its_key;
+          Alcotest.test_case "observing restores the key" `Quick
+            test_observing_restores_the_key;
         ] );
       ( "now",
         [

@@ -6,6 +6,7 @@ module Sim = Sl_engine.Sim
 module Memory = Switchless.Memory
 module Params = Switchless.Params
 module Nic = Sl_dev.Nic
+module Analysis = Sl_analysis.Analysis
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -295,6 +296,82 @@ let test_with_ambient_scopes_hooks () =
   Sim.run sim;
   check_int "hooks cleared after bracket" 0 (Nic.doorbells_dropped nic)
 
+(* One packet through a fresh NIC: the doorbells an attached
+   [nic.doorbell_drop = 1.0] injector dropped (1), or 0 when none is. *)
+let nic_drops () =
+  let sim = Sim.create () in
+  let nic = Nic.create sim p (Memory.create ()) ~queue_depth:64 () in
+  Sim.spawn sim (fun () -> Nic.inject nic);
+  Sim.run sim;
+  Nic.doorbells_dropped nic
+
+let dropper seed = Fault.create { Fault.none with Fault.seed = seed; nic_doorbell_drop = 1.0 }
+
+(* An observer installed through the kept [Nic.set_creation_hook] and one
+   installed through [Sim.observe] both see every NIC, whatever
+   [with_ambient] attaches in between: the single-slot NIC hook it
+   replaced saw only the first. *)
+let test_observers_coexist_with_ambient () =
+  let by_hook = ref 0 and by_observer = ref 0 in
+  Nic.set_creation_hook (fun _ -> incr by_hook);
+  Sim.observe ~key:"test" (function Nic.Nic _ -> incr by_observer | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      Nic.clear_creation_hook ();
+      Sim.unobserve ~key:"test")
+    (fun () ->
+      check_int "first nic clean" 0 (nic_drops ());
+      check_int "second nic injected" 1 (Fault.with_ambient (dropper 11L) nic_drops);
+      check_int "third nic clean" 0 (nic_drops ()));
+  check_int "the hook saw all three nics" 3 !by_hook;
+  check_int "the observer saw all three nics" 3 !by_observer
+
+let test_nested_ambient_restores_outer () =
+  let outer = dropper 11L and inner = Fault.create { Fault.none with Fault.seed = 12L } in
+  let inside, after =
+    Fault.with_ambient outer (fun () ->
+        let inside = Fault.with_ambient inner nic_drops in
+        (inside, nic_drops ()))
+  in
+  check_int "the inner injector attached inside" 0 inside;
+  check_int "the outer injector attached after the inner returned" 1 after;
+  check_int "neither after both returned" 0 (nic_drops ())
+
+let test_ambient_removed_on_raise () =
+  (match Fault.with_ambient (dropper 11L) (fun () -> raise Exit) with
+  | () -> Alcotest.fail "body raised"
+  | exception Exit -> ());
+  check_int "no injector after the raise" 0 (nic_drops ())
+
+(* Two threads store one word after a start, unordered: one race for the
+   sanitizers, one start hand-off for [start.delay = 1.0]. *)
+let racy_chip () =
+  let sim = Sim.create () in
+  let chip = Chip.create sim p ~cores:2 in
+  let shared = Memory.alloc (Chip.memory chip) 1 in
+  let worker = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
+  Chip.attach worker (fun th -> Isa.store th shared 2L);
+  let boss = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
+  Chip.attach boss (fun th ->
+      Isa.start th ~vtid:2;
+      Isa.store th shared 1L);
+  Chip.boot boss;
+  Sim.run sim
+
+let test_analysis_and_faults_both_attach () =
+  let delayer () = Fault.create { Fault.none with Fault.seed = 13L; start_delay = 1.0 } in
+  let has_race findings =
+    List.exists (fun f -> f.Sl_analysis.Report.rule = "race") findings
+  in
+  let inj = delayer () in
+  let (), findings = Analysis.with_all (fun () -> Fault.with_ambient inj racy_chip) in
+  check_bool "analysis outside: probe attached" true (has_race findings);
+  check_int "analysis outside: fault hooks attached" 1 (Fault.total_injected inj);
+  let inj = delayer () in
+  let (), findings = Fault.with_ambient inj (fun () -> Analysis.with_all racy_chip) in
+  check_bool "faults outside: probe attached" true (has_race findings);
+  check_int "faults outside: fault hooks attached" 1 (Fault.total_injected inj)
+
 let () =
   Alcotest.run "fault"
     [
@@ -323,5 +400,13 @@ let () =
             test_crash_boot_window_confines;
         ] );
       ( "ambient",
-        [ Alcotest.test_case "scoped hooks" `Quick test_with_ambient_scopes_hooks ] );
+        [
+          Alcotest.test_case "scoped hooks" `Quick test_with_ambient_scopes_hooks;
+          Alcotest.test_case "observers coexist" `Quick
+            test_observers_coexist_with_ambient;
+          Alcotest.test_case "nested injectors" `Quick test_nested_ambient_restores_outer;
+          Alcotest.test_case "removed on raise" `Quick test_ambient_removed_on_raise;
+          Alcotest.test_case "analysis and faults both attach" `Quick
+            test_analysis_and_faults_both_attach;
+        ] );
     ]

@@ -63,7 +63,7 @@ let test_domain_safety_silent_on_blessed () =
 
 (* --- purity --------------------------------------------------------------- *)
 
-let purity = Sc.Purity.check ~check_prints:true
+let purity = Sc.Purity.check
 
 let test_purity_flags_resolved_idents () =
   Alcotest.check pairs "alias-resolved determinism, print, blanket catch"
@@ -78,16 +78,6 @@ let test_purity_flags_resolved_idents () =
 let test_purity_silent_on_strings_and_named () =
   Alcotest.check pairs "comments, strings, formatters, named handlers" []
     (findings purity "purity_good.ml")
-
-let test_purity_print_exemption () =
-  let u = unit_for "purity_bad.ml" in
-  let rules =
-    Sc.Purity.check ~file:u.Sc.Cmt_load.source ~check_prints:false
-      u.Sc.Cmt_load.structure
-    |> List.map (fun s -> s.Sc.Site.rule)
-  in
-  check_bool "no-print suppressed" false (List.mem "no-print" rules);
-  check_bool "determinism still on" true (List.mem "determinism" rules)
 
 let test_hashtbl_order_flags_traversals () =
   Alcotest.check pairs "unsorted traversals, through an alias too"
@@ -236,8 +226,6 @@ let () =
             test_purity_flags_resolved_idents;
           Alcotest.test_case "strings and named handlers silent" `Quick
             test_purity_silent_on_strings_and_named;
-          Alcotest.test_case "print exemption" `Quick
-            test_purity_print_exemption;
           Alcotest.test_case "hashtbl traversals flagged" `Quick
             test_hashtbl_order_flags_traversals;
           Alcotest.test_case "sorted traversals silent" `Quick
