@@ -116,8 +116,5 @@ let run b =
     | Some spec ->
       [ row "env-chaos" "io.watchdog.r1" spec; row "env-closedloop" "pool.closed.r1" spec ]
     | None -> rows);
-  (* Scenario recovery counts were reported per row above; leave the
-     harness-level trailer (bench/main.ml) empty for r1. *)
-  Sl_util.Recovery.reset ();
   Printf.bprintf b
     "r1: all scenarios survived: no findings, no deadlocks, no lost requests, replays identical\n\n"

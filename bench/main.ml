@@ -75,14 +75,12 @@ let report_abandoned b id sims =
     Printf.bprintf b "{\"experiment\":%S,\"stuck\":%d,\"suspects\":%d}\n" id
       stuck_total (total Sl_engine.Sim.suspects)
 
-(* Per-site recovery counters (Sl_util.Recovery) accumulated during the
-   experiment: mwait→polling fallbacks, channel retries, watchdog nudges,
-   crash restarts/requeues.  Domain-local and reset per job, so the
-   trailer is a pure function of this experiment's run — and empty (no
-   line at all) when nothing had to recover, which keeps the fault-free
-   stdout unchanged. *)
-let report_recovery b id =
-  match Sl_util.Recovery.snapshot () with
+(* The recovery counters of the experiment's sims (Sim.count): mwait→polling
+   fallbacks, channel retries, watchdog nudges, crash restarts/requeues.
+   Empty (no line at all) when nothing had to recover, which keeps the
+   fault-free stdout unchanged. *)
+let report_recovery b id sims =
+  match Sl_engine.Sim.counts sims with
   | [] -> ()
   | sites ->
     Printf.bprintf b "{\"experiment\":%S,\"recovery\":{%s}}\n" id
@@ -106,7 +104,6 @@ let run_job (id, title, run) =
   let sanitizer_failed = ref false in
   let sims = ref [] in
   let body () =
-    Sl_util.Recovery.reset ();
     Printf.bprintf b "---------------------------------------------------------------\n";
     Printf.bprintf b "%s — %s\n" (String.uppercase_ascii id) title;
     Printf.bprintf b "---------------------------------------------------------------\n";
@@ -116,8 +113,9 @@ let run_job (id, title, run) =
       (match fault_plan with
       | None -> "null"
       | Some plan -> Printf.sprintf "%S" (Sl_fault.Fault.to_spec plan));
-    (* r1 manages its own sanitizers and fault plans (each scenario gets a
-       dedicated injector and asserts on the findings itself). *)
+    (* r1 manages its own sanitizers, fault plans and recovery counts
+       (each scenario gets a dedicated injector, asserts on the findings
+       itself and prints its recovery sites in its row). *)
     let self_managed = id = "r1" in
     let f () = run b in
     let f =
@@ -144,7 +142,7 @@ let run_job (id, title, run) =
       (function Sl_engine.Sim.World s -> sims := s :: !sims | _ -> ())
       f;
     report_abandoned b id (List.rev !sims);
-    report_recovery b id
+    if not self_managed then report_recovery b id !sims
   in
   (* Each experiment starts from a compacted heap, so its wall time and
      collections do not carry major work left by the experiments before

@@ -2,15 +2,17 @@ open Switchless
 module Sim = Sl_engine.Sim
 module Trace = Sl_engine.Trace
 
-type config = { check_reads : bool; max_findings : int; trace_capacity : int }
+type config = { check_reads : bool }
 
-let default_config = { check_reads = false; max_findings = 100; trace_capacity = 64 }
+let default_config = { check_reads = false }
+
+let max_findings = 100  (* distinct ones recorded per chip; the rest are [dropped] *)
+let trace_capacity = 64  (* probe events kept as a finding's context *)
 
 type counts = { mutable total : int; mutable tracked : int }
 
 type t = {
   chip : Chip.t;
-  config : config;
   trace : Probe.event Trace.t;
   writes : (Memory.addr, counts) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
@@ -45,7 +47,7 @@ let context t =
 let record t ~rule ~key ~message =
   if not (Hashtbl.mem t.seen key) then begin
     Hashtbl.replace t.seen key ();
-    if List.length t.findings_rev >= t.config.max_findings then
+    if List.length t.findings_rev >= max_findings then
       t.dropped <- t.dropped + 1
     else
       t.findings_rev <-
@@ -78,8 +80,7 @@ let enable ?(config = default_config) chip =
   let t =
     {
       chip;
-      config;
-      trace = Trace.create ~capacity:config.trace_capacity ();
+      trace = Trace.create ~capacity:trace_capacity ();
       writes = Hashtbl.create 256;
       seen = Hashtbl.create 64;
       findings_rev = [];

@@ -24,8 +24,6 @@ type config = {
           hardware-coherent model where loads acquire the last writer's
           clock and only write-write races are reported.  See
           {!Race_detector}. *)
-  max_findings : int;  (** Stop recording past this many (still counted). *)
-  trace_capacity : int;  (** Probe events kept as context for findings. *)
 }
 
 val default_config : config
@@ -34,14 +32,15 @@ type t
 
 val enable : ?config:config -> Chip.t -> t
 (** Install the probe and a memory write hook on the chip.  Replaces any
-    previously installed probe. *)
+    previously installed probe.  The first 100 distinct findings are
+    recorded, each with the last 64 probe events as its context. *)
 
 val finish : t -> Report.finding list
 (** Run end-of-simulation checks (deadlock, state-store audit), detach
     the probe, and return all findings.  Idempotent. *)
 
 val dropped : t -> int
-(** Distinct findings discarded because [max_findings] was reached. *)
+(** Distinct findings discarded because 100 were already recorded. *)
 
 (** {2 Instrumenting chips created elsewhere} *)
 

@@ -722,8 +722,10 @@ let raise_exception th kind ~info =
    instruction's issue cost and returns the target, once the caller
    holds one of the Table 1 permission bits in [need] on it ([0] needs
    none); otherwise it faults the caller and raises [No_target].  The
-   operand (vtid or target ptid) is the [info] of every fault the
-   instruction raises.  Nothing here allocates on the way to a target. *)
+   key is an argument ([translate] ignores it), so no resolver is a
+   closure built per instruction.  The operand (vtid or target ptid) is
+   the [info] of every fault the instruction raises.  Nothing here
+   allocates on the way to a target. *)
 
 exception No_target
 
@@ -743,7 +745,7 @@ let target_of th ptid operand =
   | target -> target
   | exception Not_found -> fault th Exception_desc.Invalid_thread_access operand
 
-let translate ~need th vtid =
+let translate ~need ~key:_ th vtid =
   let chip = th.chip in
   match th.tdt with
   | Some table ->
@@ -785,7 +787,7 @@ let translate ~need th vtid =
 (* §3.2 secret-key capability scheme: the caller must present the
    target's published secret (supervisors pass regardless), and the key
    grants everything, as a supervisor's direct addressing does. *)
-let translate_keyed ~key ~need:_ th target_ptid =
+let translate_keyed ~need:_ ~key th target_ptid =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.tdt_cached_lookup_cycles;
   let target = target_of th target_ptid target_ptid in
   let keyed = match target.secret with Some s -> Int64.equal s key | None -> false in
@@ -845,24 +847,24 @@ let do_stop ~actor target =
       if target.cell = Open then fill_wake target wake_stop
     | Ptid.Disabled -> ()
 
-let start_via resolve th operand =
+let start_via resolve ~key th operand =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match resolve ~need:need_start th operand with
+  match resolve ~need:need_start ~key th operand with
   | target -> do_start ~actor:th.t_ptid target
   | exception No_target -> ()
 
-let stop_via resolve th operand =
+let stop_via resolve ~key th operand =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;
-  match resolve ~need:need_stop th operand with
+  match resolve ~need:need_stop ~key th operand with
   | target -> do_stop ~actor:th.t_ptid target
   | exception No_target -> ()
 
 (* Remote register access needs a modify bit: reading, either one;
    writing, the one matching the register class.  Privileged control
    registers need no bit but always a supervisor caller. *)
-let rpull_via resolve th operand reg =
+let rpull_via resolve ~key th operand reg =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
-  match resolve ~need:need_modify_any th operand with
+  match resolve ~need:need_modify_any ~key th operand with
   | exception No_target -> 0L
   | target ->
     if target.state <> Ptid.Disabled then begin
@@ -876,7 +878,7 @@ let rpull_via resolve th operand reg =
       Regstate.get target.regs reg
     end
 
-let rpush_via resolve th operand reg value =
+let rpush_via resolve ~key th operand reg value =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.rpull_rpush_cycles;
   let privileged = Regstate.is_privileged_reg reg in
   let need =
@@ -884,7 +886,7 @@ let rpush_via resolve th operand reg value =
     else if Regstate.modify_some_allows reg then need_modify_any
     else need_modify_most
   in
-  match resolve ~need th operand with
+  match resolve ~need ~key th operand with
   | exception No_target -> ()
   | target ->
     if privileged && not (is_supervisor th) then
@@ -901,21 +903,18 @@ let rpush_via resolve th operand reg value =
       Regstate.set target.regs reg value
     end
 
-let insn_start th ~vtid = start_via translate th vtid
-let insn_stop th ~vtid = stop_via translate th vtid
-let insn_rpull th ~vtid reg = rpull_via translate th vtid reg
-let insn_rpush th ~vtid reg value = rpush_via translate th vtid reg value
-
-let insn_start_keyed th ~target_ptid ~key =
-  start_via (translate_keyed ~key) th target_ptid
-
-let insn_stop_keyed th ~target_ptid ~key = stop_via (translate_keyed ~key) th target_ptid
+let insn_start th ~vtid = start_via translate ~key:0L th vtid
+let insn_stop th ~vtid = stop_via translate ~key:0L th vtid
+let insn_rpull th ~vtid reg = rpull_via translate ~key:0L th vtid reg
+let insn_rpush th ~vtid reg value = rpush_via translate ~key:0L th vtid reg value
+let insn_start_keyed th ~target_ptid ~key = start_via translate_keyed ~key th target_ptid
+let insn_stop_keyed th ~target_ptid ~key = stop_via translate_keyed ~key th target_ptid
 
 let insn_rpull_keyed th ~target_ptid ~key reg =
-  rpull_via (translate_keyed ~key) th target_ptid reg
+  rpull_via translate_keyed ~key th target_ptid reg
 
 let insn_rpush_keyed th ~target_ptid ~key reg value =
-  rpush_via (translate_keyed ~key) th target_ptid reg value
+  rpush_via translate_keyed ~key th target_ptid reg value
 
 let insn_set_secret th key =
   exec th ~kind:Smt_core.Overhead th.chip.params.Params.start_stop_issue_cycles;

@@ -5,10 +5,16 @@ type policy = Fifo | Lifo | Locality
 (* Hardware queue-pop + doorbell latency of one dispatch. *)
 let dispatch_cycles = 8
 
+(* A worker, linked into its unit's parked queue while it waits: a ring
+   through [newer] and [older] around the unit's sentinel, so that
+   parking a worker and taking one from either end or from the middle
+   allocate nothing.  An unlinked worker links to itself. *)
 type worker = {
-  thread : Chip.thread;
+  entry : State_store.entry;  (* the thread's context, for [Locality] *)
   doorbell : Memory.addr;
   mutable slot : int64;  (* payload for the next wake *)
+  mutable newer : worker;
+  mutable older : worker;
 }
 
 type t = {
@@ -16,9 +22,13 @@ type t = {
   core : int;
   policy : policy;
   pending : int64 Queue.t;
-  mutable parked : worker list;  (* head = most recently parked *)
+  parked : worker;  (* sentinel: [older] is the newest worker, [newer] the oldest *)
   mutable dispatched : int;
 }
+
+let unlinked ~entry ~doorbell =
+  let rec w = { entry; doorbell; slot = 0L; newer = w; older = w } in
+  w
 
 let create chip ~core ?(policy = Lifo) () =
   {
@@ -26,34 +36,39 @@ let create chip ~core ?(policy = Lifo) () =
     core;
     policy;
     pending = Queue.create ();
-    parked = [];
+    parked = unlinked ~entry:(State_store.placeholder ()) ~doorbell:(-1);
     dispatched = 0;
   }
 
-(* Remove and return the worker the policy selects; [parked] is LIFO
-   ordered. *)
+let unlink w =
+  w.newer.older <- w.older;
+  w.older.newer <- w.newer;
+  w.newer <- w;
+  w.older <- w
+
+(* A worker parks at the newest end.  One still linked (woken without a
+   dispatch, by a spurious wake) moves there. *)
+let park t w =
+  unlink w;
+  let newest = t.parked.older in
+  w.older <- newest;
+  w.newer <- t.parked;
+  newest.newer <- w;
+  t.parked.older <- w
+
+(* From [w] towards the oldest end, the first worker whose context is
+   register-file-resident, else the newest. *)
+let rec resident t store w =
+  if w == t.parked then t.parked.older
+  else if State_store.tier_of store w.entry = State_store.Register_file then w
+  else resident t store w.older
+
+(* The worker the policy selects, or the sentinel when none is parked. *)
 let pick t =
-  match t.parked with
-  | [] -> None
-  | lifo_choice :: rest -> (
-    match t.policy with
-    | Lifo -> Some (lifo_choice, rest)
-    | Fifo ->
-      let rec split_last acc = function
-        | [ last ] -> (last, List.rev acc)
-        | x :: tl -> split_last (x :: acc) tl
-        | [] -> assert false
-      in
-      Some (split_last [] t.parked)
-    | Locality -> (
-      let store = Chip.state_store t.chip t.core in
-      let resident w =
-        State_store.tier_of store (Chip.store_entry w.thread)
-        = State_store.Register_file
-      in
-      match List.find_opt resident t.parked with
-      | Some w -> Some (w, List.filter (fun x -> x != w) t.parked)
-      | None -> Some (lifo_choice, rest)))
+  match t.policy with
+  | Lifo -> t.parked.older
+  | Fifo -> t.parked.newer
+  | Locality -> resident t (Chip.state_store t.chip t.core) t.parked.older
 
 let ring t worker payload =
   worker.slot <- payload;
@@ -64,15 +79,16 @@ let ring t worker payload =
       Memory.write memory worker.doorbell 1L)
 
 let submit t payload =
-  match pick t with
-  | Some (worker, rest) ->
-    t.parked <- rest;
+  let worker = pick t in
+  if worker == t.parked then Queue.push payload t.pending
+  else begin
+    unlink worker;
     ring t worker payload
-  | None -> Queue.push payload t.pending
+  end
 
 let worker_loop t th handle =
   let worker =
-    { thread = th; doorbell = Memory.alloc (Chip.memory t.chip) 1; slot = 0L }
+    unlinked ~entry:(Chip.store_entry th) ~doorbell:(Memory.alloc (Chip.memory t.chip) 1)
   in
   Isa.monitor th worker.doorbell;
   let rec loop () =
@@ -87,7 +103,7 @@ let worker_loop t th handle =
       handle payload;
       loop ()
     | None ->
-      t.parked <- worker :: t.parked;
+      park t worker;
       let _ = Isa.mwait th in
       handle worker.slot;
       loop ()

@@ -20,7 +20,9 @@
     - {!Locality} explicitly prefers a worker whose context is currently
       register-file-resident, falling back to LIFO.
 
-    Experiment E12 quantifies the difference. *)
+    Parked workers wait in a queue with a newest and an oldest end: a
+    pick allocates nothing, whatever the pool's size (Locality scans
+    from the newest end).  Experiment E12 quantifies the difference. *)
 
 type policy = Fifo | Lifo | Locality
 

@@ -120,11 +120,11 @@ let hw_pool chip ~pool_per_core ~request ~complete =
              entry is still queued there. *)
           Isa.monitor th worker.bell;
           worker.lives <- worker.lives + 1;
-          if worker.lives > 1 then Sl_util.Recovery.bump "server.crash_restart";
+          if worker.lives > 1 then Sim.count "server.crash_restart";
           (match worker.slot with
           | Some job ->
             worker.slot <- None;
-            Sl_util.Recovery.bump "server.crash_requeue";
+            Sim.count "server.crash_requeue";
             Mailbox.send inbox job
           | None -> ());
           if not worker.enlisted then begin

@@ -94,7 +94,10 @@ type t = {
   mutable current : parking;  (* the running process's, else [idle] *)
   idle : parking;
   handler : (unit, unit) handler;  (* every process's, see [exec] *)
+  mutable counters : counter list;  (* {!count}'s, newest name first *)
 }
+
+and counter = { name : string; mutable n : int }
 
 (* Where a process waits in {!suspend} or a blocking {!delay}, made
    with the process by [exec].  Only the process's waker, a pending
@@ -244,6 +247,7 @@ let create () =
           exnc = (fun e -> finish t; raise e);
           effc = (fun eff -> handle t on_suspend eff);
         };
+      counters = [];
     }
   and idle = { world = t; proc = ring; k = no_k; parked = false; hop = nop; waker = no_waker }
   and ring =
@@ -497,3 +501,21 @@ let after d f =
   | None -> invalid_arg "Sim.after: no world is running on this domain"
 
 let set_daemon d = (running_world "Sim.set_daemon").current.proc.daemon <- d
+
+(* A world counts a handful of names, so its counters are a list. *)
+let rec bump name = function
+  | [] -> false
+  | c :: rest -> if String.equal c.name name then (c.n <- c.n + 1; true) else bump name rest
+
+let count name =
+  match Domain.DLS.get running with
+  | Some t -> if not (bump name t.counters) then t.counters <- { name; n = 1 } :: t.counters
+  | None -> invalid_arg "Sim.count: no world is running on this domain"
+
+let counts worlds =
+  let add acc c =
+    let n = Option.value ~default:0 (List.assoc_opt c.name acc) in
+    (c.name, n + c.n) :: List.remove_assoc c.name acc
+  in
+  List.fold_left (fun acc t -> List.fold_left add acc t.counters) [] worlds
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

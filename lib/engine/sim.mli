@@ -306,3 +306,14 @@ val set_daemon : bool -> unit
     purposes.  Use when a process only becomes park-by-design partway
     through its life (e.g. a hardware thread entering the disabled
     state).  Allocates nothing. *)
+
+val count : string -> unit
+(** [count name] adds one to [name]'s counter in the world whose {!run}
+    is executing on this domain (the world {!now} reads).  Hardened paths
+    count their recoveries this way.  Each world keeps its own counters,
+    none until its first count, so nothing resets them.  Raises
+    [Invalid_argument] outside any run. *)
+
+val counts : t list -> (string * int) list
+(** The given worlds' counters summed by name, sorted by
+    [String.compare]; a name no world counted is absent. *)

@@ -47,17 +47,22 @@ let sites o =
 let p = Params.default
 
 (* Run one workload under the full sanitizer set and an ambient injector
-   built from [plan].  A workload returns its verdicts — plan-independent
-   invariants, each [(holds, why)] — and the statistics it read; the
-   failed verdicts and any sanitizer findings become the outcome's
-   reason.  The result is a pure function of the plan: the sim is
-   deterministic, the injector's streams derive from the plan's seed, and
-   the recovery registry is reset on entry. *)
+   built from [plan], collecting the worlds it builds.  A workload is
+   handed [site], a recovery site's count over those worlds, and returns
+   its verdicts — plan-independent invariants, each [(holds, why)] — and
+   the statistics it read; the failed verdicts and any sanitizer findings
+   become the outcome's reason.  The result is a pure function of the
+   plan: the sim is deterministic, the injector's streams derive from the
+   plan's seed, and the counters are those of the worlds this run
+   built. *)
 let guard body plan =
-  Sl_util.Recovery.reset ();
+  let worlds = ref [] in
+  let site name = Option.value ~default:0 (List.assoc_opt name (Sim.counts !worlds)) in
   let inj = Fault.create plan in
   let (verdicts, summary), findings =
-    Analysis.with_all (fun () -> Fault.with_ambient inj body)
+    Sim.observing ~key:"scenario"
+      (function Sim.World w -> worlds := w :: !worlds | _ -> ())
+      (fun () -> Analysis.with_all (fun () -> Fault.with_ambient inj (fun () -> body site)))
   in
   let reasons =
     List.filter_map (fun (ok, why) -> if ok then None else Some why) verdicts
@@ -70,7 +75,7 @@ let guard body plan =
     pass = reasons = [];
     reason = String.concat "; " reasons;
     injected = Fault.counts inj;
-    recovery = Sl_util.Recovery.snapshot ();
+    recovery = Sim.counts !worlds;
     summary;
     findings;
   }
@@ -86,7 +91,7 @@ let guard body plan =
    is issued before the horizon, every issued request is completed or
    timed out, and the SLO ledger stays consistent with the completion
    count. *)
-let closed_pool ~count ~pool_per_core ~timeout ~clients ~think ?horizon () =
+let closed_pool ~count ~pool_per_core ~timeout ~clients ~think ?horizon _site =
   let cfg =
     {
       Server.params = p;
@@ -130,8 +135,8 @@ let closed_pool ~count ~pool_per_core ~timeout ~clients ~think ?horizon () =
 (* Every request is processed or counted lost (ring-full or DMA drop) —
    never silently missing — a missed wakeup is only ever discovered by an
    mwait timeout, and the tail stays bounded.  The path's counts are its
-   recovery sites, which [guard] resets on entry. *)
-let hardened_io ~count ~watchdog () =
+   recovery sites. *)
+let hardened_io ~count ~watchdog site =
   let cfg =
     { Io_path.default_config with Io_path.count; service = Dist.Constant 300.0 }
   in
@@ -140,7 +145,7 @@ let hardened_io ~count ~watchdog () =
       (Io_path.Mwait_hardened { watchdog; horizon = Some 40_000_000 })
       cfg
   in
-  let b = res.Io_path.io and site = Sl_util.Recovery.get in
+  let b = res.Io_path.io in
   let accounted = b.Io_path.processed + b.Io_path.dropped + b.Io_path.dma_dropped in
   let timeouts = site "io.mwait_timeout" and missed = site "io.missed_wakeup" in
   let p99 = Histogram.quantile b.Io_path.latencies 0.99 in
@@ -179,14 +184,13 @@ let hardened_io ~count ~watchdog () =
    [watchdog]'s value-preserving re-stores rescue a waiter parked with no
    patience.  The oracles are termination before the horizon and
    grant/increment conservation. *)
-let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog () =
+let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog site =
   let r =
     Contention.run ?patience ~watchdog ~horizon:50_000_000 ~cores:2 ~placement:Rr
       ~threads ~quota:(Each quota) ~section:(Increment hold) ~gap Lock.Park_mwait
   in
   let total = threads * quota in
   let st = r.Contention.stats in
-  let count f = Option.fold ~none:0 ~some:f r.Contention.watchdog in
   ( [
       ( r.Contention.counter = total,
         Printf.sprintf "wedged: %d of %d increments before the horizon"
@@ -202,8 +206,8 @@ let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog () =
       ("parks", st.Lock.parks);
       ("wakes", st.Lock.wakes);
       ("restarts", r.Contention.restarts);
-      ("watchdog_nudges", count Watchdog.nudges);
-      ("watchdog_sweeps", count Watchdog.sweeps);
+      ("watchdog_nudges", site "watchdog.nudge");
+      ("watchdog_sweeps", Option.fold ~none:0 ~some:Watchdog.sweeps r.Contention.watchdog);
     ] )
 
 (* --- the hardware channel ------------------------------------------------- *)
@@ -211,7 +215,7 @@ let parking_lock ~threads ~quota ~hold ~gap ?patience ~watchdog () =
 (* A client makes deadline-bounded calls over a channel: a delayed start
    hand-off or a lost response costs a timeout and an idempotent retry,
    never a failed call. *)
-let channel_deadline () =
+let channel_deadline site =
   let calls = 150 in
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:2 in
@@ -237,7 +241,7 @@ let channel_deadline () =
     ],
     [
       ("calls_ok", !ok);
-      ("retries", Hw_channel.retry_count ch);
+      ("retries", site "chan.retry");
       ("served", Hw_channel.served ch);
     ] )
 
@@ -247,7 +251,7 @@ let channel_deadline () =
    completion stretches one command's latency and the deadline-bounded
    mwait covers idle stretches.  Every command completes, with a bounded
    tail. *)
-let nvme_stall () =
+let nvme_stall _site =
   let total = 256 in
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:1 in
@@ -297,7 +301,7 @@ let nvme_stall () =
 (* A sender raises one IPI per request; the consumer waits on the
    handler's mailbox with a timeout.  Every IPI is received or counted
    dropped. *)
-let ipi_drop () =
+let ipi_drop _site =
   let n = 200 in
   let sim = Sim.create () in
   let sched = Swsched.create sim p ~cores:1 () in
@@ -341,7 +345,7 @@ let ipi_drop () =
 (* The consumer uses plain mwait with no deadline: under lost wakeups only
    the watchdog's value-preserving re-stores can unwedge it.  Terminating
    before the horizon is the oracle. *)
-let watchdog_rescue () =
+let watchdog_rescue site =
   let count = 300 in
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:1 in
@@ -381,7 +385,7 @@ let watchdog_rescue () =
     [
       ("processed", !processed);
       ("sweeps", Watchdog.sweeps wd);
-      ("nudges", Watchdog.nudges wd);
+      ("nudges", site "watchdog.nudge");
     ] )
 
 (* --- boot.replica: the seeded regression ---------------------------------- *)
@@ -397,7 +401,7 @@ type replica_worker = { bell : Memory.addr; mutable job : int option }
    slot, and the completion count falls short of the offered count.  This
    is the regression the explorer must find and shrink; its allowlist
    entry in staticcheck.allow documents that the bug is load-bearing. *)
-let boot_replica () =
+let boot_replica _site =
   let count = 60 in
   let sim = Sim.create () in
   let chip = Chip.create sim p ~cores:1 in

@@ -7,9 +7,10 @@
     before the horizon, request conservation, ledger consistency, a
     bounded tail) and sanitizer findings — into one {!outcome}.  The
     outcome also carries what the plan did to the run: the injector's
-    per-class fault counts and the per-site recovery counters
-    ({!Sl_util.Recovery}), which are the explorer's coverage signal and
-    the R1 chaos suite's proof that a pinned plan hit what it aimed at.
+    per-class fault counts and the per-site recovery counters of the
+    worlds the workload built ({!Sl_engine.Sim.counts}), which are the
+    explorer's coverage signal and the R1 chaos suite's proof that a
+    pinned plan hit what it aimed at.
 
     Every [run] is a pure function of the plan: same plan, same outcome,
     bit for bit — the property the explorer's replay, shrinking and
@@ -21,7 +22,8 @@ type outcome = {
   injected : (string * int) list;
       (** {!Sl_fault.Fault.counts}: faults injected, by class. *)
   recovery : (string * int) list;
-      (** {!Sl_util.Recovery.snapshot}: recovery sites that fired. *)
+      (** {!Sl_engine.Sim.counts} of the run's worlds: recovery sites
+          that fired. *)
   summary : (string * int) list;
       (** The statistics the workload read, in a fixed order. *)
   findings : Sl_analysis.Report.finding list;

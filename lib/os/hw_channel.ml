@@ -14,7 +14,6 @@ type t = {
   token : unit Mailbox.t;  (* holds one token while the channel is free *)
   mutable served : int;
   mutable issued : int;
-  mutable retries : int;
 }
 
 let self_vtid = 0
@@ -48,7 +47,6 @@ let create chip ~core ~server_ptid ?(mode = Ptid.Supervisor) ?(vector = false)
       token;
       served = 0;
       issued = 0;
-      retries = 0;
     }
   in
   let handle =
@@ -155,8 +153,7 @@ let call_with_deadline t ~client ?via ?(max_retries = 3) ~timeout ~work () =
               if Int64.compare (Isa.load client t.resp_addr) seq >= 0 then Ok ()
               else if n >= max_retries then Error `Response_timeout
               else begin
-                t.retries <- t.retries + 1;
-                Sl_util.Recovery.bump "chan.retry";
+                Sim.count "chan.retry";
                 Isa.start client ~vtid:start_vtid;
                 attempt (n + 1) ~budget:(budget * 2)
               end
@@ -170,4 +167,3 @@ let call_with_deadline t ~client ?via ?(max_retries = 3) ~timeout ~work () =
 
 let served t = t.served
 let server_ptid t = t.server_ptid
-let retry_count t = t.retries

@@ -64,10 +64,9 @@ val call_with_deadline :
     wait uses [mwait] with a deadline, retrying up to [max_retries]
     (default 3) times with exponentially doubling budgets, re-ringing the
     server's doorbell on each retry (idempotent thanks to the sequence
-    word).  Raises [Invalid_argument] when [timeout ≤ 0]. *)
-
-val retry_count : t -> int
-(** Doorbell re-rings issued by timed-out {!call_with_deadline} waits. *)
+    word); each re-ring counts ["chan.retry"] in the caller's world
+    ({!Sl_engine.Sim.count}).  Raises [Invalid_argument] when
+    [timeout ≤ 0]. *)
 
 val served : t -> int
 

@@ -175,7 +175,7 @@ let mwait_hardened w ~watchdog =
   Chip.attach net (fun th ->
       Isa.monitor th (Nic.rx_tail_addr nic);
       incr lives;
-      if !lives > 1 then Sl_util.Recovery.bump "io.crash_restart";
+      if !lives > 1 then Sim.count "io.crash_restart";
       let consecutive_misses = ref 0 in
       let empty_checks = ref 0 in
       let polling = ref false in
@@ -188,7 +188,7 @@ let mwait_hardened w ~watchdog =
              incr empty_checks;
              if !empty_checks >= poll_recovery_checks then begin
                polling := false;
-               Sl_util.Recovery.bump "io.recovery";
+               Sim.count "io.recovery";
                consecutive_misses := 0
              end
            end
@@ -199,15 +199,15 @@ let mwait_hardened w ~watchdog =
            match Isa.mwait_for th ~deadline with
            | Some _ -> consecutive_misses := 0
            | None ->
-             Sl_util.Recovery.bump "io.mwait_timeout";
+             Sim.count "io.mwait_timeout";
              (* Data present but no doorbell woke us: a missed wakeup.
                 A timeout with an empty queue is just idleness. *)
              if Nic.pending nic > 0 then begin
-               Sl_util.Recovery.bump "io.missed_wakeup";
+               Sim.count "io.missed_wakeup";
                incr consecutive_misses;
                if !consecutive_misses >= miss_threshold then begin
                  polling := true;
-                 Sl_util.Recovery.bump "io.fallback";
+                 Sim.count "io.fallback";
                  empty_checks := 0
                end
              end);

@@ -57,8 +57,9 @@ type delivery =
           consecutive empty checks suggest the storm has passed.  Packets
           lost to descriptor-DMA or ring-full drops count towards
           completion, so the run terminates even when requests vanish.
-          The path counts its recoveries in {!Sl_util.Recovery}: the
-          sites [io.mwait_timeout] (every expiry, idleness included),
+          The path counts its recoveries in its world
+          ({!Sl_engine.Sim.count}): the sites [io.mwait_timeout] (every
+          expiry, idleness included),
           [io.missed_wakeup] (an expiry that found data pending),
           [io.fallback] (mwait → polling), [io.recovery] (polling →
           mwait) and [io.crash_restart].

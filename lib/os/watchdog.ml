@@ -10,7 +10,6 @@ type t = {
   wd : Chip.thread;
   stuck_after : int;
   mutable sweeps : int;
-  mutable nudges : int;
   mutable stopped : bool;
 }
 
@@ -19,12 +18,11 @@ type t = {
    but monitor delivery triggers on the store itself, so the parked thread
    wakes, re-checks its predicate, and recovers from a lost wakeup.  If the
    fault injector drops the nudge delivery too, a later sweep retries. *)
-let nudge t th target =
+let nudge th target =
   match Chip.armed target with
   | [] -> ()
   | addrs ->
-    t.nudges <- t.nudges + 1;
-    Sl_util.Recovery.bump "watchdog.nudge";
+    Sim.count "watchdog.nudge";
     List.iter (fun addr -> Isa.store th addr (Isa.load th addr)) addrs
 
 let sweep t th =
@@ -39,7 +37,7 @@ let sweep t th =
         | Some p when p <> self -> (
           match Chip.find_thread t.chip ~ptid:p with
           | target ->
-            if Chip.state target = Ptid.Waiting then nudge t th target
+            if Chip.state target = Ptid.Waiting then nudge th target
           | exception Invalid_argument _ -> ())
         | Some _ | None -> ())
     (Sim.stuck (Chip.sim t.chip))
@@ -50,7 +48,7 @@ let create chip ~core ~ptid ?(period = 10_000) ?(stuck_after = 20_000) () =
       ~period ()
   in
   let wd = Chip.add_thread chip ~core ~ptid ~mode:Ptid.Supervisor () in
-  let t = { chip; timer; wd; stuck_after; sweeps = 0; nudges = 0; stopped = false } in
+  let t = { chip; timer; wd; stuck_after; sweeps = 0; stopped = false } in
   Chip.attach wd (fun th ->
       Isa.monitor th (Apic_timer.count_addr timer);
       while not t.stopped do
@@ -71,4 +69,3 @@ let stop t =
   end
 
 let sweeps t = t.sweeps
-let nudges t = t.nudges

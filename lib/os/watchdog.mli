@@ -33,8 +33,6 @@ val stop : t -> unit
 (** Halt the timer and retire the watchdog thread.  Idempotent. *)
 
 val sweeps : t -> int
-(** Timer ticks the watchdog has serviced. *)
-
-val nudges : t -> int
-(** Stuck threads the watchdog has re-woken (one per thread per sweep,
-    however many addresses it had armed). *)
+(** Timer ticks the watchdog has serviced.  Each stuck thread it re-wakes
+    counts ["watchdog.nudge"] in its world ({!Sl_engine.Sim.count}), once
+    per thread per sweep however many addresses the thread had armed. *)

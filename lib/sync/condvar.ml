@@ -1,7 +1,7 @@
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Memory = Switchless.Memory
-module Recovery = Sl_util.Recovery
+module Sim = Sl_engine.Sim
 
 type cslot = { mutable armed : bool; mutable armed_crashes : int }
 
@@ -30,7 +30,7 @@ let slot_of t th =
 let ensure_armed th s word =
   let crashes = Chip.crash_count th in
   if (not s.armed) || s.armed_crashes <> crashes then begin
-    if s.armed && s.armed_crashes <> crashes then Recovery.bump "sync.rearm";
+    if s.armed && s.armed_crashes <> crashes then Sim.count "sync.rearm";
     Isa.monitor th word;
     s.armed <- true;
     s.armed_crashes <- crashes

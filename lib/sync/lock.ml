@@ -6,7 +6,6 @@ module Memory = Switchless.Memory
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 module Histogram = Sl_util.Histogram
-module Recovery = Sl_util.Recovery
 
 type kind = Tas | Ticket | Mcs_spin | Mcs_mwait | Park_sw | Park_mwait
 
@@ -133,7 +132,7 @@ let slot_of t th =
 let ensure_armed s addr =
   let crashes = Chip.crash_count s.th in
   if (not s.armed) || s.armed_crashes <> crashes then begin
-    if s.armed && s.armed_crashes <> crashes then Recovery.bump "sync.rearm";
+    if s.armed && s.armed_crashes <> crashes then Sim.count "sync.rearm";
     Isa.monitor s.th addr;
     s.armed <- true;
     s.armed_crashes <- crashes
@@ -253,7 +252,7 @@ let mcs_wait_mwait t s ~target =
     | Some patience -> (
       match Isa.mwait_for s.th ~deadline:(Sim.now () + patience) with
       | Some _ -> ()
-      | None -> Recovery.bump "sync.park_retry"));
+      | None -> Sim.count "sync.park_retry"));
     t.wakes <- t.wakes + 1;
     emit_wake t s.sptid
   done
@@ -330,7 +329,7 @@ let park_slow t s =
       | Some patience -> (
         match Isa.mwait_for s.th ~deadline:(Sim.now () + patience) with
         | Some _ -> ()
-        | None -> Recovery.bump "sync.park_retry"));
+        | None -> Sim.count "sync.park_retry"));
       t.wakes <- t.wakes + 1;
       emit_wake t s.sptid;
       loop ()

@@ -32,7 +32,7 @@ let rules findings = List.map (fun f -> f.Report.rule) findings
 
 let has_rule rule findings = List.mem rule (rules findings)
 
-let strict = { Analysis.default_config with Analysis.check_reads = true }
+let strict = { Analysis.check_reads = true }
 
 (* --- vector clocks --- *)
 

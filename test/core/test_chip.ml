@@ -817,8 +817,11 @@ let test_stuck_reports_ptid () =
    38 while each resolve returned [Some (target, perms)] (and the ptid
    lookup its own [Some]) and each caller built [Probe.Thread], 45 while
    both built their [Start_edge] and [Stop_edge] records
-   unconditionally.  Measured like the ping-pong above. *)
-let start_stop_round_trips rounds =
+   unconditionally.  Measured like the ping-pong above.  [~keyed] makes
+   the pair [start_keyed] and [stop_keyed] (a supervisor passes whatever
+   its key): the same 20 words, 32 while each keyed instruction built
+   its resolver as a closure over the key. *)
+let start_stop_round_trips ?(keyed = false) rounds =
   let sim, chip = setup () in
   let worker = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
   Chip.attach worker (fun th ->
@@ -828,25 +831,26 @@ let start_stop_round_trips rounds =
   let boss = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.Supervisor () in
   Chip.attach boss (fun th ->
       for _ = 1 to rounds do
-        Isa.start th ~vtid:2;
+        if keyed then Isa.start_keyed th ~target_ptid:2 ~key:7L else Isa.start th ~vtid:2;
         Isa.exec th 1000;
-        Isa.stop th ~vtid:2;
+        if keyed then Isa.stop_keyed th ~target_ptid:2 ~key:7L else Isa.stop th ~vtid:2;
         Isa.exec th 1000
       done);
   Chip.boot boss;
   Sim.run sim;
   check_int "every round started the worker" rounds (Chip.start_count worker)
 
-let test_start_stop_allocation () =
-  start_stop_round_trips 100;
+let start_stop_allocation ~keyed () =
+  start_stop_round_trips ~keyed 100;
   let words rounds =
     let before = Gc.minor_words () in
-    start_stop_round_trips rounds;
+    start_stop_round_trips ~keyed rounds;
     Gc.minor_words () -. before
   in
   let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f minor words per start -> stop round trip < 22" per_round_trip)
+    (Printf.sprintf "%.1f minor words per %sstart -> stop round trip < 22" per_round_trip
+       (if keyed then "keyed " else ""))
     true (per_round_trip < 22.0)
 
 (* A server that stops itself after each request, started once per
@@ -1064,7 +1068,9 @@ let () =
           Alcotest.test_case "stop -> start round-trip allocation" `Quick
             test_stop_start_allocation;
           Alcotest.test_case "start -> stop round-trip allocation" `Quick
-            test_start_stop_allocation;
+            (start_stop_allocation ~keyed:false);
+          Alcotest.test_case "keyed start -> stop round-trip allocation" `Quick
+            (start_stop_allocation ~keyed:true);
         ] );
       ( "spin",
         [

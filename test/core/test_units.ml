@@ -301,6 +301,41 @@ let test_dispatch_race_free_under_burst () =
   Sim.run ~until:1_000_000 sim;
   check_int "no lost items" 50 (List.length !handled)
 
+(* Minor words per dispatch with the whole pool parked: items submitted
+   one at a time, each handled before the next, after every worker has
+   booted and parked.  Measured as the difference of two run lengths,
+   so the pool's set-up cancels.  It must not grow with the pool: 21
+   words on OCaml 5.1 for every policy at 6, 60 and 600 workers.  A
+   parked list that Fifo rebuilt and Locality filtered on each pick
+   cost 383 words at 60 workers and 3,623 at 600 (Fifo), 216 and 1,836
+   (Locality); Lifo 29 at both. *)
+let dispatch_words policy ~workers =
+  let run items =
+    let sim, _, d, handled = dispatch_world policy workers in
+    Sim.spawn sim (fun () ->
+        Sim.delay 1_000_000;
+        for item = 1 to items do
+          Hw_dispatch.submit d (Int64.of_int item);
+          Sim.delay 2_000
+        done);
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    let words = Gc.minor_words () -. before in
+    check_int "every item handled" items (List.length !handled);
+    words
+  in
+  (run 2_000 -. run 1_000) /. 1_000.0
+
+let test_dispatch_words_flat_in_pool_size () =
+  List.iter
+    (fun (name, policy) ->
+      let small = dispatch_words policy ~workers:60 in
+      let large = dispatch_words policy ~workers:600 in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: minor words per dispatch at 600 workers as at 60" name)
+        small large)
+    [ ("Fifo", Hw_dispatch.Fifo); ("Lifo", Hw_dispatch.Lifo); ("Locality", Hw_dispatch.Locality) ]
+
 let () =
   Alcotest.run "core_units"
     [
@@ -340,6 +375,8 @@ let () =
           Alcotest.test_case "lifo reuses hot worker" `Quick
             test_dispatch_lifo_prefers_recent_worker;
           Alcotest.test_case "fifo rotates" `Quick test_dispatch_fifo_rotates_workers;
+          Alcotest.test_case "words per dispatch flat in pool size" `Quick
+            test_dispatch_words_flat_in_pool_size;
           Alcotest.test_case "race-free under burst" `Quick
             test_dispatch_race_free_under_burst;
         ] );

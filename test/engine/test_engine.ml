@@ -966,6 +966,61 @@ let test_now_restored_after_nested_run () =
     (Invalid_argument "Sim.now: no world is running on this domain") (fun () ->
       ignore (Sim.now () : int))
 
+(* --- Sim.count: counters owned by the world --- *)
+
+let counts_t = Alcotest.(list (pair string int))
+
+(* Worlds run one after the other and one nested inside a process of
+   another: each count lands in the world whose run is executing. *)
+let test_count_per_world () =
+  let a = Sim.create () and b = Sim.create () and inner = Sim.create () in
+  Sim.spawn a (fun () ->
+      Sim.count "x";
+      Sim.delay 10;
+      Sim.count "x");
+  Sim.schedule b ~at:5 (fun () ->
+      Sim.count "x";
+      Sim.count "y");
+  Sim.schedule inner ~at:3 (fun () -> Sim.count "inner");
+  let c = Sim.create () in
+  Sim.spawn c (fun () ->
+      Sim.count "outer";
+      Sim.run inner;
+      Sim.count "outer");
+  Sim.run a;
+  Sim.run b;
+  Sim.run c;
+  Alcotest.check counts_t "first world" [ ("x", 2) ] (Sim.counts [ a ]);
+  Alcotest.check counts_t "second world" [ ("x", 1); ("y", 1) ] (Sim.counts [ b ]);
+  Alcotest.check counts_t "outer world" [ ("outer", 2) ] (Sim.counts [ c ]);
+  Alcotest.check counts_t "nested world" [ ("inner", 1) ] (Sim.counts [ inner ])
+
+let test_counts_sum_and_sort () =
+  let counting names =
+    let sim = Sim.create () in
+    Sim.spawn sim (fun () -> List.iter Sim.count names);
+    Sim.run sim;
+    sim
+  in
+  let a = counting [ "b"; "a"; "a" ] and b = counting [ "c"; "a" ] in
+  let silent = counting [] in
+  Alcotest.check counts_t "summed by name, sorted"
+    [ ("a", 3); ("b", 1); ("c", 1) ]
+    (Sim.counts [ a; silent; b ]);
+  Alcotest.check counts_t "order of the worlds does not matter"
+    (Sim.counts [ a; b ]) (Sim.counts [ b; a ]);
+  Alcotest.check counts_t "a world that never counted" [] (Sim.counts [ silent ]);
+  Alcotest.check counts_t "no world" [] (Sim.counts [])
+
+let test_count_outside_run_raises () =
+  let no_world = Invalid_argument "Sim.count: no world is running on this domain" in
+  Alcotest.check_raises "before any run" no_world (fun () -> Sim.count "x");
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.count "x");
+  Sim.run sim;
+  Alcotest.check_raises "after the run" no_world (fun () -> Sim.count "x");
+  Alcotest.check counts_t "only the run's count" [ ("x", 1) ] (Sim.counts [ sim ])
+
 (* --- Sim.observe: the one observer registry --- *)
 
 (* Each observer appends its key to [log] for every world announced;
@@ -1850,6 +1905,13 @@ let () =
             test_now_in_schedule_callback;
           Alcotest.test_case "nested run restores the outer clock" `Quick
             test_now_restored_after_nested_run;
+        ] );
+      ( "count",
+        [
+          Alcotest.test_case "each world keeps its own counts" `Quick test_count_per_world;
+          Alcotest.test_case "counts sum across worlds, sorted by name" `Quick
+            test_counts_sum_and_sort;
+          Alcotest.test_case "raises outside any run" `Quick test_count_outside_run_raises;
         ] );
       ("properties", qsuite);
     ]

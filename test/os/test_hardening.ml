@@ -13,10 +13,12 @@ module Hw_channel = Sl_os.Hw_channel
 module Watchdog = Sl_os.Watchdog
 module Io_path = Sl_os.Io_path
 module Fault = Sl_fault.Fault
-module Recovery = Sl_util.Recovery
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* A recovery site's count over the given worlds. *)
+let site worlds name = Option.value ~default:0 (List.assoc_opt name (Sim.counts worlds))
 
 let p = Params.default
 
@@ -34,7 +36,7 @@ let test_robust_channel_serves_all () =
   Chip.boot client;
   Sim.run sim;
   check_int "all served" 20 (Hw_channel.served ch);
-  check_int "no retries needed" 0 (Hw_channel.retry_count ch)
+  check_int "no retries needed" 0 (site [ sim ] "chan.retry")
 
 let test_call_with_deadline_ok_when_healthy () =
   let sim = Sim.create () in
@@ -54,7 +56,7 @@ let test_call_with_deadline_ok_when_healthy () =
   Chip.boot client;
   Sim.run sim;
   check_int "all calls ok" 20 !oks;
-  check_int "no retries" 0 (Hw_channel.retry_count ch)
+  check_int "no retries" 0 (site [ sim ] "chan.retry")
 
 (* Every start is idempotent: a start that carries no new request (here
    rung by a second supervisor thread) finds the sequence word already
@@ -128,7 +130,7 @@ let test_wedged_server_times_out_both_callers () =
      retry ladder (1k+2k+4k) would have released the lock. *)
   check_bool "second caller bailed early" true
     (!b_done_at < 2_500);
-  check_int "retries re-rang the doorbell" 2 (Hw_channel.retry_count ch)
+  check_int "retries re-rang the doorbell" 2 (site [ sim ] "chan.retry")
 
 (* --- lost wakeups: retries and the watchdog ------------------------------- *)
 
@@ -152,7 +154,7 @@ let run_faulted_calls plan =
           done);
       Chip.boot client;
       Sim.run sim;
-      (!oks, Hw_channel.retry_count ch, inj))
+      (!oks, site [ sim ] "chan.retry", inj))
 
 let test_call_with_deadline_recovers_lost_wakeups () =
   (* A lost wake delivery leaves the response word already written, so
@@ -200,7 +202,7 @@ let test_watchdog_rescues_parked_thread () =
   Watchdog.start wd;
   Sim.run sim;
   check_bool "nudged awake" true !rescued;
-  check_bool "nudge counted" true (Watchdog.nudges wd >= 1);
+  check_bool "nudge counted" true (site [ sim ] "watchdog.nudge" >= 1);
   check_bool "nothing left stuck" true (Sim.suspects sim = [])
 
 let test_watchdog_leaves_healthy_threads_alone () =
@@ -228,40 +230,46 @@ let test_watchdog_leaves_healthy_threads_alone () =
       done);
   Sim.run sim;
   check_int "all real wakeups" 10 !wakes;
-  check_int "no nudges" 0 (Watchdog.nudges wd)
+  check_int "no nudges" 0 (site [ sim ] "watchdog.nudge")
 
 (* --- degraded-mode I/O loop ----------------------------------------------- *)
 
 let io_cfg = { Io_path.default_config with Io_path.count = 300 }
 
-(* The hardened path counts its recoveries in the domain's registry;
-   reset it so each case sees only its own run. *)
+(* The hardened path counts its recoveries in the world it builds: the
+   result comes back with that world's count of each site. *)
 let hardened cfg =
-  Recovery.reset ();
-  Io_path.run (Io_path.Mwait_hardened { watchdog = false; horizon = None }) cfg
+  let worlds = ref [] in
+  let r =
+    Sim.observing ~key:"test"
+      (function Sim.World w -> worlds := w :: !worlds | _ -> ())
+      (fun () ->
+        Io_path.run (Io_path.Mwait_hardened { watchdog = false; horizon = None }) cfg)
+  in
+  (r, site !worlds)
 
 let test_hardened_io_matches_mwait_when_healthy () =
   let plain = (Io_path.run Io_path.Mwait io_cfg).Io_path.io in
-  let r = hardened io_cfg in
+  let r, site = hardened io_cfg in
   check_int "same packets processed" plain.Io_path.processed
     r.Io_path.io.Io_path.processed;
-  check_int "no fallbacks" 0 (Recovery.get "io.fallback");
-  check_int "no missed wakeups" 0 (Recovery.get "io.missed_wakeup")
+  check_int "no fallbacks" 0 (site "io.fallback");
+  check_int "no missed wakeups" 0 (site "io.missed_wakeup")
 
 let test_hardened_io_survives_total_doorbell_loss () =
   (* Every doorbell lost: pure deadline-driven operation must still
      deliver every packet (degrading to polling as designed). *)
   let plan = { Fault.none with Fault.seed = 31L; nic_doorbell_drop = 1.0 } in
   let inj = Fault.create plan in
-  let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
+  let r, site = Fault.with_ambient inj (fun () -> hardened io_cfg) in
   check_int "all packets processed" io_cfg.Io_path.count
     r.Io_path.io.Io_path.processed;
-  check_bool "fell back to polling" true (Recovery.get "io.fallback" > 0)
+  check_bool "fell back to polling" true (site "io.fallback" > 0)
 
 let test_hardened_io_accounts_for_vanished_packets () =
   let plan = { Fault.none with Fault.seed = 32L; nic_dma_drop = 0.2 } in
   let inj = Fault.create plan in
-  let r = Fault.with_ambient inj (fun () -> hardened io_cfg) in
+  let r, _ = Fault.with_ambient inj (fun () -> hardened io_cfg) in
   let io = r.Io_path.io in
   check_bool "some packets vanished" true (io.Io_path.dma_dropped > 0);
   check_int "processed + vanished = offered" io_cfg.Io_path.count
