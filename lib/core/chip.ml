@@ -75,21 +75,23 @@ type t = {
   mutable faults : fault_hooks option;
   mutable parking : thread;  (* the thread suspending on [park] *)
   mutable park : Sim.suspension;  (* every body's one park point, see [park_body] *)
+  mutable by_mslot : thread array;  (* Monitor slot -> thread, for [deliver] *)
+  deliver : unit -> unit;  (* wake-delivery event, tagged with a Monitor slot *)
 }
 
 (* One hardware thread, allocated once at [add_thread] and shared by
    every [find_thread]/[thread_list].  The wake path's fields come
-   first; the closures are fixed at [add_thread].
+   first; the closure is fixed at [add_thread].
 
-   In-flight wake delivery: the scheduled event is the preallocated
-   [deliver] thunk reading its (epoch, addr) from [pend_epoch]/
-   [pend_addr], so the steady-state wake path schedules without
-   allocating.  At most one delivery per thread is normally in flight
-   (the monitor waiter is consumed when it fires and only re-registered
-   by the next mwait, which runs after the delivery); the rare overlap —
-   force-stop + restart + re-park + second wake inside the first
-   delivery's latency window — falls back to a capturing closure (see
-   [monitor_wake]). *)
+   In-flight wake delivery: the scheduled event is the chip's one
+   [deliver], tagged with the thread's Monitor slot, which reads its
+   (epoch, addr) from [pend_epoch]/[pend_addr], so the steady-state
+   wake path schedules without allocating.  At most one delivery per
+   thread is normally in flight (the monitor waiter is consumed when it
+   fires and only re-registered by the next mwait, which runs after the
+   delivery); the rare overlap — force-stop + restart + re-park +
+   second wake inside the first delivery's latency window — falls back
+   to a capturing closure (see [monitor_wake]). *)
 and thread = {
   chip : t;
   mutable state : Ptid.state;
@@ -97,7 +99,7 @@ and thread = {
   mutable cell : cell;
   mutable wval : int;  (* wake value (addr >= 0 or a wake_* code) *)
   mutable resume : Sim.waker;  (* the parked body's waker *)
-  mutable pending : bool;  (* [deliver] is scheduled *)
+  mutable pending : bool;  (* the chip's [deliver] is scheduled for it *)
   mutable pend_epoch : int;
   mutable pend_addr : Memory.addr;
   mutable wakeups : int;
@@ -108,7 +110,6 @@ and thread = {
   t_ptid : int;
   weight : float;
   wake : Memory.addr -> unit;  (* monitor waiter *)
-  deliver : unit -> unit;  (* wake-delivery event *)
   mutable starts : int;
   mutable spawned : bool;  (* body spawned at least once *)
   mutable pending_start : bool;  (* latched start, absorbs the next stop *)
@@ -130,82 +131,6 @@ type Sim.component += Chip of t
 (* Kept for perfbench/obs.ml until it observes [Chip] itself. *)
 let add_creation_hook ~key f = Sim.observe ~key (function Chip t -> f t | _ -> ())
 let remove_creation_hook ~key = Sim.unobserve ~key
-
-let create sim params ~cores =
-  if cores <= 0 then invalid_arg "Chip.create: need at least one core";
-  let memory = Memory.create () in
-  let monitor = Monitor.create params in
-  Monitor.attach monitor memory;
-  let cores =
-    Array.init cores (fun core_id ->
-        {
-          exec_unit = Smt_core.create sim params ~core_id;
-          store = State_store.create params;
-          cache = Tdt.Cache.create ();
-        })
-  in
-  let tids = Hashtbl.create 64
-  and regs = Regstate.create ()
-  and entry = State_store.placeholder () in
-  let rec t =
-    {
-      sim;
-      params;
-      memory;
-      monitor;
-      cores;
-      tids;
-      threads = [];
-      halted_reason = None;
-      exn_seq = 0L;
-      exn_count = 0;
-      probe = None;
-      probe_on = false;
-      faults = None;
-      parking = nobody;
-      park = Sim.no_suspension;
-    }
-  (* What [parking] names before any thread parks: a thread of no core
-     that never runs. *)
-  and nobody =
-    {
-      chip = t;
-      state = Ptid.Disabled;
-      epoch = 0;
-      cell = Idle;
-      wval = 0;
-      resume = Sim.no_waker;
-      pending = false;
-      pend_epoch = 0;
-      pend_addr = 0;
-      wakeups = 0;
-      core_id = -1;
-      mslot = -1;
-      smt = -1;
-      entry;
-      t_ptid = -1;
-      weight = 1.0;
-      wake = ignore;
-      deliver = ignore;
-      starts = 0;
-      spawned = false;
-      pending_start = false;
-      crashed = false;
-      supervisor = false;
-      crashes = 0;
-      regs;
-      body = None;
-      tdt = None;
-      secret = None;
-    }
-  in
-  t.park <- Sim.suspension (fun waker -> t.parking.resume <- waker);
-  t
-
-let create sim params ~cores =
-  let t = create sim params ~cores in
-  Sim.announce (Chip t);
-  t
 
 let set_probe t f =
   t.probe <- Some f;
@@ -399,7 +324,7 @@ let monitor_wake th addr =
     th.pending <- true;
     th.pend_epoch <- epoch;
     th.pend_addr <- addr;
-    Sim.schedule c.sim ~at th.deliver
+    Sim.schedule_tagged c.sim ~at ~tag:th.mslot c.deliver
   end
   else
     (* Overlapping deliveries for one thread: each must carry its own
@@ -483,7 +408,88 @@ let crash_self th ~kind ~restart_after =
   crash_mark th ~kind ~restart_after;
   raise Crash_stop
 
-(* --- thread construction ------------------------------------------------ *)
+(* --- construction --------------------------------------------------------- *)
+
+let create sim params ~cores =
+  if cores <= 0 then invalid_arg "Chip.create: need at least one core";
+  let memory = Memory.create () in
+  let monitor = Monitor.create params in
+  Monitor.attach monitor memory;
+  let cores =
+    Array.init cores (fun core_id ->
+        {
+          exec_unit = Smt_core.create sim params ~core_id;
+          store = State_store.create params;
+          cache = Tdt.Cache.create ();
+        })
+  in
+  let tids = Hashtbl.create 64
+  and regs = Regstate.create ()
+  and entry = State_store.placeholder () in
+  let rec t =
+    {
+      sim;
+      params;
+      memory;
+      monitor;
+      cores;
+      tids;
+      threads = [];
+      halted_reason = None;
+      exn_seq = 0L;
+      exn_count = 0;
+      probe = None;
+      probe_on = false;
+      faults = None;
+      parking = nobody;
+      park = Sim.no_suspension;
+      by_mslot = [||];
+      deliver =
+        (fun () ->
+          let th = t.by_mslot.(Sim.event_tag t.sim) in
+          th.pending <- false;
+          deliver_wake th th.pend_epoch th.pend_addr);
+    }
+  (* What [parking] names before any thread parks: a thread of no core
+     that never runs. *)
+  and nobody =
+    {
+      chip = t;
+      state = Ptid.Disabled;
+      epoch = 0;
+      cell = Idle;
+      wval = 0;
+      resume = Sim.no_waker;
+      pending = false;
+      pend_epoch = 0;
+      pend_addr = 0;
+      wakeups = 0;
+      core_id = -1;
+      mslot = -1;
+      smt = -1;
+      entry;
+      t_ptid = -1;
+      weight = 1.0;
+      wake = ignore;
+      starts = 0;
+      spawned = false;
+      pending_start = false;
+      crashed = false;
+      supervisor = false;
+      crashes = 0;
+      regs;
+      body = None;
+      tdt = None;
+      secret = None;
+    }
+  in
+  t.park <- Sim.suspension (fun waker -> t.parking.resume <- waker);
+  t
+
+let create sim params ~cores =
+  let t = create sim params ~cores in
+  Sim.announce (Chip t);
+  t
 
 let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () =
   if core_id < 0 || core_id >= Array.length t.cores then
@@ -515,10 +521,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       t_ptid = ptid;
       weight;
       wake = (fun addr -> monitor_wake th addr);
-      deliver =
-        (fun () ->
-          th.pending <- false;
-          deliver_wake th th.pend_epoch th.pend_addr);
       starts = 0;
       spawned = false;
       pending_start = false;
@@ -533,6 +535,16 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   in
   Hashtbl.replace t.tids ptid th;
   t.threads <- th :: t.threads;
+  (* Monitor slots are dense, bar any a caller registers on the chip's
+     monitor table itself (E9's filler arms): their entries here are
+     never read. *)
+  let n = Array.length t.by_mslot in
+  if mslot >= n then begin
+    let a = Array.make (max (mslot + 1) (max 8 (2 * n))) th in
+    Array.blit t.by_mslot 0 a 0 n;
+    t.by_mslot <- a
+  end;
+  t.by_mslot.(mslot) <- th;
   th
 
 (* --- §3.1 instructions -------------------------------------------------- *)

@@ -24,6 +24,7 @@ type t = {
   pending : int64 Queue.t;
   parked : worker;  (* sentinel: [older] is the newest worker, [newer] the oldest *)
   mutable dispatched : int;
+  bell : unit -> unit;  (* the doorbell event: rings the address its tag names *)
 }
 
 let unlinked ~entry ~doorbell =
@@ -31,6 +32,7 @@ let unlinked ~entry ~doorbell =
   w
 
 let create chip ~core ?(policy = Lifo) () =
+  let sim = Chip.sim chip and memory = Chip.memory chip in
   {
     chip;
     core;
@@ -38,6 +40,7 @@ let create chip ~core ?(policy = Lifo) () =
     pending = Queue.create ();
     parked = unlinked ~entry:(State_store.placeholder ()) ~doorbell:(-1);
     dispatched = 0;
+    bell = (fun () -> Memory.write memory (Sim.event_tag sim) 1L);
   }
 
 let unlink w =
@@ -73,10 +76,8 @@ let pick t =
 let ring t worker payload =
   worker.slot <- payload;
   t.dispatched <- t.dispatched + 1;
-  let memory = Chip.memory t.chip in
-  let at = Sim.time (Chip.sim t.chip) + dispatch_cycles in
-  Sim.schedule (Chip.sim t.chip) ~at (fun () ->
-      Memory.write memory worker.doorbell 1L)
+  let sim = Chip.sim t.chip in
+  Sim.schedule_tagged sim ~at:(Sim.time sim + dispatch_cycles) ~tag:worker.doorbell t.bell
 
 let submit t payload =
   let worker = pick t in
@@ -103,8 +104,19 @@ let worker_loop t th handle =
       handle payload;
       loop ()
     | None ->
+      (* Only [submit] unlinks a parked worker, so one still linked was
+         woken with nothing dispatched (a spurious wake, a watchdog
+         nudge): it parks again at once, without the queue probe.  The
+         probe can yield, and a [submit] in that yield would take the
+         still-linked worker only for the empty probe to park it again
+         with the item unseen. *)
       park t worker;
-      let _ = Isa.mwait th in
+      while
+        ignore (Isa.mwait th : Memory.addr);
+        worker.newer != worker
+      do
+        park t worker
+      done;
       handle worker.slot;
       loop ()
   in

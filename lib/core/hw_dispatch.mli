@@ -36,8 +36,9 @@ val create : Chip.t -> core:int -> ?policy:policy -> unit -> t
 val worker_loop : t -> Chip.thread -> (int64 -> unit) -> unit
 (** [worker_loop t th handle] is the body of a worker thread: forever
     fetch the next item (parking in mwait when the queue is dry) and run
-    [handle item].  Call it from the thread's attached body; boot the
-    thread to begin. *)
+    [handle item].  A wake that dispatched no item (a spurious wake, a
+    watchdog nudge) runs nothing: the worker parks again.  Call it from
+    the thread's attached body; boot the thread to begin. *)
 
 val submit : t -> int64 -> unit
 (** Enqueue one work item.  Callable from any process or callback (it is

@@ -74,7 +74,8 @@ type t = {
   mutable rweight : float array;  (* weight of rslot.(i) *)
   mutable rcount : int;
   mutable last_update : Sim.Time.t;
-  mutable epoch : int;  (* stamps completion events; bumps invalidate them *)
+  mutable epoch : int;  (* tags completion events; bumps invalidate them *)
+  mutable fire : unit -> unit;  (* the completion event, see [schedule_completion] *)
   f : floats;
   work : float array;  (* indexed by kind *)
   (* Billing, dense by slot. *)
@@ -98,45 +99,6 @@ type t = {
   mutable nonunit : int;  (* runnable threads whose weight is not 1.0 *)
   mutable min_valid : bool;  (* [f.min_rem] is valid only when this is set *)
 }
-
-let create sim params ~core_id =
-  let t =
-    {
-      sim;
-      params;
-      core_id;
-      s_ptid = Array.make 16 (-1);
-      nslots = 0;
-      j_kind = Array.make 16 (-1);
-      j_rem = Array.make 16 0.0;
-      j_resume = Array.make 16 Sim.no_waker;
-      parking = -1;
-      suspension = Sim.no_suspension;
-      njobs = 0;
-      rpos = Array.make 16 (-1);
-      rslot = Array.make 16 0;
-      rweight = Array.make 16 0.0;
-      rcount = 0;
-      last_update = 0;
-      epoch = 0;
-      f = { busy = 0.0; min_rem = infinity };
-      work = Array.make 3 0.0;
-      b_cycles = Array.make 16 0.0;
-      b_flag = Array.make 16 0;
-      sslot = Array.make 16 0;
-      sweight = Array.make 16 0.0;
-      srate = Array.make 16 0.0;
-      scapped = Array.make 16 false;
-      scount = 0;
-      frozen = 0;
-      nonunit = 0;
-      min_valid = false;
-    }
-  in
-  t.suspension <- Sim.suspension (fun waker -> t.j_resume.(t.parking) <- waker);
-  t
-
-let core_id t = t.core_id
 
 (* Grow every slot-indexed array to cover [slot].  Slots are handed out
    densely, so this only ever doubles — never jumps to a sparse ptid. *)
@@ -408,19 +370,63 @@ let next_dt t =
   end
 
 (* Schedule the next completion event [dt] cycles from now (none if
-   [dt < 0]), invalidating older ones.  With no job in flight there is
-   nothing to schedule or scan. *)
-let rec schedule_completion t dt =
+   [dt < 0]), invalidating older ones.  Every completion event is the
+   core's one [fire], tagged with the epoch it was scheduled in: a stale
+   one still pops, finds the epoch moved on and stands down, so nothing
+   is allocated per event.  With no job in flight there is nothing to
+   schedule or scan. *)
+let schedule_completion t dt =
   t.epoch <- t.epoch + 1;
-  let epoch = t.epoch in
-  if dt >= 0 then
-    Sim.schedule t.sim ~at:(Sim.time t.sim + dt) (fun () ->
-        if epoch = t.epoch then begin
-          advance t;
-          reschedule t
-        end)
+  if dt >= 0 then Sim.schedule_tagged t.sim ~at:(Sim.time t.sim + dt) ~tag:t.epoch t.fire
+[@@sl.zero_alloc]
 
-and reschedule t = schedule_completion t (if t.njobs > 0 then next_dt t else -1)
+let reschedule t = schedule_completion t (if t.njobs > 0 then next_dt t else -1)
+
+let create sim params ~core_id =
+  let t =
+    {
+      sim;
+      params;
+      core_id;
+      s_ptid = Array.make 16 (-1);
+      nslots = 0;
+      j_kind = Array.make 16 (-1);
+      j_rem = Array.make 16 0.0;
+      j_resume = Array.make 16 Sim.no_waker;
+      parking = -1;
+      suspension = Sim.no_suspension;
+      njobs = 0;
+      rpos = Array.make 16 (-1);
+      rslot = Array.make 16 0;
+      rweight = Array.make 16 0.0;
+      rcount = 0;
+      last_update = 0;
+      epoch = 0;
+      fire = ignore;
+      f = { busy = 0.0; min_rem = infinity };
+      work = Array.make 3 0.0;
+      b_cycles = Array.make 16 0.0;
+      b_flag = Array.make 16 0;
+      sslot = Array.make 16 0;
+      sweight = Array.make 16 0.0;
+      srate = Array.make 16 0.0;
+      scapped = Array.make 16 false;
+      scount = 0;
+      frozen = 0;
+      nonunit = 0;
+      min_valid = false;
+    }
+  in
+  t.suspension <- Sim.suspension (fun waker -> t.j_resume.(t.parking) <- waker);
+  t.fire <-
+    (fun () ->
+      if Sim.event_tag t.sim = t.epoch then begin
+        advance t;
+        reschedule t
+      end);
+  t
+
+let core_id t = t.core_id
 
 let set_runnable t ~slot ~weight runnable =
   if weight <= 0.0 then invalid_arg "Smt_core.set_runnable: weight must be positive";

@@ -272,9 +272,16 @@ let create () =
 let time t = t.now
 let events_processed t = t.events
 
-let schedule t ~at thunk =
+let schedule_tagged t ~at ~tag f =
   if at < t.now then invalid_arg "Sim.schedule: time in the past";
-  push t ~at thunk
+  Wheel.push_tagged t.queue ~time:at ~tag f
+[@@sl.zero_alloc]
+
+let schedule t ~at f = schedule_tagged t ~at ~tag:0 f
+
+(* The run loop pops through the wheel, which keeps the popped event's
+   tag, so the loop itself stores nothing per event. *)
+let event_tag t = Wheel.popped_tag t.queue
 
 (* A new process joins the ring's tail: pids only grow, so the ring
    stays in pid order. *)

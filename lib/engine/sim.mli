@@ -86,6 +86,20 @@ val schedule : t -> at:Time.t -> (unit -> unit) -> unit
     runs after every event already scheduled for [at], also when [at] is
     the current time (see {!run}). *)
 
+val schedule_tagged : t -> at:Time.t -> tag:int -> (unit -> unit) -> unit
+(** [schedule_tagged t ~at ~tag f] is [schedule t ~at f] for an event
+    that carries the int [tag]: one callback scheduled with different
+    tags can tell its events apart by {!event_tag}, so a caller need
+    not allocate a closure per event to capture the difference.  The
+    tag changes nothing about when or in which order the event runs.
+    Allocation-free once the queue is warm. *)
+
+val event_tag : t -> int
+(** The tag of the event that {!run} popped last in [t]: inside a
+    {!schedule_tagged} callback, the callback's own tag.  Every other
+    event ({!schedule}, {!after}, a process's start, hop or wake) has
+    tag 0. *)
+
 val run : ?until:Time.t -> t -> unit
 (** Drive the event loop until the queue drains, or until simulated time
     would exceed [until] (events at exactly [until] still fire).  Either

@@ -40,7 +40,13 @@ module Arena = Sl_util.Arena
    reaches the (empty) ring whole, before any event pushed for that tick
    once the cursor is there, so the ring pops in push order too: the
    order of a (time, seq) heap fed a monotone seq, property-tested
-   against test/engine's Pqueue.  See DESIGN.md, "Event queue v3". *)
+   against test/engine's Pqueue.
+
+   Tags.  Each event carries one int beside its payload, its tag: the
+   ring and the arena hold it in a parallel int array, every move above
+   carries it with the payload, and [pop] leaves the popped event's tag
+   in [popped].  A tag never touches placement or order.  See DESIGN.md,
+   "Event queue v3". *)
 
 let bits = 5
 let slot_count = 1 lsl bits  (* 32 *)
@@ -58,10 +64,13 @@ type 'a t = {
   occ : int array;  (* per-level occupancy bitmask over slots *)
   mutable cursor : int;  (* trails the earliest pending event; never recedes *)
   (* The ready ring: events at [cursor]'s tick, FIFO, [len] of them from
-     [head] in a power-of-two circular buffer. *)
+     [head] in a power-of-two circular buffer, each event's tag in
+     [tags] at its index in [items]. *)
   mutable items : 'a array;
+  mutable tags : int array;
   mutable head : int;
   mutable len : int;
+  mutable popped : int;  (* the tag of the event [pop] returned last *)
   dummy : 'a;
 }
 
@@ -73,8 +82,10 @@ let create ~dummy =
     occ = Array.make levels 0;
     cursor = 0;
     items = [||];
+    tags = [||];
     head = 0;
     len = 0;
+    popped = 0;
     dummy;
   }
 
@@ -86,18 +97,24 @@ let ready t = t.len > 0
 let ring_grow t =
   let cap = Array.length t.items in
   let items = Array.make (max 8 (2 * cap)) t.dummy in
+  let tags = Array.make (Array.length items) 0 in
   for k = 0 to t.len - 1 do
-    items.(k) <- t.items.((t.head + k) land (cap - 1))
+    let i = (t.head + k) land (cap - 1) in
+    items.(k) <- t.items.(i);
+    tags.(k) <- t.tags.(i)
   done;
   t.items <- items;
+  t.tags <- tags;
   t.head <- 0
 
 (* [@@sl.zero_alloc]: the warm-path budget.  [ring_grow] allocates, but
    amortized doubling runs O(log n) times per world; the per-event path
-   writes one slot of a preallocated array. *)
-let ring_push t x =
+   writes one slot of each of two preallocated arrays. *)
+let ring_push t x tag =
   if t.len = Array.length t.items then ring_grow t;
-  t.items.((t.head + t.len) land (Array.length t.items - 1)) <- x;
+  let i = (t.head + t.len) land (Array.length t.items - 1) in
+  t.items.(i) <- x;
+  t.tags.(i) <- tag;
   t.len <- t.len + 1
 [@@sl.zero_alloc]
 
@@ -107,10 +124,13 @@ let pop t =
   let i = t.head in
   let x = t.items.(i) in
   t.items.(i) <- t.dummy;
+  t.popped <- t.tags.(i);
   t.head <- (i + 1) land (Array.length t.items - 1);
   t.len <- t.len - 1;
   x
 [@@sl.zero_alloc]
+
+let popped_tag t = t.popped
 
 (* Level of a nonzero in-window xor: index of its highest 5-bit band. *)
 let level_of x =
@@ -142,12 +162,14 @@ let chain_node t node time x =
   end
 [@@sl.zero_alloc]
 
-let push t ~time payload =
+let push_tagged t ~time ~tag payload =
   if time < t.cursor then invalid_arg "Wheel.push: time precedes the cursor";
   let x = time lxor t.cursor in
-  if x = 0 then ring_push t payload
-  else chain_node t (Arena.alloc t.arena ~time payload) time x
+  if x = 0 then ring_push t payload tag
+  else chain_node t (Arena.alloc t.arena ~time ~tag payload) time x
 [@@sl.zero_alloc]
+
+let push t ~time payload = push_tagged t ~time ~tag:0 payload [@@sl.zero_alloc]
 
 (* Re-home a detached chain against the (just moved) cursor, head to
    tail: the cursor's tick into the ring, everything else by placement. *)
@@ -157,7 +179,7 @@ let rec rehome t node =
     let time = Arena.time t.arena node in
     let x = time lxor t.cursor in
     if x = 0 then begin
-      ring_push t (Arena.payload t.arena node);
+      ring_push t (Arena.payload t.arena node) (Arena.tag t.arena node);
       Arena.free t.arena node
     end
     else begin

@@ -13,6 +13,11 @@
     a flat {!Sl_util.Arena}.  See wheel.ml and DESIGN.md ("Event queue
     v3") for the placement rule and the order argument.
 
+    Every event carries one int, its tag, beside its payload, for the
+    caller to read back when the event pops ({!push_tagged},
+    {!popped_tag}).  A tag never affects where an event is kept or when
+    it pops.
+
     Use: {!pop} while {!ready}; once the ring is empty, {!advance} moves
     the next tick's events into it.  Property-tested against Pqueue, a
     (time, seq) heap in test/engine, one tick at a time. *)
@@ -29,7 +34,11 @@ val push : 'a t -> time:int -> 'a -> unit
 (** An event at the cursor's tick joins the back of the ready ring; a
     later one is appended to the chain its time dictates.  [time] must
     not precede the cursor, which trails every pending event (raises
-    [Invalid_argument] otherwise).  O(1), allocation-free once warm. *)
+    [Invalid_argument] otherwise).  O(1), allocation-free once warm.
+    The event's tag is 0. *)
+
+val push_tagged : 'a t -> time:int -> tag:int -> 'a -> unit
+(** {!push} of an event whose tag is [tag]. *)
 
 val ready : 'a t -> bool
 (** The ready ring holds an event. *)
@@ -45,6 +54,9 @@ val quiet_until : 'a t -> int
 val pop : 'a t -> 'a
 (** Remove and return the ready ring's oldest event.  The ring must not
     be empty. *)
+
+val popped_tag : 'a t -> int
+(** The tag of the event the last {!pop} returned (0 before any). *)
 
 val advance : 'a t -> limit:int -> int
 (** The ring must be empty.  If the earliest pending tick is at most

@@ -1,11 +1,12 @@
 (* Flat node arena for int-keyed, intrusively chained event records.
 
    Nodes live in parallel unboxed arrays — one int key ([time]), one
-   int [next] link, and one payload slot — so allocating a node on a
-   warm arena writes three array slots and touches no OCaml allocator at
-   all.  [next] chains nodes into whatever structure the owner maintains
-   (the timing wheel threads per-slot lists through it); [nil] terminates
-   a chain and doubles as the freelist terminator.
+   int [next] link, one int [tag] carried for the owner, and one payload
+   slot — so allocating a node on a warm arena writes four array slots
+   and touches no OCaml allocator at all.  [next] chains nodes into
+   whatever structure the owner maintains (the timing wheel threads
+   per-slot lists through it); [nil] terminates a chain and doubles as
+   the freelist terminator.
 
    Freed slots are recycled through an intrusive freelist threaded through
    [next], and the vacated payload slot is re-seeded with [dummy]
@@ -16,6 +17,7 @@
 type 'a t = {
   mutable times : int array;
   mutable next : int array;
+  mutable tags : int array;
   mutable payloads : 'a array;
   mutable high : int;  (* slots ever handed out; [high..cap) untouched *)
   mutable free : int;  (* freelist head threaded through [next], or nil *)
@@ -29,6 +31,7 @@ let create ~dummy =
   {
     times = [||];
     next = [||];
+    tags = [||];
     payloads = [||];
     high = 0;
     free = nil;
@@ -46,15 +49,18 @@ let grow t =
   let next = Array.make capacity' nil in
   Array.blit t.next 0 next 0 t.high;
   t.next <- next;
+  let tags = Array.make capacity' 0 in
+  Array.blit t.tags 0 tags 0 t.high;
+  t.tags <- tags;
   let payloads = Array.make capacity' t.dummy in
   Array.blit t.payloads 0 payloads 0 t.high;
   t.payloads <- payloads
 
 (* [@@sl.zero_alloc]: the warm-path budget.  [grow] allocates, but
    amortized doubling runs O(log n) times over an arena's lifetime; the
-   per-node path pops the freelist (or bumps [high]) and writes three
+   per-node path pops the freelist (or bumps [high]) and writes four
    unboxed slots. *)
-let alloc t ~time payload =
+let alloc t ~time ~tag payload =
   let i =
     if t.free <> nil then begin
       let i = t.free in
@@ -70,6 +76,7 @@ let alloc t ~time payload =
   in
   Array.unsafe_set t.times i time;
   Array.unsafe_set t.next i nil;
+  Array.unsafe_set t.tags i tag;
   Array.unsafe_set t.payloads i payload;
   t.live <- t.live + 1;
   i
@@ -80,6 +87,7 @@ let alloc t ~time payload =
    shrink), so the bounds checks are elided. *)
 let time t i = Array.unsafe_get t.times i [@@sl.zero_alloc]
 let next t i = Array.unsafe_get t.next i [@@sl.zero_alloc]
+let tag t i = Array.unsafe_get t.tags i [@@sl.zero_alloc]
 let payload t i = Array.unsafe_get t.payloads i [@@sl.zero_alloc]
 let set_next t i n = Array.unsafe_set t.next i n [@@sl.zero_alloc]
 

@@ -1,6 +1,6 @@
 (** Flat arena of int-keyed, intrusively chained nodes.
 
-    A node is (time, next, payload) spread over parallel unboxed
+    A node is (time, next, tag, payload) spread over parallel unboxed
     arrays; [alloc] and [free] are O(1) and allocation-free once the
     arrays are warm (growth is amortized doubling).  [next] is an
     intrusive link owned by the caller — the timing wheel threads its
@@ -20,11 +20,13 @@ val create : dummy:'a -> 'a t
 val live : 'a t -> int
 (** Nodes currently allocated (and not yet freed). *)
 
-val alloc : 'a t -> time:int -> 'a -> int
-(** Fresh node index holding the given time and payload, [next] = {!nil}. *)
+val alloc : 'a t -> time:int -> tag:int -> 'a -> int
+(** Fresh node index holding the given time, tag and payload, [next] =
+    {!nil}.  The tag is the owner's: the arena only keeps it. *)
 
 val time : 'a t -> int -> int
 val next : 'a t -> int -> int
+val tag : 'a t -> int -> int
 val payload : 'a t -> int -> 'a
 val set_next : 'a t -> int -> int -> unit
 

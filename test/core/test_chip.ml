@@ -734,7 +734,7 @@ let test_ping_pong_allocation () =
 (* The heap a parked hardware thread holds: 12,000 threads on one core,
    each armed on its own doorbell and parked in mwait, read as live
    words after a full major collection against the same world before
-   the first thread was added.  128 words on OCaml 5.1 (DESIGN.md,
+   the first thread was added.  127 words on OCaml 5.1 (DESIGN.md,
    "Memory per parked ptid" has the table); 143 while the chip, the
    state store and the core each kept a ptid table and every process
    its formatted name, 216 while every process built its own effect
@@ -748,8 +748,8 @@ let test_parked_ptid_heap () =
 
 (* Setting up a thread: minor words per [add_thread] + [attach] +
    [boot] over 1,000 threads on one core, all sharing one body, the
-   growth of the per-core arrays included.  182 words on OCaml 5.1
-   while each thread was hashed into the chip's, the store's and the
+   growth of the per-core arrays included.  124 words on OCaml 5.1;
+   182 while each thread was hashed into the chip's, the store's and the
    core's ptid tables and each boot formatted the process's name. *)
 let test_thread_setup_allocation () =
   let n = 1_000 in
@@ -813,14 +813,16 @@ let test_stuck_reports_ptid () =
 (* A start -> stop round trip from one thread to another: the start's
    wake-up event and thaw, the stop's freeze.  With no probe installed
    neither builds its probe event, nor its actor, and the target
-   resolves without an option or a tuple.  20 minor words on OCaml 5.1;
+   resolves without an option or a tuple.  8 minor words on OCaml 5.1;
    38 while each resolve returned [Some (target, perms)] (and the ptid
-   lookup its own [Some]) and each caller built [Probe.Thread], 45 while
-   both built their [Start_edge] and [Stop_edge] records
-   unconditionally.  Measured like the ping-pong above.  [~keyed] makes
-   the pair [start_keyed] and [stop_keyed] (a supervisor passes whatever
-   its key): the same 20 words, 32 while each keyed instruction built
-   its resolver as a closure over the key. *)
+   lookup its own [Some]) and each caller built [Probe.Thread], 45
+   while both built their [Start_edge] and [Stop_edge] records
+   unconditionally.  The bound fails if each reschedule of a core
+   builds a closure for its completion event again (20 words).
+   Measured like the ping-pong above.  [~keyed] makes the pair [start_keyed] and
+   [stop_keyed] (a supervisor passes whatever its key): the same 8
+   words, 32 while each keyed instruction built its resolver as a
+   closure over the key. *)
 let start_stop_round_trips ?(keyed = false) rounds =
   let sim, chip = setup () in
   let worker = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
@@ -849,18 +851,20 @@ let start_stop_allocation ~keyed () =
   in
   let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f minor words per %sstart -> stop round trip < 22" per_round_trip
+    (Printf.sprintf "%.1f minor words per %sstart -> stop round trip < 10" per_round_trip
        (if keyed then "keyed " else ""))
-    true (per_round_trip < 22.0)
+    true (per_round_trip < 10.0)
 
 (* A server that stops itself after each request, started once per
    request from another core: per round trip one start hand-off, one
    self-stop and one park until the next start, each of the server's
-   parks at its thread's one suspension point.  16 minor words on OCaml
+   parks at its thread's one suspension point.  10 minor words on OCaml
    5.1; 34 while each start and stop resolved its target into
    [Some (target, perms)], 93 while the park waited on a [Signal]
-   through [Sim.await] and [Sim.set_daemon] was an effect.  Measured
-   like the ping-pong above. *)
+   through [Sim.await] and [Sim.set_daemon] was an effect.  The bound
+   fails if each reschedule of a core builds a closure for its
+   completion event again (16 words).  Measured like the ping-pong
+   above. *)
 let self_stopping_server requests =
   let sim, chip = setup () in
   let server = Chip.add_thread chip ~core:1 ~ptid:2 ~mode:Ptid.Supervisor () in
@@ -888,8 +892,8 @@ let test_stop_start_allocation () =
   in
   let per_round_trip = (words 2000 -. words 1000) /. 1000.0 in
   check_bool
-    (Printf.sprintf "%.1f minor words per stop -> start round trip < 18" per_round_trip)
-    true (per_round_trip < 18.0)
+    (Printf.sprintf "%.1f minor words per stop -> start round trip < 12" per_round_trip)
+    true (per_round_trip < 12.0)
 
 (* --- spin: a polling loop whose idle gaps cost one call --- *)
 

@@ -217,6 +217,32 @@ let test_same_time_fifo () =
   Sim.run sim;
   Alcotest.(check (list int)) "fifo" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ] !log
 
+(* Each tagged callback reads its own tag wherever its event waited:
+   in the ready ring (pushed for the current tick, from outside the run
+   and from a callback), in a level chain (5 alone in its slot; 100 and
+   101 share a level-1 slot and cascade into level 0), and in the far
+   list (more than 2^25 ticks ahead).  An untagged event between them
+   reads 0, not the tag popped before it. *)
+let test_event_tag_own_tag () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note () = log := (Sim.now (), Sim.event_tag sim) :: !log in
+  let far = (1 lsl 25) + 7 in
+  Sim.schedule_tagged sim ~at:0 ~tag:11 (fun () ->
+      note ();
+      Sim.schedule_tagged sim ~at:0 ~tag:(-7) note;
+      Sim.schedule sim ~at:0 note);
+  List.iter
+    (fun (at, tag) -> Sim.schedule_tagged sim ~at ~tag note)
+    [ (5, 12); (101, 14); (far, 15) ];
+  Sim.schedule sim ~at:100 note;
+  Sim.schedule_tagged sim ~at:100 ~tag:13 note;
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "each callback's own tag"
+    [ (0, 11); (0, -7); (0, 0); (5, 12); (100, 0); (100, 13); (101, 14); (far, 15) ]
+    (List.rev !log)
+
 let test_negative_delay_rejected () =
   let sim = Sim.create () in
   let raised = ref false in
@@ -1154,6 +1180,18 @@ let pop_ready w =
   let rec go acc = if Wheel.ready w then go (Wheel.pop w :: acc) else List.rev acc in
   go []
 
+(* The ready ring's events, oldest first, each with the tag it popped
+   with. *)
+let pop_ready_tagged w =
+  let rec go acc =
+    if Wheel.ready w then begin
+      let x = Wheel.pop w in
+      go ((x, Wheel.popped_tag w) :: acc)
+    end
+    else List.rev acc
+  in
+  go []
+
 (* Drain a wheel (ring empty) one tick at a time: [advance], then pop
    until not ready.  Each tick comes back as (tick, its events in ring
    order). *)
@@ -1245,17 +1283,19 @@ let test_wheel_advance_limit () =
 
 let test_arena_reuse () =
   let a = Arena.create ~dummy:"dummy" in
-  let i1 = Arena.alloc a ~time:5 "one" in
-  let i2 = Arena.alloc a ~time:9 "two" in
+  let i1 = Arena.alloc a ~time:5 ~tag:(-3) "one" in
+  let i2 = Arena.alloc a ~time:9 ~tag:0 "two" in
   check_int "live" 2 (Arena.live a);
   Alcotest.(check string) "payload" "one" (Arena.payload a i1);
   check_int "time" 9 (Arena.time a i2);
+  check_int "tag" (-3) (Arena.tag a i1);
   check_int "fresh node next is nil" Arena.nil (Arena.next a i1);
   Arena.free a i1;
   check_int "live after free" 1 (Arena.live a);
-  let i3 = Arena.alloc a ~time:7 "three" in
+  let i3 = Arena.alloc a ~time:7 ~tag:42 "three" in
   check_int "freed slot recycled" i1 i3;
   Alcotest.(check string) "recycled payload" "three" (Arena.payload a i3);
+  check_int "recycled tag" 42 (Arena.tag a i3);
   Arena.set_next a i3 i2;
   check_int "intrusive link" i2 (Arena.next a i3)
 
@@ -1272,20 +1312,23 @@ let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
    at max_tick.  A bounded advance that finds nothing parks [now] at its
    limit, as {!Sim.run} parks the clock.  A peek ([Wheel.quiet_until])
    stops short of the earliest pending tick, and reads [max_int] on an
-   empty wheel. *)
+   empty wheel.  Every push carries a random tag, and every pop's tag
+   must be its heap entry's: tags ride along through every move. *)
 let prop_wheel_matches_heap =
   let open QCheck in
   let op =
     Gen.oneof
       [
-        Gen.map2 (fun cls jitter -> `Push (cls, jitter)) (Gen.int_bound 7) (Gen.int_bound 1023);
+        Gen.map3
+          (fun cls jitter tag -> `Push (cls, jitter, tag))
+          (Gen.int_bound 7) (Gen.int_bound 1023) Gen.int;
         Gen.return `Tick;
         Gen.map (fun d -> `Tick_until d) (Gen.int_bound 2048);
         Gen.return `Peek;
       ]
   in
   let print = function
-    | `Push (cls, jitter) -> Printf.sprintf "push %d/%d" cls jitter
+    | `Push (cls, jitter, tag) -> Printf.sprintf "push %d/%d#%d" cls jitter tag
     | `Tick -> "tick"
     | `Tick_until d -> Printf.sprintf "tick+%d" d
     | `Peek -> "peek"
@@ -1293,7 +1336,7 @@ let prop_wheel_matches_heap =
   Test.make ~name:"wheel matches heap on random interleavings" ~count:300
     (make ~print:(Print.list print) (Gen.list op)) (fun ops ->
       let wheel = Wheel.create ~dummy:(-1) in
-      let heap = Pqueue.create ~dummy:(-1) in
+      let heap = Pqueue.create ~dummy:(-1, 0) in
       let seq = ref 0 in
       let now = ref 0 in
       let ok = ref true in
@@ -1312,17 +1355,17 @@ let prop_wheel_matches_heap =
           else Some (heap_tick ())
         in
         let got =
-          if Wheel.ready wheel then Some (!now, pop_ready wheel)
+          if Wheel.ready wheel then Some (!now, pop_ready_tagged wheel)
           else
             let t = Wheel.advance wheel ~limit in
-            if t < 0 then None else Some (t, pop_ready wheel)
+            if t < 0 then None else Some (t, pop_ready_tagged wheel)
         in
         if got <> expect then ok := false;
         match got with Some (t, _) -> now := t | None -> now := max !now limit
       in
       List.iter
         (function
-          | `Push (cls, jitter) ->
+          | `Push (cls, jitter, tag) ->
             let edge = sat_add (!now lor (wheel_span - 1)) 1 in
             let time =
               match cls with
@@ -1336,8 +1379,8 @@ let prop_wheel_matches_heap =
               | _ -> Sim.Time.max_tick
             in
             incr seq;
-            Wheel.push wheel ~time !seq;
-            Pqueue.push heap ~time ~seq:!seq !seq
+            Wheel.push_tagged wheel ~time ~tag !seq;
+            Pqueue.push heap ~time ~seq:!seq (!seq, tag)
           | `Tick -> tick max_int
           | `Tick_until d -> tick (sat_add !now d)
           | `Peek ->
@@ -1800,6 +1843,7 @@ let () =
           Alcotest.test_case "schedule callback" `Quick test_schedule_callback;
           Alcotest.test_case "schedule past rejected" `Quick test_schedule_past_rejected;
           Alcotest.test_case "same-time fifo" `Quick test_same_time_fifo;
+          Alcotest.test_case "event_tag reads its own tag" `Quick test_event_tag_own_tag;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
           Alcotest.test_case "delay past max_tick rejected" `Quick
             test_delay_past_max_tick_rejected;
