@@ -73,23 +73,24 @@ type t = {
          installed (the perf configuration) not even the event record is
          allocated. *)
   mutable faults : fault_hooks option;
-  mutable parking : thread;  (* the thread suspending on [park] *)
+  mutable parking : int;  (* Monitor slot of the thread suspending on [park] *)
   mutable park : Sim.suspension;  (* every body's one park point, see [park_body] *)
-  mutable by_mslot : thread array;  (* Monitor slot -> thread, for [deliver] *)
-  deliver : unit -> unit;  (* wake-delivery event, tagged with a Monitor slot *)
+  mutable by_mslot : thread array;  (* Monitor slot -> thread *)
+  mutable deliver : unit -> unit;  (* wake-delivery event, tagged with a Monitor slot *)
 }
 
 (* One hardware thread, allocated once at [add_thread] and shared by
    every [find_thread]/[thread_list].  The wake path's fields come
-   first; the closure is fixed at [add_thread].
+   first.  It holds no closure: a monitored write reaches it through
+   the chip's one Monitor waiter, which finds it by its Monitor slot.
 
    In-flight wake delivery: the scheduled event is the chip's one
    [deliver], tagged with the thread's Monitor slot, which reads its
    (epoch, addr) from [pend_epoch]/[pend_addr], so the steady-state
    wake path schedules without allocating.  At most one delivery per
-   thread is normally in flight (the monitor waiter is consumed when it
-   fires and only re-registered by the next mwait, which runs after the
-   delivery); the rare overlap — force-stop + restart + re-park +
+   thread is normally in flight (the write that fires it unparks the
+   Monitor slot, and only the next mwait, which runs after the
+   delivery, parks it again); the rare overlap — force-stop + restart + re-park +
    second wake inside the first delivery's latency window — falls back
    to a capturing closure (see [monitor_wake]). *)
 and thread = {
@@ -109,7 +110,6 @@ and thread = {
   entry : State_store.entry;  (* context on the home core's store *)
   t_ptid : int;
   weight : float;
-  wake : Memory.addr -> unit;  (* monitor waiter *)
   mutable starts : int;
   mutable spawned : bool;  (* body spawned at least once *)
   mutable pending_start : bool;  (* latched start, absorbs the next stop *)
@@ -228,20 +228,20 @@ let run_body th =
         if th.state = Ptid.Runnable then set_state th Ptid.Disabled ~reason:"body-end")
 
 (* The body parks at one point, its chip's [park], which keeps the
-   waker in the thread that [parking] names: on its wake cell in an
-   mwait, and in [wait_until_runnable].  Invariant: it is parked on its
-   cell exactly when the cell is [Open], and then only [fill_wake] wakes
-   it; the start-wake and the deadline restart act only on a thread
-   whose cell is not [Open]. *)
+   waker in the thread whose Monitor slot [parking] holds: on its wake
+   cell in an mwait, and in [wait_until_runnable].  Invariant: it is
+   parked on its cell exactly when the cell is [Open], and then only
+   [fill_wake] wakes it; the start-wake and the deadline restart act
+   only on a thread whose cell is not [Open]. *)
 let park_body th =
   let c = th.chip in
-  c.parking <- th;
+  c.parking <- th.mslot;
   Sim.suspend c.park
 
 let wake_body th =
-  let w = th.resume in
-  if w != Sim.no_waker then begin
-    th.resume <- Sim.no_waker;
+  let w = th.resume and none = Sim.no_waker th.chip.sim in
+  if w != none then begin
+    th.resume <- none;
     Sim.wake w
   end
 [@@sl.zero_alloc]
@@ -307,8 +307,8 @@ let deliver_wake th epoch addr =
     fill_wake th addr
   | Idle | Open | Full -> Monitor.relatch c.monitor th.mslot addr
 
-(* The monitor waiter callback, preallocated per thread at [add_thread]:
-   runs synchronously inside the triggering Memory.write. *)
+(* A monitored write woke the parked thread: the chip's Monitor waiter
+   calls this synchronously inside the triggering Memory.write. *)
 let monitor_wake th addr =
   let c = th.chip in
   let scan = Monitor.write_scan_cost c.monitor th.core_id in
@@ -423,17 +423,14 @@ let create sim params ~cores =
           cache = Tdt.Cache.create ();
         })
   in
-  let tids = Hashtbl.create 64
-  and regs = Regstate.create ()
-  and entry = State_store.placeholder () in
-  let rec t =
+  let t =
     {
       sim;
       params;
       memory;
       monitor;
       cores;
-      tids;
+      tids = Hashtbl.create 64;
       threads = [];
       halted_reason = None;
       exn_seq = 0L;
@@ -441,49 +438,21 @@ let create sim params ~cores =
       probe = None;
       probe_on = false;
       faults = None;
-      parking = nobody;
+      parking = -1;
       park = Sim.no_suspension;
       by_mslot = [||];
-      deliver =
-        (fun () ->
-          let th = t.by_mslot.(Sim.event_tag t.sim) in
-          th.pending <- false;
-          deliver_wake th th.pend_epoch th.pend_addr);
-    }
-  (* What [parking] names before any thread parks: a thread of no core
-     that never runs. *)
-  and nobody =
-    {
-      chip = t;
-      state = Ptid.Disabled;
-      epoch = 0;
-      cell = Idle;
-      wval = 0;
-      resume = Sim.no_waker;
-      pending = false;
-      pend_epoch = 0;
-      pend_addr = 0;
-      wakeups = 0;
-      core_id = -1;
-      mslot = -1;
-      smt = -1;
-      entry;
-      t_ptid = -1;
-      weight = 1.0;
-      wake = ignore;
-      starts = 0;
-      spawned = false;
-      pending_start = false;
-      crashed = false;
-      supervisor = false;
-      crashes = 0;
-      regs;
-      body = None;
-      tdt = None;
-      secret = None;
+      deliver = ignore;
     }
   in
-  t.park <- Sim.suspension (fun waker -> t.parking.resume <- waker);
+  (* The chip's three callbacks close over the chip, so they are set
+     once it exists: a [let rec] would build the record twice. *)
+  t.park <- Sim.suspension (fun waker -> t.by_mslot.(t.parking).resume <- waker);
+  t.deliver <-
+    (fun () ->
+      let th = t.by_mslot.(Sim.event_tag t.sim) in
+      th.pending <- false;
+      deliver_wake th th.pend_epoch th.pend_addr);
+  Monitor.set_waiter monitor (fun mslot addr -> monitor_wake t.by_mslot.(mslot) addr);
   t
 
 let create sim params ~cores =
@@ -502,14 +471,14 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   let entry = State_store.register (state_store t core_id) ~ptid ~bytes in
   let mslot = Monitor.register t.monitor ~core_id in
   let smt = Smt_core.add_slot (exec_core t core_id) ~ptid in
-  let rec th =
+  let th =
     {
       chip = t;
       state = Ptid.Disabled;
       epoch = 0;
       cell = Idle;
       wval = 0;
-      resume = Sim.no_waker;
+      resume = Sim.no_waker t.sim;
       pending = false;
       pend_epoch = 0;
       pend_addr = 0;
@@ -520,7 +489,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       entry;
       t_ptid = ptid;
       weight;
-      wake = (fun addr -> monitor_wake th addr);
       starts = 0;
       spawned = false;
       pending_start = false;
@@ -615,15 +583,15 @@ let inject_park_faults th f epoch =
     Sim.schedule chip.sim
       ~at:(Sim.time chip.sim + d)
       (fun () ->
-        match Monitor.take_waiter chip.monitor th.mslot with
-        | None -> ()  (* already woken, stopped or expired *)
-        | Some w ->
+        (* Not parked any more: already woken, stopped or expired. *)
+        if Monitor.take_waiter chip.monitor th.mslot then begin
           if chip.probe_on then
             emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind = "mwait-spurious" });
           let addr =
             match Monitor.armed chip.monitor th.mslot with addr :: _ -> addr | [] -> 0
           in
-          w addr));
+          monitor_wake th addr
+        end));
   (* A crash-stop lands mid-park.  The scheduled event claims the wait
      only if nothing else already did (no wake in flight, no
      force-stop, no deadline); the filled cell unwinds the parked body,
@@ -652,7 +620,7 @@ let rec mwait_round th ~timed ~deadline =
   let epoch = th.epoch + 1 in
   th.epoch <- epoch;
   th.cell <- Idle;
-  let a = Monitor.mwait chip.monitor th.mslot ~wake:th.wake in
+  let a = Monitor.mwait chip.monitor th.mslot in
   if a >= 0 then begin
     (* The write already happened; no sleep, only the match cost. *)
     th.wakeups <- th.wakeups + 1;

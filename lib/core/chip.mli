@@ -34,6 +34,11 @@ val sim : t -> Sl_engine.Sim.t
 val params : t -> Params.t
 val memory : t -> Memory.t
 val monitor_table : t -> Monitor.t
+(** The chip's monitor table.  Its waiter is the chip's, installed at
+    {!create}: it wakes the thread whose slot a write unparks.  A slot
+    registered on the table directly (E9 fills the table that way) may
+    arm addresses, whose writes then latch for it, but must not park. *)
+
 val core_count : t -> int
 val exec_core : t -> int -> Smt_core.t
 val state_store : t -> int -> State_store.t

@@ -27,18 +27,16 @@ type t = {
   bell : unit -> unit;  (* the doorbell event: rings the address its tag names *)
 }
 
-let unlinked ~entry ~doorbell =
-  let rec w = { entry; doorbell; slot = 0L; newer = w; older = w } in
-  w
-
 let create chip ~core ?(policy = Lifo) () =
   let sim = Chip.sim chip and memory = Chip.memory chip in
+  let entry = State_store.placeholder () in
+  let rec parked = { entry; doorbell = -1; slot = 0L; newer = parked; older = parked } in
   {
     chip;
     core;
     policy;
     pending = Queue.create ();
-    parked = unlinked ~entry:(State_store.placeholder ()) ~doorbell:(-1);
+    parked;
     dispatched = 0;
     bell = (fun () -> Memory.write memory (Sim.event_tag sim) 1L);
   }
@@ -88,10 +86,21 @@ let submit t payload =
   end
 
 let worker_loop t th handle =
+  (* The worker borrows the sentinel's links until it links to itself,
+     as an unlinked worker does, before its first park: a self-linked
+     [let rec] would build it twice.  Nothing else sees it until then. *)
   let worker =
-    unlinked ~entry:(Chip.store_entry th) ~doorbell:(Memory.alloc (Chip.memory t.chip) 1)
+    {
+      entry = Chip.store_entry th;
+      doorbell = Memory.alloc (Chip.memory t.chip) 1;
+      slot = 0L;
+      newer = t.parked;
+      older = t.parked;
+    }
   in
   Isa.monitor th worker.doorbell;
+  worker.newer <- worker;
+  worker.older <- worker;
   let rec loop () =
     (* Pull directly from the hardware queue when work is waiting — no
        park, no wake cost.  One cycle for the queue probe. *)

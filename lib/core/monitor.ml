@@ -1,12 +1,11 @@
-(* Waiter sentinel: a physically-unique closure meaning "no waiter", so
-   parking stores the wake callback directly instead of boxing it in a
-   fresh [Some] on every mwait. *)
-let none_waiter : Memory.addr -> unit = fun _ -> ()
+(* The waiter of a table that its owner has not given one. *)
+let no_waiter : int -> Memory.addr -> unit = fun _ _ -> ()
 
 (* Struct-of-arrays layout.  A thread is named by the dense [slot] its
    owner got from [register], and all per-thread state lives in parallel
    arrays indexed by that slot — [mwait]/wake/latch on the hot path are
-   plain array loads.
+   plain array loads.  A parked slot is a flag, not a closure: the
+   table's one [waiter] learns which slot woke.
 
    Armed (thread, addr) pairs live in a flat arena threaded by two
    intrusive doubly-linked lists per cell: the thread's armed list (in
@@ -23,7 +22,7 @@ type t = {
   mutable s_armed_n : int array;
   mutable s_thead : int array;  (* first-armed pair of the slot; -1 *)
   mutable s_ttail : int array;  (* last-armed pair of the slot; -1 *)
-  mutable s_waiter : (Memory.addr -> unit) array;  (* none_waiter = idle *)
+  mutable s_parked : int array;  (* 1 = parked in mwait *)
   mutable slots : int;
   (* pair arena *)
   mutable p_addr : int array;
@@ -39,6 +38,7 @@ type t = {
   mutable scratch : int array;  (* write-delivery snapshot buffer *)
   mutable in_write : bool;
   mutable fault_drop : (unit -> bool) option;
+  mutable waiter : int -> Memory.addr -> unit;  (* slot -> written addr *)
 }
 
 let create params =
@@ -49,7 +49,7 @@ let create params =
     s_armed_n = [||];
     s_thead = [||];
     s_ttail = [||];
-    s_waiter = [||];
+    s_parked = [||];
     slots = 0;
     p_addr = [||];
     p_slot = [||];
@@ -64,9 +64,11 @@ let create params =
     scratch = Array.make 16 0;
     in_write = false;
     fault_drop = None;
+    waiter = no_waiter;
   }
 
 let set_fault_hook t f = t.fault_drop <- Some f
+let set_waiter t f = t.waiter <- f
 
 let register t ~core_id =
   let s = t.slots in
@@ -82,7 +84,7 @@ let register t ~core_id =
     t.s_armed_n <- grow t.s_armed_n 0;
     t.s_thead <- grow t.s_thead (-1);
     t.s_ttail <- grow t.s_ttail (-1);
-    t.s_waiter <- grow t.s_waiter none_waiter
+    t.s_parked <- grow t.s_parked 0
   end;
   t.slots <- s + 1;
   t.s_core.(s) <- core_id;
@@ -90,7 +92,7 @@ let register t ~core_id =
   t.s_armed_n.(s) <- 0;
   t.s_thead.(s) <- -1;
   t.s_ttail.(s) <- -1;
-  t.s_waiter.(s) <- none_waiter;
+  t.s_parked.(s) <- 0;
   s
 
 let alloc_pair t =
@@ -224,10 +226,9 @@ let on_write t addr _value =
         match t.fault_drop with Some f -> f () | None -> false
       in
       if not dropped then begin
-        let wake = t.s_waiter.(s) in
-        if wake != none_waiter then begin
-          t.s_waiter.(s) <- none_waiter;
-          wake addr
+        if t.s_parked.(s) = 1 then begin
+          t.s_parked.(s) <- 0;
+          t.waiter s addr
         end
         else if
           (* Latch the first trigger; later ones coalesce, as a level-
@@ -242,38 +243,33 @@ let on_write t addr _value =
 let attach t memory = Memory.add_write_hook memory (on_write t)
 
 (* Tagged-int mwait: the latched trigger address ([>= 0], consumed — the
-   thread does not block), or [-1] after parking [wake]. *)
-let mwait t s ~wake =
+   thread does not block), or [-1] after parking the slot. *)
+let mwait t s =
   let pending = t.s_pending.(s) in
   if pending >= 0 then begin
     t.s_pending.(s) <- -1;
     pending
   end
   else begin
-    if t.s_waiter.(s) != none_waiter then
-      invalid_arg "Monitor.mwait: thread already parked";
-    t.s_waiter.(s) <- wake;
+    if t.s_parked.(s) = 1 then invalid_arg "Monitor.mwait: thread already parked";
+    t.s_parked.(s) <- 1;
     -1
   end
 
-let cancel_wait t s = t.s_waiter.(s) <- none_waiter
+let cancel_wait t s = t.s_parked.(s) <- 0
 
 let take_waiter t s =
-  let w = t.s_waiter.(s) in
-  if w == none_waiter then None
-  else begin
-    t.s_waiter.(s) <- none_waiter;
-    Some w
-  end
+  let parked = t.s_parked.(s) = 1 in
+  t.s_parked.(s) <- 0;
+  parked
 
-let has_waiter t s = t.s_waiter.(s) != none_waiter
+let has_waiter t s = t.s_parked.(s) = 1
 
 let relatch t s addr =
-  let wake = t.s_waiter.(s) in
-  if wake != none_waiter then begin
+  if t.s_parked.(s) = 1 then begin
     (* The thread already re-parked: deliver the event now. *)
-    t.s_waiter.(s) <- none_waiter;
-    wake addr
+    t.s_parked.(s) <- 0;
+    t.waiter s addr
   end
   else if t.s_pending.(s) < 0 then t.s_pending.(s) <- addr
 

@@ -15,7 +15,9 @@
 
     A thread is named by the dense {e slot} its owner gets from
     {!register} (the chip registers one per hardware thread); every
-    operation takes that slot. *)
+    operation takes that slot.  A parked slot holds no callback of its
+    own: the table's one waiter ({!set_waiter}) is told which slot a
+    write woke. *)
 
 type t
 
@@ -24,9 +26,16 @@ val create : Params.t -> t
 val attach : t -> Memory.t -> unit
 (** Hook the registry into a memory so that every store is screened. *)
 
+val set_waiter : t -> (int -> Memory.addr -> unit) -> unit
+(** Install the table's waiter, replacing the previous one (a table
+    starts with one that does nothing).  [waiter slot addr] runs
+    synchronously inside the write to [addr] that wakes the parked
+    [slot], once per park.  The chip installs its waiter once, at
+    creation. *)
+
 val register : t -> core_id:int -> int
 (** Allocate the next slot, a thread of core [core_id] with nothing
-    armed, no latched trigger and no waiter.  Slots are dense from 0 and
+    armed, no latched trigger and not parked.  Slots are dense from 0 and
     stable for the lifetime of [t]. *)
 
 val arm : t -> int -> Memory.addr -> unit
@@ -44,30 +53,32 @@ val armed : t -> int -> Memory.addr list
 val core_armed_count : t -> int -> int
 (** Total addresses armed by threads of the given core. *)
 
-val mwait : t -> int -> wake:(Memory.addr -> unit) -> int
+val mwait : t -> int -> int
 (** Execute the slot's [mwait]: if a trigger is already latched, consume
     it and return its address ([>= 0]; the thread does not block).
-    Otherwise park [wake] and return [-1]; [wake] will be called exactly
-    once with the written address when one arrives, and the registry
-    returns to the idle state for this slot. *)
+    Otherwise park the slot and return [-1]: the next write to an
+    address it has armed unparks it and calls the waiter with the slot
+    and the written address, exactly once.  Raises [Invalid_argument]
+    if the slot is already parked. *)
 
 val cancel_wait : t -> int -> unit
-(** Forget a parked waiter without waking it (used when a waiting thread
-    is force-stopped by another thread). *)
+(** Unpark the slot without waking it (used when a waiting thread is
+    force-stopped by another thread). *)
 
-val take_waiter : t -> int -> (Memory.addr -> unit) option
-(** Atomically detach and return the parked waiter, if any.  Used by the
-    spurious-wakeup fault to fire a thread's wake callback without any
-    write having happened. *)
+val take_waiter : t -> int -> bool
+(** Unpark the slot, without calling the waiter, and say whether it was
+    parked.  Used by the spurious-wakeup fault, which wakes the thread
+    itself although no write happened. *)
 
 val has_waiter : t -> int -> bool
-(** Whether the slot currently has a parked waiter. *)
+(** Whether the slot is parked. *)
 
 val relatch : t -> int -> Memory.addr -> unit
 (** Re-arm the pending trigger for a slot whose in-flight wakeup was
     cancelled (by a force-stop racing the wake): the event is latched
     again so the thread's next [mwait] returns immediately.  Coalesces
-    with an existing latch. *)
+    with an existing latch.  If the slot has parked again meanwhile,
+    it is unparked and the waiter called at once instead. *)
 
 val write_scan_cost : t -> int -> int
 (** [write_scan_cost t core_id] is the extra per-write cycles charged on

@@ -114,7 +114,7 @@ let ensure_slot t slot =
     t.s_ptid <- grow t.s_ptid (-1);
     t.j_kind <- grow t.j_kind (-1);
     t.j_rem <- grow t.j_rem 0.0;
-    t.j_resume <- grow t.j_resume Sim.no_waker;
+    t.j_resume <- grow t.j_resume (Sim.no_waker t.sim);
     t.rpos <- grow t.rpos (-1);
     t.b_cycles <- grow t.b_cycles 0.0;
     t.b_flag <- grow t.b_flag 0
@@ -251,9 +251,9 @@ let compute_rates t =
 let complete t slot =
   t.j_kind.(slot) <- -1;
   t.njobs <- t.njobs - 1;
-  let w = t.j_resume.(slot) in
-  if w != Sim.no_waker then begin
-    t.j_resume.(slot) <- Sim.no_waker;
+  let w = t.j_resume.(slot) and none = Sim.no_waker t.sim in
+  if w != none then begin
+    t.j_resume.(slot) <- none;
     Sim.wake w
   end
 
@@ -392,7 +392,7 @@ let create sim params ~core_id =
       nslots = 0;
       j_kind = Array.make 16 (-1);
       j_rem = Array.make 16 0.0;
-      j_resume = Array.make 16 Sim.no_waker;
+      j_resume = Array.make 16 (Sim.no_waker sim);
       parking = -1;
       suspension = Sim.no_suspension;
       njobs = 0;

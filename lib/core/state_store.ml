@@ -58,12 +58,16 @@ type t = {
   mutable silent_corruptions : int;
 }
 
-let make_sentinel tier =
+(* A fresh self-linked entry of no context in the Dram tier: the Dram
+   list's sentinel, and what an owner with no context holds.  The one
+   record here that has no other to borrow its links from, so the one
+   [let rec]. *)
+let placeholder () =
   let rec sent =
     {
       ptid = min_int;
       bytes = 0;
-      tier;
+      tier = Dram;
       last_touch = max_int;
       pinned = false;
       prev = sent;
@@ -72,12 +76,27 @@ let make_sentinel tier =
   in
   sent
 
+(* [dram]'s twin in another tier.  It borrows [dram]'s links until it
+   exists: a self-linked [let rec] would build it twice. *)
+let make_sentinel tier ~dram =
+  let sent = { dram with tier } in
+  sent.prev <- sent;
+  sent.next <- sent;
+  sent
+
 let create params =
+  let dram = placeholder () in
   {
     params;
     registered = 0;
     used = Array.make 4 0;
-    recency = Array.init 4 (fun i -> make_sentinel (tier_of_index i));
+    recency =
+      [|
+        make_sentinel Register_file ~dram;
+        make_sentinel L2 ~dram;
+        make_sentinel L3 ~dram;
+        dram;
+      |];
     clock = 0;
     transfers = Array.make 4 0;
     demotions = 0;
@@ -210,25 +229,24 @@ let rec make_room t tier bytes =
     done
 [@@sl.zero_alloc]
 
+(* The first tier, from [idx] down, with room for [bytes]. *)
+let rec first_fit t bytes idx =
+  let tier = tier_of_index idx in
+  if tier = Dram || (free_bytes t tier >= bytes && bytes <= capacity_bytes t tier) then tier
+  else first_fit t bytes (idx + 1)
+
 let register t ~ptid ~bytes =
   if ptid < 0 then invalid_arg "State_store.register: negative ptid";
   if bytes <= 0 then invalid_arg "State_store.register: non-positive size";
-  let rec first_fit idx =
-    let tier = tier_of_index idx in
-    if tier = Dram || (free_bytes t tier >= bytes && bytes <= capacity_bytes t tier)
-    then tier
-    else first_fit (idx + 1)
-  in
-  let tier = first_fit 0 in
-  let rec e =
-    { ptid; bytes; tier; last_touch = tick t; pinned = false; prev = e; next = e }
-  in
+  let tier = first_fit t bytes 0 in
+  let sent = t.recency.(tier_index tier) in
+  (* Built with its tier's sentinel in both links, which [link_mru]
+     sets anyway: a self-linked [let rec] would build it twice. *)
+  let e = { ptid; bytes; tier; last_touch = tick t; pinned = false; prev = sent; next = sent } in
   t.used.(tier_index tier) <- t.used.(tier_index tier) + bytes;
   t.registered <- t.registered + 1;
   link_mru t e;
   e
-
-let placeholder () = make_sentinel Dram
 
 let tier_of _ e = e.tier
 

@@ -37,7 +37,7 @@ type t = {
      packet [id] at [flight.(id land (Array.length flight - 1))]. *)
   mutable flight : packet array;
   mutable landed : int;
-  land_next : unit -> unit;  (* the landing event, built once *)
+  mutable land_next : unit -> unit;  (* the landing event, set once at [create] *)
 }
 
 type Sim.component += Nic of t
@@ -114,7 +114,7 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
     }
   in
   let rx = Array.init queues (fun _ -> make_queue ()) in
-  let rec t =
+  let t =
     {
       sim;
       params;
@@ -130,9 +130,11 @@ let create sim params memory ?(notify = Notify.Silent) ?(queues = 1) ~queue_dept
       doorbells_duplicated = 0;
       flight = Array.make 16 no_packet;
       landed = 0;
-      land_next = (fun () -> land_oldest t);
+      land_next = ignore;
     }
   in
+  (* Set once the record exists: a [let rec] would build it twice. *)
+  t.land_next <- (fun () -> land_oldest t);
   Sim.announce (Nic t);
   t
 

@@ -55,7 +55,39 @@ let no_ptid = -1
 (* [t.running_pid] while no process's code runs: pids start at 1. *)
 let no_pid = 0
 
-type waker = unit -> unit
+type t = {
+  mutable now : Time.t;
+  queue : (unit -> unit) Wheel.t;  (* every pending event, see [run] *)
+  mutable next_pid : int;
+  procs : proc;  (* sentinel of the ring of live (not yet returned) processes *)
+  mutable events : int;  (* events popped by {!run}, for perf accounting *)
+  mutable nested : bool;  (* a run of another world is inside one of our events *)
+  mutable horizon : Time.t;  (* the executing [run]'s [until] *)
+  mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
+  mutable current : parking;  (* the running process's, else [idle] *)
+  idle : parking;
+  handler : (unit, unit) handler;  (* every process's, see [exec] *)
+  mutable counters : counter list;  (* {!count}'s, newest name first *)
+}
+
+and counter = { name : string; mutable n : int }
+
+(* Where a process waits in {!suspend} or a blocking {!delay}, made
+   with the process by [exec].  It is also the process's waker: a
+   suspension hands the registrar the parking itself.  Only the
+   wakers callers keep, a pending hop's event and, while the process
+   runs, [current] reference it, never the ring: the bench and
+   perfbench world observers keep every world alive, and a world must
+   not keep a parked process's stack alive once nothing can wake it. *)
+and parking = {
+  world : t;
+  proc : proc;
+  mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
+  mutable parked : bool;
+  mutable hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
+}
+
+type waker = parking
 
 (* The only two ways a process blocks. *)
 type _ Effect.t +=
@@ -79,40 +111,6 @@ let no_k : (unit, unit) continuation =
           match eff with Suspend_eff _ -> Some (fun c -> k := Some c) | _ -> None);
     };
   Option.get !k
-
-let no_waker : waker = fun () -> invalid_arg "Sim.wake: no suspension to wake"
-
-type t = {
-  mutable now : Time.t;
-  queue : (unit -> unit) Wheel.t;  (* every pending event, see [run] *)
-  mutable next_pid : int;
-  procs : proc;  (* sentinel of the ring of live (not yet returned) processes *)
-  mutable events : int;  (* events popped by {!run}, for perf accounting *)
-  mutable nested : bool;  (* a run of another world is inside one of our events *)
-  mutable horizon : Time.t;  (* the executing [run]'s [until] *)
-  mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
-  mutable current : parking;  (* the running process's, else [idle] *)
-  idle : parking;
-  handler : (unit, unit) handler;  (* every process's, see [exec] *)
-  mutable counters : counter list;  (* {!count}'s, newest name first *)
-}
-
-and counter = { name : string; mutable n : int }
-
-(* Where a process waits in {!suspend} or a blocking {!delay}, made
-   with the process by [exec].  Only the process's waker, a pending
-   hop's event and, while the process runs, [current] reference it,
-   never the ring: the bench and perfbench world observers keep every
-   world alive, and a world must not keep a parked process's stack
-   alive once nothing can wake it. *)
-and parking = {
-  world : t;
-  proc : proc;
-  mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
-  mutable parked : bool;
-  hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
-  waker : waker;
-}
 
 (* The world whose [run] is executing on this domain, if any; [now]
    reads its clock. *)
@@ -165,7 +163,7 @@ let nop () = ()
 let push t ~at thunk = Wheel.push t.queue ~time:at thunk
 
 (* Resume a parked process: a same-tick hop, with nothing allocated. *)
-let wake_parking p =
+let wake p =
   if not p.parked then invalid_arg "Sim.wake: no suspension to wake";
   p.parked <- false;
   p.proc.blocked_since <- not_blocked;
@@ -210,7 +208,7 @@ let handle t (on_suspend : ((unit, unit) continuation -> unit) option) (type a)
       t.running_pid <- no_pid;
       p.parked <- true;
       p.proc.blocked_since <- t.now;
-      register p.waker;
+      register p;
       on_suspend
     end
   | Delay_eff d ->
@@ -249,7 +247,7 @@ let create () =
         };
       counters = [];
     }
-  and idle = { world = t; proc = ring; k = no_k; parked = false; hop = nop; waker = no_waker }
+  and idle = { world = t; proc = ring; k = no_k; parked = false; hop = nop }
   and ring =
     {
       pid = no_pid;
@@ -303,6 +301,13 @@ let new_proc t ~name ~ptid ~daemon =
   t.procs.prev <- proc;
   proc
 
+(* A hop: the parked or delayed process runs again. *)
+let resume p =
+  let t = p.world in
+  t.running_pid <- p.proc.pid;
+  t.current <- p;
+  continue p.k ()
+
 (* Run [f] as a coroutine under the world's handler: a suspend or a
    delay performed by [f] (and whatever it calls) parks its
    continuation in the parking record until the waker or the delay's
@@ -312,21 +317,10 @@ let new_proc t ~name ~ptid ~daemon =
    runs: from its start or any resume until it blocks or returns.  An
    exception that escapes a process retires it and escapes the run. *)
 let exec t proc f =
-  let rec p =
-    {
-      world = t;
-      proc;
-      k = no_k;
-      parked = false;
-      hop =
-        (fun () ->
-          let t = p.world in
-          t.running_pid <- p.proc.pid;
-          t.current <- p;
-          continue p.k ());
-      waker = (fun () -> wake_parking p);
-    }
-  in
+  (* The hop closes over the parking, so it is set once the parking
+     exists: a [let rec] would build the record twice. *)
+  let p = { world = t; proc; k = no_k; parked = false; hop = nop } in
+  p.hop <- (fun () -> resume p);
   t.running_pid <- proc.pid;
   t.current <- p;
   match_with f () t.handler
@@ -473,7 +467,7 @@ let delay d =
 let suspension register : suspension = Suspend_eff register
 let suspend (s : suspension) = perform s
 
-let wake (w : waker) = w () [@@sl.zero_alloc]
+let no_waker t = t.idle
 
 (* An await is one suspension whose registrar hands [register] a
    resume over a fresh one-shot cell.  The cell is the double-resume

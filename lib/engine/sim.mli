@@ -271,20 +271,21 @@ val await : (('a -> unit) -> unit) -> 'a
 
     The one way to park a process until something wakes it.  A caller
     builds a {!suspension} once per waiting point (a chip's park point,
-    a core's job completion), each process's resume is made once
-    with the process, so a suspension allocates only the runtime's
-    continuation (2 words on OCaml 5.1), and a wake pushes a
-    preallocated event.  The parked continuation is
+    a core's job completion), and each process's waker is the record
+    where it parks, made once with the process, so a suspension
+    allocates only the runtime's continuation (2 words on OCaml 5.1),
+    and a wake pushes a preallocated event.  The parked continuation is
     reachable only through the process's waker: a world whose process
     is parked for good does not keep that process's stack alive once
     the waker is dropped. *)
 
 type waker
-(** The resume of one process, the same for each of its suspensions. *)
+(** The resume of one process, the same for each of its suspensions:
+    the record the process parks in, not a closure. *)
 
-val no_waker : waker
-(** A placeholder for an empty waker cell.  {!wake} on it raises
-    [Invalid_argument]. *)
+val no_waker : t -> waker
+(** The world's placeholder for an empty waker cell: no process parks
+    on it, so {!wake} on it raises [Invalid_argument]. *)
 
 type suspension
 (** A waiting point: its registrar, built once and suspended on any

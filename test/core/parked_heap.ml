@@ -11,7 +11,9 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-let words_per_ptid ~cores ~per_core =
+type reading = { heap_words : float; setup_minor_words : float; setup_s : float }
+
+let measure ~cores ~per_core =
   let sim = Sim.create () in
   let chip = Chip.create sim Params.default ~cores in
   let n = cores * per_core in
@@ -23,6 +25,7 @@ let words_per_ptid ~cores ~per_core =
     ignore (Isa.mwait th : Memory.addr)
   in
   let before = live_words () in
+  let minor0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
   for core = 0 to cores - 1 do
     for j = 1 to per_core do
       let th =
@@ -33,6 +36,7 @@ let words_per_ptid ~cores ~per_core =
     done
   done;
   Sim.run sim;
+  let setup_s = Unix.gettimeofday () -. t0 and minor1 = Gc.minor_words () in
   let after = live_words () in
   let parked =
     List.length
@@ -41,4 +45,9 @@ let words_per_ptid ~cores ~per_core =
   if parked <> n then
     failwith (Printf.sprintf "Parked_heap: %d of %d threads parked" parked n);
   ignore (Sys.opaque_identity (sim, chip));
-  float_of_int (after - before) /. float_of_int n
+  let per x = x /. float_of_int n in
+  {
+    heap_words = per (float_of_int (after - before));
+    setup_minor_words = per (minor1 -. minor0);
+    setup_s;
+  }

@@ -184,6 +184,58 @@ let test_start_latches_against_inflight_stop () =
   check_int "both requests served" 2 !served;
   check_bool "server parked at the end" true (Chip.state server = Ptid.Disabled)
 
+(* A spurious wake, injected for ptid 2 alone, unparks that thread's
+   Monitor slot through [take_waiter] and wakes that thread, with the
+   first address it armed; its neighbours on the core stay parked, and
+   a later doorbell still reaches the thread it names through the
+   chip's one Monitor waiter. *)
+let test_spurious_wake_reaches_its_thread () =
+  let sim, chip = setup () in
+  let injected = ref [] in
+  Chip.set_fault_hooks chip
+    {
+      Chip.spurious_wake_after = (fun ~ptid -> if ptid = 2 then Some 500 else None);
+      start_extra_cycles = (fun ~ptid:_ -> 0);
+      crash_park_after = (fun ~ptid:_ -> None);
+      crash_at_wake = (fun ~ptid:_ -> None);
+    };
+  Chip.set_probe chip (function
+    | Switchless.Probe.Fault_injected { ptid; kind } -> injected := (ptid, kind) :: !injected
+    | _ -> ());
+  let mem = Chip.memory chip in
+  let bell = Array.init 4 (fun _ -> Memory.alloc mem 1) and spare = Memory.alloc mem 1 in
+  let woke = ref [] in
+  let threads =
+    List.map
+      (fun ptid ->
+        let th = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User () in
+        Chip.attach th (fun th ->
+            Isa.monitor th bell.(ptid);
+            Isa.monitor th spare;
+            let a = Isa.mwait th in
+            woke := (ptid, a) :: !woke);
+        Chip.boot th;
+        th)
+      [ 1; 2; 3 ]
+  in
+  Sim.run sim;
+  Alcotest.(check (list (pair int string)))
+    "one spurious wake, for ptid 2" [ (2, "mwait-spurious") ] !injected;
+  Alcotest.(check (list (pair int int)))
+    "ptid 2 woke with its first armed address" [ (2, bell.(2)) ] !woke;
+  List.iter
+    (fun th ->
+      let woken = Chip.ptid th = 2 in
+      check_int (Printf.sprintf "ptid %d wakeups" (Chip.ptid th)) (Bool.to_int woken)
+        (Chip.wakeup_count th);
+      check_bool (Printf.sprintf "ptid %d parked" (Chip.ptid th)) (not woken)
+        (Chip.state th = Ptid.Waiting))
+    threads;
+  Sim.schedule sim ~at:(Sim.time sim) (fun () -> Memory.write mem bell.(3) 1L);
+  Sim.run sim;
+  Alcotest.(check (list (pair int int)))
+    "a doorbell still wakes the thread it names" [ (3, bell.(3)); (2, bell.(2)) ] !woke
+
 (* A start hand-off delayed past the caller's retry: the retry's start
    makes the target runnable first, and the late hand-off must then
    change no state — only spawn the body, which it still owns as the
@@ -734,22 +786,25 @@ let test_ping_pong_allocation () =
 (* The heap a parked hardware thread holds: 12,000 threads on one core,
    each armed on its own doorbell and parked in mwait, read as live
    words after a full major collection against the same world before
-   the first thread was added.  127 words on OCaml 5.1 (DESIGN.md,
-   "Memory per parked ptid" has the table); 143 while the chip, the
-   state store and the core each kept a ptid table and every process
-   its formatted name, 216 while every process built its own effect
-   handler, every thread its own park point, and every context its
-   24-word register file before anything wrote it. *)
+   the first thread was added.  117 words on OCaml 5.1 (DESIGN.md,
+   "Memory per parked ptid" has the table); 127 while every thread kept
+   a monitor-waiter closure and every process a waker closure, 143
+   while the chip, the state store and the core each kept a ptid table
+   and every process its formatted name, 216 while every process built
+   its own effect handler, every thread its own park point, and every
+   context its 24-word register file before anything wrote it. *)
 let test_parked_ptid_heap () =
-  let words = Parked_heap.words_per_ptid ~cores:1 ~per_core:12_000 in
+  let words = (Parked_heap.measure ~cores:1 ~per_core:12_000).Parked_heap.heap_words in
   check_bool
-    (Printf.sprintf "%.1f heap words per parked ptid < 135" words)
-    true (words < 135.0)
+    (Printf.sprintf "%.1f heap words per parked ptid < 122" words)
+    true (words < 122.0)
 
 (* Setting up a thread: minor words per [add_thread] + [attach] +
    [boot] over 1,000 threads on one core, all sharing one body, the
-   growth of the per-core arrays included.  124 words on OCaml 5.1;
-   182 while each thread was hashed into the chip's, the store's and the
+   growth of the per-core arrays included.  78 words on OCaml 5.1; 124
+   while the thread record and its context's entry were each built
+   twice through a [let rec], with a waiter closure per thread; 182
+   while each thread was hashed into the chip's, the store's and the
    core's ptid tables and each boot formatted the process's name. *)
 let test_thread_setup_allocation () =
   let n = 1_000 in
@@ -764,8 +819,8 @@ let test_thread_setup_allocation () =
   let per_thread = (Gc.minor_words () -. before) /. float_of_int n in
   Sim.run sim;
   check_bool
-    (Printf.sprintf "%.1f minor words per thread set up < 150" per_thread)
-    true (per_thread < 150.0)
+    (Printf.sprintf "%.1f minor words per thread set up < 85" per_thread)
+    true (per_thread < 85.0)
 
 (* The chip's one ptid table is the one that refuses a taken ptid; the
    units below it take whatever handle they hand out. *)
@@ -1028,6 +1083,8 @@ let () =
             test_delayed_start_overtaken_by_retry;
           Alcotest.test_case "second start hand-off keeps the park" `Quick
             test_second_start_hand_off_keeps_park;
+          Alcotest.test_case "spurious wake reaches its thread" `Quick
+            test_spurious_wake_reaches_its_thread;
           Alcotest.test_case "overlapping wake deliveries" `Quick
             test_overlapping_deliveries;
           Alcotest.test_case "deadline restart lost to a stop" `Quick

@@ -21,10 +21,10 @@ module Monitor = Switchless.Monitor
    - arming is idempotent and appends to the thread's list (arming
      order) while prepending to the address's watcher list, so a write
      delivers most-recently-armed first;
-   - a write wakes a parked waiter or latches the first trigger (later
-     ones coalesce);
+   - a write wakes a parked thread, through the one waiter, or latches
+     the first trigger (later ones coalesce);
    - mwait consumes a latch immediately or parks;
-   - relatch delivers straight to a re-parked waiter, else latches. *)
+   - relatch delivers straight to a re-parked thread, else latches. *)
 module Model = struct
   type key = int * int (* core, ptid *)
 
@@ -32,20 +32,22 @@ module Model = struct
     watchers : (int, key list) Hashtbl.t; (* addr -> most-recent-first *)
     order : (key, int list) Hashtbl.t; (* thread -> addrs, arming order *)
     pending : (key, int) Hashtbl.t;
-    waiter : (key, int -> unit) Hashtbl.t;
+    parked : (key, unit) Hashtbl.t;
+    waiter : key -> int -> unit;
   }
 
-  let create () =
+  let create waiter =
     {
       watchers = Hashtbl.create 16;
       order = Hashtbl.create 16;
       pending = Hashtbl.create 16;
-      waiter = Hashtbl.create 16;
+      parked = Hashtbl.create 16;
+      waiter;
     }
 
   let armed t k = try Hashtbl.find t.order k with Not_found -> []
   let watchers t a = try Hashtbl.find t.watchers a with Not_found -> []
-  let has_waiter t k = Hashtbl.mem t.waiter k
+  let has_waiter t k = Hashtbl.mem t.parked k
 
   let arm t k a =
     if not (List.mem a (armed t k)) then begin
@@ -66,30 +68,30 @@ module Model = struct
     let snapshot = watchers t a in
     List.iter
       (fun k ->
-        match Hashtbl.find_opt t.waiter k with
-        | Some wake ->
-          Hashtbl.remove t.waiter k;
-          wake a
-        | None -> if not (Hashtbl.mem t.pending k) then Hashtbl.replace t.pending k a)
+        if has_waiter t k then begin
+          Hashtbl.remove t.parked k;
+          t.waiter k a
+        end
+        else if not (Hashtbl.mem t.pending k) then Hashtbl.replace t.pending k a)
       snapshot
 
-  let mwait t k ~wake =
+  let mwait t k =
     match Hashtbl.find_opt t.pending k with
     | Some a ->
       Hashtbl.remove t.pending k;
       Some a
     | None ->
-      Hashtbl.replace t.waiter k wake;
+      Hashtbl.replace t.parked k ();
       None
 
-  let cancel t k = Hashtbl.remove t.waiter k
+  let cancel t k = Hashtbl.remove t.parked k
 
   let relatch t k a =
-    match Hashtbl.find_opt t.waiter k with
-    | Some wake ->
-      Hashtbl.remove t.waiter k;
-      wake a
-    | None -> if not (Hashtbl.mem t.pending k) then Hashtbl.replace t.pending k a
+    if has_waiter t k then begin
+      Hashtbl.remove t.parked k;
+      t.waiter k a
+    end
+    else if not (Hashtbl.mem t.pending k) then Hashtbl.replace t.pending k a
 end
 
 let keys = [| (0, 1); (0, 2); (1, 3); (1, 4) |]
@@ -99,7 +101,22 @@ let keys = [| (0, 1); (0, 2); (1, 3); (1, 4) |]
    index mishandles any region. *)
 let addrs = [| 16; 17; 0x1000; 0x1001; 5000; 9000 |]
 
-(* [slots.(i)] is the monitor slot registered for [keys.(i)]. *)
+(* Below, [slots.(i)] is the monitor slot registered for [keys.(i)]. *)
+let slot_of keys slots k =
+  let rec find i = if keys.(i) = k then slots.(i) else find (i + 1) in
+  find 0
+
+(* Each side's (slot, addr) deliveries go to its own log: the monitor's
+   one waiter names the slot, the model's the key, which [slot_of]
+   maps to its slot. *)
+let log_delivery buf s a = Buffer.add_string buf (Printf.sprintf "%d@%d;" s a)
+
+let logged_monitor mem buf =
+  let mon = Monitor.create Params.default in
+  Monitor.attach mon mem;
+  Monitor.set_waiter mon (log_delivery buf);
+  mon
+
 let check_mirror mon slots model =
   Array.for_all2
     (fun s k ->
@@ -124,15 +141,11 @@ let prop_monitor_matches_model =
            (int_bound (Array.length addrs - 1))))
     (fun ops ->
       let mem = Memory.create () in
-      let mon = Monitor.create Params.default in
-      Monitor.attach mon mem;
-      let slots = Array.map (fun (core_id, _) -> Monitor.register mon ~core_id) keys in
-      let model = Model.create () in
       let real_log = Buffer.create 64 in
       let model_log = Buffer.create 64 in
-      let wake_cb buf (core, ptid) a =
-        Buffer.add_string buf (Printf.sprintf "%d:%d@%d;" core ptid a)
-      in
+      let mon = logged_monitor mem real_log in
+      let slots = Array.map (fun (core_id, _) -> Monitor.register mon ~core_id) keys in
+      let model = Model.create (fun k -> log_delivery model_log (slot_of keys slots k)) in
       let step (op, ki, ai) =
         let k = keys.(ki) in
         let tk = slots.(ki) in
@@ -155,9 +168,8 @@ let prop_monitor_matches_model =
              both implementations; the model knows, so skip in lockstep. *)
           if Model.has_waiter model k then true
           else begin
-            let real = Monitor.mwait mon tk ~wake:(wake_cb real_log k) in
-            let modeled = Model.mwait model k ~wake:(wake_cb model_log k) in
-            match modeled with Some ma -> real = ma | None -> real = -1
+            let real = Monitor.mwait mon tk in
+            match Model.mwait model k with Some ma -> real = ma | None -> real = -1
           end
         | 4 ->
           Monitor.cancel_wait mon tk;
@@ -183,10 +195,8 @@ let prop_monitor_matches_model =
            (fun tk k ->
              if Model.has_waiter model k then true
              else
-               let real = Monitor.mwait mon tk ~wake:(wake_cb real_log k) in
-               match Model.mwait model k ~wake:(wake_cb model_log k) with
-               | Some ma -> real = ma
-               | None -> real = -1)
+               let real = Monitor.mwait mon tk in
+               match Model.mwait model k with Some ma -> real = ma | None -> real = -1)
            slots keys)
 
 (* [Monitor.arm] finds an armed pair by walking the slot's armed list
@@ -205,12 +215,12 @@ let prop_arm_idempotent_on_long_lists =
         (list_of_size Gen.(0 -- 20) (pair (int_bound 79) (int_bound 79))))
     (fun (fan_out, fan_in, out_first, strays) ->
       let mem = Memory.create () in
-      let mon = Monitor.create Params.default in
-      Monitor.attach mon mem;
-      let model = Model.create () in
+      let log = Buffer.create 64 and model_log = Buffer.create 64 in
+      let mon = logged_monitor mem log in
       let nslots = max fan_in 2 in
       let keys = Array.init nslots (fun i -> (i mod 2, i)) in
       let slots = Array.map (fun (core_id, _) -> Monitor.register mon ~core_id) keys in
+      let model = Model.create (fun k -> log_delivery model_log (slot_of keys slots k)) in
       let shared = 0x1000 in
       let own i = 0x2000 + i in
       let arms = ref [] in
@@ -234,12 +244,10 @@ let prop_arm_idempotent_on_long_lists =
         again.(r) <- x
       done;
       Array.iter (fun (i, a) -> arm i a) again;
-      let log = Buffer.create 64 and model_log = Buffer.create 64 in
-      let note buf (core, ptid) a = Buffer.add_string buf (Printf.sprintf "%d:%d@%d;" core ptid a) in
       Array.iteri
         (fun i k ->
-          ignore (Monitor.mwait mon slots.(i) ~wake:(note log k) : int);
-          ignore (Model.mwait model k ~wake:(note model_log k) : int option))
+          ignore (Monitor.mwait mon slots.(i) : int);
+          ignore (Model.mwait model k : int option))
         keys;
       Memory.write mem shared 1L;
       Model.write model shared;
