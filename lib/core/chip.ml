@@ -74,7 +74,7 @@ type t = {
          allocated. *)
   mutable faults : fault_hooks option;
   mutable parking : int;  (* Monitor slot of the thread suspending on [park] *)
-  mutable park : Sim.suspension;  (* every body's one park point, see [park_body] *)
+  mutable park : Sim.suspension;  (* every body's one park point, see [park_point] *)
   mutable by_mslot : thread array;  (* Monitor slot -> thread *)
   mutable deliver : unit -> unit;  (* wake-delivery event, tagged with a Monitor slot *)
 }
@@ -86,8 +86,9 @@ type t = {
 
    In-flight wake delivery: the scheduled event is the chip's one
    [deliver], tagged with the thread's Monitor slot, which reads its
-   (epoch, addr) from [pend_epoch]/[pend_addr], so the steady-state
-   wake path schedules without allocating.  At most one delivery per
+   (epoch, addr) from [pend_epoch]/[pend_addr] ([pend_epoch] is
+   [no_delivery] while none is scheduled), so the steady-state wake
+   path schedules without allocating.  At most one delivery per
    thread is normally in flight (the write that fires it unparks the
    Monitor slot, and only the next mwait, which runs after the
    delivery, parks it again); the rare overlap — force-stop + restart + re-park +
@@ -100,8 +101,9 @@ and thread = {
   mutable cell : cell;
   mutable wval : int;  (* wake value (addr >= 0 or a wake_* code) *)
   mutable resume : Sim.waker;  (* the parked body's waker *)
-  mutable pending : bool;  (* the chip's [deliver] is scheduled for it *)
-  mutable pend_epoch : int;
+  mutable op : int;  (* the instruction waiting, see "Instruction waits" *)
+  mutable op_arg : int;  (* its cycles, monitored address or deadline *)
+  mutable pend_epoch : int;  (* the chip's [deliver] scheduled for it, or [no_delivery] *)
   mutable pend_addr : Memory.addr;
   mutable wakeups : int;
   core_id : int;  (* home core *)
@@ -111,16 +113,61 @@ and thread = {
   t_ptid : int;
   weight : float;
   mutable starts : int;
-  mutable spawned : bool;  (* body spawned at least once *)
-  mutable pending_start : bool;  (* latched start, absorbs the next stop *)
-  mutable crashed : bool;  (* crash-stopped, cold restart not yet run *)
-  supervisor : bool;
+  mutable flags : int;  (* [f_spawned], [f_pending_start], [f_crashed], [f_supervisor] *)
   mutable crashes : int;
   regs : Regstate.t;
   mutable body : (thread -> unit) option;
   mutable tdt : Tdt.t option;
   mutable secret : int64 option;
+  mutable spinner : spinner option;  (* from its first [spin] on *)
 }
+
+(* A thread's polling loop ({!spin}): its predicate, kind and gap, and
+   its one step, built at the thread's first spin. *)
+and spinner = {
+  mutable ready : unit -> bool;
+  mutable skind : Smt_core.kind;
+  mutable gap : int;
+  mutable next : unit -> Sim.suspension;
+}
+
+(* [thread.pend_epoch] while no wake delivery is scheduled for it. *)
+let no_delivery = -1
+
+(* [thread.flags], one bit each. *)
+let f_spawned = 1  (* body spawned at least once *)
+let f_pending_start = 2  (* latched start, absorbs the next stop *)
+let f_crashed = 4  (* crash-stopped, cold restart not yet run *)
+let f_supervisor = 8
+
+let has th f = th.flags land f <> 0
+let set th f = th.flags <- th.flags lor f
+let clear th f = th.flags <- th.flags land lnot f
+
+(* [thread.op] packs the wait of an instruction in flight (see
+   "Instruction waits"): what the thread waits for, in its low three
+   bits, ... *)
+let wait_none = 0  (* no instruction waits *)
+let wait_runnable = 1  (* parked until the thread is runnable *)
+let wait_disabled = 2  (* the same, daemon-marked: the thread was disabled *)
+let wait_job = 3  (* its exec's job is in flight on the home core *)
+let wait_cell = 4  (* parked on its wake cell in an mwait round *)
+let wait_mask = 7
+
+(* ... what follows the wait, in the next three ... *)
+let then_done = 0  (* the instruction is over; a plain exec is [op_arg] cycles *)
+let then_arm = 8  (* arm [op_arg], after the arm's cycles *)
+let then_round = 16  (* a park round, after the arm's cycles *)
+let then_reround = 24  (* a park round, at once: the thread was force-stopped *)
+let then_woke = 32  (* a latched wake of [wval], after the match cycles *)
+let then_mask = 56
+
+(* ... the kind of the exec it admits once runnable, and whether a
+   round has a deadline, [op_arg]. *)
+let kind_poll = 64
+let kind_overhead = 128
+let kind_mask = 192
+let timed = 256
 
 (* Raised inside a crash-stopped thread's body to unwind its instruction
    stream; caught in [run_body], never escapes the chip. *)
@@ -174,8 +221,8 @@ let attach th body =
 let ptid th = th.t_ptid
 let home_core th = th.core_id
 let state th = th.state
-let mode th = if th.supervisor then Ptid.Supervisor else Ptid.User
-let is_supervisor th = th.supervisor
+let is_supervisor th = has th f_supervisor
+let mode th = if is_supervisor th then Ptid.Supervisor else Ptid.User
 let regs th = th.regs
 let set_tdt th table = th.tdt <- Some table
 let tdt th = th.tdt
@@ -229,14 +276,16 @@ let run_body th =
 
 (* The body parks at one point, its chip's [park], which keeps the
    waker in the thread whose Monitor slot [parking] holds: on its wake
-   cell in an mwait, and in [wait_until_runnable].  Invariant: it is
-   parked on its cell exactly when the cell is [Open], and then only
-   [fill_wake] wakes it; the start-wake and the deadline restart act
-   only on a thread whose cell is not [Open]. *)
-let park_body th =
+   cell in an mwait, and while it waits until it is runnable.  This is
+   where the thread blocks next.  Invariant: it is parked on its cell
+   exactly when the cell is [Open], and then only [fill_wake] wakes it;
+   the start-wake and the deadline restart act only on a thread whose
+   cell is not [Open]. *)
+let park_point th =
   let c = th.chip in
   c.parking <- th.mslot;
-  Sim.suspend c.park
+  c.park
+[@@sl.zero_alloc]
 
 let wake_body th =
   let w = th.resume and none = Sim.no_waker th.chip.sim in
@@ -244,40 +293,6 @@ let wake_body th =
     th.resume <- none;
     Sim.wake w
   end
-[@@sl.zero_alloc]
-
-(* Block the calling body until its thread is runnable again.  Loops
-   because a start can be followed by another stop before we get going.
-   A disabled thread is parked by design (a server awaiting its next
-   start), so it is daemon-marked for [Sim.suspects] while it waits. *)
-let rec wait_until_runnable th =
-  if th.state <> Ptid.Runnable then begin
-    let disabled = th.state = Ptid.Disabled in
-    if disabled then Sim.set_daemon true;
-    park_body th;
-    if disabled then Sim.set_daemon false;
-    wait_until_runnable th
-  end
-
-let exec th ?(kind = Smt_core.Useful) cycles =
-  wait_until_runnable th;
-  Smt_core.execute (own_core th).exec_unit ~slot:th.smt ~kind cycles
-
-(* [exec th ~kind gap] until [ready ()], checking before each gap.
-   [ready] reads simulated state that only an event can change, so
-   while no event runs it keeps its answer: the gaps that would each
-   continue inline ([Smt_core.serve_lone_gaps]) need no check between
-   them, and the gap after them, which cannot continue inline, is an
-   ordinary [exec].  [kind] is passed on unwrapped, so that no option
-   is allocated per gap. *)
-let spin th ~kind ~gap ready =
-  if gap < 1 then invalid_arg "Chip.spin: gap must be at least 1";
-  let core = (own_core th).exec_unit in
-  while not (ready ()) do
-    Smt_core.serve_lone_gaps core ~slot:th.smt ~kind gap;
-    wait_until_runnable th;
-    Smt_core.execute core ~slot:th.smt ~kind gap
-  done
 [@@sl.zero_alloc]
 
 (* --- wakeup machinery -------------------------------------------------- *)
@@ -320,8 +335,7 @@ let monitor_wake th addr =
   in
   let epoch = th.epoch in
   let at = Sim.time c.sim + latency in
-  if not th.pending then begin
-    th.pending <- true;
+  if th.pend_epoch = no_delivery then begin
     th.pend_epoch <- epoch;
     th.pend_addr <- addr;
     Sim.schedule_tagged c.sim ~at ~tag:th.mslot c.deliver
@@ -379,8 +393,8 @@ let schedule_wakeup th ~extra ~reason ~(on_ready : unit -> unit) =
 let crash_mark th ~kind ~restart_after =
   let chip = th.chip in
   th.crashes <- th.crashes + 1;
-  th.crashed <- true;
-  th.pending_start <- false;
+  set th f_crashed;
+  clear th f_pending_start;
   Monitor.cancel_wait chip.monitor th.mslot;
   Monitor.disarm_all chip.monitor th.mslot;
   (match th.state with
@@ -392,8 +406,8 @@ let crash_mark th ~kind ~restart_after =
   Sim.schedule chip.sim ~at:restart_at (fun () ->
       (* A start issued between crash and restart already respawned the
          body (see [do_start]); don't spawn a second instruction stream. *)
-      if th.crashed then begin
-        th.crashed <- false;
+      if has th f_crashed then begin
+        clear th f_crashed;
         th.starts <- th.starts + 1;
         if chip.probe_on then
           emit chip
@@ -450,8 +464,9 @@ let create sim params ~cores =
   t.deliver <-
     (fun () ->
       let th = t.by_mslot.(Sim.event_tag t.sim) in
-      th.pending <- false;
-      deliver_wake th th.pend_epoch th.pend_addr);
+      let epoch = th.pend_epoch in
+      th.pend_epoch <- no_delivery;
+      deliver_wake th epoch th.pend_addr);
   Monitor.set_waiter monitor (fun mslot addr -> monitor_wake t.by_mslot.(mslot) addr);
   t
 
@@ -479,8 +494,9 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       cell = Idle;
       wval = 0;
       resume = Sim.no_waker t.sim;
-      pending = false;
-      pend_epoch = 0;
+      op = wait_none;
+      op_arg = 0;
+      pend_epoch = no_delivery;
       pend_addr = 0;
       wakeups = 0;
       core_id;
@@ -490,15 +506,13 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       t_ptid = ptid;
       weight;
       starts = 0;
-      spawned = false;
-      pending_start = false;
-      crashed = false;
-      supervisor = (match mode with Ptid.Supervisor -> true | Ptid.User -> false);
+      flags = (match mode with Ptid.Supervisor -> f_supervisor | Ptid.User -> 0);
       crashes = 0;
       regs;
       body = None;
       tdt = None;
       secret = None;
+      spinner = None;
     }
   in
   Hashtbl.replace t.tids ptid th;
@@ -516,12 +530,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   th
 
 (* --- §3.1 instructions -------------------------------------------------- *)
-
-let insn_monitor th addr =
-  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
-  Monitor.arm th.chip.monitor th.mslot addr;
-  if th.chip.probe_on then
-    emit th.chip (Probe.Monitor_armed { ptid = th.t_ptid; addr })
 
 (* Whether park round [epoch] of the thread is still unclaimed: no wake
    in flight (the cell is still open this round) and no force-stop
@@ -608,12 +616,83 @@ let inject_park_faults th f epoch =
           fill_wake th wake_crash
         end)
 
+(* --- Instruction waits ---------------------------------------------------
+
+   An instruction that blocks (an exec, a monitor arm, an mwait round)
+   runs as a small machine whose state is its thread's [op] and
+   [op_arg].  [exec_op], [monitor_op] and [mwait_op] start one and
+   return [Sim.finished] when it is over, else the suspension at which
+   the thread blocks next; after each wake, [resume_op] goes on from
+   there.  A body's fiber drives the machine through [complete],
+   suspending at each block; a stepped wait ([Sim.wait]) drives it from
+   its steps, which block without resuming the fiber.  Either way it is
+   the same code at the same instants, so the pushes, the ticks and
+   their order are the same. *)
+
+let kind_bits = function
+  | Smt_core.Useful -> 0
+  | Smt_core.Poll -> kind_poll
+  | Smt_core.Overhead -> kind_overhead
+
+let plan_kind plan =
+  let k = plan land kind_mask in
+  if k = 0 then Smt_core.Useful else if k = kind_poll then Smt_core.Poll else Smt_core.Overhead
+
+(* The cycles of the exec a thread that waits until runnable then
+   admits, before [plan]'s follow-up. *)
+let plan_cycles th plan =
+  let next = plan land then_mask and p = th.chip.params in
+  if next = then_done then th.op_arg
+  else if next = then_arm || next = then_round then p.Params.monitor_arm_cycles
+  else if next = then_woke then p.Params.monitor_wake_cycles
+  else 0
+
+(* Wait until the thread is runnable (a start can be followed by
+   another stop before the body gets going), then admit [cycles] of
+   [kind], then [plan]'s follow-up.  A disabled thread is parked by
+   design (a server awaiting its next start), so it is daemon-marked
+   for [Sim.suspects] while it waits. *)
+let rec runnable th plan ~kind cycles =
+  if th.state = Ptid.Runnable then admit th plan ~kind cycles
+  else begin
+    let disabled = th.state = Ptid.Disabled in
+    if disabled then Sim.set_daemon true;
+    if plan land then_mask = then_done then th.op_arg <- cycles;
+    th.op <- plan lor kind_bits kind lor if disabled then wait_disabled else wait_runnable;
+    park_point th
+  end
+
+and admit th plan ~kind cycles =
+  let s = Smt_core.admit (own_core th).exec_unit ~slot:th.smt ~kind cycles in
+  if s == Sim.finished then follow th plan
+  else begin
+    th.op <- plan lor wait_job;
+    s
+  end
+
+and follow th plan =
+  th.op <- wait_none;
+  let next = plan land then_mask in
+  if next = then_done then Sim.finished
+  else if next = then_arm then begin
+    let addr = th.op_arg in
+    Monitor.arm th.chip.monitor th.mslot addr;
+    if th.chip.probe_on then emit th.chip (Probe.Monitor_armed { ptid = th.t_ptid; addr });
+    Sim.finished
+  end
+  else if next = then_woke then begin
+    if th.chip.probe_on then
+      emit th.chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = th.wval; immediate = true });
+    crash_on_wake th;
+    Sim.finished
+  end
+  else round th (plan land timed)
+
 (* One park round of [mwait] (park until a monitored write) and of
    [mwait_for] ([timed]: the same, but resume empty-handed at the
-   absolute [deadline], umwait-style).  A tagged int, as
-   [Monitor.mwait]'s: the woken address ([>= 0]), or [wake_deadline]
-   on expiry.  Top-level, so that a park allocates no closure. *)
-let rec mwait_round th ~timed ~deadline =
+   absolute deadline [op_arg], umwait-style).  Its outcome is [wval]:
+   the woken address ([>= 0]), or [wake_deadline] on expiry. *)
+and round th timed =
   let chip = th.chip in
   (* A new park round: bump the epoch (cell back to idle); stale events
      from earlier rounds compare epochs and stand down. *)
@@ -624,49 +703,131 @@ let rec mwait_round th ~timed ~deadline =
   if a >= 0 then begin
     (* The write already happened; no sleep, only the match cost. *)
     th.wakeups <- th.wakeups + 1;
-    exec th ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles;
-    if chip.probe_on then
-      emit chip (Probe.Mwait_woke { ptid = th.t_ptid; addr = a; immediate = true });
-    crash_on_wake th;
-    a
+    th.wval <- a;
+    runnable th then_woke ~kind:Smt_core.Overhead chip.params.Params.monitor_wake_cycles
   end
   else begin
     set_state th Ptid.Waiting ~reason:"mwait-park";
     if chip.probe_on then emit chip (Probe.Mwait_parked { ptid = th.t_ptid });
     State_store.touch (own_core th).store th.entry;
     th.cell <- Open;
-    if timed then schedule_deadline th epoch deadline;
+    if timed <> 0 then schedule_deadline th epoch th.op_arg;
     (match chip.faults with None -> () | Some f -> inject_park_faults th f epoch);
     (* Park on the cell just opened, which only [fill_wake] fills. *)
-    park_body th;
-    let v = th.wval in
-    th.cell <- Idle;
-    if v >= 0 then begin
-      crash_on_wake th;
-      v
-    end
-    else if v = wake_deadline then begin
-      wait_until_runnable th;
-      wake_deadline
-    end
-    else if v = wake_stop then begin
-      (* Force-stopped while waiting; when restarted, wait again. *)
-      wait_until_runnable th;
-      mwait_round th ~timed ~deadline
-    end
-    else
-      (* Crash-stopped while parked: bookkeeping already ran in the
-         crash event; unwind the dead instruction stream. *)
-      raise Crash_stop
+    th.op <- timed lor wait_cell;
+    park_point th
   end
 
+(* Back from the wake cell. *)
+and woken th plan =
+  let v = th.wval in
+  th.cell <- Idle;
+  if v >= 0 then begin
+    th.op <- wait_none;
+    crash_on_wake th;
+    Sim.finished
+  end
+  else if v = wake_deadline then
+    (* Over once runnable: an exec of no cycles. *)
+    runnable th then_done ~kind:Smt_core.Useful 0
+  else if v = wake_stop then
+    (* Force-stopped while waiting; when restarted, wait again. *)
+    runnable th (then_reround lor (plan land timed)) ~kind:Smt_core.Useful 0
+  else begin
+    (* Crash-stopped while parked: bookkeeping already ran in the crash
+       event; unwind the dead instruction stream. *)
+    th.op <- wait_none;
+    raise Crash_stop
+  end
+
+let resume_op th =
+  let op = th.op in
+  let wait = op land wait_mask and plan = op land lnot wait_mask in
+  if wait = wait_none then Sim.finished
+  else if wait = wait_job then follow th plan
+  else if wait = wait_cell then woken th plan
+  else begin
+    if wait = wait_disabled then Sim.set_daemon false;
+    runnable th plan ~kind:(plan_kind plan) (plan_cycles th plan)
+  end
+[@@sl.zero_alloc]
+
+let exec_op th ~kind cycles = runnable th then_done ~kind cycles [@@sl.zero_alloc]
+
+let monitor_op th addr =
+  th.op_arg <- addr;
+  runnable th then_arm ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles
+
+let mwait_op th ~timed:t ~deadline =
+  th.op_arg <- deadline;
+  runnable th
+    (then_round lor if t then timed else 0)
+    ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles
+
+let mwait_result th = th.wval
+
+(* A body's fiber runs an instruction's waits by suspending at each. *)
+let rec complete th s =
+  if s != Sim.finished then begin
+    Sim.suspend s;
+    complete th (resume_op th)
+  end
+
+(* A runnable thread's exec is the core's own execute, admission and
+   wait, with no instruction state to keep. *)
+let exec th ?(kind = Smt_core.Useful) cycles =
+  if th.state = Ptid.Runnable then
+    Smt_core.execute (own_core th).exec_unit ~slot:th.smt ~kind cycles
+  else complete th (exec_op th ~kind cycles)
+
+let insn_monitor th addr = complete th (monitor_op th addr)
+
 let insn_mwait th =
-  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
-  mwait_round th ~timed:false ~deadline:0
+  complete th (mwait_op th ~timed:false ~deadline:0);
+  th.wval
 
 let insn_mwait_for th ~deadline =
-  exec th ~kind:Smt_core.Overhead th.chip.params.Params.monitor_arm_cycles;
-  mwait_round th ~timed:true ~deadline
+  complete th (mwait_op th ~timed:true ~deadline);
+  th.wval
+
+(* [exec th ~kind gap] until [ready ()], checking before each gap.
+   [ready] reads simulated state that only an event can change, so
+   while no event runs it keeps its answer: the gaps that would each
+   continue inline ([Smt_core.serve_lone_gaps]) need no check between
+   them, and the gap after them, which cannot continue inline, is an
+   ordinary exec.  A stepped wait, whose one step the thread builds at
+   its first spin: no spin allocates after that, and no gap switches
+   fibers. *)
+let rec spin_step th sp =
+  let s = resume_op th in
+  if s != Sim.finished then s
+  else if sp.ready () then Sim.finished
+  else begin
+    Smt_core.serve_lone_gaps (own_core th).exec_unit ~slot:th.smt ~kind:sp.skind sp.gap;
+    let s = exec_op th ~kind:sp.skind sp.gap in
+    if s != Sim.finished then s else spin_step th sp
+  end
+[@@sl.zero_alloc]
+
+let new_spinner th ~kind ~gap ready =
+  let sp = { ready; skind = kind; gap; next = (fun () -> Sim.finished) } in
+  sp.next <- (fun () -> spin_step th sp);
+  th.spinner <- Some sp;
+  sp
+
+let spin th ~kind ~gap ready =
+  if gap < 1 then invalid_arg "Chip.spin: gap must be at least 1";
+  let sp =
+    match th.spinner with
+    | None -> new_spinner th ~kind ~gap ready
+    | Some sp ->
+      sp.ready <- ready;
+      sp.skind <- kind;
+      sp.gap <- gap;
+      sp
+  in
+  Sim.wait sp.next
+[@@sl.zero_alloc]
 
 (* Fault the calling thread through its exception-descriptor pointer. *)
 let raise_exception th kind ~info =
@@ -684,14 +845,15 @@ let raise_exception th kind ~info =
   end
   else begin
     (* Faults are involuntary: a latched start must not absorb them. *)
-    th.pending_start <- false;
+    clear th f_pending_start;
     set_state th Ptid.Disabled ~reason:"fault";
     Sim.delay chip.params.Params.exception_descriptor_cycles;
     chip.exn_seq <- Int64.add chip.exn_seq 1L;
     Exception_desc.write chip.memory ~base:(Int64.to_int edp) ~seq:chip.exn_seq
       ~core_id:(home_core th) ~ptid:th.t_ptid kind ~info;
-    (* Parked until a handler repairs our state and restarts us. *)
-    wait_until_runnable th
+    (* Parked until a handler repairs our state and restarts us: an
+       exec of no cycles. *)
+    exec th 0
   end
 
 (* --- §3.1 inter-thread instructions ---------------------------------------
@@ -789,17 +951,17 @@ let do_start ~actor target =
         (Probe.Start_edge { actor = origin actor; target = target.t_ptid; latched = false });
     (* The first start spawns the body.  So does a start of a
        crash-stopped thread not yet auto-restarted: the old instruction
-       stream is gone, and the scheduled auto-restart then sees
-       [crashed = false] and stands down. *)
-    let respawn = (not target.spawned) || target.crashed in
-    target.spawned <- true;
-    target.crashed <- false;
+       stream is gone, and the scheduled auto-restart then finds
+       [f_crashed] clear and stands down. *)
+    let respawn = (not (has target f_spawned)) || has target f_crashed in
+    set target f_spawned;
+    clear target f_crashed;
     schedule_wakeup target ~extra:0 ~reason:"start-wake"
       ~on_ready:(if respawn then fun () -> run_body target else fun () -> ())
   | Ptid.Runnable ->
     (* Already enabled: latch the start so it cannot be lost to a stop
        that is architecturally in flight (e.g. a server parking itself). *)
-    target.pending_start <- true;
+    set target f_pending_start;
     if c.probe_on then
       emit c
         (Probe.Start_edge { actor = origin actor; target = target.t_ptid; latched = true })
@@ -807,9 +969,9 @@ let do_start ~actor target =
 
 let do_stop ~actor target =
   let c = target.chip in
-  if target.pending_start then
+  if has target f_pending_start then
     (* The latched start absorbs this stop; the thread keeps running. *)
-    target.pending_start <- false
+    clear target f_pending_start
   else
     match target.state with
     | Ptid.Runnable ->
@@ -929,8 +1091,8 @@ let store th addr value =
 
 let boot th =
   let c = th.chip in
-  if th.spawned then invalid_arg "Chip.boot: thread already started";
-  th.spawned <- true;
+  if has th f_spawned then invalid_arg "Chip.boot: thread already started";
+  set th f_spawned;
   th.starts <- th.starts + 1;
   if c.probe_on then
     emit c (Probe.Start_edge { actor = Probe.Boot; target = th.t_ptid; latched = false });

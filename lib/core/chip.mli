@@ -193,8 +193,42 @@ val spin : thread -> kind:Smt_core.kind -> gap:int -> (unit -> bool) -> unit
     before anything else is due are served in one call
     ({!Smt_core.serve_lone_gaps}) with no check between them, so
     [ready] must read only simulated state that nothing but an event
-    changes (a device register, a shared word), never the clock.
+    changes (a device register, a shared word), never the clock.  It
+    is a stepped wait ([Sim.wait]): no blocked gap switches fibers, and
+    nothing is allocated after the thread's first spin.
     Raises [Invalid_argument] when [gap] is below 1. *)
+
+(** {2 Instruction waits, as steps}
+
+    The waits of {!exec}, {!insn_monitor}, {!insn_mwait} and
+    {!insn_mwait_for}, for a stepped wait ([Sim.wait]) of the thread's
+    body: the instructions themselves run these and suspend the body at
+    each block.  Each [*_op] starts its instruction and returns
+    [Sim.finished] when it is over; otherwise the thread blocks at the
+    returned suspension, and after each wake {!resume_op} goes on, until
+    it returns [Sim.finished].  At most one instruction of a thread is in
+    flight.  Outcomes, costs, probes, faults and exceptions are the
+    instruction's: a crash at the wake boundary or in the park raises
+    the body's crash-stop from the step. *)
+
+val exec_op : thread -> kind:Smt_core.kind -> int -> Sl_engine.Sim.suspension
+(** {!exec}'s wait: until the thread is runnable, then its cycles. *)
+
+val monitor_op : thread -> Memory.addr -> Sl_engine.Sim.suspension
+(** {!insn_monitor}'s. *)
+
+val mwait_op : thread -> timed:bool -> deadline:Sl_engine.Sim.Time.t -> Sl_engine.Sim.suspension
+(** {!insn_mwait}'s, or with [timed] {!insn_mwait_for}'s at [deadline];
+    its outcome is then {!mwait_result}. *)
+
+val resume_op : thread -> Sl_engine.Sim.suspension
+(** Go on with the instruction in flight after a wake; [Sim.finished]
+    at once when none is. *)
+
+val mwait_result : thread -> int
+(** What the thread's last finished mwait round returned: the woken
+    address, or a negative number after its deadline. *)
+
 
 val insn_monitor : thread -> Memory.addr -> unit
 val insn_mwait : thread -> Memory.addr

@@ -454,9 +454,10 @@ let set_runnable t ~slot ~weight runnable =
   end;
   reschedule t
 
-let execute t ~slot ~kind cycles =
+let admit t ~slot ~kind cycles =
   if cycles < 0 then invalid_arg "Smt_core.execute: negative cycles";
-  if cycles > 0 then begin
+  if cycles = 0 then Sim.finished
+  else begin
     if t.rpos.(slot) < 0 then
       invalid_arg "Smt_core.execute: ptid is not runnable";
     if has_job t slot then
@@ -478,14 +479,19 @@ let execute t ~slot ~kind cycles =
     let dt = next_dt t in
     if t.njobs = 1 && Sim.skip_to t.sim (Sim.time t.sim + dt) then begin
       advance t;
-      reschedule t
+      reschedule t;
+      Sim.finished
     end
     else begin
       schedule_completion t dt;
       t.parking <- slot;
-      Sim.suspend t.suspension
+      t.suspension
     end
   end
+
+let execute t ~slot ~kind cycles =
+  let s = admit t ~slot ~kind cycles in
+  if s != Sim.finished then Sim.suspend s
 
 (* A spinner's idle gaps in one call.  With no job on the core and the
    slot runnable, an [execute] of [gap] is the core's only job at

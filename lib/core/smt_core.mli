@@ -53,6 +53,14 @@ val execute : t -> slot:int -> kind:kind -> int -> unit
     [execute] returns without an event or a suspension, with the same
     results. *)
 
+val admit : t -> slot:int -> kind:kind -> int -> Sl_engine.Sim.suspension
+(** [admit t ~slot ~kind cycles] is {!execute} without its wait: it
+    admits the job and returns [Sim.finished] when the call is over
+    (no cycles, or the job completed inline), and otherwise the core's
+    suspension, at which the caller must block next, as {!execute}
+    does, and where the job's completion wakes it.  Nothing may run
+    between the two.  The same checks, with the same messages. *)
+
 val serve_lone_gaps : t -> slot:int -> kind:kind -> int -> unit
 (** [serve_lone_gaps t ~slot ~kind gap] does at once what a run of
     [execute t ~slot ~kind gap] calls would do while each one

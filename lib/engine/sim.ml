@@ -65,8 +65,7 @@ type t = {
   mutable horizon : Time.t;  (* the executing [run]'s [until] *)
   mutable running_pid : int;  (* whose code is running, [no_pid] in a callback *)
   mutable current : parking;  (* the running process's, else [idle] *)
-  idle : parking;
-  handler : (unit, unit) handler;  (* every process's, see [exec] *)
+  mutable handler : (unit, unit) handler;  (* every process's, see [exec]; set once *)
   mutable counters : counter list;  (* {!count}'s, newest name first *)
 }
 
@@ -78,13 +77,14 @@ and counter = { name : string; mutable n : int }
    wakers callers keep, a pending hop's event and, while the process
    runs, [current] reference it, never the ring: the bench and
    perfbench world observers keep every world alive, and a world must
-   not keep a parked process's stack alive once nothing can wake it. *)
+   not keep a parked process's stack alive once nothing can wake it.
+   It is parked exactly while its proc's [blocked_since] is set. *)
 and parking = {
   world : t;
   proc : proc;
   mutable k : (unit, unit) continuation;  (* spent unless parked or delayed *)
-  mutable parked : bool;
-  mutable hop : unit -> unit;  (* the wake's or the delay's event: [continue k ()] *)
+  mutable step : unit -> unit Effect.t;  (* [no_step] unless in a stepped {!wait} *)
+  mutable hop : unit -> unit;  (* the wake's or the delay's event, see [resume] *)
 }
 
 type waker = parking
@@ -97,6 +97,13 @@ type _ Effect.t +=
 type suspension = unit Effect.t  (* a [Suspend_eff] carrying its registrar *)
 
 let no_suspension : suspension = Suspend_eff ignore
+
+(* What a step returns when its wait is over: no process parks on it. *)
+let finished : suspension =
+  Suspend_eff (fun (_ : waker) -> invalid_arg "Sim.finished: not a waiting point")
+
+(* [parking.step] of a process that is not in a stepped wait. *)
+let no_step () = finished
 
 (* The continuation of a parking that has not parked yet: one captured
    at start-up and never resumed. *)
@@ -158,14 +165,50 @@ let clear_creation_hook () = unobserve ~key:"sim.creation_hook"
 
 let nop () = ()
 
+let no_handler : (unit, unit) handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) }
+
+(* The parking in a world's [current] while none of its processes
+   runs, in every world, and the waker of an empty cell ({!no_waker}).
+   No process parks on it, and nothing writes to it: its world and ring
+   are placeholders that run nothing.  Also the links of a new ring's
+   sentinel until [create] closes them, so this is the one knot
+   ([let rec]) tied, once; a world tied to an idle parking of its own
+   would build both records twice. *)
+let idle =
+  let rec ring =
+    {
+      pid = no_pid;
+      pname = unnamed;
+      pptid = no_ptid;
+      blocked_since = not_blocked;
+      daemon = false;
+      prev = ring;
+      next = ring;
+    }
+  and world =
+    {
+      now = Time.zero;
+      queue = Wheel.create ~dummy:nop;
+      next_pid = 0;
+      procs = ring;
+      events = 0;
+      nested = false;
+      horizon = Time.max_tick;
+      running_pid = no_pid;
+      current = idle;
+      handler = no_handler;
+      counters = [];
+    }
+  and idle = { world; proc = ring; k = no_k; step = no_step; hop = nop } in
+  idle
+
 (* The wheel keeps push order within a tick.  About half of all events
    are for the current tick, mostly resume hops. *)
 let push t ~at thunk = Wheel.push t.queue ~time:at thunk
 
 (* Resume a parked process: a same-tick hop, with nothing allocated. *)
 let wake p =
-  if not p.parked then invalid_arg "Sim.wake: no suspension to wake";
-  p.parked <- false;
+  if p.proc.blocked_since = not_blocked then invalid_arg "Sim.wake: no suspension to wake";
   p.proc.blocked_since <- not_blocked;
   push p.world ~at:p.world.now p.hop
 [@@sl.zero_alloc]
@@ -180,7 +223,7 @@ let retire proc =
 let finish t =
   let p = t.current in
   t.running_pid <- no_pid;
-  t.current <- t.idle;
+  t.current <- idle;
   retire p.proc
 
 (* The handler's answer to a block it must not take: the process gets
@@ -188,31 +231,39 @@ let finish t =
 let refuse msg =
   Some (fun (k : (unit, unit) continuation) -> discontinue k (Invalid_argument msg))
 
+(* The running process [p] parks at a suspension point: it stops
+   running before its registrar runs, so that a registrar runs as a
+   callback would. *)
+let park t p register =
+  t.running_pid <- no_pid;
+  p.proc.blocked_since <- t.now;
+  register p
+[@@inline]
+
 (* The effect half of a world's one handler, which finds the blocking
    process in [t.current] ([exec] and each hop set it).  A block clears
    [running_pid] before it registers the waker or queues the delay's
-   hop, so a registrar runs as a callback would, and hands [k] to
-   [on_suspend], which stores it in the parking and takes [current]
-   back to [idle]; either hop runs only after that.  So a suspension
-   allocates only the runtime's continuation, and [current] never holds
-   a parked process.  While [t.nested], a block comes from a callback
-   of a run nested inside the process, and is refused. *)
+   hop, and hands [k] to [on_suspend], which stores it in the parking
+   and takes [current] back to [idle]; either hop runs only after that.
+   So a suspension allocates only the runtime's continuation, and
+   [current] never holds a parked process.  While [t.nested], or while
+   [current] is [idle], a block comes from a callback of a run nested
+   inside the process (of another world, or of this one), and is
+   refused. *)
 let handle t (on_suspend : ((unit, unit) continuation -> unit) option) (type a)
     (eff : a Effect.t) :
     ((a, unit) continuation -> unit) option =
   match eff with
   | Suspend_eff register ->
-    if t.nested then refuse "Sim.suspend: the process belongs to another world"
+    if t.nested || t.current == idle then
+      refuse "Sim.suspend: the process belongs to another world"
     else begin
-      let p = t.current in
-      t.running_pid <- no_pid;
-      p.parked <- true;
-      p.proc.blocked_since <- t.now;
-      register p;
+      park t t.current register;
       on_suspend
     end
   | Delay_eff d ->
-    if t.nested then refuse "Sim.delay: the process belongs to another world"
+    if t.nested || t.current == idle then
+      refuse "Sim.delay: the process belongs to another world"
     else if d < 0 then refuse "Sim.delay: negative delay"
     else if d > Time.max_tick - t.now then refuse "Sim.delay: past Time.max_tick"
     else begin
@@ -223,14 +274,26 @@ let handle t (on_suspend : ((unit, unit) continuation -> unit) option) (type a)
   | _ -> None
 
 (* A world and its one handler, whose record and closures every
-   process shares.  [idle] stands in [current] while no process runs;
-   its proc is the sentinel of the process ring. *)
+   process shares.  Its ring's sentinel is closed, and its handler set,
+   once the records they point to exist. *)
 let create () =
-  let queue = Wheel.create ~dummy:nop in
-  let rec t =
+  let ring =
+    {
+      pid = no_pid;
+      pname = unnamed;
+      pptid = no_ptid;
+      blocked_since = not_blocked;
+      daemon = false;
+      prev = idle.proc;
+      next = idle.proc;
+    }
+  in
+  ring.prev <- ring;
+  ring.next <- ring;
+  let t =
     {
       now = Time.zero;
-      queue;
+      queue = Wheel.create ~dummy:nop;
       next_pid = 0;
       procs = ring;
       events = 0;
@@ -238,32 +301,22 @@ let create () =
       horizon = Time.max_tick;
       running_pid = no_pid;
       current = idle;
-      idle;
-      handler =
-        {
-          retc = (fun () -> finish t);
-          exnc = (fun e -> finish t; raise e);
-          effc = (fun eff -> handle t on_suspend eff);
-        };
+      handler = no_handler;
       counters = [];
     }
-  and idle = { world = t; proc = ring; k = no_k; parked = false; hop = nop }
-  and ring =
-    {
-      pid = no_pid;
-      pname = unnamed;
-      pptid = no_ptid;
-      blocked_since = not_blocked;
-      daemon = false;
-      prev = ring;
-      next = ring;
-    }
-  and on_suspend =
+  in
+  let on_suspend =
     Some
       (fun (k : (unit, unit) continuation) ->
         t.current.k <- k;
-        t.current <- t.idle)
+        t.current <- idle)
   in
+  t.handler <-
+    {
+      retc = (fun () -> finish t);
+      exnc = (fun e -> finish t; raise e);
+      effc = (fun eff -> handle t on_suspend eff);
+    };
   announce (World t);
   t
 
@@ -301,12 +354,29 @@ let new_proc t ~name ~ptid ~daemon =
   t.procs.prev <- proc;
   proc
 
-(* A hop: the parked or delayed process runs again. *)
+(* A hop: the parked or delayed process runs again, as its fiber or,
+   in a stepped wait, as the wait's next step (see {!wait}).  A step
+   that blocks parks the process as a suspension does, and leaves the
+   fiber where it is; the last step continues the fiber, or
+   discontinues it with what the step raised. *)
 let resume p =
   let t = p.world in
   t.running_pid <- p.proc.pid;
   t.current <- p;
-  continue p.k ()
+  if p.step == no_step then continue p.k ()
+  else
+    match p.step () with
+    | s when s == finished ->
+      p.step <- no_step;
+      continue p.k ()
+    | Suspend_eff register ->
+      park t p register;
+      t.current <- idle
+    | _ -> invalid_arg "Sim.wait: a step returned no suspension"
+    | exception e ->
+      p.step <- no_step;
+      discontinue p.k e
+[@@sl.zero_alloc]
 
 (* Run [f] as a coroutine under the world's handler: a suspend or a
    delay performed by [f] (and whatever it calls) parks its
@@ -319,7 +389,7 @@ let resume p =
 let exec t proc f =
   (* The hop closes over the parking, so it is set once the parking
      exists: a [let rec] would build the record twice. *)
-  let p = { world = t; proc; k = no_k; parked = false; hop = nop } in
+  let p = { world = t; proc; k = no_k; step = no_step; hop = nop } in
   p.hop <- (fun () -> resume p);
   t.running_pid <- proc.pid;
   t.current <- p;
@@ -417,7 +487,7 @@ let run ?until t =
   mark true;
   t.horizon <- horizon;
   t.running_pid <- no_pid;
-  t.current <- t.idle;
+  t.current <- idle;
   Fun.protect
     ~finally:(fun () ->
       mark false;
@@ -467,7 +537,21 @@ let delay d =
 let suspension register : suspension = Suspend_eff register
 let suspend (s : suspension) = perform s
 
-let no_waker t = t.idle
+(* The first step runs in the fiber, as the code before a loop's first
+   block would.  The fiber suspends only at the first suspension a
+   step returns, with [step] in its parking: every later step runs in
+   [resume]. *)
+let wait step =
+  let s = step () in
+  if s != finished then begin
+    (match Domain.DLS.get running with
+    | Some t when t.running_pid <> no_pid -> t.current.step <- step
+    | _ -> ());
+    perform s
+  end
+[@@sl.zero_alloc]
+
+let no_waker (_ : t) = idle
 
 (* An await is one suspension whose registrar hands [register] a
    resume over a fresh one-shot cell.  The cell is the double-resume

@@ -316,6 +316,36 @@ val wake : waker -> unit
     outlives the suspension, a caller that keeps it must clear its cell
     when it wakes it (see {!no_waker}). *)
 
+(** {2 Stepped waits}
+
+    A wait that blocks again and again (a spin's gaps, a herd's wakes)
+    as a sequence of steps that need no fiber switch: the process
+    suspends once, and each later wake runs the wait's next step as the
+    process, in the hop event that would have resumed it. *)
+
+val finished : suspension
+(** What a step returns when its wait is over.  Suspending on it
+    raises [Invalid_argument]. *)
+
+val wait : (unit -> suspension) -> unit
+(** [wait step] runs [step ()] as the calling process, and returns when
+    a step returns {!finished}.  A step that returns another suspension
+    has prepared its block there, and the process blocks at it as in
+    {!suspend}: the first time, the fiber suspends; at each later wake,
+    the next step runs in the hop event that would have resumed the
+    fiber, as the process ([quiet_until], {!set_daemon}, {!count} and
+    {!stuck} see it as they would see the resumed fiber), and blocks it
+    again without resuming the fiber.  The last step continues the
+    fiber in that hop, or discontinues it with the exception the step
+    raised, so the exception unwinds the fiber from [wait].  No step
+    allocates, and the same pushes, ticks and order result as from the
+    loop [let rec go s = if s != finished then (suspend s; go (step ()))
+    in go (step ())], bar the continuation each of its suspensions
+    captures.  A step keeps its state outside the step (it is one
+    closure, built once), and must not block in any other way: it runs
+    outside the fiber.  Raises as {!suspend} does where a process may
+    not suspend. *)
+
 val set_daemon : bool -> unit
 (** Mark (or unmark) the calling process as a daemon for {!suspects}
     purposes.  Use when a process only becomes park-by-design partway

@@ -3,8 +3,16 @@ module Memory = Switchless.Memory
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
-(* Each passes a constant [~kind]: a variable passed on to [Chip.exec]'s
-   optional argument would allocate its [Some] on every read. *)
+(* Each access is its issue, an exec of the calling thread, then its
+   commit, on [Memory] alone.  The issues are also written as
+   instruction waits ([read_op], [poll_op], [rmw_op]) for a stepped wait
+   to issue.  Each passes a constant [~kind]: a variable passed on to
+   [Chip.exec]'s optional argument would allocate its [Some] on every
+   read. *)
+let read_op th = Chip.exec_op th ~kind:Smt_core.Overhead 1
+let poll_op th = Chip.exec_op th ~kind:Smt_core.Poll 1
+let rmw_op chip th = Chip.exec_op th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles
+
 let read chip th addr =
   Chip.exec th ~kind:Smt_core.Overhead 1;
   Memory.read (Chip.memory chip) addr
@@ -23,8 +31,7 @@ let write chip th addr v =
    out, with no closure for its update: [exchange] allocates nothing and
    [fetch_add] only its sum's box, which [Memory]'s [int64 array]
    needs. *)
-let cas chip th addr ~expect ~desired =
-  Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
+let commit_cas chip addr ~expect ~desired =
   let m = Chip.memory chip in
   let v = Memory.read m addr in
   if Int64.equal v expect then begin
@@ -32,6 +39,10 @@ let cas chip th addr ~expect ~desired =
     true
   end
   else false
+
+let cas chip th addr ~expect ~desired =
+  Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;
+  commit_cas chip addr ~expect ~desired
 
 let exchange chip th addr v =
   Chip.exec th ~kind:Smt_core.Overhead (Chip.params chip).Params.cas_cycles;

@@ -42,3 +42,21 @@ val exchange : Chip.t -> Chip.thread -> Memory.addr -> int64 -> int64
 val fetch_add : Chip.t -> Chip.thread -> Memory.addr -> int64 -> int64
 (** Atomic add; returns the previous value.  Allocates only the sum's
     3-word box. *)
+
+(** {2 As steps}
+
+    Each access above is its issue, then its commit at the issue's end.
+    A stepped wait ([Sim.wait]) issues with these and commits itself
+    once [Chip.resume_op] says the issue is over (see [Chip.exec_op]). *)
+
+val read_op : Chip.thread -> Sl_engine.Sim.suspension
+(** The issue of {!read} and {!write}: one [Overhead] cycle. *)
+
+val poll_op : Chip.thread -> Sl_engine.Sim.suspension
+(** The issue of {!poll}: one [Poll] cycle. *)
+
+val rmw_op : Chip.t -> Chip.thread -> Sl_engine.Sim.suspension
+(** The issue of an RMW: [Params.cas_cycles] of [Overhead]. *)
+
+val commit_cas : Chip.t -> Memory.addr -> expect:int64 -> desired:int64 -> bool
+(** The commit of {!cas}. *)

@@ -30,6 +30,12 @@
     like real MCS, is not crash-safe: a waiter that dies on the queue
     wedges it, so chaos scenarios target the parking designs.
 
+    Each contended wait (a spin's gaps and checks, a parked waiter's
+    wakes and retries) is a stepped wait ([Sim.wait]): the waiter's
+    fiber suspends once, and each later iteration runs as a step in the
+    hop that would have resumed it, with the same costs, events and
+    order and no allocation.
+
     Not reentrant; [release] by a non-owner raises [Invalid_argument]. *)
 
 module Chip = Switchless.Chip

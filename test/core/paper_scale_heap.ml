@@ -1,10 +1,10 @@
 (* The paper's scale (§1: tens to thousands of hardware threads per
    core) as a heap and set-up check: 100 cores × 1,000 parked ptids,
    one doorbell each.  Each ptid must hold fewer than [heap_bound] heap
-   words once parked, under 1 KB: 113.0 on OCaml 5.1, 123.0 while every
+   words once parked, under 1 KB: 112.0 on OCaml 5.1, 123.0 while every
    thread kept a monitor-waiter closure and every process a waker
    closure.  Setting one up, from [add_thread] until it is parked, must
-   allocate fewer than [setup_bound] minor words: 93.5 on OCaml 5.1,
+   allocate fewer than [setup_bound] minor words: 92.5 on OCaml 5.1,
    151.5 while the thread, its context and its process were each built
    twice through a [let rec].  The host time per ptid is printed, not
    gated.

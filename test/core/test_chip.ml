@@ -786,7 +786,7 @@ let test_ping_pong_allocation () =
 (* The heap a parked hardware thread holds: 12,000 threads on one core,
    each armed on its own doorbell and parked in mwait, read as live
    words after a full major collection against the same world before
-   the first thread was added.  117 words on OCaml 5.1 (DESIGN.md,
+   the first thread was added.  116 words on OCaml 5.1 (DESIGN.md,
    "Memory per parked ptid" has the table); 127 while every thread kept
    a monitor-waiter closure and every process a waker closure, 143
    while the chip, the state store and the core each kept a ptid table
@@ -801,7 +801,7 @@ let test_parked_ptid_heap () =
 
 (* Setting up a thread: minor words per [add_thread] + [attach] +
    [boot] over 1,000 threads on one core, all sharing one body, the
-   growth of the per-core arrays included.  78 words on OCaml 5.1; 124
+   growth of the per-core arrays included.  77 words on OCaml 5.1; 124
    while the thread record and its context's entry were each built
    twice through a [let rec], with a waiter closure per thread; 182
    while each thread was hashed into the chip's, the store's and the

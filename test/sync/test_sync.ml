@@ -15,6 +15,8 @@ module Lock = Sl_sync.Lock
 module Bqueue = Sl_sync.Bqueue
 module Atomics = Sl_sync.Atomics
 module Analysis = Sl_analysis.Analysis
+module Fault = Sl_fault.Fault
+module Histogram = Sl_util.Histogram
 
 let params =
   { Params.default with Params.monitor_capacity_per_core = 1_000_000 }
@@ -246,6 +248,122 @@ let prop_bqueue_conservation =
       && !consumed_n = total
       && Int64.equal !consumed_sum expect_sum)
 
+(* --- property 6: stepped waits against the fiber loops ------------------- *)
+
+(* [Lock] runs each contended wait as a stepped wait; [Lock_ref] is the
+   same lock with each wait a loop in the waiter's fiber.  Random worlds
+   run on both, under random lost and spurious mwait wakes and
+   crash-stops, must end alike: the same lock events in the same order
+   (grants included), the same statistics, events popped, final clock,
+   stuck processes, recovery counts, crashes and injected faults. *)
+
+type impl = {
+  acquire : Chip.thread -> unit;
+  release : Chip.thread -> unit;
+  stats : unit -> Lock.stats;
+}
+
+let stepped ?patience ~on_event chip kind =
+  let l = Lock.create ?patience ~on_event chip kind in
+  { acquire = Lock.acquire l; release = Lock.release l; stats = (fun () -> Lock.stats l) }
+
+let looped ?patience ~on_event chip kind =
+  let l = Lock_ref.create ?patience ~on_event chip kind in
+  { acquire = Lock_ref.acquire l; release = Lock_ref.release l; stats = (fun () -> Lock_ref.stats l) }
+
+type case = {
+  kind : Lock.kind;
+  cores : int;
+  hot : bool;  (* every thread on core 0, else round robin *)
+  threads : int;
+  patience : int option;
+  plan : Fault.plan;
+  wseed : int;
+}
+
+let print_case c =
+  Printf.sprintf "%s cores=%d %s threads=%d patience=%s faults=%s seed=%d"
+    (Lock.kind_name c.kind) c.cores (if c.hot then "hot" else "rr") c.threads
+    (match c.patience with None -> "none" | Some p -> string_of_int p)
+    (Fault.to_spec c.plan) c.wseed
+
+let gen_case =
+  QCheck.Gen.(
+    let prob = frequency [ (2, return 0.0); (1, float_range 0.0 0.3) ] in
+    let* kind = oneofl Lock.all_kinds in
+    let* cores = int_range 1 4 in
+    let* hot = bool in
+    let* threads = int_range 2 6 in
+    let* patience = opt (int_range 300 6_000) in
+    let* lost = prob in
+    let* spurious = prob in
+    let* crash_park = prob in
+    let* crash_wake = prob in
+    let* spurious_delay = int_range 1 3_000 in
+    let* park_delay = int_range 1 3_000 in
+    let* seed = int_bound 1_000_000 in
+    let+ wseed = int_bound 10_000 in
+    let plan =
+      {
+        Fault.none with
+        Fault.seed = Int64.of_int (seed + 1);
+        mwait_lost = lost;
+        mwait_spurious = spurious;
+        mwait_spurious_delay = spurious_delay;
+        crash_park;
+        crash_wake;
+        crash_park_delay = park_delay;
+        crash_restart_cycles = 2_000;
+      }
+    in
+    { kind; cores; hot; threads; patience; plan; wseed })
+
+(* A run's result, in what the two implementations must agree on. *)
+let run_case make c =
+  let sim = Sim.create () in
+  let chip = Chip.create sim params ~cores:c.cores in
+  let inj = Fault.create c.plan in
+  Fault.attach_chip inj chip;
+  let events = ref [] in
+  let lock = make ?patience:c.patience ~on_event:(fun e -> events := e :: !events) chip c.kind in
+  let rng = Rng.create (Int64.of_int c.wseed) in
+  let rounds = 3 in
+  (* Progress lives outside the bodies, so a cold restart resumes it. *)
+  let progress = Array.make c.threads 0 in
+  for i = 0 to c.threads - 1 do
+    let jitter = Rng.copy rng in
+    ignore (Rng.next_int64 rng : int64);
+    let core = if c.hot then 0 else i mod c.cores in
+    let th = Chip.add_thread chip ~core ~ptid:(i + 1) ~mode:Ptid.User () in
+    Chip.attach th (fun t ->
+        Isa.exec t (1 + Rng.int jitter 200);
+        while progress.(i) < rounds do
+          lock.acquire t;
+          Isa.exec t (1 + Rng.int jitter 3_000);
+          progress.(i) <- progress.(i) + 1;
+          lock.release t;
+          Isa.exec t (1 + Rng.int jitter 300)
+        done);
+    Chip.boot th
+  done;
+  Sim.run ~until:1_000_000 sim;
+  let st = lock.stats () in
+  ( List.rev !events,
+    ( st.Lock.acquires,
+      st.Lock.contended,
+      st.Lock.parks,
+      st.Lock.wakes,
+      Int64.bits_of_float st.Lock.fifo_distance_mean,
+      st.Lock.counts,
+      Format.asprintf "%a" Histogram.pp_summary st.Lock.handoff ),
+    (Sim.events_processed sim, Sim.time sim, Sim.stuck sim, Sim.counts [ sim ]),
+    (Chip.crash_total chip, Fault.counts inj) )
+
+let prop_steps_match_loops =
+  QCheck.Test.make ~count:300 ~name:"stepped waits match the fiber loops"
+    (QCheck.make ~print:print_case gen_case)
+    (fun c -> run_case stepped c = run_case looped c)
+
 (* --- allocation ------------------------------------------------------------ *)
 
 (* Minor words per call of [op] on one word, measured inside the
@@ -288,6 +406,64 @@ let test_rmw_allocation () =
   Alcotest.(check bool) (Printf.sprintf "%.2f minor words per exchange = 0" swap) true (swap = 0.0);
   Alcotest.(check bool) (Printf.sprintf "%.2f minor words per fetch_add <= 3" add) true (add <= 3.0)
 
+(* One waiter's wait of about [iters] iterations, on a two-core chip:
+   the holder takes the lock first and keeps it while the waiter spins
+   on the holder's core, where the holder's one long exec keeps every
+   gap and check from continuing inline, or while a callback writes the
+   word the waiter parks on every 1,000 cycles, each write a wake whose
+   check fails.  Returns the minor words of the whole run. *)
+let wait_words kind iters =
+  let sim = Sim.create () in
+  let chip = Chip.create sim params ~cores:2 in
+  let lock = Lock.create chip kind in
+  let parks = match kind with Lock.Mcs_mwait | Lock.Park_mwait -> true | _ -> false in
+  let hold = if parks then (iters + 2) * 1_000 else iters * 2_100 in
+  let holder = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  let waiter =
+    Chip.add_thread chip ~core:(if parks then 1 else 0) ~ptid:2 ~mode:Ptid.User ()
+  in
+  Chip.attach holder (fun t ->
+      Lock.acquire lock t;
+      Isa.exec t hold;
+      Lock.release lock t);
+  Chip.attach waiter (fun t ->
+      Isa.exec t 10;
+      Lock.acquire lock t;
+      Lock.release lock t);
+  (* The word the waiter parks on is the one it armed; writing the value
+     it holds wakes the waiter and changes nothing else. *)
+  let left = ref iters and word = ref (-1) in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      if !word < 0 then word := List.hd (Chip.armed waiter);
+      Memory.write (Chip.memory chip) !word (if kind = Lock.Park_mwait then 1L else 0L);
+      Sim.schedule sim ~at:(Sim.time sim + 1_000) tick
+    end
+  in
+  if parks then Sim.schedule sim ~at:1_000 tick;
+  Chip.boot holder;
+  Chip.boot waiter;
+  let before = Gc.minor_words () in
+  Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  let st = Lock.stats lock in
+  Alcotest.(check int) "both acquired" 2 st.Lock.acquires;
+  words
+
+(* A spin iteration or a herd wake of a contended wait costs 0 minor
+   words: ten times the iterations read the same words.  Each cost a
+   fiber switch and its 2-word continuation while the waits were loops
+   in the waiter's fiber.  (park.sw's waiter blocks once, on an ivar.) *)
+let test_wait_steps_allocation () =
+  List.iter
+    (fun kind ->
+      let k = wait_words kind 100 and k10 = wait_words kind 1_000 in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: minor words of 1,000 iterations = of 100" (Lock.kind_name kind))
+        k k10)
+    Lock.[ Tas; Ticket; Mcs_spin; Mcs_mwait; Park_mwait ]
+
 let () =
   Alcotest.run "sync"
     [
@@ -298,10 +474,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_mcs_fifo;
           QCheck_alcotest.to_alcotest prop_parking_waiter_set;
           QCheck_alcotest.to_alcotest prop_bqueue_conservation;
+          QCheck_alcotest.to_alcotest prop_steps_match_loops;
         ] );
       ( "alloc",
         [
           Alcotest.test_case "steady poll loop" `Quick test_poll_allocation;
           Alcotest.test_case "exchange and fetch_add" `Quick test_rmw_allocation;
+          Alcotest.test_case "a wait's steps" `Quick test_wait_steps_allocation;
         ] );
     ]
