@@ -293,6 +293,28 @@ let smt_core_lone_job ~heartbeat =
              done);
          Sim.run sim))
 
+(* Setting up 1,000 hardware threads on one core, as test/core's
+   paper-scale check does per ptid: [add_thread], [attach] and [boot]
+   each, then the run until every thread is armed on its own doorbell
+   and parked in mwait. *)
+let bench_chip_setup =
+  Test.make ~name:"primitive:chip set-up x1k"
+    (Staged.stage (fun () ->
+         let n = 1_000 in
+         let sim = Sim.create () in
+         let chip = Chip.create sim p ~cores:1 in
+         let base = Memory.alloc (Chip.memory chip) n in
+         let body th =
+           Isa.monitor th (base + Chip.ptid th - 1);
+           ignore (Isa.mwait th : Memory.addr)
+         in
+         for ptid = 1 to n do
+           let th = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User () in
+           Chip.attach th body;
+           Chip.boot th
+         done;
+         Sim.run sim))
+
 (* -- one kernel per experiment table/figure -- *)
 
 let tiny_io count rate =
@@ -353,6 +375,7 @@ let all_tests =
       bench_smt_core_churn;
       smt_core_lone_job ~heartbeat:false;
       smt_core_lone_job ~heartbeat:true;
+      bench_chip_setup;
       bench_e1;
       bench_e2;
       bench_e2_polling;

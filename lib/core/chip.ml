@@ -49,21 +49,26 @@ type cell =
    (a wake in flight when a force-stop claimed the park) compare their
    captured epoch and stand down.
 
-   The [tids] table maps ptid -> handle on the cold paths (construction,
-   TDT translation); everything per-event goes through the handle.  It
-   is the chip's one ptid table: below it, each unit names the thread
-   by the handle it handed out, which the thread record keeps (its
-   State_store entry, its Smt_core and Monitor slots).  Externally
-   visible identifiers — probe events, exception descriptors, billing
-   labels, fault hooks — always carry the real ptid. *)
+   The [ptids] table maps ptid -> Monitor slot, and [by_mslot] the slot
+   to the thread, on the cold paths (construction, TDT translation,
+   [thread_list], the sums in [stats]); everything per-event goes
+   through the handle.  It is the chip's one ptid table, a direct-mapped
+   window over the ptids in use ([Sl_util.Dense]), so a lookup hashes
+   nothing and the table walks in ptid order; the window spans the
+   lowest to the highest ptid, so a chip that mixes small ptids with a
+   sparse sentinel (9_000) pays one int per ptid in between, once.
+   Below it, each unit names the thread by the handle it handed out,
+   which the thread record keeps (its State_store entry, its Smt_core
+   and Monitor slots).  Externally visible identifiers — probe events,
+   exception descriptors, billing labels, fault hooks — always carry
+   the real ptid. *)
 type t = {
   sim : Sim.t;
   params : Params.t;
   memory : Memory.t;
   monitor : Monitor.t;
   cores : core array;
-  tids : (int, thread) Hashtbl.t;  (* ptid -> handle *)
-  mutable threads : thread list;  (* every handle, newest first *)
+  ptids : Sl_util.Dense.t;  (* ptid -> Monitor slot, -1 when unused *)
   mutable halted_reason : string option;
   mutable exn_seq : int64;
   mutable exn_count : int;
@@ -202,16 +207,20 @@ let exec_core t core_id = (core t core_id).exec_unit
 let state_store t core_id = (core t core_id).store
 let halted t = t.halted_reason
 
-let exists t ptid = Hashtbl.mem t.tids ptid
+let max_ptid = 1 lsl 20
 
-let handle_of t ptid = Hashtbl.find_opt t.tids ptid
+(* The Monitor slot of [ptid]'s thread, or [-1] when no thread has it
+   (a negative ptid included). *)
+let mslot_of t ptid = Sl_util.Dense.get t.ptids ptid
 
-let thread_list t = List.sort (fun a b -> compare a.t_ptid b.t_ptid) t.threads
+let fold_threads f t init =
+  Sl_util.Dense.fold (fun _ mslot acc -> f t.by_mslot.(mslot) acc) t.ptids init
+
+let thread_list t = fold_threads List.cons t []
 
 let find_thread t ~ptid =
-  match handle_of t ptid with
-  | Some th -> th
-  | None -> invalid_arg "Chip.find_thread: unknown ptid"
+  let mslot = mslot_of t ptid in
+  if mslot < 0 then invalid_arg "Chip.find_thread: unknown ptid" else t.by_mslot.(mslot)
 
 let attach th body =
   match th.body with
@@ -444,8 +453,7 @@ let create sim params ~cores =
       memory;
       monitor;
       cores;
-      tids = Hashtbl.create 64;
-      threads = [];
+      ptids = Sl_util.Dense.create ();
       halted_reason = None;
       exn_seq = 0L;
       exn_count = 0;
@@ -479,7 +487,8 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
   if core_id < 0 || core_id >= Array.length t.cores then
     invalid_arg "Chip.add_thread: no such core";
   if ptid < 0 then invalid_arg "Chip.add_thread: negative ptid";
-  if exists t ptid then invalid_arg "Chip.add_thread: ptid already exists";
+  if ptid > max_ptid then invalid_arg "Chip.add_thread: ptid above max_ptid";
+  if mslot_of t ptid >= 0 then invalid_arg "Chip.add_thread: ptid already exists";
   if weight <= 0.0 then invalid_arg "Chip.add_thread: weight must be positive";
   let regs = Regstate.create ~vector () in
   let bytes = Regstate.footprint_bytes t.params regs in
@@ -515,8 +524,6 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
       spinner = None;
     }
   in
-  Hashtbl.replace t.tids ptid th;
-  t.threads <- th :: t.threads;
   (* Monitor slots are dense, bar any a caller registers on the chip's
      monitor table itself (E9's filler arms): their entries here are
      never read. *)
@@ -527,6 +534,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
     t.by_mslot <- a
   end;
   t.by_mslot.(mslot) <- th;
+  Sl_util.Dense.set t.ptids ptid mslot;
   th
 
 (* --- §3.1 instructions -------------------------------------------------- *)
@@ -883,9 +891,9 @@ let fault th kind operand =
   raise No_target
 
 let target_of th ptid operand =
-  match Hashtbl.find th.chip.tids ptid with
-  | target -> target
-  | exception Not_found -> fault th Exception_desc.Invalid_thread_access operand
+  let mslot = mslot_of th.chip ptid in
+  if mslot < 0 then fault th Exception_desc.Invalid_thread_access operand
+  else th.chip.by_mslot.(mslot)
 
 let translate ~need ~key:_ th vtid =
   let chip = th.chip in
@@ -1114,7 +1122,7 @@ type stats = {
   demotions : int;
 }
 
-let sum_threads t f = List.fold_left (fun acc th -> acc + f th) 0 t.threads
+let sum_threads t f = fold_threads (fun th acc -> acc + f th) t 0
 
 let crash_total t = sum_threads t (fun th -> th.crashes)
 

@@ -46,13 +46,25 @@ val halted : t -> string option
 
 (** {2 Thread construction} *)
 
+val max_ptid : int
+(** The largest ptid {!add_thread} takes: [2{^20}], ten times the
+    paper's 100 cores × 1,000 threads and far above any ptid the
+    simulator's worlds use (9_000 is the largest). *)
+
 val add_thread :
   t -> core:int -> ptid:int -> mode:Ptid.mode -> ?vector:bool ->
   ?weight:float -> unit -> thread
 (** Register a hardware thread on its home core.  Its context is admitted
     to the core's state store.  Ptids are unique chip-wide: a taken one
-    raises [Invalid_argument].  The thread is born disabled with no
-    body. *)
+    raises [Invalid_argument], as does a negative one or one above
+    {!max_ptid}.  The thread is born disabled with no body.
+
+    The chip's ptid table is direct-mapped: one int for every ptid
+    between the lowest and the highest one registered, grown by
+    doubling.  Dense ptids cost about one word each; a chip that mixes
+    small ptids with a sparse sentinel (a hypervisor at 9_000) carries
+    up to about 9,000 ints for the gap, once, and {!max_ptid} bounds
+    the window at [2{^20}] ints. *)
 
 val attach : thread -> (thread -> unit) -> unit
 (** Give the thread its instruction stream.  May be called once. *)
@@ -69,9 +81,12 @@ val shutdown : thread -> unit
     the watchdog at the end of a run. *)
 
 val find_thread : t -> ptid:int -> thread
+(** The thread registered under [ptid].  Raises [Invalid_argument] when
+    there is none (a negative ptid, or one above {!max_ptid},
+    included). *)
 
 val thread_list : t -> thread list
-(** All registered threads, sorted by ptid. *)
+(** All registered threads, in ptid order. *)
 
 (** {2 Instrumentation}
 

@@ -75,13 +75,10 @@ let lookup t ~vtid =
   else Some (packed_ptid e, Array.unsafe_get perms_of_bits_cached (packed_bits e))
 
 let entries t =
-  let acc = ref [] in
-  for vtid = Sl_util.Dense.cap t.entries - 1 downto 0 do
-    let e = Sl_util.Dense.get t.entries vtid in
-    if e >= 0 then
-      acc := (vtid, packed_ptid e, Array.unsafe_get perms_of_bits_cached (packed_bits e)) :: !acc
-  done;
-  !acc
+  Sl_util.Dense.fold
+    (fun vtid e acc ->
+      (vtid, packed_ptid e, Array.unsafe_get perms_of_bits_cached (packed_bits e)) :: acc)
+    t.entries []
 
 module Cache = struct
   (* One dense vtid-indexed line map per table seen by this core; a core

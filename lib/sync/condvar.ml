@@ -3,45 +3,36 @@ module Isa = Switchless.Isa
 module Memory = Switchless.Memory
 module Sim = Sl_engine.Sim
 
-type cslot = { mutable armed : bool; mutable armed_crashes : int }
-
 type t = {
   chip : Chip.t;
   word : Memory.addr;
-  slots : (int, cslot) Hashtbl.t;
+  armed : Sl_util.Dense.t;
+      (* ptid -> the thread's crash count when it last armed [word]; -1
+         until it first does *)
 }
 
 let create chip =
-  { chip; word = Memory.alloc (Chip.memory chip) 1; slots = Hashtbl.create 64 }
-
-let slot_of t th =
-  match Hashtbl.find t.slots (Chip.ptid th) with
-  | s -> s
-  | exception Not_found ->
-    let s = { armed = false; armed_crashes = 0 } in
-    Hashtbl.replace t.slots (Chip.ptid th) s;
-    s
+  { chip; word = Memory.alloc (Chip.memory chip) 1; armed = Sl_util.Dense.create () }
 
 (* Same crash-aware arm cache as Lock: a crash-stop clears the hardware
-   monitor table, so the cached bit is keyed by the crash count.  Thread
+   monitor table, so the cached arm is keyed by the crash count.  Thread
    and word come in as parameters (not dug out of records), which also
    lets the static protocol layer summarize this as an arming function
    of its first argument. *)
-let ensure_armed th s word =
-  let crashes = Chip.crash_count th in
-  if (not s.armed) || s.armed_crashes <> crashes then begin
-    if s.armed && s.armed_crashes <> crashes then Sim.count "sync.rearm";
+let ensure_armed th armed word =
+  let ptid = Chip.ptid th and crashes = Chip.crash_count th in
+  let at = Sl_util.Dense.get armed ptid in
+  if at <> crashes then begin
+    if at >= 0 then Sim.count "sync.rearm";
     Isa.monitor th word;
-    s.armed <- true;
-    s.armed_crashes <- crashes
+    Sl_util.Dense.set armed ptid crashes
   end
 
 let wait t lock th =
-  let s = slot_of t th in
   (* Arm and snapshot the epoch BEFORE releasing the lock: a broadcast
      that fires the instant after the release is then either visible in
      the snapshot comparison or latched by the armed monitor. *)
-  ensure_armed th s t.word;
+  ensure_armed th t.armed t.word;
   let epoch0 = Atomics.read t.chip th t.word in
   Lock.release lock th;
   while Int64.equal (Atomics.read t.chip th t.word) epoch0 do

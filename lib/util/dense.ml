@@ -46,4 +46,10 @@ let set t k v =
     Array.unsafe_set t.a (k - nbase) v
   end
 
-let cap t = if Array.length t.a = 0 then 0 else t.base + Array.length t.a
+let fold f t init =
+  let acc = ref init in
+  for i = Array.length t.a - 1 downto 0 do
+    let v = Array.unsafe_get t.a i in
+    if v <> t.default then acc := f (t.base + i) v !acc
+  done;
+  !acc

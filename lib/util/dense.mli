@@ -22,6 +22,9 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Raises [Invalid_argument] on a negative key. *)
 
-val cap : t -> int
-(** Upper bound (exclusive) of the backing window: every key ever set
-    is [< cap], so iterating [0, cap) visits every key ever set. *)
+val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold f t init] is [f k1 v1 (f k2 v2 (... (f kn vn init)))] over
+    the keys [k1 < k2 < ... < kn] whose value is not the default: it
+    visits the highest key first, as [List.fold_right] does, so consing
+    builds a list in key order.  It walks the backing window, whatever
+    the number of keys set in it. *)

@@ -786,9 +786,11 @@ let test_ping_pong_allocation () =
 (* The heap a parked hardware thread holds: 12,000 threads on one core,
    each armed on its own doorbell and parked in mwait, read as live
    words after a full major collection against the same world before
-   the first thread was added.  116 words on OCaml 5.1 (DESIGN.md,
-   "Memory per parked ptid" has the table); 127 while every thread kept
-   a monitor-waiter closure and every process a waker closure, 143
+   the first thread was added.  110 words on OCaml 5.1 (DESIGN.md,
+   "Memory per parked ptid" has the table); 116 while the chip's ptid
+   table was a Hashtbl beside a list of every thread, 127 while every
+   thread kept a monitor-waiter closure and every process a waker
+   closure, 143
    while the chip, the state store and the core each kept a ptid table
    and every process its formatted name, 216 while every process built
    its own effect handler, every thread its own park point, and every
@@ -796,14 +798,16 @@ let test_ping_pong_allocation () =
 let test_parked_ptid_heap () =
   let words = (Parked_heap.measure ~cores:1 ~per_core:12_000).Parked_heap.heap_words in
   check_bool
-    (Printf.sprintf "%.1f heap words per parked ptid < 122" words)
-    true (words < 122.0)
+    (Printf.sprintf "%.1f heap words per parked ptid < 113" words)
+    true (words < 113.0)
 
 (* Setting up a thread: minor words per [add_thread] + [attach] +
    [boot] over 1,000 threads on one core, all sharing one body, the
-   growth of the per-core arrays included.  77 words on OCaml 5.1; 124
-   while the thread record and its context's entry were each built
-   twice through a [let rec], with a waiter closure per thread; 182
+   growth of the per-core arrays included.  69 words on OCaml 5.1; 77
+   while the chip hashed each ptid into a Hashtbl and consed each
+   thread onto a list; 124 while the thread record and its context's
+   entry were each built twice through a [let rec], with a waiter
+   closure per thread; 182
    while each thread was hashed into the chip's, the store's and the
    core's ptid tables and each boot formatted the process's name. *)
 let test_thread_setup_allocation () =
@@ -819,19 +823,152 @@ let test_thread_setup_allocation () =
   let per_thread = (Gc.minor_words () -. before) /. float_of_int n in
   Sim.run sim;
   check_bool
-    (Printf.sprintf "%.1f minor words per thread set up < 85" per_thread)
-    true (per_thread < 85.0)
+    (Printf.sprintf "%.1f minor words per thread set up < 73" per_thread)
+    true (per_thread < 73.0)
 
 (* The chip's one ptid table is the one that refuses a taken ptid; the
-   units below it take whatever handle they hand out. *)
+   units below it take whatever handle they hand out.  A taken ptid
+   still raises once the table's window has grown past it to a sparse
+   sentinel and rebased below it. *)
 let test_duplicate_ptid_rejected () =
   let _, chip = setup () in
-  ignore (Chip.add_thread chip ~core:0 ~ptid:7 ~mode:Ptid.User () : Chip.thread);
-  Alcotest.check_raises "same core" (Invalid_argument "Chip.add_thread: ptid already exists")
-    (fun () -> ignore (Chip.add_thread chip ~core:0 ~ptid:7 ~mode:Ptid.User () : Chip.thread));
-  Alcotest.check_raises "other core" (Invalid_argument "Chip.add_thread: ptid already exists")
-    (fun () -> ignore (Chip.add_thread chip ~core:1 ~ptid:7 ~mode:Ptid.User () : Chip.thread));
-  check_int "one thread" 1 (List.length (Chip.thread_list chip))
+  let add ~core ptid =
+    ignore (Chip.add_thread chip ~core ~ptid ~mode:Ptid.User () : Chip.thread)
+  in
+  let taken = Invalid_argument "Chip.add_thread: ptid already exists" in
+  add ~core:0 7;
+  Alcotest.check_raises "same core" taken (fun () -> add ~core:0 7);
+  Alcotest.check_raises "other core" taken (fun () -> add ~core:1 7);
+  check_int "one thread" 1 (List.length (Chip.thread_list chip));
+  add ~core:1 9_000;
+  add ~core:0 2;
+  List.iter
+    (fun ptid ->
+      Alcotest.check_raises (Printf.sprintf "%d after the rebase" ptid) taken (fun () ->
+          add ~core:1 ptid))
+    [ 2; 7; 9_000 ];
+  check_int "three threads" 3 (List.length (Chip.thread_list chip))
+
+(* The ptid table is one direct-mapped window from the lowest ptid to
+   the highest: small ptids mixed with a sparse sentinel, then one
+   registered below the first, so that the window rebases downward.
+   Every lookup finds its own thread, and [thread_list] walks the
+   window in ptid order. *)
+let test_ptid_table_window () =
+  let _, chip = setup () in
+  let threads =
+    List.map
+      (fun (core, ptid) -> Chip.add_thread chip ~core ~ptid ~mode:Ptid.User ())
+      [ (0, 1); (1, 100); (0, 9_000); (1, 0) ]
+  in
+  List.iter
+    (fun th ->
+      let ptid = Chip.ptid th in
+      check_bool (Printf.sprintf "ptid %d finds its thread" ptid) true
+        (Chip.find_thread chip ~ptid == th))
+    threads;
+  let listed = Chip.thread_list chip in
+  Alcotest.(check (list int)) "thread_list in ptid order" [ 0; 1; 100; 9_000 ]
+    (List.map Chip.ptid listed);
+  Alcotest.(check (list int)) "each on its home core" [ 1; 0; 1; 0 ]
+    (List.map Chip.home_core listed)
+
+(* Ptids outside the table: a negative one, two never registered (one
+   inside the window, one past it) and one above [Chip.max_ptid].
+   [find_thread] raises for each, [add_thread] refuses the negative and
+   the too-large one, and a keyed start of each faults its caller with
+   [Invalid_thread_access], the ptid as info.  [max_ptid] itself is
+   taken, on a fresh chip at the cost of a 16-int window. *)
+let test_ptid_outside_table () =
+  let sim, chip = setup () in
+  let mem = Chip.memory chip in
+  let desc = Memory.alloc mem Exception_desc.size_words in
+  let faults = ref [] in
+  let kind_name = Format.asprintf "%a" Exception_desc.pp_kind in
+  let handler = Chip.add_thread chip ~core:1 ~ptid:9_000 ~mode:Ptid.Supervisor () in
+  Chip.attach handler (fun th ->
+      Isa.monitor th desc;
+      let rec serve () =
+        ignore (Isa.mwait th : Memory.addr);
+        let d = Exception_desc.read mem ~base:desc in
+        faults := (kind_name d.Exception_desc.kind, d.Exception_desc.info) :: !faults;
+        Isa.start th ~vtid:d.Exception_desc.ptid;
+        serve ()
+      in
+      serve ());
+  Chip.boot handler;
+  let caller = Chip.add_thread chip ~core:0 ~ptid:1 ~mode:Ptid.User () in
+  Regstate.set (Chip.regs caller) Regstate.Exception_descriptor_ptr (Int64.of_int desc);
+  let outside = [ -1; 50; 9_001; Chip.max_ptid + 1 ] in
+  Chip.attach caller (fun th ->
+      List.iter (fun target_ptid -> Isa.start_keyed th ~target_ptid ~key:0L) outside);
+  Chip.boot caller;
+  Sim.run sim;
+  let invalid = kind_name Exception_desc.Invalid_thread_access in
+  Alcotest.(check (list (pair string int64)))
+    "keyed start faults with the ptid as info"
+    (List.map (fun ptid -> (invalid, Int64.of_int ptid)) outside)
+    (List.rev !faults);
+  List.iter
+    (fun ptid ->
+      Alcotest.check_raises (Printf.sprintf "find_thread %d" ptid)
+        (Invalid_argument "Chip.find_thread: unknown ptid") (fun () ->
+          ignore (Chip.find_thread chip ~ptid : Chip.thread)))
+    outside;
+  let add chip ptid = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User () in
+  Alcotest.check_raises "add_thread negative"
+    (Invalid_argument "Chip.add_thread: negative ptid") (fun () ->
+      ignore (add chip (-1) : Chip.thread));
+  Alcotest.check_raises "add_thread above max_ptid"
+    (Invalid_argument "Chip.add_thread: ptid above max_ptid") (fun () ->
+      ignore (add chip (Chip.max_ptid + 1) : Chip.thread));
+  check_int "two threads" 2 (List.length (Chip.thread_list chip));
+  let _, fresh = setup () in
+  let top = add fresh Chip.max_ptid in
+  check_bool "max_ptid taken" true (Chip.find_thread fresh ~ptid:Chip.max_ptid == top)
+
+(* The sums in [stats] and [crash_total] walk the ptid table: they equal
+   the same folds over [thread_list], on a chip of sparse ptids whose
+   threads woke, started and crashed different numbers of times (ptid
+   100 crash-stops at each wake; ptid 5 is never booted). *)
+let test_stats_sum_thread_list () =
+  let sim, chip = setup () in
+  let mem = Chip.memory chip in
+  let bell = Memory.alloc mem 1 in
+  Chip.set_fault_hooks chip
+    {
+      Chip.spurious_wake_after = (fun ~ptid:_ -> None);
+      start_extra_cycles = (fun ~ptid:_ -> 0);
+      crash_park_after = (fun ~ptid:_ -> None);
+      crash_at_wake = (fun ~ptid -> if ptid = 100 then Some 50 else None);
+    };
+  let body th =
+    Isa.monitor th bell;
+    let rec serve () =
+      ignore (Isa.mwait th : Memory.addr);
+      serve ()
+    in
+    serve ()
+  in
+  List.iter
+    (fun (core, ptid) ->
+      let th = Chip.add_thread chip ~core ~ptid ~mode:Ptid.User () in
+      Chip.attach th body;
+      if ptid <> 5 then Chip.boot th)
+    [ (0, 9_000); (1, 100); (0, 1); (1, 5) ];
+  Sim.spawn sim (fun () ->
+      for _ = 1 to 3 do
+        Sim.delay 1_000;
+        Memory.write mem bell 1L
+      done);
+  Sim.run sim;
+  let s = Chip.stats chip in
+  let sum f = List.fold_left (fun acc th -> acc + f th) 0 (Chip.thread_list chip) in
+  check_int "wakeups" (sum Chip.wakeup_count) s.Chip.total_wakeups;
+  check_int "starts" (sum Chip.start_count) s.Chip.total_starts;
+  check_int "crashes" (sum Chip.crash_count) (Chip.crash_total chip);
+  Alcotest.(check (list int)) "as counted" [ 9; 6; 3 ]
+    [ s.Chip.total_wakeups; s.Chip.total_starts; Chip.crash_total chip ]
 
 (* A body's process carries its thread's ptid, and only the report
    names it: [Sim.stuck] gives the ptid and no name, and the summary
@@ -1123,6 +1260,9 @@ let () =
           Alcotest.test_case "parked ptid heap" `Quick test_parked_ptid_heap;
           Alcotest.test_case "thread set-up allocation" `Quick test_thread_setup_allocation;
           Alcotest.test_case "duplicate ptid rejected" `Quick test_duplicate_ptid_rejected;
+          Alcotest.test_case "ptid table window" `Quick test_ptid_table_window;
+          Alcotest.test_case "ptid outside the table" `Quick test_ptid_outside_table;
+          Alcotest.test_case "stats sum thread_list" `Quick test_stats_sum_thread_list;
           Alcotest.test_case "stuck reports the ptid" `Quick test_stuck_reports_ptid;
           Alcotest.test_case "ping-pong round-trip allocation" `Quick
             test_ping_pong_allocation;
