@@ -315,6 +315,48 @@ let bench_chip_setup =
          done;
          Sim.run sim))
 
+(* A receiver blocked in [recv] and a sender that sends it one item a
+   tick: each round parks the receiver on the mailbox's wait queue and
+   hands it the item. *)
+let bench_mailbox_blocked =
+  Test.make ~name:"primitive:mailbox blocked recv/send x1k"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         let mb = Sl_engine.Mailbox.create () in
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sl_engine.Mailbox.recv mb
+             done);
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sim.delay 1;
+               Sl_engine.Mailbox.send mb ()
+             done);
+         Sim.run sim))
+
+(* One software thread executing 1,000 short slices on an otherwise idle
+   two-core scheduler: each exec takes the idle context it ran last and
+   gives it back. *)
+let bench_swsched_exec =
+  Test.make ~name:"primitive:swsched exec x1k"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         let sched = Sl_baseline.Swsched.create sim p ~cores:2 () in
+         let th = Sl_baseline.Swsched.thread sched () in
+         Sim.spawn sim (fun () ->
+             for _ = 1 to 1000 do
+               Sl_baseline.Swsched.exec th 10
+             done);
+         Sim.run sim))
+
+let bench_rng_int =
+  let rng = Sl_util.Rng.create 1L in
+  Test.make ~name:"primitive:rng int x1k"
+    (Staged.stage (fun () ->
+         for _ = 1 to 1000 do
+           ignore (Sys.opaque_identity (Sl_util.Rng.int rng 1_000))
+         done))
+
 (* -- one kernel per experiment table/figure -- *)
 
 let tiny_io count rate =
@@ -376,6 +418,9 @@ let all_tests =
       smt_core_lone_job ~heartbeat:false;
       smt_core_lone_job ~heartbeat:true;
       bench_chip_setup;
+      bench_mailbox_blocked;
+      bench_swsched_exec;
+      bench_rng_int;
       bench_e1;
       bench_e2;
       bench_e2_polling;

@@ -3,11 +3,9 @@ module Mailbox = Sl_engine.Mailbox
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
-type pending = { handler : exec:(int -> unit) -> unit }
-
 type t = {
   params : Params.t;
-  queues : pending Mailbox.t array;  (* one per core *)
+  queues : (exec:(int -> unit) -> unit) Mailbox.t array;  (* handlers, one queue per core *)
   mutable irqs : int;
   mutable ipis : int;
   mutable ipi_drop : (unit -> bool) option;
@@ -45,7 +43,7 @@ let create sim params ~cores =
             Smt_core.execute core ~slot ~kind:Smt_core.Overhead cycles
           in
           let rec serve () =
-            let { handler } = Mailbox.recv queue in
+            let handler = Mailbox.recv queue in
             Smt_core.set_runnable core ~slot ~weight:irq_weight true;
             exec params.Params.interrupt_entry_cycles;
             handler ~exec;
@@ -62,7 +60,7 @@ let set_ipi_drop_fault t f = t.ipi_drop <- Some f
 
 let raise_irq t ~core ~handler =
   t.irqs <- t.irqs + 1;
-  Mailbox.send t.queues.(core) { handler }
+  Mailbox.send t.queues.(core) handler
 
 let send_ipi t ~core ~handler =
   t.ipis <- t.ipis + 1;
@@ -73,7 +71,7 @@ let send_ipi t ~core ~handler =
   if lost then t.dropped_ipis <- t.dropped_ipis + 1
   else begin
     t.irqs <- t.irqs + 1;
-    Mailbox.send t.queues.(core) { handler }
+    Mailbox.send t.queues.(core) handler
   end
 
 let irq_count t = t.irqs

@@ -1,30 +1,54 @@
-module Sim = Sl_engine.Sim
-module Ivar = Sl_engine.Ivar
+module Mailbox = Sl_engine.Mailbox
 module Params = Switchless.Params
 module Smt_core = Switchless.Smt_core
 
+(* Contexts are named by their index in [t.contexts]; [none] names
+   none. *)
+let none = -1
+
 type context = {
+  id : int;
   core : Smt_core.t;
   slot : int;  (* on [core] *)
   mutable last_thread : int;  (* -1: never ran anyone *)
   mutable last_vector : bool;
+  mutable idle : bool;
+  (* Links on the idle stack while [idle]: the contexts released right
+     after ([above]) and right before ([below]) it, or [none]. *)
+  mutable above : int;
+  mutable below : int;
 }
 
 type t = {
-  sim : Sim.t;
   params : Params.t;
   cores : Smt_core.t array;
-  mutable free : context list;  (* idle contexts *)
-  waiters : context Ivar.t Queue.t;  (* threads queued for a context *)
+  contexts : context array;
+  mutable top : int;  (* the idle context released last, or [none] *)
+  run_queue : context Mailbox.t;  (* threads waiting for a context *)
   warmup : bool;
   quantum : int option;
-  n_contexts : int;
   mutable next_thread_id : int;
   mutable switches : int;
-  mutable switch_overhead : float;
+  mutable switch_overhead : int;
 }
 
-type thread = { sched : t; id : int; vector : bool; mutable last_ctx : context option }
+type thread = { sched : t; id : int; vector : bool; mutable last_ctx : int }
+
+(* Newest released on top, so the pick without affinity takes the
+   context released last. *)
+let push_idle t (ctx : context) =
+  ctx.idle <- true;
+  ctx.above <- none;
+  ctx.below <- t.top;
+  if t.top <> none then t.contexts.(t.top).above <- ctx.id;
+  t.top <- ctx.id
+
+let take_idle t (ctx : context) =
+  ctx.idle <- false;
+  if ctx.above = none then t.top <- ctx.below
+  else t.contexts.(ctx.above).below <- ctx.below;
+  if ctx.below <> none then t.contexts.(ctx.below).above <- ctx.above;
+  ctx
 
 let create sim params ?(warmup = true) ?quantum ~cores:n_cores () =
   if n_cores <= 0 then invalid_arg "Swsched.create: need at least one core";
@@ -35,64 +59,66 @@ let create sim params ?(warmup = true) ?quantum ~cores:n_cores () =
   let cores =
     Array.init n_cores (fun core_id -> Smt_core.create sim params ~core_id)
   in
-  let free = ref [] in
-  Array.iteri
-    (fun core_id core ->
-      for i = 0 to params.Params.smt_width - 1 do
+  let width = params.Params.smt_width in
+  let contexts =
+    Array.init (n_cores * width) (fun id ->
+        let core_id = id / width and i = id mod width in
+        let core = cores.(core_id) in
         let slot = Smt_core.add_slot core ~ptid:((core_id * 1024) + i) in
         Smt_core.set_runnable core ~slot ~weight:1.0 true;
-        free := { core; slot; last_thread = -1; last_vector = false } :: !free
-      done)
-    cores;
-  {
-    sim;
-    params;
-    cores;
-    free = !free;
-    waiters = Queue.create ();
-    warmup;
-    quantum;
-    n_contexts = List.length !free;
-    next_thread_id = 0;
-    switches = 0;
-    switch_overhead = 0.0;
-  }
+        {
+          id;
+          core;
+          slot;
+          last_thread = -1;
+          last_vector = false;
+          idle = false;
+          above = none;
+          below = none;
+        })
+  in
+  let t =
+    {
+      params;
+      cores;
+      contexts;
+      top = none;
+      run_queue = Mailbox.create ();
+      warmup;
+      quantum;
+      next_thread_id = 0;
+      switches = 0;
+      switch_overhead = 0;
+    }
+  in
+  Array.iter (push_idle t) contexts;
+  t
 
 let thread t ?(vector = false) () =
   let id = t.next_thread_id in
   t.next_thread_id <- t.next_thread_id + 1;
-  { sched = t; id; vector; last_ctx = None }
+  { sched = t; id; vector; last_ctx = none }
 
 (* Affinity-aware pick: an idle context that last ran this thread is free
    to reuse (no switch); otherwise any idle context; otherwise queue. *)
 let acquire t thread =
-  let take ctx =
-    t.free <- List.filter (fun c -> c != ctx) t.free;
-    ctx
-  in
-  match thread.last_ctx with
-  | Some ctx when List.memq ctx t.free -> take ctx
-  | _ -> (
-    match t.free with
-    | ctx :: _ -> take ctx
-    | [] ->
-      let handed = Ivar.create () in
-      Queue.push handed t.waiters;
-      Ivar.read handed)
+  if thread.last_ctx <> none && t.contexts.(thread.last_ctx).idle then
+    take_idle t t.contexts.(thread.last_ctx)
+  else if t.top <> none then take_idle t t.contexts.(t.top)
+  else Mailbox.recv t.run_queue
 
-let release t ctx =
-  match Queue.take_opt t.waiters with
-  | Some handed -> Ivar.fill handed ctx
-  | None -> t.free <- ctx :: t.free
+let release t ctx = if not (Mailbox.hand t.run_queue ctx) then push_idle t ctx
 
-(* Charge the software switch cost on the context that is switching. *)
+(* Charge the software switch cost on the context that is switching.
+   The two calls pass [warmup] as constants, so no [Some] is built. *)
 let charge_switch t ctx ~incoming_vector =
+  let out_vector = ctx.last_vector and in_vector = incoming_vector in
   let cost =
-    Ctx_cost.software_switch_cycles t.params ~warmup:t.warmup
-      ~out_vector:ctx.last_vector ~in_vector:incoming_vector ()
+    if t.warmup then Ctx_cost.software_switch_cycles t.params ~out_vector ~in_vector ()
+    else Ctx_cost.software_switch_cycles t.params ~warmup:false ~out_vector ~in_vector ()
   in
   t.switches <- t.switches + 1;
-  t.switch_overhead <- t.switch_overhead +. float_of_int cost;
+  t.switch_overhead <- t.switch_overhead + cost;
   Smt_core.execute ctx.core ~slot:ctx.slot ~kind:Smt_core.Overhead cost
 
 let exec thread ?(kind = Smt_core.Useful) cycles =
@@ -101,7 +127,7 @@ let exec thread ?(kind = Smt_core.Useful) cycles =
   let remaining = ref cycles in
   while !remaining > 0 do
     let ctx = acquire t thread in
-    thread.last_ctx <- Some ctx;
+    thread.last_ctx <- ctx.id;
     if ctx.last_thread <> thread.id then begin
       charge_switch t ctx ~incoming_vector:thread.vector;
       ctx.last_thread <- thread.id;
@@ -119,7 +145,7 @@ let exec thread ?(kind = Smt_core.Useful) cycles =
     release t ctx
   done
 
-let context_count t = t.n_contexts
+let context_count t = Array.length t.contexts
 let switch_count t = t.switches
-let switch_overhead_cycles t = t.switch_overhead
+let switch_overhead_cycles t = float_of_int t.switch_overhead
 let cores t = t.cores

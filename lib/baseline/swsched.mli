@@ -16,7 +16,11 @@
 
     Software threads are ordinary simulation processes: CPU consumption
     happens only inside {!exec}; a thread blocked on an ivar/mailbox holds
-    no context (it has been switched out). *)
+    no context (it has been switched out).  Threads waiting for a context
+    block on a [Mailbox] through which a release hands its context to
+    the oldest; idle contexts sit on a stack, newest released on top,
+    from which the affinity pick removes its context in O(1), so an
+    {!exec} on an idle context allocates nothing. *)
 
 type t
 

@@ -85,26 +85,24 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
          request would never complete. *)
       let free = Queue.create () in
       let active = ref [] in
+      (* The head is taken only once it can be admitted: a fresh
+         request with the pool exhausted stays where it is. *)
       let admit_one () =
-        match Queue.take_opt queue with
-        | None -> false
-        | Some (`Fresh req) -> (
-          match Queue.take_opt free with
-          | None ->
-            (* Pool exhausted: put the request back and wait. *)
-            let rest = Queue.copy queue in
-            Queue.clear queue;
-            Queue.push (`Fresh req) queue;
-            Queue.transfer rest queue;
-            false
-          | Some w ->
-            Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
-            w.req <- Some req;
-            w.admitted_at <- Sim.now ();
-            active := w :: !active;
-            Isa.store th w.doorbell 1L;
-            true)
-        | Some (`Resumed w) ->
+        (not (Queue.is_empty queue))
+        &&
+        match Queue.peek queue with
+        | `Fresh _ when Queue.is_empty free -> false
+        | `Fresh req ->
+          ignore (Queue.take queue);
+          let w = Queue.take free in
+          Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
+          w.req <- Some req;
+          w.admitted_at <- Sim.now ();
+          active := w :: !active;
+          Isa.store th w.doorbell 1L;
+          true
+        | `Resumed w ->
+          ignore (Queue.take queue);
           Isa.exec th ~kind:Smt_core.Overhead decision_cycles;
           w.admitted_at <- Sim.now ();
           active := w :: !active;

@@ -1,53 +1,27 @@
-(* The dominant lifecycle is create -> (fill | one read -> fill), so no
-   list is allocated until a second reader shows up (rare: broadcast
-   activations).  A reader parks at a suspension whose registrar keeps
-   its waker here, and finds the value in [Full] once woken.  Waiters
-   wake in FIFO registration order either way — [Many] keeps the
-   reversed cons order and un-reverses on fill. *)
-type 'a state =
-  | Empty
-  | One of Sim.waker
-  | Many of Sim.waker list  (* reversed registration order; length >= 2 *)
-  | Full of 'a
+(* Readers park on the ivar's wait queue and find the value in [value]
+   once woken; [fill] wakes them in the order they began to read. *)
+type 'a t = { mutable value : 'a option; readers : Sim.queue }
 
-type 'a t = { mutable state : 'a state }
-
-let create () = { state = Empty }
+let create () = { value = None; readers = Sim.queue () }
 
 let fill t v =
-  match t.state with
-  | Full _ -> invalid_arg "Ivar.fill: already full"
-  | Empty -> t.state <- Full v
-  | One waker ->
-    t.state <- Full v;
-    Sim.wake waker
-  | Many wakers ->
-    t.state <- Full v;
-    List.iter Sim.wake (List.rev wakers)
+  match t.value with
+  | Some _ -> invalid_arg "Ivar.fill: already full"
+  | None ->
+    t.value <- Some v;
+    Sim.wake_all t.readers
 
 let try_fill t v =
-  match t.state with
-  | Full _ -> false
-  | Empty | One _ | Many _ ->
+  match t.value with
+  | Some _ -> false
+  | None ->
     fill t v;
     true
 
-let peek t = match t.state with Full v -> Some v | Empty | One _ | Many _ -> None
+let peek t = t.value
 
 let read t =
-  (match t.state with
-  | Full _ -> ()
-  | Empty | One _ | Many _ ->
-    Sim.suspend
-      (Sim.suspension (fun waker ->
-           match t.state with
-           | Empty -> t.state <- One waker
-           | One first -> t.state <- Many [ waker; first ]
-           | Many wakers -> t.state <- Many (waker :: wakers)
-           | Full _ ->
-             (* Unreachable: nothing runs between the dispatch above and
-                the registration. *)
-             assert false)));
-  match t.state with
-  | Full v -> v
-  | Empty | One _ | Many _ -> invalid_arg "Ivar.read: woken before the fill"
+  (match t.value with Some _ -> () | None -> Sim.park t.readers);
+  match t.value with
+  | Some v -> v
+  | None -> invalid_arg "Ivar.read: woken before the fill"

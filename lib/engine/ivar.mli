@@ -1,10 +1,11 @@
-(** Write-once synchronization variables: the engine's one waiting
-    object, which {!Mailbox} and the software scheduler build on.
+(** Write-once synchronization variables.
 
     An ivar starts empty, is filled exactly once, and wakes every process
-    blocked in {!read}, in the order they began to read ({!Sim.suspend}
-    and {!Sim.wake}).  The standard way to model a completion
-    notification (e.g. "this unit of work finished executing"). *)
+    blocked in {!read}, in the order they began to read: readers park on
+    the ivar's {!Sim.queue}, the same waiting structure {!Mailbox}
+    receivers and the software scheduler's run queue park on.  The
+    standard way to model a completion notification (e.g. "this unit of
+    work finished executing"). *)
 
 type 'a t
 

@@ -89,10 +89,24 @@ and parking = {
 
 type waker = parking
 
-(* The only two ways a process blocks. *)
+(* The ways a process blocks: a delay, a suspension point's registrar,
+   or a wait queue.  A queue is the effect its processes perform to
+   park on it: the constructor's inline record is a ring of their
+   parkings, oldest at [head], and the handler appends the parking
+   process itself, so a queue is its own suspension point and needs no
+   registrar closure.  A vacant slot holds [idle], so the ring keeps
+   no process it has let go of. *)
 type _ Effect.t +=
   | Delay_eff : Time.t -> unit Effect.t
   | Suspend_eff : (waker -> unit) -> unit Effect.t
+  | Queue_eff : {
+      mutable parked : parking array;  (* empty, or a power of two long *)
+      mutable head : int;
+      mutable len : int;
+    }
+      -> unit Effect.t
+
+type queue = unit Effect.t  (* always a [Queue_eff] *)
 
 type suspension = unit Effect.t  (* a [Suspend_eff] carrying its registrar *)
 
@@ -231,14 +245,34 @@ let finish t =
 let refuse msg =
   Some (fun (k : (unit, unit) continuation) -> discontinue k (Invalid_argument msg))
 
-(* The running process [p] parks at a suspension point: it stops
-   running before its registrar runs, so that a registrar runs as a
+(* The running process [p] parks: it stops running before its
+   registrar runs or it joins a queue, so that a registrar runs as a
    callback would. *)
-let park t p register =
+let block t p =
   t.running_pid <- no_pid;
-  p.proc.blocked_since <- t.now;
-  register p
+  p.proc.blocked_since <- t.now
 [@@inline]
+
+(* [p] joins [q]'s tail.  A queue's first park builds its one-slot
+   ring in place (an ivar's only), and a full ring doubles. *)
+let enqueue (q : queue) p =
+  match q with
+  | Queue_eff r ->
+    let cap = Array.length r.parked in
+    if cap = 0 then r.parked <- [| p |]
+    else begin
+      if r.len = cap then begin
+        let parked = Array.make (2 * cap) idle in
+        for i = 0 to r.len - 1 do
+          parked.(i) <- r.parked.((r.head + i) land (cap - 1))
+        done;
+        r.parked <- parked;
+        r.head <- 0
+      end;
+      r.parked.((r.head + r.len) land (Array.length r.parked - 1)) <- p
+    end;
+    r.len <- r.len + 1
+  | _ -> assert false
 
 (* The effect half of a world's one handler, which finds the blocking
    process in [t.current] ([exec] and each hop set it).  A block clears
@@ -258,7 +292,16 @@ let handle t (on_suspend : ((unit, unit) continuation -> unit) option) (type a)
     if t.nested || t.current == idle then
       refuse "Sim.suspend: the process belongs to another world"
     else begin
-      park t t.current register;
+      block t t.current;
+      register t.current;
+      on_suspend
+    end
+  | Queue_eff _ ->
+    if t.nested || t.current == idle then
+      refuse "Sim.park: the process belongs to another world"
+    else begin
+      block t t.current;
+      enqueue eff t.current;
       on_suspend
     end
   | Delay_eff d ->
@@ -370,7 +413,8 @@ let resume p =
       p.step <- no_step;
       continue p.k ()
     | Suspend_eff register ->
-      park t p register;
+      block t p;
+      register p;
       t.current <- idle
     | _ -> invalid_arg "Sim.wait: a step returned no suspension"
     | exception e ->
@@ -576,6 +620,52 @@ let running_world op =
   | _ -> invalid_arg (op ^ ": not called from a process")
 
 let fork f = spawn (running_world "Sim.fork") f
+
+let self () = (running_world "Sim.self").current
+
+let queue () = Queue_eff { parked = [||]; head = 0; len = 0 }
+
+let park (q : queue) = perform q
+
+(* The woken process's slot is re-seeded with [idle], so the queue
+   keeps nothing of it. *)
+let wake_first (q : queue) =
+  match q with
+  | Queue_eff r ->
+    r.len > 0
+    && begin
+      let p = r.parked.(r.head) in
+      r.parked.(r.head) <- idle;
+      r.head <- (r.head + 1) land (Array.length r.parked - 1);
+      r.len <- r.len - 1;
+      wake p;
+      true
+    end
+  | _ -> assert false
+[@@sl.zero_alloc]
+
+let rec wake_all q = if wake_first q then wake_all q
+
+(* The processes parked behind [w] move up a slot. *)
+let unpark (q : queue) w =
+  match q with
+  | Queue_eff r ->
+    let mask = Array.length r.parked - 1 in
+    let i = ref 0 in
+    while !i < r.len && r.parked.((r.head + !i) land mask) != w do
+      incr i
+    done;
+    !i < r.len
+    && begin
+      for j = !i to r.len - 2 do
+        r.parked.((r.head + j) land mask) <- r.parked.((r.head + j + 1) land mask)
+      done;
+      r.parked.((r.head + r.len - 1) land mask) <- idle;
+      r.len <- r.len - 1;
+      wake w;
+      true
+    end
+  | _ -> assert false
 
 let after d f =
   match Domain.DLS.get running with

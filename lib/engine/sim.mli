@@ -5,9 +5,10 @@
     functions executed as effect-based coroutines: inside a process
     you call {!delay}, {!fork} and {!now} directly, and wait on an
     {!Ivar}, writing blocking-style code (the very model the paper
-    advocates for systems software).  A process blocks in one of two
-    ways, {!delay} and {!suspend} (on which {!Ivar} and {!await} are
-    built).  The event loop is
+    advocates for systems software).  A process blocks in one of three
+    ways: {!delay}, {!suspend} (on which {!await} is built) and {!park}
+    on a wait {!queue} (on which {!Ivar} and {!Mailbox} are built).  The
+    event loop is
     single-threaded and deterministic: events with equal timestamps fire
     in scheduling order.
 
@@ -262,9 +263,9 @@ val await : (('a -> unit) -> unit) -> 'a
     is one {!suspension} whose resume fills a fresh value cell and
     {!wake}s the process: 19 words on OCaml 5.1, the continuation
     included.  Nothing in the simulator's libraries calls it: they wait
-    on an {!Ivar}, which parks through {!suspend} (create, blocked read
-    and fill: 15 words), and hot paths with a fixed waiter build their
-    suspension once.  It stays for perfbench's wake-scale driver, which
+    on an {!Ivar}, whose readers {!park} on its wait queue (create,
+    blocked read and fill: 14 words), and hot paths with a fixed waiter
+    build their suspension once.  It stays for perfbench's wake-scale driver, which
     registers resume closures. *)
 
 (** {2 Suspend and wake}
@@ -315,6 +316,51 @@ val wake : waker -> unit
     nothing.  A second wake of one suspension raises [Invalid_argument].  Since the waker
     outlives the suspension, a caller that keeps it must clear its cell
     when it wakes it (see {!no_waker}). *)
+
+(** {2 Wait queues}
+
+    The one waiting structure for processes that wait on one another:
+    {!Ivar} readers, {!Mailbox} receivers and the software scheduler's
+    run queue park on a queue, and whoever wakes them takes them off
+    it oldest first.  The queue is a ring of the parked processes'
+    records and is its own suspension point, so parking on it and
+    waking from it allocate nothing once its ring has grown.  A vacated
+    slot keeps nothing of the process that left it. *)
+
+type queue
+(** A FIFO of processes parked on it, oldest first. *)
+
+val queue : unit -> queue
+(** An empty queue, which is its own suspension point: 5 words on OCaml
+    5.1, and a 2-word ring at its first {!park}, doubled when full. *)
+
+val park : queue -> unit
+(** Suspend the calling process at the queue's tail, until a
+    {!wake_first}, {!wake_all} or {!unpark} takes it off.  It counts as
+    blocked for {!stuck}, as in {!suspend}, and raises where {!suspend}
+    raises.  Allocates only the runtime's continuation, and the ring's
+    growth when it is full. *)
+
+val wake_first : queue -> bool
+(** Take the oldest parked process off the queue and {!wake} it, or
+    return [false] when none is parked.  The queue keeps nothing of the
+    woken process.  Allocates nothing. *)
+
+val wake_all : queue -> unit
+(** {!wake_first} until the queue is empty: the processes wake in the
+    order they parked. *)
+
+val unpark : queue -> waker -> bool
+(** [unpark q w] takes [w] off [q] and wakes it if it is parked there,
+    or returns [false] (a waker already taken off, or parked
+    elsewhere).  A waker names a process, not one of its waits, so a
+    caller that may unpark after the wait it meant has ended must tell
+    the two apart itself.  Walks the queue from its oldest process. *)
+
+val self : unit -> waker
+(** The calling process's waker, the same for each of its waits: what
+    an {!unpark} of it passes.  Raises [Invalid_argument] outside a
+    process. *)
 
 (** {2 Stepped waits}
 

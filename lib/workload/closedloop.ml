@@ -1,5 +1,4 @@
 module Sim = Sl_engine.Sim
-module Mailbox = Sl_engine.Mailbox
 module Dist = Sl_util.Dist
 module Rng = Sl_util.Rng
 
@@ -18,7 +17,24 @@ let timed_out t = t.timed_out
 let in_flight t = t.in_flight
 let latency t = t.lat
 
+(* A client's request in flight.  Its completion and its timeout's
+   give-up each settle it only while [flying] still names the request
+   they were made for: whichever comes second finds nothing to settle,
+   and so does a completion that arrives once the client has moved on
+   to its next request, at the give-up's own tick too. *)
+type client = { mutable flying : int; mutable completed : bool; waiting : Sim.queue }
+
+let no_request = -1
+
+let settle c req_id ~completed =
+  if c.flying = req_id then begin
+    c.flying <- no_request;
+    c.completed <- completed;
+    ignore (Sim.wake_first c.waiting : bool)
+  end
+
 let client_loop t ~think ~service ~timeout ~submit crng =
+  let c = { flying = no_request; completed = false; waiting = Sim.queue () } in
   let rec go () =
     if t.issued < t.count then begin
       let req_id = t.issued in
@@ -28,20 +44,25 @@ let client_loop t ~think ~service ~timeout ~submit crng =
       let s = int_of_float (Dist.sample service crng) in
       let service_cycles = if s < 0 then 0 else s in
       let arrival = Sim.now () in
-      let done_mb = Mailbox.create () in
       t.in_flight <- t.in_flight + 1;
+      c.flying <- req_id;
       submit
         { Openloop.req_id; arrival; service_cycles }
-        ~complete:(fun () -> Mailbox.send done_mb ());
-      let finished =
+        ~complete:(fun () -> settle c req_id ~completed:true);
+      (* A completion inside [submit] has already settled the request. *)
+      if c.flying = req_id then begin
         match timeout with
-        | None ->
-          Mailbox.recv done_mb;
-          true
-        | Some within -> Option.is_some (Mailbox.recv_for done_mb ~within)
-      in
+        | None -> Sim.park c.waiting
+        | Some within when within <= 0 -> settle c req_id ~completed:false
+        | Some within ->
+          (* The give-up is an event at the current tick that schedules
+             the give-up itself, as [Mailbox.recv_for]'s is. *)
+          Sim.after 0 (fun () ->
+              Sim.after within (fun () -> settle c req_id ~completed:false));
+          Sim.park c.waiting
+      end;
       t.in_flight <- t.in_flight - 1;
-      if finished then begin
+      if c.completed then begin
         t.completed <- t.completed + 1;
         Latency.record t.lat (Sim.now () - arrival)
       end

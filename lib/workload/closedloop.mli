@@ -26,7 +26,10 @@ val start :
     then calls [submit req ~complete] and blocks until the serving side
     invokes [complete] — or for at most [timeout] cycles when given, after
     which the request is counted {!timed_out} and the client moves on (a
-    late [complete] is then a no-op).  Sojourns of completed requests are
+    late [complete] is then a no-op: it never completes a later request
+    of the client, not even one issued at the timeout's own tick).  The
+    client parks on a wait queue of its own, so a request costs only its
+    record and its [complete] closure.  Sojourns of completed requests are
     recorded against [slo] (default: effectively no SLO). *)
 
 val issued : t -> int

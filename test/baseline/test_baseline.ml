@@ -105,6 +105,48 @@ let test_freed_context_in_arrival_order () =
   Alcotest.(check (list string)) "arrival order" [ "c"; "a"; "d"; "b" ] (List.rev !order);
   check_int "a switch per thread" 5 (Swsched.switch_count sched)
 
+(* Idle contexts form a stack, newest released on top.  A and B take
+   the two contexts; A, which runs longer, releases last, so C (at tick
+   10,000) takes A's context, and A's next exec (at 12,000) finds its own
+   busy and switches onto B's: four switches.  Oldest released first
+   would hand C B's context and leave A its own: three. *)
+let test_newest_released_first () =
+  let sim = Sim.create () in
+  let sched = Swsched.create sim p ~cores:1 () in
+  let a = Swsched.thread sched () and b = Swsched.thread sched () in
+  let c = Swsched.thread sched () in
+  Sim.spawn sim (fun () ->
+      Swsched.exec a 2_000;
+      Sim.delay (12_000 - Sim.now ());
+      Swsched.exec a 100);
+  Sim.spawn sim (fun () -> Swsched.exec b 1_000);
+  Sim.spawn sim (fun () ->
+      Sim.delay 10_000;
+      Swsched.exec c 5_000);
+  Sim.run sim;
+  check_int "switches" 4 (Swsched.switch_count sched)
+
+(* Words per exec of a lone thread, whose context is idle at every
+   exec, as the difference of two loop lengths.  Idle contexts in a list
+   cost 12 words per exec on one core: a [List.filter] per pick and a
+   [Some] for the context last run. *)
+let test_exec_on_idle_context_allocates_nothing () =
+  let run n =
+    let sim = Sim.create () in
+    let sched = Swsched.create sim p ~cores:1 () in
+    let th = Swsched.thread sched () in
+    Sim.spawn sim (fun () ->
+        for _ = 1 to n do
+          Swsched.exec th 10
+        done);
+    let before = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. before
+  in
+  ignore (run 100 : float);
+  let w = (run 2_000 -. run 1_000) /. 1_000.0 in
+  check_bool (Printf.sprintf "%.1f minor words per exec = 0" w) true (w = 0.0)
+
 let test_contexts_match_cores_times_width () =
   let sim = Sim.create () in
   let sched = Swsched.create sim p ~cores:3 () in
@@ -237,6 +279,9 @@ let () =
           Alcotest.test_case "freed context in arrival order" `Quick
             test_freed_context_in_arrival_order;
           Alcotest.test_case "context count" `Quick test_contexts_match_cores_times_width;
+          Alcotest.test_case "newest released first" `Quick test_newest_released_first;
+          Alcotest.test_case "idle exec allocates nothing" `Quick
+            test_exec_on_idle_context_allocates_nothing;
           Alcotest.test_case "vector switch cost" `Quick test_vector_thread_switch_cost;
         ] );
       ( "irq",

@@ -509,6 +509,33 @@ let test_mailbox_recv_for_timeout () =
   check_int "next recv got it" 7 !got;
   check_int "at send time" 50 !got_at
 
+(* A receiver that gives up leaves the queue from the middle: the
+   receivers parked before and after it keep their order, and so do
+   the items sent once it has gone. *)
+let test_mailbox_recv_for_leaves_in_order () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] in
+  let receiver name recv =
+    Sim.spawn sim (fun () ->
+        let v = recv () in
+        got := (name, v, Sim.now ()) :: !got)
+  in
+  receiver "a" (fun () -> Some (Mailbox.recv mb));
+  receiver "b" (fun () -> Mailbox.recv_for mb ~within:5);
+  receiver "c" (fun () -> Some (Mailbox.recv mb));
+  receiver "d" (fun () -> Mailbox.recv_for mb ~within:50);
+  Sim.spawn sim (fun () ->
+      Sim.delay 10;
+      Mailbox.send mb 1;
+      Mailbox.send mb 2;
+      Mailbox.send mb 3);
+  Sim.run sim;
+  Alcotest.(check (list (triple string (option int) int)))
+    "b gave up at 5; a, c and d took 1, 2 and 3 at 10"
+    [ ("b", None, 5); ("a", Some 1, 10); ("c", Some 2, 10); ("d", Some 3, 10) ]
+    (List.rev !got)
+
 (* --- Trace --- *)
 
 let test_trace_records_with_timestamps () =
@@ -856,6 +883,38 @@ let test_parked_stack_not_retained () =
   check_bool "suspend" true (parked_stack_collected (fun () -> Sim.suspend forever));
   check_bool "await" true (parked_stack_collected (fun () -> Sim.await (fun _ -> ())))
 
+(* A mailbox keeps nothing it has let go of: vacated slots are
+   re-seeded, so a handed item, a buffered item once taken, and the
+   stacks of a receiver that took its item and of one that gave up are
+   all collectable while the mailbox lives on. *)
+let test_mailbox_keeps_nothing_taken () =
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let collected = ref 0 in
+  let tracked () =
+    let b = Bytes.make 64 'x' in
+    Gc.finalise (fun _ -> incr collected) b;
+    b
+  in
+  Sim.spawn sim (fun () ->
+      let payload = tracked () in
+      let item = Mailbox.recv mb in
+      ignore (Sys.opaque_identity (payload, item)));
+  Sim.spawn sim (fun () ->
+      let payload = tracked () in
+      ignore (Sys.opaque_identity (Mailbox.recv_for mb ~within:10, payload)));
+  Sim.spawn sim (fun () ->
+      Sim.delay 5;
+      Mailbox.send mb (tracked ());
+      Sim.delay 100;
+      Mailbox.send mb (tracked ());
+      ignore (Sys.opaque_identity (Mailbox.try_recv mb)));
+  Sim.run sim;
+  Gc.full_major ();
+  Gc.full_major ();
+  check_int "nothing left in the mailbox" 0 (Mailbox.length (Sys.opaque_identity mb));
+  check_int "two items and two receivers' stacks collected" 4 !collected
+
 (* [fork] and [set_daemon] are plain calls on the running process:
    with none running, in a callback too, they raise. *)
 let test_process_calls_outside_a_process_raise () =
@@ -925,9 +984,11 @@ let test_set_daemon_allocation () =
   let w = words_per (fun () -> Sim.set_daemon true) in
   check_bool (Printf.sprintf "%.1f minor words per set_daemon = 0" w) true (w = 0.0)
 
-(* The ivar, its [Full] and the waker's delay, and the read's
-   suspension, registrar closure, continuation and [One]: 20 words.
-   34 when [read] waited through [Sim.await]. *)
+(* The ivar, its wait queue and the queue's one-slot ring, its [Some],
+   and the continuations of the read and of the waker's delay: 19
+   words.  20 when each read built a suspension and its registrar
+   closure and kept the waker in a [One], 34 when [read] waited through
+   [Sim.await]. *)
 let test_ivar_round_trip_allocation () =
   let current = ref (Ivar.create ()) in
   let w =
@@ -937,20 +998,24 @@ let test_ivar_round_trip_allocation () =
         current := Ivar.create ();
         Ivar.read !current)
   in
-  check_bool (Printf.sprintf "%.1f minor words per ivar round trip < 27" w) true (w < 27.0)
+  check_bool (Printf.sprintf "%.1f minor words per ivar round trip < 20" w) true (w < 20.0)
 
-(* A blocked receive adds its queue cell and the two options: 27 words.
-   36 when the receiver waited through [Sim.await]. *)
+(* The receiver parks on the mailbox's wait queue and the send hands
+   it the item through a ring: the item's [Some] and the two
+   continuations, 9 words.  27 when each blocked receive waited on an
+   ivar of its own in a queue cell, 36 when it waited through
+   [Sim.await]. *)
 let test_mailbox_round_trip_allocation () =
   let mb = Mailbox.create () in
   let w = words_per ~wake:(fun () -> Mailbox.send mb ()) (fun () -> Mailbox.recv mb) in
   check_bool
-    (Printf.sprintf "%.1f minor words per blocked recv and send < 32" w)
-    true (w < 32.0)
+    (Printf.sprintf "%.1f minor words per blocked recv and send < 10" w)
+    true (w < 10.0)
 
 (* A [recv_for] that the send beats: the blocked receive's words plus
-   the timeout's two callbacks, 36 words.  106 when the timeout was a
-   forked child that delayed. *)
+   the give-up's two callbacks and the state they share with the
+   receiver, 24 words.  36 with an ivar per receive, 106 when the
+   timeout was a forked child that delayed. *)
 let test_recv_for_round_trip_allocation () =
   let mb = Mailbox.create () in
   let w =
@@ -959,8 +1024,8 @@ let test_recv_for_round_trip_allocation () =
       (fun () -> ignore (Mailbox.recv_for mb ~within:1_000 : unit option))
   in
   check_bool
-    (Printf.sprintf "%.1f minor words per recv_for and send < 40" w)
-    true (w < 40.0)
+    (Printf.sprintf "%.1f minor words per recv_for and send < 28" w)
+    true (w < 28.0)
 
 (* --- Sim.now --- *)
 
@@ -1880,6 +1945,9 @@ let () =
           Alcotest.test_case "fifo wakeup" `Quick test_mailbox_fifo_wakeup;
           Alcotest.test_case "recv_for timeout" `Quick
             test_mailbox_recv_for_timeout;
+          Alcotest.test_case "keeps nothing taken" `Quick test_mailbox_keeps_nothing_taken;
+          Alcotest.test_case "give-up leaves the queue in order" `Quick
+            test_mailbox_recv_for_leaves_in_order;
         ] );
       ( "trace",
         [

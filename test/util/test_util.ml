@@ -71,6 +71,97 @@ let test_rng_uniformity_rough () =
         (float_of_int c > 0.8 *. 10_000.0 && float_of_int c < 1.2 *. 10_000.0))
     buckets
 
+(* SplitMix64's outputs as unsigned decimals, the form its reference
+   implementation prints. *)
+let draws rng n = List.init n (fun _ -> Printf.sprintf "%Lu" (Rng.next_int64 rng))
+
+(* The reference stream of Steele, Lea & Flood's SplitMix64, which any
+   change to the state's representation must reproduce bit for bit. *)
+let test_rng_published_stream () =
+  Alcotest.(check (list string))
+    "seed 1234567"
+    [
+      "6457827717110365317";
+      "3203168211198807973";
+      "9817491932198370423";
+      "4593380528125082431";
+      "16408922859458223821";
+    ]
+    (draws (Rng.create 1234567L) 5);
+  Alcotest.(check (list string))
+    "seed 0"
+    [ "16294208416658607535"; "7960286522194355700"; "487617019471545679" ]
+    (draws (Rng.create 0L) 3)
+
+(* A split draws one output from its parent and seeds the child with
+   that output mixed again. *)
+let test_rng_split_stream () =
+  let parent = Rng.create 1234567L in
+  let child = Rng.split parent in
+  Alcotest.(check (list string))
+    "child"
+    [ "15755052996616482125"; "10712015620667187805"; "7897994942215497729" ]
+    (draws child 3);
+  Alcotest.(check (list string))
+    "parent resumes at its second output"
+    [ "3203168211198807973"; "9817491932198370423" ]
+    (draws parent 2)
+
+let test_rng_copy_independent () =
+  let a = Rng.create 1234567L in
+  let b = Rng.copy a in
+  ignore (draws b 3 : string list);
+  Alcotest.(check (list string))
+    "the original keeps its own state"
+    [ "6457827717110365317"; "3203168211198807973" ]
+    (draws a 2);
+  Alcotest.(check (list string)) "and so does the copy" [ "4593380528125082431" ] (draws b 1)
+
+(* A bound of 3 * 2^60 leaves a partial last bucket of 2^61 raw values,
+   so a quarter of the draws are rejected: from seed 42, eight draws take
+   ten outputs. *)
+let test_rng_int_rejection () =
+  let rng = Rng.create 42L in
+  Alcotest.(check (list int))
+    "draws"
+    [
+      3380964252557096778;
+      1474913046063446145;
+      2569641874231381929;
+      3174599030129127882;
+      350766393070981625;
+      2014432356388812462;
+      3135310438806241002;
+      2245725682304793559;
+    ]
+    (List.init 8 (fun _ -> Rng.int rng (3 * (1 lsl 60))));
+  let raw = Rng.create 42L in
+  ignore (draws raw 10 : string list);
+  Alcotest.(check int64) "ten outputs taken" (Rng.next_int64 raw) (Rng.next_int64 rng)
+
+(* Minor words per call of [f], as the difference of two loop lengths. *)
+let words_per_draw f =
+  let loop n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (loop 1_000 : float);
+  (loop 20_000 -. loop 10_000) /. 10_000.0
+
+(* The state is unboxed, so a draw allocates only what it returns:
+   nothing for an int, the box of a float.  A boxed [int64] state cost
+   14 words per [Rng.int] (a closure per draw among them) and 8 per
+   [Rng.float]. *)
+let test_rng_draw_allocation () =
+  let rng = Rng.create 5L in
+  let w = words_per_draw (fun () -> Rng.int rng 1_000) in
+  check_bool (Printf.sprintf "%.1f minor words per Rng.int = 0" w) true (w = 0.0);
+  let w = words_per_draw (fun () -> Rng.float rng) in
+  check_bool (Printf.sprintf "%.1f minor words per Rng.float <= 2" w) true (w <= 2.0)
+
 let test_shuffle_permutation () =
   let rng = Rng.create 17L in
   let arr = Array.init 50 (fun i -> i) in
@@ -498,6 +589,11 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "rough uniformity" `Quick test_rng_uniformity_rough;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
+          Alcotest.test_case "published stream" `Quick test_rng_published_stream;
+          Alcotest.test_case "split stream" `Quick test_rng_split_stream;
+          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
+          Alcotest.test_case "int rejection path" `Quick test_rng_int_rejection;
+          Alcotest.test_case "draws allocate" `Quick test_rng_draw_allocation;
         ] );
       ( "dist",
         [

@@ -268,6 +268,68 @@ let test_closedloop_timeout_path () =
   Alcotest.(check int) "latency counts completions only" completed
     (Latency.count (Closedloop.latency cl))
 
+(* One client, no think time and a 1,000-cycle timeout: request 0 (at
+   tick 0) completes only late, as [late] arranges, and request 1 takes
+   100 cycles.  Returns the closed loop, the tick request 1 was submitted
+   at, and the tick request 0's late completion ran at with whether
+   request 1 had been submitted by then. *)
+let late_completion_world late =
+  let sim = Sim.create () in
+  let next_submitted = ref (-1) and late_ran = ref (-1, false) in
+  let complete_late complete () =
+    late_ran := (Sim.now (), !next_submitted >= 0);
+    complete ()
+  in
+  let cl =
+    Closedloop.start ~timeout:1_000 sim (Rng.create 1L) ~clients:1
+      ~think:(Dist.Constant 0.0) ~service:(Dist.Constant 100.0) ~count:2
+      ~submit:(fun req ~complete ->
+        if req.Openloop.req_id = 1 then begin
+          next_submitted := Sim.now ();
+          Sim.after 100 complete
+        end
+        else late ~next_submitted (complete_late complete))
+  in
+  Sim.run sim;
+  (cl, !next_submitted, !late_ran)
+
+(* The timeout's give-up is an event at the submit's tick that schedules
+   the give-up 1,000 cycles later.  [at_give_up] lands the completion
+   right behind the give-up, before the client runs again; [after_next]
+   polls at the give-up's tick until the client has submitted request 1
+   there; [in_flight] arrives while request 1 is in flight. *)
+let at_give_up ~next_submitted:_ complete =
+  Sim.after 0 (fun () -> Sim.after 0 (fun () -> Sim.after 1_000 complete))
+
+let after_next ~next_submitted complete =
+  let rec poll () = if !next_submitted >= 0 then complete () else Sim.after 0 poll in
+  Sim.after 1_000 poll
+
+let in_flight ~next_submitted:_ complete = Sim.after 1_050 complete
+
+(* A completion that loses to its timeout counts for nothing: the
+   request stays timed out, and the next request completes only on its
+   own completion, 100 cycles after its submit. *)
+let test_closedloop_late_completion () =
+  List.iter
+    (fun (name, late, late_ran_at) ->
+      let cl, next_submitted, late_ran = late_completion_world late in
+      let lat = Latency.summarize (Closedloop.latency cl) ~elapsed:1 in
+      Alcotest.(check int) (name ^ ": next request at the give-up's tick") 1_000 next_submitted;
+      Alcotest.(check (pair int bool))
+        (name ^ ": late completion's tick, next request submitted")
+        late_ran_at late_ran;
+      Alcotest.(check int) (name ^ ": issued") 2 (Closedloop.issued cl);
+      Alcotest.(check int) (name ^ ": timed out") 1 (Closedloop.timed_out cl);
+      Alcotest.(check int) (name ^ ": completed") 1 (Closedloop.completed cl);
+      Alcotest.(check int) (name ^ ": clean drain") 0 (Closedloop.in_flight cl);
+      Alcotest.(check int) (name ^ ": next request's sojourn") 100 lat.Latency.max_v)
+    [
+      ("at the give-up", at_give_up, (1_000, false));
+      ("after the next submit", after_next, (1_000, true));
+      ("while the next is in flight", in_flight, (1_050, true));
+    ]
+
 let test_closedloop_deterministic () =
   let fingerprint cl =
     ( Closedloop.issued cl,
@@ -311,5 +373,6 @@ let () =
           Alcotest.test_case "conservation" `Quick test_closedloop_conservation;
           Alcotest.test_case "timeout path" `Quick test_closedloop_timeout_path;
           Alcotest.test_case "deterministic" `Quick test_closedloop_deterministic;
+          Alcotest.test_case "late completion" `Quick test_closedloop_late_completion;
         ] );
     ]
