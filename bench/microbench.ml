@@ -184,6 +184,17 @@ let bench_wheel_ballast =
          done;
          drain_wheel q ~limit:999))
 
+(* Every event at the cursor's tick, as a wake's hop is: each push
+   goes straight to the ready ring and the next pop takes it. *)
+let bench_wheel_same_tick =
+  let q = Wheel.create ~dummy:0 in
+  Test.make ~name:"primitive:wheel same-tick push/pop x1k"
+    (Staged.stage (fun () ->
+         for i = 0 to 999 do
+           Wheel.push q ~time:0 i;
+           ignore (Sys.opaque_identity (Wheel.pop q))
+         done))
+
 let bench_histogram =
   Test.make ~name:"primitive:histogram record x1k"
     (Staged.stage (fun () ->
@@ -258,6 +269,26 @@ let bench_smt_core_churn =
                Smt_core.set_runnable core ~slot ~weight:1.0 true;
                for _ = 1 to 200 do
                  Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles
+               done)
+         done;
+         Sim.run sim))
+
+(* The same churn with the kinds mixed, thread [p] executing kind
+   [p mod 3]: the serve pass's per-kind branch, as lock-contend's
+   spinning, parked and critical-section threads take it. *)
+let bench_smt_core_mixed_kinds =
+  let kinds = [| Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead |] in
+  Test.make ~name:"primitive:smt_core 64 jobs of mixed kinds x200 executes"
+    (Staged.stage (fun () ->
+         let sim = Sim.create () in
+         let core = Smt_core.create sim { p with Params.smt_width = 2 } ~core_id:0 in
+         for ptid = 0 to 63 do
+           let cycles = 50 + (ptid * 37 mod 101) and kind = kinds.(ptid mod 3) in
+           let slot = Smt_core.add_slot core ~ptid in
+           Sim.spawn sim (fun () ->
+               Smt_core.set_runnable core ~slot ~weight:1.0 true;
+               for _ = 1 to 200 do
+                 Smt_core.execute core ~slot ~kind cycles
                done)
          done;
          Sim.run sim))
@@ -409,12 +440,14 @@ let all_tests =
     [
       bench_wheel;
       bench_wheel_ballast;
+      bench_wheel_same_tick;
       bench_histogram;
       bench_sim_pingpong;
       bench_sim_delay_hops;
       bench_sim_await_hops;
       bench_sim_suspend_hops;
       bench_smt_core_churn;
+      bench_smt_core_mixed_kinds;
       smt_core_lone_job ~heartbeat:false;
       smt_core_lone_job ~heartbeat:true;
       bench_chip_setup;

@@ -112,8 +112,19 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
       let rec admit_all () =
         if List.length !active < limit && admit_one () then admit_all ()
       in
+      (* A stop frees a runnable slot but no worker, so it can admit a
+         preempted head but never a fresh one while the pool is
+         exhausted: such a stop would leave its slot empty, and once
+         every admitted worker were stopped nothing would run to free a
+         worker.  Preempt only for a head the freed slot can admit. *)
       let preempt_longest_running () =
-        if not (Queue.is_empty queue) then begin
+        if
+          (not (Queue.is_empty queue))
+          &&
+          match Queue.peek queue with
+          | `Fresh _ -> not (Queue.is_empty free)
+          | `Resumed _ -> true
+        then begin
           match mode with
           | Fcfs -> ()
           | Preemptive quantum -> (

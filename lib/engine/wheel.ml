@@ -42,10 +42,15 @@ module Arena = Sl_util.Arena
    order of a (time, seq) heap fed a monotone seq, property-tested
    against test/engine's Pqueue.
 
-   Tags.  Each event carries one int beside its payload, its tag: the
-   ring and the arena hold it in a parallel int array, every move above
-   carries it with the payload, and [pop] leaves the popped event's tag
-   in [popped].  A tag never touches placement or order.  See DESIGN.md,
+   Nodes.  Every pending event is one arena node, from its push to its
+   pop: the chains link nodes, and the ready ring holds node indices, so
+   a re-home into the ring moves an int and the payload stays where its
+   push stored it.  Its slot is written twice in the event's life, once
+   by the push and once when the pop frees the node and re-seeds it.
+
+   Tags.  Each event carries one int beside its payload, its tag, in
+   the node's tag slot; [pop] leaves the popped event's tag in
+   [popped].  A tag never touches placement or order.  See DESIGN.md,
    "Event queue v3". *)
 
 let bits = 5
@@ -58,20 +63,17 @@ let slot_mask = slot_count - 1
 let far = levels * slot_count
 
 type 'a t = {
-  arena : 'a Arena.t;  (* nodes of every chained event *)
+  arena : 'a Arena.t;  (* one node per pending event *)
   heads : int array;  (* levels*32 slot chains, then the far list; nil = empty *)
   tails : int array;  (* each chain's last node, where pushes append *)
   occ : int array;  (* per-level occupancy bitmask over slots *)
   mutable cursor : int;  (* trails the earliest pending event; never recedes *)
-  (* The ready ring: events at [cursor]'s tick, FIFO, [len] of them from
-     [head] in a power-of-two circular buffer, each event's tag in
-     [tags] at its index in [items]. *)
-  mutable items : 'a array;
-  mutable tags : int array;
+  (* The ready ring: the nodes of the events at [cursor]'s tick, FIFO,
+     [len] of them from [head] in a power-of-two circular buffer. *)
+  mutable ring : int array;
   mutable head : int;
   mutable len : int;
   mutable popped : int;  (* the tag of the event [pop] returned last *)
-  dummy : 'a;
 }
 
 let create ~dummy =
@@ -81,52 +83,46 @@ let create ~dummy =
     tails = Array.make (far + 1) Arena.nil;
     occ = Array.make levels 0;
     cursor = 0;
-    items = [||];
-    tags = [||];
+    ring = [||];
     head = 0;
     len = 0;
     popped = 0;
-    dummy;
   }
 
-let is_empty t = t.len = 0 && Arena.live t.arena = 0
+let is_empty t = Arena.live t.arena = 0
 let ready t = t.len > 0
 
 (* Re-lay the ring out from index 0 at twice the capacity.  It starts
    empty, so a world that never schedules costs nothing here. *)
 let ring_grow t =
-  let cap = Array.length t.items in
-  let items = Array.make (max 8 (2 * cap)) t.dummy in
-  let tags = Array.make (Array.length items) 0 in
+  let cap = Array.length t.ring in
+  let ring = Array.make (max 8 (2 * cap)) Arena.nil in
   for k = 0 to t.len - 1 do
-    let i = (t.head + k) land (cap - 1) in
-    items.(k) <- t.items.(i);
-    tags.(k) <- t.tags.(i)
+    ring.(k) <- t.ring.((t.head + k) land (cap - 1))
   done;
-  t.items <- items;
-  t.tags <- tags;
+  t.ring <- ring;
   t.head <- 0
 
 (* [@@sl.zero_alloc]: the warm-path budget.  [ring_grow] allocates, but
    amortized doubling runs O(log n) times per world; the per-event path
-   writes one slot of each of two preallocated arrays. *)
-let ring_push t x tag =
-  if t.len = Array.length t.items then ring_grow t;
-  let i = (t.head + t.len) land (Array.length t.items - 1) in
-  t.items.(i) <- x;
-  t.tags.(i) <- tag;
+   writes one int into a preallocated array, with no write barrier. *)
+let ring_push t node =
+  if t.len = Array.length t.ring then ring_grow t;
+  t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- node;
   t.len <- t.len + 1
 [@@sl.zero_alloc]
 
-(* The vacated slot is re-seeded with [dummy], so a popped payload is
-   collectable as soon as the caller drops it. *)
+(* Freeing the node re-seeds its payload slot with the arena's dummy,
+   so a popped payload is collectable as soon as the caller drops it;
+   the ring's slot keeps only an int. *)
 let pop t =
   let i = t.head in
-  let x = t.items.(i) in
-  t.items.(i) <- t.dummy;
-  t.popped <- t.tags.(i);
-  t.head <- (i + 1) land (Array.length t.items - 1);
+  let node = t.ring.(i) in
+  t.head <- (i + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
+  t.popped <- Arena.tag t.arena node;
+  let x = Arena.payload t.arena node in
+  Arena.free t.arena node;
   x
 [@@sl.zero_alloc]
 
@@ -164,9 +160,9 @@ let chain_node t node time x =
 
 let push_tagged t ~time ~tag payload =
   if time < t.cursor then invalid_arg "Wheel.push: time precedes the cursor";
+  let node = Arena.alloc t.arena ~time ~tag payload in
   let x = time lxor t.cursor in
-  if x = 0 then ring_push t payload tag
-  else chain_node t (Arena.alloc t.arena ~time ~tag payload) time x
+  if x = 0 then ring_push t node else chain_node t node time x
 [@@sl.zero_alloc]
 
 let push t ~time payload = push_tagged t ~time ~tag:0 payload [@@sl.zero_alloc]
@@ -178,10 +174,7 @@ let rec rehome t node =
     let next = Arena.next t.arena node in
     let time = Arena.time t.arena node in
     let x = time lxor t.cursor in
-    if x = 0 then begin
-      ring_push t (Arena.payload t.arena node) (Arena.tag t.arena node);
-      Arena.free t.arena node
-    end
+    if x = 0 then ring_push t node
     else begin
       Arena.set_next t.arena node Arena.nil;
       chain_node t node time x

@@ -9,9 +9,10 @@
 
     Parts: a FIFO ready ring for the tick the internal cursor is at;
     5 levels x 32 FIFO slot chains covering the 2{^25} ticks after it; and
-    one FIFO far list for events beyond that window.  Chain nodes live in
-    a flat {!Sl_util.Arena}.  See wheel.ml and DESIGN.md ("Event queue
-    v3") for the placement rule and the order argument.
+    one FIFO far list for events beyond that window.  Every pending
+    event is a node of a flat {!Sl_util.Arena}: the chains link nodes,
+    and the ring holds their indices.  See wheel.ml and DESIGN.md
+    ("Event queue v3") for the placement rule and the order argument.
 
     Every event carries one int, its tag, beside its payload, for the
     caller to read back when the event pops ({!push_tagged},

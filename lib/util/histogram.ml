@@ -1,7 +1,12 @@
+(* The running sum for the mean.  An all-float record holds it
+   unboxed, where a float field of [t] (a mixed record) would box every
+   stored value: one allocation per [record]. *)
+type sum = { mutable total : float }
+
 type t = {
   mutable buckets : int array;  (* grows on demand *)
   mutable count : int;
-  mutable total : float;  (* running sum for the mean *)
+  sum : sum;
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -12,7 +17,7 @@ let create () =
   {
     buckets = Array.make (1 lsl (precision + 2)) 0;
     count = 0;
-    total = 0.0;
+    sum = { total = 0.0 };
     min_v = 0;
     max_v = 0;
   }
@@ -72,7 +77,7 @@ let record_n t v n =
       if v > t.max_v then t.max_v <- v
     end;
     t.count <- t.count + n;
-    t.total <- t.total +. (float_of_int v *. float_of_int n)
+    t.sum.total <- t.sum.total +. (float_of_int v *. float_of_int n)
   end
 
 let record t v = record_n t v 1
@@ -80,7 +85,7 @@ let record t v = record_n t v 1
 let count t = t.count
 let min_value t = t.min_v
 let max_value t = t.max_v
-let mean t = if t.count = 0 then 0.0 else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then 0.0 else t.sum.total /. float_of_int t.count
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile: q outside [0,1]";
@@ -116,13 +121,13 @@ let merge_into ~dst src =
       if src.max_v > dst.max_v then dst.max_v <- src.max_v
     end;
     dst.count <- dst.count + src.count;
-    dst.total <- dst.total +. src.total
+    dst.sum.total <- dst.sum.total +. src.sum.total
   end
 
 let reset t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.count <- 0;
-  t.total <- 0.0;
+  t.sum.total <- 0.0;
   t.min_v <- 0;
   t.max_v <- 0
 

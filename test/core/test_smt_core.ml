@@ -239,43 +239,75 @@ type sjob = {
   toggles : (int * int) list;  (* (offset after start, frozen for) *)
 }
 
-let run_job_set ~width ~weight jobs =
+(* What a job set leaves behind, floats as their bits. *)
+type outcome = {
+  done_at : int list;  (* by job *)
+  wakes : int list;  (* jobs in the order their executes returned *)
+  billed : int64 list;  (* by job *)
+  work : int64 list;  (* useful, poll, overhead *)
+  busy : int64;
+  events : int;
+}
+
+(* The calls a job set makes, so that one runs on [Smt_core] and on
+   its reference model alike. *)
+module type CORE = sig
+  type t
+
+  val create : Sim.t -> Params.t -> core_id:int -> t
+  val add_slot : t -> ptid:int -> int
+  val set_runnable : t -> slot:int -> weight:float -> bool -> unit
+  val execute : t -> slot:int -> kind:Smt_core.kind -> int -> unit
+  val busy_capacity_cycles : t -> float
+  val work_done : t -> Smt_core.kind -> float
+  val thread_cycles : t -> slot:int -> float
+end
+
+(* Job [i] runs at [weight i]. *)
+let run_job_set (module C : CORE) ~width ~weight jobs =
   let params = { Params.default with Params.smt_width = width } in
   let sim = Sim.create () in
-  let core = Smt_core.create sim params ~core_id:0 in
+  let core = C.create sim params ~core_id:0 in
   let n = List.length jobs in
   let state = Array.make n 0 (* 0 waiting, 1 executing, 2 done *) in
   let done_at = Array.make n (-1) in
-  let slots = Array.init n (fun ptid -> Smt_core.add_slot core ~ptid) in
+  let wakes = ref [] in
+  let slots = Array.init n (fun ptid -> C.add_slot core ~ptid) in
   List.iteri
     (fun ptid j ->
-      let slot = slots.(ptid) in
+      let slot = slots.(ptid) and weight = weight ptid in
       Sim.spawn sim (fun () ->
           Sim.delay j.start;
-          Smt_core.set_runnable core ~slot ~weight true;
+          C.set_runnable core ~slot ~weight true;
           state.(ptid) <- 1;
-          Smt_core.execute core ~slot ~kind:j.kind j.cycles;
+          C.execute core ~slot ~kind:j.kind j.cycles;
           state.(ptid) <- 2;
           done_at.(ptid) <- Sim.now ();
-          Smt_core.set_runnable core ~slot ~weight false);
+          wakes := ptid :: !wakes;
+          C.set_runnable core ~slot ~weight false);
       List.iter
         (fun (off, len) ->
           Sim.schedule sim ~at:(j.start + off) (fun () ->
               if state.(ptid) = 1 then begin
-                Smt_core.set_runnable core ~slot ~weight false;
+                C.set_runnable core ~slot ~weight false;
                 Sim.schedule sim ~at:(Sim.time sim + len) (fun () ->
-                    Smt_core.set_runnable core ~slot ~weight true)
+                    C.set_runnable core ~slot ~weight true)
               end))
         j.toggles)
     jobs;
   Sim.run sim;
   let bits = Int64.bits_of_float in
-  ( Array.to_list done_at,
-    Array.to_list (Array.map (fun slot -> bits (Smt_core.thread_cycles core ~slot)) slots),
-    List.map
-      (fun k -> bits (Smt_core.work_done core k))
-      [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ],
-    bits (Smt_core.busy_capacity_cycles core) )
+  {
+    done_at = Array.to_list done_at;
+    wakes = List.rev !wakes;
+    billed = Array.to_list (Array.map (fun slot -> bits (C.thread_cycles core ~slot)) slots);
+    work =
+      List.map
+        (fun k -> bits (C.work_done core k))
+        [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ];
+    busy = bits (C.busy_capacity_cycles core);
+    events = Sim.events_processed sim;
+  }
 
 let gen_job_set =
   let open QCheck.Gen in
@@ -291,7 +323,44 @@ let gen_job_set =
 let prop_uniform_path_matches_water_filling =
   QCheck.Test.make ~name:"uniform-rate serve path matches water-filling bit for bit"
     ~count:300 (QCheck.make gen_job_set) (fun (width, jobs) ->
-      run_job_set ~width ~weight:1.0 jobs = run_job_set ~width ~weight:2.0 jobs)
+      let sums weight =
+        let o = run_job_set (module Smt_core) ~width ~weight:(fun _ -> weight) jobs in
+        (o.done_at, o.billed, o.work, o.busy)
+      in
+      sums 1.0 = sums 2.0)
+
+(* [Smt_core] against [Smt_core_ref], the serve pass that completed
+   each job through a call inside it: random job sets with a weight
+   per job from 1.0, 2.0 and 0.25 (unit sets take the uniform path,
+   mixed ones water-fill and cap), mixed kinds and stop/start toggles
+   must leave the same completion ticks, wake order, billing, work by
+   kind, busy capacity and event count.  A completion list walked
+   newest first fails it. *)
+let prop_serve_pass_matches_reference =
+  let open QCheck.Gen in
+  (* Starts and lengths drawn from a few round values as often as not,
+     so that jobs finish in the same advance and their wake order
+     shows. *)
+  let round bound few = oneof [ int_range 1 bound; oneofl few ] in
+  let job =
+    map4
+      (fun start cycles kind toggles -> { start; cycles; kind; toggles })
+      (round 2000 [ 0; 0; 500; 1000 ])
+      (round 3000 [ 100; 400; 400; 1000 ])
+      (oneofl [ Smt_core.Useful; Smt_core.Poll; Smt_core.Overhead ])
+      (list_size (int_bound 2) (pair (round 1500 [ 100; 200 ]) (round 800 [ 50; 100 ])))
+  in
+  (* Half the sets at unit weights, which serve on the uniform path
+     while nothing is frozen. *)
+  let weights =
+    oneof [ return (List.init 40 (fun _ -> 1.0)); list_repeat 40 (oneofl [ 1.0; 2.0; 0.25 ]) ]
+  in
+  let gen = pair (pair (int_range 1 4) (list_size (int_range 1 40) job)) weights in
+  QCheck.Test.make ~name:"serve pass matches the reference model bit for bit"
+    ~count:300 (QCheck.make gen) (fun ((width, jobs), weights) ->
+      let weight i = List.nth weights i in
+      run_job_set (module Smt_core) ~width ~weight jobs
+      = run_job_set (module Smt_core_ref) ~width ~weight jobs)
 
 (* --- The only job continues inline (Sim.skip_to) --- *)
 
@@ -438,23 +507,36 @@ let test_lone_gaps_add_one_at_a_time () =
   Alcotest.(check (list int64))
     "every sum at 2^53" [ Int64.of_int (big + 4); 8L; whole; whole; whole ] spun
 
-(* 64 unit-weight threads time-share a 2-wide core, 200 executes each:
-   every advance serves up to 64 jobs on the uniform path.  Also the
-   microbench kernel "smt_core 64 unit-weight jobs x200 executes". *)
-let unit_weight_churn () =
+(* 64 threads time-share a 2-wide core, 200 executes each, thread [p]
+   at [weight p].  At unit weights every advance serves up to 64 jobs
+   on the uniform path (also the microbench kernel "smt_core 64
+   unit-weight jobs x200 executes"); at weights 1.0 and 2.0 every
+   advance and every next completion water-fill (n > width). *)
+let churn ~weight () =
   let params = { Params.default with Params.smt_width = 2 } in
   let sim = Sim.create () in
   let core = Smt_core.create sim params ~core_id:0 in
   for p = 0 to 63 do
-    let cycles = 50 + (p * 37 mod 101) in
+    let cycles = 50 + (p * 37 mod 101) and weight = weight p in
     let slot = Smt_core.add_slot core ~ptid:p in
     Sim.spawn sim (fun () ->
-        Smt_core.set_runnable core ~slot ~weight:1.0 true;
+        Smt_core.set_runnable core ~slot ~weight true;
         for _ = 1 to 200 do
           Smt_core.execute core ~slot ~kind:Smt_core.Useful cycles
         done)
   done;
   Sim.run sim
+
+(* Minor words per [execute] of [churn ~weight], measured on the second
+   run, so one-off growth of the core's arrays does not count. *)
+let check_words_per_execute ~weight =
+  churn ~weight ();
+  let before = Gc.minor_words () in
+  churn ~weight ();
+  let per_execute = (Gc.minor_words () -. before) /. float_of_int (64 * 200) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per execute < 4" per_execute)
+    true (per_execute < 4.0)
 
 (* The serve loop must not allocate per served job.  The [zero-alloc]
    static rule cannot see a float boxed at a non-inlined call, which is
@@ -464,21 +546,26 @@ let unit_weight_churn () =
    tagged with its epoch.  The bound fails if each completion event
    captures its epoch in a closure of its own again (12.6 words), if
    [busy] or [min_rem] is boxed again on every store, or if [execute]
-   goes back to [Sim.await].  Measured on the second run, so one-off
-   growth of the core's arrays does not count. *)
-let test_uniform_serve_allocation () =
-  unit_weight_churn ();
-  let before = Gc.minor_words () in
-  unit_weight_churn ();
-  let per_execute = (Gc.minor_words () -. before) /. float_of_int (64 * 200) in
-  check_bool
-    (Printf.sprintf "%.1f minor words per execute < 4" per_execute)
-    true (per_execute < 4.0)
+   goes back to [Sim.await]. *)
+let test_uniform_serve_allocation () = check_words_per_execute ~weight:(fun _ -> 1.0)
+
+(* Water-filling builds nothing: its rounds are loops over the scratch
+   arrays, with the capacity and the weight sum in locals.  What is
+   left per [execute] is the suspension's continuation, as on the
+   uniform path (2.4 words on OCaml 5.1).  The reference model, whose
+   [compute_rates] builds three closures and their cells on every
+   call, reads 59.8. *)
+let test_weighted_serve_allocation () =
+  check_words_per_execute ~weight:(fun p -> if p land 1 = 0 then 1.0 else 2.0)
 
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_work_conservation; prop_uniform_path_matches_water_filling ]
+      [
+        prop_work_conservation;
+        prop_uniform_path_matches_water_filling;
+        prop_serve_pass_matches_reference;
+      ]
   in
   Alcotest.run "smt_core"
     [
@@ -518,6 +605,8 @@ let () =
           Alcotest.test_case "runnable count" `Quick test_runnable_count;
           Alcotest.test_case "uniform serve allocation" `Quick
             test_uniform_serve_allocation;
+          Alcotest.test_case "weighted serve allocation" `Quick
+            test_weighted_serve_allocation;
         ] );
       ("properties", qsuite);
     ]

@@ -140,6 +140,22 @@ let test_preemption_beats_fcfs_tail () =
   check_bool "preemption pays mechanism cycles" true
     (pre.Server.switch_overhead_cycles > fcfs.Server.switch_overhead_cycles)
 
+(* More requests in flight than the pool has workers: 5,000-cycle
+   requests at one per kcycle exhaust 16 workers, two runnable at a
+   time, with a fresh request at the queue's head.  A quantum tick must
+   not stop a worker then, since the stop frees no worker the head
+   needs: once every admitted worker was stopped that way, nothing ran,
+   no worker came free and the ticker kept the run going forever. *)
+let test_preemptive_exhausted_pool_completes () =
+  List.iter
+    (fun count ->
+      let cfg = mk_config ~seed:1L ~rate:1.0 ~service:(Dist.Constant 5000.0) ~count in
+      let stats =
+        Sched_policy.run ~pool:16 ~runnable_limit:2 ~mode:(Preemptive 500) cfg
+      in
+      check_int (Printf.sprintf "%d requests complete" count) count stats.Server.completed)
+    [ 20; 40 ]
+
 let test_sched_policy_rejects_bad_pool () =
   let cfg = mk_config ~seed:1L ~rate:0.1 ~service:(Dist.Constant 100.0) ~count:5 in
   Alcotest.check_raises "pool must exceed limit"
@@ -247,6 +263,8 @@ let () =
           QCheck_alcotest.to_alcotest sched_policy_preemptive_sanity;
           Alcotest.test_case "preemption beats fcfs tail" `Quick
             test_preemption_beats_fcfs_tail;
+          Alcotest.test_case "preemptive exhausted pool completes" `Quick
+            test_preemptive_exhausted_pool_completes;
           Alcotest.test_case "rejects bad pool" `Quick
             test_sched_policy_rejects_bad_pool;
         ] );

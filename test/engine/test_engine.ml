@@ -1347,6 +1347,48 @@ let test_wheel_advance_limit () =
    | exception Invalid_argument _ -> ());
   check_bool "empty" true (Wheel.is_empty w)
 
+(* A popped payload is collectable once its caller drops it, while the
+   wheel lives on, whichever way it reached the ready ring: pushed for
+   the cursor's tick, or chained for a later tick and re-homed by
+   [advance].  The ring holds only node indices; freeing the popped
+   node re-seeds its payload slot in the arena. *)
+let test_wheel_pop_releases_payload () =
+  let w = Wheel.create ~dummy:(ref (-1)) in
+  let n = 32 in
+  let weak = Weak.create (2 * n) in
+  let push i time =
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    Wheel.push w ~time payload
+  in
+  for i = 0 to n - 1 do
+    push i 0
+  done;
+  for i = n to (2 * n) - 1 do
+    push i 40
+  done;
+  let pop_all () =
+    while Wheel.ready w do
+      ignore (Sys.opaque_identity (Wheel.pop w))
+    done
+  in
+  pop_all ();
+  check_int "the later tick" 40 (Wheel.advance w ~limit:max_int);
+  for _ = 1 to n / 2 do
+    ignore (Sys.opaque_identity (Wheel.pop w))
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  let alive i = Weak.check weak i in
+  for i = 0 to n + (n / 2) - 1 do
+    check_bool (Printf.sprintf "popped payload %d collected" i) false (alive i)
+  done;
+  for i = n + (n / 2) to (2 * n) - 1 do
+    check_bool (Printf.sprintf "pending payload %d alive" i) true (alive i)
+  done;
+  pop_all ();
+  check_bool "empty" true (Wheel.is_empty w)
+
 let test_arena_reuse () =
   let a = Arena.create ~dummy:"dummy" in
   let i1 = Arena.alloc a ~time:5 ~tag:(-3) "one" in
@@ -1897,6 +1939,7 @@ let () =
           Alcotest.test_case "same-tick push order" `Quick test_wheel_same_tick_push_order;
           Alcotest.test_case "far list jump" `Quick test_wheel_far_list_jump;
           Alcotest.test_case "advance limit" `Quick test_wheel_advance_limit;
+          Alcotest.test_case "pop releases payload" `Quick test_wheel_pop_releases_payload;
           Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         ] );
       ( "sim",

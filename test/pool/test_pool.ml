@@ -29,7 +29,7 @@ let recorded =
       ("swsched exec", 0.0);
       ("swsched handoff", 8.0);
       ("mailbox send and recv", 9.0);
-      ("sched_policy admission", 132.468);
+      ("sched_policy admission", 130.468);
     ]
   | _ -> []
 

@@ -318,6 +318,22 @@ let test_histogram_record_n () =
   check_int "count" 1000 (Histogram.count h);
   check_float "mean" 10.0 (Histogram.mean h)
 
+(* The running sum lives in an all-float record, so recording boxes
+   nothing once the buckets cover the values (a float field of the
+   histogram record boxed one float per record: 2.00 words). *)
+let test_histogram_record_allocation () =
+  let h = Histogram.create () in
+  let v = ref 0 in
+  let record () =
+    v := (!v + 7919) land 0xFFFF;
+    Histogram.record h !v
+  in
+  for _ = 1 to 70_000 do
+    record ()
+  done;
+  let words = words_per_draw record in
+  Alcotest.(check (float 0.0)) "minor words per record" 0.0 words
+
 let prop_histogram_quantile_bounds =
   QCheck.Test.make ~name:"histogram quantiles within [min, max]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 200) (int_bound 1_000_000))
@@ -617,6 +633,8 @@ let () =
           Alcotest.test_case "reset" `Quick test_histogram_reset;
           Alcotest.test_case "negative rejected" `Quick test_histogram_negative_rejected;
           Alcotest.test_case "record_n" `Quick test_histogram_record_n;
+          Alcotest.test_case "record allocates nothing" `Quick
+            test_histogram_record_allocation;
         ] );
       ( "welford",
         [
