@@ -6,7 +6,7 @@ type config = { check_reads : bool }
 
 let default_config = { check_reads = false }
 
-let max_findings = 100  (* distinct ones recorded per chip; the rest are [dropped] *)
+let max_findings = 100  (* distinct ones recorded per chip; the rest are discarded *)
 let trace_capacity = 64  (* probe events kept as a finding's context *)
 
 type counts = { mutable total : int; mutable tracked : int }
@@ -17,7 +17,6 @@ type t = {
   writes : (Memory.addr, counts) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
   mutable findings_rev : Report.finding list;
-  mutable dropped : int;
   mutable events : int;
   mutable race : Race_detector.t option;
   mutable sanitizer : Sanitizer.t option;
@@ -47,9 +46,7 @@ let context t =
 let record t ~rule ~key ~message =
   if not (Hashtbl.mem t.seen key) then begin
     Hashtbl.replace t.seen key ();
-    if List.length t.findings_rev >= max_findings then
-      t.dropped <- t.dropped + 1
-    else
+    if List.length t.findings_rev < max_findings then
       t.findings_rev <-
         {
           Report.rule;
@@ -84,7 +81,6 @@ let enable ?(config = default_config) chip =
       writes = Hashtbl.create 256;
       seen = Hashtbl.create 64;
       findings_rev = [];
-      dropped = 0;
       events = 0;
       race = None;
       sanitizer = None;
@@ -107,8 +103,6 @@ let enable ?(config = default_config) chip =
   t
 
 let findings t = List.rev t.findings_rev
-
-let dropped t = t.dropped
 
 let finish t =
   if not t.finished then begin

@@ -39,9 +39,6 @@ val finish : t -> Report.finding list
 (** Run end-of-simulation checks (deadlock, state-store audit), detach
     the probe, and return all findings.  Idempotent. *)
 
-val dropped : t -> int
-(** Distinct findings discarded because 100 were already recorded. *)
-
 (** {2 Instrumenting chips created elsewhere} *)
 
 val with_all : (unit -> 'a) -> 'a * Report.finding list

@@ -476,10 +476,6 @@ let create sim params ~cores =
       th.pend_epoch <- no_delivery;
       deliver_wake th epoch th.pend_addr);
   Monitor.set_waiter monitor (fun mslot addr -> monitor_wake t.by_mslot.(mslot) addr);
-  t
-
-let create sim params ~cores =
-  let t = create sim params ~cores in
   Sim.announce (Chip t);
   t
 

@@ -54,8 +54,6 @@ type t = {
   transfers : int array;  (* wake transfers served per tier *)
   mutable demotions : int;
   mutable fault : (ptid:int -> corruption option) option;
-  mutable ecc_retries : int;
-  mutable silent_corruptions : int;
 }
 
 (* A fresh self-linked entry of no context in the Dram tier: the Dram
@@ -101,8 +99,6 @@ let create params =
     transfers = Array.make 4 0;
     demotions = 0;
     fault = None;
-    ecc_retries = 0;
-    silent_corruptions = 0;
   }
 
 let unlink e =
@@ -165,8 +161,6 @@ let link_by_recency t e =
 [@@sl.zero_alloc]
 
 let set_fault_hook t f = t.fault <- Some f
-let ecc_retry_count t = t.ecc_retries
-let silent_corruption_count t = t.silent_corruptions
 
 let capacity_bytes t = function
   | Register_file -> t.params.Params.rf_capacity_bytes
@@ -268,20 +262,15 @@ let wake_transfer_cycles t e =
   let cost = transfer_cycles t from in
   (* Fault injection: an ECC-corrected corruption re-reads the context
      (doubling the transfer cost, zero for RF-resident state whose read is
-     free); a silent corruption is undetectable by construction and only
-     counted, so experiments can assert how often it would have struck. *)
+     free); a silent corruption is undetectable by construction and
+     costs nothing.  The injector counts both. *)
   let cost =
     match t.fault with
     | None -> cost
     | Some f -> (
       match f ~ptid:e.ptid with
-      | Some Ecc_corrected ->
-        t.ecc_retries <- t.ecc_retries + 1;
-        cost * 2
-      | Some Silent ->
-        t.silent_corruptions <- t.silent_corruptions + 1;
-        cost
-      | None -> cost)
+      | Some Ecc_corrected -> cost * 2
+      | Some Silent | None -> cost)
   in
   t.transfers.(tier_index from) <- t.transfers.(tier_index from) + 1;
   (* Promote with the entry's old tick first — while making room it can

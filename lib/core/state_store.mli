@@ -94,16 +94,13 @@ val demotion_count : t -> int
 type corruption = Ecc_corrected | Silent
 (** A corrupted context read: [Ecc_corrected] is detected by the ECC logic
     and transparently re-read (the wake pays the transfer cost twice);
-    [Silent] escapes detection — the model only counts it, mirroring real
-    silent data corruption that no sanitizer can observe in-band. *)
+    [Silent] escapes detection and costs nothing, mirroring real silent
+    data corruption that no sanitizer can observe in-band; only the
+    injector's own count ([store.silent] in [Sl_fault.Fault.counts])
+    knows it struck. *)
 
 val set_fault_hook : t -> (ptid:int -> corruption option) -> unit
 (** Install a corruption predicate consulted once per
     {!wake_transfer_cycles}.  Installed by [Sl_fault.Fault]; at most one
     hook. *)
 
-val ecc_retry_count : t -> int
-(** Wake transfers that hit an ECC-corrected corruption and re-read. *)
-
-val silent_corruption_count : t -> int
-(** Wake transfers that hit a silent (undetected) corruption. *)

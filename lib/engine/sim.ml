@@ -11,15 +11,6 @@ module Time = struct
 
   let zero = 0
   let max_tick = max_int
-  (* The int-identity ops sit on the hot event loop; the budget keeps
-     them from regressing into boxing (e.g. an accidental int64). *)
-  let of_int n = n [@@sl.zero_alloc]
-  let to_int n = n [@@sl.zero_alloc]
-  let to_float = float_of_int
-  let add = ( + ) [@@sl.zero_alloc]
-  let compare = Int.compare [@@sl.zero_alloc]
-  let pp ppf n = Format.pp_print_int ppf n
-  let to_string = string_of_int
 end
 
 type blocked = {

@@ -40,13 +40,6 @@ module Time : sig
 
   val zero : t
   val max_tick : t
-  val of_int : int -> t
-  val to_int : t -> int
-  val to_float : t -> float
-  val add : t -> t -> t
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
-  val to_string : t -> string
 end
 
 type t

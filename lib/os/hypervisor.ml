@@ -22,7 +22,6 @@ module Isolated = struct
     chip : Chip.t;
     desc_base : Memory.addr;
     table : Tdt.t;
-    mutable next_vtid : int;
     mutable exits : int;
   }
 
@@ -32,7 +31,7 @@ module Isolated = struct
     let table = Tdt.create () in
     let hyp = Chip.add_thread chip ~core ~ptid:hyp_ptid ~mode:Ptid.User () in
     Chip.set_tdt hyp table;
-    let t = { chip; desc_base; table; next_vtid = 1; exits = 0 } in
+    let t = { chip; desc_base; table; exits = 0 } in
     Chip.attach hyp (fun th ->
         (* Parked on the descriptor between exits by design. *)
         Sim.set_daemon true;

@@ -1,11 +1,13 @@
 (* The paper's scale (§1: tens to thousands of hardware threads per
    core) as a heap and set-up check: 100 cores × 1,000 parked ptids,
    one doorbell each.  Each ptid must hold fewer than [heap_bound] heap
-   words once parked, under 1 KB: 105.6 on OCaml 5.1, 112.0 while the
+   words once parked, under 1 KB: 103.3 on OCaml 5.1, 104.3 while the
+   core kept a bill flag per slot beside its sums, 105.6 while the
+   wheel's ready ring kept payloads and tags of its own, 112.0 while the
    chip's ptid table was a Hashtbl beside a list of every thread, 123.0
    while every thread kept a monitor-waiter closure and every process a
    waker closure.  Setting one up, from [add_thread] until it is
-   parked, must allocate fewer than [setup_bound] minor words: 85.5 on
+   parked, must allocate fewer than [setup_bound] minor words: 85.0 on
    OCaml 5.1, 92.5 with that Hashtbl and list, 151.5 while the thread,
    its context and its process were each built twice through a
    [let rec].  The host time per ptid is printed, not gated.
@@ -14,7 +16,7 @@
 
      dune exec test/core/paper_scale_heap.exe *)
 
-let heap_bound = 109.0
+let heap_bound = 106.0
 let setup_bound = 89.0
 
 let () =

@@ -244,6 +244,7 @@ type outcome = {
   done_at : int list;  (* by job *)
   wakes : int list;  (* jobs in the order their executes returned *)
   billed : int64 list;  (* by job *)
+  bill : (int * int64) list;  (* [billed_threads], without the idle slot *)
   work : int64 list;  (* useful, poll, overhead *)
   busy : int64;
   events : int;
@@ -261,6 +262,7 @@ module type CORE = sig
   val busy_capacity_cycles : t -> float
   val work_done : t -> Smt_core.kind -> float
   val thread_cycles : t -> slot:int -> float
+  val billed_threads : t -> (int * float) list
 end
 
 (* Job [i] runs at [weight i]. *)
@@ -273,6 +275,9 @@ let run_job_set (module C : CORE) ~width ~weight jobs =
   let done_at = Array.make n (-1) in
   let wakes = ref [] in
   let slots = Array.init n (fun ptid -> C.add_slot core ~ptid) in
+  (* A slot runnable throughout that never runs: water-filling must
+     leave its position out, and [billed_threads] must not list it. *)
+  C.set_runnable core ~slot:(C.add_slot core ~ptid:n) ~weight:1.0 true;
   List.iteri
     (fun ptid j ->
       let slot = slots.(ptid) and weight = weight ptid in
@@ -301,6 +306,7 @@ let run_job_set (module C : CORE) ~width ~weight jobs =
     done_at = Array.to_list done_at;
     wakes = List.rev !wakes;
     billed = Array.to_list (Array.map (fun slot -> bits (C.thread_cycles core ~slot)) slots);
+    bill = List.map (fun (ptid, c) -> (ptid, bits c)) (C.billed_threads core);
     work =
       List.map
         (fun k -> bits (C.work_done core k))
@@ -333,9 +339,10 @@ let prop_uniform_path_matches_water_filling =
    each job through a call inside it: random job sets with a weight
    per job from 1.0, 2.0 and 0.25 (unit sets take the uniform path,
    mixed ones water-fill and cap), mixed kinds and stop/start toggles
-   must leave the same completion ticks, wake order, billing, work by
-   kind, busy capacity and event count.  A completion list walked
-   newest first fails it. *)
+   must leave the same completion ticks, wake order, billing (the
+   threads [billed_threads] lists too, which leave out a slot that
+   never ran), work by kind, busy capacity and event count.  A
+   completion list walked newest first fails it. *)
 let prop_serve_pass_matches_reference =
   let open QCheck.Gen in
   (* Starts and lengths drawn from a few round values as often as not,
@@ -549,8 +556,8 @@ let check_words_per_execute ~weight =
    goes back to [Sim.await]. *)
 let test_uniform_serve_allocation () = check_words_per_execute ~weight:(fun _ -> 1.0)
 
-(* Water-filling builds nothing: its rounds are loops over the scratch
-   arrays, with the capacity and the weight sum in locals.  What is
+(* Water-filling builds nothing: its rounds are loops over the runnable
+   array, with the capacity and the weight sum in locals.  What is
    left per [execute] is the suspension's continuation, as on the
    uniform path (2.4 words on OCaml 5.1).  The reference model, whose
    [compute_rates] builds three closures and their cells on every

@@ -12,7 +12,10 @@ module Mailbox = Sl_engine.Mailbox
 module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
+module Memory = Switchless.Memory
+module Monitor = Switchless.Monitor
 module Ptid = Switchless.Ptid
+module State_store = Switchless.State_store
 module Hw_dispatch = Switchless.Hw_dispatch
 module Swsched = Sl_baseline.Swsched
 module Server = Sl_dist.Server
@@ -30,6 +33,9 @@ let recorded =
       ("swsched handoff", 8.0);
       ("mailbox send and recv", 9.0);
       ("sched_policy admission", 130.468);
+      ("chip park and wake", 7.0);
+      ("state_store wake", 0.0);
+      ("monitor arm and disarm", 0.0);
     ]
   | _ -> []
 
@@ -198,6 +204,92 @@ let sched_policy_words pool =
 let test_sched_policy () =
   check_flat "sched_policy admission" ~tolerance:0.05 ~small:16 ~large:160 sched_policy_words
 
+(* --- Chip: a parked thread woken by a write, back to parked --- *)
+
+(* [threads] threads on one core, each armed on its own doorbell and
+   looping in [mwait]; a plain process writes the doorbells round
+   robin, one write every 1,000 cycles, so each woken thread is parked
+   again before the next write.  A round trip is the monitor's wake,
+   the chip's delivery event, the thread's wake transfer and its next
+   park: 7 words with 100 threads parked or 1,000. *)
+let park_wake_words threads =
+  per_op ~ops:2_000 (fun n ->
+      let sim = Sim.create () in
+      let chip = Chip.create sim Params.default ~cores:1 in
+      let memory = Chip.memory chip in
+      let base = Memory.alloc memory threads in
+      let woken = ref 0 in
+      let body th =
+        Isa.monitor th (base + Chip.ptid th - 1);
+        while true do
+          ignore (Isa.mwait th : Memory.addr);
+          incr woken
+        done
+      in
+      for ptid = 1 to threads do
+        let th = Chip.add_thread chip ~core:0 ~ptid ~mode:Ptid.User () in
+        Chip.attach th body;
+        Chip.boot th
+      done;
+      Sim.spawn sim (fun () ->
+          Sim.delay 1_000_000;
+          for i = 0 to n - 1 do
+            Memory.write memory (base + (i mod threads)) 1L;
+            Sim.delay 1_000
+          done);
+      let words = minor_words (fun () -> Sim.run sim) in
+      Alcotest.(check int) "every write woke its thread" n !woken;
+      words)
+
+let test_chip () = check_flat "chip park and wake" ~small:100 ~large:1_000 park_wake_words
+
+(* --- State_store: a wake transfer --- *)
+
+(* [entries] contexts of 1 KB registered in one store, woken round
+   robin: with more contexts than the register file holds (64), each
+   wake promotes the coldest context and demotes others down the tiers.
+   Nothing allocated with 1,000 contexts or 10,000 (most of them in
+   DRAM). *)
+let store_wake_words entries =
+  per_op ~ops:10_000 (fun n ->
+      let store = State_store.create Params.default in
+      let contexts =
+        Array.init entries (fun ptid -> State_store.register store ~ptid ~bytes:1_024)
+      in
+      let words =
+        minor_words (fun () ->
+            for i = 0 to n - 1 do
+              ignore (State_store.wake_transfer_cycles store contexts.(i mod entries) : int)
+            done)
+      in
+      Alcotest.(check bool) "wakes demote contexts" true (State_store.demotion_count store > 0);
+      words)
+
+let test_state_store () =
+  check_flat "state_store wake" ~small:1_000 ~large:10_000 store_wake_words
+
+(* --- Monitor: an arm and a disarm --- *)
+
+(* [slots] slots of one core, each armed on its own address; an
+   operation disarms one slot, round robin, and arms it again: nothing
+   allocated with 100 slots armed or 1,000. *)
+let monitor_words slots =
+  per_op ~ops:10_000 (fun n ->
+      let monitor = Monitor.create Params.default in
+      let addr slot = 1_000 + slot in
+      for _ = 1 to slots do
+        let slot = Monitor.register monitor ~core_id:0 in
+        Monitor.arm monitor slot (addr slot)
+      done;
+      minor_words (fun () ->
+          for i = 0 to n - 1 do
+            let slot = i mod slots in
+            Monitor.disarm_all monitor slot;
+            Monitor.arm monitor slot (addr slot)
+          done))
+
+let test_monitor () = check_flat "monitor arm and disarm" ~small:100 ~large:1_000 monitor_words
+
 let () =
   Alcotest.run "pool"
     [
@@ -207,5 +299,8 @@ let () =
           Alcotest.test_case "swsched exec" `Quick test_swsched;
           Alcotest.test_case "mailbox send and recv" `Quick test_mailbox;
           Alcotest.test_case "sched_policy admission" `Slow test_sched_policy;
+          Alcotest.test_case "chip park and wake" `Quick test_chip;
+          Alcotest.test_case "state_store wake" `Quick test_state_store;
+          Alcotest.test_case "monitor arm and disarm" `Quick test_monitor;
         ] );
     ]
