@@ -6,8 +6,8 @@
    words allocated and GC pressure (minor/major collections during the
    run).  The harness
    writes them as a JSON file (via -perf-out), with the process's peak
-   heap after the whole run, for scripts/ab.py and the counts golden in
-   test/golden. *)
+   heap after the whole run and the build profile, for scripts/ab.py and
+   the counts golden in test/golden. *)
 
 module Json = Sl_util.Json
 
@@ -34,7 +34,8 @@ let record_json r =
 let suite_json ~jobs ~total_wall_s ~top_heap_words records =
   Json.obj
     [
-      ("schema", Json.quote "switchless-bench-perf/4");
+      ("schema", Json.quote "switchless-bench-perf/5");
+      ("profile", Json.quote Build_profile.name);
       ("jobs", string_of_int jobs);
       ("domains_available", string_of_int (Domain.recommended_domain_count ()));
       ("total_wall_s", Json.float total_wall_s);

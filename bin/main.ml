@@ -602,8 +602,8 @@ let check_cmd =
        ~doc:
          "Typed static analysis over the compiled typedtrees: \
           arm-before-park/register protocol, domain-safety of top-level \
-          state, determinism/print hygiene, and the [@@sl.zero_alloc] \
-          allocation budget.")
+          state, determinism/print hygiene, polymorphic compare at \
+          immediate types, and the [@@sl.zero_alloc] allocation budget.")
     Term.(const run $ roots $ allow $ report_file)
 
 let () =

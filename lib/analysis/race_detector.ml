@@ -49,7 +49,7 @@ let addr_state t addr =
 let writers t addr =
   match Hashtbl.find_opt t.writer_sets addr with
   | None -> []
-  | Some set -> Hashtbl.fold (fun p () acc -> p :: acc) set [] |> List.sort compare
+  | Some set -> Hashtbl.fold (fun p () acc -> p :: acc) set [] |> List.sort Int.compare
 
 let note_writer t addr ptid =
   let set =

@@ -135,7 +135,7 @@ let check_deadlock t ~addr_writes =
   List.iter (fun (p, _) -> Hashtbl.replace cand p ()) candidates;
   let edges p addrs =
     List.concat_map t.writers addrs
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
     |> List.filter (fun v -> v <> p && Hashtbl.mem cand v)
   in
   let remaining = ref candidates in

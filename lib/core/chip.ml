@@ -411,7 +411,7 @@ let crash_mark th ~kind ~restart_after =
   | Ptid.Waiting -> stop_waiting th ~reason:"crash-stop"
   | Ptid.Disabled -> ());
   if chip.probe_on then emit chip (Probe.Fault_injected { ptid = th.t_ptid; kind });
-  let restart_at = Sim.time chip.sim + max 1 restart_after in
+  let restart_at = Sim.time chip.sim + Int.max 1 restart_after in
   Sim.schedule chip.sim ~at:restart_at (fun () ->
       (* A start issued between crash and restart already respawned the
          body (see [do_start]); don't spawn a second instruction stream. *)
@@ -525,7 +525,7 @@ let add_thread t ~core:core_id ~ptid ~mode ?(vector = false) ?(weight = 1.0) () 
      never read. *)
   let n = Array.length t.by_mslot in
   if mslot >= n then begin
-    let a = Array.make (max (mslot + 1) (max 8 (2 * n))) th in
+    let a = Array.make (Int.max (mslot + 1) (Int.max 8 (2 * n))) th in
     Array.blit t.by_mslot 0 a 0 n;
     t.by_mslot <- a
   end;
@@ -613,7 +613,7 @@ let inject_park_faults th f epoch =
   | None -> ()
   | Some (after, restart_after) ->
     Sim.schedule chip.sim
-      ~at:(Sim.time chip.sim + max 0 after)
+      ~at:(Sim.time chip.sim + Int.max 0 after)
       (fun () ->
         if unclaimed th epoch then begin
           crash_mark th ~kind:"crash-park" ~restart_after;

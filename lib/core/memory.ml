@@ -44,7 +44,7 @@ let read t addr =
   else 0L
 
 let grow src i =
-  let cap = max (i + 1) (max 512 (2 * Array.length src)) in
+  let cap = Int.max (i + 1) (Int.max 512 (2 * Array.length src)) in
   let cells = Array.make cap 0L in
   Array.blit src 0 cells 0 (Array.length src);
   cells

@@ -73,7 +73,7 @@ let set_waiter t f = t.waiter <- f
 let register t ~core_id =
   let s = t.slots in
   if s = Array.length t.s_core then begin
-    let cap = max 64 (2 * s) in
+    let cap = Int.max 64 (2 * s) in
     let grow a def =
       let b = Array.make cap def in
       Array.blit a 0 b 0 s;
@@ -104,7 +104,7 @@ let alloc_pair t =
   else begin
     let p = t.pairs in
     if p = Array.length t.p_addr then begin
-      let cap = max 64 (2 * p) in
+      let cap = Int.max 64 (2 * p) in
       let grow a =
         let b = Array.make cap (-1) in
         Array.blit a 0 b 0 p;

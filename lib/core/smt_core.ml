@@ -104,7 +104,7 @@ type t = {
 let ensure_slot t slot =
   let n = Array.length t.j_kind in
   if slot >= n then begin
-    let cap = max (slot + 1) (2 * n) in
+    let cap = Int.max (slot + 1) (2 * n) in
     let grow a def =
       let b = Array.make cap def in
       Array.blit a 0 b 0 n;
@@ -175,7 +175,7 @@ let runnable_remove t slot =
 let compute_rates t =
   let count = t.rcount in
   if Array.length t.srate < count then begin
-    let cap = max count (2 * Array.length t.srate) in
+    let cap = Int.max count (2 * Array.length t.srate) in
     t.srate <- Array.make cap 0.0;
     t.scapped <- Array.make cap false
   end;

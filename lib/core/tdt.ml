@@ -109,7 +109,7 @@ module Cache = struct
     | None ->
       let m = Sl_util.Dense.create () in
       if cache.n = Array.length cache.tids then begin
-        let cap = max 4 (2 * cache.n) in
+        let cap = Int.max 4 (2 * cache.n) in
         let tids = Array.make cap 0 and lines = Array.make cap m in
         Array.blit cache.tids 0 tids 0 cache.n;
         Array.blit cache.lines 0 lines 0 cache.n;

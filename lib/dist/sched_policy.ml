@@ -61,7 +61,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
               Isa.exec th req.Openloop.service_cycles;
               let sojourn = Sim.now () - req.Openloop.arrival in
               Histogram.record latencies sojourn;
-              let demand = float_of_int (max 1 req.Openloop.service_cycles) in
+              let demand = float_of_int (Int.max 1 req.Openloop.service_cycles) in
               slowdowns := (float_of_int sojourn /. demand) :: !slowdowns;
               w.req <- None;
               incr done_count;

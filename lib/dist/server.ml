@@ -23,7 +23,7 @@ let percentile sorted q =
   if n = 0 then 0.0
   else begin
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-    let idx = max 0 (min (n - 1) (rank - 1)) in
+    let idx = Int.max 0 (Int.min (n - 1) (rank - 1)) in
     sorted.(idx)
   end
 
@@ -39,7 +39,7 @@ type config = {
 let record latencies slowdowns (req : Openloop.request) =
   let sojourn = Sim.now () - req.Openloop.arrival in
   Histogram.record latencies sojourn;
-  let demand = float_of_int (max 1 req.Openloop.service_cycles) in
+  let demand = float_of_int (Int.max 1 req.Openloop.service_cycles) in
   slowdowns := (float_of_int sojourn /. demand) :: !slowdowns
 
 let finish ~sim ~latencies ~slowdowns ~switch_overhead =

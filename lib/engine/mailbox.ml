@@ -7,7 +7,7 @@ let ring () = { slots = [||]; head = 0; len = 0 }
 
 let grow r =
   let cap = Array.length r.slots in
-  let slots = Array.make (max 4 (2 * cap)) None in
+  let slots = Array.make (Int.max 4 (2 * cap)) None in
   for i = 0 to r.len - 1 do
     slots.(i) <- r.slots.((r.head + i) land (cap - 1))
   done;

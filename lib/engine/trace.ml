@@ -25,7 +25,7 @@ let events t =
   done;
   !collected
 
-let length t = min t.total t.capacity
+let length t = Int.min t.total t.capacity
 
 let total_recorded t = t.total
 

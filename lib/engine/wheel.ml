@@ -96,7 +96,7 @@ let ready t = t.len > 0
    empty, so a world that never schedules costs nothing here. *)
 let ring_grow t =
   let cap = Array.length t.ring in
-  let ring = Array.make (max 8 (2 * cap)) Arena.nil in
+  let ring = Array.make (Int.max 8 (2 * cap)) Arena.nil in
   for k = 0 to t.len - 1 do
     ring.(k) <- t.ring.((t.head + k) land (cap - 1))
   done;

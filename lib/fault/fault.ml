@@ -346,7 +346,7 @@ let attach_chip t chip =
              && draw t t.crash_rng "crash.park" t.plan.crash_park
           then
             Some
-              ( Rng.int t.crash_rng (max 1 t.plan.crash_park_delay),
+              ( Rng.int t.crash_rng (Int.max 1 t.plan.crash_park_delay),
                 t.plan.crash_restart_cycles )
           else None);
       crash_at_wake =

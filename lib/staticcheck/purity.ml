@@ -46,6 +46,44 @@ let hashtbl_order_banned =
 
 let sorts = [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq" ]
 
+(* Stdlib's polymorphic orderings.  [min] and [max] are compiled once,
+   for every type, so at type int each of their comparisons still calls
+   compare_val.  The compiler specializes [compare] at an immediate type,
+   called or passed as a value, but the type's own ordering pins the
+   type: were the values to stop being immediate, [compare] would turn
+   into compare_val unnoticed, where [Int.compare] stops compiling. *)
+let stdlib_ordering p =
+  match p with
+  | Path.Pdot (Path.Pident m, (("min" | "max" | "compare") as f))
+    when Ident.name m = "Stdlib" ->
+    Some f
+  | _ -> None
+
+(* The name of the type an ordering is instantiated at, when it is
+   immediate: int, char, or a variant whose constructors are all
+   constant (bool among them).  An abstract type is not, whatever its
+   definition. *)
+let immediate_arg env ty =
+  let env = Spath.full_env env in
+  let constant cd =
+    match cd.Types.cd_args with Types.Cstr_tuple [] -> true | _ -> false
+  in
+  match Types.get_desc (Ctype.expand_head env ty) with
+  | Types.Tarrow (_, arg, _, _) -> (
+    match Types.get_desc (Ctype.expand_head env arg) with
+    | Types.Tconstr (p, _, _) ->
+      let immediate =
+        Path.same p Predef.path_int || Path.same p Predef.path_char
+        ||
+        match (Env.find_type p env).Types.type_kind with
+        | Types.Type_variant (cds, _) -> List.for_all constant cds
+        | _ -> false
+        | exception Not_found -> false
+      in
+      if immediate then Some (Spath.name p) else None
+    | _ -> None)
+  | _ -> None
+
 type ctx = {
   file : string;
   mutable binding : string;
@@ -102,6 +140,20 @@ let visit_expr ctx e =
             sort its result straight away, or justify an order-free \
             reduction in staticcheck.allow"
            (Spath.name p));
+    (match stdlib_ordering p with
+    | Some f -> (
+      match immediate_arg e.exp_env e.exp_type with
+      | Some ty ->
+        report ctx ~rule:"poly-compare" ~loc:e.exp_loc
+          (Printf.sprintf "Stdlib.%s at immediate type %s %s; use %s" f ty
+             (if f = "compare" then
+                "is the polymorphic compare by name, and calls compare_val \
+                 unnoticed once the type stops being immediate"
+              else "goes through the polymorphic compare (compare_val)")
+             (if ty = "int" then "Int." ^ f
+              else "the type's own ordering (Char.compare, Bool.compare or a match)"))
+      | None -> ())
+    | None -> ());
     match Spath.matches_any determinism_banned p with
     | Some _ ->
       report ctx ~rule:"determinism" ~loc:e.exp_loc

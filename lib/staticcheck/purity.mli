@@ -13,6 +13,16 @@
     reduction (a count, a max over distinct keys) takes a justified
     allowlist line instead.
 
+    [poly-compare] flags [Stdlib.min], [Stdlib.max] and [Stdlib.compare],
+    called or passed as a value, where the type they are instantiated at
+    is immediate: int, char, or a variant of constant constructors (bool
+    among them).  [min] and [max] call [compare_val] there, where
+    [Int.min] and [Int.max] compare two ints.  The compiler specializes
+    [compare] itself at such a type, but [Int.compare] (or the type's own
+    ordering) pins the type, so a later change of the type cannot turn
+    it into [compare_val] unnoticed.  A type variable, an abstract type,
+    a float or a string is not flagged.
+
     [no-print] has no exempt directory: nothing in [lib/] prints. *)
 
 val check : file:string -> Typedtree.structure -> Site.t list

@@ -7,8 +7,9 @@
       monitor/mwait boot-window protocol.
     - [domain-safety] — {!Domain_safety}: top-level mutable state must
       be [Atomic.t] or [Domain.DLS].
-    - [determinism] / [no-print] / [no-blanket-catch] — {!Purity}:
-      hygiene rules on resolved identifiers.
+    - [determinism] / [no-print] / [no-blanket-catch] /
+      [hashtbl-order] / [poly-compare] — {!Purity}: hygiene rules on
+      resolved identifiers.
     - [zero-alloc] — {!Zero_alloc}: the [\[@@sl.zero_alloc\]] hot-path
       allocation budget.
 

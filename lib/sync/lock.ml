@@ -150,8 +150,8 @@ let must_arm s =
    take any first gap of 1 or more to the cap, so twelve steps cover
    every [i]. *)
 let backoff first i =
-  let rec go b i = if i = 0 then b else go (min spin_cap (b * 2)) (i - 1) in
-  go first (min i 12)
+  let rec go b i = if i = 0 then b else go (Int.min spin_cap (b * 2)) (i - 1) in
+  go first (Int.min i 12)
 
 (* --- Waits as steps ----------------------------------------------------------
 
@@ -243,7 +243,7 @@ and gap t s =
   | Tas -> backoff (Chip.params t.chip).Params.cas_cycles s.iter
   (* Backoff proportional to queue distance: a waiter k places back
      cannot be served for at least k critical sections. *)
-  | Ticket -> min spin_cap (max 16 ((s.goal - s.seen) * 64))
+  | Ticket -> Int.min spin_cap (Int.max 16 ((s.goal - s.seen) * 64))
   | Mcs_spin | Mcs_mwait | Park_mwait | Park_sw -> backoff 32 s.iter
 
 and note_park t s =
@@ -284,7 +284,7 @@ let register t th =
   s.step <- (fun () -> step t s);
   let i = t.nslots in
   if i = Array.length t.slots then begin
-    let a = Array.make (max 8 (2 * i)) s in
+    let a = Array.make (Int.max 8 (2 * i)) s in
     Array.blit t.slots 0 a 0 i;
     t.slots <- a
   end;
@@ -530,11 +530,11 @@ let stats t =
   let counts =
     Sl_util.Dense.fold (fun p i acc -> (p, t.slots.(i).count) :: acc) t.slot_ix []
   in
-  let max_count = List.fold_left (fun m (_, c) -> max m c) 0 counts in
+  let max_count = List.fold_left (fun m (_, c) -> Int.max m c) 0 counts in
   let min_count =
     match counts with
     | [] -> 0
-    | _ -> List.fold_left (fun m (_, c) -> min m c) max_int counts
+    | _ -> List.fold_left (fun m (_, c) -> Int.min m c) max_int counts
   in
   {
     acquires = t.acquires;

@@ -42,7 +42,7 @@ let create ~dummy =
 let live t = t.live
 
 let grow t =
-  let capacity' = max 16 (2 * Array.length t.times) in
+  let capacity' = Int.max 16 (2 * Array.length t.times) in
   let times = Array.make capacity' 0 in
   Array.blit t.times 0 times 0 t.high;
   t.times <- times;

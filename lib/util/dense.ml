@@ -28,7 +28,7 @@ let set t k v =
     Array.unsafe_set t.a 0 v
   end
   else if i >= n then begin
-    let cap = max 16 (max (i + 1) (2 * n)) in
+    let cap = Int.max 16 (Int.max (i + 1) (2 * n)) in
     let a = Array.make cap t.default in
     Array.blit t.a 0 a 0 n;
     t.a <- a;
@@ -37,9 +37,9 @@ let set t k v =
   else begin
     (* Below the window: rebase so [k] becomes a valid index, doubling
        so a descending key sequence stays amortized O(1). *)
-    let nbase = min k (t.base - n) in
+    let nbase = Int.min k (t.base - n) in
     let shift = t.base - nbase in
-    let a = Array.make (max 16 (shift + n)) t.default in
+    let a = Array.make (Int.max 16 (shift + n)) t.default in
     Array.blit t.a 0 a shift n;
     t.a <- a;
     t.base <- nbase;

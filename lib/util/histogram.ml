@@ -56,7 +56,7 @@ let value_of idx =
 let ensure_capacity t idx =
   let n = Array.length t.buckets in
   if idx >= n then begin
-    let n' = max (idx + 1) (2 * n) in
+    let n' = Int.max (idx + 1) (2 * n) in
     let b = Array.make n' 0 in
     Array.blit t.buckets 0 b 0 n;
     t.buckets <- b
@@ -92,7 +92,7 @@ let quantile t q =
   if t.count = 0 then 0
   else begin
     let rank = int_of_float (ceil (q *. float_of_int t.count)) in
-    let rank = max rank 1 in
+    let rank = Int.max rank 1 in
     let acc = ref 0 and result = ref t.max_v and found = ref false in
     (try
        for i = 0 to Array.length t.buckets - 1 do

@@ -18,7 +18,7 @@ let run_ordered ~jobs f items ~consume =
   else if jobs <= 1 || n = 1 then
     Array.iteri (fun i x -> consume i (f x)) items
   else begin
-    let workers = min jobs n in
+    let workers = Int.min jobs n in
     let next = Atomic.make 0 in
     let results = Array.make n None in
     let m = Mutex.create () in

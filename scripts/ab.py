@@ -24,7 +24,10 @@ test/golden, where an intended change is promoted, so here they are
 reported only.  Beside each experiment's wall time it prints each
 side's median minor and major collections, which tell GC work apart
 from the experiment's own.  An experiment on one side only, or a base
-perf file without minor words, is reported and not compared.  The suite
+perf file without minor words, is reported and not compared.  It prints
+the build profile each side's perf file names ("dev (no field)" for a
+base from before perf files named it) and marks a run whose sides differ
+"mixed profiles": such a run times two builds, not two changes.  The suite
 gates wall time: it fails when an experiment whose base median is at
 least MIN_WALL_S has a change median more than MAX_SLOWDOWN times it.
 
@@ -127,13 +130,14 @@ class Side:
         checked(["dune", "build", "--root", ".", "./bench/main.exe"], self.root)
 
     def suite(self, exps, out):
-        """(stdout bytes, {id: perf record}, total wall) of one -j 1 run."""
+        """(stdout bytes, {id: perf record}, total wall, build profile) of one
+        -j 1 run."""
         exe = os.path.join(self.root, "_build", "default", "bench", "main.exe")
         proc = checked([exe, "-perf-out", out] + exps, self.root)
         with open(out) as f:
             perf = json.load(f)
         recs = {r["id"]: r for r in perf["experiments"]}
-        return proc.stdout, recs, perf["total_wall_s"]
+        return proc.stdout, recs, perf["total_wall_s"], perf.get("profile", "dev (no field)")
 
     def build_perfbench(self):
         env = dict(os.environ, DUNE_CACHE="disabled")
@@ -209,7 +213,7 @@ def suite_pairs(base, change, exps, pairs, scratch):
         got = {}
         for side in order:
             got[side.name] = side.suite(exps, os.path.join(scratch, side.name + ".json"))
-        (bout, brec, bwall), (cout, crec, cwall) = got["base"], got["change"]
+        (bout, brec, bwall, bprof), (cout, crec, cwall, cprof) = got["base"], got["change"]
         notes = ["stdout " + ("identical" if bout == cout else "differs")]
         notes += ["%s on the %s side only" % (e, "base" if e in brec else "change")
                   for e in sorted(set(brec) ^ set(crec))]
@@ -220,6 +224,8 @@ def suite_pairs(base, change, exps, pairs, scratch):
             if e in crec:
                 walls.setdefault(e, []).append((brec[e]["wall_s"], crec[e]["wall_s"]))
                 recs.setdefault(e, []).append((brec[e], crec[e]))
+    print("build profiles: base %s, change %s%s" % (
+        bprof, cprof, "" if bprof == cprof else " (mixed profiles)"))
     samples = {"suite.wall_s": totals}
     samples.update((e + ".wall_s", ws) for e, ws in walls.items())
     summarize(samples, lambda _m: "lower",

@@ -93,6 +93,22 @@ let test_hashtbl_order_silent_on_sorted () =
   Alcotest.check pairs "sort, pipe into sort, sort @@, strings" []
     (findings purity "hashtbl_order_good.ml")
 
+let test_poly_compare_flags_immediate_types () =
+  Alcotest.check pairs "called, passed, aliased; int, char, constant variant"
+    [
+      ("poly-compare", "clamp");
+      ("poly-compare", "grow");
+      ("poly-compare", "sort_ints");
+      ("poly-compare", "latest");
+      ("poly-compare", "order");
+      ("poly-compare", "smallest");
+    ]
+    (findings purity "poly_compare_bad.ml")
+
+let test_poly_compare_silent_elsewhere () =
+  Alcotest.check pairs "Int's own, float, string, generic, abstract, local" []
+    (findings purity "poly_compare_good.ml")
+
 (* --- missing mli ---------------------------------------------------------- *)
 
 let mli_findings basename =
@@ -230,6 +246,10 @@ let () =
             test_hashtbl_order_flags_traversals;
           Alcotest.test_case "sorted traversals silent" `Quick
             test_hashtbl_order_silent_on_sorted;
+          Alcotest.test_case "immediate-type orderings flagged" `Quick
+            test_poly_compare_flags_immediate_types;
+          Alcotest.test_case "other orderings silent" `Quick
+            test_poly_compare_silent_elsewhere;
         ] );
       ( "missing-mli",
         [
