@@ -151,8 +151,8 @@ let lock_scaling_rows () =
 
 (* -- primitive kernels -- *)
 
-(* Hand every tick up to [limit] to the ring and pop it, as Sim's run
-   loop does. *)
+(* Hand every tick up to [limit] to the ready chain and pop it, as
+   Sim's run loop does. *)
 let rec drain_wheel q ~limit =
   while Wheel.ready q do
     ignore (Wheel.pop q)
@@ -185,7 +185,7 @@ let bench_wheel_ballast =
          drain_wheel q ~limit:999))
 
 (* Every event at the cursor's tick, as a wake's hop is: each push
-   goes straight to the ready ring and the next pop takes it. *)
+   goes straight to the ready chain and the next pop takes it. *)
 let bench_wheel_same_tick =
   let q = Wheel.create ~dummy:0 in
   Test.make ~name:"primitive:wheel same-tick push/pop x1k"
@@ -229,7 +229,7 @@ let bench_sim_delay_hops =
              done);
          Sim.run sim))
 
-(* Every hop is an [await] resumed at the same tick: the ready ring's
+(* Every hop is an [await] resumed at the same tick: the ready chain's
    push/pop plus the effect suspend/resume around it. *)
 let bench_sim_await_hops =
   Test.make ~name:"primitive:engine 1k same-tick await/resume hops"

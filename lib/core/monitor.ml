@@ -35,8 +35,6 @@ type t = {
   mutable pairs : int;  (* arena high-water mark *)
   by_addr : Sl_util.Dense.t;  (* addr -> watcher-list head pair; -1 *)
   core_armed : Sl_util.Dense.t;  (* core_id -> armed count *)
-  mutable scratch : int array;  (* write-delivery snapshot buffer *)
-  mutable in_write : bool;
   mutable fault_drop : (unit -> bool) option;
   mutable waiter : int -> Memory.addr -> unit;  (* slot -> written addr *)
 }
@@ -61,8 +59,6 @@ let create params =
     pairs = 0;
     by_addr = Sl_util.Dense.create ();
     core_armed = Sl_util.Dense.create ~default:0 ();
-    scratch = Array.make 16 0;
-    in_write = false;
     fault_drop = None;
     waiter = no_waiter;
   }
@@ -193,52 +189,33 @@ let armed t s =
   done;
   !acc
 
+(* Deliver straight off the watcher list, most recently armed first.
+   Nothing a delivery runs arms or disarms (the waiter's contract, see
+   monitor.mli; the fault hook only draws), so the list holds still
+   during the walk. *)
 let on_write t addr _value =
-  let head = Sl_util.Dense.get t.by_addr addr in
-  if head >= 0 then begin
-    (* Snapshot the watcher slots before delivering: wake callbacks may
-       re-arm and relink the list mid-iteration (the old implementation
-       snapshotted the watcher cons-list for the same reason).  The
-       scratch buffer is reused across writes; a re-entrant write from
-       inside a wake callback falls back to a fresh buffer. *)
-    let outer = not t.in_write in
-    let buf = ref (if outer then t.scratch else Array.make 16 0) in
-    let n = ref 0 in
-    let p = ref head in
-    while !p >= 0 do
-      if !n = Array.length !buf then begin
-        let b = Array.make (2 * !n) 0 in
-        Array.blit !buf 0 b 0 !n;
-        buf := b;
-        if outer then t.scratch <- b
-      end;
-      (!buf).(!n) <- t.p_slot.(!p);
-      incr n;
-      p := t.p_anext.(!p)
-    done;
-    if outer then t.in_write <- true;
-    for i = 0 to !n - 1 do
-      let s = (!buf).(i) in
-      (* Fault injection: a dropped delivery loses this one write for
-         this one watcher — neither wake nor latch happens, exactly the
-         lost-wakeup hardware failure.  A later write still wakes. *)
-      let dropped =
-        match t.fault_drop with Some f -> f () | None -> false
-      in
-      if not dropped then begin
-        if t.s_parked.(s) = 1 then begin
-          t.s_parked.(s) <- 0;
-          t.waiter s addr
-        end
-        else if
-          (* Latch the first trigger; later ones coalesce, as a level-
-             triggered doorbell would. *)
-          t.s_pending.(s) < 0
-        then t.s_pending.(s) <- addr
+  let p = ref (Sl_util.Dense.get t.by_addr addr) in
+  while !p >= 0 do
+    let s = t.p_slot.(!p) in
+    (* Fault injection: a dropped delivery loses this one write for
+       this one watcher — neither wake nor latch happens, exactly the
+       lost-wakeup hardware failure.  A later write still wakes. *)
+    let dropped =
+      match t.fault_drop with Some f -> f () | None -> false
+    in
+    if not dropped then begin
+      if t.s_parked.(s) = 1 then begin
+        t.s_parked.(s) <- 0;
+        t.waiter s addr
       end
-    done;
-    if outer then t.in_write <- false
-  end
+      else if
+        (* Latch the first trigger; later ones coalesce, as a level-
+           triggered doorbell would. *)
+        t.s_pending.(s) < 0
+      then t.s_pending.(s) <- addr
+    end;
+    p := t.p_anext.(!p)
+  done
 
 let attach t memory = Memory.add_write_hook memory (on_write t)
 

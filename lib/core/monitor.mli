@@ -31,7 +31,13 @@ val set_waiter : t -> (int -> Memory.addr -> unit) -> unit
     starts with one that does nothing).  [waiter slot addr] runs
     synchronously inside the write to [addr] that wakes the parked
     [slot], once per park.  The chip installs its waiter once, at
-    creation. *)
+    creation.
+
+    A write delivers straight off [addr]'s watcher list, most recently
+    armed first, with no copy of it, so the waiter (and the fault hook)
+    must not arm or disarm any slot: the walk reads each link as it goes.
+    The chip's waiter only counts the wake, promotes the context and
+    schedules the delivery; it arms, disarms and writes nothing. *)
 
 val register : t -> core_id:int -> int
 (** Allocate the next slot, a thread of core [core_id] with nothing

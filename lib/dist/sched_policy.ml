@@ -59,10 +59,7 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
             (match w.req with
             | Some req ->
               Isa.exec th req.Openloop.service_cycles;
-              let sojourn = Sim.now () - req.Openloop.arrival in
-              Histogram.record latencies sojourn;
-              let demand = float_of_int (Int.max 1 req.Openloop.service_cycles) in
-              slowdowns := (float_of_int sojourn /. demand) :: !slowdowns;
+              Server.record latencies slowdowns req;
               w.req <- None;
               incr done_count;
               if !done_count >= cfg.Server.count then finished := true;
@@ -189,13 +186,5 @@ let run ?(pool = 256) ?runnable_limit ~mode (cfg : Server.config) =
     ~service:cfg.Server.service ~count:cfg.Server.count
     ~sink:(fun req -> Mailbox.send events (Arrival req));
   Sim.run sim;
-  let arr = Array.of_list !slowdowns in
-  Array.sort compare arr;
-  {
-    Server.completed = Histogram.count latencies;
-    latencies;
-    slowdowns = arr;
-    elapsed_cycles = Sim.time sim;
-    switch_overhead_cycles =
-      Smt_core.work_done (Chip.exec_core chip 1) Smt_core.Overhead;
-  }
+  Server.finish ~sim ~latencies ~slowdowns
+    ~switch_overhead:(Smt_core.work_done (Chip.exec_core chip 1) Smt_core.Overhead)

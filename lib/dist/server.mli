@@ -29,6 +29,19 @@ type stats = {
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0,1]; 0 on empty input. *)
 
+val record :
+  Sl_util.Histogram.t -> float list ref -> Sl_workload.Openloop.request -> unit
+(** [record latencies slowdowns req], as [req] completes: its sojourn
+    (now less its arrival) into [latencies], and its slowdown (the
+    sojourn over its demand, at least one cycle) onto [slowdowns].
+    {!Sched_policy}'s workers record their requests with it too. *)
+
+val finish :
+  sim:Sl_engine.Sim.t -> latencies:Sl_util.Histogram.t ->
+  slowdowns:float list ref -> switch_overhead:float -> stats
+(** A finished run's {!stats}: [slowdowns] sorted, [sim]'s clock as the
+    elapsed cycles. *)
+
 type config = {
   params : Switchless.Params.t;
   seed : int64;

@@ -478,7 +478,7 @@ let stuck_summary t =
          (String.concat ", " (List.map describe_blocked blocked)))
 
 (* The hot loop.  The wheel hands over whole ticks in push order, so
-   the loop only pops the ready ring while it holds events, and
+   the loop only pops the ready chain while it holds events, and
    otherwise asks the wheel for the next tick up to the horizon.  No
    option or tuple boxing on the way.  Whichever way a bounded run ends
    — future event left beyond the horizon, or queue drained dry — the

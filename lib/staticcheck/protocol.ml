@@ -5,6 +5,11 @@ open Typedtree
    qualified use both resolve to a path these suffixes match. *)
 let monitor_fns = [ "Isa.monitor" ]
 let park_fns = [ "Isa.mwait"; "Isa.mwait_for" ]
+
+(* A stepped wait parks too, from inside its steps ([Chip.mwait_op]):
+   the body that runs one through [Sim.wait] and arms a monitor is the
+   waiter whose publish order matters (Lock's mwait waits). *)
+let stepped_wait_fns = [ "Sim.wait" ]
 let publish_fns = [ "Mailbox.send"; "Queue.push"; "Queue.add" ]
 
 (* Waiter-list publish primitives: the atomic RMWs a lock waiter uses to
@@ -71,19 +76,24 @@ let builds_worker e =
       | _ -> false)
     e
 
-(* A park call in this body, outside nested lambdas (a park inside a
+(* A call to one of [fns], or to one of the module-local functions
+   [locals], in this body, outside nested lambdas (a call inside a
    callback belongs to the callback's own flow). *)
-let rec parks_directly e =
+let rec calls_directly ~fns ~locals e =
   match e.exp_desc with
   | Texp_function _ -> false
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
-    when Spath.matches_any park_fns p <> None -> true
+    when Spath.matches_any fns p <> None
+         || (match p with
+            | Path.Pident id -> List.exists (Ident.same id) locals
+            | _ -> false) ->
+    true
   | _ ->
     let found = ref false in
     let it =
       {
         Tast_iterator.default_iterator with
-        expr = (fun _ ce -> if parks_directly ce then found := true);
+        expr = (fun _ ce -> if calls_directly ~fns ~locals ce then found := true);
       }
     in
     Tast_iterator.default_iterator.expr it e;
@@ -174,23 +184,45 @@ let summarize_binding vb =
       match keys with [] -> None | keys -> Some (fn_id, keys))
   | _ -> None
 
-let summarize_structure str =
+let structure_bindings str =
   List.concat_map
     (fun item ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) -> List.filter_map summarize_binding vbs
-      | _ -> [])
+      match item.str_desc with Tstr_value (_, vbs) -> vbs | _ -> [])
     str.str_items
+
+let summarize_structure str =
+  List.filter_map summarize_binding (structure_bindings str)
+
+(* The module-local functions that run a stepped wait themselves. *)
+let stepped_waiters str =
+  List.filter_map
+    (fun vb ->
+      match vb.vb_pat.pat_desc with
+      | Tpat_var (id, _)
+        when calls_directly ~fns:stepped_wait_fns ~locals:[]
+               (snd (collect_params 0 [] vb.vb_expr)) ->
+        Some id
+      | _ -> None)
+    (structure_bindings str)
 
 (* --- the walk ------------------------------------------------------------- *)
 
 type ctx = {
   file : string;
   summaries : (Ident.t * arg_key list) list;
+  waiters : Ident.t list;  (* module-local functions running a stepped wait *)
   mutable binding : string;  (* enclosing top-level binding *)
   mutable parker : bool;  (* the enclosing binding's body parks *)
   mutable found : Site.t list;
 }
+
+(* A body parks when it calls [Isa.mwait] itself, or when it runs a
+   stepped wait and arms a monitor, each directly or through a
+   module-local function: the wait's steps park on what it armed. *)
+let parks ctx body =
+  calls_directly ~fns:park_fns ~locals:[] body
+  || calls_directly ~fns:stepped_wait_fns ~locals:ctx.waiters body
+     && calls_directly ~fns:monitor_fns ~locals:(List.map fst ctx.summaries) body
 
 let report ctx ~rule ~loc message =
   ctx.found <-
@@ -406,8 +438,9 @@ and walk_apply ctx st e fn args =
 (* --- structure driver ----------------------------------------------------- *)
 
 let rec check_structure ctx str =
-  let summaries = summarize_structure str in
-  let ctx = { ctx with summaries } in
+  let ctx =
+    { ctx with summaries = summarize_structure str; waiters = stepped_waiters str }
+  in
   List.iter
     (fun item ->
       match item.str_desc with
@@ -419,12 +452,12 @@ let rec check_structure ctx str =
                | Tpat_var (id, _) -> Ident.name id
                | _ -> "-"));
             let _, body = collect_params 0 [] vb.vb_expr in
-            ctx.parker <- parks_directly body;
+            ctx.parker <- parks ctx body;
             ignore (walk ctx initial vb.vb_expr))
           vbs
       | Tstr_eval (e, _) ->
         ctx.binding <- "-";
-        ctx.parker <- parks_directly e;
+        ctx.parker <- parks ctx e;
         ignore (walk ctx initial e)
       | Tstr_module mb -> check_module ctx mb.mb_expr
       | Tstr_recmodule mbs -> List.iter (fun mb -> check_module ctx mb.mb_expr) mbs
@@ -440,6 +473,8 @@ and check_module ctx me =
   | _ -> ()
 
 let check ~file str =
-  let ctx = { file; summaries = []; binding = "-"; parker = false; found = [] } in
+  let ctx =
+    { file; summaries = []; waiters = []; binding = "-"; parker = false; found = [] }
+  in
   let found = check_structure ctx str in
   List.sort_uniq Site.compare found

@@ -4,7 +4,6 @@ module Sim = Sl_engine.Sim
 module Ivar = Sl_engine.Ivar
 module Mailbox = Sl_engine.Mailbox
 module Wheel = Sl_engine.Wheel
-module Arena = Sl_util.Arena
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -218,7 +217,7 @@ let test_same_time_fifo () =
   Alcotest.(check (list int)) "fifo" [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ] !log
 
 (* Each tagged callback reads its own tag wherever its event waited:
-   in the ready ring (pushed for the current tick, from outside the run
+   on the ready chain (pushed for the current tick, from outside the run
    and from a callback), in a level chain (5 alone in its slot; 100 and
    101 share a level-1 slot and cascade into level 0), and in the far
    list (more than 2^25 ticks ahead).  An untagged event between them
@@ -1241,7 +1240,7 @@ let prop_pqueue_boundary_lexicographic =
 
 let wheel_span = 1 lsl 25
 
-(* The ready ring's events, oldest first. *)
+(* The ready chain's events, oldest first. *)
 let pop_ready w =
   let rec go acc = if Wheel.ready w then go (Wheel.pop w :: acc) else List.rev acc in
   go []
@@ -1297,8 +1296,8 @@ let test_wheel_same_tick_push_order () =
   List.iter (fun v -> Wheel.push w ~time:1000 v) [ 5; 1; 4 ];
   Wheel.push w ~time:999 9;
   check_int "earlier tick first" 999 (Wheel.advance w ~limit:max_int);
-  (* At the tick just reached: behind the ring.  At the next tick: behind
-     the events cascaded there. *)
+  (* At the tick just reached: behind the ready chain.  At the next
+     tick: behind the events cascaded there. *)
   Wheel.push w ~time:999 8;
   List.iter (fun v -> Wheel.push w ~time:1000 v) [ 0; 3; 2 ];
   Alcotest.(check (list int)) "tick 999 in push order" [ 9; 8 ] (pop_ready w);
@@ -1324,7 +1323,7 @@ let test_wheel_far_list_jump () =
     [ ((1 lsl 30) + 5, [ 0; 4 ]); ((1 lsl 30) + 100, [ 3 ]); (Sim.Time.max_tick, [ 2 ]) ]
     (drain_ticks w);
   check_bool "empty" true (Wheel.is_empty w);
-  (* At max_tick the cursor's own tick goes to the ring. *)
+  (* At max_tick the cursor's own tick goes to the ready chain. *)
   Wheel.push w ~time:Sim.Time.max_tick 5;
   Alcotest.(check (list int)) "push at the cursor's max_tick" [ 5 ] (pop_ready w)
 
@@ -1348,10 +1347,10 @@ let test_wheel_advance_limit () =
   check_bool "empty" true (Wheel.is_empty w)
 
 (* A popped payload is collectable once its caller drops it, while the
-   wheel lives on, whichever way it reached the ready ring: pushed for
-   the cursor's tick, or chained for a later tick and re-homed by
-   [advance].  The ring holds only node indices; freeing the popped
-   node re-seeds its payload slot in the arena. *)
+   wheel lives on, whichever way it reached the ready chain: pushed for
+   the cursor's tick, or chained for a later tick and moved there by
+   [advance] (a cascade, then a splice).  Popping a node re-seeds its
+   payload slot. *)
 let test_wheel_pop_releases_payload () =
   let w = Wheel.create ~dummy:(ref (-1)) in
   let n = 32 in
@@ -1389,24 +1388,6 @@ let test_wheel_pop_releases_payload () =
   pop_all ();
   check_bool "empty" true (Wheel.is_empty w)
 
-let test_arena_reuse () =
-  let a = Arena.create ~dummy:"dummy" in
-  let i1 = Arena.alloc a ~time:5 ~tag:(-3) "one" in
-  let i2 = Arena.alloc a ~time:9 ~tag:0 "two" in
-  check_int "live" 2 (Arena.live a);
-  Alcotest.(check string) "payload" "one" (Arena.payload a i1);
-  check_int "time" 9 (Arena.time a i2);
-  check_int "tag" (-3) (Arena.tag a i1);
-  check_int "fresh node next is nil" Arena.nil (Arena.next a i1);
-  Arena.free a i1;
-  check_int "live after free" 1 (Arena.live a);
-  let i3 = Arena.alloc a ~time:7 ~tag:42 "three" in
-  check_int "freed slot recycled" i1 i3;
-  Alcotest.(check string) "recycled payload" "three" (Arena.payload a i3);
-  check_int "recycled tag" 42 (Arena.tag a i3);
-  Arena.set_next a i3 i2;
-  check_int "intrusive link" i2 (Arena.next a i3)
-
 (* [a + b] for [b >= 0], saturating at max_tick instead of wrapping. *)
 let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
 
@@ -1415,9 +1396,9 @@ let sat_add a b = if a > Sim.Time.max_tick - b then Sim.Time.max_tick else a + b
    must be the heap's minimum time, with exactly the heap's events at
    that time in (time, seq) order — push order.  Pushes are at or after
    the tick last reached, like the run loop's, and cover every
-   placement: the tick just reached (the ring), each wheel level, the
-   old 2^25 window edge, far-list jumps, and max_tick; offsets saturate
-   at max_tick.  A bounded advance that finds nothing parks [now] at its
+   placement: the tick just reached (the ready chain), each wheel
+   level, the old 2^25 window edge, far-list jumps, and max_tick;
+   offsets saturate at max_tick.  A bounded advance that finds nothing parks [now] at its
    limit, as {!Sim.run} parks the clock.  A peek ([Wheel.quiet_until])
    stops short of the earliest pending tick, and reads [max_int] on an
    empty wheel.  Every push carries a random tag, and every pop's tag
@@ -1501,14 +1482,15 @@ let prop_wheel_matches_heap =
       done;
       !ok && Wheel.is_empty wheel)
 
-(* --- Sim run loop (wheel + same-tick ready ring) --- *)
+(* --- Sim run loop (wheel + same-tick ready chain) --- *)
 
 (* A random program: each node fires as a callback, logs itself and
    schedules its children at the listed offsets.  A node with [awaits]
    also spawns a process that schedules its own resumer callback that
    many cycles on, [Sim.await]s it, and schedules the node's children
-   only once resumed — so resume hops land on the ring at the resumer's
-   tick, behind whatever the wheel already holds for that tick. *)
+   only once resumed — so resume hops land on the ready chain at the
+   resumer's tick, behind whatever the wheel already holds for that
+   tick. *)
 type prog = { id : int; awaits : int option; kids : (int * prog) list }
 
 (* A script interleaves root injections (at the current clock plus an
@@ -1631,9 +1613,10 @@ let gen_script =
 (* The run loop against the one-heap reference: the same fired
    (event, time) sequence, and the same clock after every step.  Covers
    same-tick callback chains, await/resume hops at the resumer's tick,
-   wheel events due at a tick the ring is also serving, injections at a
-   parked clock, back-to-back bounded runs, and a horizon behind the
-   clock (which fires nothing, not even the current tick's ring). *)
+   wheel events due at a tick the ready chain is also serving,
+   injections at a parked clock, back-to-back bounded runs, and a
+   horizon behind the clock (which fires nothing, not even the current
+   tick's ready chain). *)
 let prop_run_loop_matches_reference =
   QCheck.Test.make ~name:"sim run loop matches one-heap (time, seq) reference" ~count:300
     (QCheck.make gen_script) (fun steps -> run_on_sim steps = run_on_reference steps)
@@ -1940,7 +1923,6 @@ let () =
           Alcotest.test_case "far list jump" `Quick test_wheel_far_list_jump;
           Alcotest.test_case "advance limit" `Quick test_wheel_advance_limit;
           Alcotest.test_case "pop releases payload" `Quick test_wheel_pop_releases_payload;
-          Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         ] );
       ( "sim",
         [

@@ -45,6 +45,18 @@ let test_protocol_silent_on_fixed_shapes () =
   Alcotest.check pairs "armed publish, summarized arm, recv re-queue" []
     (findings Sc.Protocol.check "protocol_good.ml")
 
+let test_protocol_flags_stepped_waits () =
+  Alcotest.check pairs "a stepped wait that arms after its publish"
+    [
+      ("lock-arm-before-publish", "mcs_join_late_arm");
+      ("lock-arm-before-publish", "mcs_join_late_arm_direct");
+    ]
+    (findings Sc.Protocol.check "protocol_stepped_bad.ml")
+
+let test_protocol_silent_on_stepped_shapes () =
+  Alcotest.check pairs "armed publish, ticket draw, no wait, deferred wait" []
+    (findings Sc.Protocol.check "protocol_stepped_good.ml")
+
 (* --- domain safety -------------------------------------------------------- *)
 
 let test_domain_safety_flags_mutable_toplevel () =
@@ -228,6 +240,10 @@ let () =
             test_protocol_flags_seeded_races;
           Alcotest.test_case "fixed shapes silent" `Quick
             test_protocol_silent_on_fixed_shapes;
+          Alcotest.test_case "stepped waits flagged" `Quick
+            test_protocol_flags_stepped_waits;
+          Alcotest.test_case "stepped shapes silent" `Quick
+            test_protocol_silent_on_stepped_shapes;
         ] );
       ( "domain-safety",
         [
