@@ -28,8 +28,8 @@ let measure_trap work =
 
 let measure_flexsc work =
   Round_trip.software p ~calls (fun sim _ ->
-      let kernel_core = Smt_core.create sim p ~core_id:50 in
-      let fx = Syscall.Flexsc.create sim p ~batch_window:300 ~kernel_core () in
+      let kernel_core = Smt_core.create sim p in
+      let fx = Syscall.Flexsc.create sim ~batch_window:300 ~kernel_core () in
       fun app -> Syscall.Flexsc.call fx app ~kernel_work:work)
 
 let measure_hw work =

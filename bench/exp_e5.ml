@@ -15,7 +15,6 @@ module Params = Switchless.Params
 module Chip = Switchless.Chip
 module Isa = Switchless.Isa
 module Ptid = Switchless.Ptid
-module Smt_core = Switchless.Smt_core
 module Swsched = Sl_baseline.Swsched
 module Syscall = Sl_os.Syscall
 module Microkernel = Sl_os.Microkernel
@@ -69,29 +68,14 @@ let measure_proxy_chain_hw work =
 let measure_proxy_chain_sw work =
   Round_trip.software p ~calls (fun sim sched ->
       let service = Microkernel.Sw_service.create sim sched p in
-      (* Proxy as a second software service that forwards; like the
-         service, its loop parks on an inbox by design. *)
-      let inbox = Sl_engine.Mailbox.create () in
-      let proxy_thread = Swsched.thread sched () in
-      Sl_engine.Sim.spawn ~daemon:true sim (fun () ->
-          let rec serve () =
-            let (w, reply) = Sl_engine.Mailbox.recv inbox in
-            Swsched.exec proxy_thread ~kind:Smt_core.Overhead p.Params.trap_exit_cycles;
-            Swsched.exec proxy_thread 200;
-            Microkernel.Sw_service.call service ~client:proxy_thread ~service_work:w;
-            Swsched.exec proxy_thread ~kind:Smt_core.Overhead
-              (p.Params.trap_entry_cycles + p.Params.sched_decision_cycles);
-            Sl_engine.Ivar.fill reply ();
-            serve ()
-          in
-          serve ());
-      fun client ->
-        Swsched.exec client ~kind:Smt_core.Overhead
-          (p.Params.trap_entry_cycles + p.Params.sched_decision_cycles);
-        let reply = Sl_engine.Ivar.create () in
-        Sl_engine.Mailbox.send inbox (work, reply);
-        Sl_engine.Ivar.read reply;
-        Swsched.exec client ~kind:Smt_core.Overhead p.Params.trap_exit_cycles)
+      (* The proxy is a second software service, whose work on a
+         request is its own 200 cycles and a call to the service. *)
+      let proxy =
+        Microkernel.Sw_service.create sim sched p ~on_request:(fun th w ->
+            Swsched.exec th 200;
+            Microkernel.Sw_service.call service ~client:th ~service_work:w)
+      in
+      fun client -> Microkernel.Sw_service.call proxy ~client ~service_work:work)
 
 let run b =
   let works = [ 100; 500; 2000 ] in

@@ -261,7 +261,7 @@ let bench_smt_core_churn =
   Test.make ~name:"primitive:smt_core 64 unit-weight jobs x200 executes"
     (Staged.stage (fun () ->
          let sim = Sim.create () in
-         let core = Smt_core.create sim { p with Params.smt_width = 2 } ~core_id:0 in
+         let core = Smt_core.create sim { p with Params.smt_width = 2 } in
          for ptid = 0 to 63 do
            let cycles = 50 + (ptid * 37 mod 101) in
            let slot = Smt_core.add_slot core ~ptid in
@@ -281,7 +281,7 @@ let bench_smt_core_mixed_kinds =
   Test.make ~name:"primitive:smt_core 64 jobs of mixed kinds x200 executes"
     (Staged.stage (fun () ->
          let sim = Sim.create () in
-         let core = Smt_core.create sim { p with Params.smt_width = 2 } ~core_id:0 in
+         let core = Smt_core.create sim { p with Params.smt_width = 2 } in
          for ptid = 0 to 63 do
            let cycles = 50 + (ptid * 37 mod 101) and kind = kinds.(ptid mod 3) in
            let slot = Smt_core.add_slot core ~ptid in
@@ -307,7 +307,7 @@ let smt_core_lone_job ~heartbeat =
   Test.make ~name
     (Staged.stage (fun () ->
          let sim = Sim.create () in
-         let core = Smt_core.create sim p ~core_id:0 in
+         let core = Smt_core.create sim p in
          let jobs = 1000 in
          if heartbeat then begin
            let rec beat () =

@@ -119,8 +119,8 @@ let syscall_cmd =
             Syscall.Trap.call app p ~kernel_work:work)
       | Flexsc ->
         Round_trip.software p ~calls (fun sim _ ->
-            let kernel_core = Switchless.Smt_core.create sim p ~core_id:50 in
-            let fx = Syscall.Flexsc.create sim p ~kernel_core () in
+            let kernel_core = Switchless.Smt_core.create sim p in
+            let fx = Syscall.Flexsc.create sim ~kernel_core () in
             fun app -> Syscall.Flexsc.call fx app ~kernel_work:work)
       | Hw ->
         fst

@@ -42,7 +42,7 @@ let post t e =
 
 type call = { kernel_work : int; done_ : unit Ivar.t }
 
-let create sim _params ?batch_window ~core () =
+let create sim ?batch_window ~core () =
   serve sim ?batch_window ~core
     ~work:(fun c -> c.kernel_work)
     ~complete:(fun c -> Ivar.fill c.done_ ())

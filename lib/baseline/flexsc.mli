@@ -26,7 +26,7 @@ val post : 'a t -> 'a -> unit
 type call
 
 val create :
-  Sl_engine.Sim.t -> Switchless.Params.t -> ?batch_window:Sl_engine.Sim.Time.t ->
+  Sl_engine.Sim.t -> ?batch_window:Sl_engine.Sim.Time.t ->
   core:Switchless.Smt_core.t -> unit -> call t
 (** A syscall worker over blocking {!call} entries. *)
 

@@ -57,7 +57,7 @@ let create sim params ?(warmup = true) ?quantum ~cores:n_cores () =
     invalid_arg "Swsched.create: quantum must be >= 1"
   | _ -> ());
   let cores =
-    Array.init n_cores (fun core_id -> Smt_core.create sim params ~core_id)
+    Array.init n_cores (fun _ -> Smt_core.create sim params)
   in
   let width = params.Params.smt_width in
   let contexts =

@@ -439,9 +439,9 @@ let create sim params ~cores =
   let monitor = Monitor.create params in
   Monitor.attach monitor memory;
   let cores =
-    Array.init cores (fun core_id ->
+    Array.init cores (fun _ ->
         {
-          exec_unit = Smt_core.create sim params ~core_id;
+          exec_unit = Smt_core.create sim params;
           store = State_store.create params;
           cache = Tdt.Cache.create ();
         })

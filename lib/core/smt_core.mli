@@ -26,9 +26,7 @@ type kind = Useful | Poll | Overhead
 
 type t
 
-val create : Sl_engine.Sim.t -> Params.t -> core_id:int -> t
-
-val core_id : t -> int
+val create : Sl_engine.Sim.t -> Params.t -> t
 
 val add_slot : t -> ptid:int -> int
 (** A fresh slot on this core, the handle that names one thread in

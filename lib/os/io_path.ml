@@ -335,7 +335,7 @@ let napi w =
    per-request notification at all: the mechanism tax is the batching
    delay, so the latency floor sits a batch window above mwait's. *)
 let flexsc w =
-  let core = Smt_core.create w.sim w.cfg.params ~core_id:0 in
+  let core = Smt_core.create w.sim w.cfg.params in
   let worker =
     Flexsc.serve w.sim ~core
       ~work:(fun (req : Openloop.request) -> req.Openloop.service_cycles)

@@ -14,26 +14,25 @@ module Sw_service = struct
     mutable served : int;
   }
 
-  let create sim sched params =
+  let create ?(on_request = fun th w -> Swsched.exec th ~kind:Smt_core.Useful w) sim
+      sched params =
     let t = { params; inbox = Mailbox.create (); served = 0 } in
     let service_thread = Swsched.thread sched () in
+    let rec serve () =
+      let { service_work; reply } = Mailbox.recv t.inbox in
+      (* Receive syscall return + the service's own work. *)
+      Swsched.exec service_thread ~kind:Smt_core.Overhead
+        t.params.Params.trap_exit_cycles;
+      on_request service_thread service_work;
+      (* Reply syscall: trap in, scheduler wakes the client. *)
+      Swsched.exec service_thread ~kind:Smt_core.Overhead
+        (t.params.Params.trap_entry_cycles + t.params.Params.sched_decision_cycles);
+      t.served <- t.served + 1;
+      Ivar.fill reply ();
+      serve ()
+    in
     (* The loop parks on its inbox between requests by design. *)
-    Sim.spawn ~daemon:true sim (fun () ->
-        let rec serve () =
-          let { service_work; reply } = Mailbox.recv t.inbox in
-          (* Receive syscall return + the service's own work. *)
-          Swsched.exec service_thread ~kind:Smt_core.Overhead
-            t.params.Params.trap_exit_cycles;
-          Swsched.exec service_thread ~kind:Smt_core.Useful service_work;
-          (* Reply syscall: trap in, scheduler wakes the client. *)
-          Swsched.exec service_thread ~kind:Smt_core.Overhead
-            (t.params.Params.trap_entry_cycles
-               + t.params.Params.sched_decision_cycles);
-          t.served <- t.served + 1;
-          Ivar.fill reply ();
-          serve ()
-        in
-        serve ());
+    Sim.spawn ~daemon:true sim serve;
     t
 
   let call t ~client ~service_work =

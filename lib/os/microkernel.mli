@@ -19,9 +19,15 @@
 module Sw_service : sig
   type t
 
-  val create : Sl_engine.Sim.t -> Sl_baseline.Swsched.t -> Switchless.Params.t -> t
+  val create :
+    ?on_request:(Sl_baseline.Swsched.thread -> Sl_engine.Sim.Time.t -> unit) ->
+    Sl_engine.Sim.t -> Sl_baseline.Swsched.t -> Switchless.Params.t -> t
   (** Spawns the service loop as a software thread of [sched].  The loop
-      is a daemon: parked on its inbox, it is not a deadlock suspect. *)
+      is a daemon: parked on its inbox, it is not a deadlock suspect.
+      [on_request service work] is the service's work on one request,
+      between the receive's return and the reply's trap; by default
+      [Swsched.exec service ~kind:Useful work].  A proxy forwards from
+      it with a {!call} of its own. *)
 
   val call : t -> client:Sl_baseline.Swsched.thread -> service_work:Sl_engine.Sim.Time.t -> unit
   (** Must run inside the client's process.  Charges: send-side trap +

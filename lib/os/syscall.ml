@@ -21,8 +21,8 @@ module Flexsc = struct
   (* Posting a syscall entry to the shared page: a handful of stores. *)
   let post_cycles = 8
 
-  let create sim params ?batch_window ~kernel_core () =
-    { worker = Sl_baseline.Flexsc.create sim params ?batch_window ~core:kernel_core () }
+  let create sim ?batch_window ~kernel_core () =
+    { worker = Sl_baseline.Flexsc.create sim ?batch_window ~core:kernel_core () }
 
   let call t thread ~kernel_work =
     Swsched.exec thread ~kind:Smt_core.Overhead post_cycles;

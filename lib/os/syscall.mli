@@ -23,7 +23,7 @@ module Flexsc : sig
   type t
 
   val create :
-    Sl_engine.Sim.t -> Switchless.Params.t -> ?batch_window:Sl_engine.Sim.Time.t ->
+    Sl_engine.Sim.t -> ?batch_window:Sl_engine.Sim.Time.t ->
     kernel_core:Switchless.Smt_core.t -> unit -> t
 
   val call : t -> Sl_baseline.Swsched.thread -> kernel_work:Sl_engine.Sim.Time.t -> unit

@@ -10,8 +10,6 @@ let mutable_builtin =
 (* Immutable wrappers worth looking through for a mutable payload. *)
 let containers = [ "option"; "list"; "result"; "Lazy.t" ]
 
-let expand env ty = try Ctype.expand_head (Spath.full_env env) ty with _ -> ty
-
 let mutable_record env p =
   match Env.find_type p (Spath.full_env env) with
   | decl -> (
@@ -25,7 +23,7 @@ let mutable_record env p =
 let rec mutable_reason env depth ty =
   if depth > 4 then None
   else
-    let ty = expand env ty in
+    let ty = Spath.expand env ty in
     match Types.get_desc ty with
     | Types.Ttuple tys -> List.find_map (mutable_reason env (depth + 1)) tys
     | Types.Tconstr (p, args, _) ->
@@ -42,46 +40,17 @@ let rec mutable_reason env depth ty =
             else None))
     | _ -> None
 
-let check ~file str =
-  let found = ref [] in
-  let visit_binding vb =
-    match vb.vb_pat.pat_desc with
-    | Tpat_var (id, _) | Tpat_alias (_, id, _) -> (
-      match mutable_reason vb.vb_expr.exp_env 0 vb.vb_expr.exp_type with
-      | None -> ()
-      | Some reason ->
-        found :=
-          {
-            Site.rule = "domain-safety";
-            file;
-            line = vb.vb_loc.Location.loc_start.Lexing.pos_lnum;
-            ident = Ident.name id;
-            message =
-              Printf.sprintf
-                "top-level mutable state (%s) is shared by every domain \
-                 unsynchronised; use Atomic.t, Domain.DLS, or pass the state \
-                 through an explicit handle"
-                reason;
-          }
-          :: !found)
-    | _ -> ()
-  in
-  let rec visit_structure str =
-    List.iter
-      (fun item ->
-        match item.str_desc with
-        | Tstr_value (_, vbs) -> List.iter visit_binding vbs
-        | Tstr_module mb -> visit_module mb.mb_expr
-        | Tstr_recmodule mbs ->
-          List.iter (fun mb -> visit_module mb.mb_expr) mbs
-        | _ -> ())
-      str.str_items
-  and visit_module me =
-    match me.mod_desc with
-    | Tmod_structure str -> visit_structure str
-    | Tmod_constraint (me, _, _, _) -> visit_module me
-    | Tmod_functor (_, me) -> visit_module me
-    | _ -> ()
-  in
-  visit_structure str;
-  List.sort_uniq Site.compare !found
+(* A pattern binding or an eval names no state of its own. *)
+let check (b : Binding.t) =
+  let e = b.vb.vb_expr in
+  match mutable_reason e.exp_env 0 e.exp_type with
+  | Some reason when Option.is_some (Binding.ident b.vb) ->
+    [
+      Binding.site b ~rule:"domain-safety" b.vb.vb_loc
+        (Printf.sprintf
+           "top-level mutable state (%s) is shared by every domain \
+            unsynchronised; use Atomic.t, Domain.DLS, or pass the state \
+            through an explicit handle"
+           reason);
+    ]
+  | _ -> []

@@ -11,4 +11,4 @@
     on the {e type} of the binding, through abbreviations, tuples and
     [option]/[list]/[result]/[Lazy.t] wrappers. *)
 
-val check : file:string -> Typedtree.structure -> Site.t list
+val check : Binding.t -> Site.t list

@@ -28,20 +28,40 @@ let doorbell_type = "Memory.addr"
 (* Immutable and threaded through the walk in evaluation order.  A
    closure created at some program point inherits the state at that
    point (it captures exactly that environment); what the closure does
-   internally does not arm the creating flow, since the closure may run
-   arbitrarily later (or never). *)
+   internally does not reach the creating flow, since the closure may
+   run arbitrarily later (or never). *)
 type state = {
   armed : Ident.t list;  (* thread handles with a monitor armed *)
-  armed_any : bool;  (* some monitor arm dominates this point *)
+  armed_any : bool;  (* some monitor arm precedes this point *)
   tainted : Ident.t list;  (* freshly constructed, not-yet-armed workers *)
+  waited : bool;  (* a stepped wait has run *)
+  mwaited : bool;  (* an [Isa.mwait] has run *)
 }
 
-let initial = { armed = []; armed_any = false; tainted = [] }
+let initial =
+  { armed = []; armed_any = false; tainted = []; waited = false; mwaited = false }
 
 let arm st id = { st with armed = id :: st.armed; armed_any = true }
 let taint st id = { st with tainted = id :: st.tainted }
 let is_armed st id = List.exists (Ident.same id) st.armed
 let is_tainted st id = List.exists (Ident.same id) st.tainted
+
+let union xs ys =
+  List.fold_left
+    (fun acc id -> if List.exists (Ident.same id) acc then acc else id :: acc)
+    xs ys
+
+(* Where the flows of an [if]'s branches, a [match]'s cases or a
+   handler's cases meet, what any of them did counts: the rule orders
+   arms against publishes and parks, and trusts the guards. *)
+let join a b =
+  {
+    armed = union a.armed b.armed;
+    armed_any = a.armed_any || b.armed_any;
+    tainted = union a.tainted b.tainted;
+    waited = a.waited || b.waited;
+    mwaited = a.mwaited || b.mwaited;
+  }
 
 (* --- structural predicates ------------------------------------------------ *)
 
@@ -76,29 +96,6 @@ let builds_worker e =
       | _ -> false)
     e
 
-(* A call to one of [fns], or to one of the module-local functions
-   [locals], in this body, outside nested lambdas (a call inside a
-   callback belongs to the callback's own flow). *)
-let rec calls_directly ~fns ~locals e =
-  match e.exp_desc with
-  | Texp_function _ -> false
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
-    when Spath.matches_any fns p <> None
-         || (match p with
-            | Path.Pident id -> List.exists (Ident.same id) locals
-            | _ -> false) ->
-    true
-  | _ ->
-    let found = ref false in
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr = (fun _ ce -> if calls_directly ~fns ~locals ce then found := true);
-      }
-    in
-    Tast_iterator.default_iterator.expr it e;
-    !found
-
 let mentions_tainted st e =
   expr_contains
     (fun e ->
@@ -112,15 +109,19 @@ let ident_of e =
   | Texp_ident (Path.Pident id, _, _) -> Some id
   | _ -> None
 
-(* --- intra-module arming summaries ---------------------------------------- *)
+(* --- summaries ------------------------------------------------------------ *)
 
-(* [let issue t ~client ... = ... Isa.monitor client ...] arms its
-   [~client] argument: record which parameters a module-local function
-   unconditionally arms, so call sites count as arms.  Only monitor
-   calls outside nested lambdas count — an arm inside a callback may
-   never run. *)
+(* A binding's walk ends in its summary, which a later call to it reads
+   in place of its body: [let issue t ~client ... = ... Isa.monitor
+   client ...] arms its [~client] argument at every call site. *)
 
 type arg_key = Labelled_arg of string | Positional of int
+
+type summary = {
+  arms : arg_key list;  (* the parameters its body arms *)
+  waits : bool;  (* it runs a stepped wait *)
+  parks : bool;  (* it parks: see [summarize] *)
+}
 
 let key_matches k (label : Asttypes.arg_label) ~pos =
   match (k, label) with
@@ -147,93 +148,31 @@ let rec collect_params pos acc e =
     collect_params pos ((key, binder) :: acc) c.c_rhs
   | _ -> (List.rev acc, e)
 
-let rec monitor_targets acc e =
-  match e.exp_desc with
-  | Texp_function _ -> acc
-  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args)
-    when Spath.matches_any monitor_fns p <> None -> (
-    match List.find_map (function Asttypes.Nolabel, Some a -> ident_of a | _ -> None) args with
-    | Some id -> id :: acc
-    | None -> acc)
-  | _ ->
-    let acc = ref acc in
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr = (fun _ ce -> acc := monitor_targets !acc ce);
-      }
-    in
-    Tast_iterator.default_iterator.expr it e;
-    !acc
-
-let summarize_binding vb =
-  match vb.vb_pat.pat_desc with
-  | Tpat_var (fn_id, _) -> (
-    let params, body = collect_params 0 [] vb.vb_expr in
-    if params = [] then None
-    else
-      let armed = monitor_targets [] body in
-      let keys =
-        List.filter_map
-          (fun (key, binder) ->
-            match binder with
-            | Some id when List.exists (Ident.same id) armed -> Some key
-            | _ -> None)
-          params
-      in
-      match keys with [] -> None | keys -> Some (fn_id, keys))
-  | _ -> None
-
-let structure_bindings str =
-  List.concat_map
-    (fun item ->
-      match item.str_desc with Tstr_value (_, vbs) -> vbs | _ -> [])
-    str.str_items
-
-let summarize_structure str =
-  List.filter_map summarize_binding (structure_bindings str)
-
-(* The module-local functions that run a stepped wait themselves. *)
-let stepped_waiters str =
-  List.filter_map
-    (fun vb ->
-      match vb.vb_pat.pat_desc with
-      | Tpat_var (id, _)
-        when calls_directly ~fns:stepped_wait_fns ~locals:[]
-               (snd (collect_params 0 [] vb.vb_expr)) ->
-        Some id
-      | _ -> None)
-    (structure_bindings str)
+(* A body parks when it calls [Isa.mwait] itself, or when it runs a
+   stepped wait and arms a monitor: the wait's steps park on what it
+   armed. *)
+let summarize params st =
+  {
+    arms =
+      List.filter_map
+        (fun (key, binder) ->
+          match binder with Some id when is_armed st id -> Some key | _ -> None)
+        params;
+    waits = st.waited;
+    parks = st.mwaited || (st.waited && st.armed_any);
+  }
 
 (* --- the walk ------------------------------------------------------------- *)
 
 type ctx = {
-  file : string;
-  summaries : (Ident.t * arg_key list) list;
-  waiters : Ident.t list;  (* module-local functions running a stepped wait *)
-  mutable binding : string;  (* enclosing top-level binding *)
-  mutable parker : bool;  (* the enclosing binding's body parks *)
+  b : Binding.t;
+  summaries : (Ident.t * summary) list;  (* of the bindings walked so far *)
   mutable found : Site.t list;
+  mutable held : Site.t list;  (* publishes reported if the binding parks *)
 }
 
-(* A body parks when it calls [Isa.mwait] itself, or when it runs a
-   stepped wait and arms a monitor, each directly or through a
-   module-local function: the wait's steps park on what it armed. *)
-let parks ctx body =
-  calls_directly ~fns:park_fns ~locals:[] body
-  || calls_directly ~fns:stepped_wait_fns ~locals:ctx.waiters body
-     && calls_directly ~fns:monitor_fns ~locals:(List.map fst ctx.summaries) body
-
 let report ctx ~rule ~loc message =
-  ctx.found <-
-    {
-      Site.rule;
-      file = ctx.file;
-      line = loc.Location.loc_start.Lexing.pos_lnum;
-      ident = ctx.binding;
-      message;
-    }
-    :: ctx.found
+  ctx.found <- Binding.site ctx.b ~rule loc message :: ctx.found
 
 let positional_args args =
   (* Pair every present argument with its positional index among the
@@ -248,6 +187,9 @@ let positional_args args =
         if label = Asttypes.Nolabel then incr pos;
         Some (label, here, a))
     args
+
+let first_positional_ident present =
+  List.find_map (function Asttypes.Nolabel, _, a -> ident_of a | _ -> None) present
 
 let rec walk ctx st e =
   match e.exp_desc with
@@ -268,35 +210,11 @@ let rec walk ctx st e =
         st vbs
     in
     walk ctx st body
-  | Texp_sequence (a, b) ->
-    let st = walk ctx st a in
-    walk ctx st b
   | Texp_ifthenelse (c, t, f) ->
     let st = walk ctx st c in
-    ignore (walk ctx st t);
-    Option.iter (fun f -> ignore (walk ctx st f)) f;
-    st
-  | Texp_match (scrut, cases, _) ->
-    let st = walk ctx st scrut in
-    List.iter
-      (fun c ->
-        Option.iter (fun g -> ignore (walk ctx st g)) c.c_guard;
-        ignore (walk ctx st c.c_rhs))
-      cases;
-    st
-  | Texp_try (b, cases) ->
-    let st = walk ctx st b in
-    List.iter (fun c -> ignore (walk ctx st c.c_rhs)) cases;
-    st
-  | Texp_while (c, b) ->
-    let st = walk ctx st c in
-    ignore (walk ctx st b);
-    st
-  | Texp_for (_, _, lo, hi, _, b) ->
-    let st = walk ctx st lo in
-    let st = walk ctx st hi in
-    ignore (walk ctx st b);
-    st
+    List.fold_left (fun acc e -> join acc (walk ctx st e)) st (t :: Option.to_list f)
+  | Texp_match (scrut, cases, _) -> walk_cases ctx (walk ctx st scrut) cases
+  | Texp_try (b, cases) -> walk_cases ctx (walk ctx st b) cases
   | Texp_setfield (r, _, _, v) ->
     let st = walk ctx st r in
     let st = walk ctx st v in
@@ -314,18 +232,27 @@ let rec walk ctx st e =
          armed; a doorbell rung in this window is architecturally lost";
     st
   | Texp_apply (fn, args) -> walk_apply ctx st e fn args
-  | _ -> generic ctx st e
+  | _ ->
+    (* Everything else evaluates its parts in order, loops included. *)
+    let stref = ref st in
+    let it =
+      {
+        Tast_iterator.default_iterator with
+        expr = (fun _ ce -> stref := walk ctx !stref ce);
+      }
+    in
+    Tast_iterator.default_iterator.expr it e;
+    !stref
 
-and generic ctx st e =
-  let stref = ref st in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr = (fun _ ce -> stref := walk ctx !stref ce);
-    }
-  in
-  Tast_iterator.default_iterator.expr it e;
-  !stref
+(* Each case starts where the scrutinee (or the handled body) left off;
+   where they meet, what any of them did counts. *)
+and walk_cases : type k. ctx -> state -> k case list -> state =
+ fun ctx st cases ->
+  List.fold_left
+    (fun acc c ->
+      let g = match c.c_guard with Some g -> walk ctx st g | None -> st in
+      join acc (walk ctx g c.c_rhs))
+    st cases
 
 and walk_apply ctx st e fn args =
   let present = positional_args args in
@@ -345,66 +272,66 @@ and walk_apply ctx st e fn args =
   let st =
     match head with
     | Some p when Spath.matches_any monitor_fns p <> None -> (
-      match
-        List.find_map
-          (function Asttypes.Nolabel, _, a -> ident_of a | _ -> None)
-          present
-      with
+      match first_positional_ident present with
       | Some th -> arm st th
       | None -> { st with armed_any = true })
+    | Some p when Spath.matches_any park_fns p <> None ->
+      let covered =
+        match first_positional_ident present with
+        | Some th -> is_armed st th
+        | None -> st.armed_any
+      in
+      if not covered then
+        report ctx ~rule:"park-before-arm" ~loc:e.exp_loc
+          (Printf.sprintf
+             "%s parks with no dominating Isa.monitor arm on this thread; a \
+              wakeup raced here is lost forever"
+             (Spath.name p));
+      { st with mwaited = true }
+    | Some p when Spath.matches_any stepped_wait_fns p <> None ->
+      { st with waited = true }
+    | Some p when Spath.matches_any lock_publish_fns p <> None ->
+      if not st.armed_any then
+        ctx.held <-
+          Binding.site ctx.b ~rule:"lock-arm-before-publish" e.exp_loc
+            (Printf.sprintf
+               "%s publishes this waiter before any monitor arm, in a body \
+                that parks; a grant landed in the publish-to-arm window is a \
+                wake the waiter sleeps through forever (arm the wait word \
+                first)"
+               (Spath.name p))
+          :: ctx.held;
+      st
+    | Some p when Spath.matches_any publish_fns p <> None ->
+      if
+        (not st.armed_any)
+        && List.exists (fun (_, _, a) -> mentions_tainted st a) present
+      then
+        report ctx ~rule:"register-before-arm" ~loc:e.exp_loc
+          (Printf.sprintf
+             "freshly built worker handed to %s before its monitor is armed; \
+              a doorbell rung in this boot window is architecturally lost \
+              (register only after MONITOR executes)"
+             (Spath.name p));
+      st
     | Some (Path.Pident fid) -> (
-      (* A module-local arming function: its call arms the matching
-         argument idents, exactly as a direct [Isa.monitor] would. *)
+      (* A module-local function: its call arms the matching argument
+         idents, exactly as a direct [Isa.monitor] would, and runs its
+         stepped wait. *)
       match List.find_opt (fun (id, _) -> Ident.same id fid) ctx.summaries with
-      | Some (_, keys) ->
+      | Some (_, s) ->
         List.fold_left
           (fun st (label, pos, a) ->
-            if List.exists (fun k -> key_matches k label ~pos) keys then
+            if List.exists (fun k -> key_matches k label ~pos) s.arms then
               match ident_of a with
               | Some id -> arm st id
               | None -> { st with armed_any = true }
             else st)
-          st present
+          { st with waited = st.waited || s.waits }
+          present
       | None -> st)
     | _ -> st
   in
-  (match head with
-  | Some p when Spath.matches_any park_fns p <> None ->
-    let covered =
-      match
-        List.find_map
-          (function Asttypes.Nolabel, _, a -> ident_of a | _ -> None)
-          present
-      with
-      | Some th -> is_armed st th
-      | None -> st.armed_any
-    in
-    if not covered then
-      report ctx ~rule:"park-before-arm" ~loc:e.exp_loc
-        (Printf.sprintf
-           "%s parks with no dominating Isa.monitor arm on this thread; a \
-            wakeup raced here is lost forever"
-           (Spath.name p))
-  | Some p when Spath.matches_any lock_publish_fns p <> None ->
-    if ctx.parker && not st.armed_any then
-      report ctx ~rule:"lock-arm-before-publish" ~loc:e.exp_loc
-        (Printf.sprintf
-           "%s publishes this waiter before any monitor arm, in a body that \
-            parks; a grant landed in the publish-to-arm window is a wake the \
-            waiter sleeps through forever (arm the wait word first)"
-           (Spath.name p))
-  | Some p when Spath.matches_any publish_fns p <> None ->
-    if
-      (not st.armed_any)
-      && List.exists (fun (_, _, a) -> mentions_tainted st a) present
-    then
-      report ctx ~rule:"register-before-arm" ~loc:e.exp_loc
-        (Printf.sprintf
-           "freshly built worker handed to %s before its monitor is armed; \
-            a doorbell rung in this boot window is architecturally lost \
-            (register only after MONITOR executes)"
-           (Spath.name p))
-  | _ -> ());
   (* Now the lambda arguments, with parameter taint when a tainted
      value rides along in the same call (Array.iter over fresh
      workers taints the callback's parameter). *)
@@ -435,46 +362,33 @@ and walk_apply ctx st e fn args =
     present;
   st
 
-(* --- structure driver ----------------------------------------------------- *)
+(* --- per binding ---------------------------------------------------------- *)
 
-let rec check_structure ctx str =
-  let ctx =
-    { ctx with summaries = summarize_structure str; waiters = stepped_waiters str }
+(* Walk [vb]'s body once, reporting as binding [b]: its findings, with
+   the held publishes only if it parks, and the summaries with its own
+   added. *)
+let visit b summaries vb =
+  let ctx = { b; summaries; found = []; held = [] } in
+  let params, body = collect_params 0 [] vb.vb_expr in
+  let s = summarize params (walk ctx initial body) in
+  ( (if s.parks then ctx.held @ ctx.found else ctx.found),
+    match Binding.ident vb with
+    | Some id -> (id, s) :: summaries
+    | None -> summaries )
+
+(* In definition order, so a call reads the summary of a binding walked
+   before it.  A [let rec … and …] group is summarized first (its
+   findings dropped), so a member that calls one defined after it reads
+   that one's summary too. *)
+let check bindings =
+  let found, _ =
+    List.fold_left
+      (fun (found, summaries) (b : Binding.t) ->
+        let summaries =
+          List.fold_left (fun s vb -> snd (visit b s vb)) summaries b.group
+        in
+        let mine, summaries = visit b summaries b.vb in
+        (mine @ found, summaries))
+      ([], []) bindings
   in
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-        List.iter
-          (fun vb ->
-            (ctx.binding <-
-               (match vb.vb_pat.pat_desc with
-               | Tpat_var (id, _) -> Ident.name id
-               | _ -> "-"));
-            let _, body = collect_params 0 [] vb.vb_expr in
-            ctx.parker <- parks ctx body;
-            ignore (walk ctx initial vb.vb_expr))
-          vbs
-      | Tstr_eval (e, _) ->
-        ctx.binding <- "-";
-        ctx.parker <- parks ctx e;
-        ignore (walk ctx initial e)
-      | Tstr_module mb -> check_module ctx mb.mb_expr
-      | Tstr_recmodule mbs -> List.iter (fun mb -> check_module ctx mb.mb_expr) mbs
-      | _ -> ())
-    str.str_items;
-  ctx.found
-
-and check_module ctx me =
-  match me.mod_desc with
-  | Tmod_structure str -> ignore (check_structure ctx str)
-  | Tmod_constraint (me, _, _, _) -> check_module ctx me
-  | Tmod_functor (_, me) -> check_module ctx me
-  | _ -> ()
-
-let check ~file str =
-  let ctx =
-    { file; summaries = []; waiters = []; binding = "-"; parker = false; found = [] }
-  in
-  let found = check_structure ctx str in
-  List.sort_uniq Site.compare found
+  found

@@ -64,18 +64,17 @@ let stdlib_ordering p =
    constant (bool among them).  An abstract type is not, whatever its
    definition. *)
 let immediate_arg env ty =
-  let env = Spath.full_env env in
   let constant cd =
     match cd.Types.cd_args with Types.Cstr_tuple [] -> true | _ -> false
   in
-  match Types.get_desc (Ctype.expand_head env ty) with
+  match Types.get_desc (Spath.expand env ty) with
   | Types.Tarrow (_, arg, _, _) -> (
-    match Types.get_desc (Ctype.expand_head env arg) with
+    match Types.get_desc (Spath.expand env arg) with
     | Types.Tconstr (p, _, _) ->
       let immediate =
         Path.same p Predef.path_int || Path.same p Predef.path_char
         ||
-        match (Env.find_type p env).Types.type_kind with
+        match (Env.find_type p (Spath.full_env env)).Types.type_kind with
         | Types.Type_variant (cds, _) -> List.for_all constant cds
         | _ -> false
         | exception Not_found -> false
@@ -85,22 +84,13 @@ let immediate_arg env ty =
   | _ -> None
 
 type ctx = {
-  file : string;
-  mutable binding : string;
+  b : Binding.t;
   mutable found : Site.t list;
   mutable sorted : expression list;  (* traversal idents whose result a sort takes *)
 }
 
 let report ctx ~rule ~loc message =
-  ctx.found <-
-    {
-      Site.rule;
-      file = ctx.file;
-      line = loc.Location.loc_start.Lexing.pos_lnum;
-      ident = ctx.binding;
-      message;
-    }
-    :: ctx.found
+  ctx.found <- Binding.site ctx.b ~rule loc message :: ctx.found
 
 let resolves_to names e =
   match e.exp_desc with
@@ -182,8 +172,8 @@ let visit_expr ctx e =
     | _ -> ())
   | _ -> ()
 
-let check ~file str =
-  let ctx = { file; binding = "-"; found = []; sorted = [] } in
+let check b =
+  let ctx = { b; found = []; sorted = [] } in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -191,15 +181,7 @@ let check ~file str =
         (fun it e ->
           visit_expr ctx e;
           Tast_iterator.default_iterator.expr it e);
-      value_binding =
-        (fun it vb ->
-          (match vb.vb_pat.pat_desc with
-          | Tpat_var (id, _) when ctx.binding = "-" ->
-            ctx.binding <- Ident.name id;
-            Tast_iterator.default_iterator.value_binding it vb;
-            ctx.binding <- "-"
-          | _ -> Tast_iterator.default_iterator.value_binding it vb));
     }
   in
-  it.Tast_iterator.structure it str;
-  List.sort_uniq Site.compare ctx.found
+  it.Tast_iterator.expr it b.Binding.vb.vb_expr;
+  ctx.found

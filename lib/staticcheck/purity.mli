@@ -25,4 +25,4 @@
 
     [no-print] has no exempt directory: nothing in [lib/] prints. *)
 
-val check : file:string -> Typedtree.structure -> Site.t list
+val check : Binding.t -> Site.t list

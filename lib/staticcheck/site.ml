@@ -6,6 +6,8 @@ type t = {
   message : string;
 }
 
+let make ~rule ~file ~line ~ident message = { rule; file; line; ident; message }
+
 let compare a b =
   match String.compare a.file b.file with
   | 0 -> (

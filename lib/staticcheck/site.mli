@@ -12,6 +12,10 @@ type t = {
   message : string;
 }
 
+val make : rule:string -> file:string -> line:int -> ident:string -> string -> t
+(** The one way rules build a finding ({!Binding.site} fills in the
+    file, line and binding). *)
+
 val compare : t -> t -> int
 (** Order by (file, line, rule, ident): report order and dedupe key. *)
 

@@ -52,6 +52,11 @@ let matches_any patterns p = List.find_opt (fun pat -> matches pat p) patterns
 let full_env env =
   try Envaux.env_of_only_summary env with Envaux.Error _ -> env
 
+(* Head abbreviations expanded in the reconstructed env.  Ctype may
+   raise compiler-libs exceptions of its own; any failure keeps [ty] as
+   it is, so a rule's type test misses, toward silence. *)
+let expand env ty = try Ctype.expand_head (full_env env) ty with _ -> ty
+
 (* Canonical value path: module aliases expanded ([module S = Sys]
    makes [S.time] normalize to [Sys.time]), so suffix patterns match
    the real identity, not the local spelling. *)

@@ -28,6 +28,11 @@ val full_env : Env.t -> Env.t
     through the [Load_path] primed by {!Cmt_load}); on failure returns
     the summary env, degrading lookups toward silence. *)
 
+val expand : Env.t -> Types.type_expr -> Types.type_expr
+(** [Ctype.expand_head] in the {!full_env} of [env]: abbreviations at
+    the head of the type are expanded.  On any failure the type comes
+    back unchanged, degrading a rule's type test toward silence. *)
+
 val resolve_value : Env.t -> Path.t -> Path.t
 (** Canonical value path with module aliases expanded: [S.time]
     resolves to [Sys.time] when [S] aliases [Sys].  Unresolvable paths

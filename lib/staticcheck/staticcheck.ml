@@ -2,22 +2,18 @@ let missing_mli (u : Cmt_load.unit_) =
   if u.Cmt_load.interface then []
   else
     [
-      {
-        Site.rule = "missing-mli";
-        file = u.Cmt_load.source;
-        line = 1;
-        ident = "-";
-        message = "no .mli: every library module needs an interface";
-      };
+      Site.make ~rule:"missing-mli" ~file:u.Cmt_load.source ~line:1 ~ident:"-"
+        "no .mli: every library module needs an interface";
     ]
 
+(* The driver: every rule reads the same bindings, each once. *)
 let check_unit (u : Cmt_load.unit_) =
-  let file = u.Cmt_load.source in
+  let bindings = Binding.of_structure ~file:u.Cmt_load.source u.Cmt_load.structure in
   missing_mli u
-  @ Protocol.check ~file u.Cmt_load.structure
-  @ Domain_safety.check ~file u.Cmt_load.structure
-  @ Purity.check ~file u.Cmt_load.structure
-  @ Zero_alloc.check ~file u.Cmt_load.structure
+  @ Protocol.check bindings
+  @ List.concat_map
+      (fun b -> Domain_safety.check b @ Purity.check b @ Zero_alloc.check b)
+      bindings
 
 let scan roots =
   Cmt_load.load_roots roots

@@ -3,7 +3,8 @@
 
     - [missing-mli] — {!missing_mli}: every unit ships an interface.
 
-    - [park-before-arm] / [register-before-arm] — {!Protocol}: the
+    - [park-before-arm] / [register-before-arm] /
+      [lock-arm-before-publish] — {!Protocol}: the
       monitor/mwait boot-window protocol.
     - [domain-safety] — {!Domain_safety}: top-level mutable state must
       be [Atomic.t] or [Domain.DLS].
@@ -13,7 +14,8 @@
     - [zero-alloc] — {!Zero_alloc}: the [\[@@sl.zero_alloc\]] hot-path
       allocation budget.
 
-    Findings dedupe per static site and flow through
+    Every rule but [missing-mli] reads the bindings {!Binding} lists,
+    each unit's once.  Findings dedupe per static site and flow through
     {!Sl_analysis.Report} (see {!Site.to_report}); deliberate
     exceptions live in a committed allowlist ([staticcheck.allow]),
     one justified line each. *)

@@ -7,8 +7,6 @@ let annotated vb =
     (fun a -> a.Parsetree.attr_name.Location.txt = attribute)
     vb.vb_attributes
 
-let expand env ty = try Ctype.expand_head env ty with _ -> ty
-
 (* One allocation class per expression head.  Float boxing and string
    building are out of scope (see DESIGN.md): the contract covers the
    allocations flambda-less ocamlopt cannot remove — closures, blocks,
@@ -32,14 +30,13 @@ let alloc_reason e =
     if List.exists (fun (_, a) -> a = None) args then
       Some "partial application (argument omitted)"
     else (
-      match Types.get_desc (expand e.exp_env e.exp_type) with
+      match Types.get_desc (Spath.expand e.exp_env e.exp_type) with
       | Types.Tarrow _ -> Some "partial application (result is a function)"
       | _ -> None)
   | _ -> None
 
-type ctx = { file : string; mutable found : Site.t list }
-
-let scan_body ctx ~ident body =
+let check (b : Binding.t) =
+  let found = ref [] in
   let it =
     {
       Tast_iterator.default_iterator with
@@ -47,61 +44,24 @@ let scan_body ctx ~ident body =
         (fun it e ->
           (match alloc_reason e with
           | Some reason ->
-            ctx.found <-
-              {
-                Site.rule = "zero-alloc";
-                file = ctx.file;
-                line = e.exp_loc.Location.loc_start.Lexing.pos_lnum;
-                ident;
-                message =
-                  Printf.sprintf
-                    "[@@%s] function allocates: %s; keep the hot path \
-                     allocation-free or drop the annotation"
-                    attribute reason;
-              }
-              :: ctx.found
+            found :=
+              Binding.site b ~rule:"zero-alloc" e.exp_loc
+                (Printf.sprintf
+                   "[@@%s] function allocates: %s; keep the hot path \
+                    allocation-free or drop the annotation"
+                   attribute reason)
+              :: !found
           | None -> ());
           Tast_iterator.default_iterator.expr it e);
     }
   in
-  it.Tast_iterator.expr it body
-
-(* The outermost [fun] chain is the calling convention, not an
-   allocation: a fully applied curried call builds no intermediate
-   closure.  Everything below it is body. *)
-let rec scan_fun ctx ~ident e =
-  match e.exp_desc with
-  | Texp_function { cases; _ } ->
-    List.iter (fun c -> scan_fun ctx ~ident c.c_rhs) cases
-  | _ -> scan_body ctx ~ident e
-
-let visit_binding ctx vb =
-  if annotated vb then
-    let ident =
-      match vb.vb_pat.pat_desc with
-      | Tpat_var (id, _) | Tpat_alias (_, id, _) -> Ident.name id
-      | _ -> "-"
-    in
-    scan_fun ctx ~ident vb.vb_expr
-
-let check ~file str =
-  let ctx = { file; found = [] } in
-  let rec visit_structure str =
-    List.iter
-      (fun item ->
-        match item.str_desc with
-        | Tstr_value (_, vbs) -> List.iter (visit_binding ctx) vbs
-        | Tstr_module mb -> visit_module mb.mb_expr
-        | Tstr_recmodule mbs ->
-          List.iter (fun mb -> visit_module mb.mb_expr) mbs
-        | _ -> ())
-      str.str_items
-  and visit_module me =
-    match me.mod_desc with
-    | Tmod_structure str -> visit_structure str
-    | Tmod_constraint (me, _, _, _) -> visit_module me
-    | Tmod_functor (_, me) -> visit_module me
-    | _ -> ()
+  (* The outermost [fun] chain is the calling convention, not an
+     allocation: a fully applied curried call builds no intermediate
+     closure.  Everything below it is body. *)
+  let rec scan e =
+    match e.exp_desc with
+    | Texp_function { cases; _ } -> List.iter (fun c -> scan c.c_rhs) cases
+    | _ -> it.Tast_iterator.expr it e
   in
-  visit_structure str;
-  List.sort_uniq Site.compare ctx.found
+  if annotated b.vb then scan b.vb.vb_expr;
+  !found

@@ -10,4 +10,4 @@
     outermost [fun] chain is the calling convention and exempt; float
     boxing is documented as out of scope (DESIGN.md). *)
 
-val check : file:string -> Typedtree.structure -> Site.t list
+val check : Binding.t -> Site.t list

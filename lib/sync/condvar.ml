@@ -15,10 +15,7 @@ let create chip =
   { chip; word = Memory.alloc (Chip.memory chip) 1; armed = Sl_util.Dense.create () }
 
 (* Same crash-aware arm cache as Lock: a crash-stop clears the hardware
-   monitor table, so the cached arm is keyed by the crash count.  Thread
-   and word come in as parameters (not dug out of records), which also
-   lets the static protocol layer summarize this as an arming function
-   of its first argument. *)
+   monitor table, so the cached arm is keyed by the crash count. *)
 let ensure_armed th armed word =
   let ptid = Chip.ptid th and crashes = Chip.crash_count th in
   let at = Sl_util.Dense.get armed ptid in

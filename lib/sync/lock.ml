@@ -389,20 +389,15 @@ let ticket_release t s =
 
 (* --- MCS queue --- *)
 
-(* In mwait mode, arm [th]'s monitor on its grant word unless the arm
-   cache says it still holds.  The thread comes in as a parameter, as
-   in Condvar.ensure_armed, so the protocol rule reads a call as an arm
-   of it. *)
-let mcs_arm ~spin th s = if (not spin) && must_arm s then Isa.monitor th s.grant
-
 let mcs_acquire ~spin t s =
   (* Reset our queue node while nobody can see it, and — in mwait mode —
      arm the monitor on our grant word BEFORE the tail swap publishes the
-     node.  Arming after publishing would open a lost-wakeup window: the
-     predecessor could grant between publish and arm, and the waiter
-     would park forever on a wake that already happened. *)
+     node, unless the arm cache says it still holds.  Arming after
+     publishing would open a lost-wakeup window: the predecessor could
+     grant between publish and arm, and the waiter would park forever on
+     a wake that already happened. *)
   Atomics.write t.chip s.th s.next 0L;
-  mcs_arm ~spin s.th s;
+  if (not spin) && must_arm s then Isa.monitor s.th s.grant;
   let prev =
     Int64.to_int (Atomics.exchange t.chip s.th t.serving (Int64.of_int (s.sptid + 1)))
   in

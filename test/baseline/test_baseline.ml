@@ -236,8 +236,8 @@ let test_ipi_adds_latency () =
 
 let test_flexsc_batches_calls () =
   let sim = Sim.create () in
-  let kernel_core = Smt_core.create sim p ~core_id:99 in
-  let fx = Flexsc.create sim p ~batch_window:500 ~core:kernel_core () in
+  let kernel_core = Smt_core.create sim p in
+  let fx = Flexsc.create sim ~batch_window:500 ~core:kernel_core () in
   let finished = ref [] in
   for i = 1 to 3 do
     Sim.spawn sim (fun () ->
@@ -253,8 +253,8 @@ let test_flexsc_batches_calls () =
 
 let test_flexsc_second_batch_for_late_call () =
   let sim = Sim.create () in
-  let kernel_core = Smt_core.create sim p ~core_id:99 in
-  let fx = Flexsc.create sim p ~batch_window:500 ~core:kernel_core () in
+  let kernel_core = Smt_core.create sim p in
+  let fx = Flexsc.create sim ~batch_window:500 ~core:kernel_core () in
   Sim.spawn sim (fun () -> Flexsc.call fx ~kernel_work:10);
   Sim.spawn sim (fun () ->
       Sim.delay 5_000;

@@ -24,7 +24,6 @@ type floats = {
 type t = {
   sim : Sim.t;
   params : Params.t;
-  core_id : int;
   mutable s_ptid : int array;  (* each slot's ptid, for [billed_threads] *)
   mutable nslots : int;
   (* In-flight jobs, dense by slot: [j_kind.(s) = -1] means no job. *)
@@ -352,12 +351,11 @@ let schedule_completion t dt =
 
 let reschedule t = schedule_completion t (if t.njobs > 0 then next_dt t else -1)
 
-let create sim params ~core_id =
+let create sim params =
   let t =
     {
       sim;
       params;
-      core_id;
       s_ptid = Array.make 16 (-1);
       nslots = 0;
       j_kind = Array.make 16 (-1);
@@ -395,8 +393,6 @@ let create sim params ~core_id =
         reschedule t
       end);
   t
-
-let core_id t = t.core_id
 
 let set_runnable t ~slot ~weight runnable =
   if weight <= 0.0 then invalid_arg "Smt_core.set_runnable: weight must be positive";

@@ -6,8 +6,7 @@
 type kind = Switchless.Smt_core.kind = Useful | Poll | Overhead
 type t
 
-val create : Sl_engine.Sim.t -> Switchless.Params.t -> core_id:int -> t
-val core_id : t -> int
+val create : Sl_engine.Sim.t -> Switchless.Params.t -> t
 val add_slot : t -> ptid:int -> int
 val set_runnable : t -> slot:int -> weight:float -> bool -> unit
 val execute : t -> slot:int -> kind:kind -> int -> unit

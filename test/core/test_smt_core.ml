@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let with_core ?(smt_width = 2) f =
   let params = { Params.default with Params.smt_width } in
   let sim = Sim.create () in
-  let core = Smt_core.create sim params ~core_id:0 in
+  let core = Smt_core.create sim params in
   f sim core
 
 (* Run [cycles] of work for [ptid] on a fresh slot and record the
@@ -173,7 +173,7 @@ let prop_work_conservation =
     (fun cycles_list ->
       let params = { Params.default with Params.smt_width = 2 } in
       let sim = Sim.create () in
-      let core = Smt_core.create sim params ~core_id:0 in
+      let core = Smt_core.create sim params in
       let completions = List.map (fun _ -> ref 0) cycles_list in
       List.iteri
         (fun i cycles ->
@@ -255,7 +255,7 @@ type outcome = {
 module type CORE = sig
   type t
 
-  val create : Sim.t -> Params.t -> core_id:int -> t
+  val create : Sim.t -> Params.t -> t
   val add_slot : t -> ptid:int -> int
   val set_runnable : t -> slot:int -> weight:float -> bool -> unit
   val execute : t -> slot:int -> kind:Smt_core.kind -> int -> unit
@@ -269,7 +269,7 @@ end
 let run_job_set (module C : CORE) ~width ~weight jobs =
   let params = { Params.default with Params.smt_width = width } in
   let sim = Sim.create () in
-  let core = C.create sim params ~core_id:0 in
+  let core = C.create sim params in
   let n = List.length jobs in
   let state = Array.make n 0 (* 0 waiting, 1 executing, 2 done *) in
   let done_at = Array.make n (-1) in
@@ -522,7 +522,7 @@ let test_lone_gaps_add_one_at_a_time () =
 let churn ~weight () =
   let params = { Params.default with Params.smt_width = 2 } in
   let sim = Sim.create () in
-  let core = Smt_core.create sim params ~core_id:0 in
+  let core = Smt_core.create sim params in
   for p = 0 to 63 do
     let cycles = 50 + (p * 37 mod 101) and weight = weight p in
     let slot = Smt_core.add_slot core ~ptid:p in

@@ -1825,7 +1825,7 @@ let gen_world =
 let run_world ~beat ~spin w =
   let sim = Sim.create () in
   let params = { Params.default with Params.smt_width = w.width } in
-  let cores = Array.init w.ncores (fun core_id -> Smt_core.create sim params ~core_id) in
+  let cores = Array.init w.ncores (fun _ -> Smt_core.create sim params) in
   let ivars = Array.init ivar_count (fun _ -> Ivar.create ()) in
   let log = ref [] and live = ref 0 and next_ptid = ref 0 in
   (* Every process takes a slot on every core, in ptid order, so its

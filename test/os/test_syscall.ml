@@ -33,8 +33,8 @@ let test_trap_cost () =
 let test_flexsc_amortizes_but_delays () =
   let sim = Sim.create () in
   let sched = Swsched.create sim p ~warmup:false ~cores:1 () in
-  let kernel_core = Smt_core.create sim p ~core_id:50 in
-  let fx = Syscall.Flexsc.create sim p ~batch_window:300 ~kernel_core () in
+  let kernel_core = Smt_core.create sim p in
+  let fx = Syscall.Flexsc.create sim ~batch_window:300 ~kernel_core () in
   let app = Swsched.thread sched () in
   let done_at = ref 0 in
   Sim.spawn sim (fun () ->

@@ -34,7 +34,7 @@ let must_arm s =
     true
   end
 
-(* The arm cache's helper: a call arms its [th] (Lock.mcs_arm). *)
+(* The arm cache's helper: a call arms its [th]. *)
 let arm_grant ~spin th s = if (not spin) && must_arm s then Isa.monitor th s.grant
 
 (* Runs the stepped wait. *)
@@ -43,6 +43,13 @@ let wait s = Sim.wait s.step
 (* Lock.mcs_acquire's order: arm, then publish, then wait. *)
 let mcs_join_armed ~spin s tail =
   arm_grant ~spin s.th s;
+  let _pred = Atomics.exchange s.th tail 1L in
+  wait s
+
+(* Lock.mcs_acquire's own shape: the arm cache's [if] written directly
+   before the swap counts as the arm, as the helper's call above does. *)
+let mcs_join_armed_direct ~spin s tail =
+  if (not spin) && must_arm s then Isa.monitor s.th s.grant;
   let _pred = Atomics.exchange s.th tail 1L in
   wait s
 

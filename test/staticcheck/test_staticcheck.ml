@@ -22,11 +22,16 @@ let unit_for basename =
     Alcotest.failf "fixture %s not found among %d loaded cmts" basename
       (List.length units)
 
-(* (rule, enclosing binding) pairs, deterministic order. *)
+(* (rule, enclosing binding) pairs, deterministic order, of [check]
+   over the unit's bindings as the driver lists them. *)
 let findings check basename =
   let u = unit_for basename in
-  check ~file:u.Sc.Cmt_load.source u.Sc.Cmt_load.structure
+  check (Sc.Binding.of_structure ~file:u.Sc.Cmt_load.source u.Sc.Cmt_load.structure)
+  |> List.sort_uniq Sc.Site.compare
   |> List.map (fun s -> (s.Sc.Site.rule, s.Sc.Site.ident))
+
+(* A rule that reads one binding at a time. *)
+let each = List.concat_map
 
 let pairs = Alcotest.(list (pair string string))
 
@@ -57,6 +62,18 @@ let test_protocol_silent_on_stepped_shapes () =
   Alcotest.check pairs "armed publish, ticket draw, no wait, deferred wait" []
     (findings Sc.Protocol.check "protocol_stepped_good.ml")
 
+let test_protocol_flags_late_conditional_arms () =
+  Alcotest.check pairs "a conditional arm after the publish, helper and inline"
+    [
+      ("lock-arm-before-publish", "mcs_join_late_helper");
+      ("lock-arm-before-publish", "mcs_join_late_inline");
+    ]
+    (findings Sc.Protocol.check "protocol_cond_bad.ml")
+
+let test_protocol_silent_on_conditional_arms () =
+  Alcotest.check pairs "conditional arm in a helper or inline, let rec group" []
+    (findings Sc.Protocol.check "protocol_cond_good.ml")
+
 (* --- domain safety -------------------------------------------------------- *)
 
 let test_domain_safety_flags_mutable_toplevel () =
@@ -67,15 +84,15 @@ let test_domain_safety_flags_mutable_toplevel () =
       ("domain-safety", "scratch");
       ("domain-safety", "knobs");
     ]
-    (findings Sc.Domain_safety.check "domain_bad.ml")
+    (findings (each Sc.Domain_safety.check) "domain_bad.ml")
 
 let test_domain_safety_silent_on_blessed () =
   Alcotest.check pairs "Atomic, DLS, functions, immutables" []
-    (findings Sc.Domain_safety.check "domain_good.ml")
+    (findings (each Sc.Domain_safety.check) "domain_good.ml")
 
 (* --- purity --------------------------------------------------------------- *)
 
-let purity = Sc.Purity.check
+let purity = each Sc.Purity.check
 
 let test_purity_flags_resolved_idents () =
   Alcotest.check pairs "alias-resolved determinism, print, blanket catch"
@@ -145,11 +162,11 @@ let test_zero_alloc_flags_each_class () =
       ("zero-alloc", "some_box");
       ("zero-alloc", "partial");
     ]
-    (findings Sc.Zero_alloc.check "zeroalloc_bad.ml")
+    (findings (each Sc.Zero_alloc.check) "zeroalloc_bad.ml")
 
 let test_zero_alloc_silent_on_clean_and_unannotated () =
   Alcotest.check pairs "int ops pass; unannotated allocations ignored" []
-    (findings Sc.Zero_alloc.check "zeroalloc_good.ml")
+    (findings (each Sc.Zero_alloc.check) "zeroalloc_good.ml")
 
 (* --- spath ---------------------------------------------------------------- *)
 
@@ -180,8 +197,7 @@ let with_allow_file content f =
       close_out oc;
       f path)
 
-let site ~rule ~file ~ident =
-  { Sc.Site.rule; file; line = 1; ident; message = "m" }
+let site ~rule ~file ~ident = Sc.Site.make ~rule ~file ~line:1 ~ident "m"
 
 let test_allowlist_matching () =
   with_allow_file
@@ -244,6 +260,10 @@ let () =
             test_protocol_flags_stepped_waits;
           Alcotest.test_case "stepped shapes silent" `Quick
             test_protocol_silent_on_stepped_shapes;
+          Alcotest.test_case "late conditional arms flagged" `Quick
+            test_protocol_flags_late_conditional_arms;
+          Alcotest.test_case "conditional arms and rec groups silent" `Quick
+            test_protocol_silent_on_conditional_arms;
         ] );
       ( "domain-safety",
         [
